@@ -17,8 +17,8 @@ gates the three contracts that optimization must keep:
   declines parallelism this is exact program equality; where it
   schedules the SPP branches concurrently the ratio must not dip;
 * **sticky schedule cache** — a second compile of the same program
-  structure pays zero DP solves (pure cache hits), mirroring the
-  autotune snapshot/seed contract the scan pool relies on.
+  structure pays zero DP solves (pure cache hits) — the property the
+  scan pool's ``sched.snapshot()``/``seed()`` shipping relies on.
 
 On multi-core hosts an additional check reports the SPP-branch overlap
 win of the forced-parallel schedule (absent from single-core baselines;

@@ -18,8 +18,8 @@ check values against the committed baselines in
   — silently dropping a tracked metric is how regressions go unnoticed.
 
 Checks marked ``track: false`` (values that legally jump between runs,
-e.g. a max-abs-error that moves when the autotuner picks a different
-kernel) are exempt from drift comparison but still gate-enforced.
+e.g. a max-abs-error that moves with any change to kernel arithmetic
+order) are exempt from drift comparison but still gate-enforced.
 
 Baselines store only the gates section; refresh them after an accepted
 perf change with ``--update``.

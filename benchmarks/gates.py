@@ -18,7 +18,7 @@ through :func:`finish`.  That buys three things at once:
 ``threshold``; ``"bool"`` requires ``value`` to be truthy (threshold
 ignored).  ``track=False`` marks a check whose *value* is not suitable
 for run-over-run relative tracking (e.g. a max-abs-error that legally
-jumps when the autotuner picks a different kernel) — the regression
+jumps with any change to kernel arithmetic order) — the regression
 tracker still verifies it passes, but skips the 10% drift comparison.
 """
 

@@ -13,10 +13,11 @@ The eager path remains the default everywhere; callers opt in with
 ``backend="engine"`` (``repro.detect.predict`` / ``scan_scene``,
 ``repro.serve.InferenceService``, ``repro.nas.measure_latency_ms``).
 
-Convolutions dispatch over three kernel variants (plain im2col,
-memory-tiled implicit GEMM, Winograd F(2x2,3x3)); a build-time
-autotuner (:mod:`.autotune`) benchmarks the eligible variants per conv
-geometry and memoizes the winner.  Reduced-precision execution
+Convolutions bind one of two kernels, chosen by a pure function of the
+layer's geometry (:func:`.kernels.conv_variant`): memory-tiled implicit
+GEMM for shallow (gather-bound) layers, plain im2col otherwise — so
+every process and pool worker binds the same kernels without
+measuring or messaging anything.  Reduced-precision execution
 (float16 weight rounding, int8 per-channel GEMM) lives in
 :mod:`.quant` and is selected under the paper's accuracy constraint by
 :func:`quantize_with_accuracy_gate`.
@@ -30,15 +31,9 @@ restores flat sequential execution.
 """
 
 from . import sched
-from .autotune import (
-    CONV_VARIANTS,
-    ConvKey,
-    autotune_choices,
-    clear_autotune_cache,
-    eligible_variants,
-)
 from .compiled import CompiledModel, compile, compiled_for
 from .fusion import FusionError, Step, fuse_graph
+from .kernels import CONV_VARIANTS, conv_variant
 from .plan import Lifetime, MemoryPlan, plan_memory
 from .quant import (
     QUANT_MODES,
@@ -63,10 +58,7 @@ __all__ = [
     "register_tracer",
     "trace",
     "CONV_VARIANTS",
-    "ConvKey",
-    "eligible_variants",
-    "autotune_choices",
-    "clear_autotune_cache",
+    "conv_variant",
     "QUANT_MODES",
     "QuantPolicy",
     "quantize_with_accuracy_gate",

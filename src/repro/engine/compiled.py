@@ -21,9 +21,8 @@ those measured costs, and — only if the solver found profitable
 inter-operator parallelism — rebinds the program with a stage-barrier
 arena plan and a staged executor that runs concurrent groups on a
 shared thread pool.  Solved schedules are sticky per (program, batch,
-shape, quant, workers) exactly like autotune decisions, so the
-measure+solve cost is paid once per process (or never, when seeded from
-a scan-pool parent).
+shape, quant, workers), so the measure+solve cost is paid once per
+process (or never, when seeded from a scan-pool parent).
 
 Execution is serialized with an internal lock: programs own mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
@@ -42,7 +41,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import sched as _sched
-from .autotune import ConvKey, choose_variant
 from .fusion import Step, fuse_graph
 from .kernels import (
     adaptive_bins,
@@ -50,6 +48,7 @@ from .kernels import (
     bind_conv,
     concat_rows,
     conv_scratch_elems,
+    conv_variant,
     linear,
     maxpool_shifted,
     pack_conv_weight,
@@ -59,7 +58,6 @@ from .kernels import (
     shifted_views,
     sigmoid_into,
     softmax_rows,
-    winograd23_pack_weight,
 )
 from .plan import MemoryPlan, plan_memory
 from .quant import (
@@ -107,62 +105,20 @@ def _nhwc(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
     return (n,) + shape
 
 
-def _conv_step_params(step: Step, shapes: dict) -> dict:
-    """Static conv geometry shared by variant selection and binding."""
-    c_in, h, w = shapes[step.inputs[0]]
-    pooled = step.kind == "conv_pool"
-    return {
-        "h": int(h), "w": int(w), "c_in": int(c_in),
-        "out_channels": int(step.attrs["out_channels"]),
-        "kernel": int(step.attrs["kernel"]),
-        "stride": int(step.attrs["stride"]),
-        "padding": int(step.attrs["padding"]),
-        "bias": bool(step.attrs["bias"]),
-        "pool": pooled,
-    }
-
-
 def _select_conv_variant(step: Step, shapes: dict, batch: int,
-                         dtype: np.dtype, packed: dict,
                          quant: QuantPolicy) -> tuple[str, int]:
-    """Autotuned kernel variant and its per-sample scratch size."""
-    geo = _conv_step_params(step, shapes)
-    key = ConvKey(batch=batch, height=geo["h"], width=geo["w"],
-                  in_channels=geo["c_in"], out_channels=geo["out_channels"],
-                  kernel=geo["kernel"], stride=geo["stride"],
-                  padding=geo["padding"], pool=geo["pool"],
-                  dtype=str(np.dtype(dtype)), mode=quant.mode)
-    pack = packed[step.attrs["weights"]]
-    pool = (2, 2) if geo["pool"] else None
-    relu = bool(step.attrs["relu"])
-
-    def make_kernel(variant: str):
-        # Standalone benchmark buffers: the arena does not exist yet
-        # (its sizing depends on the choice made here).
-        rng = np.random.default_rng(0)
-        src = rng.standard_normal(
-            (batch, geo["h"], geo["w"], geo["c_in"])).astype(dtype)
-        out = np.empty(_nhwc(step.out_shape, batch), dtype=dtype)
-        scratch = np.empty(
-            batch * conv_scratch_elems(
-                variant, batch=batch, h=geo["h"], w=geo["w"],
-                c_in=geo["c_in"], out_channels=geo["out_channels"],
-                kernel=geo["kernel"], stride=geo["stride"],
-                padding=geo["padding"], bias=geo["bias"], pool=geo["pool"]),
-            dtype=dtype)
-        return bind_conv(
-            variant, src=src, out=out, scratch=scratch, k=geo["kernel"],
-            stride=geo["stride"], pad=geo["padding"], relu=relu, pool=pool,
-            w_pack=pack.get("im2col"),
-            wg_pack=(pack.get("wg"), pack.get("bias")))
-
-    variant = choose_variant(key, make_kernel)
-    bias_col = geo["bias"] and quant.mode != "int8"
+    """Kernel variant of one conv step and its per-sample scratch size."""
+    c_in, h, w = shapes[step.inputs[0]]
+    kernel = int(step.attrs["kernel"])
+    variant = conv_variant(int(c_in), kernel, quant.mode)
     scratch_elems = conv_scratch_elems(
-        variant, batch=batch, h=geo["h"], w=geo["w"], c_in=geo["c_in"],
-        out_channels=geo["out_channels"], kernel=geo["kernel"],
-        stride=geo["stride"], padding=geo["padding"], bias=bias_col,
-        pool=geo["pool"])
+        variant, batch=batch, h=int(h), w=int(w), c_in=int(c_in),
+        out_channels=int(step.attrs["out_channels"]), kernel=kernel,
+        stride=int(step.attrs["stride"]),
+        padding=int(step.attrs["padding"]),
+        # the int8 kernel adds the bias in its epilogue, not as a column
+        bias=bool(step.attrs["bias"]) and quant.mode != "int8",
+        pool=step.kind == "conv_pool")
     return variant, scratch_elems
 
 
@@ -219,14 +175,14 @@ class _Program:
 
         # Resolve the kernel variant per conv before planning: each
         # variant has its own scratch footprint (im2col columns vs block
-        # buffers vs Winograd transform planes), and the plan must
-        # reserve what the bound kernel will actually touch.
+        # buffers), and the plan must reserve what the bound kernel
+        # will actually touch.
         self.kernel_choices: dict[str, str] = {}
         resolved: list[Step] = []
         for step in steps:
             if step.kind in ("conv", "conv_pool"):
                 variant, scratch = _select_conv_variant(
-                    step, shapes, batch, dtype, packed, quant)
+                    step, shapes, batch, quant)
                 self.kernel_choices[step.name] = variant
                 step = replace(step, scratch_elems=scratch)
             elif step.kind == "linear" and quant.mode == "int8":
@@ -330,8 +286,7 @@ class _Program:
             return bind_conv(
                 self.kernel_choices[step.name], src=src, out=out,
                 scratch=scratch, k=k, stride=stride, pad=pad, relu=relu,
-                pool=pool, w_pack=pack.get("im2col"),
-                wg_pack=(pack.get("wg"), pack.get("bias")))
+                pool=pool, w_pack=pack["im2col"])
 
         if kind == "linear":
             pack = packed[step.attrs["weights"]]
@@ -604,15 +559,13 @@ class CompiledModel:
                 np.ascontiguousarray(bias, dtype=self.dtype)
             if weight.ndim == 4:
                 # conv bias rides inside the packed matrix (ones-column
-                # trick); the separate vector serves the winograd /
-                # quantized / fused-pool epilogues
+                # trick); the separate vector serves the quantized
+                # kernel's epilogue
                 entry = {
                     "kind": "conv",
                     "im2col": pack_conv_weight(weight, bias, self.dtype),
                     "bias": b_vec,
                 }
-                if weight.shape[2] == weight.shape[3] == 3 and not int8:
-                    entry["wg"] = winograd23_pack_weight(weight, self.dtype)
                 if int8:
                     rows = weight.transpose(2, 3, 1, 0).reshape(
                         -1, weight.shape[0])
@@ -661,9 +614,8 @@ class CompiledModel:
                                               prog)
                 if plan is not None and plan.max_parallelism > 1:
                     # Rebind with the stage-barrier arena plan and the
-                    # staged executor.  Conv variants are sticky in the
-                    # autotune cache, so the rebind reuses the first
-                    # build's decisions (and its kernels) verbatim.
+                    # staged executor; conv variants are a function of
+                    # layer geometry, so the rebind binds the same kernels.
                     prog = _Program(steps, self.outputs, batch, self.dtype,
                                     self._packed, self.quant,
                                     self._act_scales, schedule=plan)
@@ -677,8 +629,9 @@ class CompiledModel:
         On a cache miss the freshly-bound sequential program measures
         its own per-step kernel costs (synthetic input — cost magnitude
         is what matters, not values) and the DP solves against them.
-        Any failure falls back to no schedule: the sequential program
-        is always a correct executable.
+        Any failure falls back to no schedule, counted and warned by
+        ``sched.note_fallback``: the sequential program is always a
+        correct executable.
         """
         try:
             key = _sched.schedule_key(steps, batch, sample_shape,
@@ -693,7 +646,8 @@ class CompiledModel:
                 plan = _sched.solve_schedule(key, steps, costs,
                                              graph_name=self.graph.name)
             return plan
-        except Exception:
+        except Exception as exc:
+            _sched.note_fallback(exc)
             return None
 
     # -- execution -------------------------------------------------------
@@ -787,7 +741,7 @@ class CompiledModel:
     def memory_plan(self, batch: int = 1,
                     sample_shape: tuple[int, ...] | None = None) -> MemoryPlan:
         """The arena assignment the executed program holds at ``batch``
-        (scratch already re-sized for the autotuned kernel variants)."""
+        (scratch already re-sized for the selected kernel variants)."""
         with self._lock:
             return self._program_for(
                 batch, tuple(sample_shape or self.input_shape)).plan
@@ -795,9 +749,8 @@ class CompiledModel:
     def kernel_choices(self, batch: int = 1,
                        sample_shape: tuple[int, ...] | None = None
                        ) -> dict[str, str]:
-        """The autotuner's conv-variant decision per conv step for one
-        (batch, shape) program — recorded in the program cache, so this
-        never re-measures."""
+        """The conv kernel bound per conv step of one (batch, shape)
+        program (:func:`~.kernels.conv_variant` of each layer)."""
         with self._lock:
             prog = self._program_for(
                 batch, tuple(sample_shape or self.input_shape))

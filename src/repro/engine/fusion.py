@@ -7,8 +7,7 @@ the two operators run separately:
 * ``CONV2D + RELU + MAXPOOL(2x2/s2)`` -> one ``conv_pool`` step: the
   trunk pattern of every SPP-Net candidate.  The conv variants
   (:func:`.kernels.bind_conv`) pool inside the kernel — tiled im2col
-  pools each block while it is cache-hot, and a Winograd F(2x2,3x3)
-  output tile *is* a 2x2/s2 pool window, so bias+ReLU run on the
+  pools each block while it is cache-hot — so ReLU runs on the
   4x-smaller pooled tensor and the full conv output never becomes a
   planned tensor;
 * ``CONV2D + RELU``   -> one ``conv`` step (ReLU applied in the GEMM
@@ -154,8 +153,8 @@ def fuse_graph(graph: Graph, outputs: tuple[str, ...]) -> list[Step]:
                      "padding": p, "in_channels": c_in, "out_channels": f,
                      "bias": has_bias, "weights": op.name}
             # Scratch is sized for the reference im2col kernel here; the
-            # program binder re-sizes it for whichever variant the
-            # autotuner selects before memory planning.
+            # program binder re-sizes it for the variant
+            # ``kernels.conv_variant`` selects before memory planning.
             scratch = conv_scratch_elems(
                 "im2col", batch=1, h=h_in, w=w_in, c_in=c_in,
                 out_channels=f, kernel=k, stride=attrs["stride"],

@@ -18,15 +18,17 @@ eager channel-major order so fully-connected weights apply unchanged.
 
 from __future__ import annotations
 
+import time as _time
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "pack_conv_weight",
     "pack_linear_weight",
-    "winograd23_pack_weight",
     "adaptive_bins",
-    "conv_im2col",
+    "CONV_VARIANTS",
+    "conv_variant",
     "conv_out_hw",
     "conv_scratch_elems",
     "bind_conv",
@@ -46,6 +48,33 @@ __all__ = [
 #: a fused 2x2/s2 pool consumes whole row pairs) and small enough that a
 #: block's im2col columns stay L2-resident on the deployment shapes.
 TILE_ROWS = 4
+
+#: The conv kernels :func:`bind_conv` can bind; ``im2col`` is the
+#: reference the tiled kernel is tested against.
+CONV_VARIANTS = ("im2col", "im2col_tiled")
+
+#: Largest GEMM depth ``c_in * k * k`` that binds the tiled kernel.
+#: Measured per layer (table in docs/engine.md "Kernel selection",
+#: reproduced by ``benchmarks/bench_engine.py``): a shallow conv is
+#: gather-bound, so on the 4-band first conv (k = 1..9, depth 4..324)
+#: tiling takes 0.57-0.91x of im2col's time at batch 8 and 20 and is a
+#: near-tie at batch 1; on the deep 64->128 / 128->256 layers (depth
+#: 576 / 1152) it ties at best and is up to 1.32x slower.  No supported
+#: layer falls between 324 and 576.
+TILED_MAX_DEPTH = 324
+
+
+def conv_variant(c_in: int, kernel: int, mode: str = "float32") -> str:
+    """The kernel a conv binds: a pure function of its static geometry.
+
+    Every process, batch size and pool worker computes the same answer,
+    which is what makes parallel scans byte-identical to sequential
+    ones.  int8 is pinned to ``im2col``: the quantized GEMM quantizes
+    the gathered columns once, and tiling would re-quantize per block.
+    """
+    if mode != "int8" and c_in * kernel * kernel <= TILED_MAX_DEPTH:
+        return "im2col_tiled"
+    return "im2col"
 
 
 # -- weight packing ------------------------------------------------------
@@ -74,39 +103,11 @@ def pack_linear_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(weight.T, dtype=dtype)
 
 
-# Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2016).  BT/AT are
-# integer matrices, G carries exact binary fractions, so the weight
-# transform is exact in float64 and the runtime transforms are pure
-# adds/subtracts.
-_WG_G = np.array([[1.0, 0.0, 0.0],
-                  [0.5, 0.5, 0.5],
-                  [0.5, -0.5, 0.5],
-                  [0.0, 0.0, 1.0]])
-
-
-def winograd23_pack_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``(F, C, 3, 3)`` -> pre-transformed ``(16, C, F)`` operand.
-
-    ``U = G w G^T`` per (f, c) filter, computed in float64 and laid out
-    as 16 per-tile-position ``(C, F)`` GEMM operands so the runtime does
-    one batched ``np.matmul`` against the transformed input tiles.
-    """
-    u = np.einsum("ik,fckl,jl->ijcf", _WG_G, weight.astype(np.float64), _WG_G)
-    return np.ascontiguousarray(
-        u.reshape(16, weight.shape[1], weight.shape[0]), dtype=dtype)
-
-
 def conv_out_hw(h: int, w: int, k: int, stride: int,
                 pad: int) -> tuple[int, int]:
     """Spatial output dims of a convolution."""
     return ((h + 2 * pad - k) // stride + 1,
             (w + 2 * pad - k) // stride + 1)
-
-
-def _winograd_geometry(ho: int, wo: int) -> tuple[int, int, int, int]:
-    """(tile rows, tile cols, padded H, padded W) for F(2x2,3x3)."""
-    th, tw = (ho + 1) // 2, (wo + 1) // 2
-    return th, tw, 2 * th + 2, 2 * tw + 2
 
 
 def _tile_rows(ho: int, pool: bool) -> int:
@@ -142,12 +143,6 @@ def conv_scratch_elems(variant: str, *, batch: int, h: int, w: int,
         if pool:
             total += br * wo * f + (br // 2) * wo * f
         return -(-total // batch) + pad_elems
-    if variant == "winograd23":
-        th, tw, hp, wp = _winograd_geometry(ho, wo)
-        staged = padding > 0 or (hp, wp) != (h, w)
-        return ((hp * wp * c_in if staged else 0)
-                + 17 * th * tw * c_in    # 16 transform planes + 1 temp
-                + 16 * th * tw * f)      # GEMM output / inverse transform
     raise ValueError(f"unknown conv variant {variant!r}")
 
 
@@ -191,27 +186,6 @@ def shifted_views(x: np.ndarray, k: int, stride: int,
 
 
 # -- compute kernels -----------------------------------------------------
-
-def conv_im2col(win: np.ndarray, cols: np.ndarray, cols2d: np.ndarray,
-                ones_col: np.ndarray | None, w_pack: np.ndarray,
-                out2d: np.ndarray, relu: bool) -> None:
-    """Fused conv(+bias)(+relu): gather windows, one GEMM, activate in place.
-
-    win      : strided window view (N, Ho, Wo, kh, kw, C) of the NHWC input.
-    cols     : scratch with win's shape (the window part of the im2col
-               buffer; its rows may be strided when a bias column follows).
-    cols2d   : the full im2col scratch as (N*Ho*Wo, kh*kw*C [+1]).
-    ones_col : the trailing bias column of cols2d, or None when biasless.
-               Refilled every call — arena slots are recycled between steps.
-    out2d    : output viewed as (N*Ho*Wo, F) — i.e. NHWC.
-    """
-    np.copyto(cols, win)
-    if ones_col is not None:
-        ones_col.fill(1.0)
-    np.dot(cols2d, w_pack, out=out2d)
-    if relu:
-        np.maximum(out2d, 0.0, out=out2d)
-
 
 def linear(in2d: np.ndarray, w_pack: np.ndarray, bias: np.ndarray | None,
            out2d: np.ndarray, relu: bool) -> None:
@@ -288,9 +262,6 @@ def concat_rows(parts: list[np.ndarray], out: np.ndarray, axis: int) -> None:
 # fused pooling -> "pooling") so run_timed() can attribute fused kernels
 # at sub-step granularity; with ``acc=None`` the phase list runs with no
 # timing overhead.
-
-import time as _time  # noqa: E402  (kernel-local, keeps module header lean)
-
 
 def _compose(phases: list[tuple[str, object]]):
     def fn(acc=None, phases=phases):
@@ -464,125 +435,18 @@ def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
     return _compose(phases)
 
 
-def _bind_conv_winograd23(src, out, scratch, wg_pack, pad, relu, pool):
-    u, bias = wg_pack
-    n, h, w, c = src.shape
-    ho, wo = conv_out_hw(h, w, 3, 1, pad)
-    f = u.shape[2]
-    th, tw, hp, wp = _winograd_geometry(ho, wo)
-    nsp = n * th * tw
-    phases: list[tuple[str, object]] = []
-    offset = 0
-    staged = pad > 0 or (hp, wp) != (h, w)
-    if staged:
-        xp = scratch[offset:offset + n * hp * wp * c].reshape(n, hp, wp, c)
-        offset += n * hp * wp * c
-        interior = xp[:, pad:pad + h, pad:pad + w]
-
-        def stage_fn(xp=xp, interior=interior, src=src):
-            xp.fill(0.0)
-            np.copyto(interior, src)
-        phases.append(("memops", stage_fn))
-    else:
-        xp = src
-
-    T = scratch[offset:offset + 16 * nsp * c].reshape(4, 4, n, th, tw, c)
-    offset += 16 * nsp * c
-    temp = scratch[offset:offset + nsp * c].reshape(n, th, tw, c)
-    offset += nsp * c
-    M = scratch[offset:offset + 16 * nsp * f].reshape(16, nsp, f)
-    M4 = M.reshape(4, 4, nsp, f)
-    V = T.reshape(16, nsp, c)
-    # 4x4 input tiles on the stride-2 grid, as direct strided slices of
-    # the (padded) input — no sliding-window gather is materialized.
-    d = [[xp[:, a:a + 2 * th:2, b:b + 2 * tw:2, :] for b in range(4)]
-         for a in range(4)]
-
-    def transform(d=d, T=T, temp=temp, V=V, u=u, M=M, M4=M4):
-        # rows: T[i][b] = (BT @ d)[i][b] — BT is +-1, pure add/sub
-        for b in range(4):
-            np.subtract(d[0][b], d[2][b], out=T[0, b])
-            np.add(d[1][b], d[2][b], out=T[1, b])
-            np.subtract(d[2][b], d[1][b], out=T[2, b])
-            np.subtract(d[1][b], d[3][b], out=T[3, b])
-        # cols in place: V[i] = T[i] @ B, one saved plane via `temp`
-        for i in range(4):
-            np.copyto(temp, T[i, 1])
-            np.subtract(T[i, 0], T[i, 2], out=T[i, 0])
-            np.add(temp, T[i, 2], out=T[i, 1])
-            np.subtract(T[i, 2], temp, out=T[i, 2])
-            np.subtract(temp, T[i, 3], out=T[i, 3])
-        np.matmul(V, u, out=M)
-        # inverse transform in place: rows of AT M, then the four
-        # 2x2-quadrant planes land in the freed M4[2]/M4[3] rows
-        for j in range(4):
-            np.add(M4[0, j], M4[1, j], out=M4[0, j])
-            M4[0, j] += M4[2, j]
-            np.subtract(M4[1, j], M4[2, j], out=M4[1, j])
-            M4[1, j] -= M4[3, j]
-        np.add(M4[0, 0], M4[0, 1], out=M4[2, 0])
-        M4[2, 0] += M4[0, 2]
-        np.subtract(M4[0, 1], M4[0, 2], out=M4[2, 1])
-        M4[2, 1] -= M4[0, 3]
-        np.add(M4[1, 0], M4[1, 1], out=M4[2, 2])
-        M4[2, 2] += M4[1, 2]
-        np.subtract(M4[1, 1], M4[1, 2], out=M4[2, 3])
-        M4[2, 3] -= M4[1, 3]
-    phases.append(("conv", transform))
-
-    quads = [M4[2, i].reshape(n, th, tw, f) for i in range(4)]
-    if pool is not None:
-        # A 2x2/s2 pool window is exactly one output tile: max the four
-        # quadrant planes, then bias+ReLU on the 4x-smaller pooled crop.
-        ph, pw = out.shape[1], out.shape[2]
-        pooled = quads[0][:, :ph, :pw]
-
-        def pool_fn(quads=quads, pooled=pooled, out=out, bias=bias,
-                    relu=relu):
-            np.maximum(quads[0], quads[1], out=quads[0])
-            np.maximum(quads[2], quads[3], out=quads[2])
-            np.maximum(quads[0], quads[2], out=quads[0])
-            if bias is not None:
-                np.add(pooled, bias, out=out)
-            else:
-                np.copyto(out, pooled)
-            if relu:
-                np.maximum(out, 0.0, out=out)
-        phases.append(("pooling", pool_fn))
-        return _compose(phases)
-
-    writes = []
-    for (a, b), quad in zip(((0, 0), (0, 1), (1, 0), (1, 1)), quads):
-        rows, colw = (ho - a + 1) // 2, (wo - b + 1) // 2
-        writes.append((quad[:, :rows, :colw], out[:, a::2, b::2]))
-
-    def scatter(writes=writes, out=out, bias=bias, relu=relu):
-        for quad, tgt in writes:
-            if bias is not None:
-                np.add(quad, bias, out=tgt)
-            else:
-                np.copyto(tgt, quad)
-        if relu:
-            np.maximum(out, 0.0, out=out)
-    phases.append(("conv", scatter))
-    return _compose(phases)
-
-
 def bind_conv(variant: str, *, src: np.ndarray, out: np.ndarray,
               scratch: np.ndarray, k: int, stride: int, pad: int,
-              relu: bool, pool: tuple[int, int] | None = None,
-              w_pack: np.ndarray | None = None,
-              wg_pack: tuple | None = None):
+              relu: bool, w_pack: np.ndarray,
+              pool: tuple[int, int] | None = None):
     """Bind one conv (optionally with a fused 2x2/s2 max pool) to views.
 
-    variant : 'im2col' (one-shot gather + GEMM), 'im2col_tiled'
-              (block-row implicit GEMM, cache-resident columns), or
-              'winograd23' (F(2x2,3x3), 2.25x fewer GEMM MACs).
+    variant : 'im2col' (one-shot gather + GEMM) or 'im2col_tiled'
+              (block-row implicit GEMM, cache-resident columns).
     src     : NHWC input view; out: NHWC output view (pooled dims when
               ``pool`` is set); scratch: flat per-program scratch slice
               sized by :func:`conv_scratch_elems` for this variant.
-    w_pack  : im2col-packed weights (bias ones-column layout) for the
-              GEMM variants; wg_pack: ``(U, bias)`` for winograd23.
+    w_pack  : im2col-packed weights (bias ones-column layout).
     Returns ``fn(acc=None)`` — see the phase-attribution note above.
     """
     if pool is not None and tuple(pool) != (2, 2):
@@ -593,9 +457,4 @@ def bind_conv(variant: str, *, src: np.ndarray, out: np.ndarray,
     if variant == "im2col_tiled":
         return _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad,
                                 relu, pool)
-    if variant == "winograd23":
-        if k != 3 or stride != 1:
-            raise ValueError("winograd23 requires 3x3 stride-1 convolution")
-        return _bind_conv_winograd23(src, out, scratch, wg_pack, pad, relu,
-                                     pool)
     raise ValueError(f"unknown conv variant {variant!r}")

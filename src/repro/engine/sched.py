@@ -21,10 +21,9 @@ module closes the ROADMAP's "IOS-scheduled engine execution" loop:
 
 Schedules are sticky per :class:`ScheduleKey` — (program structure,
 batch, shape, dtype, quant mode, worker budget) — for the process
-lifetime, exactly like the conv-variant autotuner: the first solve wins,
-and :func:`snapshot` / :func:`seed` ship solved schedules (as
-``Schedule.to_json`` payloads, hash-verified on adoption) to scan pool
-workers so they never re-measure or re-solve.
+lifetime: the first solve wins, and :func:`snapshot` / :func:`seed`
+ship solved schedules (as ``Schedule.to_json`` payloads, hash-verified
+on adoption) to scan pool workers so they never re-measure or re-solve.
 
 Safety properties:
 
@@ -33,8 +32,11 @@ Safety properties:
   **byte-identical** to sequential output regardless of interleaving;
 * when the DP finds no parallel stage worth its overheads (always the
   case on a 1-core host — the cost model prices parallelism at its LPT
-  makespan over the worker budget), the program silently stays on the
+  makespan over the worker budget), the program stays on the
   sequential path;
+* a solve that *fails* also lands on the sequential path, but loudly:
+  it is counted in ``stats()["fallbacks"]`` and warned with its reason
+  (:func:`note_fallback`);
 * ``REPRO_IOS_SCHEDULE=off`` disables scheduling globally, and
   ``CompiledModel(..., schedule=False)`` per model.
 """
@@ -45,6 +47,7 @@ import hashlib
 import os
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,6 +74,7 @@ __all__ = [
     "seed",
     "clear_cache",
     "stats",
+    "note_fallback",
     "group_executor",
 ]
 
@@ -148,7 +152,8 @@ class ScheduleKey:
 
 _lock = threading.Lock()
 _cache: dict[ScheduleKey, Schedule] = {}
-_stats = {"solves": 0, "solve_ms": 0.0, "hits": 0, "seeded": 0}
+_stats = {"solves": 0, "solve_ms": 0.0, "hits": 0, "seeded": 0,
+          "fallbacks": 0}
 
 
 def steps_to_graph(steps: list[Step], name: str = "program") -> Graph:
@@ -203,9 +208,10 @@ def solve_schedule(key: ScheduleKey, steps: list[Step],
 
     ``costs_s`` maps step name -> measured seconds (``_Program.
     step_costs`` output).  On any DP failure the sequential schedule is
-    cached instead — the guard that keeps a malformed program executing
-    correctly rather than not at all.  First writer wins, so concurrent
-    builders (and pool workers that raced a seed) agree forever after.
+    cached instead (and :func:`note_fallback` reports it) — the guard
+    that keeps a malformed program executing correctly rather than not
+    at all.  First writer wins, so concurrent builders (and pool
+    workers that raced a seed) agree forever after.
     """
     with _lock:
         cached = _cache.get(key)
@@ -219,7 +225,8 @@ def solve_schedule(key: ScheduleKey, steps: list[Step],
     start = time.perf_counter()
     try:
         schedule = DPScheduler(graph, key.batch, cost_source=source).solve()
-    except Exception:
+    except Exception as exc:
+        note_fallback(exc)
         schedule = sequential_schedule(graph, key.batch)
     solve_ms = (time.perf_counter() - start) * 1e3
     with _lock:
@@ -235,9 +242,8 @@ def snapshot() -> dict[ScheduleKey, str]:
 
     What the scan worker pool ships alongside a model: a worker that
     adopted the parent's schedules never re-measures step costs or
-    re-runs the DP, so its warmup is as cheap as an autotune-seeded
-    compile — and the whole pool provably executes one plan (the JSON
-    carries ``schedule_hash``, verified on adoption).
+    re-runs the DP — and the whole pool provably executes one plan (the
+    JSON carries ``schedule_hash``, verified on adoption).
     """
     with _lock:
         return {key: schedule.to_json() for key, schedule in _cache.items()}
@@ -271,10 +277,22 @@ def clear_cache() -> None:
 
 def stats() -> dict:
     """Copy of the solver counters (DP solves, cumulative solve ms,
-    cache hits, seeded adoptions) — what ``bench_ios_sched`` uses to
-    prove the second run pays zero DP-solve time."""
+    cache hits, seeded adoptions, fallbacks to sequential) — what
+    ``bench_ios_sched`` uses to prove the second run pays zero DP-solve
+    time."""
     with _lock:
         return dict(_stats)
+
+
+def note_fallback(exc: BaseException) -> None:
+    """Count and report a scheduling failure that degraded a program to
+    sequential execution.  The default warning filter prints each
+    distinct reason once per call site."""
+    with _lock:
+        _stats["fallbacks"] += 1
+    warnings.warn(
+        f"IOS scheduling failed, program runs sequentially: {exc!r}",
+        RuntimeWarning, stacklevel=2)
 
 
 # ---------------------------------------------------------------------------

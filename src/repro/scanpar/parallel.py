@@ -294,14 +294,11 @@ def parallel_scan_scene(
                                          start_method=start_method)
     try:
         if backend == "engine":
-            # Tune before shipping: compile (and autotune) every
-            # micro-batch shape this scan runs in the PARENT first, so
-            # ensure_model ships the parent's conv-variant choices and
-            # no worker re-measures a near-tie the other way — a
-            # Winograd-vs-GEMM flip changes float rounding, and the
-            # byte-identity contract needs every process binding the
-            # same kernels.  compiled_for caches per model instance, so
-            # repeat scans pay nothing here.
+            # Solve before shipping: compile every micro-batch shape
+            # this scan runs in the PARENT first, so ensure_model ships
+            # its IOS schedules and no worker re-measures or re-solves.
+            # compiled_for caches per model instance, so repeat scans
+            # pay nothing here.
             if robust:
                 sizes = {1}
             else:

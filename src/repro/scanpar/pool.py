@@ -126,15 +126,6 @@ def _pool_worker_main(conn) -> None:
             _, model_hash, data = message
             if model_hash not in models:
                 models[model_hash] = pickle.loads(data)
-        elif kind == "tune":
-            # adopt the parent's conv-variant choices before any shard
-            # compiles: parent and worker measure timings independently,
-            # and a near-tie flipped the other way (Winograd vs GEMM)
-            # changes float rounding — breaking byte-identity with the
-            # parent's sequential scan
-            from ..engine import autotune
-
-            autotune.seed(message[1])
         elif kind == "sched":
             # adopt the parent's solved IOS schedules: a worker that
             # adopts never re-measures step costs or re-runs the DP
@@ -159,13 +150,12 @@ def _pool_worker_main(conn) -> None:
 class _Worker:
     """One pool slot: process, duplex pipe, and the model hashes sent."""
 
-    __slots__ = ("proc", "conn", "sent", "tuned", "scheds")
+    __slots__ = ("proc", "conn", "sent", "scheds")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
         self.sent: set[str] = set()
-        self.tuned: set = set()       # autotune ConvKeys already shipped
         self.scheds: set = set()      # IOS ScheduleKeys already shipped
 
     @property
@@ -369,22 +359,17 @@ class WorkerPool:
         Bytes travel over each worker's pipe at most once; repeat scans
         of the same model send nothing.
 
-        The parent's conv-variant autotune choices ride along (delta
-        per worker, tiny): a worker that measured the near-tie the
-        other way would bind a kernel with different float rounding
-        than the parent's sequential scan, so the parent's sticky
-        choices are authoritative pool-wide.  The parent's solved IOS
-        schedules ship the same way (``Schedule.to_json`` payloads per
-        ``ScheduleKey``), so workers adopt the parent's stage/group
-        plans instead of re-measuring and re-solving during warmup.
-        Replacement workers get the full snapshots on their first
-        ensure_model.
+        The parent's solved IOS schedules ride along (delta per worker,
+        ``Schedule.to_json`` payloads per ``ScheduleKey``), so workers
+        adopt the parent's stage/group plans instead of re-measuring
+        and re-solving during warmup.  Replacement workers get the full
+        snapshot on their first ensure_model.  Conv kernels need no
+        such message: every process computes the same
+        ``engine.conv_variant`` of the layer geometry.
         """
         from ..engine import sched
-        from ..engine.autotune import snapshot
 
         data, model_hash = serialized_model(model)
-        decided = snapshot()
         solved = sched.snapshot()
         with self._lock:
             if self._closed:
@@ -395,11 +380,6 @@ class WorkerPool:
                     worker.conn.send(("model", model_hash, data))
                     worker.sent.add(model_hash)
                     self.stats["model_sends"] += 1
-                delta = {key: variant for key, variant in decided.items()
-                         if key not in worker.tuned}
-                if delta:
-                    worker.conn.send(("tune", delta))
-                    worker.tuned.update(delta)
                 sched_delta = {key: text for key, text in solved.items()
                                if key not in worker.scheds}
                 if sched_delta:

@@ -128,11 +128,7 @@ class TestRealModelPlan:
         assert plan.reuse_factor > 1.0
         assert compiled.planned_peak_bytes(batch=2) == plan.peak_bytes
 
-    def test_plan_matches_execution_dtype(self, monkeypatch):
-        # Pin the conv variant: the autotuner may legitimately pick
-        # different kernels (with different scratch shapes) per dtype,
-        # which would break the exact 2x byte relation this asserts.
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "im2col")
+    def test_plan_matches_execution_dtype(self):
         model = SPPNetDetector(self.config(), seed=0)
         f32 = CompiledModel(model, (4, 32, 32), dtype=np.float32)
         f64 = CompiledModel(model, (4, 32, 32), dtype=np.float64)

@@ -5,7 +5,7 @@ caching, snapshot/seed shipping, and the escape hatches."""
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel, sched
 from repro.graph.ir import OpType
@@ -238,6 +238,43 @@ class TestEscapeHatches:
         monkeypatch.setenv(sched.ENV_WORKERS, "0")
         with pytest.raises(ValueError):
             sched.schedule_workers()
+
+
+class TestLoudFallbacks:
+    """A schedule failure degrades to sequential execution — counted in
+    ``stats()["fallbacks"]`` and warned with its reason, never silent."""
+
+    def run_rigged(self, monkeypatch, target, name):
+        def boom(*args, **kwargs):
+            raise RuntimeError("rigged failure")
+
+        monkeypatch.setattr(target, name, boom)
+        images = chips(2)
+        with pytest.warns(RuntimeWarning, match="rigged failure"):
+            seq_out, sch_out, staged = build_pair(small_config(), images)
+        assert sched.stats()["fallbacks"] == 1
+        plan = staged.schedule_for(2, (4, 32, 32))
+        assert plan is None or plan.max_parallelism == 1
+        assert_bytes_equal(seq_out, sch_out)
+
+    def test_failed_dp_solve_is_counted_and_runs_sequentially(
+            self, forced_parallel, monkeypatch):
+        self.run_rigged(monkeypatch, sched.DPScheduler, "solve")
+
+    def test_failed_cost_measurement_is_counted(self, forced_parallel,
+                                                monkeypatch):
+        from repro.engine.compiled import _Program
+
+        self.run_rigged(monkeypatch, _Program, "step_costs")
+
+    def test_clean_table1_compiles_never_fall_back(self, forced_parallel,
+                                                   recwarn):
+        for config in TABLE1_MODELS.values():
+            model = SPPNetDetector(config, seed=0).eval()
+            CompiledModel(model, (4, 100, 100)).warmup([1])
+        assert sched.stats()["solves"] >= 1
+        assert sched.stats()["fallbacks"] == 0
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 class TestStepsToGraph:

@@ -1,26 +1,30 @@
-"""Conv kernel variants: equivalence, fused pooling, and the autotuner."""
+"""Conv kernel variants: equivalence, fused pooling, and the selector."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.sppnet import SPPNetDetector
-from repro.engine import CompiledModel
-from repro.engine.autotune import (
-    CONV_VARIANTS,
-    ConvKey,
-    choose_variant,
-    eligible_variants,
-)
+from repro.engine import CONV_VARIANTS, CompiledModel, conv_variant
+from repro.engine import compiled as compiled_mod
 from repro.engine.kernels import (
+    TILED_MAX_DEPTH,
     bind_conv,
     conv_out_hw,
     conv_scratch_elems,
     pack_conv_weight,
-    winograd23_pack_weight,
 )
 from repro.tensor import Tensor, no_grad
 from repro.tensor.modules import Conv2d, MaxPool2d, ReLU, Sequential
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def small_config(kernel=3):
@@ -48,17 +52,25 @@ def run_variant(variant, *, batch=2, h=13, w=11, c=3, f=8, k=3, stride=1,
     fn = bind_conv(
         variant, src=src, out=out, scratch=scratch, k=k, stride=stride,
         pad=pad, relu=relu, pool=pool,
-        w_pack=pack_conv_weight(weight, b_vec, np.dtype(np.float32)),
-        wg_pack=(winograd23_pack_weight(weight, np.dtype(np.float32))
-                 if k == 3 and stride == 1 else None, b_vec))
+        w_pack=pack_conv_weight(weight, b_vec, np.dtype(np.float32)))
     fn()
     return out
+
+
+def force_variant(monkeypatch, variant):
+    """Bind ``variant`` on every conv, whatever the selector says."""
+    monkeypatch.setattr(compiled_mod, "conv_variant",
+                        lambda c_in, kernel, mode: variant)
+
+
+#: every kernel other than the ``im2col`` reference
+NON_REFERENCE = [v for v in CONV_VARIANTS if v != "im2col"]
 
 
 class TestKernelEquivalence:
     """im2col is the reference; the other variants must match it."""
 
-    @pytest.mark.parametrize("variant", ["im2col_tiled", "winograd23"])
+    @pytest.mark.parametrize("variant", NON_REFERENCE)
     @pytest.mark.parametrize("pool", [None, (2, 2)])
     @pytest.mark.parametrize("pad", [0, 1])
     def test_3x3_stride1(self, variant, pool, pad):
@@ -67,9 +79,20 @@ class TestKernelEquivalence:
         got = run_variant(variant, **kw)
         np.testing.assert_allclose(got, ref, atol=2e-5, rtol=1e-4)
 
-    @pytest.mark.parametrize("k,stride", [(5, 1), (3, 2), (1, 1)])
+    @pytest.mark.parametrize("k,stride", [(5, 1), (3, 2), (1, 1), (7, 1),
+                                          (9, 1)])
     def test_tiled_other_geometries(self, k, stride):
         kw = dict(h=17, w=15, c=4, f=6, k=k, stride=stride, pad=0)
+        ref = run_variant("im2col", **kw)
+        got = run_variant("im2col_tiled", **kw)
+        np.testing.assert_allclose(got, ref, atol=2e-5, rtol=1e-4)
+
+    @pytest.mark.parametrize("pool", [None, (2, 2)])
+    @pytest.mark.parametrize("k,stride,pad", [(5, 2, 2), (7, 1, 3),
+                                              (3, 2, 1), (9, 2, 4)])
+    def test_tiled_strided_padded(self, k, stride, pad, pool):
+        kw = dict(h=17, w=15, c=4, f=6, k=k, stride=stride, pad=pad,
+                  pool=pool)
         ref = run_variant("im2col", **kw)
         got = run_variant("im2col_tiled", **kw)
         np.testing.assert_allclose(got, ref, atol=2e-5, rtol=1e-4)
@@ -77,25 +100,22 @@ class TestKernelEquivalence:
     def test_without_bias_and_relu(self):
         kw = dict(h=10, w=10, c=3, f=4, bias=False, relu=False)
         ref = run_variant("im2col", **kw)
-        for variant in ("im2col_tiled", "winograd23"):
+        for variant in NON_REFERENCE:
             np.testing.assert_allclose(
                 run_variant(variant, **kw), ref, atol=2e-5, rtol=1e-4)
 
     def test_odd_output_with_fused_pool(self):
         # 13x11 input -> 11x9 conv output -> 5x4 pooled: the pool floors
-        # away the odd edge, which trips any kernel that pools a padded
-        # Winograd tile without cropping first.
-        kw = dict(h=13, w=11, c=3, f=8, pool=(2, 2))
-        ref = run_variant("im2col", **kw)
-        for variant in ("im2col_tiled", "winograd23"):
-            np.testing.assert_allclose(
-                run_variant(variant, **kw), ref, atol=2e-5, rtol=1e-4)
-
-    def test_winograd_rejects_non_3x3(self):
-        with pytest.raises(ValueError):
-            run_variant("winograd23", k=5)
-        with pytest.raises(ValueError):
-            run_variant("winograd23", k=3, stride=2)
+        # away the odd edge, which trips a kernel that pools a trailing
+        # block row past the last pool window.  The other shapes put the
+        # odd edge on one axis only, and on a block boundary (9 rows =
+        # two 4-row blocks + 1).
+        for h, w in [(13, 11), (12, 13), (11, 12), (7, 6)]:
+            kw = dict(h=h, w=w, c=3, f=8, pool=(2, 2))
+            ref = run_variant("im2col", **kw)
+            for variant in NON_REFERENCE:
+                np.testing.assert_allclose(
+                    run_variant(variant, **kw), ref, atol=2e-5, rtol=1e-4)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -103,11 +123,12 @@ class TestKernelEquivalence:
 
 
 class TestCompiledEquivalence:
-    """Every variant must produce eager-equivalent full-model outputs."""
+    """Every variant must produce eager-equivalent full-model outputs,
+    on every layer — not only the ones the selector gives it."""
 
     @pytest.mark.parametrize("variant", CONV_VARIANTS)
     def test_forced_variant_matches_eager(self, variant, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", variant)
+        force_variant(monkeypatch, variant)
         from repro.detect.predict import predict
 
         model = SPPNetDetector(small_config(), seed=3)
@@ -116,13 +137,14 @@ class TestCompiledEquivalence:
             (3, 4, 32, 32)).astype(np.float32)
         conf, boxes = predict(model, x, batch_size=3)
         compiled = CompiledModel(model, (4, 32, 32))
+        assert set(compiled.kernel_choices(3).values()) == {variant}
         eng_conf, eng_boxes = compiled.predict(x, batch_size=3)
         np.testing.assert_allclose(eng_conf, conf, atol=1e-4, rtol=1e-3)
         np.testing.assert_allclose(eng_boxes, boxes, atol=1e-4, rtol=1e-3)
 
     @pytest.mark.parametrize("variant", CONV_VARIANTS)
     def test_forced_variant_padded_conv(self, variant, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", variant)
+        force_variant(monkeypatch, variant)
         net = Sequential(Conv2d(3, 8, 3, padding=1), ReLU(), MaxPool2d(2, 2))
         net.eval()
         x = np.random.default_rng(1).standard_normal(
@@ -130,6 +152,7 @@ class TestCompiledEquivalence:
         with no_grad():
             eager = net(Tensor(x)).data
         compiled = CompiledModel(net, (3, 10, 10))
+        assert set(compiled.kernel_choices(2).values()) == {variant}
         np.testing.assert_allclose(compiled(x), eager, atol=1e-4, rtol=1e-3)
 
     def test_kernel_choices_reported(self):
@@ -142,129 +165,67 @@ class TestCompiledEquivalence:
         assert all(v in CONV_VARIANTS for v in choices.values())
 
 
-def key(**overrides):
-    base = dict(batch=1, height=32, width=32, in_channels=4, out_channels=8,
-                kernel=3, stride=1, padding=0, pool=True, dtype="float32",
-                mode="float32")
-    base.update(overrides)
-    return ConvKey(**base)
+def conv_geometry(config):
+    """(c_in, kernel) per conv layer of an SPPNetConfig."""
+    c_in, out = config.in_channels, []
+    for conv in config.convs:
+        out.append((c_in, conv.kernel))
+        c_in = conv.filters
+    return out
 
 
-class TestAutotuner:
-    def test_eligibility(self):
-        assert eligible_variants(key()) == CONV_VARIANTS
-        assert "winograd23" not in eligible_variants(key(kernel=5))
-        assert "winograd23" not in eligible_variants(key(stride=2))
-        assert eligible_variants(key(mode="int8")) == ("im2col",)
-
-    def test_choice_is_fastest_and_sticky(self):
-        cache = {}
-        made = []
-
-        def make_kernel(variant):
-            made.append(variant)
-            return variant
-
-        rigged = {"im2col": 3.0, "im2col_tiled": 1.0, "winograd23": 2.0}
-        k = key()
-        first = choose_variant(k, make_kernel, bench=rigged.get, cache=cache)
-        assert first == "im2col_tiled"
-        assert set(made) == set(CONV_VARIANTS)
-        # Second call: memoized, no kernels rebuilt, even with timings
-        # rigged the other way.
-        made.clear()
-        flipped = {"im2col": 1.0, "im2col_tiled": 3.0, "winograd23": 2.0}
-        again = choose_variant(k, make_kernel, bench=flipped.get, cache=cache)
-        assert again == "im2col_tiled"
-        assert made == []
-
-    def test_tie_breaks_to_first_listed(self):
-        cache = {}
-        flat = dict.fromkeys(CONV_VARIANTS, 1.0)
-        choice = choose_variant(key(), lambda v: v, bench=flat.get,
-                                cache=cache)
-        assert choice == "im2col"
-
-    def test_distinct_keys_tuned_independently(self):
-        cache = {}
-        rigged = {"im2col": 3.0, "im2col_tiled": 1.0, "winograd23": 2.0}
-        choose_variant(key(), lambda v: v, bench=rigged.get, cache=cache)
-        choose_variant(key(batch=20), lambda v: v,
-                       bench={"im2col": 0.5, "im2col_tiled": 3.0,
-                              "winograd23": 2.0}.get, cache=cache)
-        assert cache[key()] == "im2col_tiled"
-        assert cache[key(batch=20)] == "im2col"
-
-    def test_env_override_bypasses_cache(self, monkeypatch):
-        cache = {key(): "im2col"}
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "winograd23")
-        choice = choose_variant(key(), lambda v: v,
-                                bench=lambda fn: 0.0, cache=cache)
-        assert choice == "winograd23"
-        assert cache[key()] == "im2col"  # override never cached
-
-    def test_env_override_ignored_when_ineligible(self, monkeypatch):
-        # int8 pins im2col; a forced winograd must not apply there.
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "winograd23")
-        choice = choose_variant(key(mode="int8"), lambda v: v,
-                                bench=lambda fn: 0.0, cache={})
-        assert choice == "im2col"
-
-    def test_env_override_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "fft")
-        with pytest.raises(ValueError):
-            choose_variant(key(), lambda v: v, bench=lambda fn: 0.0, cache={})
+CHOICES_SCRIPT = """
+import json
+from repro.arch import TABLE1_MODELS
+from repro.detect import SPPNetDetector
+from repro.engine import compile
+print(json.dumps({
+    name: {str(b): list(compiled.kernel_choices(b).values())
+           for b in (1, 5, 20)}
+    for name, config in TABLE1_MODELS.items()
+    for compiled in [compile(SPPNetDetector(config, seed=0).eval(),
+                             schedule=False)]
+}))
+"""
 
 
-class TestSnapshotSeed:
-    """Cross-process choice shipping: the worker pool sends the parent's
-    sticky choices so every process binds the same kernels."""
+class TestSelector:
+    """Kernel choice is a pure function of (c_in, kernel, quant mode)."""
 
-    @pytest.fixture()
-    def fresh_keys(self):
-        # deliberately implausible geometry so these keys can never
-        # collide with real autotuned entries in the process-wide cache
-        from repro.engine import autotune
+    def test_threshold_is_gemm_depth(self):
+        assert conv_variant(4, 3) == "im2col_tiled"       # depth 36
+        assert conv_variant(4, 5) == "im2col_tiled"       # depth 100
+        assert conv_variant(TILED_MAX_DEPTH, 1) == "im2col_tiled"
+        assert conv_variant(TILED_MAX_DEPTH + 1, 1) == "im2col"
+        assert conv_variant(64, 3) == "im2col"            # depth 576
+        assert conv_variant(128, 3) == "im2col"
 
-        keys = [key(height=7777, width=7777),
-                key(height=7777, width=7778)]
-        yield keys
-        with autotune._lock:
-            for k in keys:
-                autotune._cache.pop(k, None)
+    def test_int8_pinned_to_im2col(self):
+        assert conv_variant(4, 3, "int8") == "im2col"
+        assert conv_variant(4, 3, "float16") == "im2col_tiled"
 
-    def test_seed_then_snapshot_roundtrips(self, fresh_keys):
-        from repro.engine import autotune
+    def test_table1_models_bind_tiled_then_im2col(self):
+        for config in TABLE1_MODELS.values():
+            picks = [conv_variant(c, k) for c, k in conv_geometry(config)]
+            assert picks == ["im2col_tiled", "im2col", "im2col"]
 
-        k1, k2 = fresh_keys
-        autotune.seed({k1: "winograd23", k2: "im2col_tiled"})
-        snap = autotune.snapshot()
-        assert snap[k1] == "winograd23"
-        assert snap[k2] == "im2col_tiled"
+    def test_int8_program_binds_only_im2col(self):
+        model = SPPNetDetector(small_config(), seed=3).eval()
+        compiled = CompiledModel(model, (4, 32, 32), quant="int8")
+        assert set(compiled.kernel_choices(2).values()) == {"im2col"}
 
-    def test_seeded_choice_wins_over_local_measurement(self, fresh_keys):
-        # a seeded process must bind the parent's kernel even when its
-        # own timings would pick another variant
-        from repro.engine import autotune
-
-        k1 = fresh_keys[0]
-        autotune.seed({k1: "winograd23"})
-        rigged = {"im2col": 0.1, "im2col_tiled": 0.2, "winograd23": 9.0}
-        choice = choose_variant(k1, lambda v: v, bench=rigged.get)
-        assert choice == "winograd23"
-
-    def test_local_sticky_choice_survives_seeding(self, fresh_keys):
-        from repro.engine import autotune
-
-        k1 = fresh_keys[0]
-        rigged = {"im2col": 0.1, "im2col_tiled": 0.2, "winograd23": 9.0}
-        assert choose_variant(k1, lambda v: v, bench=rigged.get) == "im2col"
-        autotune.seed({k1: "winograd23"})
-        assert autotune.snapshot()[k1] == "im2col"
-
-    def test_seed_rejects_unknown_variant(self, fresh_keys):
-        from repro.engine import autotune
-
-        with pytest.raises(ValueError, match="unknown conv variant"):
-            autotune.seed({fresh_keys[0]: "fft"})
-        assert fresh_keys[0] not in autotune.snapshot()
+    def test_fresh_processes_agree_with_the_selector(self):
+        """Determinism by construction: two cold interpreters compile
+        every Table-1 model to the same kernels at every batch, and
+        those are the selector's output — nothing was measured."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", CHOICES_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+            for _ in range(2)]
+        assert runs[0] == runs[1]
+        for name, config in TABLE1_MODELS.items():
+            expected = [conv_variant(c, k) for c, k in conv_geometry(config)]
+            assert runs[0][name] == {"1": expected, "5": expected,
+                                     "20": expected}

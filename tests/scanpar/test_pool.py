@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+from multiprocessing import connection as mp_connection
 
 import pytest
 
@@ -159,57 +160,35 @@ class TestPoolReuse:
         assert list(result) == list(sequential)
 
 
-class TestAutotuneSync:
-    """ensure_model ships the parent's conv-variant choices: a worker
-    that measured a near-tie the other way would bind a kernel with
-    different float rounding, breaking scan byte-identity."""
+class TestPipeProtocol:
+    """Conv kernels are a pure function of layer geometry, so nothing
+    about them travels to workers: the pool pipe carries only the
+    documented messages and the merge is still byte-identical."""
 
-    @pytest.fixture()
-    def seeded_key(self):
-        from repro.engine import autotune
-        from repro.engine.autotune import ConvKey
+    def test_engine_scan_sends_no_kernel_choice_message(self, model, scene,
+                                                        monkeypatch):
+        sent = []
+        real_send = mp_connection.Connection.send
 
-        # implausible geometry: never collides with a real tuned entry
-        k = ConvKey(batch=1, height=7777, width=7777, in_channels=4,
-                    out_channels=8, kernel=3, stride=1, padding=0,
-                    pool=True, dtype="float32", mode="float32")
-        autotune.seed({k: "im2col_tiled"})
-        yield k
-        with autotune._lock:
-            autotune._cache.pop(k, None)
+        def recording_send(conn, obj):
+            sent.append(obj[0])
+            return real_send(conn, obj)
 
-    def test_choices_ship_once_and_reship_to_replacements(self, model,
-                                                          seeded_key):
-        with WorkerPool(2) as pool:
-            pool.ensure_model(model)
-            assert all(seeded_key in w.tuned for w in pool._workers)
-            shipped = [set(w.tuned) for w in pool._workers]
-            pool.ensure_model(model)  # delta empty: nothing re-sent
-            assert [set(w.tuned) for w in pool._workers] == shipped
-            # a replacement worker starts untuned and gets the full
-            # snapshot on the next ensure_model (the supervisor's
-            # revive path calls exactly this)
-            fresh = pool.replace_worker(pool._workers[0])
-            assert fresh.tuned == set()
-            pool.ensure_model(model)
-            assert seeded_key in fresh.tuned
-
-    def test_engine_scan_tunes_parent_before_shipping(self, model, scene):
-        # the parallel engine scan must autotune the scan's conv
-        # geometry in the PARENT and ship those choices before any
-        # worker compiles — otherwise each worker measures the
-        # near-tie itself and may bind a different kernel
-        from repro.engine import autotune
-
+        monkeypatch.setattr(mp_connection.Connection, "send",
+                            recording_send)
         sequential = scan(model, scene, n_workers=1, backend="engine")
         with WorkerPool(2) as pool:
             pooled = scan(model, scene, n_workers=2, pool=pool,
                           backend="engine")
-            scan_keys = {k for k in autotune.snapshot()
-                         if k.height == WINDOW and k.width == WINDOW}
-            assert scan_keys, "parent never tuned the scan geometry"
-            assert all(scan_keys <= w.tuned for w in pool._workers)
+            # a replacement worker compiles from scratch, with no
+            # parent decisions to adopt but the IOS schedules
+            pool.replace_worker(pool._workers[0])
+            revived = scan(model, scene, n_workers=2, pool=pool,
+                           backend="engine")
+        assert {"model", "shard"} <= set(sent)
+        assert set(sent) <= {"model", "sched", "shard", "ping", "stop"}
         assert list(pooled) == list(sequential)
+        assert list(revived) == list(sequential)
 
 
 class TestScheduleSync:
