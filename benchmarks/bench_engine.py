@@ -14,6 +14,12 @@ the eager ``predict`` path on exactly that shape, recording:
 * the quantization accuracy gate on the Table 1 NAS winner — int8 and
   float16 execution admitted only while prediction agreement with the
   float32 engine stays above the paper's a(n) > A floor;
+* the batch sweep — ms/tile of the four Table-1 models at batch 1, 4,
+  8 and 20, plus float16 and int8 at batch 20 on the NAS winner, stored
+  as absolute numbers next to the machine fingerprint.  The engine runs
+  the conv trunk one sample at a time and only the FC head at the full
+  batch, so a tile must not cost more at batch 20 than at batch 1 — the
+  gate that keeps a batch-sized trunk from coming back;
 * the memory planner's arena statistics.
 
 Emits ``BENCH_engine.json`` with a machine-readable ``gates`` section
@@ -43,7 +49,7 @@ from repro.engine.kernels import (
     pack_conv_weight,
 )
 
-from e2e import stats
+from e2e import host, stats
 from gates import bench_arg_parser, check, finish
 
 CHIP_SHAPE = (4, 100, 100)  # the paper's deployment chip: 100x100, 4 bands
@@ -65,6 +71,8 @@ POOLING_SHARE_CEILING = 0.10
 ACCURACY_FLOOR = 0.95       # a(n) > A: agreement with the float32 engine
 QUANT_EVAL_CHIPS = 64
 QUANT_CALIB_CHIPS = 20
+
+SWEEP_BATCHES = (1, 4, 8, 20)
 
 ARCH = SPPNetConfig(name="engine-bench")  # Table 1 default trunk
 NAS_WINNER = TABLE1_MODELS["SPP-Net #3"]
@@ -144,6 +152,59 @@ def layer_table(rounds: int) -> list[dict]:
     return rows
 
 
+def batch_sweep(rounds: int) -> dict:
+    """ms/tile per (model, quant, batch) cell: every cell once per round
+    so drift over the run falls on all of them, each cell timed over the
+    same stream of tiles cut into its batch size (so a small batch is not
+    charged the round's one cold start per tile), median and bootstrap
+    interval over the rounds after one discarded warm-up round."""
+    cells: dict[tuple[str, str, int], object] = {}
+    top = max(SWEEP_BATCHES)
+    chips = make_chips(top, seed=21)
+    for name, config in TABLE1_MODELS.items():
+        compiled = engine_compile(SPPNetDetector(config, seed=0).eval())
+        for batch in SWEEP_BATCHES:
+            cells[name, "float32", batch] = compiled
+    for quant in ("float16", "int8"):
+        compiled = engine_compile(SPPNetDetector(NAS_WINNER, seed=0).eval(),
+                                  quant=quant)
+        compiled.calibrate(make_chips(QUANT_CALIB_CHIPS, seed=12))
+        cells[NAS_WINNER.name, quant, top] = compiled
+    for (_, _, batch), compiled in cells.items():
+        compiled.warmup([batch])
+
+    def stream_ms_per_tile(compiled, batch: int) -> float:
+        calls = -(-top // batch)
+        stack = chips[:batch]
+        return timed_ms(lambda: [compiled(stack) for _ in range(calls)]) \
+            / (calls * batch)
+
+    samples = stats.discard_warmup(
+        [{cell: stream_ms_per_tile(compiled, cell[2])
+          for cell, compiled in cells.items()}
+         for _ in range(1 + rounds)], 1)
+
+    def paired(top_cell, bottom_cell) -> float:
+        return stats.median([s[top_cell] / s[bottom_cell] for s in samples])
+
+    columns = {cell: [s[cell] for s in samples] for cell in cells}
+    winner = NAS_WINNER.name
+    return {
+        "rounds": rounds,
+        "rows": [{
+            "model": name, "quant": quant, "batch": batch,
+            "ms_per_tile": stats.median(column),
+            "interval95": list(stats.bootstrap_median_interval(column)),
+        } for (name, quant, batch), column in columns.items()],
+        "batch20_over_batch1": {
+            name: paired((name, "float32", top), (name, "float32", 1))
+            for name in TABLE1_MODELS},
+        "quant_over_float32_batch20": {
+            quant: paired((winner, quant, top), (winner, "float32", top))
+            for quant in ("float16", "int8")},
+    }
+
+
 def quant_gate_report() -> dict:
     """Run the accuracy-constrained quantization gate on the NAS winner.
 
@@ -217,6 +278,15 @@ def run_benchmark(repeats: int = 10) -> dict:
         "kernel_categories": profile["categories"],
         "category_shares": shares,
         "quantization": quant_gate_report(),
+        "absolute": {
+            "fingerprint": host.fingerprint(),
+            "machine": host.machine_info(),
+            "engine_ms": engine_ms,
+            "eager_ms": eager_ms,
+            "planned_peak_bytes": {
+                str(b): compiled.planned_peak_bytes(b) for b in SWEEP_BATCHES},
+            "batch_sweep": batch_sweep(rounds=max(5, repeats // 2)),
+        },
         "memory_plan": {
             "planned_peak_bytes": plan.peak_bytes,
             "naive_bytes": plan.naive_bytes,
@@ -257,6 +327,15 @@ def payload_checks(payload: dict) -> list:
               quant["selected"] in ("int8", "float16"), "bool"),
         check("quant_selected_accuracy", quant["selected_accuracy"],
               ">=", ACCURACY_FLOOR),
+        # Depth-first execution: the trunk's working set must not grow
+        # with the batch.  Median of per-round batch-20 / batch-1
+        # ms/tile on the NAS winner: 0.72-0.88 on the reference box
+        # (batch 1 pays the FC weight stream per tile), 1.02 when the
+        # whole program was bound at the batch.  Not drift-tracked: the
+        # run-to-run range is wider than the tracker's 10%.
+        check("batch20_over_batch1_ms_per_tile",
+              payload["absolute"]["batch_sweep"]["batch20_over_batch1"][
+                  NAS_WINNER.name], "<=", 1.0, track=False),
     ]
 
 
@@ -264,8 +343,8 @@ def test_engine_meets_speedup_gate():
     """Acceptance: compiled single-chip inference clears SPEEDUP_GATE
     over eager (median of paired ratios) on the 100x100x4 deployment
     shape, equivalent outputs, conv share within
-    the attribution ceiling, and a reduced-precision mode admitted by
-    the accuracy gate."""
+    the attribution ceiling, a reduced-precision mode admitted by
+    the accuracy gate, and a tile no dearer at batch 20 than at 1."""
     payload = run_benchmark(repeats=12)
     failures = [c.failure_message() for c in payload_checks(payload)
                 if not c.passed]
@@ -299,6 +378,19 @@ def main() -> None:
     for name, row in payload["kernel_categories"].items():
         print(f"  {name:<12s} {row['ms'] / args.repeats:6.2f} ms  "
               f"{100 * row['share']:5.1f}%")
+    sweep = payload["absolute"]["batch_sweep"]
+    print(f"  batch sweep (ms/tile, median of {sweep['rounds']} rounds "
+          f"[95% interval]) on {payload['absolute']['fingerprint']}")
+    for row in sweep["rows"]:
+        lo, hi = row["interval95"]
+        print(f"  {row['model']:<17s} {row['quant']:<8s} {row['batch']:3d}  "
+              f"{row['ms_per_tile']:6.2f} [{lo:.2f}, {hi:.2f}]")
+    print("  batch 20 / batch 1: " + ", ".join(
+        f"{name} {ratio:.2f}"
+        for name, ratio in sweep["batch20_over_batch1"].items()))
+    print("  vs float32 at batch 20: " + ", ".join(
+        f"{quant} {ratio:.2f}x"
+        for quant, ratio in sweep["quant_over_float32_batch20"].items()))
     quant = payload["quantization"]
     print(f"quant  : {quant['selected']} selected on {quant['model']} "
           f"(agreement {quant['selected_accuracy']:.3f} vs floor "

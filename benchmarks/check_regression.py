@@ -21,8 +21,10 @@ Checks marked ``track: false`` (values that legally jump between runs,
 e.g. a max-abs-error that moves with any change to kernel arithmetic
 order) are exempt from drift comparison but still gate-enforced.
 
-Baselines store only the gates section; refresh them after an accepted
-perf change with ``--update``.
+Baselines store the gates section, plus a payload's ``absolute``
+section when it has one: absolute latencies next to the fingerprint of
+the machine that measured them, kept as the perf trajectory and never
+compared.  Refresh them after an accepted perf change with ``--update``.
 
 Usage::
 
@@ -148,9 +150,10 @@ def main() -> None:
         target = baseline_path(args.baselines, payload, path)
         if args.update:
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(json.dumps(
-                {"benchmark": bench, "gates": payload.get("gates", {})},
-                indent=2) + "\n")
+            kept = {"benchmark": bench, "gates": payload.get("gates", {})}
+            if "absolute" in payload:
+                kept["absolute"] = payload["absolute"]
+            target.write_text(json.dumps(kept, indent=2) + "\n")
             print(f"updated {target}")
             continue
         baseline = (json.loads(target.read_text())

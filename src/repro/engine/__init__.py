@@ -22,12 +22,18 @@ measuring or messaging anything.  Reduced-precision execution
 :mod:`.quant` and is selected under the paper's accuracy constraint by
 :func:`quantize_with_accuracy_gate`.
 
-Programs additionally pass through the IOS inter-operator scheduler
-(:mod:`.sched`): per-step kernel costs are measured on the bound
-program, the :mod:`repro.ios` DP partitions the step DAG into stages of
-concurrent groups, and profitable schedules execute on a shared thread
-pool with a stage-barrier arena plan.  ``REPRO_IOS_SCHEDULE=off``
-restores flat sequential execution.
+Execution is depth-first (:func:`.fusion.split_trunk_head`): the steps
+before the first fully-connected layer are bound once per input shape
+at one sample and looped over the batch, so their working set stays
+cache-sized whatever the batch; only the fully-connected head runs at
+the full batch.
+
+The one-sample trunk additionally passes through the IOS inter-operator
+scheduler (:mod:`.sched`): per-step kernel costs are measured on the
+bound program, the :mod:`repro.ios` DP partitions the step DAG into
+stages of concurrent groups, and profitable schedules execute on a
+shared thread pool with a stage-barrier arena plan.
+``REPRO_IOS_SCHEDULE=off`` restores flat sequential execution.
 """
 
 from . import sched

@@ -1,28 +1,36 @@
 """Compiled inference: bind fused steps to a planned arena and execute.
 
 ``compile(model)`` snapshots the model once — trace, fuse, pack weights
-into GEMM-ready layouts — and returns a :class:`CompiledModel`.  Each
-distinct runtime shape ``(batch, H, W)`` then gets a *program*: arena
-buffers sized by the memory planner, array views bound into them, and a
-flat list of zero-argument kernel closures.  Steady-state inference is
-just ``for fn in fns: fn()`` over NumPy ``out=`` kernels — no autograd
-tape, no per-op allocation, no layout shuffling (activations stay NHWC
-between convolutions).
+into GEMM-ready layouts — and returns a :class:`CompiledModel`.  A
+*program* is arena buffers sized by the memory planner, array views
+bound into them, and a flat list of zero-argument kernel closures;
+steady-state inference is just ``for fn in fns: fn()`` over NumPy
+``out=`` kernels — no autograd tape, no per-op allocation, no layout
+shuffling (activations stay NHWC between convolutions).
 
-Programs are cached per shape, so a sliding-window scan pays the bind
-cost once for its window shape and once for the final ragged batch.
-Weights are packed once at compile time and shared by every program
-(trace node names are structural, hence stable across input sizes).
+Execution is depth-first.  The fused steps are split
+(:func:`.fusion.split_trunk_head`) into a *trunk* — everything before
+the first fully-connected layer — and a *head*.  The trunk is bound
+once per input shape ``(C, H, W)`` **at one sample** and looped over the
+batch, each sample's boundary tensor landing in row *i* of the head's
+``(n, F)`` input; the head, bound once per batch size, then runs over
+the whole batch.  A conv trunk's working set scales with the batch (a
+batch-20 im2col matrix is 100 MB) while only the fully-connected layer,
+which streams its weights per call, gains from batching — so the trunk
+stays cache-resident, one trunk serves every batch size, and a tile's
+trunk result cannot depend on its batch-mates.  Weights are packed once
+at compile time and shared by every program (trace node names are
+structural, hence stable across input sizes).
 
 When IOS scheduling is on (the default; see :mod:`repro.engine.sched`),
-program construction additionally measures each step's kernel on the
+binding a trunk additionally measures each step's kernel on the
 freshly-bound sequential program, solves the IOS stage/group DP against
 those measured costs, and — only if the solver found profitable
-inter-operator parallelism — rebinds the program with a stage-barrier
+inter-operator parallelism — rebinds the trunk with a stage-barrier
 arena plan and a staged executor that runs concurrent groups on a
-shared thread pool.  Solved schedules are sticky per (program, batch,
-shape, quant, workers), so the measure+solve cost is paid once per
-process (or never, when seeded from a scan-pool parent).
+shared thread pool.  Solved schedules are sticky per (program, shape,
+quant, workers), so the measure+solve cost is paid once per process (or
+never, when seeded from a scan-pool parent).  The head runs flat.
 
 Execution is serialized with an internal lock: programs own mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
@@ -41,7 +49,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import sched as _sched
-from .fusion import Step, fuse_graph
+from .fusion import Step, fuse_graph, split_trunk_head
 from .kernels import (
     adaptive_bins,
     adaptive_pool_nhwc,
@@ -77,9 +85,8 @@ __all__ = ["CompiledModel", "compile", "compiled_for"]
 # a "memops" bucket for pure data movement.  Fused kernels (conv_pool,
 # quantized convs) further split their own wall time into phases —
 # gather/staging as memops, fused pooling as pooling — inside
-# run_timed(); the entry here is the bucket for any untimed remainder.
+# execute_timed(); the entry here is the bucket for any untimed remainder.
 _CATEGORY = {
-    "input": "memops",
     "conv": "conv",
     "conv_pool": "conv",
     "linear": "matmul",
@@ -157,11 +164,15 @@ def _run_group_timed(group: list, acc: dict[str, float]) -> None:
 class _Program:
     """One bound executable: arena slots, views, kernel closures.
 
+    ``input`` steps are fed from outside — :meth:`feed` for the raw
+    batch, or a write into ``views[name]`` for a tensor another program
+    produced — then one of the ``execute*`` methods runs the kernels.
+
     With ``schedule`` (an IOS :class:`~repro.ios.schedule.Schedule` whose
     ``max_parallelism`` exceeds 1), the arena is planned with
     stage-barrier interference so concurrent groups never share slots,
-    and ``run``/``run_timed`` execute the stage/group structure on the
-    shared group thread pool instead of the flat step list.
+    and ``execute``/``execute_timed`` run the stage/group structure on
+    the shared group thread pool instead of the flat step list.
     """
 
     def __init__(self, steps: list[Step], outputs: tuple[str, ...],
@@ -169,6 +180,9 @@ class _Program:
                  quant: QuantPolicy, act_scales: dict,
                  schedule=None) -> None:
         self.quant = quant
+        #: the IOS schedule solved for these steps: run staged when
+        #: passed here; the binder attaches a sequential verdict after
+        #: the fact so ``schedule_for`` can report it
         self.schedule = schedule
         self._act_scales = act_scales
         shapes = {s.name: s.out_shape for s in steps}
@@ -197,30 +211,32 @@ class _Program:
         self.plan: MemoryPlan = plan_memory(
             steps, outputs, batch, itemsize=dtype.itemsize, stages=stages
         )
+        assert self.plan.check()
         self.batch = batch
+        self.outputs = outputs
         elems = [size // dtype.itemsize for size in self.plan.slot_sizes]
         self._slots = [np.empty(n, dtype=dtype) for n in elems]
 
-        views: dict[str, np.ndarray] = {}
+        #: step name -> its tensor in the arena (NHWC / ``(N, F)``)
+        self.views = views = {}
         for step in steps:
             life = self.plan.lifetimes[step.name]
             shape = _nhwc(step.out_shape, batch)
             count = int(np.prod(shape))
             views[step.name] = self._slots[life.slot][:count].reshape(shape)
 
-        self._input_fn = None
+        self._inputs = [views[s.name] for s in steps if s.kind == "input"]
         self._fns: list[tuple[str, str, object]] = []  # (category, name, fn)
         # quantized step name -> input view (int8 calibration taps)
         self._taps: dict[str, np.ndarray] = {}
         for step in steps:
-            fn = self._bind(step, views, shapes, batch, dtype, packed)
             if step.kind == "input":
-                self._input_fn = fn
-            else:
-                self._fns.append((_CATEGORY[step.kind], step.name, fn))
-                if (quant.mode == "int8" and
-                        step.kind in ("conv", "conv_pool", "linear")):
-                    self._taps[step.name] = views[step.inputs[0]]
+                continue
+            fn = self._bind(step, views, shapes, batch, dtype, packed)
+            self._fns.append((_CATEGORY[step.kind], step.name, fn))
+            if (quant.mode == "int8" and
+                    step.kind in ("conv", "conv_pool", "linear")):
+                self._taps[step.name] = views[step.inputs[0]]
 
         # Staged execution structure: stage -> group -> (category, name,
         # fn) triples in schedule order.  ``_linear`` is the sequential
@@ -241,10 +257,6 @@ class _Program:
             self._exec_stages = None
             self._linear = self._fns
 
-        out_views = [views[name] for name in outputs]
-        out_spatial = [len(shapes[name]) == 3 for name in outputs]
-        self._outputs = list(zip(out_views, out_spatial))
-
     # -- binding ---------------------------------------------------------
     def _scratch(self, step: Step, batch: int,
                  dtype: np.dtype) -> np.ndarray:
@@ -256,16 +268,6 @@ class _Program:
         out = views[step.name]
         ins = [views[name] for name in step.inputs]
         kind = step.kind
-
-        if kind == "input":
-            spatial = len(step.out_shape) == 3
-            if spatial:
-                def fn(x, out=out):
-                    np.copyto(out, x.transpose(0, 2, 3, 1))
-            else:
-                def fn(x, out=out):
-                    np.copyto(out, x)
-            return fn
 
         if kind in ("conv", "conv_pool"):
             k = int(step.attrs["kernel"])
@@ -400,16 +402,16 @@ class _Program:
         raise ValueError(f"no binding for step kind {kind!r}")  # pragma: no cover
 
     # -- execution -------------------------------------------------------
-    def run(self, x: np.ndarray) -> list[np.ndarray]:
-        self._input_fn(x)
+    def feed(self, x: np.ndarray) -> None:
+        """Copy a raw NCHW / ``(N, F)`` batch into the program's input."""
+        (view,) = self._inputs
+        np.copyto(view, x.transpose(0, 2, 3, 1) if view.ndim == 4 else x)
+
+    def execute(self) -> None:
         if self._exec_stages is None:
             for _, _, fn in self._fns:
                 fn()
-        else:
-            self._run_staged()
-        return self._extract()
-
-    def _run_staged(self) -> None:
+            return
         # Single-group stages run inline (no dispatch, no barrier — the
         # exact overheads the cost model charges).  Parallel stages hand
         # groups[1:] to the shared pool while the calling thread runs
@@ -426,7 +428,7 @@ class _Program:
             for future in futures:
                 future.result()
 
-    def run_timed(self, x: np.ndarray, acc: dict[str, float]) -> list[np.ndarray]:
+    def execute_timed(self, acc: dict[str, float]) -> None:
         """Run once, accumulating per-category wall time into ``acc``.
 
         On scheduled programs each concurrent group times its steps into
@@ -434,14 +436,10 @@ class _Program:
         category sums are *thread* time and may exceed the stage's wall
         clock when groups genuinely overlap.
         """
-        t0 = time.perf_counter()
-        self._input_fn(x)
-        t1 = time.perf_counter()
-        acc["memops"] = acc.get("memops", 0.0) + (t1 - t0)
         if self._exec_stages is None:
             for triple in self._fns:
                 _timed_step(triple, acc)
-            return self._extract()
+            return
         for stage in self._exec_stages:
             if len(stage) == 1:
                 for triple in stage[0]:
@@ -457,16 +455,16 @@ class _Program:
             for part in partials:
                 for category, dt in part.items():
                     acc[category] = acc.get(category, 0.0) + dt
-        return self._extract()
 
-    def run_calibrate(self, x: np.ndarray, stats: dict[str, float],
-                      percentile: float) -> None:
-        """One forward pass recording per-quantized-step input scales.
+    def execute_calibrate(self, stats: dict[str, float],
+                          percentile: float) -> None:
+        """One pass recording per-quantized-step input scales.
 
         Always sequential (over the plan's own linearization) so the
-        recorded percentile per tap is deterministic.
+        recorded percentile per tap is deterministic.  ``stats`` keeps
+        the maximum over calls, so a one-sample program called once per
+        sample commits the largest per-sample percentile.
         """
-        self._input_fn(x)
         for _, name, fn in self._linear:
             view = self._taps.get(name)
             if view is not None:
@@ -479,14 +477,15 @@ class _Program:
         """Best-of wall-clock seconds per step on the real bound kernels.
 
         This is the cost input to the IOS DP (``repro.engine.sched``):
-        run_timed-style per-step attribution, but keyed by step name and
-        taken as a min over ``repeats`` full passes so scheduler input is
-        noise-robust.  The pass re-feeds the input each repeat, so every
-        pass executes in a valid sequential order over live buffers.
+        execute_timed-style per-step attribution, but keyed by step name
+        and taken as a min over ``repeats`` full passes so scheduler
+        input is noise-robust.  The pass re-feeds the input each repeat,
+        so every pass executes in a valid sequential order over live
+        buffers.
         """
         costs: dict[str, float] = {}
         for _ in range(max(1, int(repeats))):
-            self._input_fn(x)
+            self.feed(x)
             for _, name, fn in self._linear:
                 t0 = time.perf_counter()
                 fn()
@@ -496,11 +495,11 @@ class _Program:
                     costs[name] = dt
         return costs
 
-    def _extract(self) -> list[np.ndarray]:
-        return [
-            view.transpose(0, 3, 1, 2).copy() if spatial else view.copy()
-            for view, spatial in self._outputs
-        ]
+    def extract(self) -> list[np.ndarray]:
+        """Fresh copies of the outputs in eager NCHW / ``(N, F)`` layout."""
+        views = [self.views[name] for name in self.outputs]
+        return [view.transpose(0, 3, 1, 2).copy() if view.ndim == 4
+                else view.copy() for view in views]
 
 
 class CompiledModel:
@@ -534,7 +533,10 @@ class CompiledModel:
         self._step_cache: dict[tuple[int, ...], list[Step]] = {
             self.input_shape: self.steps
         }
-        self._programs: dict[tuple[int, ...], _Program] = {}
+        #: sample shape -> its one-sample trunk (no entry: all head)
+        self._trunks: dict[tuple[int, ...], _Program] = {}
+        #: (batch,) + sample shape -> the head bound at that batch
+        self._heads: dict[tuple[int, ...], _Program] = {}
         self._lock = threading.Lock()
 
     # -- compile-time ----------------------------------------------------
@@ -601,47 +603,62 @@ class CompiledModel:
             self._step_cache[sample_shape] = steps
         return steps
 
-    def _program_for(self, batch: int,
-                     sample_shape: tuple[int, ...]) -> _Program:
+    def _programs_for(self, batch: int, sample_shape: tuple[int, ...]
+                      ) -> tuple[_Program | None, _Program]:
+        """The ``(trunk, head)`` pair that executes ``(batch, shape)``.
+
+        The trunk is bound at one sample on the shape's first use and
+        shared by every batch size; the head is per batch size.  The
+        trunk is ``None`` for a model that is all head.
+        """
         key = (batch,) + sample_shape
-        prog = self._programs.get(key)
-        if prog is None:
-            steps = self._steps_for(sample_shape)
-            prog = _Program(steps, self.outputs, batch, self.dtype,
+        head = self._heads.get(key)
+        if head is None:
+            trunk_steps, boundary, head_steps = split_trunk_head(
+                self._steps_for(sample_shape), self.outputs)
+            head = _Program(head_steps, self.outputs, batch, self.dtype,
                             self._packed, self.quant, self._act_scales)
-            if self.schedule_enabled and _sched.scheduling_enabled():
-                plan = self._resolve_schedule(steps, batch, sample_shape,
-                                              prog)
-                if plan is not None and plan.max_parallelism > 1:
-                    # Rebind with the stage-barrier arena plan and the
-                    # staged executor; conv variants are a function of
-                    # layer geometry, so the rebind binds the same kernels.
-                    prog = _Program(steps, self.outputs, batch, self.dtype,
-                                    self._packed, self.quant,
-                                    self._act_scales, schedule=plan)
-            self._programs[key] = prog
+            if trunk_steps and sample_shape not in self._trunks:
+                self._trunks[sample_shape] = self._bind_trunk(
+                    trunk_steps, boundary, sample_shape)
+            self._heads[key] = head
+        return self._trunks.get(sample_shape), head
+
+    def _bind_trunk(self, steps: list[Step], boundary: tuple[str, ...],
+                    sample_shape: tuple[int, ...]) -> _Program:
+        prog = _Program(steps, boundary, 1, self.dtype, self._packed,
+                        self.quant, self._act_scales)
+        if not (self.schedule_enabled and _sched.scheduling_enabled()):
+            return prog
+        plan = self._resolve_schedule(steps, sample_shape, prog)
+        if plan is not None and plan.max_parallelism > 1:
+            # Rebind with the stage-barrier arena plan and the staged
+            # executor; conv variants are a function of layer geometry,
+            # so the rebind binds the same kernels.
+            return _Program(steps, boundary, 1, self.dtype, self._packed,
+                            self.quant, self._act_scales, schedule=plan)
+        prog.schedule = plan  # solved, judged unprofitable: stays flat
         return prog
 
-    def _resolve_schedule(self, steps: list[Step], batch: int,
+    def _resolve_schedule(self, steps: list[Step],
                           sample_shape: tuple[int, ...], prog: _Program):
-        """Cached-or-solved IOS schedule for one (batch, shape) program.
+        """Cached-or-solved IOS schedule of one shape's trunk.
 
-        On a cache miss the freshly-bound sequential program measures
-        its own per-step kernel costs (synthetic input — cost magnitude
-        is what matters, not values) and the DP solves against them.
-        Any failure falls back to no schedule, counted and warned by
+        On a cache miss the freshly-bound sequential trunk measures its
+        own per-step kernel costs (synthetic input — cost magnitude is
+        what matters, not values) and the DP solves against them.  Any
+        failure falls back to no schedule, counted and warned by
         ``sched.note_fallback``: the sequential program is always a
         correct executable.
         """
         try:
-            key = _sched.schedule_key(steps, batch, sample_shape,
+            key = _sched.schedule_key(steps, 1, sample_shape,
                                       self.dtype, self.quant.mode)
             plan = _sched.cached_schedule(key)
             if plan is None:
                 rng = np.random.default_rng(0)
-                x = rng.standard_normal(
-                    (batch,) + tuple(sample_shape)).astype(
-                        self.dtype, copy=False)
+                x = rng.standard_normal((1,) + tuple(sample_shape)).astype(
+                    self.dtype, copy=False)
                 costs = prog.step_costs(x)
                 plan = _sched.solve_schedule(key, steps, costs,
                                              graph_name=self.graph.name)
@@ -650,7 +667,32 @@ class CompiledModel:
             _sched.note_fallback(exc)
             return None
 
+    def _bound(self, batch: int, sample_shape: tuple[int, ...] | None
+               ) -> tuple[_Program | None, _Program]:
+        shape = tuple(int(d) for d in (sample_shape or self.input_shape))
+        with self._lock:
+            return self._programs_for(int(batch), shape)
+
     # -- execution -------------------------------------------------------
+    def _forward(self, data: np.ndarray, execute) -> list[np.ndarray]:
+        """Depth-first pass: the trunk one sample at a time, each
+        sample's boundary tensors into row ``i`` of the head's inputs,
+        then the head once.  ``execute(program)`` runs a fed program."""
+        trunk, head = self._programs_for(data.shape[0],
+                                         tuple(data.shape[1:]))
+        if trunk is None:
+            head.feed(data)
+        else:
+            pairs = [(head.views[name], trunk.views[name])
+                     for name in trunk.outputs]
+            for i in range(data.shape[0]):
+                trunk.feed(data[i:i + 1])
+                execute(trunk)
+                for rows, sample in pairs:
+                    np.copyto(rows[i:i + 1], sample)
+        execute(head)
+        return head.extract()
+
     def __call__(self, x):
         data = np.asarray(getattr(x, "data", x))
         if data.ndim != len(self.input_shape) + 1:
@@ -659,8 +701,7 @@ class CompiledModel:
                 f"dims, got shape {data.shape}"
             )
         with self._lock:
-            prog = self._program_for(data.shape[0], tuple(data.shape[1:]))
-            results = prog.run(data)
+            results = self._forward(data, _Program.execute)
         return results[0] if len(results) == 1 else tuple(results)
 
     def predict(self, images: np.ndarray,
@@ -685,26 +726,25 @@ class CompiledModel:
 
     def warmup(self, batch_sizes, sample_shape: tuple[int, ...] | None = None
                ) -> float:
-        """Pre-build the per-(batch, shape) programs for ``batch_sizes``.
+        """Pre-build the shape's trunk and a head per ``batch_sizes``.
 
         Binding a program — memory planning, arena allocation, view and
-        closure construction, plus (first time per shape) the IOS
-        step-cost measurement and DP solve — is the one non-amortized
-        cost of the compiled path; without warmup the first request of
-        each batch shape pays it inline.  Calling this at startup (the serving
-        layer does, and every parallel scan worker warms its shard's
-        batch shapes) moves that latency out of the request path.
+        closure construction, plus (for the trunk, once per shape) the
+        IOS step-cost measurement and DP solve — is the one
+        non-amortized cost of the compiled path; without warmup the
+        first request of each shape pays it inline.  Calling this at
+        startup (the serving layer does, and every parallel scan worker
+        warms its shard's batch shapes) moves that latency out of the
+        request path.
 
-        Returns the elapsed milliseconds; already-cached programs cost
+        Returns the elapsed milliseconds; already-bound programs cost
         nothing, so warmup is idempotent.
         """
-        shape = tuple(int(d) for d in (sample_shape or self.input_shape))
         start = time.perf_counter()
-        with self._lock:
-            for batch in batch_sizes:
-                if batch < 1:
-                    raise ValueError("warmup batch sizes must be >= 1")
-                self._program_for(int(batch), shape)
+        for batch in batch_sizes:
+            if batch < 1:
+                raise ValueError("warmup batch sizes must be >= 1")
+            self._bound(batch, sample_shape)
         return (time.perf_counter() - start) * 1e3
 
     def calibrate(self, images, batch_size: int = 20,
@@ -714,9 +754,11 @@ class CompiledModel:
         Runs ``images`` (NCHW) through the quantized programs, records
         the |activation| percentile at every quantized step's input, and
         commits the resulting static scales — replacing the per-call
-        dynamic absmax fallback.  Returns the committed ``{step name:
-        scale}`` table (empty for non-int8 modes, where calibration is a
-        no-op).
+        dynamic absmax fallback.  A trunk step sees one sample per call,
+        so its scale is the largest per-sample percentile; a head step's
+        is the largest per-batch one.  Returns the committed ``{step
+        name: scale}`` table (empty for non-int8 modes, where
+        calibration is a no-op).
         """
         if self.quant.mode != "int8":
             return {}
@@ -729,10 +771,9 @@ class CompiledModel:
         stats: dict[str, float] = {}
         with self._lock:
             for start in range(0, len(data), batch_size):
-                batch = data[start:start + batch_size]
-                prog = self._program_for(batch.shape[0],
-                                         tuple(batch.shape[1:]))
-                prog.run_calibrate(batch, stats, pct)
+                self._forward(
+                    data[start:start + batch_size],
+                    lambda prog: prog.execute_calibrate(stats, pct))
             self._act_scales.clear()
             self._act_scales.update(stats)
         return dict(stats)
@@ -740,47 +781,43 @@ class CompiledModel:
     # -- introspection ---------------------------------------------------
     def memory_plan(self, batch: int = 1,
                     sample_shape: tuple[int, ...] | None = None) -> MemoryPlan:
-        """The arena assignment the executed program holds at ``batch``
+        """The arena assignment held while executing ``batch`` samples:
+        the one-sample trunk's arena followed by the head's at ``batch``
         (scratch already re-sized for the selected kernel variants)."""
-        with self._lock:
-            return self._program_for(
-                batch, tuple(sample_shape or self.input_shape)).plan
+        trunk, head = self._bound(batch, sample_shape)
+        if trunk is None:
+            return head.plan
+        return trunk.plan.followed_by(head.plan)
 
     def kernel_choices(self, batch: int = 1,
                        sample_shape: tuple[int, ...] | None = None
                        ) -> dict[str, str]:
-        """The conv kernel bound per conv step of one (batch, shape)
-        program (:func:`~.kernels.conv_variant` of each layer)."""
-        with self._lock:
-            prog = self._program_for(
-                batch, tuple(sample_shape or self.input_shape))
-        return dict(prog.kernel_choices)
+        """The conv kernel bound per conv step of the programs that run
+        ``(batch, shape)`` (:func:`~.kernels.conv_variant` of each
+        layer)."""
+        trunk, head = self._bound(batch, sample_shape)
+        return {**(trunk.kernel_choices if trunk else {}),
+                **head.kernel_choices}
 
     def schedule_for(self, batch: int = 1,
                      sample_shape: tuple[int, ...] | None = None):
-        """The IOS schedule the executed (batch, shape) program follows.
+        """The IOS schedule of the trunk that serves ``shape``.
 
-        Returns the attached :class:`~repro.ios.schedule.Schedule` when
-        the program runs staged, the solved-but-sequential schedule when
-        the DP judged parallelism unprofitable (its ``max_parallelism``
-        is 1), and ``None`` when scheduling is disabled for this model
-        or process.
+        The trunk is bound at one sample, so the answer is the same at
+        every ``batch``.  Returns the :class:`~repro.ios.schedule.
+        Schedule` the trunk runs staged, the solved-but-sequential one
+        when the DP judged parallelism unprofitable (its
+        ``max_parallelism`` is 1), and ``None`` when scheduling is
+        disabled for this model or process, the solve failed, or the
+        model has no trunk (heads run flat).
         """
-        shape = tuple(sample_shape or self.input_shape)
-        with self._lock:
-            prog = self._program_for(batch, shape)
-            if prog.schedule is not None:
-                return prog.schedule
-            if not (self.schedule_enabled and _sched.scheduling_enabled()):
-                return None
-            steps = self._steps_for(shape)
-        key = _sched.schedule_key(steps, batch, shape, self.dtype,
-                                  self.quant.mode)
-        return _sched.cached_schedule(key)
+        trunk, _ = self._bound(batch, sample_shape)
+        return None if trunk is None else trunk.schedule
 
     def planned_peak_bytes(self, batch: int = 1) -> int:
-        """Arena bytes the compiled program holds at ``batch`` — the
-        reuse-aware counterpart of ``graph.analysis.activation_bytes``."""
+        """Arena bytes held while executing ``batch`` samples (trunk +
+        head) — the reuse-aware counterpart of
+        ``graph.analysis.activation_bytes``."""
         return self.memory_plan(batch).peak_bytes
 
     def fused_step_kinds(self) -> list[str]:
@@ -798,12 +835,24 @@ class CompiledModel:
             raise ValueError("repeats must be >= 1")
         data = np.asarray(getattr(x, "data", x))
         acc: dict[str, float] = {}
+        in_kernels = 0.0
+
+        def timed(prog: _Program) -> None:
+            nonlocal in_kernels
+            t0 = time.perf_counter()
+            prog.execute_timed(acc)
+            in_kernels += time.perf_counter() - t0
+
         with self._lock:
-            prog = self._program_for(data.shape[0], tuple(data.shape[1:]))
             for _ in range(warmup):
-                prog.run(data)
+                self._forward(data, _Program.execute)
+            start = time.perf_counter()
             for _ in range(repeats):
-                prog.run_timed(data, acc)
+                self._forward(data, timed)
+            # whatever a pass spends outside its kernels moves data:
+            # input transposes, boundary rows, output copies
+            acc["memops"] = (acc.get("memops", 0.0)
+                             + time.perf_counter() - start - in_kernels)
         total = sum(acc.values())
         return {
             "total_ms": total * 1e3,

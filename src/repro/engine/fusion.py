@@ -35,7 +35,7 @@ from typing import Mapping
 from ..graph.ir import Graph, OpType
 from .kernels import conv_scratch_elems
 
-__all__ = ["Step", "FusionError", "fuse_graph"]
+__all__ = ["Step", "FusionError", "fuse_graph", "split_trunk_head"]
 
 
 class FusionError(ValueError):
@@ -241,3 +241,37 @@ def fuse_graph(graph: Graph, outputs: tuple[str, ...]) -> list[Step]:
     if missing:  # pragma: no cover - defensive; fusion preserves outputs
         raise FusionError(f"outputs lost during fusion: {sorted(missing)}")
     return steps
+
+
+def split_trunk_head(steps: list[Step], outputs: tuple[str, ...]
+                     ) -> tuple[list[Step], tuple[str, ...], list[Step]]:
+    """Split a fused program where batching starts to pay.
+
+    The *head* is every ``linear`` step plus every step that
+    transitively consumes one; the *trunk* is the rest.  A
+    fully-connected layer streams its whole weight matrix per call, so
+    it wants the largest batch it can get; everything before it has a
+    working set that grows with the batch and wants the smallest.  Every
+    step kind is sample-independent, so cutting there is always legal.
+
+    Returns ``(trunk, boundary, head)``.  ``boundary`` names the trunk
+    tensors that cross the cut: those the head consumes and those that
+    are program outputs.  ``head`` starts with one ``input`` step per
+    boundary tensor, so it is a self-contained program whose inputs are
+    the gathered trunk results.  A program whose trunk would hold no
+    compute (an all-``linear`` model) comes back as ``([], (), steps)``.
+    """
+    in_head: set[str] = set()
+    for step in steps:
+        if step.kind == "linear" or in_head.intersection(step.inputs):
+            in_head.add(step.name)
+    trunk = [s for s in steps if s.name not in in_head]
+    if all(s.kind == "input" for s in trunk):
+        return [], (), list(steps)
+    crossing = set(outputs).union(
+        *(s.inputs for s in steps if s.name in in_head))
+    gathered = [s for s in trunk if s.name in crossing]
+    head = [Step("input", s.name, (), s.out_shape, covers=(s.name,))
+            for s in gathered]
+    head += [s for s in steps if s.name in in_head]
+    return trunk, tuple(s.name for s in gathered), head

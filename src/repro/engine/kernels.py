@@ -259,7 +259,7 @@ def concat_rows(parts: list[np.ndarray], out: np.ndarray, axis: int) -> None:
 # Each binder closes over prebound views and returns ``fn(acc=None)``.
 # With ``acc`` a dict, per-phase wall time is accumulated under the
 # profiling taxonomy (gather/staging -> "memops", arithmetic -> "conv",
-# fused pooling -> "pooling") so run_timed() can attribute fused kernels
+# fused pooling -> "pooling") so execute_timed() can attribute fused kernels
 # at sub-step granularity; with ``acc=None`` the phase list runs with no
 # timing overhead.
 

@@ -30,11 +30,15 @@ makes the whole stage one interference set.  That is conservative
 buffers) but exactly matches what the thread-pool executor can prove.
 With ``stages=None`` the planner is byte-identical to the sequential
 behavior above.
+
+Both invariants are checked, not just intended: :meth:`MemoryPlan.check`
+re-derives them from the finished plan, and every bound program asserts
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .fusion import Step
@@ -67,6 +71,8 @@ class MemoryPlan:
     slot_sizes  : final byte size of each arena slot.
     peak_bytes  : arena footprint = ``sum(slot_sizes)``.
     naive_bytes : footprint with no reuse (every tensor held at once).
+    stages      : the schedule's stage -> group -> step names the plan
+                  was made for; ``None`` for sequential execution.
     """
 
     batch: int
@@ -75,11 +81,76 @@ class MemoryPlan:
     slot_sizes: tuple[int, ...]
     peak_bytes: int
     naive_bytes: int
+    stages: tuple[tuple[tuple[str, ...], ...], ...] | None = None
 
     @property
     def reuse_factor(self) -> float:
         """How many times over the arena is recycled (>= 1.0)."""
         return self.naive_bytes / self.peak_bytes if self.peak_bytes else 1.0
+
+    def check(self) -> bool:
+        """The arena invariant, verified instead of trusted.
+
+        Every lifetime fits its slot, no two lifetimes that overlap in
+        time share a slot, and under a schedule no two groups of one
+        stage write a common slot (their steps interleave arbitrarily).
+        Raises ``AssertionError`` naming the offenders and returns
+        ``True``, so callers write ``assert plan.check()`` and pay
+        nothing under ``-O``.
+        """
+        by_slot: dict[int, list[Lifetime]] = {}
+        for lt in self.lifetimes.values():
+            if lt.nbytes > self.slot_sizes[lt.slot]:
+                raise AssertionError(
+                    f"{lt.name} needs {lt.nbytes} B, slot {lt.slot} holds "
+                    f"{self.slot_sizes[lt.slot]}")
+            by_slot.setdefault(lt.slot, []).append(lt)
+        for slot, lts in by_slot.items():
+            lts.sort(key=lambda lt: lt.birth)
+            for a, b in zip(lts, lts[1:]):
+                if a.death >= b.birth:
+                    raise AssertionError(
+                        f"slot {slot}: {a.name} [{a.birth},{a.death}] "
+                        f"overlaps {b.name} [{b.birth},{b.death}]")
+        for stage in self.stages or ():
+            owner: dict[int, int] = {}
+            for g, group in enumerate(stage):
+                written = [key for name in group
+                           for key in (name, f"{name}:scratch")
+                           if key in self.lifetimes]
+                for key in written:
+                    slot = self.lifetimes[key].slot
+                    if owner.setdefault(slot, g) != g:
+                        raise AssertionError(
+                            f"stage {stage}: groups {owner[slot]} and {g} "
+                            f"share slot {slot} ({key})")
+        return True
+
+    def followed_by(self, other: "MemoryPlan") -> "MemoryPlan":
+        """This plan and ``other`` as one: what a process holds when a
+        second program, in its own arena, consumes the first one's
+        results.  ``other``'s slots and step indices are renumbered
+        after this plan's; a tensor named in both (handed from one
+        arena to the other) keeps its name here and becomes
+        ``<name>:gathered`` there.  ``batch`` is ``other``'s.
+        """
+        steps = 1 + max(lt.death for lt in self.lifetimes.values())
+        slots = len(self.slot_sizes)
+        lifetimes = dict(self.lifetimes)
+        for name, lt in other.lifetimes.items():
+            key = f"{name}:gathered" if name in lifetimes else name
+            lifetimes[key] = replace(
+                lt, name=key, birth=lt.birth + steps,
+                death=lt.death + steps, slot=lt.slot + slots)
+        return MemoryPlan(
+            batch=other.batch,
+            itemsize=self.itemsize,
+            lifetimes=lifetimes,
+            slot_sizes=self.slot_sizes + other.slot_sizes,
+            peak_bytes=self.peak_bytes + other.peak_bytes,
+            naive_bytes=self.naive_bytes + other.naive_bytes,
+            stages=self.stages,
+        )
 
 
 class _Arena:
@@ -274,4 +345,6 @@ def _plan_scheduled(steps: list[Step], outputs: tuple[str, ...], batch: int,
         slot_sizes=tuple(arena.sizes),
         peak_bytes=sum(arena.sizes),
         naive_bytes=naive,
+        stages=tuple(tuple(tuple(group) for group in stage)
+                     for stage in stages),
     )

@@ -15,7 +15,10 @@ float32:
   output is rescaled by ``a_scale * w_scale[ch]`` before bias and
   activation.  Activation scales are dynamic (per-call absmax) until
   :meth:`~.compiled.CompiledModel.calibrate` freezes static scales from
-  a percentile sweep over a held-out chip sample.
+  a percentile sweep over a held-out chip sample.  A call is what the
+  bound kernel sees: one sample for the steps before the first
+  fully-connected layer (the engine loops that trunk over the batch),
+  the whole batch from there on.
 
 Mode selection is subordinated to the paper's accuracy constraint
 ``a(n) > A`` (§4: efficiency optimization is only admissible while

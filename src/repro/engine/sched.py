@@ -3,9 +3,11 @@
 The compiled engine historically replayed its fused step list strictly
 sequentially, leaving the SPP pyramid's independent branches (three
 ``adaptive_pool_flatten`` steps feeding one concat) unexploited.  This
-module closes the ROADMAP's "IOS-scheduled engine execution" loop:
+module closes the ROADMAP's "IOS-scheduled engine execution" loop for
+the one-sample trunk every batch is looped through (the fully-connected
+head is a chain and runs flat):
 
-1. a program's step list is converted into the :mod:`repro.graph` IR
+1. the trunk's step list is converted into the :mod:`repro.graph` IR
    (:func:`steps_to_graph`);
 2. every step is timed on its *real bound kernel*
    (``_Program.step_costs``) — measured costs, not the analytic
@@ -21,7 +23,8 @@ module closes the ROADMAP's "IOS-scheduled engine execution" loop:
 
 Schedules are sticky per :class:`ScheduleKey` — (program structure,
 batch, shape, dtype, quant mode, worker budget) — for the process
-lifetime: the first solve wins, and :func:`snapshot` / :func:`seed`
+lifetime, and since trunks are bound at one sample that is one solve
+per input shape, whatever batch sizes run: the first solve wins, and :func:`snapshot` / :func:`seed`
 ship solved schedules (as ``Schedule.to_json`` payloads, hash-verified
 on adoption) to scan pool workers so they never re-measure or re-solve.
 
@@ -136,10 +139,11 @@ def schedule_workers() -> int:
 class ScheduleKey:
     """Everything a schedule choice may legally depend on.
 
-    ``program`` is a structural fingerprint of the fused step list
+    ``program`` is a structural fingerprint of the scheduled step list
     (kinds, names, edges, shapes), so two models with the same fused
-    program share one solved schedule — and a model change can never
-    adopt a stale plan.
+    trunk share one solved schedule — and a model change can never
+    adopt a stale plan.  ``batch`` is the batch the steps were bound
+    and measured at: 1 for every trunk the engine binds.
     """
 
     program: str

@@ -106,10 +106,11 @@ def measure_latency_ms(
         from ..engine import compiled_for
 
         compiled = compiled_for(model, quant=quant)
-        # Bind the (batch, shape) program — including the IOS step-cost
-        # measurement and DP solve on first use — before any timed (or
-        # even warmup=0) pass, so the reported latency is steady-state
-        # execution of the scheduled program, never compilation.
+        # Bind the shape's trunk and this batch's head — including the
+        # IOS step-cost measurement and DP solve on first use — before
+        # any timed (or even warmup=0) pass, so the reported latency is
+        # steady-state execution of the scheduled program, never
+        # compilation.
         compiled.warmup([batch],
                         (config.in_channels, input_size, input_size))
         run = lambda: compiled.predict(images, batch_size=batch)  # noqa: E731

@@ -294,9 +294,10 @@ def parallel_scan_scene(
                                          start_method=start_method)
     try:
         if backend == "engine":
-            # Solve before shipping: compile every micro-batch shape
-            # this scan runs in the PARENT first, so ensure_model ships
-            # its IOS schedules and no worker re-measures or re-solves.
+            # Solve before shipping: bind the window shape's trunk (and
+            # a head per micro-batch size this scan runs) in the PARENT
+            # first, so ensure_model ships its IOS schedule and no
+            # worker re-measures or re-solves.
             # compiled_for caches per model instance, so repeat scans
             # pay nothing here.
             if robust:

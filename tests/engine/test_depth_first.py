@@ -1,0 +1,203 @@
+"""Depth-first execution: the trunk/head split rule, bitwise agreement
+with the same steps bound at the full batch (how the engine ran before
+the split), and a property sweep over the model space."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
+from repro.detect.predict import predict
+from repro.detect.sppnet import SPPNetDetector
+from repro.engine import CompiledModel, Step, compile as engine_compile, sched
+from repro.engine.compiled import _Program
+from repro.engine.fusion import split_trunk_head
+from repro.nas.space import config_from_sample
+from repro.tensor import Linear, ReLU, Sequential, Tensor, no_grad
+
+BATCHES = (1, 2, 3, 5, 8, 20)
+
+
+def step(kind, name, inputs=(), shape=(8,)):
+    return Step(kind, name, tuple(inputs), shape, {}, (name,), 0)
+
+
+def names(steps):
+    return [s.name for s in steps]
+
+
+class TestSplitRule:
+    def test_detector_splits_at_the_first_linear(self):
+        model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+        compiled = engine_compile(model)
+        trunk, boundary, head = split_trunk_head(compiled.steps,
+                                                 compiled.outputs)
+        assert boundary == ("spp_concat1",)
+        assert {s.kind for s in trunk} == {
+            "input", "conv_pool", "adaptive_pool_flatten", "concat"}
+        assert [s.kind for s in head][:2] == ["input", "linear"]
+        assert head[0].name == "spp_concat1" and head[0].inputs == ()
+        assert set(compiled.outputs) <= set(names(head))
+        assert sorted(names(trunk) + names(head)[1:]) == sorted(
+            names(compiled.steps))
+
+    def test_consumers_of_a_linear_are_head_transitively(self):
+        steps = [step("input", "input"), step("relu", "a", ["input"]),
+                 step("linear", "fc", ["a"]), step("relu", "b", ["fc"]),
+                 step("concat", "c", ["a", "b"]), step("relu", "d", ["a"])]
+        trunk, boundary, head = split_trunk_head(steps, ("c", "d"))
+        assert names(trunk) == ["input", "a", "d"]
+        # a feeds the head, d is a program output computed by the trunk
+        assert boundary == ("a", "d")
+        assert names(head) == ["a", "d", "fc", "b", "c"]
+        assert [s.kind for s in head[:2]] == ["input", "input"]
+
+    def test_model_without_linear_is_all_trunk(self):
+        steps = [step("input", "input"), step("relu", "a", ["input"]),
+                 step("relu", "b", ["a"])]
+        trunk, boundary, head = split_trunk_head(steps, ("b",))
+        assert names(trunk) == names(steps) and boundary == ("b",)
+        assert [(s.kind, s.name) for s in head] == [("input", "b")]
+
+    def test_all_linear_model_is_all_head(self):
+        steps = [step("input", "input"), step("linear", "fc1", ["input"]),
+                 step("linear", "fc2", ["fc1"])]
+        assert split_trunk_head(steps, ("fc2",)) == ([], (), steps)
+
+
+def full_batch(compiled: CompiledModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every step bound at the full batch in one arena: one im2col GEMM
+    per conv over all ``n`` samples."""
+    prog = _Program(compiled.steps, compiled.outputs, len(x), compiled.dtype,
+                    compiled._packed, compiled.quant, compiled._act_scales)
+    prog.feed(x)
+    prog.execute()
+    return prog.extract()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
+def test_float32_outputs_bitwise_equal_full_batch_binding(name):
+    model = SPPNetDetector(TABLE1_MODELS[name], seed=0).eval()
+    compiled = engine_compile(model)
+    x = np.random.default_rng(3).standard_normal(
+        (max(BATCHES),) + compiled.input_shape).astype(np.float32)
+    for n in BATCHES:
+        for ours, ref in zip(compiled(x[:n]), full_batch(compiled, x[:n])):
+            assert ours.tobytes() == ref.tobytes(), (name, n)
+    assert len(compiled._trunks) == 1
+
+
+# -- property sweep ----------------------------------------------------------
+
+@pytest.fixture(scope="module", autouse=True)
+def parallel_schedules():
+    """Zero modeled overheads and a 4-lane budget: ``schedule=True``
+    then really runs the SPP branches as concurrent groups, on any
+    host."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sched, "DISPATCH_US", 0.0)
+        patch.setattr(sched, "SYNC_US", 0.0)
+        patch.setenv(sched.ENV_WORKERS, "4")
+        sched.clear_cache()
+        yield
+    sched.clear_cache()
+
+
+def sample_config(first_kernel: int, spp_first_level: int,
+                  fc_width: int) -> SPPNetConfig:
+    """A search-space sample, its trunk shrunk to two narrow convs so
+    the pyramid still fits a 32 px input."""
+    config = config_from_sample({"first_kernel": first_kernel,
+                                 "spp_first_level": spp_first_level,
+                                 "fc_width": fc_width})
+    return replace(
+        config, convs=(ConvSpec(8, first_kernel, 1), ConvSpec(16, 3, 1)),
+        pools=(PoolSpec(2, 2), PoolSpec(2, 2)))
+
+
+def bitwise(a, b) -> bool:
+    """Byte equality of two engine results (an array or a tuple)."""
+    if isinstance(a, np.ndarray):
+        a, b = (a,), (b,)
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(first_kernel=st.sampled_from((1, 3, 5, 7, 9)),
+       spp_first_level=st.integers(1, 5),
+       fc_width=st.sampled_from((8, 16, 24)),
+       size=st.integers(32, 48),
+       batch=st.sampled_from(BATCHES),
+       quant=st.sampled_from(("float32", "float16")),
+       schedule=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_model_space_property(first_kernel, spp_first_level, fc_width, size,
+                              batch, quant, schedule, seed):
+    config = sample_config(first_kernel, spp_first_level, fc_width)
+    model = SPPNetDetector(config, seed=seed).eval()
+    shape = (4, size, size)
+    x = np.random.default_rng(seed).standard_normal(
+        (batch,) + shape).astype(np.float32)
+
+    # head-less: every row is exactly what the tile gives on its own
+    features = Sequential(model.trunk, model.spp)
+    headless = engine_compile(features, shape, quant=quant,
+                              schedule=schedule)
+    rows = headless(x)
+    assert rows.shape == (batch, config.spp_features)
+    for i in range(batch):
+        assert bitwise(rows[i:i + 1], headless(x[i:i + 1]))
+
+    compiled = engine_compile(model, shape, quant=quant, schedule=schedule)
+    out = compiled(x)
+    if schedule:
+        assert compiled.schedule_for(batch, shape).max_parallelism > 1 \
+            or len(config.spp_levels) == 1
+    # two fresh compiles run the same kernels over the same bytes
+    assert bitwise(out, engine_compile(model, shape, quant=quant,
+                                       schedule=not schedule)(x))
+    # the head's GEMM sees other rows at batch n: low-order bits only
+    for i in range(batch):
+        for whole, alone in zip(out, compiled(x[i:i + 1])):
+            np.testing.assert_allclose(whole[i:i + 1], alone, atol=1e-5,
+                                       rtol=0)
+    if quant == "float32":
+        with no_grad():
+            logits, boxes = model(Tensor(x))
+        np.testing.assert_allclose(out[0], logits.data, atol=1e-5, rtol=1e-4)
+        np.testing.assert_allclose(out[1], boxes.data, atol=1e-5, rtol=1e-4)
+    else:
+        conf, boxes = predict(model, x)
+        eng_conf, eng_boxes = compiled.predict(x, batch_size=batch)
+        np.testing.assert_allclose(eng_conf, conf, atol=2e-3)
+        np.testing.assert_allclose(eng_boxes, boxes, atol=2e-3)
+
+
+def test_all_linear_module_runs_as_one_head():
+    rng = np.random.default_rng(0)
+    mlp = Sequential(Linear(12, 16, rng=rng), ReLU(), Linear(16, 3, rng=rng))
+    compiled = engine_compile(mlp, (12,))
+    x = rng.standard_normal((5, 12)).astype(np.float32)
+    with no_grad():
+        expected = mlp(Tensor(x)).data
+    np.testing.assert_allclose(compiled(x), expected, atol=1e-5, rtol=1e-4)
+    assert not compiled._trunks and set(compiled._heads) == {(5, 12)}
+    assert compiled.schedule_for(5) is None
+    assert compiled.planned_peak_bytes(5) == compiled.memory_plan(5).peak_bytes
+
+
+def test_ragged_last_batch_through_predict():
+    model = SPPNetDetector(sample_config(3, 3, 16), seed=4).eval()
+    compiled = engine_compile(model, (4, 32, 32))
+    x = np.random.default_rng(4).standard_normal(
+        (7, 4, 32, 32)).astype(np.float32)
+    conf, boxes = compiled.predict(x, batch_size=3)
+    assert set(compiled._heads) == {(3, 4, 32, 32), (1, 4, 32, 32)}
+    assert len(compiled._trunks) == 1
+    ref_conf, ref_boxes = predict(model, x, batch_size=3)
+    np.testing.assert_allclose(conf, ref_conf, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(boxes, ref_boxes, atol=1e-5, rtol=1e-4)

@@ -1,9 +1,11 @@
 """Liveness-based memory planner: slot reuse, aliasing safety, pinning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel, Step, plan_memory
 
@@ -21,25 +23,11 @@ def chain(*elems):
     return steps, prev
 
 
-def assert_no_aliasing(plan):
-    """No two lifetimes assigned to one slot may overlap in time."""
-    by_slot = {}
-    for lt in plan.lifetimes.values():
-        by_slot.setdefault(lt.slot, []).append(lt)
-    for slot, lts in by_slot.items():
-        lts.sort(key=lambda lt: lt.birth)
-        for a, b in zip(lts, lts[1:]):
-            assert a.death < b.birth, (
-                f"slot {slot}: {a.name} [{a.birth},{a.death}] overlaps "
-                f"{b.name} [{b.birth},{b.death}]"
-            )
-
-
 class TestChain:
     def test_slots_are_recycled(self):
         steps, out = chain(100, 100, 100, 100, 100)
         plan = plan_memory(steps, (out,), batch=1)
-        assert_no_aliasing(plan)
+        assert plan.check()
         # A pure chain only ever has two tensors live (producer input,
         # consumer output), so the arena needs two slots, not five.
         assert len(plan.slot_sizes) == 2
@@ -63,6 +51,44 @@ class TestChain:
             plan_memory(steps, (out,), batch=0)
 
 
+class TestCheck:
+    """``MemoryPlan.check`` must reject what the planner never emits."""
+
+    def plan(self):
+        steps, out = chain(100, 100, 100, 100)
+        return plan_memory(steps, (out,), batch=1)
+
+    def moved(self, plan, name, **changes):
+        lifetimes = dict(plan.lifetimes)
+        lifetimes[name] = replace(lifetimes[name], **changes)
+        return replace(plan, lifetimes=lifetimes)
+
+    def test_overlapping_lifetimes_in_one_slot(self):
+        plan = self.plan()
+        clash = self.moved(plan, "t0", slot=plan.lifetimes["input"].slot)
+        with pytest.raises(AssertionError, match="overlaps"):
+            clash.check()
+
+    def test_lifetime_larger_than_its_slot(self):
+        plan = self.plan()
+        with pytest.raises(AssertionError, match="holds"):
+            self.moved(plan, "t1", nbytes=10**6).check()
+
+    def test_groups_of_one_stage_sharing_a_slot(self):
+        stages = TestScheduledPlanning.STAGES
+        plan = plan_memory(diamond_steps(scratch=32), ("d",), batch=1,
+                           stages=stages)
+        assert plan.check()
+        # c's scratch moved onto b's: legal in time only if b and c ran
+        # in order, which groups of one stage do not
+        clash = self.moved(plan, "c:scratch",
+                           slot=plan.lifetimes["b:scratch"].slot,
+                           birth=3, death=3)
+        clash = self.moved(clash, "b:scratch", birth=2, death=2)
+        with pytest.raises(AssertionError, match="share slot"):
+            clash.check()
+
+
 class TestPinningAndScratch:
     def test_early_output_is_pinned_until_program_end(self):
         # input -> a -> b (output), a -> c -> d (output): b is produced
@@ -75,7 +101,7 @@ class TestPinningAndScratch:
             step("d", ("c",), 50),
         ]
         plan = plan_memory(steps, ("b", "d"), batch=1)
-        assert_no_aliasing(plan)
+        assert plan.check()
         last = len(steps) - 1
         assert plan.lifetimes["b"].death == last
         assert plan.lifetimes["d"].death == last
@@ -91,7 +117,7 @@ class TestPinningAndScratch:
             step("out", ("conv",), 16),
         ]
         plan = plan_memory(steps, ("out",), batch=1)
-        assert_no_aliasing(plan)
+        assert plan.check()
         scratch = plan.lifetimes["conv:scratch"]
         assert scratch.birth == scratch.death == 1
         # Scratch is live at the same instant as the step's input and
@@ -108,7 +134,7 @@ class TestPinningAndScratch:
             step("live", ("input",), 10),
         ]
         plan = plan_memory(steps, ("live",), batch=1)
-        assert_no_aliasing(plan)
+        assert plan.check()
         assert plan.lifetimes["dead"].death == 1
 
 
@@ -124,9 +150,26 @@ class TestRealModelPlan:
         model = SPPNetDetector(self.config(), seed=0)
         compiled = CompiledModel(model, (4, 32, 32))
         plan = compiled.memory_plan(batch=2)
-        assert_no_aliasing(plan)
+        assert plan.check()
         assert plan.reuse_factor > 1.0
-        assert compiled.planned_peak_bytes(batch=2) == plan.peak_bytes
+        # what the process holds: the one-sample trunk's arena plus the
+        # head's at batch 2
+        trunk, head = compiled._programs_for(2, (4, 32, 32))
+        assert (trunk.plan.batch, head.plan.batch, plan.batch) == (1, 2, 2)
+        assert compiled.planned_peak_bytes(batch=2) == plan.peak_bytes \
+            == trunk.plan.peak_bytes + head.plan.peak_bytes
+        # the boundary tensor lives in both arenas, in different slots
+        handed = plan.lifetimes["spp_concat1"]
+        gathered = plan.lifetimes["spp_concat1:gathered"]
+        assert gathered.nbytes == 2 * handed.nbytes
+        assert gathered.slot >= len(trunk.plan.slot_sizes) > handed.slot
+
+    def test_arena_does_not_grow_with_the_batch(self):
+        model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0)
+        compiled = CompiledModel(model, (4, 100, 100), schedule=False)
+        assert compiled.planned_peak_bytes(20) < 16 * 2**20
+        assert (compiled.planned_peak_bytes(20)
+                - compiled.planned_peak_bytes(1)) < 2**20
 
     def test_plan_matches_execution_dtype(self):
         model = SPPNetDetector(self.config(), seed=0)
@@ -187,7 +230,7 @@ class TestScheduledPlanning:
         old = plan_memory(steps, ("d",), batch=1)
         new = plan_memory(steps, ("d",), batch=1, stages=None)
         assert old == new
-        assert_no_aliasing(old)
+        assert old.check()
 
     def test_scheduled_peak_at_least_sequential(self):
         steps = diamond_steps(scratch=32)

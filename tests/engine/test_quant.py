@@ -114,6 +114,29 @@ class TestQuantizedParity:
         cal_err = float(np.abs(cal_conf - ref_conf).max())
         assert cal_err < max(2.0 * dyn_err, 0.08)
 
+    def test_int8_trunk_scales_are_per_sample(self):
+        """The trunk sees one sample per call: a tile's uncalibrated
+        result cannot depend on its batch-mates, and calibration
+        commits the largest per-sample percentile."""
+        from repro.tensor import Sequential
+
+        model = SPPNetDetector(small_config(), seed=2)
+        model.eval()
+        x = chips(6, seed=5)
+        x[4] *= 6.0  # an outlier tile would coarsen a batch-wide scale
+        features = engine_compile(Sequential(model.trunk, model.spp),
+                                  (4, 32, 32), quant="int8")
+        rows = features(x)
+        for i in range(len(x)):
+            assert rows[i:i + 1].tobytes() == features(x[i:i + 1]).tobytes()
+
+        q = engine_compile(model, quant="int8")
+        stats = q.calibrate(x, batch_size=4)
+        first_conv = next(s.name for s in q.steps if s.kind == "conv_pool")
+        assert stats[first_conv] == max(
+            activation_scale(tile, q.quant.percentile) for tile in x)
+        assert stats[first_conv] > activation_scale(x, q.quant.percentile)
+
     def test_calibrate_noop_for_float32(self):
         model = SPPNetDetector(small_config(), seed=2)
         model.eval()

@@ -1,11 +1,11 @@
-"""Engine program-cache warmup."""
+"""Engine warmup: one trunk per input shape, one head per batch size."""
 
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
-from repro.engine import compiled_for
+from repro.engine import compile as engine_compile, compiled_for, sched
 
 
 @pytest.fixture(scope="module")
@@ -19,32 +19,40 @@ def compiled():
     return compiled_for(model)
 
 
+def bound(compiled) -> tuple[set, set]:
+    """(shapes with a trunk, (batch,) + shape keys with a head)."""
+    return set(compiled._trunks), set(compiled._heads)
+
+
 class TestWarmup:
     def test_builds_requested_programs(self, compiled):
-        elapsed = compiled.warmup([1, 4])
+        elapsed = compiled.warmup([1, 4, 8])
         assert elapsed >= 0.0
-        keys = set(compiled._programs)
-        assert (1,) + compiled.input_shape in keys
-        assert (4,) + compiled.input_shape in keys
+        trunks, heads = bound(compiled)
+        assert trunks == {compiled.input_shape}  # one trunk, three heads
+        assert {(b,) + compiled.input_shape for b in (1, 4, 8)} <= heads
 
     def test_warm_batch_runs_without_recompiling(self, compiled):
         compiled.warmup([3])
-        before = dict(compiled._programs)
+        before = bound(compiled)
         rng = np.random.default_rng(0)
         stack = rng.normal(size=(3,) + compiled.input_shape).astype(np.float32)
         compiled.predict(stack, batch_size=3)
-        assert set(compiled._programs) == set(before)
+        assert bound(compiled) == before
 
     def test_idempotent(self, compiled):
         compiled.warmup([2])
-        n_programs = len(compiled._programs)
+        before = bound(compiled)
+        trunk = compiled._trunks[compiled.input_shape]
         compiled.warmup([2])
-        assert len(compiled._programs) == n_programs
+        assert bound(compiled) == before
+        assert compiled._trunks[compiled.input_shape] is trunk
 
     def test_custom_sample_shape(self, compiled):
         shape = (compiled.input_shape[0], 40, 40)
         compiled.warmup([2], sample_shape=shape)
-        assert (2,) + shape in compiled._programs
+        trunks, heads = bound(compiled)
+        assert shape in trunks and (2,) + shape in heads
 
     def test_rejects_nonpositive_batch(self, compiled):
         with pytest.raises(ValueError, match="batch"):
@@ -60,4 +68,24 @@ class TestWarmup:
         model = SPPNetDetector(arch, seed=0)
         guarded = GuardedEngine(model)
         assert guarded.warmup([1, 2]) >= 0.0
-        assert (1,) + guarded.compiled.input_shape in guarded.compiled._programs
+        trunks, heads = bound(guarded.compiled)
+        shape = guarded.compiled.input_shape
+        assert trunks == {shape}
+        assert heads == {(1,) + shape, (2,) + shape}
+
+    def test_one_trunk_and_one_solve_serve_every_batch_size(self):
+        """The deployment model warmed the way scans and the serving
+        batcher do: one trunk, one IOS solve, and an arena that does not
+        grow with the batch."""
+        sched.clear_cache()
+        model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+        compiled = engine_compile(model)
+        compiled.warmup(range(1, 9))
+        compiled.warmup([20])
+        trunks, heads = bound(compiled)
+        assert len(trunks) == 1 and len(heads) == 9
+        assert sched.stats()["solves"] == 1
+        assert compiled.planned_peak_bytes(20) < 16 * 2**20
+        assert (compiled.planned_peak_bytes(20)
+                - compiled.planned_peak_bytes(1)) < 2**20
+        sched.clear_cache()

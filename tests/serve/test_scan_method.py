@@ -1,5 +1,7 @@
 """InferenceService.scan_scene: request-path and bulk-parallel scans."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,23 @@ def scene():
                                        stream_threshold=600, seed=5))
 
 
+def assert_same_detections(served, local, ulps: int = 4) -> None:
+    """Same detections in the same order, float fields within ``ulps``
+    units in the last place.
+
+    A served scan's batch composition depends on batcher timing, and a
+    GEMM's low-order bits depend on which rows share the call, so exact
+    equality with a local scan is not a contract here (it is where
+    composition is pinned: the tests/scanpar parity matrix).
+    """
+    assert len(served) == len(local)
+    for got, want in zip(served, local):
+        for field in fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b))), (
+                f"{field.name}: {a!r} vs {b!r}")
+
+
 class TestScanMethod:
     def test_request_path_matches_local_scan(self, model, scene):
         local = scan_scene(model, scene, **KWARGS)
@@ -35,7 +54,7 @@ class TestScanMethod:
                               cache_size=0) as service:
             served = service.scan_scene(scene, **KWARGS)
             snap = service.metrics.snapshot()
-        assert list(served) == list(local)
+        assert_same_detections(served, local)
         assert snap["scans"] == 1
         assert snap["scan_tiles"] == served.coverage.tiles_total
 
@@ -45,7 +64,7 @@ class TestScanMethod:
                               cache_size=0) as service:
             served = service.scan_scene(scene, n_workers=2, **KWARGS)
             snap = service.metrics.snapshot()
-        assert list(served) == list(local)
+        assert_same_detections(served, local)
         assert served.coverage == local.coverage
         assert snap["scans"] == 1
         assert snap["scan_tiles"] == served.coverage.tiles_total

@@ -234,3 +234,12 @@ class TestCli:
         stored = json.loads((baselines / "BENCH_engine.json").read_text())
         assert set(stored) == {"benchmark", "gates"}
         assert "detail" not in stored  # machine-specific ms never compared
+        # ... except a section the payload itself marks as the absolute
+        # record: kept beside its machine fingerprint, never compared
+        payload["absolute"] = {"fingerprint": "abc123", "ms_per_tile": 6.9}
+        cur = self.write(tmp_path, "BENCH_engine.json", payload)
+        self.run_cli(cur, "--baselines", baselines, "--update")
+        stored = json.loads((baselines / "BENCH_engine.json").read_text())
+        assert set(stored) == {"benchmark", "gates", "absolute"}
+        assert stored["absolute"] == payload["absolute"]
+        assert self.run_cli(cur, "--baselines", baselines).returncode == 0
