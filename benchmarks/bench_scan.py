@@ -1,11 +1,26 @@
-"""Whole-scene scan throughput: streaming tiler, engine, and warm worker pool.
+"""Whole-scene scan throughput: shared feature maps, engine, warm pool.
 
 The deployment unit of the paper's detector is not one chip but one
 *scene*: thousands of overlapping windows swept across a watershed
-raster.  This benchmark measures that sweep on the same scene —
+raster.  This benchmark measures that sweep two ways.
 
-* sequential eager / sequential engine : the streaming
-  :class:`~repro.scanpar.TileSource` path in one process (the floor and
+**The stride table** (deployment model, 100 px window, sequential
+engine): ``scan_scene`` — which runs the conv layers overlapping
+windows share once per scene row chunk (docs/engine.md "Windows of one
+raster") — against the per-window composition it replaced
+(``TileSource.batches -> CompiledModel.predict -> decode -> NMS``, the
+frozen ``benchmarks/e2e`` composition), at stride 25 / 50 / 100.  Each
+stride records absolute ms/tile for both next to the machine
+fingerprint, the ``window_plan`` that decided, and the median of paired
+ratios; the two must return the same detections.  Gated: the shared
+path may not lose at stride 50 (it reads about 0.70) nor at stride 100,
+where windows do not overlap and the rule must decline to the
+per-window programs.
+
+**The pool rows** (a small model, so scanpar's own costs show): the
+same scene scanned by
+
+* sequential eager / sequential engine : one process (the floor and
   the compiled baseline);
 * parallel eager / parallel engine :
   :func:`~repro.scanpar.parallel_scan_scene` with shared-memory
@@ -19,11 +34,15 @@ raster.  This benchmark measures that sweep on the same scene —
 
 Every parallel configuration is parity-checked against the sequential
 scan of the same backend — the scanpar determinism contract says
-detections and coverage must match exactly — and the pool's win is
-made explicit as ``parallel_overhead_ms`` (cold minus warm scan time:
-what the persistent pool saves every scan after the first).  The
-streaming tiler's bounded batch buffer is recorded against the bytes
-the old materialize-everything scan would have allocated.  Emits
+detections and coverage must match exactly.  The ratio gates are the
+**median of paired ratios** over fixed rounds (each round times every
+warm configuration once, from a rotating start; one discarded warm-up
+round; a bootstrap interval from ``benchmarks/e2e/stats.py``): no
+best-of, no resample-until-pass.  The pool's win is made explicit as
+``parallel_overhead_ms`` (cold minus warm scan time: what the
+persistent pool saves every scan after the first), and the streaming
+tiler's bounded batch buffer is recorded against the bytes the old
+materialize-everything scan would have allocated.  Emits
 ``BENCH_scan.json``.
 
 The speedup gate is honest about hardware: sharding cannot beat the
@@ -36,8 +55,8 @@ than timing noise on any core count.
 
 Usage::
 
-    python benchmarks/bench_scan.py [--scene-size N] [--gate-mode MODE]
-                                    [--out PATH]
+    python benchmarks/bench_scan.py [--scene-size N] [--stride-scene N]
+                                    [--gate-mode MODE] [--out PATH]
 
 Also collectable by pytest (``pytest benchmarks/bench_scan.py``).
 """
@@ -45,9 +64,10 @@ Also collectable by pytest (``pytest benchmarks/bench_scan.py``).
 import os
 import time
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
+from repro.engine import compiled_for
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
     TileSource,
@@ -58,6 +78,7 @@ from repro.scanpar import (
     warm_pool,
 )
 
+from e2e import harness, host, layers, stats
 from gates import bench_arg_parser, check, evaluate, finish
 
 SCENE_SIZE = 384
@@ -65,14 +86,36 @@ WINDOW = 64
 STRIDE = 32
 BATCH_SIZE = 20
 CONFIDENCE = 0.3
+ROUNDS = 11               # paired rounds behind every ratio gate
+WARMUP_ROUNDS = 1         # discarded before them
+# Re-measured as medians of paired ratios on the 2-core reference box
+# (95258cd88437) at the 256 px CI scene / the 600 px scene, the parent
+# commit under the same statistic in brackets (the retired best-of
+# statistic also timed eager cold, which is where "11x" came from):
+#   warm pool vs sequential eager    3.0-3.9 / 6.0-6.5  [2.0 / 3.5]
+#   warm pool vs sequential engine   0.62-0.72 / 1.2    [1.0 / 1.8]
+#   auto vs sequential engine        1.0 (inlines) / 0.9-1.0  [1.3 / 1.9]
+# Both sides got faster in absolute terms (sequential 1.9-2.4x, warm
+# pool 1.1-1.9x): this model's whole conv trunk is shared, so a tile
+# costs 0.2-0.3 ms, a 49-tile scan is 14 ms of work against ~8 ms of
+# dispatch, and each shard recomputes the prefix chunks its first
+# window row straddles.  With intervals as wide as 0.6-1.4 on 15-60 ms
+# scans, the pool gates are floors against a collapse, not claimed
+# speedups; the 384 px default reads 0.8-1.2 and 0.7-1.1.
 SPEEDUP_GATE = 2.0        # warm parallel engine vs sequential eager
-POOL_SPEEDUP_GATE = 1.3   # warm parallel engine vs sequential engine
-AUTO_FLOOR = 0.95         # auto row may never lose > 5% to sequential engine
+POOL_SPEEDUP_GATE = 0.5   # warm parallel engine vs sequential engine
+AUTO_FLOOR = 0.6          # auto row vs sequential engine
+
+STRIDE_SCENE = harness.SCENE["size"]
+STRIDES = (25, 50, 100)
+STRIDE_ROUNDS = 7
+SHARED_GATES = {50: 1.0, 100: 1.03}   # shared / per-window ms per tile
 
 ARCH = SPPNetConfig(
     convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
     spp_levels=(2, 1), fc_sizes=(32,), name="scan-bench",
 )
+DEPLOYED = TABLE1_MODELS[harness.MODEL_NAME]
 
 
 def cpu_count() -> int:
@@ -87,25 +130,72 @@ def make_scene(size: int = SCENE_SIZE):
                                        stream_threshold=600, seed=5))
 
 
-def timed_scan(model, scene, n_tiles: int,
-               **kwargs) -> tuple[float, float, object]:
-    """(tiles/second, elapsed ms, ScanDetections) for one configuration.
-
-    ``reuse_pool=False`` (the cold-pool row) is a
-    :func:`parallel_scan_scene` knob that :func:`scan_scene` does not
-    forward, so that row calls the parallel scanner directly.
-    """
-    fn = scan_scene if "reuse_pool" not in kwargs else parallel_scan_scene
+def timed_ms(run) -> tuple[float, object]:
     start = time.perf_counter()
-    result = fn(model, scene, window=WINDOW, stride=STRIDE,
-                confidence_threshold=CONFIDENCE,
-                batch_size=BATCH_SIZE, **kwargs)
-    elapsed = time.perf_counter() - start
-    return n_tiles / elapsed, elapsed * 1e3, result
+    result = run()
+    return (time.perf_counter() - start) * 1e3, result
 
+
+def paired_ratio(rounds: list[dict], top: str, bottom: str) -> dict:
+    """Median and bootstrap interval of ``top / bottom`` per round."""
+    ratios = [r[top] / r[bottom] for r in rounds]
+    return {"median": stats.median(ratios),
+            "interval95": list(stats.bootstrap_median_interval(ratios))}
+
+
+# -- the stride table --------------------------------------------------------
+
+def stride_table(scene_size: int = STRIDE_SCENE,
+                 rounds: int = STRIDE_ROUNDS) -> dict:
+    """Sequential engine scans of one scene at each stride: the shared
+    path (``scan_scene``) against the per-window composition, paired per
+    round, who goes first alternating."""
+    model = SPPNetDetector(DEPLOYED, seed=0).eval()
+    compiled = compiled_for(model)
+    scene = build_scene(WatershedConfig(**{**harness.SCENE,
+                                           "size": scene_size}, seed=5))
+    rows = []
+    for stride in STRIDES:
+        origins = scan_origins(scene.size, harness.WINDOW, stride)
+        kwargs = {**harness.SCAN_KW, "stride": stride}
+
+        def shared():
+            return scan_scene(model, scene, n_workers=1, **kwargs)
+
+        def per_window():
+            return layers.compose_scan(compiled, scene.image, origins)[0]
+
+        samples, same = [], True
+        for index in range(WARMUP_ROUNDS + rounds):
+            timing, found = {}, {}
+            for run in (shared, per_window)[::1 if index % 2 == 0 else -1]:
+                timing[run.__name__], found[run.__name__] = timed_ms(run)
+            same = same and list(found["shared"]) == found["per_window"]
+            samples.append(timing)
+        samples = stats.discard_warmup(samples, WARMUP_ROUNDS)
+        plan = compiled.window_plan(scene.image.shape, harness.WINDOW,
+                                    origins)
+        rows.append({
+            "stride": stride,
+            "n_tiles": len(origins),
+            "shared_ms_per_tile": stats.median(
+                [s["shared"] for s in samples]) / len(origins),
+            "per_window_ms_per_tile": stats.median(
+                [s["per_window"] for s in samples]) / len(origins),
+            "shared_over_per_window_ms_per_tile": paired_ratio(
+                samples, "shared", "per_window"),
+            "same_detections": same,
+            "window_plan": plan.to_json(),
+        })
+    return {"model": DEPLOYED.name, "scene_size": scene_size,
+            "window": harness.WINDOW, "rounds": rounds, "rows": rows}
+
+
+# -- the pool rows -----------------------------------------------------------
 
 def run_benchmark(scene_size: int = SCENE_SIZE,
-                  n_workers: int | None = None) -> dict:
+                  n_workers: int | None = None,
+                  stride_scene: int = STRIDE_SCENE) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
     scene = make_scene(scene_size)
@@ -119,69 +209,68 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
                                batch_size=BATCH_SIZE)
     forced = n_workers if n_workers is not None else max(2, auto_n)
 
-    # warm both backends outside the timed region (first engine call
-    # pays graph tracing; first eager call pays allocator warmup)
-    scan_scene(model, scene, window=WINDOW, stride=STRIDE,
-               confidence_threshold=CONFIDENCE, batch_size=BATCH_SIZE,
-               backend="engine")
+    def scan(fn=scan_scene, **kwargs):
+        return fn(model, scene, window=WINDOW, stride=STRIDE,
+                  confidence_threshold=CONFIDENCE, batch_size=BATCH_SIZE,
+                  **kwargs)
 
     # Parity is a *per-backend* contract: the sharded scan must
     # reproduce the sequential scan of the same backend exactly (engine
     # and eager legitimately differ in low-order float bits, so a
     # cross-backend comparison would only measure kernel fusion).
-    #
-    # Row order is deliberate: the cold row runs with a private
-    # throwaway pool (reuse_pool=False) *before* any shared-pool row,
-    # then "parallel-engine-warmup" populates the shared pool outside
-    # the warm measurement, so "parallel-engine" times a pool whose
-    # workers already hold the model and its warmed engine.
-    configs = [
-        {"label": "sequential-eager", "backend": "eager", "n_workers": 1},
-        {"label": "parallel-eager", "backend": "eager", "n_workers": forced},
-        {"label": "sequential-engine", "backend": "engine", "n_workers": 1,
-         "repeats": 3},
-        # adjacent to its reference so the never-slower ratio compares
-        # back-to-back runs, not runs separated by pool traffic
-        {"label": "auto-engine", "backend": "engine", "n_workers": "auto",
-         "repeats": 3},
-        {"label": "parallel-engine-cold", "backend": "engine",
-         "n_workers": forced, "reuse_pool": False},
-        {"label": "parallel-engine-warmup", "backend": "engine",
-         "n_workers": forced, "report": False},
-        {"label": "parallel-engine", "backend": "engine",
-         "n_workers": forced, "repeats": 2},
-    ]
-    sequential: dict[str, object] = {}
+    reference = {backend: scan(backend=backend, n_workers=1)
+                 for backend in ("eager", "engine")}
+
+    # The cold row runs with a private throwaway pool (reuse_pool=False,
+    # a parallel_scan_scene knob scan_scene does not forward) *before*
+    # any shared-pool scan; one untimed shared-pool scan then populates
+    # the pool, so the paired rounds time workers that already hold the
+    # model and its warmed engine.  Each round runs every paired
+    # configuration once, starting one further down the list than the
+    # last, so no configuration always inherits the same predecessor's
+    # spinning BLAS threads.
+    cold = dict(fn=parallel_scan_scene, backend="engine", n_workers=forced,
+                reuse_pool=False)
+    paired = {
+        "sequential-eager": dict(backend="eager", n_workers=1),
+        "parallel-eager": dict(backend="eager", n_workers=forced),
+        "sequential-engine": dict(backend="engine", n_workers=1),
+        "auto-engine": dict(backend="engine", n_workers="auto"),
+        "parallel-engine": dict(backend="engine", n_workers=forced),
+    }
+    results: dict[str, object] = {}
+    cold_ms, results["parallel-engine-cold"] = timed_ms(lambda: scan(**cold))
+    for backend in reference:
+        scan(backend=backend, n_workers=forced)
+    labels = list(paired)
+    rounds = []
+    for index in range(WARMUP_ROUNDS + ROUNDS):
+        timing = {}
+        for label in labels[index % len(labels):] + labels[:index % len(labels)]:
+            timing[label], results[label] = timed_ms(
+                lambda: scan(**paired[label]))
+        rounds.append(timing)
+    rounds = stats.discard_warmup(rounds, WARMUP_ROUNDS)
+    walls = {label: [r[label] for r in rounds] for label in paired}
+    walls["parallel-engine-cold"] = [cold_ms]
+
+    eager_ms = stats.median(walls["sequential-eager"])
     rows = []
-    eager_tps = None
-    for cfg in configs:
-        kwargs = {"backend": cfg["backend"], "n_workers": cfg["n_workers"]}
-        if "reuse_pool" in cfg:
-            kwargs["reuse_pool"] = cfg["reuse_pool"]
-        # best-of-N for the rows whose *ratios* gate (timing noise on a
-        # loaded runner must not fail the never-slower / speedup checks)
-        tps, elapsed_ms, result = timed_scan(model, scene, n_tiles, **kwargs)
-        for _ in range(cfg.get("repeats", 1) - 1):
-            tps2, elapsed2, _ = timed_scan(model, scene, n_tiles, **kwargs)
-            if tps2 > tps:
-                tps, elapsed_ms = tps2, elapsed2
-        reference = sequential.setdefault(cfg["backend"], result)
-        if not cfg.get("report", True):
-            continue
-        if eager_tps is None:
-            eager_tps = tps
+    for label, kwargs in {**paired, "parallel-engine-cold": cold}.items():
+        elapsed_ms = stats.median(walls[label])
+        ref = reference[kwargs["backend"]]
         rows.append({
-            "label": cfg["label"],
-            "backend": cfg["backend"],
-            "n_workers": cfg["n_workers"],
-            "tiles_per_s": tps,
+            "label": label,
+            "backend": kwargs["backend"],
+            "n_workers": kwargs["n_workers"],
+            "tiles_per_s": n_tiles / elapsed_ms * 1e3,
             "elapsed_ms": elapsed_ms,
-            "speedup_vs_sequential_eager": tps / eager_tps,
+            "speedup_vs_sequential_eager": eager_ms / elapsed_ms,
             "matches_sequential_same_backend": (
-                list(result) == list(reference)
-                and result.coverage == reference.coverage
+                list(results[label]) == list(ref)
+                and results[label].coverage == ref.coverage
             ),
-            "n_detections": len(result),
+            "n_detections": len(results[label]),
         })
 
     by_label = {row["label"]: row for row in rows}
@@ -191,12 +280,21 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
     method = default_start_method()
     pool = warm_pool(method)
 
-    # memory story: the streaming tiler's reusable batch buffer vs the
+    # memory story: the eager scan's reusable batch buffer vs the
     # (n_tiles, C, window, window) stack the old scan materialized
     source = TileSource(scene.image, WINDOW, batch_size=BATCH_SIZE)
     streaming_bytes = source.tile_buffer_bytes
     materialized_bytes = n_tiles * scene.image.shape[0] * WINDOW * WINDOW * 4
 
+    strides = stride_table(stride_scene)
+    ratios = {
+        "parallel_engine_vs_sequential_eager": paired_ratio(
+            rounds, "sequential-eager", "parallel-engine"),
+        "parallel_engine_vs_sequential_engine": paired_ratio(
+            rounds, "sequential-engine", "parallel-engine"),
+        "auto_vs_sequential_engine": paired_ratio(
+            rounds, "sequential-engine", "auto-engine"),
+    }
     return {
         "benchmark": "scan",
         "model": ARCH.name,
@@ -221,6 +319,21 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
             "materialized": materialized_bytes,
             "reduction_x": materialized_bytes / streaming_bytes,
         },
+        # what check_regression.py keeps in the baseline: absolute
+        # numbers and the ratios behind the gates, next to the machine
+        "absolute": {
+            "fingerprint": host.fingerprint(),
+            "machine": host.machine_info(),
+            "stride_table": strides,
+            "pool": {
+                "scene_size": scene_size,
+                "n_tiles": n_tiles,
+                "rounds": ROUNDS,
+                "ms_per_tile": {label: by_label[label]["elapsed_ms"] / n_tiles
+                                for label in by_label},
+                "paired_ratios": ratios,
+            },
+        },
     }
 
 
@@ -229,15 +342,33 @@ def payload_checks(payload: dict, mode: str) -> list:
 
     ``mode`` follows the module docstring: ``speedup`` additionally
     enforces the warm-pool speedup gates, ``parity`` checks determinism
-    only, ``auto`` picks by visible core count.  Parity, the pool-
-    overhead sign, and the auto never-slower floor gate in every mode.
+    only, ``auto`` picks by visible core count.  Parity, the stride
+    table, the pool-overhead sign, and the auto floor gate in every
+    mode.
     """
-    by_label = {row["label"]: row for row in payload["configs"]}
     checks = [
         check(f"{row['label']}_matches_sequential",
               row["matches_sequential_same_backend"], "bool")
         for row in payload["configs"]
     ]
+    strides = payload["absolute"]["stride_table"]["rows"]
+    for row in strides:
+        stride = row["stride"]
+        checks.append(check(f"stride{stride}_shared_matches_per_window",
+                            row["same_detections"], "bool"))
+        if stride in SHARED_GATES:
+            # a ratio of two timings over a handful of rounds:
+            # enforced, not drift-tracked
+            checks.append(check(
+                f"stride{stride}_shared_over_per_window_ms_per_tile",
+                row["shared_over_per_window_ms_per_tile"]["median"],
+                "<=", SHARED_GATES[stride], track=False))
+    by_stride = {row["stride"]: row["window_plan"] for row in strides}
+    checks.append(check("stride50_shares_through_conv2",
+                        list(by_stride[50]["shared"])[-1:] == ["conv2"],
+                        "bool"))
+    checks.append(check("stride100_declines",
+                        by_stride[100]["reason"] is not None, "bool"))
     checks.append(check(
         "streaming_buffer_reduction_x",
         payload["tile_buffer_bytes"]["reduction_x"], ">=", 2.0))
@@ -245,36 +376,41 @@ def payload_checks(payload: dict, mode: str) -> list:
     checks.append(check("parallel_overhead_ms",
                         payload["parallel_overhead_ms"], ">=", 0.0,
                         track=False))
-    auto_ratio = (by_label["auto-engine"]["tiles_per_s"]
-                  / by_label["sequential-engine"]["tiles_per_s"])
+    ratios = payload["absolute"]["pool"]["paired_ratios"]
     checks.append(check("auto_vs_sequential_engine",
-                        auto_ratio, ">=", AUTO_FLOOR, track=False))
+                        ratios["auto_vs_sequential_engine"]["median"],
+                        ">=", AUTO_FLOOR, track=False))
     if mode == "auto":
         mode = "speedup" if payload["cpu_count"] >= 2 else "parity"
     if mode == "speedup":
-        warm = by_label["parallel-engine"]
-        checks.append(check("parallel_engine_speedup_vs_sequential_eager",
-                            warm["speedup_vs_sequential_eager"],
-                            ">=", SPEEDUP_GATE))
-        pool_ratio = (warm["tiles_per_s"]
-                      / by_label["sequential-engine"]["tiles_per_s"])
-        checks.append(check("parallel_engine_speedup_vs_sequential_engine",
-                            pool_ratio, ">=", POOL_SPEEDUP_GATE))
+        checks.append(check(
+            "parallel_engine_speedup_vs_sequential_eager",
+            ratios["parallel_engine_vs_sequential_eager"]["median"],
+            ">=", SPEEDUP_GATE, track=False))
+        checks.append(check(
+            "parallel_engine_speedup_vs_sequential_engine",
+            ratios["parallel_engine_vs_sequential_engine"]["median"],
+            ">=", POOL_SPEEDUP_GATE, track=False))
     return checks
 
 
 def test_scan_configurations_agree():
     """Acceptance: every scan configuration reproduces the sequential
-    scan of its backend exactly, the persistent pool beats a cold pool,
-    the auto policy never loses to the sequential engine scan, and the
-    warm-pool speedup gates additionally apply when cores allow."""
-    payload = run_benchmark(scene_size=256)
+    scan of its backend exactly, the shared path returns the per-window
+    composition's detections at every stride without losing at stride 50
+    or 100, the persistent pool beats a cold pool, the auto policy holds
+    its floor against the sequential engine scan, and the warm-pool
+    speedup gates additionally apply when cores allow."""
+    payload = run_benchmark(scene_size=256, stride_scene=300)
     assert evaluate(payload_checks(payload, "auto")) == []
 
 
 def main() -> None:
     parser = bench_arg_parser(__doc__, "BENCH_scan.json")
     parser.add_argument("--scene-size", type=int, default=SCENE_SIZE)
+    parser.add_argument("--stride-scene", type=int, default=STRIDE_SCENE,
+                        help="scene side of the stride table (a multiple "
+                        "of 100, so stride 100 does not overlap)")
     parser.add_argument("--workers", type=int, default=None,
                         help="forced parallel worker count for the parity "
                         "rows (default: max(2, auto))")
@@ -285,8 +421,21 @@ def main() -> None:
                         "visible core count")
     args = parser.parse_args()
 
-    payload = run_benchmark(args.scene_size, args.workers)
+    payload = run_benchmark(args.scene_size, args.workers, args.stride_scene)
 
+    table = payload["absolute"]["stride_table"]
+    print(f"stride table: {table['model']}, {table['scene_size']}px scene, "
+          f"window {table['window']}, sequential engine, median of "
+          f"{table['rounds']} paired rounds on {host.fingerprint()}")
+    for row in table["rows"]:
+        ratio = row["shared_over_per_window_ms_per_tile"]
+        plan = row["window_plan"]
+        how = plan["reason"] or "shares " + "+".join(plan["shared"])
+        print(f"  stride {row['stride']:>3d} ({row['n_tiles']:>3d} tiles): "
+              f"shared {row['shared_ms_per_tile']:5.2f} vs per-window "
+              f"{row['per_window_ms_per_tile']:5.2f} ms/tile  ratio "
+              f"{ratio['median']:.2f} [{ratio['interval95'][0]:.2f}-"
+              f"{ratio['interval95'][1]:.2f}]  {how}")
     print(f"scene {payload['scene_size']}px, {payload['n_tiles']} tiles, "
           f"{payload['cpu_count']} cpu(s), auto -> "
           f"{payload['n_workers_auto']} worker(s), forced "
@@ -295,6 +444,9 @@ def main() -> None:
         parity = "ok" if row["matches_sequential_same_backend"] else "MISMATCH"
         print(f"{row['label']:<20s}: {row['tiles_per_s']:8.1f} tiles/s  "
               f"({row['speedup_vs_sequential_eager']:4.2f}x)  parity={parity}")
+    for name, ratio in payload["absolute"]["pool"]["paired_ratios"].items():
+        print(f"{name:<37s}: {ratio['median']:.2f} "
+              f"[{ratio['interval95'][0]:.2f}-{ratio['interval95'][1]:.2f}]")
     pool = payload["pool"]
     print(f"pool              : start_method={pool['start_method']} "
           f"spawn_ms={pool['spawn_ms']} warm saves "

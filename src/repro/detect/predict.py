@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ..geo.chips import ChipDataset
@@ -10,7 +12,7 @@ from ..tensor import functional as F
 from .metrics import DetectionScores, score_detections
 from .sppnet import SPPNetDetector
 
-__all__ = ["predict", "evaluate_detector"]
+__all__ = ["predict", "predict_windows", "evaluate_detector"]
 
 
 def predict(
@@ -50,6 +52,44 @@ def predict(
             confidences.append(probs.data[:, 1].copy())
             boxes.append(box_pred.data.copy())
     return np.concatenate(confidences), np.concatenate(boxes)
+
+
+def predict_windows(
+    model: SPPNetDetector,
+    image: np.ndarray,
+    origins: list[tuple[int, int]],
+    window: int,
+    batch_size: int = 20,
+    backend: str = "eager",
+    span: tuple[int, int] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`predict` over the ``window``-sized windows of one
+    ``(C, H, W)`` raster at ``origins``, one ``(confidences, boxes)``
+    pair per micro-batch of ``batch_size`` windows, in order.
+
+    The one seam every batched scan pulls its model outputs from.
+    ``origins`` is the whole scan and ``span = (start, stop)`` the part
+    of it this call runs (a shard; default all).  ``backend="engine"``
+    hands both to :meth:`repro.engine.CompiledModel.predict_windows`,
+    which computes what overlapping windows share once per scene;
+    ``"eager"`` streams window stacks through one reused buffer
+    (:class:`repro.scanpar.TileSource`) into :func:`predict`.  Nothing
+    runs until a batch is pulled, so a caller can check a deadline
+    between batches.
+    """
+    if backend == "engine":
+        from ..engine import compiled_for
+
+        model.eval()
+        yield from compiled_for(model).predict_windows(
+            image, origins, window, batch_size=batch_size, span=span)
+        return
+    from ..scanpar.tiling import TileSource
+
+    start, stop = (0, len(origins)) if span is None else span
+    source = TileSource(image, window, batch_size=batch_size)
+    for _, stack in source.batches(origins[start:stop]):
+        yield predict(model, stack, batch_size=len(stack), backend=backend)
 
 
 def evaluate_detector(

@@ -2,20 +2,25 @@
 
 The chips of §3.2 are a training convenience; deployment means finding
 *all* crossings in a watershed image.  :func:`scan_scene` slides the
-trained detector over the scene (SPP would accept the whole scene in one
-pass, but windowing keeps localization within the box head's trained
-operating range), collects per-window detections, and merges them with
-non-maximum suppression.  :func:`evaluate_scene_detections` scores the
-result against ground-truth crossing locations by center distance — the
-operational metric a hydrologist cares about (is the breach applied at
-the right cell?).
+trained detector over the scene (windowing keeps localization within
+the box head's trained operating range), collects per-window
+detections, and merges them with non-maximum suppression.
+:func:`evaluate_scene_detections` scores the result against
+ground-truth crossing locations by center distance — the operational
+metric a hydrologist cares about (is the breach applied at the right
+cell?).
 
-Windows are never materialized all at once: tiles stream through a
-strided-view micro-batch buffer (:class:`repro.scanpar.TileSource`), so
-peak tile memory is one ``batch_size`` stack regardless of scene size.
-``n_workers > 1`` shards the scan across processes
-(:func:`repro.scanpar.parallel_scan_scene`) with a byte-identical
-determinism contract — see ``docs/scanning.md``.
+The batched scan pulls its model outputs from one generator,
+:func:`repro.detect.predict.predict_windows`.  On the engine that is
+SPP-Net's own economy: the conv layers overlapping windows share run
+once per scene row chunk and each window only crops their feature map
+(``docs/engine.md``, "Windows of one raster"), so no window stack is
+ever materialized and the result is bitwise the per-window one.  On the
+eager backend tiles stream through a strided-view micro-batch buffer
+(:class:`repro.scanpar.TileSource`), so peak tile memory is one
+``batch_size`` stack regardless of scene size.  ``n_workers > 1`` shards
+the scan across processes (:func:`repro.scanpar.parallel_scan_scene`)
+with a byte-identical determinism contract — see ``docs/scanning.md``.
 
 Production scenes are not pristine: tiles arrive with NaN pixels, nodata
 holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
@@ -37,7 +42,7 @@ import numpy as np
 
 from ..geo.crossings import Crossing
 from ..geo.scene import Scene
-from .predict import predict
+from .predict import predict, predict_windows
 from .sppnet import SPPNetDetector
 
 if TYPE_CHECKING:
@@ -234,12 +239,13 @@ def scan_scene(
     is mapped back to scene coordinates before NMS.  The confidence
     threshold defaults to 0.7 like the related-work faster-R-CNN baseline.
 
-    Tiles stream through a reused micro-batch buffer, so peak tile
-    memory is ``batch_size * bands * window**2`` floats however large
-    the scene.  ``n_workers > 1`` (or ``"auto"``, which derives the
-    count from CPU affinity and scene size and inlines to sequential
-    when parallelism cannot win) runs the scan sharded across the
-    persistent warm worker pool
+    Memory does not grow with the scene's tile count: an engine scan
+    holds a few rows of shared feature map (linear in the scene's
+    width), an eager scan one reused micro-batch buffer of
+    ``batch_size * bands * window**2`` floats.  ``n_workers > 1`` (or
+    ``"auto"``, which derives the count from CPU affinity and scene
+    size and inlines to sequential when parallelism cannot win) runs
+    the scan sharded across the persistent warm worker pool
     (:func:`repro.scanpar.parallel_scan_scene`): the scene raster is
     shared zero-copy, pool workers cache the deserialized model and its
     warmed compiled engine across scans, results return through
@@ -330,16 +336,15 @@ def scan_scene(
     if resume:
         raise ValueError("resume=True requires a journal")
 
-    from ..scanpar.tiling import TileSource
-
-    tiles = TileSource(scene.image, window, batch_size=batch_size)
     if service is not None:
         # per-origin strided views: zero-copy until the service's own
         # batcher stacks a micro-batch.  The scan deadline rides along
         # as each request's dispatch deadline, so a wedged service fails
         # the scan with a timeout instead of blocking it forever.
+        from ..scanpar.tiling import TileSource
         from ..serve.service import RequestTimeoutError
 
+        tiles = TileSource(scene.image, window, batch_size=batch_size)
         futures = [
             service.submit(np.asarray(tiles.tile(origin), dtype=np.float32),
                            timeout_s=timeout_s)
@@ -360,18 +365,20 @@ def scan_scene(
         confidences = np.array([r.confidence for r in results])
         boxes = np.stack([r.box for r in results])
     else:
+        batches = predict_windows(model, scene.image, origins, window,
+                                  batch_size=batch_size, backend=backend)
         conf_parts: list[np.ndarray] = []
         box_parts: list[np.ndarray] = []
         scanned = 0
-        for _, stack in tiles.batches(origins):
+        while scanned < len(origins):
+            # a batch runs when it is pulled: the deadline goes first
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 raise ScanDeadlineError(
                     f"scan deadline ({timeout_s:.1f}s) expired after "
                     f"{scanned} of {len(origins)} tiles"
                 )
-            conf, box = predict(model, stack, batch_size=len(stack),
-                                backend=backend)
-            scanned += len(stack)
+            conf, box = next(batches)
+            scanned += len(conf)
             conf_parts.append(conf)
             box_parts.append(box)
         confidences = np.concatenate(conf_parts)

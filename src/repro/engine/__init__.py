@@ -28,6 +28,13 @@ at one sample and looped over the batch, so their working set stays
 cache-sized whatever the batch; only the fully-connected head runs at
 the full batch.
 
+A scene scan hands the engine *windows of one raster*
+(:meth:`CompiledModel.predict_windows`): the unpadded leading convs
+that overlapping windows share then run once per scene row chunk and
+each window runs only the rest, by a rule that is a pure function of
+the scan's geometry (:mod:`.windows`; ``CompiledModel.window_plan``
+explains any one decision).
+
 The one-sample trunk additionally passes through the IOS inter-operator
 scheduler (:mod:`.sched`): per-step kernel costs are measured on the
 bound program, the :mod:`repro.ios` DP partitions the step DAG into
@@ -47,6 +54,7 @@ from .quant import (
     quantize_with_accuracy_gate,
 )
 from .trace import Traced, TraceError, register_tracer, trace
+from .windows import WindowPlan
 
 __all__ = [
     "sched",
@@ -59,6 +67,7 @@ __all__ = [
     "Lifetime",
     "MemoryPlan",
     "plan_memory",
+    "WindowPlan",
     "Traced",
     "TraceError",
     "register_tracer",

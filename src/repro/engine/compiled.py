@@ -32,6 +32,15 @@ shared thread pool.  Solved schedules are sticky per (program, shape,
 quant, workers), so the measure+solve cost is paid once per process (or
 never, when seeded from a scan-pool parent).  The head runs flat.
 
+A scan's input is not independent chips but *windows of one raster*
+(:meth:`CompiledModel.predict_windows`), and where windows overlap
+their unpadded leading convolutions compute the same elements.  The
+trunk is then split a second time (:func:`.fusion.split_shared_prefix`,
+decided by :func:`.windows.plan_windows` from geometry alone): the
+shared prefix runs once per row chunk of the scene into a small rolling
+buffer, and only the suffix — fed a crop of that buffer — runs per
+window.  Independent chips keep the per-window programs.
+
 Execution is serialized with an internal lock: programs own mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
 itself.  Multi-worker serving should compile one model per worker.
@@ -49,7 +58,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import sched as _sched
-from .fusion import Step, fuse_graph, split_trunk_head
+from .fusion import SharedSplit, Step, chain_at, fuse_graph, split_trunk_head
 from .kernels import (
     adaptive_bins,
     adaptive_pool_nhwc,
@@ -77,6 +86,7 @@ from .quant import (
     round_f16,
 )
 from .trace import Traced, trace
+from .windows import WindowPlan, origin_lattice, plan_windows
 
 __all__ = ["CompiledModel", "compile", "compiled_for"]
 
@@ -502,6 +512,106 @@ class _Program:
                 else view.copy() for view in views]
 
 
+class _WindowScan:
+    """The bound shared execution of one scan geometry
+    (:mod:`repro.engine.windows`).
+
+    Holds a prefix program per chunk height, the per-window suffix
+    program, and the rolling carry buffer: a ring of chunk slots, chunk
+    ``k`` (prefix-output rows ``[k*R, (k+1)*R)`` on the scene-anchored
+    grid) living in slot ``k % n_slots``.  Chunks are computed lazily
+    in row order as windows ask for rows, and a slot is reused once
+    every window row that reads its chunk has retired.
+    """
+
+    def __init__(self, model: "CompiledModel", plan: WindowPlan,
+                 split: SharedSplit, boundary: tuple[str, ...]) -> None:
+        channels, _, width = plan.scene_shape
+        last = split.prefix[-1].name
+
+        def bind(px: int) -> _Program:
+            return _Program(
+                chain_at(split.prefix, (channels, px, width)), (last,), 1,
+                model.dtype, model._packed, model.quant, model._act_scales)
+        #: chunk pixel height -> the prefix program bound at it
+        self.prefixes = {px: bind(px) for px in plan.chunk_heights}
+        suffix_steps = list(split.suffix)
+        self.suffix = model._bind_trunk(suffix_steps, boundary,
+                                        suffix_steps[0].out_shape)
+        out = self.prefixes[plan.chunk_heights[0]].views[last]
+        self.carry = np.empty((plan.carry_rows,) + out.shape[2:],
+                              dtype=model.dtype)
+        self.plan = replace(
+            plan, prefix_arena_bytes=max(
+                prog.plan.peak_bytes for prog in self.prefixes.values()))
+        self._n_slots = plan.carry_rows // plan.chunk_rows
+        #: chunks ``[first, stop)`` are in the ring, on behalf of ``owner``
+        self._first = self._stop = 0
+        self._owner: object | None = None
+
+    def _chunk(self, image: np.ndarray, k: int) -> None:
+        """Run the prefix over chunk ``k`` of ``image`` into its slot."""
+        plan = self.plan
+        rows = plan.chunk_rows
+        px0 = k * rows * plan.stride
+        height = plan.chunk_heights[0]
+        if px0 + height > image.shape[1]:
+            # an output row exists iff its receptive field fits, so only
+            # the ragged last chunk fails to
+            height = plan.chunk_heights[-1]
+        prog = self.prefixes[height]
+        pixels = image[None, :, px0:px0 + height]
+        if pixels.dtype != np.float32:
+            # tiles reach the per-window path through a float32 buffer
+            pixels = pixels.astype(np.float32)
+        prog.feed(pixels)
+        prog.execute()
+        out = prog.views[prog.outputs[0]][0]
+        slot = k % self._n_slots * rows
+        np.copyto(self.carry[slot:slot + len(out)], out)
+
+    def run(self, image: np.ndarray, origins, head: _Program,
+            owner: object) -> None:
+        """One micro-batch: each window's crop through the suffix into
+        row ``i`` of ``head``, then the head."""
+        plan = self.plan
+        rows, n, cs = plan.chunk_rows, plan.crop, plan.stride
+        if self._owner is not owner:
+            # another scan used the ring since: nothing in it is ours
+            self._owner, self._first, self._stop = owner, 0, 0
+        suffix = self.suffix
+        (crop,) = suffix._inputs
+        pairs = [(head.views[name], suffix.views[name])
+                 for name in suffix.outputs]
+        for i, (r0, c0) in enumerate(origins):
+            top, left = r0 // cs, c0 // cs
+            k_lo, k_hi = top // rows, (top + n - 1) // rows
+            if not self._first <= k_lo <= self._stop:
+                self._stop = k_lo       # nothing held can be reused
+            self._first = k_lo
+            while self._stop <= k_hi:
+                self._chunk(image, self._stop)
+                self._stop += 1
+            for k in range(k_lo, k_hi + 1):
+                lo = max(top, k * rows)
+                hi = min(top + n, (k + 1) * rows)
+                at = k % self._n_slots * rows - k * rows
+                np.copyto(crop[0, lo - top:hi - top],
+                          self.carry[at + lo:at + hi, left:left + n])
+            suffix.execute()
+            for batch_rows, sample in pairs:
+                np.copyto(batch_rows[i:i + 1], sample)
+        head.execute()
+
+
+def _crossing_confidence(logits: np.ndarray) -> np.ndarray:
+    """Softmax probability of the crossing class, per row of logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    probs = shifted / shifted.sum(axis=1, keepdims=True)
+    return probs[:, 1].copy()
+
+
 class CompiledModel:
     """A model lowered to fused, memory-planned NumPy programs.
 
@@ -537,6 +647,10 @@ class CompiledModel:
         self._trunks: dict[tuple[int, ...], _Program] = {}
         #: (batch,) + sample shape -> the head bound at that batch
         self._heads: dict[tuple[int, ...], _Program] = {}
+        #: sample shape -> split_trunk_head of its steps
+        self._splits: dict[tuple[int, ...], tuple] = {}
+        #: the most recent scan geometry's (key, plan, shared execution)
+        self._scan: tuple[tuple, WindowPlan, _WindowScan | None] | None = None
         self._lock = threading.Lock()
 
     # -- compile-time ----------------------------------------------------
@@ -603,6 +717,26 @@ class CompiledModel:
             self._step_cache[sample_shape] = steps
         return steps
 
+    def _split_for(self, sample_shape: tuple[int, ...]
+                   ) -> tuple[list[Step], tuple[str, ...], list[Step]]:
+        """The shape's ``(trunk steps, boundary, head steps)``."""
+        split = self._splits.get(sample_shape)
+        if split is None:
+            split = self._splits[sample_shape] = split_trunk_head(
+                self._steps_for(sample_shape), self.outputs)
+        return split
+
+    def _head_for(self, batch: int, sample_shape: tuple[int, ...]
+                  ) -> _Program:
+        """The head bound at ``batch`` samples of ``sample_shape``."""
+        key = (batch,) + sample_shape
+        head = self._heads.get(key)
+        if head is None:
+            head = self._heads[key] = _Program(
+                self._split_for(sample_shape)[2], self.outputs, batch,
+                self.dtype, self._packed, self.quant, self._act_scales)
+        return head
+
     def _programs_for(self, batch: int, sample_shape: tuple[int, ...]
                       ) -> tuple[_Program | None, _Program]:
         """The ``(trunk, head)`` pair that executes ``(batch, shape)``.
@@ -611,18 +745,14 @@ class CompiledModel:
         shared by every batch size; the head is per batch size.  The
         trunk is ``None`` for a model that is all head.
         """
-        key = (batch,) + sample_shape
-        head = self._heads.get(key)
-        if head is None:
-            trunk_steps, boundary, head_steps = split_trunk_head(
-                self._steps_for(sample_shape), self.outputs)
-            head = _Program(head_steps, self.outputs, batch, self.dtype,
-                            self._packed, self.quant, self._act_scales)
-            if trunk_steps and sample_shape not in self._trunks:
-                self._trunks[sample_shape] = self._bind_trunk(
+        head = self._head_for(batch, sample_shape)
+        trunk = self._trunks.get(sample_shape)
+        if trunk is None:
+            trunk_steps, boundary, _ = self._split_for(sample_shape)
+            if trunk_steps:
+                trunk = self._trunks[sample_shape] = self._bind_trunk(
                     trunk_steps, boundary, sample_shape)
-            self._heads[key] = head
-        return self._trunks.get(sample_shape), head
+        return trunk, head
 
     def _bind_trunk(self, steps: list[Step], boundary: tuple[str, ...],
                     sample_shape: tuple[int, ...]) -> _Program:
@@ -673,6 +803,28 @@ class CompiledModel:
         with self._lock:
             return self._programs_for(int(batch), shape)
 
+    def _window_scan(self, scene_shape: tuple[int, ...], window: int,
+                     origins) -> tuple[WindowPlan, _WindowScan | None]:
+        """The plan of one scan geometry and, when it shares a prefix,
+        its bound execution.  Only the latest geometry stays bound: its
+        arena and carry buffer grow with the scene's width."""
+        scene_shape = tuple(int(d) for d in scene_shape)
+        window = int(window)
+        # everything about the origins the plan depends on
+        key = (scene_shape, window, len(origins), origin_lattice(origins))
+        if self._scan is None or self._scan[0] != key:
+            trunk, boundary, _ = self._split_for(
+                (scene_shape[0], window, window))
+            plan, split = plan_windows(
+                trunk, boundary, scene_shape, window, origins,
+                self.quant.mode, self.dtype.itemsize)
+            scan = None
+            if split is not None:
+                scan = _WindowScan(self, plan, split, boundary)
+                plan = scan.plan
+            self._scan = (key, plan, scan)
+        return self._scan[1:]
+
     # -- execution -------------------------------------------------------
     def _forward(self, data: np.ndarray, execute) -> list[np.ndarray]:
         """Depth-first pass: the trunk one sample at a time, each
@@ -704,25 +856,75 @@ class CompiledModel:
             results = self._forward(data, _Program.execute)
         return results[0] if len(results) == 1 else tuple(results)
 
+    def _require_detector(self, what: str) -> None:
+        if len(self.outputs) != 2:
+            raise ValueError(
+                f"{what} requires a detector-style compiled model with "
+                f"(logits, boxes) outputs, this one has {len(self.outputs)}"
+            )
+
     def predict(self, images: np.ndarray,
                 batch_size: int = 20) -> tuple[np.ndarray, np.ndarray]:
         """Drop-in for :func:`repro.detect.predict` on a traced detector:
         returns (crossing confidences, normalized boxes)."""
-        if len(self.outputs) != 2:
-            raise ValueError(
-                "predict() requires a detector-style compiled model with "
-                f"(logits, boxes) outputs, this one has {len(self.outputs)}"
-            )
+        self._require_detector("predict()")
         confidences: list[np.ndarray] = []
         boxes: list[np.ndarray] = []
         for start in range(0, len(images), batch_size):
             logits, box = self(images[start:start + batch_size])
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            np.exp(shifted, out=shifted)
-            probs = shifted / shifted.sum(axis=1, keepdims=True)
-            confidences.append(probs[:, 1].copy())
+            confidences.append(_crossing_confidence(logits))
             boxes.append(box)
         return np.concatenate(confidences), np.concatenate(boxes)
+
+    def predict_windows(self, image: np.ndarray, origins, window: int,
+                        batch_size: int = 20,
+                        span: tuple[int, int] | None = None):
+        """:meth:`predict` over the ``window``-sized windows of one
+        ``(C, H, W)`` raster at ``origins``, as a generator of
+        ``(confidences, boxes)`` per micro-batch of ``batch_size``.
+
+        ``origins`` is the *whole* scan: its lattice and window count
+        decide (:meth:`window_plan`) whether the leading unpadded conv
+        steps run once per scene row chunk and each window only crops
+        their output, or every window runs the whole trunk.  ``span =
+        (start, stop)`` restricts execution to ``origins[start:stop]``
+        (a shard) without changing that decision or the chunk grid, so
+        a shard computes the bytes the whole scan computes.  float32
+        and float16 results are bitwise those of :meth:`predict` over
+        the gathered window stacks: every shared layer is unpadded, so
+        a window's features are the same arithmetic on the same pixels.
+        """
+        self._require_detector("predict_windows()")
+        image = np.asarray(image)
+        if image.ndim != 3:
+            raise ValueError(f"expected a (C, H, W) raster, got {image.shape}")
+        start, stop = (0, len(origins)) if span is None else span
+        todo = origins[start:stop]
+        for r0, c0 in todo:
+            if not (0 <= r0 <= image.shape[1] - window
+                    and 0 <= c0 <= image.shape[2] - window):
+                raise ValueError(
+                    f"window at {(r0, c0)} does not fit raster "
+                    f"{image.shape[1:]}")
+        shape = (image.shape[0], int(window), int(window))
+        with self._lock:
+            _, scan = self._window_scan(image.shape, window, origins)
+        stack = None if scan is not None else np.empty(
+            (batch_size,) + shape, dtype=np.float32)
+        owner = object()
+        for at in range(0, len(todo), batch_size):
+            batch = todo[at:at + batch_size]
+            with self._lock:
+                if scan is None:
+                    for i, (r0, c0) in enumerate(batch):
+                        stack[i] = image[:, r0:r0 + window, c0:c0 + window]
+                    logits, box = self._forward(stack[:len(batch)],
+                                                _Program.execute)
+                else:
+                    head = self._head_for(len(batch), shape)
+                    scan.run(image, batch, head, owner)
+                    logits, box = head.extract()
+            yield _crossing_confidence(logits), box
 
     def warmup(self, batch_sizes, sample_shape: tuple[int, ...] | None = None
                ) -> float:
@@ -745,6 +947,24 @@ class CompiledModel:
             if batch < 1:
                 raise ValueError("warmup batch sizes must be >= 1")
             self._bound(batch, sample_shape)
+        return (time.perf_counter() - start) * 1e3
+
+    def warmup_windows(self, scene_shape: tuple[int, ...], window: int,
+                       origins, batch_sizes) -> float:
+        """:meth:`warmup` for :meth:`predict_windows`: pre-build what a
+        scan of ``origins`` over a ``scene_shape`` raster executes —
+        the shared prefix and per-window suffix programs (or, when
+        :meth:`window_plan` declines, the window shape's trunk) and a
+        head per ``batch_sizes``.  Returns the elapsed milliseconds."""
+        start = time.perf_counter()
+        shape = (int(scene_shape[0]), int(window), int(window))
+        with self._lock:
+            _, scan = self._window_scan(scene_shape, window, origins)
+            for batch in batch_sizes:
+                if scan is None:
+                    self._programs_for(int(batch), shape)
+                else:
+                    self._head_for(int(batch), shape)
         return (time.perf_counter() - start) * 1e3
 
     def calibrate(self, images, batch_size: int = 20,
@@ -788,6 +1008,20 @@ class CompiledModel:
         if trunk is None:
             return head.plan
         return trunk.plan.followed_by(head.plan)
+
+    def window_plan(self, scene_shape: tuple[int, ...], window: int,
+                    origins) -> WindowPlan:
+        """How :meth:`predict_windows` executes a scan of ``origins``
+        over a ``scene_shape = (C, H, W)`` raster, and why: the shared
+        steps, where a fused step was cut, the cumulative stride, the
+        origins' lattice, the chunk grid, what the shared execution
+        holds in memory and the multiply-adds on either side — or the
+        reason every window runs the whole trunk.  A function of the
+        model, the geometry and the quant mode alone.  (A shared plan
+        binds its programs, as :meth:`memory_plan` does, to report
+        their arena.)"""
+        with self._lock:
+            return self._window_scan(scene_shape, window, origins)[0]
 
     def kernel_choices(self, batch: int = 1,
                        sample_shape: tuple[int, ...] | None = None

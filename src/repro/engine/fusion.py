@@ -29,13 +29,14 @@ results (a fused ``relu2`` is the name of the fused conv step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from ..graph.ir import Graph, OpType
-from .kernels import conv_scratch_elems
+from .kernels import conv_out_hw, conv_scratch_elems
 
-__all__ = ["Step", "FusionError", "fuse_graph", "split_trunk_head"]
+__all__ = ["Step", "FusionError", "fuse_graph", "split_trunk_head",
+           "SharedSplit", "split_shared_prefix", "chain_at"]
 
 
 class FusionError(ValueError):
@@ -275,3 +276,125 @@ def split_trunk_head(steps: list[Step], outputs: tuple[str, ...]
             for s in gathered]
     head += [s for s in steps if s.name in in_head]
     return trunk, tuple(s.name for s in gathered), head
+
+
+@dataclass(frozen=True)
+class SharedSplit:
+    """A trunk cut into what overlapping windows of one raster share
+    and what each window runs on its own (:func:`split_shared_prefix`).
+
+    prefix : ``input`` plus the shared conv chain, at the window's
+             geometry (:func:`chain_at` re-shapes it for a scene
+             chunk); empty when nothing shares.
+    suffix : a self-contained program whose ``input`` is the prefix's
+             last tensor; the whole trunk when nothing shares.
+    stride : pixels per element of the prefix's output (``cs``).
+    cut    : name of the fused ``conv_pool`` step whose conv shares and
+             whose pool does not, if the cut fell inside one.
+    reason : why nothing shares (``None`` when something does).
+    """
+
+    prefix: tuple[Step, ...]
+    suffix: tuple[Step, ...]
+    stride: int = 1
+    cut: str | None = None
+    reason: str | None = None
+
+
+#: the decline reasons of :func:`split_shared_prefix`
+BRANCHING_TRUNK = "trunk does not start with a single conv chain"
+PADDED_FIRST_CONV = "first conv is padded"
+LATTICE_SHARES_NOTHING = "origin lattice shares no layer"
+
+
+def split_shared_prefix(trunk: Sequence[Step], boundary: Sequence[str],
+                        lattice: int) -> SharedSplit:
+    """Cut a trunk where windows on a ``lattice`` stop sharing results.
+
+    An unpadded convolution or pool is translation-invariant on the
+    grid of its cumulative stride: two windows of one raster whose
+    origins differ by a multiple of that stride read the *same* output
+    elements wherever they overlap.  Walking from the ``input``, a
+    ``conv`` / ``conv_pool`` step with ``padding == 0`` extends the
+    shared chain while it is the only consumer of the step before it
+    and ``lattice`` (the gcd of every window origin coordinate) is a
+    multiple of the cumulative stride ``cs`` through it.  When a
+    ``conv_pool``'s conv passes that test and its 2x2/s2 pool does not,
+    the cut falls inside the fused step: the prefix takes the bare conv
+    and the suffix opens with ``maxpool(2, 2, relu=True)`` under the
+    fused step's name.  Max and ReLU are exact, so that is the fused
+    kernel's arithmetic.
+
+    Pure: the answer depends on the steps and ``lattice`` alone.
+    """
+    steps = list(trunk)
+    whole = SharedSplit((), tuple(steps))
+    inputs = [s for s in steps if s.kind == "input"]
+    consumers: dict[str, int] = {name: 1 for name in boundary}
+    for step in steps:
+        for name in step.inputs:
+            consumers[name] = consumers.get(name, 0) + 1
+    if len(inputs) != 1 or steps[0].kind != "input":
+        return replace(whole, reason=BRANCHING_TRUNK)
+
+    prefix = [steps[0]]
+    cs, cut, reason = 1, None, LATTICE_SHARES_NOTHING
+    for step in steps[1:]:
+        prev = prefix[-1]
+        if (step.kind not in ("conv", "conv_pool")
+                or step.inputs != (prev.name,) or consumers[prev.name] != 1):
+            if len(prefix) == 1:
+                reason = BRANCHING_TRUNK
+            break
+        if int(step.attrs["padding"]):
+            if len(prefix) == 1:
+                reason = PADDED_FIRST_CONV
+            break
+        cs_conv = cs * int(step.attrs["stride"])
+        if lattice % cs_conv:
+            break
+        if step.kind == "conv" or lattice % (2 * cs_conv) == 0:
+            cs = cs_conv * (2 if step.kind == "conv_pool" else 1)
+            prefix.append(step)
+            continue
+        # the conv shares, its fused pool does not: cut inside the step
+        conv_name = step.covers[0]
+        prefix.append(Step(
+            "conv", conv_name, step.inputs, tuple(step.attrs["conv_out"]),
+            attrs={**step.attrs, "relu": False}, covers=(conv_name,),
+            scratch_elems=step.scratch_elems))
+        cs, cut = cs_conv, step.name
+        break
+    if len(prefix) == 1:
+        return replace(whole, reason=reason)
+
+    last = prefix[-1]
+    suffix = [Step("input", last.name, (), last.out_shape,
+                   covers=(last.name,))]
+    rest = steps[len(prefix):]
+    if cut is not None:
+        fused = steps[len(prefix) - 1]
+        suffix.append(Step(
+            "maxpool", fused.name, (last.name,), fused.out_shape,
+            attrs={"kernel": 2, "stride": 2, "relu": True},
+            covers=fused.covers[1:]))
+    return SharedSplit(tuple(prefix), tuple(suffix + rest), cs, cut)
+
+
+def chain_at(prefix: Sequence[Step], shape: tuple[int, int, int]
+             ) -> list[Step]:
+    """A shared prefix (``input`` plus unpadded conv steps) re-shaped
+    for an input of ``shape = (C, H, W)``: the same kernels over a
+    scene chunk instead of one window."""
+    _, h, w = shape
+    out = [replace(prefix[0], out_shape=tuple(shape))]
+    for step in prefix[1:]:
+        f = int(step.attrs["out_channels"])
+        h, w = conv_out_hw(h, w, int(step.attrs["kernel"]),
+                           int(step.attrs["stride"]), 0)
+        attrs = step.attrs
+        if step.kind == "conv_pool":
+            attrs = {**attrs, "conv_out": (f, h, w)}
+            h, w = h // 2, w // 2
+        out.append(replace(step, out_shape=(f, h, w), attrs=attrs))
+    return out

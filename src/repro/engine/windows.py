@@ -1,0 +1,187 @@
+"""Windows of one raster: what a scan's overlapping windows can share.
+
+A scene scan runs the detector on windows cut from *one* raster, and at
+the paper's 100 px window and 50% overlap every pixel lies in up to four
+of them.  Every Table-1 convolution is unpadded, so the leading conv /
+pool steps are translation-invariant: wherever two windows overlap they
+compute the same feature-map elements from the same pixels.
+:func:`plan_windows` decides, from geometry alone, how much of the trunk
+a scan computes once per scene instead of once per window:
+
+* :func:`~.fusion.split_shared_prefix` cuts the trunk at the first layer
+  whose cumulative stride no longer divides the origins' lattice;
+* the shared prefix runs over **row chunks** of the scene on a grid
+  anchored at scene row 0 — chunk *k* is rows ``[k*R, (k+1)*R)`` of the
+  prefix's output, full scene width — so which program computes a given
+  element is a property of the scan, never of who asks for it;
+* sharing happens only when it is less arithmetic than the per-window
+  path (it is not once ``stride >= window``).
+
+The result is a :class:`WindowPlan`: the decision and every number
+behind it, or the reason sharing was declined.  There is no knob: the
+same ``(model, scene shape, window, origins, quant)`` gives the same
+plan in every process, which is what keeps a sharded scan byte-identical
+to the sequential one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence
+
+from .fusion import SharedSplit, Step, chain_at, split_shared_prefix
+
+__all__ = ["WindowPlan", "origin_lattice", "plan_windows",
+           "INT8_PER_SAMPLE", "NOT_LESS_WORK", "NO_TRUNK"]
+
+#: decline reasons decided here (the split's own are in ``fusion``)
+INT8_PER_SAMPLE = "int8 trunk activation scales are per sample"
+NOT_LESS_WORK = "sharing is not less work than per-window"
+NO_TRUNK = "model has no conv trunk"
+
+
+def origin_lattice(origins: Sequence[tuple[int, int]]) -> int:
+    """gcd of every row and column origin: the grid all windows of the
+    scan sit on (0 when the only origin is the raster's corner)."""
+    return math.gcd(*(int(v) for origin in origins for v in origin))
+
+
+@dataclass(frozen=True)
+class WindowPlan:
+    """How one scan geometry executes, and why.
+
+    ``reason`` is ``None`` when the scan shares a prefix, else the fixed
+    string naming why every window runs the whole trunk; the remaining
+    fields describe the shared execution and stay at their defaults when
+    it was declined before they were known.
+
+    shared       : names of the prefix's steps, in order
+    cut          : fused ``conv_pool`` step whose conv is shared and
+                   whose pool runs per window, if any
+    stride       : pixels per prefix-output element (``cs``)
+    chunk_rows   : prefix-output rows per chunk (``R``)
+    chunk_heights: pixel rows of an interior chunk and, when the grid
+                   does not tile the scene, of the ragged last one
+    crop         : side of the per-window crop of the prefix's output
+    macs_shared / macs_per_window : multiply-adds of the shared layers
+                   over every chunk of the scene / over all
+                   ``n_windows`` windows
+    prefix_arena_bytes / carry_bytes : what the shared execution holds
+                   (the largest prefix program's arena; the rolling
+                   buffer of prefix output rows)
+    """
+
+    scene_shape: tuple[int, int, int]
+    window: int
+    n_windows: int
+    lattice: int
+    reason: str | None = None
+    shared: tuple[str, ...] = ()
+    cut: str | None = None
+    stride: int = 1
+    chunk_rows: int = 0
+    chunk_heights: tuple[int, ...] = ()
+    crop: int = 0
+    macs_shared: int = 0
+    macs_per_window: int = 0
+    prefix_arena_bytes: int = 0
+    carry_bytes: int = 0
+
+    @property
+    def carry_rows(self) -> int:
+        """Rows of the rolling buffer: whole chunks covering any
+        ``crop`` consecutive rows wherever they start."""
+        r = self.chunk_rows
+        return (self.crop + 2 * r - 2) // r * r if r else 0
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def _conv_dims(step: Step) -> tuple[int, int]:
+    """Output rows and columns of a conv step's GEMM (before any fused
+    pool)."""
+    shape = step.attrs["conv_out"] if step.kind == "conv_pool" \
+        else step.out_shape
+    return int(shape[1]), int(shape[2])
+
+
+def _macs(steps: Sequence[Step]) -> int:
+    """Multiply-adds of the conv steps of a chain."""
+    total = 0
+    for step in steps[1:]:
+        rows, cols = _conv_dims(step)
+        k = int(step.attrs["kernel"])
+        total += (rows * cols * k * k * int(step.attrs["in_channels"])
+                  * int(step.attrs["out_channels"]))
+    return total
+
+
+def _receptive_field(prefix: Sequence[Step]) -> int:
+    """Input pixels (per axis) one prefix-output element depends on."""
+    rf, jump = 1, 1
+    for step in prefix[1:]:
+        rf += (int(step.attrs["kernel"]) - 1) * jump
+        jump *= int(step.attrs["stride"])
+        if step.kind == "conv_pool":
+            rf += jump
+            jump *= 2
+    return rf
+
+
+def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
+                 scene_shape: tuple[int, int, int], window: int,
+                 origins: Sequence[tuple[int, int]], quant_mode: str,
+                 itemsize: int) -> tuple[WindowPlan, SharedSplit | None]:
+    """The :class:`WindowPlan` of scanning ``origins`` (the *whole*
+    scan's, never a shard's slice) over a raster of ``scene_shape``,
+    and the trunk split it executes (``None`` when declined).
+
+    ``trunk`` / ``boundary`` are :func:`~.fusion.split_trunk_head`'s
+    for the window shape.  Pure: no clock, no environment, no state.
+    """
+    channels, height, width = (int(d) for d in scene_shape)
+    base = WindowPlan((channels, height, width), int(window), len(origins),
+                      origin_lattice(origins))
+    if not trunk:
+        return _declined(base, NO_TRUNK)
+    if quant_mode == "int8":
+        return _declined(base, INT8_PER_SAMPLE)
+    split = split_shared_prefix(trunk, boundary, base.lattice)
+    if split.reason is not None:
+        return _declined(base, split.reason)
+
+    prefix = split.prefix
+    last = prefix[-1]
+    crop = int(last.out_shape[1])
+    scene_chain = chain_at(prefix, (channels, height, width))
+    out_rows = int(scene_chain[-1].out_shape[1])
+    # a chunk's GEMM has no more rows than the per-window GEMM of the
+    # last shared conv: the im2col matrix stays the size the depth-first
+    # trunk already keeps cache-resident
+    gemm_rows = math.prod(_conv_dims(last))
+    pooled = 2 if last.kind == "conv_pool" else 1
+    rows = max(1, gemm_rows // _conv_dims(scene_chain[-1])[1] // pooled)
+    rf = _receptive_field(prefix)
+    n_chunks = -(-out_rows // rows)
+    ragged = out_rows - (n_chunks - 1) * rows
+    heights = [(rows - 1) * split.stride + rf]
+    if ragged != rows:
+        heights.append((ragged - 1) * split.stride + rf)
+    # every chunk but the last is an interior one
+    macs = [_macs(chain_at(prefix, (channels, px, width))) for px in heights]
+    plan = replace(
+        base, shared=tuple(s.name for s in prefix[1:]), cut=split.cut,
+        stride=split.stride, chunk_rows=rows, chunk_heights=tuple(heights),
+        crop=crop, macs_shared=(n_chunks - 1) * macs[0] + macs[-1],
+        macs_per_window=_macs(prefix) * len(origins))
+    if plan.macs_shared >= plan.macs_per_window:
+        return _declined(plan, NOT_LESS_WORK)
+    carry = (plan.carry_rows * int(scene_chain[-1].out_shape[2])
+             * int(last.out_shape[0]) * itemsize)
+    return replace(plan, carry_bytes=carry), split
+
+
+def _declined(plan: WindowPlan, reason: str) -> tuple[WindowPlan, None]:
+    return replace(plan, reason=reason), None

@@ -9,7 +9,13 @@
 * scan origins are partitioned into contiguous row-band shards whose
   boundaries snap to micro-batch multiples
   (:func:`~repro.scanpar.sharding.partition_origins`), so every
-  worker's batches are exactly the sequential scan's batches;
+  worker's batches are exactly the sequential scan's batches — and
+  every worker is told the *whole* scan's origins with its span of
+  them, so an engine worker shares feature maps on the scan's own
+  chunk grid (docs/engine.md, "Windows of one raster"): a chunk it
+  needs is the same program over the same pixels as in the sequential
+  scan, and a shard only recomputes the chunks its first window row
+  straddles;
 * execution runs on a persistent warm worker pool
   (:class:`~repro.scanpar.pool.WorkerPool`): workers stay alive across
   scans, cache the deserialized model (and its warmed compiled-engine
@@ -42,6 +48,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
+import warnings
 from contextlib import ExitStack
 from typing import TYPE_CHECKING
 
@@ -61,7 +68,7 @@ from ..detect.scan import (
 from .pool import WorkerPool, get_pool, warm_pool
 from .sharding import partition_origins
 from .shm import SharedArray
-from .worker import ShardTask, _warm_engine
+from .worker import ShardTask, _batch_sizes, _warm_engine
 
 if TYPE_CHECKING:
     from ..geo.scene import Scene
@@ -197,7 +204,8 @@ def resolve_n_workers(
 
 # dtype each backend's predict() emits — sizes the parent-allocated
 # result slabs.  A mismatch is safe (workers detect it and return
-# inline); the map only has to be right for the zero-pickle fast path.
+# inline) but loud (_note_slab_fallbacks); the map only has to be right
+# for the zero-pickle fast path.
 _RESULT_DTYPES = {"eager": np.float64, "engine": np.float32}
 
 
@@ -294,21 +302,20 @@ def parallel_scan_scene(
                                          start_method=start_method)
     try:
         if backend == "engine":
-            # Solve before shipping: bind the window shape's trunk (and
-            # a head per micro-batch size this scan runs) in the PARENT
-            # first, so ensure_model ships its IOS schedule and no
-            # worker re-measures or re-solves.
+            # Solve before shipping: bind what the workers will run in
+            # the PARENT first (the scan's shared prefix and per-window
+            # suffix, or the per-tile trunk of a robust scan, and a
+            # head per micro-batch size), so ensure_model ships the
+            # IOS schedules and no worker re-measures or re-solves.
             # compiled_for caches per model instance, so repeat scans
             # pay nothing here.
             if robust:
                 sizes = {1}
             else:
-                sizes = set()
-                for shard in shards:
-                    sizes.add(min(batch_size, shard.size))
-                    if shard.size % batch_size:
-                        sizes.add(shard.size % batch_size)
-            _warm_engine(model, image.shape[0], window, sorted(sizes))
+                sizes = set().union(*(_batch_sizes(shard.size, batch_size)
+                                      for shard in shards))
+            _warm_engine(model, image.shape, window, sorted(sizes),
+                         None if robust else origins)
         model_hash = pool.ensure_model(model)
         run_tasks, report_cell = _make_task_runner(
             pool, model, supervision=supervision, deadline_at=deadline_at,
@@ -359,6 +366,7 @@ def parallel_scan_scene(
                 else:  # dtype-map miss: worker returned arrays inline
                     conf_parts.append(payload["confidences"])
                     box_parts.append(payload["boxes"])
+            _note_slab_fallbacks(pool, payloads)
         confidences = np.concatenate(conf_parts)
         boxes = np.concatenate(box_parts)
         detections = _detections_from_outputs(
@@ -375,6 +383,20 @@ def parallel_scan_scene(
     finally:
         if own_pool is not None:
             own_pool.close()
+
+
+def _note_slab_fallbacks(pool: WorkerPool, payloads: list[dict]) -> None:
+    """Count and report shards that returned their arrays through the
+    pipe because the result slab had the wrong dtype: the scan is still
+    byte-identical, but it pickled what the slabs exist to avoid."""
+    reasons = [p["slab_fallback"] for p in payloads
+               if p.get("slab_fallback")]
+    if reasons:
+        pool.stats["slab_fallbacks"] += len(reasons)
+        warnings.warn(
+            f"{len(reasons)} of {len(payloads)} shards returned results "
+            f"inline instead of through their slab: {reasons[0]}",
+            RuntimeWarning, stacklevel=3)
 
 
 def _make_task_runner(pool: WorkerPool, model, *, supervision,

@@ -3,9 +3,13 @@
 Each worker receives one :class:`ShardTask` — a few ints, the shared
 raster's name, and the model's content hash (plus its pickled bytes
 only when the worker has not cached it yet), attaches to the scene in
-shared memory, warms the compiled engine's program cache *once* for the
-batch shapes its shard will actually run, and streams its contiguous
-origin range through the backend.
+shared memory, warms the compiled engine's program cache *once* for
+what its shard will actually run, and pulls its contiguous origin range
+through :func:`repro.detect.predict.predict_windows` — the same batch
+generator the sequential scan consumes, told the *whole* scan's origins
+and the shard's span of them, so an engine worker shares feature maps
+on the scan's own chunk grid and computes the bytes the sequential scan
+computes.
 
 Result return is shared-memory first: non-robust shards write their
 ``(confidences, boxes)`` into the parent-allocated result slab named by
@@ -13,12 +17,14 @@ Result return is shared-memory first: non-robust shards write their
 columns 1:5 the boxes — sized from the shard's origin count), so no
 ndarray is ever pickled back through the pipe; the reply is a small
 metadata dict.  If the backend's output dtype does not match the slab
-(the parent sizes slabs from a per-backend dtype map), the worker falls
-back to returning the arrays inline — correctness never depends on the
-map being right.  Robust shards run the per-tile sanitize/quarantine
-loop from :mod:`repro.detect.scan` and journal into a per-shard JSONL
-file the parent later absorbs; their per-tile records return through
-the pipe as before (small, not ndarrays).
+(the parent sizes slabs from a per-backend dtype map), the worker
+returns the arrays inline rather than cast — correctness never depends
+on the map being right — and says so: the payload's ``slab_fallback``
+carries the reason, which the parent counts and warns about.  Robust
+shards run the per-tile sanitize/quarantine loop from
+:mod:`repro.detect.scan` and journal into a per-shard JSONL file the
+parent later absorbs; their per-tile records return through the pipe as
+before (small, not ndarrays).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .shm import attach_array
-from .tiling import TileSource
 
 __all__ = ["ShardTask", "run_shard"]
 
@@ -79,21 +84,35 @@ def _resolve_model(task: ShardTask, cache: dict | None) -> tuple[object, bool]:
     return model, False
 
 
-def _warm_engine(model, channels: int, window: int,
-                 batch_sizes: list[int]) -> tuple[float, int]:
-    """Pre-build the engine programs this shard will execute; returns
+def _batch_sizes(n: int, batch_size: int) -> set[int]:
+    """The micro-batch sizes a span of ``n`` origins runs: full batches
+    and the ragged last one."""
+    return {min(batch_size, n), n % batch_size} - {0}
+
+
+def _warm_engine(model, image_shape: tuple[int, ...], window: int,
+                 batch_sizes: list[int], origins=None) -> tuple[float, int]:
+    """Pre-build the engine programs a shard will execute; returns
     ``(warmup milliseconds, IOS DP solves paid)`` (compile paid once per
     worker process — and, with a persistent pool, once per model
     *lifetime*, because warmup of an already-cached program costs
-    nothing).  The solve count is the pool's schedule-shipping health
-    signal: a worker seeded with the parent's schedules warms with zero
-    solves."""
+    nothing).  With ``origins`` (the whole scan's) that is what
+    ``predict_windows`` runs over the raster — the shared prefix and
+    per-window suffix when the scan shares feature maps; without, the
+    per-tile programs of the robust path.  The solve count is the
+    pool's schedule-shipping health signal: a worker seeded with the
+    parent's schedules warms with zero solves."""
     from ..engine import compiled_for, sched
 
     model.eval()
     compiled = compiled_for(model)
     solves_before = sched.stats()["solves"]
-    warmup_ms = compiled.warmup(batch_sizes, (channels, window, window))
+    if origins is None:
+        warmup_ms = compiled.warmup(batch_sizes,
+                                    (image_shape[0], window, window))
+    else:
+        warmup_ms = compiled.warmup_windows(image_shape, window, origins,
+                                            batch_sizes)
     return warmup_ms, sched.stats()["solves"] - solves_before
 
 
@@ -112,17 +131,15 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
 
     model, model_cached = _resolve_model(task, model_cache)
     origins = scan_origins(task.scene_size, task.window, task.stride)
-    span = origins[task.start:task.stop]
     with attach_array(task.shm) as shared:
         image = shared.array
-        channels = image.shape[0]
 
         if task.robust:
             # per-tile isolation: every batch is one tile, warm that shape
             warmup_ms, sched_solves = 0.0, 0
             if task.backend == "engine":
                 warmup_ms, sched_solves = _warm_engine(
-                    model, channels, task.window, [1])
+                    model, image.shape, task.window, [1])
             run, guarded = _make_tile_runner(model, task.backend)
             journal = None
             if task.journal_path is not None:
@@ -148,55 +165,46 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
                 "sched_solves": sched_solves,
             }
 
-        warmup_ms, sched_solves = 0.0, 0
+        warmup_ms, sched_solves, plan = 0.0, 0, None
         if task.backend == "engine":
-            sizes = {min(task.batch_size, len(span))}
-            ragged = len(span) % task.batch_size
-            if ragged:
-                sizes.add(ragged)
-            warmup_ms, sched_solves = _warm_engine(
-                model, channels, task.window, sorted(sizes))
-        from ..detect.predict import predict
+            from ..engine import compiled_for
 
-        source = TileSource(image, task.window, batch_size=task.batch_size)
+            sizes = _batch_sizes(task.stop - task.start, task.batch_size)
+            warmup_ms, sched_solves = _warm_engine(
+                model, image.shape, task.window, sorted(sizes), origins)
+            plan = compiled_for(model).window_plan(
+                image.shape, task.window, origins).to_json()
+        from ..detect.predict import predict_windows
+
         payload = {
             "shard": task.shard_index,
             "warmup_ms": warmup_ms,
             "model_cached": model_cached,
             "sched_solves": sched_solves,
+            # how the engine ran this shard's windows (None: eager)
+            "window_plan": plan,
             "via_slab": False,
+            "slab_fallback": None,
         }
-        slab = attach_array(task.result) if task.result is not None else None
-        try:
-            use_slab = slab is not None
-            pos = 0
-            conf_parts: list[np.ndarray] = []
-            box_parts: list[np.ndarray] = []
-            for _, stack in source.batches(span):
-                conf, box = predict(model, stack, batch_size=len(stack),
-                                    backend=task.backend)
-                if use_slab and not (conf.dtype == slab.array.dtype
-                                     and box.dtype == slab.array.dtype):
-                    # parent sized the slab for a different dtype: fall
-                    # back to inline return rather than cast (the merge
-                    # must stay byte-identical to the sequential scan)
-                    use_slab = False
-                    conf_parts = [slab.array[:pos, 0].copy()]
-                    box_parts = [slab.array[:pos, 1:5].copy()]
-                if use_slab:
-                    n = len(conf)
-                    slab.array[pos:pos + n, 0] = conf
-                    slab.array[pos:pos + n, 1:5] = box
-                    pos += n
-                else:
-                    conf_parts.append(conf)
-                    box_parts.append(box)
-            if use_slab:
-                payload["via_slab"] = True
-            else:
-                payload["confidences"] = np.concatenate(conf_parts)
-                payload["boxes"] = np.concatenate(box_parts)
-            return payload
-        finally:
-            if slab is not None:
-                slab.close()
+        parts = list(predict_windows(
+            model, image, origins, task.window, batch_size=task.batch_size,
+            backend=task.backend, span=(task.start, task.stop)))
+        confidences = np.concatenate([conf for conf, _ in parts])
+        boxes = np.concatenate([box for _, box in parts])
+        if task.result is not None:
+            with attach_array(task.result) as slab:
+                if confidences.dtype == boxes.dtype == slab.array.dtype:
+                    slab.array[:, 0] = confidences
+                    slab.array[:, 1:5] = boxes
+                    payload["via_slab"] = True
+                    return payload
+                # the parent sized the slab for another dtype: return
+                # inline rather than cast (the merge must stay
+                # byte-identical to the sequential scan), and say so
+                payload["slab_fallback"] = (
+                    f"{task.backend} backend returned {confidences.dtype} "
+                    f"confidences and {boxes.dtype} boxes for a "
+                    f"{slab.array.dtype} result slab")
+        payload["confidences"] = confidences
+        payload["boxes"] = boxes
+        return payload

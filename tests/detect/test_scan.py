@@ -197,3 +197,93 @@ class TestScanScene:
                         sorted(served, key=lambda d: d.center)):
             assert a.center == b.center
             assert a.confidence == pytest.approx(b.confidence, abs=1e-6)
+
+
+class TestBatchSeam:
+    """``detect.predict.predict_windows``: the one generator the
+    sequential scan and every pool shard pull their batches from."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return build_scene(WatershedConfig(size=192, road_spacing=64,
+                                           stream_threshold=600, seed=5))
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+        from repro.detect import SPPNetDetector
+
+        arch = SPPNetConfig(
+            convs=(ConvSpec(8, 3, 1), ConvSpec(16, 3, 1)),
+            pools=(PoolSpec(2, 2), PoolSpec(2, 2)),
+            spp_levels=(2, 1), fc_sizes=(32,), name="scan-seam",
+        )
+        return SPPNetDetector(arch, seed=0).eval()
+
+    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    def test_batches_are_predict_over_the_window_stacks(self, model, scene,
+                                                        backend):
+        import numpy as np
+
+        from repro.detect import predict
+        from repro.detect.predict import predict_windows
+        from repro.scanpar import TileSource
+
+        origins = scan_origins(scene.size, 64, 32)
+        pulled = list(predict_windows(model, scene.image, origins, 64,
+                                      batch_size=6, backend=backend,
+                                      span=(6, 20)))
+        stacks = TileSource(scene.image, 64, batch_size=6).batches(
+            origins[6:20])
+        assert [len(conf) for conf, _ in pulled] == [6, 6, 2]
+        for (conf, box), (_, stack) in zip(pulled, stacks):
+            ref_conf, ref_box = predict(model, stack, batch_size=len(stack),
+                                        backend=backend)
+            assert np.array_equal(conf, ref_conf)
+            assert np.array_equal(box, ref_box)
+
+    def test_engine_scan_shares_feature_maps_and_keeps_its_detections(
+            self, model, scene):
+        import numpy as np
+
+        from repro.detect import predict
+        from repro.detect.scan import _detections_from_outputs
+        from repro.engine import compiled_for
+        from repro.scanpar import TileSource
+
+        kwargs = dict(window=64, stride=32, confidence_threshold=0.3,
+                      batch_size=6)
+        scanned = scan_scene(model, scene, backend="engine", **kwargs)
+        origins = scan_origins(scene.size, 64, 32)
+        plan = compiled_for(model).window_plan(scene.image.shape, 64, origins)
+        assert plan.reason is None and plan.shared == ("pool1", "pool2")
+        parts = [predict(model, stack, batch_size=len(stack),
+                         backend="engine")
+                 for _, stack in TileSource(scene.image, 64, 6).batches(
+                     origins)]
+        per_window = non_max_suppression(_detections_from_outputs(
+            origins, np.concatenate([c for c, _ in parts]),
+            np.concatenate([b for _, b in parts]), 64, 0.3))
+        assert list(scanned) == per_window
+
+    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    def test_deadline_is_checked_before_each_batch_is_pulled(
+            self, model, scene, backend, monkeypatch):
+        from repro.detect import scan as scan_mod
+        from repro.detect.scan import ScanDeadlineError
+
+        pulled = []
+        real = scan_mod.predict_windows
+
+        def counting(*args, **kwargs):
+            for pair in real(*args, **kwargs):
+                pulled.append(len(pair[0]))
+                yield pair
+        monkeypatch.setattr(scan_mod, "predict_windows", counting)
+        clock = iter([0.0, 0.0, 0.0, 10.0])
+        monkeypatch.setattr(scan_mod.time, "monotonic", lambda: next(clock))
+        with pytest.raises(ScanDeadlineError, match="after 12 of 25"):
+            scan_scene(model, scene, window=64, stride=32, batch_size=6,
+                       backend=backend, timeout_s=5.0)
+        # start, then one check per pull: the third batch never ran
+        assert pulled == [6, 6]

@@ -110,6 +110,40 @@ class TestParity:
         assert_identical(pooled, sequential)
 
 
+class TestSlabFallback:
+    """A shard that cannot use its result slab returns inline — counted
+    and warned, never silent (ROADMAP "Loud fallbacks")."""
+
+    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    def test_clean_scans_fire_none(self, model, scene, backend,
+                                   recwarn):
+        from repro.scanpar import WorkerPool
+
+        with WorkerPool(2) as pool:
+            scan(model, scene, backend=backend, n_workers=2, pool=pool)
+            assert pool.stats["slab_fallbacks"] == 0
+        assert not [w for w in recwarn if "slab" in str(w.message)]
+
+    def test_wrong_slab_dtype_fires_once_and_stays_identical(
+            self, model, scene, monkeypatch):
+        import numpy as np
+
+        from repro.scanpar import WorkerPool, parallel
+
+        sequential = scan(model, scene, backend="engine")
+        # float32 engine results into float64 slabs
+        monkeypatch.setitem(parallel._RESULT_DTYPES, "engine", np.float64)
+        with WorkerPool(2) as pool:
+            with pytest.warns(RuntimeWarning, match="inline") as caught:
+                forced = scan(model, scene, backend="engine", n_workers=2,
+                              pool=pool)
+            assert pool.stats["slab_fallbacks"] == 2    # one per shard
+        assert len(caught) == 1
+        assert "float32" in str(caught[0].message) \
+            and "float64" in str(caught[0].message)
+        assert_identical(forced, sequential)
+
+
 class TestValidation:
     def test_zero_workers_rejected(self, model, scene):
         with pytest.raises(ValueError, match="n_workers"):

@@ -198,6 +198,8 @@ class TestScheduleSync:
     parent's stage/group plan."""
 
     def warm_parent(self, model, scene, tasks):
+        """What ``parallel_scan_scene`` binds before it ships: the
+        scan's prefix/suffix programs and a head per micro-batch size."""
         from repro.engine import compiled_for
 
         sizes = set()
@@ -206,9 +208,9 @@ class TestScheduleSync:
             sizes.add(min(BATCH, span))
             if span % BATCH:
                 sizes.add(span % BATCH)
-        channels = scene.image.shape[0]
-        compiled_for(model).warmup(sorted(sizes),
-                                   (channels, WINDOW, WINDOW))
+        compiled_for(model).warmup_windows(
+            scene.image.shape, WINDOW,
+            scan_origins(scene.size, WINDOW, STRIDE), sorted(sizes))
 
     def test_seeded_worker_warms_with_zero_solves(self, model, scene):
         from repro.engine import sched
@@ -225,18 +227,44 @@ class TestScheduleSync:
                 assert payload["sched_solves"] == 0
 
     def test_engine_scan_ships_parent_schedules(self, model, scene):
-        from repro.engine import sched
+        from repro.engine import compiled_for, sched
 
         sequential = scan(model, scene, n_workers=1, backend="engine")
         with WorkerPool(2) as pool:
             pooled = scan(model, scene, n_workers=2, pool=pool,
                           backend="engine")
+            # the per-window suffix is what the scan schedules: its
+            # input is the crop of the shared prefix's output
+            plan = compiled_for(model).window_plan(
+                scene.image.shape, WINDOW,
+                scan_origins(scene.size, WINDOW, STRIDE))
             shipped = {key for key in sched.snapshot()
-                       if key.shape == (scene.image.shape[0],
-                                        WINDOW, WINDOW)}
+                       if key.shape[1:] == (plan.crop, plan.crop)}
             assert shipped, "parent never solved the scan geometry"
             assert all(shipped <= w.scheds for w in pool._workers)
         assert list(pooled) == list(sequential)
+
+    def test_workers_run_the_sequential_scans_window_plan(self, model,
+                                                          scene):
+        """Pool workers take the shared path on the *scan's* chunk grid:
+        every shard reports the plan (and so the prefix shapes) the
+        sequential scan binds, and solves nothing."""
+        from repro.engine import compiled_for
+
+        origins = scan_origins(scene.size, WINDOW, STRIDE)
+        with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
+            tasks = make_tasks(scene, shared, pool.ensure_model(model))
+            self.warm_parent(model, scene, tasks)
+            pool.ensure_model(model)
+            sequential = compiled_for(model).window_plan(
+                scene.image.shape, WINDOW, origins)
+            assert sequential.reason is None and sequential.chunk_heights
+            for payload in pool.run(tasks):
+                assert payload["window_plan"] == sequential.to_json()
+                assert payload["sched_solves"] == 0
+            eager = pool.run(make_tasks(scene, shared,
+                                        pool.ensure_model(model), "eager"))
+            assert all(p["window_plan"] is None for p in eager)
 
     def test_replacement_worker_reships_schedules(self, model, scene):
         from repro.engine import sched
