@@ -30,6 +30,7 @@ import json
 import tempfile
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,9 @@ class _FaultyCompiled:
         if self.calls <= self.fail_first:
             return np.full(n, np.nan), np.full((n, 4), np.nan)
         return predict(self.model, stack, batch_size=batch_size)
+
+    def predict_stream(self, chips, limit):
+        return self.predict(np.stack(list(islice(chips, limit))), limit)
 
 
 def run_fallback_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:

@@ -14,7 +14,10 @@ the first fully-connected layer — and a *head*.  The trunk is bound
 once per input shape ``(C, H, W)`` **at one sample** and looped over the
 batch, each sample's boundary tensor landing in row *i* of the head's
 ``(n, F)`` input; the head, bound once per batch size, then runs over
-the whole batch.  A conv trunk's working set scales with the batch (a
+the whole batch.  The loop pulls its samples lazily, one between trunk
+runs, so a batch need not be complete, or even sized, before its first
+trunk starts (:meth:`CompiledModel.predict_stream`: the serving layer's
+open micro-batches).  A conv trunk's working set scales with the batch (a
 batch-20 im2col matrix is 100 MB) while only the fully-connected layer,
 which streams its weights per call, gains from batching — so the trunk
 stays cache-resident, one trunk serves every batch size, and a tile's
@@ -54,6 +57,7 @@ import threading
 import time
 import weakref
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -412,10 +416,12 @@ class _Program:
         raise ValueError(f"no binding for step kind {kind!r}")  # pragma: no cover
 
     # -- execution -------------------------------------------------------
-    def feed(self, x: np.ndarray) -> None:
-        """Copy a raw NCHW / ``(N, F)`` batch into the program's input."""
+    def feed(self, x: np.ndarray, row: int = 0) -> None:
+        """Copy raw NCHW / ``(N, F)`` samples into the program's input,
+        from ``row`` on (all of it when ``x`` is the whole batch)."""
         (view,) = self._inputs
-        np.copyto(view, x.transpose(0, 2, 3, 1) if view.ndim == 4 else x)
+        np.copyto(view[row:row + len(x)],
+                  x.transpose(0, 2, 3, 1) if view.ndim == 4 else x)
 
     def execute(self) -> None:
         if self._exec_stages is None:
@@ -826,22 +832,44 @@ class CompiledModel:
         return self._scan[1:]
 
     # -- execution -------------------------------------------------------
-    def _forward(self, data: np.ndarray, execute) -> list[np.ndarray]:
-        """Depth-first pass: the trunk one sample at a time, each
-        sample's boundary tensors into row ``i`` of the head's inputs,
-        then the head once.  ``execute(program)`` runs a fed program."""
-        trunk, head = self._programs_for(data.shape[0],
-                                         tuple(data.shape[1:]))
-        if trunk is None:
-            head.feed(data)
-        else:
-            pairs = [(head.views[name], trunk.views[name])
-                     for name in trunk.outputs]
-            for i in range(data.shape[0]):
-                trunk.feed(data[i:i + 1])
+    def _forward(self, samples, limit: int, execute) -> list[np.ndarray]:
+        """Depth-first pass over up to ``limit`` samples, pulled from
+        ``samples`` one at a time *between* trunk runs: each sample runs
+        the shape's one-sample trunk and its boundary tensors land in
+        row ``i`` of the head bound at ``limit``.  The batch closes when
+        ``samples`` ends or ``limit`` rows are in (nothing further is
+        pulled then); the head of the final ``n`` runs once over the
+        rows.  ``execute(program)`` runs a fed program.  Called with the
+        engine lock held, so a pull must not block."""
+        n = 0
+        for sample in islice(samples, limit):
+            sample = np.asarray(sample)
+            if n == 0:
+                shape = sample.shape
+                trunk, staged = self._programs_for(limit, shape)
+                pairs = [] if trunk is None else [
+                    (staged.views[name], trunk.views[name])
+                    for name in trunk.outputs]
+            elif sample.shape != shape:
+                raise ValueError(
+                    f"one batch must share a sample shape: got "
+                    f"{sample.shape} after {shape}")
+            if trunk is None:
+                staged.feed(sample[None], row=n)
+            else:
+                trunk.feed(sample[None])
                 execute(trunk)
-                for rows, sample in pairs:
-                    np.copyto(rows[i:i + 1], sample)
+                for rows, out in pairs:
+                    np.copyto(rows[n:n + 1], out)
+            n += 1
+        if n == 0:
+            raise ValueError("batch must be >= 1, got 0")
+        head = staged
+        if n < limit:
+            # closed early: hand the rows to the head bound at n
+            head = self._head_for(n, shape)
+            for rows, filled in zip(head._inputs, staged._inputs):
+                np.copyto(rows, filled[:n])
         execute(head)
         return head.extract()
 
@@ -853,7 +881,7 @@ class CompiledModel:
                 f"dims, got shape {data.shape}"
             )
         with self._lock:
-            results = self._forward(data, _Program.execute)
+            results = self._forward(data, len(data), _Program.execute)
         return results[0] if len(results) == 1 else tuple(results)
 
     def _require_detector(self, what: str) -> None:
@@ -875,6 +903,22 @@ class CompiledModel:
             confidences.append(_crossing_confidence(logits))
             boxes.append(box)
         return np.concatenate(confidences), np.concatenate(boxes)
+
+    def predict_stream(self, chips, limit: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` over one *open* micro-batch: ``(C, H, W)``
+        chips are pulled from the iterator ``chips`` one at a time,
+        each just before its trunk runs, until it ends or ``limit``
+        chips are in (the rest stay in the iterator), and the head runs
+        once over all of them.  Bitwise :meth:`predict` over the same
+        chips stacked in the same order.  The pulls happen with the
+        engine lock held, so ``chips`` must never block — it may take
+        other locks only if no holder of those ever calls the engine.
+        """
+        self._require_detector("predict_stream()")
+        with self._lock:
+            logits, box = self._forward(chips, limit, _Program.execute)
+        return _crossing_confidence(logits), box
 
     def predict_windows(self, image: np.ndarray, origins, window: int,
                         batch_size: int = 20,
@@ -918,7 +962,7 @@ class CompiledModel:
                 if scan is None:
                     for i, (r0, c0) in enumerate(batch):
                         stack[i] = image[:, r0:r0 + window, c0:c0 + window]
-                    logits, box = self._forward(stack[:len(batch)],
+                    logits, box = self._forward(stack, len(batch),
                                                 _Program.execute)
                 else:
                     head = self._head_for(len(batch), shape)
@@ -991,8 +1035,9 @@ class CompiledModel:
         stats: dict[str, float] = {}
         with self._lock:
             for start in range(0, len(data), batch_size):
+                batch = data[start:start + batch_size]
                 self._forward(
-                    data[start:start + batch_size],
+                    batch, len(batch),
                     lambda prog: prog.execute_calibrate(stats, pct))
             self._act_scales.clear()
             self._act_scales.update(stats)
@@ -1079,10 +1124,10 @@ class CompiledModel:
 
         with self._lock:
             for _ in range(warmup):
-                self._forward(data, _Program.execute)
+                self._forward(data, len(data), _Program.execute)
             start = time.perf_counter()
             for _ in range(repeats):
-                self._forward(data, timed)
+                self._forward(data, len(data), timed)
             # whatever a pass spends outside its kernels moves data:
             # input transposes, boundary rows, output copies
             acc["memops"] = (acc.get("memops", 0.0)

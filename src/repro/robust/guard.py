@@ -7,7 +7,11 @@ kernels.  :class:`GuardedEngine` wraps it with a numerical safety net:
 every engine batch is checked for non-finite values and for shape
 agreement with the traced program's contract, and on any violation (or
 an outright exception) the *same* batch transparently re-executes on the
-eager backend, so the caller always gets a valid answer.
+eager backend, so the caller always gets a valid answer.  A batch is
+either a stack (:meth:`GuardedEngine.predict_batch`) or *open*
+(:meth:`GuardedEngine.predict_stream`: chips pulled from an iterator
+while the batch runs, as the serving layer feeds it); "the same batch"
+is then the chips pulled so far.
 
 Repeated engine faults trip a :class:`~repro.serve.breaker.CircuitBreaker`
 scoped to the engine: while it is open every batch goes straight to
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -129,29 +134,69 @@ class GuardedEngine:
 
         return predict(self.model, stack, batch_size=batch_size)
 
+    def _guarded(self, run, taken, batch_size: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, str]:
+        """The guard's one contract.  ``run()`` is the engine call;
+        ``taken()`` is the chips it consumed, asked only after ``run``
+        returned or raised (and instead of it while the breaker is
+        open).  A valid engine answer is returned as is; anything else
+        counts one fallback and re-runs ``taken()`` as one eager stack.
+        """
+        if self.breaker.allow():
+            try:
+                conf, boxes = run()
+            except Exception:
+                reason = FALLBACK_ENGINE_ERROR
+            else:
+                reason = _check_outputs(conf, boxes, len(taken()))
+                if reason is None:
+                    self.breaker.record_success()
+                    return conf, boxes, "engine"
+            self.breaker.record_failure()
+        else:
+            reason = FALLBACK_BREAKER_OPEN
+        self._fallback(reason)
+        stack = np.stack(taken())
+        conf, boxes = self._eager(stack, batch_size or len(stack))
+        return conf, boxes, "eager"
+
     def predict_batch(self, stack: np.ndarray, batch_size: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray, str]:
         """Run one (N, C, H, W) batch; returns (confidences, boxes,
         backend-that-answered)."""
-        n = len(stack)
-        batch_size = batch_size if batch_size is not None else n
-        if not self.breaker.allow():
-            self._fallback(FALLBACK_BREAKER_OPEN)
-            conf, boxes = self._eager(stack, batch_size)
-            return conf, boxes, "eager"
-        try:
-            conf, boxes = self.compiled.predict(stack, batch_size=batch_size)
-        except Exception:
-            reason = FALLBACK_ENGINE_ERROR
-        else:
-            reason = _check_outputs(conf, boxes, n)
-            if reason is None:
-                self.breaker.record_success()
-                return conf, boxes, "engine"
-        self.breaker.record_failure()
-        self._fallback(reason)
-        conf, boxes = self._eager(stack, batch_size)
-        return conf, boxes, "eager"
+        batch_size = batch_size if batch_size is not None else len(stack)
+        return self._guarded(
+            lambda: self.compiled.predict(stack, batch_size=batch_size),
+            lambda: stack, batch_size)
+
+    def predict_stream(self, chips, limit: int
+                       ) -> tuple[np.ndarray, np.ndarray, str]:
+        """:meth:`predict_batch` over one *open* micro-batch (see
+        :meth:`repro.engine.CompiledModel.predict_stream`): the engine
+        pulls (C, H, W) chips from the iterator ``chips`` between trunk
+        runs, at most ``limit`` of them, and the answer covers exactly
+        the chips pulled.  Every pulled chip is remembered, so an
+        engine exception or an invalid output re-runs *those* chips on
+        eager under the same reasons and breaker accounting as a closed
+        batch.  When nothing was pulled — the breaker is open, or the
+        engine failed before its first pull — eager answers whatever
+        ``chips`` offers now, up to ``limit``.
+        """
+        source = islice(chips, limit)
+        pulled: list[np.ndarray] = []
+
+        def remembered():
+            for chip in source:
+                pulled.append(chip)
+                yield chip
+
+        def taken() -> list[np.ndarray]:
+            if not pulled:
+                pulled.extend(source)
+            return pulled
+
+        return self._guarded(
+            lambda: self.compiled.predict_stream(remembered(), limit), taken)
 
     def predict(self, images: np.ndarray, batch_size: int = 20
                 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,16 @@
 """Dynamic micro-batching policy.
 
-The batcher coalesces requests until either ``max_batch`` chips are
-waiting or ``max_wait_ms`` has elapsed since the oldest one arrived —
-whichever comes first.  ``max_batch`` is the knee of the paper's Figure 6
-batch-efficiency curve (per-image latency falls steeply then flattens;
-§6.4 picks the last batch size that still improves efficiency by >= 10%),
-so :func:`policy_from_fig6` tunes the batcher straight from the
-regenerated ``results/fig6.json`` artifact.
+A free worker coalesces queued requests into a micro-batch of at most
+``max_batch`` chips.  A backend that runs a batch as one stacked call
+(eager, ``predict_fn``) waits for ``max_batch`` chips or until the
+oldest has aged ``max_wait_ms``, whichever comes first; the engine
+backend starts the oldest request at once and keeps the batch open
+while its conv trunks run (see :mod:`repro.serve.service`).
+``max_batch`` is the knee of the paper's Figure 6 batch-efficiency curve
+(per-image latency falls steeply then flattens; §6.4 picks the last
+batch size that still improves efficiency by >= 10%), so
+:func:`policy_from_fig6` tunes the batcher straight from the regenerated
+``results/fig6.json`` artifact.
 """
 
 from __future__ import annotations
@@ -25,13 +29,19 @@ _FIG6_PATH = Path(__file__).resolve().parents[3] / "results" / "fig6.json"
 class BatchPolicy:
     """Knobs of the dynamic batcher.
 
-    max_batch     : dispatch as soon as this many requests are waiting
-    max_wait_ms   : dispatch a partial batch once the oldest waiting
+    max_batch     : the most chips one micro-batch holds; a stacked
+                    batch is cut as soon as this many same-shaped
+                    requests are waiting, an open engine batch closes
+                    once it has admitted this many
+    max_wait_ms   : cut a partial stacked batch once the oldest waiting
                     request has aged this long (latency ceiling under
-                    light traffic)
+                    light traffic).  It never delays an engine batch's
+                    opening: that backend has a per-sample trunk to
+                    start on, so a lone request runs at once and later
+                    arrivals join while it does
     inline_single : only meaningful at ``max_batch=1``, where batching
-                    cannot coalesce anything and the queue → batcher →
-                    pool round-trip is pure overhead.  When True, an
+                    cannot coalesce anything and the queue → worker
+                    thread round-trip is pure overhead.  When True, an
                     idle service runs the request synchronously on the
                     caller's thread (the returned future is already
                     resolved); ``submit`` may then block for one model

@@ -133,6 +133,7 @@ class ServiceMetrics:
         self.latency_ms = Histogram()
         self.batch_latency_ms = Histogram()
         self._batch_sizes: TallyCounter[int] = TallyCounter()
+        self._close_reasons: TallyCounter[str] = TallyCounter()
         self._backend_results: TallyCounter[str] = TallyCounter()
         self._fallbacks: TallyCounter[str] = TallyCounter()
         self._breaker_state = "closed"
@@ -193,10 +194,22 @@ class ServiceMetrics:
         with self._lock:
             return dict(sorted(self._fallbacks.items()))
 
-    def observe_batch(self, size: int, latency_ms: float) -> None:
+    def observe_batch(self, size: int, latency_ms: float,
+                      closed_by: str | None = None) -> None:
+        """Tally one executed micro-batch: its size, its latency and why
+        it closed when it did — ``max_batch`` (full), ``timer``
+        (``max_wait_ms`` ran out), ``queue_empty`` (an open engine batch
+        found nothing more to admit) or ``draining`` (shutdown began)."""
         with self._lock:
             self._batch_sizes[size] += 1
+            if closed_by is not None:
+                self._close_reasons[closed_by] += 1
         self.batch_latency_ms.observe(latency_ms)
+
+    @property
+    def batch_close_reasons(self) -> dict[str, int]:
+        with self._lock:
+            return dict(sorted(self._close_reasons.items()))
 
     @property
     def batch_size_histogram(self) -> dict[int, int]:
@@ -251,6 +264,7 @@ class ServiceMetrics:
                 str(k): v for k, v in self.batch_size_histogram.items()
             },
             "mean_batch_size": self.mean_batch_size(),
+            "batch_close_reasons": self.batch_close_reasons,
             "completed_by_backend": self.completed_by_backend,
             "latency_ms": {
                 "p50": self.latency_ms.quantile(0.50),
@@ -289,6 +303,8 @@ def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
         lines.append(f"{size:10d}  {count:10d}")
     if not metrics.batch_size_histogram:
         lines.append(f"{'-':>10}  {0:10d}")
+    for reason, count in snap["batch_close_reasons"].items():
+        lines.append(f"  closed by [{reason}]: {count}")
     lines += [
         "",
         "Cache Statistics:",

@@ -5,10 +5,18 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
 
 * callers :meth:`~InferenceService.submit` single chips and receive
   ``concurrent.futures.Future`` objects;
-* a batcher thread coalesces waiting requests into micro-batches
-  (:class:`~repro.serve.batching.BatchPolicy`: dispatch at ``max_batch``
-  or after ``max_wait_ms``, whichever first) and hands them to a worker
-  pool running the model;
+* worker threads coalesce waiting requests into micro-batches
+  (:class:`~repro.serve.batching.BatchPolicy`) and run the model on
+  them.  A batch is cut from the queue only by a worker that is free to
+  run it, so whatever arrives while every worker is busy joins the next
+  batch instead of trailing a batch cut too early.  The eager and
+  ``predict_fn`` backends run a batch as one stacked call, cut at
+  ``max_batch`` or ``max_wait_ms`` after the oldest request arrived,
+  whichever first.  The engine backend runs its conv trunk one chip at
+  a time and only the head over the batch, so its batches are *open*:
+  the worker starts the oldest request's trunk at once, admits queued
+  requests between trunk runs, and closes the batch (queue empty, or
+  ``max_batch`` admitted) only when the head runs;
 * an LRU cache keyed by chip content hash answers repeat tiles without
   touching the model;
 * a bounded queue applies backpressure (:class:`QueueFullError`),
@@ -30,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +138,8 @@ class InferenceService:
     max_queue   : bounded-queue capacity; submits beyond it raise
                   :class:`QueueFullError`
     cache_size  : LRU entries (0 disables caching)
-    num_workers : model-execution threads; micro-batches from the batcher
-                  fan out across them
+    num_workers : model-execution threads; each cuts its own
+                  micro-batch from the queue when it is free to run one
     breaker     : :class:`~repro.serve.breaker.BreakerPolicy` for the
                   model-worker circuit breaker (None = defaults)
     max_batch_retries : immediate re-runs of a failed micro-batch before
@@ -146,11 +154,18 @@ class InferenceService:
                   backend (tallied in the metrics snapshot's
                   ``fallback_by_reason``), and repeated engine faults
                   trip an engine-scoped circuit breaker toward
-                  eager-only.  The engine serializes execution
-                  internally, so pair it with the default
-                  ``num_workers=1``; results record which backend
-                  produced them (:class:`DetectionResult` and the
-                  metrics snapshot's ``completed_by_backend``).
+                  eager-only.  Engine batches are *open*
+                  (:meth:`~repro.robust.GuardedEngine.predict_stream`):
+                  a free worker starts the oldest request's conv trunk
+                  without waiting ``max_wait_ms`` and keeps admitting
+                  queued requests of that chip shape between trunk
+                  runs, so the batch a chip lands in depends on
+                  arrival and answers agree with a direct engine call
+                  within float32 tolerance, not bitwise.  The engine
+                  serializes execution internally, so pair it with the
+                  default ``num_workers=1``; results record which
+                  backend produced them (:class:`DetectionResult` and
+                  the metrics snapshot's ``completed_by_backend``).
     engine      : a pre-built :class:`~repro.robust.GuardedEngine` to
                   serve with (implies ``backend="engine"``); lets tests
                   inject faulty compiled programs and deployments share
@@ -180,7 +195,7 @@ class InferenceService:
                   make ``fork`` unsafe), a one-time cost at creation.
 
     Use as a context manager or call :meth:`shutdown` explicitly —
-    the batcher and workers are non-daemon threads.
+    the workers are non-daemon threads.
     """
 
     def __init__(
@@ -244,12 +259,11 @@ class InferenceService:
                 lambda _model, stack, batch_size:
                 engine.predict_batch(stack, batch_size=batch_size)
             )
-            # pre-build the programs the batcher will actually dispatch
-            # (single stragglers and full micro-batches) so the first
-            # request never pays compile/bind latency inline
+            # an open batch closes at any size up to max_batch, so
+            # pre-build the trunk and every head: no request binds inline
             try:
                 warmup_ms = engine.warmup(
-                    sorted({1, self.policy.max_batch})
+                    range(1, self.policy.max_batch + 1)
                 )
             except Exception:
                 # a broken engine surfaces through the guarded per-batch
@@ -271,7 +285,7 @@ class InferenceService:
                 self._scan_pool.ensure_model(self.model)
 
         self._queue: deque[_Pending] = deque()
-        # O(1) batcher bookkeeping: same-shape counts decide batch
+        # O(1) batching bookkeeping: same-shape counts decide batch
         # readiness and deadline_count gates the expiry scan, so a wake
         # never walks the queue in the common (uniform, no-deadline) case
         self._shape_counts: Counter[tuple] = Counter()
@@ -279,17 +293,19 @@ class InferenceService:
         self._cond = threading.Condition()
         self._stopping = False
         self._draining = True
-        # At most num_workers batches in flight: the batcher blocks here
-        # instead of spilling into the executor's unbounded work queue,
-        # so max_queue is the real backpressure bound.
+        # One slot per running model call.  A worker takes one only when
+        # a batch is due and *before* cutting it (never while idle), so
+        # an inline_single caller can find a slot free, requests stay in
+        # the queue — where max_queue bounds them — until a model call
+        # can start, and a cut batch never waits behind busy workers.
         self._inflight = threading.Semaphore(num_workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="serve-worker"
-        )
-        self._batcher = threading.Thread(
-            target=self._batch_loop, name="serve-batcher"
-        )
-        self._batcher.start()
+        self._workers = [
+            threading.Thread(target=self._work_loop,
+                             name=f"serve-worker-{i}")
+            for i in range(num_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------
     # client surface
@@ -358,7 +374,7 @@ class InferenceService:
             # max_batch=1 with the low-latency opt-in: when nothing is
             # queued and a worker slot is free, run the request
             # synchronously on the caller's thread instead of paying the
-            # queue → batcher → pool round-trip (see BatchPolicy)
+            # queue → worker-thread round-trip (see BatchPolicy)
             with self._cond:
                 stopping = self._stopping
                 idle = not self._queue
@@ -366,7 +382,8 @@ class InferenceService:
                 self.metrics.rejected.inc()
                 raise ServiceStoppedError("service is shut down")
             if idle and self._inflight.acquire(blocking=False):
-                self._run_batch([pending])  # releases the inflight slot
+                # a batch of one at max_batch=1; releases the slot
+                self._run_batch([pending], "max_batch")
                 return pending.future
         with self._cond:
             if self._stopping:
@@ -538,8 +555,8 @@ class InferenceService:
             self._stopping = True
             self._draining = drain
             self._cond.notify_all()
-        self._batcher.join(timeout=timeout_s)
-        self._pool.shutdown(wait=True)
+        for worker in self._workers:
+            worker.join(timeout=timeout_s)
         with self._scan_pool_lock:
             if self._scan_pool is not None:
                 self._scan_pool.close()
@@ -551,87 +568,97 @@ class InferenceService:
             return len(self._queue)
 
     # ------------------------------------------------------------------
-    # batcher + workers
+    # workers
     # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
+    def _work_loop(self) -> None:
         while True:
-            batch = self._next_batch()
-            if batch is None:
+            cut = self._next_batch()
+            if cut is None:
                 break
-            if not self._dispatch(batch):
-                break
-        # fail leftovers on non-draining shutdown
-        with self._cond:
-            leftovers = list(self._queue)
-            self._queue.clear()
-            self._shape_counts.clear()
-            self._deadline_count = 0
-            self.metrics.queue_depth.set(0)
-        for pending in leftovers:
-            pending.future.set_exception(
-                ServiceStoppedError("service shut down before dispatch")
-            )
+            self._run_batch(*cut)  # releases the inflight slot
 
-    def _dispatch(self, batch: list[_Pending]) -> bool:
-        """Hand one batch to the worker pool, blocking while all workers
-        are busy.  Returns False when a non-draining shutdown interrupts
-        the wait (the batch is failed, the batcher should exit)."""
-        while not self._inflight.acquire(timeout=0.05):
-            with self._cond:
-                abort = self._stopping and not self._draining
-            if abort:
-                for pending in batch:
-                    pending.future.set_exception(
-                        ServiceStoppedError("service shut down before dispatch")
-                    )
-                return False
-        self._pool.submit(self._run_batch, batch)
-        return True
+    def _due_locked(self, now: float) -> str | None:
+        """Why a batch may be cut from the queue now, or None to wait.
 
-    def _next_batch(self) -> list[_Pending] | None:
-        """Block until a micro-batch is ready (or the service stops).
-
-        Returns None to terminate the batcher.  Coalescing rule: wait for
-        the first request, then keep gathering until ``max_batch`` chips
-        of the *same spatial shape* are waiting or ``max_wait_ms`` has
-        elapsed since that first request arrived.  Expired requests are
-        timed out here, at dispatch, so a timeout never needs its own
-        timer thread.
+        The engine's open batch is due as soon as anything is queued (it
+        is closed later, by :meth:`_run_batch`).  A batch that runs as
+        one stacked call gathers until ``max_batch`` chips of the oldest
+        request's *shape* are waiting or that request has aged
+        ``max_wait_ms``; a draining shutdown cuts what there is.
         """
-        policy = self.policy
-        with self._cond:
-            while True:
-                self._expire_locked()
-                if self._queue:
-                    break
-                if self._stopping:
-                    return None
-                self._cond.wait(timeout=0.05)
+        if not self._queue:
+            return None
+        oldest = self._queue[0]
+        if (self.engine is not None     # open: closes at max_batch or sooner
+                or self._shape_counts[oldest.chip.shape]
+                >= self.policy.max_batch):
+            return "max_batch"
+        if self._stopping:
+            return "draining"
+        if now >= oldest.enqueued_at + self.policy.max_wait_s:
+            return "timer"
+        return None
 
-            flush_at = self._queue[0].enqueued_at + policy.max_wait_s
-            while True:
-                self._expire_locked()
-                if not self._queue:
-                    if self._stopping:
-                        return None
-                    self._cond.wait(timeout=0.05)
-                    continue
-                shape = self._queue[0].chip.shape
-                ready = self._shape_counts[shape]
-                now = time.monotonic()
-                if (ready >= policy.max_batch or now >= flush_at
-                        or (self._stopping and self._draining)):
-                    return self._take_batch_locked(shape, policy.max_batch)
-                if self._stopping and not self._draining:
-                    return None
-                # wake at the flush point or the nearest request deadline,
-                # whichever comes first, so timeouts fire promptly
-                wake_at = flush_at
+    def _wait_due_locked(self) -> bool:
+        """Wait (``_cond`` held) until a batch is due; False when the
+        worker should exit instead.  Expired requests are timed out
+        here, so a timeout never needs its own timer thread."""
+        while True:
+            self._expire_locked()
+            if self._stopping and not (self._draining and self._queue):
+                return False
+            now = time.monotonic()
+            if self._due_locked(now):
+                return True
+            # wake at the flush point or the nearest request deadline,
+            # whichever comes first, so timeouts fire promptly (submit
+            # and shutdown notify)
+            wake_at = now + 0.05
+            if self._queue:
+                wake_at = self._queue[0].enqueued_at + self.policy.max_wait_s
                 if self._deadline_count:
                     for pending in self._queue:
                         if pending.deadline is not None:
                             wake_at = min(wake_at, pending.deadline)
-                self._cond.wait(timeout=max(wake_at - now, 1e-4))
+            self._cond.wait(timeout=max(wake_at - now, 1e-4))
+
+    def _next_batch(self) -> tuple[list[_Pending], str] | None:
+        """Block until this worker may run a micro-batch, then cut it.
+
+        Returns ``(batch, closed_by)`` with an ``_inflight`` slot held
+        for it, or None when the worker should exit.  The slot is taken
+        *before* the cut and the cut is whatever is due at that moment
+        (late-bound), so no batch is ever held while every model call is
+        busy.
+        """
+        while True:
+            with self._cond:
+                if not self._wait_due_locked():
+                    # non-draining shutdown, or nothing left to drain
+                    leftovers = list(self._queue)
+                    self._queue.clear()
+                    self._shape_counts.clear()
+                    self._deadline_count = 0
+                    self.metrics.queue_depth.set(0)
+                    break
+            if not self._inflight.acquire(timeout=0.05):
+                continue
+            with self._cond:
+                self._expire_locked()
+                closed_by = self._due_locked(time.monotonic())
+                if closed_by and (self._draining or not self._stopping):
+                    # an open batch starts as its oldest request alone
+                    limit = (1 if self.engine is not None
+                             else self.policy.max_batch)
+                    return self._take_batch_locked(
+                        self._queue[0].chip.shape, limit), closed_by
+            # another worker took it, it expired, or the service aborted
+            self._inflight.release()
+        for pending in leftovers:
+            pending.future.set_exception(
+                ServiceStoppedError("service shut down before dispatch")
+            )
+        return None
 
     def _take_batch_locked(self, shape: tuple, limit: int) -> list[_Pending]:
         """Pop up to ``limit`` same-shaped requests (SPP accepts any chip
@@ -675,40 +702,90 @@ class InferenceService:
             self._queue.extend(alive)
             self.metrics.queue_depth.set(len(self._queue))
 
-    def _run_batch(self, batch: list[_Pending]) -> None:
+    def _timed_out(self, pending: _Pending, now: float) -> bool:
+        """Fail ``pending`` if its deadline passed while it waited for
+        the model (queued, or cut and behind busy workers)."""
+        if not pending.expired(now):
+            return False
+        self.metrics.timeouts.inc()
+        pending.future.set_exception(RequestTimeoutError(
+            f"request waited {now - pending.enqueued_at:.3f}s, "
+            "deadline passed before inference"
+        ))
+        return True
+
+    def _admit_locked(self, shape: tuple) -> _Pending | None:
+        """Pop the oldest live queued request of ``shape`` for an open
+        batch, failing expired ones on the way; None when none waits."""
+        while self._shape_counts[shape]:
+            (pending,) = self._take_batch_locked(shape, 1)
+            if not self._timed_out(pending, time.monotonic()):
+                return pending
+        return None
+
+    def _run_batch(self, batch: list[_Pending], closed_by: str) -> None:
+        """Run one cut micro-batch on this thread and answer its
+        futures; releases the ``_inflight`` slot held for it.
+
+        On the engine backend the batch is still open: the guarded
+        engine pulls its chips one at a time, each just before that
+        chip's trunk runs, and once ``batch`` is used up the pull admits
+        queued requests of the same chip shape — appended to ``batch``,
+        so results, cache fills, metrics and a retry cover them — until
+        none waits (``queue_empty``), a non-draining shutdown began
+        (``draining``) or ``max_batch`` chips are in.  ``closed_by`` is
+        why a stacked batch was cut, and what an open batch reports if
+        it fills.
+        """
         try:
             started = time.monotonic()
             # a batch can out-wait its deadline behind busy workers, so
             # expire again at the moment work actually starts
-            live: list[_Pending] = []
-            for pending in batch:
-                if pending.expired(started):
-                    self.metrics.timeouts.inc()
-                    pending.future.set_exception(RequestTimeoutError(
-                        f"request waited {started - pending.enqueued_at:.3f}s, "
-                        "deadline passed before inference"
-                    ))
-                else:
-                    live.append(pending)
-            batch = live
+            batch = [p for p in batch if not self._timed_out(p, started)]
             if not batch:
                 return
             if not self.breaker.allow():
                 # tripped while these requests were queued: cache-only
                 self._serve_degraded(batch)
                 return
-            # single-request batches (stragglers, inline_single) skip the
-            # stack copy — chip[None] is a view with the same layout
-            stack = (batch[0].chip[None] if len(batch) == 1
-                     else np.stack([p.chip for p in batch]))
+
+            def admitted():
+                # runs inside the engine, with the engine lock held:
+                # never blocks, and nothing that holds _cond calls the
+                # engine (lock order engine -> _cond)
+                nonlocal closed_by
+                yield from [p.chip for p in batch]
+                shape = batch[0].chip.shape
+                while True:
+                    with self._cond:
+                        if self._stopping and not self._draining:
+                            # the rest of the queue is being failed
+                            closed_by = "draining"
+                            return
+                        pending = self._admit_locked(shape)
+                    if pending is None:
+                        closed_by = "queue_empty"
+                        return
+                    batch.append(pending)
+                    yield pending.chip
+
             attempts = 0
             used_backend = self.backend
             while True:
                 attempts += 1
                 try:
-                    out = self._predict_fn(
-                        self.model, stack, batch_size=len(batch)
-                    )
+                    if self.engine is not None and attempts == 1:
+                        out = self.engine.predict_stream(
+                            admitted(), self.policy.max_batch)
+                    else:
+                        # single-request batches (stragglers,
+                        # inline_single) skip the stack copy — chip[None]
+                        # is a view with the same layout
+                        stack = (batch[0].chip[None] if len(batch) == 1
+                                 else np.stack([p.chip for p in batch]))
+                        out = self._predict_fn(
+                            self.model, stack, batch_size=len(batch)
+                        )
                     # the guarded engine also reports which backend
                     # actually answered (engine, or eager on fallback)
                     if len(out) == 3:
@@ -729,7 +806,8 @@ class InferenceService:
                         return
                     self.metrics.worker_retries.inc()
             now = time.monotonic()
-            self.metrics.observe_batch(len(batch), (now - started) * 1e3)
+            self.metrics.observe_batch(len(batch), (now - started) * 1e3,
+                                       closed_by)
             for pending, conf, box in zip(batch, confidences, boxes):
                 result = DetectionResult(
                     float(conf), box.copy(), cached=False,

@@ -201,3 +201,78 @@ def test_ragged_last_batch_through_predict():
     ref_conf, ref_boxes = predict(model, x, batch_size=3)
     np.testing.assert_allclose(conf, ref_conf, atol=1e-5, rtol=1e-4)
     np.testing.assert_allclose(boxes, ref_boxes, atol=1e-5, rtol=1e-4)
+
+
+# -- lazy samples: the open form ---------------------------------------------
+
+def closed_loop(compiled: CompiledModel, x: np.ndarray) -> list[np.ndarray]:
+    """The depth-first pass as it ran when the batch was known up
+    front: each sample's boundary rows written straight into the head
+    bound at ``len(x)``.  Kept here as the reference for the lazy loop."""
+    trunk, head = compiled._programs_for(len(x), tuple(x.shape[1:]))
+    for i in range(len(x)):
+        trunk.feed(x[i:i + 1])
+        trunk.execute()
+        for name in trunk.outputs:
+            np.copyto(head.views[name][i:i + 1], trunk.views[name])
+    head.execute()
+    return head.extract()
+
+
+@pytest.mark.parametrize("quant", ["float32", "float16", "int8"])
+@pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
+def test_open_form_is_bitwise_predict_over_the_stacked_chips(name, quant):
+    model = SPPNetDetector(TABLE1_MODELS[name], seed=0).eval()
+    compiled = engine_compile(model, quant=quant)
+    x = np.random.default_rng(5).standard_normal(
+        (20,) + compiled.input_shape).astype(np.float32)
+    for n in BATCHES:
+        # __call__ / predict: the lazy loop returns the closed loop's bytes
+        assert bitwise(compiled(x[:n]), tuple(closed_loop(compiled, x[:n])))
+    for n in (1, 2, 3, 5, 8, 16):
+        stacked = compiled.predict(x[:n], batch_size=n)
+        # an iterator that ends before the limit, and one cut by it
+        assert bitwise(compiled.predict_stream(iter(x[:n]), 16), stacked)
+        assert bitwise(compiled.predict_stream(iter(x), n), stacked)
+    assert len(compiled._trunks) == 1
+
+
+def test_open_form_pulls_lazily_and_leaves_the_rest():
+    model = SPPNetDetector(sample_config(3, 3, 16), seed=4).eval()
+    compiled = engine_compile(model, (4, 32, 32))
+    x = np.random.default_rng(4).standard_normal(
+        (7, 4, 32, 32)).astype(np.float32)
+    pulls = []
+
+    def chips():
+        for i, chip in enumerate(x):
+            # pulled between trunk runs, never ahead: every earlier
+            # chip's trunk has written its row by now
+            pulls.append((i, compiled._lock.locked()))
+            yield chip
+
+    source = chips()
+    conf, boxes = compiled.predict_stream(source, 3)
+    assert pulls == [(0, True), (1, True), (2, True)]
+    assert conf.shape == (3,) and boxes.shape == (3, 4)
+    assert bitwise((conf, boxes), compiled.predict(x[:3], batch_size=3))
+    # the iterator still holds chips 3..6
+    rest = compiled.predict_stream(source, 16)
+    assert bitwise(rest, compiled.predict(x[3:], batch_size=4))
+    assert [i for i, _ in pulls] == list(range(7))
+
+    with pytest.raises(ValueError, match="batch must be >= 1"):
+        compiled.predict_stream(iter(()), 4)
+    mixed = [x[0], x[1][:, :30, :30]]
+    with pytest.raises(ValueError, match="share a sample shape"):
+        compiled.predict_stream(iter(mixed), 4)
+
+
+def test_open_form_on_an_all_head_module():
+    rng = np.random.default_rng(0)
+    mlp = Sequential(Linear(12, 16, rng=rng), ReLU(), Linear(16, 3, rng=rng))
+    compiled = engine_compile(mlp, (12,))
+    x = rng.standard_normal((5, 12)).astype(np.float32)
+    with compiled._lock:
+        (rows,) = compiled._forward(iter(x), 8, _Program.execute)
+    assert bitwise(rows, compiled(x))

@@ -1,5 +1,7 @@
 """Guarded engine→eager fallback: output checks, breaker, serve wiring."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,9 @@ class FaultyCompiled:
                 return np.zeros(n + 1), np.zeros((n + 1, 4))
             raise RuntimeError("injected engine crash")
         return predict(self.model, stack, batch_size=batch_size)
+
+    def predict_stream(self, chips, limit):
+        return self.predict(np.stack(list(islice(chips, limit))), limit)
 
 
 class TestGuardedEngine:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     NODATA,
@@ -11,7 +13,13 @@ from repro.faults import (
     SaturateStripe,
     TruncateTile,
 )
-from repro.robust import SanitizePolicy, sanitize_chip, sanitize_scene, validate_chip
+from repro.robust import (
+    ChipReport,
+    SanitizePolicy,
+    sanitize_chip,
+    sanitize_scene,
+    validate_chip,
+)
 
 
 def chip(seed=0, shape=(4, 24, 24)):
@@ -178,3 +186,81 @@ class TestSanitizeScene:
         fixed, result = sanitize_scene(image)
         assert result.status == "quarantined"
         assert np.isnan(fixed).all()  # caller quarantines per tile instead
+
+
+class TestCleanFastPath:
+    """validate_chip answers clean chips from per-band extrema; every
+    verdict, clean or not, must be the full inspection's."""
+
+    POLICIES = {
+        "default": SanitizePolicy(),
+        "for_serving": SanitizePolicy.for_serving(),
+        "for_scene": SanitizePolicy.for_scene(),
+        "quarantine_only": SanitizePolicy.quarantine_only(
+            valid_range=(0.0, 1.0)),
+        "expected_shape": SanitizePolicy(expected_shape=(24, 24),
+                                         expected_bands=4),
+        "odd_range": SanitizePolicy(nodata_value=0.1, valid_range=(0.1, 0.9)),
+    }
+    INJECTORS = {
+        "none": None,
+        "nan": lambda seed: NaNPepper(rate=0.01, seed=seed),
+        "holes": lambda seed: NodataHoles(holes=1, radius=2, seed=seed),
+        "drop": lambda seed: DropBand(seed=seed),
+        "drop_nodata": lambda seed: DropBand(fill=NODATA, seed=seed),
+        "stripe": lambda seed: SaturateStripe(width=1, seed=seed),
+        "truncate": lambda seed: TruncateTile(seed=seed),
+    }
+
+    @staticmethod
+    def agree(image, policy):
+        from repro.robust.sanitize import _inspect_chip, _is_clean
+
+        full = _inspect_chip(image, policy)
+        assert validate_chip(image, policy) == full
+        if image.size and image.dtype.kind == "f":
+            # exact, not merely conservative: the fast path takes every
+            # chip the inspection calls clean
+            assert _is_clean(image, policy) == full.ok
+        return full
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(policy=st.sampled_from(sorted(POLICIES)),
+           injector=st.sampled_from(sorted(INJECTORS)),
+           dtype=st.sampled_from(("float32", "float64", "float16")),
+           view=st.booleans(), seed=st.integers(0, 2**16))
+    def test_same_report_as_the_full_inspection(self, policy, injector,
+                                                dtype, view, seed):
+        image = chip(seed, shape=(4, 30, 30) if view else (4, 24, 24))
+        if self.INJECTORS[injector] is not None:
+            image = self.INJECTORS[injector](seed)(image)
+        image = image.astype(dtype)
+        if view:    # a window of a larger raster, as scans and serving send
+            image = image[:, 3:27, 3:27]
+        full = self.agree(image, self.POLICIES[policy])
+        if injector == "none" and policy != "odd_range":
+            assert full == ChipReport(ok=True, repairable=True, issues=(),
+                                      bad_fraction=0.0)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_edge_values(self, policy):
+        policy = self.POLICIES[policy]
+        base = chip()
+        edits = {
+            "inf": (0, 3, 3, np.inf), "neg_inf": (1, 0, 0, -np.inf),
+            "range_lo": (2, 5, 5, 0.0), "range_hi": (2, 5, 5, 1.0),
+            "above": (3, 1, 1, np.nextafter(np.float32(1.0), np.float32(2))),
+            "below": (3, 1, 1, -1e-30), "nodata": (0, 7, 7, NODATA),
+            "odd_nodata": (0, 7, 7, np.float32(0.1)),
+        }
+        for b, r, c, value in edits.values():
+            image = base.copy()
+            image[b, r, c] = value
+            self.agree(image, policy)
+        constant = base.copy()
+        constant[2] = 0.25
+        self.agree(constant, policy)
+        self.agree(np.full((4, 24, 24), np.nan, dtype=np.float32), policy)
+        self.agree(base[:3], policy)                    # missing band
+        self.agree(base[:, :0], policy)                 # empty chip
+        self.agree((base * 100).astype(np.int32), policy)   # not float

@@ -1,0 +1,383 @@
+"""Open micro-batches on the engine backend and the late-bound cut on
+every backend: who cuts a batch, when it closes, and that the guard's,
+the deadline's and shutdown's contracts hold over a batch that is still
+admitting requests while it runs.
+
+The engine tests drive the service through a compiled double whose open
+form pulls one chip, parks on an ``Event`` and only then keeps pulling,
+so what is queued at every pull is decided by the test, not by timing.
+"""
+
+import json
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.detect import SPPNetDetector
+from repro.engine import compiled_for
+from repro.robust import GuardedEngine
+from repro.serve import (
+    BatchPolicy,
+    InferenceService,
+    QueueFullError,
+    RequestTimeoutError,
+    ServiceStoppedError,
+    format_service_report,
+)
+
+ARCH = SPPNetConfig(
+    convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
+    spp_levels=(2, 1), fc_sizes=(32,), name="open-batch-test",
+)
+WAIT = 10.0     # every wait in this file is bounded by it
+
+
+@pytest.fixture(scope="module")
+def model():
+    return SPPNetDetector(ARCH, seed=0).eval()
+
+
+def chips(n, seed=0, size=24):
+    rng = np.random.default_rng(seed)
+    return rng.random((n, 4, size, size)).astype(np.float32)
+
+
+class GatedCompiled:
+    """The real compiled model behind an open form that pulls one chip,
+    signals ``first_pulled``, waits for ``gate`` and then keeps pulling.
+    ``raise_after`` makes the first open call raise once that many chips
+    are pulled."""
+
+    def __init__(self, model, raise_after=None):
+        self.compiled = compiled_for(model)
+        self.first_pulled = threading.Event()
+        self.gate = threading.Event()
+        self.raise_after = raise_after
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.compiled, name)
+
+    def predict_stream(self, chips, limit):
+        self.calls += 1
+        call = self.calls
+
+        def gated():
+            yield next(chips)       # the opening request; its trunk runs
+            if call == 1:           # the engine now asks for a second chip
+                self.first_pulled.set()
+                assert self.gate.wait(WAIT)
+            pulled = 1
+            while not (call == 1 and pulled == self.raise_after):
+                chip = next(chips, None)
+                if chip is None:
+                    return
+                pulled += 1
+                yield chip
+            raise RuntimeError("injected engine crash")
+
+        return self.compiled.predict_stream(gated(), limit)
+
+
+def gated_service(model, policy, raise_after=None, **kwargs):
+    """A cache-less service over a gated engine, and the double."""
+    double = GatedCompiled(model, raise_after)
+    service = InferenceService(model, policy, cache_size=0,
+                               engine=GuardedEngine(model, compiled=double),
+                               **kwargs)
+    return service, double
+
+
+def open_first_batch(service, double, chip):
+    """Submit ``chip`` and return once its trunk is done and the engine
+    is parked asking for a second chip."""
+    first = service.submit(chip)
+    assert double.first_pulled.wait(WAIT)
+    return first
+
+
+class TestOpenBatch:
+    def test_requests_arriving_during_a_trunk_join_the_batch(self, model):
+        batch = chips(6)
+        service, double = gated_service(model, BatchPolicy(max_batch=8))
+        with service:
+            futures = [open_first_batch(service, double, batch[0])]
+            futures += service.submit_many(batch[1:])
+            double.gate.set()
+            results = [f.result(timeout=WAIT) for f in futures]
+            snap = service.metrics.snapshot()
+        assert snap["batch_size_histogram"] == {"6": 1}
+        assert snap["batch_close_reasons"] == {"queue_empty": 1}
+        assert [r.batch_size for r in results] == [6] * 6
+        assert {r.backend for r in results} == {"engine"}
+        conf, boxes, _ = GuardedEngine(model).predict_batch(batch)
+        np.testing.assert_allclose([r.confidence for r in results], conf,
+                                   atol=1e-6)
+        np.testing.assert_allclose(np.stack([r.box for r in results]),
+                                   boxes, atol=1e-6)
+        assert snap["queue_depth"] == 0 and snap["queue_depth_peak"] == 5
+
+    def test_batch_closes_at_max_batch_and_the_rest_ride_the_next(self, model):
+        batch = chips(5)
+        service, double = gated_service(model, BatchPolicy(max_batch=3))
+        with service:
+            futures = [open_first_batch(service, double, batch[0])]
+            futures += service.submit_many(batch[1:])
+            double.gate.set()
+            sizes = [f.result(timeout=WAIT).batch_size for f in futures]
+            snap = service.metrics.snapshot()
+        assert sizes == [3, 3, 3, 2, 2]
+        assert snap["batch_close_reasons"] == {"max_batch": 1,
+                                               "queue_empty": 1}
+        json.dumps(snap, allow_nan=False)       # strict-JSON-safe
+        report = format_service_report(service.metrics)
+        assert "closed by [max_batch]: 1" in report
+        assert "closed by [queue_empty]: 1" in report
+
+    def test_lone_request_does_not_wait_for_company(self, model):
+        policy = BatchPolicy(max_batch=8, max_wait_ms=500.0)
+        with InferenceService(model, policy, backend="engine") as service:
+            start = time.monotonic()
+            result = service.submit(chips(1)[0]).result(timeout=WAIT)
+            elapsed = time.monotonic() - start
+        assert result.batch_size == 1 and result.backend == "engine"
+        assert elapsed < 0.25
+
+    def test_only_same_shaped_requests_are_admitted(self, model):
+        small, large = chips(3, size=24), chips(2, seed=1, size=32)
+        service, double = gated_service(model, BatchPolicy(max_batch=8))
+        with service:
+            futures = [open_first_batch(service, double, small[0])]
+            futures += service.submit_many(
+                [large[0], small[1], large[1], small[2]])
+            double.gate.set()
+            sizes = [f.result(timeout=WAIT).batch_size for f in futures]
+            hist = service.metrics.batch_size_histogram
+        assert sizes == [3, 2, 3, 2, 3] and hist == {2: 1, 3: 1}
+
+    def test_expired_joiner_times_out_and_the_batch_goes_on(self, model):
+        batch = chips(4)
+        service, double = gated_service(model, BatchPolicy(max_batch=8))
+        with service:
+            first = open_first_batch(service, double, batch[0])
+            live = service.submit(batch[1])
+            doomed = service.submit(batch[2], timeout_s=0.01)
+            last = service.submit(batch[3], timeout_s=WAIT)
+            time.sleep(0.05)
+            double.gate.set()
+            with pytest.raises(RequestTimeoutError):
+                doomed.result(timeout=WAIT)
+            sizes = [f.result(timeout=WAIT).batch_size
+                     for f in (first, live, last)]
+            snap = service.metrics.snapshot()
+            assert service._deadline_count == 0
+            assert not service._shape_counts
+        assert sizes == [3, 3, 3]
+        assert snap["timeouts"] == 1 and snap["completed"] == 3
+        assert snap["batch_size_histogram"] == {"3": 1}
+
+    def test_engine_failure_mid_batch_falls_back_for_the_pulled_chips(
+            self, model):
+        batch = chips(5)
+        service, double = gated_service(model, BatchPolicy(max_batch=8),
+                                        raise_after=3)
+        with service:
+            futures = [open_first_batch(service, double, batch[0])]
+            futures += service.submit_many(batch[1:])
+            double.gate.set()
+            results = [f.result(timeout=WAIT) for f in futures]
+            snap = service.metrics.snapshot()
+        assert [(r.backend, r.batch_size) for r in results] == (
+            [("eager", 3)] * 3 + [("engine", 2)] * 2)
+        assert snap["fallback_by_reason"] == {"engine_error": 1}
+        assert snap["worker_failures"] == 0
+        conf, _, _ = GuardedEngine(model).predict_batch(batch)
+        np.testing.assert_allclose([r.confidence for r in results], conf,
+                                   atol=1e-5)
+
+    def test_retry_reruns_the_admitted_members_as_a_closed_stack(self, model):
+        """The guard itself failing (engine and eager both) is the
+        service's retry: every admitted member is in the re-run."""
+        batch = chips(3)
+        guard = GuardedEngine(model)
+        stream, seen = guard.predict_stream, []
+
+        def failing_stream(source, limit):
+            stream(source, limit)
+            raise RuntimeError("injected guard failure")
+
+        def closed(stack, batch_size=None):
+            seen.append(len(stack))
+            return GuardedEngine.predict_batch(guard, stack, batch_size)
+
+        guard.predict_stream, guard.predict_batch = failing_stream, closed
+        with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
+                              engine=guard, max_queue=8) as service:
+            with service._cond:     # all three queued before the cut
+                futures = service.submit_many(batch)
+            sizes = [f.result(timeout=WAIT).batch_size for f in futures]
+            snap = service.metrics.snapshot()
+        assert sizes == [3, 3, 3] and seen == [3]
+        assert snap["worker_retries"] == 1 and snap["completed"] == 3
+
+
+class TestLateBoundCut:
+    def test_busy_worker_cuts_nothing_until_it_is_free(self, model):
+        """Five requests arrive over several ``max_wait_ms`` while the
+        only worker is busy: they are one batch, not a trail of
+        timer-cut ones."""
+        entered, release, sizes = threading.Event(), threading.Event(), []
+
+        def predict_fn(_model, stack, batch_size):
+            sizes.append(len(stack))
+            if len(sizes) == 1:
+                entered.set()
+                assert release.wait(WAIT)
+            return np.zeros(len(stack)), np.zeros((len(stack), 4))
+
+        policy = BatchPolicy(max_batch=8, max_wait_ms=5.0)
+        with InferenceService(model, policy, cache_size=0,
+                              predict_fn=predict_fn) as service:
+            futures = [service.submit(chips(1)[0])]
+            assert entered.wait(WAIT)
+            for chip in chips(5, seed=1):
+                futures.append(service.submit(chip))
+                time.sleep(0.004)
+            release.set()
+            for future in futures:
+                future.result(timeout=WAIT)
+            snap = service.metrics.snapshot()
+        assert sizes == [1, 5]
+        assert snap["batch_close_reasons"] == {"timer": 2}
+
+    def test_stacked_batches_close_on_max_batch_or_the_timer(self, model):
+        policy = BatchPolicy(max_batch=4, max_wait_ms=200.0)
+        with InferenceService(model, policy, cache_size=0) as service:
+            with service._cond:     # all four queued before the cut
+                full = service.submit_many(chips(4))
+            assert [f.result(timeout=WAIT).batch_size for f in full] == [4] * 4
+            lone = service.submit(chips(1, seed=1)[0]).result(timeout=WAIT)
+            snap = service.metrics.snapshot()
+        assert lone.batch_size == 1
+        assert snap["batch_close_reasons"] == {"max_batch": 1, "timer": 1}
+
+    def test_idle_workers_hold_no_model_slot(self, model):
+        with InferenceService(model, num_workers=2) as service:
+            service.submit(chips(1)[0]).result(timeout=WAIT)
+            time.sleep(0.05)
+            held = [service._inflight.acquire(blocking=False)
+                    for _ in range(3)]
+            for _ in range(sum(held)):
+                service._inflight.release()
+        assert held == [True, True, False]
+
+
+class TestShutdownAndBackpressure:
+    def test_drain_during_an_open_batch_completes_everything(self, model):
+        batch = chips(5)
+        service, double = gated_service(model, BatchPolicy(max_batch=8))
+        futures = [open_first_batch(service, double, batch[0])]
+        futures += service.submit_many(batch[1:])
+        stopper = threading.Thread(target=service.shutdown)
+        stopper.start()
+        while not service._stopping:
+            time.sleep(0.001)
+        with pytest.raises(ServiceStoppedError):
+            service.submit(batch[0])
+        double.gate.set()
+        stopper.join(WAIT)
+        assert not stopper.is_alive()
+        assert all(f.result(timeout=0).backend == "engine" for f in futures)
+        assert service.metrics.completed.value == 5
+
+    def test_abort_fails_only_requests_never_admitted(self, model):
+        batch = chips(5)
+        service, double = gated_service(model, BatchPolicy(max_batch=8))
+        first = open_first_batch(service, double, batch[0])
+        queued = service.submit_many(batch[1:])
+        stopper = threading.Thread(target=service.shutdown,
+                                   kwargs={"drain": False})
+        stopper.start()
+        while not service._stopping:
+            time.sleep(0.001)
+        double.gate.set()
+        stopper.join(WAIT)
+        assert not stopper.is_alive()
+        assert first.result(timeout=0).batch_size == 1
+        for future in queued:
+            with pytest.raises(ServiceStoppedError):
+                future.result(timeout=0)
+        assert service.metrics.batch_close_reasons == {"draining": 1}
+        assert service.queue_depth == 0
+
+    def test_full_queue_rejects_while_a_batch_is_open(self, model):
+        batch = chips(4)
+        service, double = gated_service(model, BatchPolicy(max_batch=8),
+                                        max_queue=2)
+        with service:
+            accepted = [open_first_batch(service, double, batch[0])]
+            accepted += service.submit_many(batch[1:3])
+            with pytest.raises(QueueFullError):
+                service.submit(batch[3])
+            assert service.metrics.rejected.value == 1
+            double.gate.set()
+            assert [f.result(timeout=WAIT).batch_size
+                    for f in accepted] == [3, 3, 3]
+
+
+class TestStress:
+    @pytest.mark.parametrize("backend", ["engine", "custom"])
+    def test_every_request_is_answered_exactly_once(self, model, backend):
+        """More workers and submitters than cores, a short switch
+        interval: each request gets its own chip's answer, the batch
+        histogram accounts for every request, and the queue's O(1)
+        bookkeeping ends at zero."""
+        def predict_fn(_model, stack, batch_size):
+            return stack[:, 0, 0, 0].astype(np.float64), np.zeros(
+                (len(stack), 4))
+
+        kwargs = ({"backend": "engine"} if backend == "engine"
+                  else {"predict_fn": predict_fn, "num_workers": 4})
+        per_client, clients = 40, 6
+        total = per_client * clients
+        stack = chips(total, seed=7)
+        want = (GuardedEngine(model).predict(stack)[0] if backend == "engine"
+                else stack[:, 0, 0, 0])
+        got = np.full(total, np.nan)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            policy = BatchPolicy(max_batch=5, max_wait_ms=1.0)
+            with InferenceService(model, policy, cache_size=0,
+                                  **kwargs) as service:
+                def client(k):
+                    try:
+                        rows = range(k * per_client, (k + 1) * per_client)
+                        futures = [service.submit(stack[i], timeout_s=WAIT)
+                                   for i in rows]
+                        for i, future in zip(rows, futures):
+                            got[i] = future.result(timeout=WAIT).confidence
+                    except Exception as exc:  # pragma: no cover - diagnostic
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=client, args=(k,))
+                           for k in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(4 * WAIT)
+                assert not any(thread.is_alive() for thread in threads)
+                hist = service.metrics.batch_size_histogram
+                assert service._deadline_count == 0
+                assert not service._shape_counts and not service._queue
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        np.testing.assert_allclose(got, want, atol=1e-5)
+        assert sum(size * n for size, n in hist.items()) == total
+        assert max(hist) <= 5
