@@ -22,9 +22,9 @@ same scene scanned by
 
 * sequential eager / sequential engine : one process (the floor and
   the compiled baseline);
-* parallel eager / parallel engine :
-  :func:`~repro.scanpar.parallel_scan_scene` with shared-memory
-  sharding, measured both *cold* (private pool: worker spawn + model
+* parallel eager / parallel engine : ``scan_scene(n_workers=N)`` with
+  shared-memory sharding, measured both *cold* (a private throwaway
+  ``WorkerPool`` built inside the timed call: worker spawn + model
   send + engine warmup inside the timed region) and *warm* (the
   persistent shared pool, workers already holding the deserialized
   model and its warmed engine);
@@ -71,8 +71,8 @@ from repro.engine import compiled_for
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
     TileSource,
+    WorkerPool,
     default_start_method,
-    parallel_scan_scene,
     resolve_n_workers,
     spawn_cost_ms,
     warm_pool,
@@ -209,10 +209,10 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
                                batch_size=BATCH_SIZE)
     forced = n_workers if n_workers is not None else max(2, auto_n)
 
-    def scan(fn=scan_scene, **kwargs):
-        return fn(model, scene, window=WINDOW, stride=STRIDE,
-                  confidence_threshold=CONFIDENCE, batch_size=BATCH_SIZE,
-                  **kwargs)
+    def scan(**kwargs):
+        return scan_scene(model, scene, window=WINDOW, stride=STRIDE,
+                          confidence_threshold=CONFIDENCE,
+                          batch_size=BATCH_SIZE, **kwargs)
 
     # Parity is a *per-backend* contract: the sharded scan must
     # reproduce the sequential scan of the same backend exactly (engine
@@ -221,16 +221,19 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
     reference = {backend: scan(backend=backend, n_workers=1)
                  for backend in ("eager", "engine")}
 
-    # The cold row runs with a private throwaway pool (reuse_pool=False,
-    # a parallel_scan_scene knob scan_scene does not forward) *before*
+    # The cold row builds a private throwaway pool inside its timed call
+    # (spawn + model send + engine warmup are what it measures) *before*
     # any shared-pool scan; one untimed shared-pool scan then populates
     # the pool, so the paired rounds time workers that already hold the
     # model and its warmed engine.  Each round runs every paired
     # configuration once, starting one further down the list than the
     # last, so no configuration always inherits the same predecessor's
     # spinning BLAS threads.
-    cold = dict(fn=parallel_scan_scene, backend="engine", n_workers=forced,
-                reuse_pool=False)
+    cold = dict(backend="engine", n_workers=forced)
+
+    def cold_scan():
+        with WorkerPool(forced) as private:
+            return scan(pool=private, **cold)
     paired = {
         "sequential-eager": dict(backend="eager", n_workers=1),
         "parallel-eager": dict(backend="eager", n_workers=forced),
@@ -239,7 +242,7 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
         "parallel-engine": dict(backend="engine", n_workers=forced),
     }
     results: dict[str, object] = {}
-    cold_ms, results["parallel-engine-cold"] = timed_ms(lambda: scan(**cold))
+    cold_ms, results["parallel-engine-cold"] = timed_ms(cold_scan)
     for backend in reference:
         scan(backend=backend, n_workers=forced)
     labels = list(paired)

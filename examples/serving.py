@@ -20,7 +20,7 @@ Usage::
 import argparse
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
+from repro.detect import SPPNetDetector
 from repro.geo import WatershedConfig, build_scene
 from repro.serve import (
     BatchPolicy,
@@ -58,15 +58,15 @@ def main() -> None:
 
     with InferenceService(model, policy, num_workers=args.workers) as service:
         print("\n== 2. Scene scan through the service ==")
-        detections = scan_scene(model, scene, window=args.window,
-                                stride=args.stride,
-                                confidence_threshold=0.5, service=service)
+        detections = service.scan_scene(scene, window=args.window,
+                                        stride=args.stride,
+                                        confidence_threshold=0.5)
         print(f"   {service.metrics.completed.value} windows served, "
               f"{len(detections)} detections after NMS")
 
         print("\n== 3. Repeat scan: tiles come back from the LRU cache ==")
-        scan_scene(model, scene, window=args.window, stride=args.stride,
-                   confidence_threshold=0.5, service=service)
+        service.scan_scene(scene, window=args.window, stride=args.stride,
+                           confidence_threshold=0.5)
         print(f"   cache hit rate now "
               f"{100 * service.metrics.cache_hit_rate():.1f}%")
 

@@ -18,23 +18,29 @@ once per scene row chunk and each window only crops their feature map
 ever materialized and the result is bitwise the per-window one.  On the
 eager backend tiles stream through a strided-view micro-batch buffer
 (:class:`repro.scanpar.TileSource`), so peak tile memory is one
-``batch_size`` stack regardless of scene size.  ``n_workers > 1`` shards
-the scan across processes (:func:`repro.scanpar.parallel_scan_scene`)
-with a byte-identical determinism contract — see ``docs/scanning.md``.
+``batch_size`` stack regardless of scene size.
 
 Production scenes are not pristine: tiles arrive with NaN pixels, nodata
 holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
-``sanitize=`` and/or ``journal=`` switches :func:`scan_scene` into its
-*robust* mode — every tile is validated/repaired/quarantined behind a
+``sanitize=`` and/or ``journal=`` swaps the batched stage for the
+*robust* one — every tile is validated/repaired/quarantined behind a
 per-tile fault boundary, outcomes stream to an append-only JSONL scan
 journal, and ``resume=True`` replays a crashed scan's journaled tiles
 verbatim so the finished result is identical to an uninterrupted run.
+
+There is one pipeline (``docs/scanning.md``): :func:`scan_scene` plans
+the scan, :func:`scan_span` runs a span of its tiles through either
+stage, and the only thing ``n_workers`` changes is where ``scan_span``
+runs — once, inline, over the whole scan, or once per batch-aligned
+shard inside :mod:`repro.scanpar` pool workers, with a byte-identical
+merge.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,7 +54,6 @@ from .sppnet import SPPNetDetector
 if TYPE_CHECKING:
     from ..robust.journal import ScanJournal, TileRecord
     from ..robust.sanitize import SanitizePolicy
-    from ..serve import InferenceService
 
 __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
            "ScanDetections", "ScanDeadlineError", "scan_origins",
@@ -222,7 +227,6 @@ def scan_scene(
     confidence_threshold: float = 0.7,
     nms_radius: float = 20.0,
     batch_size: int = 20,
-    service: "InferenceService | None" = None,
     backend: str = "eager",
     sanitize: "SanitizePolicy | None" = None,
     journal: "ScanJournal | str | None" = None,
@@ -234,211 +238,211 @@ def scan_scene(
 ) -> ScanDetections:
     """Detect crossings across a whole scene.
 
-    Overlapping windows (default 50% overlap) guarantee every crossing is
-    near the center of at least one window; the per-window box regression
-    is mapped back to scene coordinates before NMS.  The confidence
-    threshold defaults to 0.7 like the related-work faster-R-CNN baseline.
+    Overlapping windows (default 50% overlap) put every crossing near
+    the center of at least one window; each window's box regression is
+    mapped back to scene coordinates before NMS.  The confidence
+    threshold defaults to 0.7 like the related-work faster-R-CNN
+    baseline.  The result is a :class:`ScanDetections`: a list that also
+    carries the scan's :class:`ScanCoverage`.
 
-    Memory does not grow with the scene's tile count: an engine scan
-    holds a few rows of shared feature map (linear in the scene's
-    width), an eager scan one reused micro-batch buffer of
-    ``batch_size * bands * window**2`` floats.  ``n_workers > 1`` (or
-    ``"auto"``, which derives the count from CPU affinity and scene
-    size and inlines to sequential when parallelism cannot win) runs
-    the scan sharded across the persistent warm worker pool
-    (:func:`repro.scanpar.parallel_scan_scene`): the scene raster is
-    shared zero-copy, pool workers cache the deserialized model and its
-    warmed compiled engine across scans, results return through
-    shared-memory slabs, and the merged result is byte-identical to
-    this sequential scan.  ``pool`` optionally pins the scan to a
-    caller-owned :class:`repro.scanpar.WorkerPool`.
+    What a caller chooses (``docs/scanning.md``, "One pipeline"):
 
-    With a ``service`` (:class:`repro.serve.InferenceService`), windows
-    are submitted as individual requests instead of one local ``predict``
-    call — the service micro-batches them, repeat tiles hit its LRU
-    cache, and concurrent scans share the same worker pool.  The
-    service's own backend applies there; ``backend`` selects the local
-    path's execution (``"engine"`` = compiled inference engine).
-
-    Passing ``sanitize`` (a :class:`~repro.robust.SanitizePolicy`) or
-    ``journal`` (a path or :class:`~repro.robust.ScanJournal`) enables
-    the robust path: tiles are sanitized per policy, every tile runs
-    behind its own fault boundary (a poisoned tile is quarantined and
-    recorded, never fatal), outcomes stream to the journal, and
-    ``resume=True`` continues a crashed scan from it — journaled tiles
-    are replayed verbatim, so the resumed result is identical to an
-    uninterrupted run.  The robust path executes the model one tile at a
-    time: that per-tile isolation is what makes quarantine exact and
-    resumed numerics batch-composition-independent.  With
-    ``backend="engine"`` it also runs through the guarded engine→eager
-    fallback (:class:`~repro.robust.GuardedEngine`).
-
-    ``timeout_s`` bounds the scan's wall clock: past the deadline the
-    scan raises :class:`ScanDeadlineError` instead of running on.  On
-    the sequential paths the deadline is checked between batches (or
-    tiles, on the robust path — journaled tiles stay resumable); on the
-    parallel path it becomes the fleet supervisor's run deadline, and
-    on the service path it bounds each submitted request.
-    ``supervision`` (a ``repro.fleet.SupervisionPolicy``, or ``True``
-    for the defaults) enables supervised dispatch on the parallel path:
-    per-shard deadlines, hung/dead worker recovery, and poison-shard
-    quarantine — see ``docs/fleet.md``.
-
-    The returned list is a :class:`ScanDetections` carrying a
-    :class:`ScanCoverage` (on the non-robust path it simply reports full
-    coverage).
+    * ``backend``: ``"eager"`` or ``"engine"`` (the compiled engine,
+      which computes what overlapping windows share once per scene).
+    * ``sanitize`` (a :class:`~repro.robust.SanitizePolicy`) and/or
+      ``journal`` (a path or :class:`~repro.robust.ScanJournal`) select
+      the *robust* stage: each tile is sanitized, run alone behind its
+      own fault boundary (a poisoned tile is quarantined, never fatal)
+      and journaled; ``resume=True`` replays a crashed scan's journaled
+      tiles verbatim, so the result equals the uninterrupted one.
+      Without them tiles run in micro-batches of ``batch_size``.
+    * ``n_workers``: 1 runs the scan in this process; more (or
+      ``"auto"``, which picks from CPU affinity and scene size and may
+      pick 1) shards it over a persistent warm
+      :class:`~repro.scanpar.WorkerPool` (``pool``, default the shared
+      one), byte-identical to ``n_workers=1``.
+    * ``timeout_s`` bounds the wall clock: past it the scan raises
+      :class:`ScanDeadlineError` (journaled tiles stay resumable).
+      ``supervision`` (a ``repro.fleet.SupervisionPolicy`` or ``True``)
+      recovers hung, dead and poisoned pool workers (``docs/fleet.md``);
+      its report is attached as ``.supervision``.
     """
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout_s must be positive or None")
+    if n_workers != "auto" and (isinstance(n_workers, str) or n_workers < 1):
+        raise ValueError(
+            f"n_workers must be an int >= 1 or 'auto', got {n_workers!r}")
+    if resume and journal is None:
+        raise ValueError("resume=True requires a journal")
     deadline_at = (time.monotonic() + timeout_s
                    if timeout_s is not None else None)
-    if isinstance(n_workers, str):
-        if n_workers != "auto":
-            raise ValueError(
-                f"n_workers must be an int >= 1 or 'auto', got {n_workers!r}"
-            )
-    elif n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if n_workers == "auto" or n_workers > 1:
-        if service is not None:
-            raise ValueError(
-                "parallel scanning shards the local model across "
-                "processes; scan through a service with n_workers=1"
-            )
-        from ..scanpar import parallel_scan_scene
+    image = scene.image
+    origins = scan_origins(scene.size, window, stride)
 
-        return parallel_scan_scene(
-            model, scene, window=window, stride=stride,
-            confidence_threshold=confidence_threshold,
-            nms_radius=nms_radius, batch_size=batch_size, backend=backend,
-            sanitize=sanitize, journal=journal, resume=resume,
-            n_workers=n_workers, pool=pool,
-            deadline_s=timeout_s, supervision=supervision,
-        )
+    shards: list = []
+    if n_workers != 1:
+        from ..scanpar import partition_origins, resolve_n_workers
 
-    n = scene.size
-    origins = scan_origins(n, window, stride)
+        shards = partition_origins(len(origins), resolve_n_workers(
+            n_workers, n_origins=len(origins), batch_size=batch_size,
+            pool_warm=True if pool is not None else None), batch_size)
+        if len(shards) < 2:
+            shards = []
+            if n_workers != "auto":   # "auto" picking one is a verdict
+                warnings.warn(
+                    f"n_workers={n_workers} requested, but {len(origins)} "
+                    f"origins at batch_size={batch_size} make fewer than "
+                    f"two batch-aligned shards: scanning inline",
+                    RuntimeWarning, stacklevel=2)
 
+    meta = _scan_meta(scene.size, image.shape[0], window, stride,
+                      confidence_threshold, backend)
+    policy, jr, done = sanitize, None, {}
     if sanitize is not None or journal is not None:
-        if service is not None:
-            raise ValueError(
-                "robust scanning (sanitize/journal) applies to the local "
-                "path; sanitize service requests via the service's own "
-                "validation instead"
-            )
-        return _scan_scene_robust(
-            model, scene, origins, window=window, stride=stride,
-            confidence_threshold=confidence_threshold,
-            nms_radius=nms_radius, backend=backend,
-            policy=sanitize, journal=journal, resume=resume,
-            deadline_at=deadline_at,
-        )
-    if resume:
-        raise ValueError("resume=True requires a journal")
+        from ..robust.journal import ScanJournal
+        from ..robust.sanitize import SanitizePolicy
 
-    if service is not None:
-        # per-origin strided views: zero-copy until the service's own
-        # batcher stacks a micro-batch.  The scan deadline rides along
-        # as each request's dispatch deadline, so a wedged service fails
-        # the scan with a timeout instead of blocking it forever.
-        from ..scanpar.tiling import TileSource
-        from ..serve.service import RequestTimeoutError
+        if policy is None:
+            policy = SanitizePolicy.for_scene(bands=image.shape[0])
+        if journal is not None:
+            jr = (journal if isinstance(journal, ScanJournal)
+                  else ScanJournal(journal))
+            if resume:
+                done = jr.resume_or_start(meta)
+            else:
+                jr.start(meta)
 
-        tiles = TileSource(scene.image, window, batch_size=batch_size)
-        futures = [
-            service.submit(np.asarray(tiles.tile(origin), dtype=np.float32),
-                           timeout_s=timeout_s)
-            for origin in origins
-        ]
-        results = []
-        for future in futures:
-            remaining = None
-            if deadline_at is not None:
-                remaining = max(deadline_at - time.monotonic(), 1e-3)
-            try:
-                results.append(future.result(timeout=remaining))
-            except (TimeoutError, RequestTimeoutError) as exc:
-                raise ScanDeadlineError(
-                    f"scan deadline ({timeout_s:.1f}s) expired with "
-                    f"{len(results)} of {len(origins)} tiles answered"
-                ) from exc
-        confidences = np.array([r.confidence for r in results])
-        boxes = np.stack([r.box for r in results])
+    # what every span of this scan runs with, wherever it runs
+    stage = dict(batch_size=batch_size, policy=policy, skip=frozenset(done),
+                 journal=jr, deadline_at=deadline_at)
+    report = None
+    if not shards:
+        payloads = [scan_span(
+            model, image, origins, (0, len(origins)), window=window,
+            backend=backend, confidence_threshold=confidence_threshold,
+            **stage)]
     else:
-        batches = predict_windows(model, scene.image, origins, window,
-                                  batch_size=batch_size, backend=backend)
-        conf_parts: list[np.ndarray] = []
-        box_parts: list[np.ndarray] = []
+        from ..scanpar.parallel import run_shards
+
+        payloads, report = run_shards(model, image, origins, shards, meta,
+                                      pool=pool, supervision=supervision,
+                                      **stage)
+        if jr is not None:
+            # fold every shard journal into the one resumable main
+            # journal, then drop the shard files
+            jr.absorb_shards(meta)
+
+    # shard order == origin order: concatenation restores the sequence
+    # the inline scan feeds to threshold + NMS
+    if policy is None:
+        detections = _detections_from_outputs(
+            origins, np.concatenate([p["confidences"] for p in payloads]),
+            np.concatenate([p["boxes"] for p in payloads]),
+            window, confidence_threshold)
+        coverage = ScanCoverage(tiles_total=len(origins),
+                                tiles_scanned=len(origins))
+    else:
+        records = sorted(
+            [*done.values(), *(r for p in payloads for r in p["records"])],
+            key=lambda rec: rec.index)
+        detections = [
+            SceneDetection(row=row, col=col, height=h, width=w,
+                           confidence=conf)
+            for rec in records for (row, col, h, w, conf) in rec.detections
+        ]
+        statuses = [rec.status for rec in records]
+        coverage = ScanCoverage(
+            tiles_total=len(origins),
+            tiles_scanned=statuses.count("ok") + statuses.count("repaired"),
+            tiles_repaired=statuses.count("repaired"),
+            tiles_quarantined=statuses.count("quarantined"),
+            tiles_resumed=len(done),
+            engine_fallbacks=sum(sum(p["fallbacks"].values())
+                                 for p in payloads),
+        )
+    result = ScanDetections(non_max_suppression(detections, radius=nms_radius),
+                            coverage)
+    if report is not None:
+        result.supervision = report
+    return result
+
+
+def scan_span(
+    model: SPPNetDetector,
+    image: np.ndarray,
+    origins: list[tuple[int, int]],
+    span: tuple[int, int],
+    *,
+    window: int,
+    batch_size: int,
+    backend: str,
+    confidence_threshold: float,
+    policy: "SanitizePolicy | None" = None,
+    skip: frozenset = frozenset(),
+    journal: "ScanJournal | None" = None,
+    deadline_at: float | None = None,
+) -> dict:
+    """The tile pipeline: run ``origins[start:stop]`` of a scan over
+    ``image`` and return the span's payload.
+
+    :func:`scan_scene` calls it once over the whole scan (inline) or
+    once per shard inside pool workers (``scanpar.worker.run_shard``):
+    the same code either way.  ``origins`` is always the *whole* scan's,
+    so an engine span shares feature maps on the scan's own chunk grid.
+
+    Without a ``policy`` tiles run in micro-batches pulled from
+    :func:`~repro.detect.predict.predict_windows` and the payload is
+    ``{"confidences", "boxes"}`` (raw model outputs, in origin order).
+    With one, every tile not in ``skip`` (already journaled) goes
+    sanitize -> guarded predict -> ``journal.append`` on its own, and the
+    payload is ``{"records", "fallbacks"}``.  ``deadline_at`` (monotonic)
+    is checked before each batch or tile runs and raises
+    :class:`ScanDeadlineError`; what was journaled stays on disk.
+    """
+    start, stop = span
+
+    def check_deadline(finished: int, total: int) -> None:
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            raise ScanDeadlineError(
+                f"scan deadline expired after {finished} of {total} tiles"
+                + ("; journaled tiles are resumable"
+                   if journal is not None else ""))
+
+    if policy is None:
+        batches = predict_windows(model, image, origins, window,
+                                  batch_size=batch_size, backend=backend,
+                                  span=span)
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
         scanned = 0
-        while scanned < len(origins):
+        while scanned < stop - start:
             # a batch runs when it is pulled: the deadline goes first
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                raise ScanDeadlineError(
-                    f"scan deadline ({timeout_s:.1f}s) expired after "
-                    f"{scanned} of {len(origins)} tiles"
-                )
-            conf, box = next(batches)
-            scanned += len(conf)
-            conf_parts.append(conf)
-            box_parts.append(box)
-        confidences = np.concatenate(conf_parts)
-        boxes = np.concatenate(box_parts)
-    detections = _detections_from_outputs(
-        origins, confidences, boxes, window, confidence_threshold
-    )
-    coverage = ScanCoverage(tiles_total=len(origins),
-                            tiles_scanned=len(origins))
-    return ScanDetections(non_max_suppression(detections, radius=nms_radius),
-                          coverage)
+            check_deadline(scanned, stop - start)
+            parts.append(next(batches))
+            scanned += len(parts[-1][0])
+        return {"confidences": np.concatenate([conf for conf, _ in parts]),
+                "boxes": np.concatenate([box for _, box in parts])}
 
+    from ..robust.journal import TileRecord
+    from ..robust.sanitize import sanitize_chip
 
-def _make_tile_runner(model: SPPNetDetector, backend: str):
-    """(run, guarded_or_None): per-stack model execution for the robust
-    path.  ``backend="engine"`` routes through the guarded engine→eager
-    fallback; eager resolves :func:`predict` late so fault-injection
-    monkeypatches apply inside worker processes too."""
-    if backend == "engine":
+    guarded = None
+    if backend == "engine":     # the validated engine -> eager fallback
         from ..robust.guard import GuardedEngine
 
         guarded = GuardedEngine(model)
 
-        def run(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            conf, boxes, _ = guarded.predict_batch(stack)
-            return conf, boxes
-        return run, guarded
-
     def run(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if guarded is not None:
+            return guarded.predict_batch(stack)[:2]
+        # resolved at call time, so fault-injection monkeypatches of
+        # ``predict`` apply inside forked worker processes too
         return predict(model, stack, batch_size=len(stack), backend=backend)
-    return run, None
 
-
-def _scan_tiles_robust(
-    run,
-    image: np.ndarray,
-    items: list[tuple[int, tuple[int, int]]],
-    *,
-    window: int,
-    policy: "SanitizePolicy",
-    confidence_threshold: float,
-    journal: "ScanJournal | None",
-    deadline_at: float | None = None,
-) -> "list[TileRecord]":
-    """Sanitize → predict → journal for a sequence of (index, origin)
-    tiles.  The shared inner loop of the sequential robust scan and of
-    each parallel shard worker.  ``deadline_at`` (monotonic) raises
-    :class:`ScanDeadlineError` between tiles — everything journaled so
-    far stays on disk for a later ``resume=True``."""
-    from ..robust.journal import TileRecord
-    from ..robust.sanitize import sanitize_chip
-
-    fresh: list[TileRecord] = []
-    for index, (r0, c0) in items:
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            raise ScanDeadlineError(
-                f"scan deadline expired after {len(fresh)} of "
-                f"{len(items)} remaining tiles; journaled tiles are "
-                f"resumable"
-            )
+    todo = [index for index in range(start, stop) if index not in skip]
+    records: list[TileRecord] = []
+    for index in todo:
+        check_deadline(len(records), len(todo))
+        r0, c0 = origins[index]
         tile = np.asarray(
             image[:, r0:r0 + window, c0:c0 + window], dtype=np.float32
         )
@@ -449,85 +453,11 @@ def _scan_tiles_robust(
         else:
             record = _run_tile(run, result, index, (r0, c0), window,
                                confidence_threshold)
-        fresh.append(record)
+        records.append(record)
         if journal is not None:
             journal.append(record)
-    return fresh
-
-
-def _coverage_from_records(records, *, tiles_total: int, tiles_resumed: int,
-                           engine_fallbacks: int) -> ScanCoverage:
-    """ScanCoverage from a full set of tile records (any order)."""
-    return ScanCoverage(
-        tiles_total=tiles_total,
-        tiles_scanned=sum(1 for r in records
-                          if r.status in ("ok", "repaired")),
-        tiles_repaired=sum(1 for r in records if r.status == "repaired"),
-        tiles_quarantined=sum(1 for r in records
-                              if r.status == "quarantined"),
-        tiles_resumed=tiles_resumed,
-        engine_fallbacks=engine_fallbacks,
-    )
-
-
-def _scan_scene_robust(
-    model: SPPNetDetector,
-    scene: Scene,
-    origins: list[tuple[int, int]],
-    *,
-    window: int,
-    stride: int,
-    confidence_threshold: float,
-    nms_radius: float,
-    backend: str,
-    policy: "SanitizePolicy | None",
-    journal: "ScanJournal | str | None",
-    resume: bool,
-    deadline_at: float | None = None,
-) -> ScanDetections:
-    """Per-tile sanitize → predict → journal loop behind scan_scene."""
-    from ..robust.journal import ScanJournal, TileRecord
-    from ..robust.sanitize import SanitizePolicy
-
-    image = scene.image
-    if policy is None:
-        policy = SanitizePolicy.for_scene(bands=image.shape[0])
-
-    jr: ScanJournal | None = None
-    if journal is not None:
-        jr = journal if isinstance(journal, ScanJournal) else ScanJournal(journal)
-    meta = _scan_meta(scene.size, image.shape[0], window, stride,
-                      confidence_threshold, backend)
-    done: dict[int, TileRecord] = {}
-    if jr is not None:
-        if resume:
-            done = jr.resume_or_start(meta)
-        else:
-            jr.start(meta)
-    elif resume:
-        raise ValueError("resume=True requires a journal")
-
-    run, guarded = _make_tile_runner(model, backend)
-    items = [(index, origin) for index, origin in enumerate(origins)
-             if index not in done]
-    fresh = _scan_tiles_robust(
-        run, image, items, window=window, policy=policy,
-        confidence_threshold=confidence_threshold, journal=jr,
-        deadline_at=deadline_at,
-    )
-
-    records = sorted(list(done.values()) + fresh, key=lambda rec: rec.index)
-    detections = [
-        SceneDetection(row=row, col=col, height=h, width=w, confidence=conf)
-        for rec in records for (row, col, h, w, conf) in rec.detections
-    ]
-    coverage = _coverage_from_records(
-        records, tiles_total=len(origins), tiles_resumed=len(done),
-        engine_fallbacks=(sum(guarded.fallback_by_reason.values())
-                          if guarded is not None else 0),
-    )
-    return ScanDetections(non_max_suppression(detections, radius=nms_radius),
-                          coverage)
+    return {"records": records, "fallbacks": (
+        {} if guarded is None else dict(guarded.fallback_by_reason))}
 
 
 def _run_tile(run, result, index: int, origin: tuple[int, int], window: int,

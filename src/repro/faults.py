@@ -451,7 +451,7 @@ def tear_trailing_line(path: str | Path, keep_fraction: float = 0.5) -> int:
     behind: the last line's bytes cut at an arbitrary point, no
     terminating newline.  Returns the number of bytes removed.  Used by
     the torn-journal chaos tests against
-    :func:`repro.robust.journal.load_jsonl_repaired`.
+    :func:`repro.durable.load_jsonl_repaired`.
     """
     if not 0.0 <= keep_fraction < 1.0:
         raise ValueError("keep_fraction must be in [0, 1)")

@@ -3,7 +3,7 @@
 One fleet sweep scans many scenes; each scene is one job.  The queue is
 a single append-only JSONL event log (same crash contract as
 :class:`~repro.robust.ScanJournal`, including torn-tail repair through
-:func:`~repro.robust.journal.load_jsonl_repaired`): every state
+:func:`~repro.durable.load_jsonl_repaired`): every state
 transition is one fsynced line, and opening the file replays the events
 into the current state.  Nothing is ever rewritten, so a worker killed
 mid-transition loses at most the line in flight — and a torn line is
@@ -33,8 +33,6 @@ reclaimed job resumes its journal instead of rescanning from zero.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -42,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..durable import append_jsonl, load_jsonl_repaired
 from ..nas.retry import RetryPolicy
-from ..robust.journal import load_jsonl_repaired
 
 __all__ = ["JobQueue", "ScanJob", "JobQueueError",
            "PENDING", "LEASED", "DONE", "DEAD"]
@@ -127,17 +125,11 @@ class JobQueue:
 
     # -- durability --------------------------------------------------------
 
-    def _append(self, event: dict) -> None:
-        line = json.dumps(event, allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _replay(self) -> None:
         events = load_jsonl_repaired(self.path)
         if not events:
-            self._append({"kind": _HEADER_KIND, "version": _QUEUE_VERSION})
+            append_jsonl(self.path, [{"kind": _HEADER_KIND,
+                                      "version": _QUEUE_VERSION}])
             return
         head = events[0]
         if head.get("kind") != _HEADER_KIND:
@@ -193,7 +185,7 @@ class JobQueue:
     def _record(self, event: dict) -> None:
         """Apply + append: memory first (validation), disk second."""
         self._apply(event)
-        self._append(event)
+        append_jsonl(self.path, [event])
 
     # -- producer side -----------------------------------------------------
 

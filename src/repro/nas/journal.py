@@ -10,11 +10,10 @@ appends to the same file, never rewrites it.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from pathlib import Path
 
+from ..durable import append_jsonl, load_jsonl_repaired
 from .experiment import TrialRecord
 
 __all__ = ["TrialJournal"]
@@ -34,23 +33,17 @@ class TrialJournal:
         minutes, so durability beats the syscall cost, and there is no
         long-lived handle to leak when the process is killed.
         """
-        line = json.dumps(self.to_json(record), allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self.path, [self.to_json(record)])
 
     def load(self) -> list[TrialRecord]:
-        """All journaled records, in the order they completed."""
-        if not self.path.exists():
-            return []
-        records: list[TrialRecord] = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(self.from_json(json.loads(line)))
-        return records
+        """All journaled records, in the order they completed.
+
+        The append a kill interrupted (a torn last line) is dropped and
+        truncated from the file, so the sweep resumes and re-runs that
+        one trial (:func:`repro.durable.load_jsonl_repaired`).
+        """
+        return [self.from_json(payload)
+                for payload in load_jsonl_repaired(self.path)]
 
     @staticmethod
     def to_json(record: TrialRecord) -> dict:

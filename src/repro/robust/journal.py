@@ -13,10 +13,10 @@ different scans' detections.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..durable import append_jsonl, load_jsonl_repaired
 
 __all__ = ["TileRecord", "ScanJournal", "ScanJournalError",
            "load_jsonl_repaired"]
@@ -27,70 +27,6 @@ _TILE_KIND = "tile"
 
 class ScanJournalError(RuntimeError):
     """Corrupt journal, or a resume against a mismatched scan."""
-
-
-def load_jsonl_repaired(path: str | Path, *, repair: bool = True) -> list[dict]:
-    """Parse a JSONL file, tolerating — and repairing — a torn final write.
-
-    A process killed mid-append leaves one of two crash artifacts at the
-    end of the file: a partial line that is not valid JSON, or a valid
-    line missing its terminating newline.  Both are repaired in place
-    (``repair=True``): the torn partial line is truncated away, the
-    unterminated valid line gets its newline — so a later append can
-    never concatenate onto damaged bytes and turn a recoverable crash
-    artifact into mid-file corruption.  A malformed line *followed by
-    more data* is genuine corruption (no crash produces it) and raises
-    :class:`ScanJournalError`.
-
-    Shared by :class:`ScanJournal` and the fleet job queue
-    (``repro.fleet.jobs``), so every durable JSONL log in the repo has
-    the same crash-recovery contract.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    raw = path.read_bytes()
-    records: list[dict] = []
-    good_end = 0              # bytes known to hold intact, terminated lines
-    tail_valid_unterminated = False
-    pos = 0
-    line_no = 0
-    n = len(raw)
-    while pos < n:
-        line_no += 1
-        nl = raw.find(b"\n", pos)
-        end = n if nl < 0 else nl
-        terminated = nl >= 0
-        chunk = raw[pos:end].strip()
-        if chunk:
-            try:
-                record = json.loads(chunk.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                if terminated:
-                    raise ScanJournalError(
-                        f"{path}: corrupt journal line {line_no}"
-                    ) from None
-                break  # torn trailing write from a crash — recoverable
-            records.append(record)
-            if terminated:
-                good_end = nl + 1
-            else:
-                tail_valid_unterminated = True
-        elif terminated:      # blank line: harmless, keep it as intact bytes
-            good_end = nl + 1
-        pos = end + 1
-    if repair:
-        if tail_valid_unterminated:
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        elif good_end < n:
-            with open(path, "r+b") as fh:
-                fh.truncate(good_end)
-                fh.flush()
-                os.fsync(fh.fileno())
-    return records
 
 
 @dataclass(frozen=True)
@@ -143,11 +79,8 @@ class ScanJournal:
 
     def start(self, meta: dict) -> None:
         """Begin a fresh journal (truncates any previous file)."""
-        line = json.dumps({"kind": _HEADER_KIND, **meta}, allow_nan=False)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self.path, [{"kind": _HEADER_KIND, **meta}],
+                     truncate=True)
 
     def append(self, record: TileRecord) -> None:
         """Write one tile record and force it to disk before returning.
@@ -156,11 +89,7 @@ class ScanJournal:
         takes milliseconds of model time, and the whole point is that a
         kill between tiles loses at most the tile in flight.
         """
-        line = json.dumps(record.to_json(), allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self.path, [record.to_json()])
 
     def extend(self, records: list[TileRecord]) -> None:
         """Append many records with one open/fsync.
@@ -169,14 +98,8 @@ class ScanJournal:
         survived a crash once (in a shard journal), so per-record fsync
         durability buys nothing here.
         """
-        if not records:
-            return
-        lines = [json.dumps(rec.to_json(), allow_nan=False)
-                 for rec in records]
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        if records:
+            append_jsonl(self.path, [rec.to_json() for rec in records])
 
     # -- sharded scans ---------------------------------------------------
     def shard_path(self, index: int) -> Path:

@@ -12,10 +12,11 @@ that scan both memory-bounded and multi-core:
 * :class:`WorkerPool` — persistent warm worker processes reused across
   scans, caching deserialized models (and their warmed compiled-engine
   programs) by content hash;
-* :func:`parallel_scan_scene` — the sharded scan itself: adaptive
-  ``n_workers="auto"`` policy, engine-warm pooled workers,
-  shared-memory result return, deterministic merge, per-shard journals
-  folded into one resumable journal.
+* :func:`run_shards` — the dispatch ``repro.detect.scan_scene`` hands
+  two or more shards to: engine-warm pooled workers each running the
+  scan's one tile pipeline on their span, shared-memory result return,
+  plain or supervised dispatch; :func:`resolve_n_workers` is the
+  adaptive ``n_workers="auto"`` policy.
 
 See ``docs/scanning.md`` for the sharding model, the determinism
 contract, the pool lifecycle, and the adaptive worker policy.
@@ -24,8 +25,8 @@ contract, the pool lifecycle, and the adaptive worker policy.
 from .parallel import (
     cpu_affinity_count,
     default_start_method,
-    parallel_scan_scene,
     resolve_n_workers,
+    run_shards,
     spawn_cost_ms,
 )
 from .pool import (
@@ -56,7 +57,7 @@ __all__ = [
     "warm_pool",
     "shutdown_pools",
     "serialized_model",
-    "parallel_scan_scene",
+    "run_shards",
     "default_start_method",
     "resolve_n_workers",
     "cpu_affinity_count",

@@ -19,9 +19,9 @@ module is that amortization:
   SHA-1 content hash) per model instance on the parent side, so repeat
   scans — the service bulk path — stop re-serializing the same weights.
 * :func:`get_pool` hands out one shared pool per start method, reused
-  by ``scan_scene(n_workers=)``, :func:`~repro.scanpar.parallel_scan_scene`,
-  and ``serve.InferenceService.scan_scene`` (the service may also own a
-  private pool tied to its startup/shutdown lifecycle).
+  by every ``scan_scene(n_workers=)`` call that is not handed a
+  ``pool=`` of its own (``serve.InferenceService.scan_scene`` hands it
+  a private one tied to the service's startup/shutdown lifecycle).
 
 Dispatch never oversubscribes: tasks are distributed round-robin over
 the pool's worker budget (a worker queues extra shards instead of the
@@ -72,7 +72,7 @@ class WorkerError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # parent-side model serialization cache (satellite: stop re-pickling the
-# same model on every parallel_scan_scene call)
+# same model on every pooled scan)
 # ---------------------------------------------------------------------------
 
 _MODEL_BYTES: "WeakKeyDictionary[object, tuple[bytes, str]]" = \

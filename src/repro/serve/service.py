@@ -444,22 +444,21 @@ class InferenceService:
                    **scan_kwargs):
         """Scan a whole scene with this service's model.
 
-        ``n_workers=1`` routes every window through the request path
-        (:func:`repro.detect.scan_scene` with ``service=self``) — the
-        scan shares the batcher, cache, and breaker with live traffic.
-        ``n_workers > 1`` (or ``"auto"``) takes the *bulk* path
-        instead: the sharded parallel scanner
-        (:func:`repro.scanpar.parallel_scan_scene`) runs the service's
-        model on its configured backend across the service-owned
-        persistent worker pool, bypassing the request queue —
-        whole-scene throughput without holding the queue hostage for
-        thousands of tiles.  Both paths tally ``metrics.scans`` /
-        ``metrics.scan_tiles``.
+        ``scan_kwargs`` are :func:`repro.detect.scan_scene`'s.
+        ``n_workers=1`` routes every window through the *request path*
+        (:meth:`_scan_requests`): the scan shares the micro-batches,
+        cache and breaker with live traffic.  ``n_workers > 1`` (or
+        ``"auto"``) takes the *bulk* path instead:
+        :func:`repro.detect.scan_scene` runs the service's model on its
+        configured backend across the service-owned persistent worker
+        pool, bypassing the request queue — whole-scene throughput
+        without holding the queue hostage for thousands of tiles.  Both
+        paths tally ``metrics.scans`` / ``metrics.scan_tiles``.
 
-        ``timeout_s`` is this scan's per-request deadline, propagated
-        all the way down: on the request path it bounds each submitted
-        tile, on the bulk path it becomes the fleet supervisor's run
-        deadline over the shard dispatch — either way the call raises
+        ``timeout_s`` is this scan's deadline, propagated all the way
+        down: on the request path it also bounds each submitted tile, on
+        the bulk path it becomes the fleet supervisor's run deadline
+        over the shard dispatch — either way the call raises
         :class:`~repro.detect.scan.ScanDeadlineError` rather than
         outliving its budget.  ``supervision`` (a
         ``repro.fleet.SupervisionPolicy``, or ``True``) supervises bulk
@@ -487,8 +486,8 @@ class InferenceService:
                               timeout_s=timeout_s, supervision=supervision,
                               **scan_kwargs)
             else:
-                result = scan(self.model, scene, service=self,
-                              timeout_s=timeout_s, **scan_kwargs)
+                result = self._scan_requests(scene, timeout_s=timeout_s,
+                                             **scan_kwargs)
         except ScanDeadlineError:
             self.metrics.scan_deadline_expired.inc()
             raise
@@ -496,6 +495,67 @@ class InferenceService:
         self.metrics.scan_tiles.inc(result.coverage.tiles_total)
         self.metrics.record_supervision(getattr(result, "supervision", None))
         return result
+
+    def _scan_requests(self, scene, *, window: int = 100, stride: int = 50,
+                       confidence_threshold: float = 0.7,
+                       nms_radius: float = 20.0, batch_size: int = 20,
+                       backend: str | None = None, sanitize=None,
+                       journal=None, resume: bool = False,
+                       timeout_s: float | None = None):
+        """The request-path scan: every window of ``scene`` is one
+        submitted request, decoded and merged like any other scan.
+
+        ``batch_size`` and ``backend`` are accepted and have no effect
+        (the service cuts its own batches on its own backend); the
+        robust stage runs the model locally and cannot be honoured.
+        """
+        from ..detect.scan import (
+            ScanCoverage,
+            ScanDeadlineError,
+            ScanDetections,
+            _detections_from_outputs,
+            non_max_suppression,
+            scan_origins,
+        )
+
+        if sanitize is not None or journal is not None or resume:
+            raise ValueError(
+                "robust scanning (sanitize/journal/resume) runs the model "
+                "locally; requests are sanitized by the service's own "
+                "admission validation instead"
+            )
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be positive or None")
+        deadline_at = (time.monotonic() + timeout_s
+                       if timeout_s is not None else None)
+        origins = scan_origins(scene.size, window, stride)
+        # per-origin strided views: zero-copy until a worker stacks its
+        # micro-batch.  The scan deadline rides along as each request's
+        # dispatch deadline, so a wedged service fails the scan with a
+        # timeout instead of blocking it forever.
+        futures = [
+            self.submit(np.asarray(scene.image[:, r:r + window, c:c + window],
+                                   dtype=np.float32), timeout_s=timeout_s)
+            for r, c in origins
+        ]
+        results = []
+        for future in futures:
+            remaining = None
+            if deadline_at is not None:
+                remaining = max(deadline_at - time.monotonic(), 1e-3)
+            try:
+                results.append(future.result(timeout=remaining))
+            except (TimeoutError, RequestTimeoutError) as exc:
+                raise ScanDeadlineError(
+                    f"scan deadline ({timeout_s:.1f}s) expired with "
+                    f"{len(results)} of {len(origins)} tiles answered"
+                ) from exc
+        detections = _detections_from_outputs(
+            origins, np.array([r.confidence for r in results]),
+            np.stack([r.box for r in results]), window, confidence_threshold)
+        return ScanDetections(
+            non_max_suppression(detections, radius=nms_radius),
+            ScanCoverage(tiles_total=len(origins), tiles_scanned=len(origins)))
 
     def scan_many(self, jobs, *, workdir, n_workers: int | str = "auto",
                   supervision=None, queue_path=None, **fleet_kwargs):

@@ -173,9 +173,9 @@ class TestScanScene:
             scan_scene(SPPNetDetector(arch), scene, window=1000)
 
     def test_service_path_matches_local_predict(self, scene):
-        """scan_scene(service=...) returns the same detections as the
+        """service.scan_scene(scene) returns the same detections as the
         direct predict path, modulo float order — same windows, same
-        model, one goes through the batcher."""
+        model, one goes through the service's micro-batches."""
         from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
         from repro.detect import SPPNetDetector
         from repro.serve import BatchPolicy, InferenceService
@@ -190,7 +190,7 @@ class TestScanScene:
         local = scan_scene(model, scene, **kwargs)
         with InferenceService(model, BatchPolicy(max_batch=8,
                                                  max_wait_ms=5.0)) as service:
-            served = scan_scene(model, scene, service=service, **kwargs)
+            served = service.scan_scene(scene, **kwargs)
             assert service.metrics.completed.value > 0
         assert len(local) == len(served)
         for a, b in zip(sorted(local, key=lambda d: d.center),

@@ -10,16 +10,10 @@ import time
 
 import pytest
 
-from repro.detect.scan import ScanDeadlineError, scan_origins
+from repro.detect.scan import ScanDeadlineError, scan_origins, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.fleet import ShardSupervisor, SupervisionPolicy
-from repro.scanpar import (
-    SharedArray,
-    ShardTask,
-    WorkerError,
-    WorkerPool,
-    parallel_scan_scene,
-)
+from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.sharding import partition_origins
 
 WINDOW = 64
@@ -33,7 +27,7 @@ def scan(model, scene, **kwargs):
     kwargs.setdefault("confidence_threshold", 0.3)
     kwargs.setdefault("batch_size", BATCH)
     kwargs.setdefault("backend", "eager")
-    return parallel_scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **kwargs)
 
 
 def make_tasks(scene, shared, model_hash):
@@ -237,7 +231,7 @@ class TestDeadlines:
         with WorkerPool(2) as pool:
             with pytest.raises(ScanDeadlineError):
                 scan(faulty, scene, n_workers=2, pool=pool,
-                     supervision=policy, deadline_s=0.8)
+                     supervision=policy, timeout_s=0.8)
         assert time.monotonic() - t0 < 15.0
 
     def test_deadline_abort_is_resumable(self, model, scene, tmp_path):
@@ -253,7 +247,7 @@ class TestDeadlines:
             with pytest.raises(ScanDeadlineError):
                 scan(faulty, scene, n_workers=2, pool=pool,
                      journal=str(journal), resume=True,
-                     supervision=policy, deadline_s=0.8)
+                     supervision=policy, timeout_s=0.8)
             # both hang fuses burned in attempt one: the resume is clean
             resumed = scan(faulty, scene, n_workers=2, pool=pool,
                            journal=str(journal), resume=True,

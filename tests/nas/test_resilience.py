@@ -254,6 +254,45 @@ class TestJournalResume:
         assert [t.sample for t in resumed.trials] == [t.sample for t in full.trials]
         assert resumed.best().sample == full.best().sample
 
+    @pytest.mark.parametrize("cls, extra", [
+        (Experiment, {}), (ParallelExperiment, {"workers": 3})])
+    def test_torn_tail_resumes_at_every_byte_offset(self, tmp_path, cls,
+                                                    extra):
+        """A sweep killed mid-append leaves its last line cut anywhere.
+        Wherever the cut falls, resume repairs the tail, re-runs no
+        journaled trial and finds the fault-free winner."""
+        kwargs = dict(seed=5, **extra)
+        full = cls(sppnet_search_space(), FunctionalEvaluator(objective),
+                   max_trials=8, **kwargs)
+        full.run()
+        whole = tmp_path / "whole.jsonl"
+        cls(sppnet_search_space(), FunctionalEvaluator(objective),
+            max_trials=5, journal=whole, **kwargs).run()
+        data = whole.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1   # start of line 5
+        for cut in range(last, len(data)):
+            path = tmp_path / f"torn{cut}.jsonl"
+            path.write_bytes(data[:cut])
+            evaluated = []
+
+            def counting(sample):
+                evaluated.append(dict(sample))
+                return objective(sample)
+
+            resumed = cls.resume(path, sppnet_search_space(),
+                                 FunctionalEvaluator(counting),
+                                 max_trials=8, **kwargs)
+            # only a cut after the closing brace keeps the fifth trial
+            restored = [dict(t.sample) for t in resumed.trials]
+            assert len(restored) == (5 if cut == len(data) - 1 else 4)
+            resumed.run()
+            assert len(evaluated) == 8 - len(restored)
+            assert all(sample not in restored for sample in evaluated)
+            assert [t.sample for t in resumed.trials] \
+                == [t.sample for t in full.trials]
+            assert resumed.best().sample == full.best().sample
+            assert len(TrialJournal(path).load()) == 8
+
     def test_resume_from_missing_journal_starts_fresh(self, tmp_path):
         exp = Experiment.resume(
             tmp_path / "new.jsonl", sppnet_search_space(),

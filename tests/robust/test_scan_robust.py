@@ -156,11 +156,6 @@ class TestRobustScan:
         for d in result:
             assert d.is_finite()
 
-    def test_service_plus_robust_rejected(self, scene, model):
-        with pytest.raises(ValueError):
-            scan_scene(model, scene, sanitize=SanitizePolicy.for_scene(),
-                       service=object())
-
     def test_resume_without_journal_rejected(self, scene, model):
         with pytest.raises(ValueError):
             scan_scene(model, scene, resume=True)

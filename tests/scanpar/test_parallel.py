@@ -67,26 +67,20 @@ class TestParity:
             assert_identical(parallel, sequential)
 
     def test_spawn_start_method_matches_fork(self, model, scene):
-        from repro.scanpar import parallel_scan_scene
+        from repro.scanpar import WorkerPool
 
         sequential = scan(model, scene)
-        spawned = parallel_scan_scene(
-            model, scene, window=WINDOW, stride=50,
-            confidence_threshold=0.3, batch_size=4, n_workers=2,
-            start_method="spawn",
-        )
+        with WorkerPool(2, start_method="spawn") as pool:
+            spawned = scan(model, scene, n_workers=2, pool=pool)
         assert_identical(spawned, sequential)
 
     def test_cold_private_pool_matches_warm_shared_pool(self, model, scene):
-        from repro.scanpar import parallel_scan_scene
+        from repro.scanpar import WorkerPool
 
         sequential = scan(model, scene)
         pooled = scan(model, scene, n_workers=2)  # shared persistent pool
-        cold = parallel_scan_scene(
-            model, scene, window=WINDOW, stride=50,
-            confidence_threshold=0.3, batch_size=4, n_workers=2,
-            reuse_pool=False,
-        )
+        with WorkerPool(2) as pool:               # private, cold
+            cold = scan(model, scene, n_workers=2, pool=pool)
         assert_identical(pooled, sequential)
         assert_identical(cold, sequential)
 
@@ -97,16 +91,14 @@ class TestParity:
                                                 backend, start_method):
         import multiprocessing as mp
 
-        from repro.scanpar import parallel_scan_scene
+        from repro.scanpar import WorkerPool
 
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable")
         sequential = scan(model, scene, backend=backend)
-        pooled = parallel_scan_scene(
-            model, scene, window=WINDOW, stride=50,
-            confidence_threshold=0.3, batch_size=4, backend=backend,
-            n_workers=2, start_method=start_method,
-        )
+        with WorkerPool(2, start_method=start_method) as pool:
+            pooled = scan(model, scene, backend=backend, n_workers=2,
+                          pool=pool)
         assert_identical(pooled, sequential)
 
 
@@ -144,17 +136,82 @@ class TestSlabFallback:
         assert_identical(forced, sequential)
 
 
+class TestInlineShard:
+    """Fewer than two shards means the one tile pipeline runs inline on
+    the in-process raster: no pool, no shared memory, one clock, and a
+    warning when the caller had asked for workers."""
+
+    @pytest.mark.parametrize("backend, robust", [
+        ("eager", False), ("engine", False), ("engine", True)])
+    def test_one_worker_touches_no_shm_and_no_pool(self, model, scene,
+                                                   tmp_path, monkeypatch,
+                                                   backend, robust):
+        from repro.scanpar import pool, shm
+
+        def forbidden(*args, **kw):
+            raise AssertionError("an inline scan must not get here")
+
+        monkeypatch.setattr(shm.shared_memory, "SharedMemory", forbidden)
+        monkeypatch.setattr(pool.WorkerPool, "__init__", forbidden)
+        stage = {"journal": str(tmp_path / "scan.jsonl")} if robust else {}
+        result = scan(model, scene, n_workers=1, backend=backend, **stage)
+        assert result.coverage.tiles_scanned == result.coverage.tiles_total
+
+    def test_explicit_workers_without_two_shards_warn_once(self, model,
+                                                           scene):
+        sequential = scan(model, scene)
+        with pytest.warns(RuntimeWarning, match="scanning inline") as caught:
+            inlined = scan(model, scene, n_workers=2, batch_size=20)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "n_workers=2" in message and "9 origins" in message \
+            and "batch_size=20" in message
+        assert_identical(inlined, sequential)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_workers=1), dict(n_workers=1, batch_size=20),
+        dict(n_workers="auto"), dict(n_workers="auto", batch_size=20),
+        dict(n_workers=2), dict(n_workers=2, backend="engine"),
+        dict(n_workers=4, backend="engine")])
+    def test_no_other_scan_warns(self, model, scene, kwargs, recwarn):
+        scan(model, scene, **kwargs)
+        assert not [w for w in recwarn if "inline" in str(w.message)]
+
+    def test_parallel_scan_starts_one_clock(self, model, scene,
+                                            monkeypatch):
+        """``timeout_s`` becomes one ``deadline_at`` at entry, and that
+        instant is what the shard dispatch is handed."""
+        from repro.detect import scan as scan_mod
+        from repro.scanpar import parallel
+
+        reads = []
+
+        def clock():
+            reads.append(1000.0 + len(reads))
+            return reads[-1]
+
+        class Dispatched(Exception):
+            pass
+
+        def dispatch(*args, deadline_at, **kwargs):
+            raise Dispatched(deadline_at)
+
+        monkeypatch.setattr(scan_mod.time, "monotonic", clock)
+        monkeypatch.setattr(parallel, "run_shards", dispatch)
+        with pytest.raises(Dispatched) as caught:
+            scan(model, scene, n_workers=2, timeout_s=5.0)
+        assert reads == [1000.0]
+        assert caught.value.args == (1005.0,)
+
+
 class TestValidation:
     def test_zero_workers_rejected(self, model, scene):
         with pytest.raises(ValueError, match="n_workers"):
             scan(model, scene, n_workers=0)
 
-    def test_service_scan_cannot_shard(self, model, scene):
-        class FakeService:
-            pass
-
-        with pytest.raises(ValueError, match="n_workers=1"):
-            scan(model, scene, service=FakeService(), n_workers=2)
+    def test_unknown_worker_policy_rejected(self, model, scene):
+        with pytest.raises(ValueError, match="n_workers"):
+            scan(model, scene, n_workers="many")
 
 
 class TestRobustParallel:
@@ -184,6 +241,37 @@ class TestRobustParallel:
         assert [rec.index for rec in records] == sorted(
             rec.index for rec in records
         )
+
+    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("writer", [1, 2])
+    def test_every_crash_point_resumes_identically(self, model, corrupted,
+                                                   tmp_path, backend, writer):
+        """Crash-point enumeration: a journal written under ``writer``
+        workers, cut after every record count k = 0..9 (and once inside
+        a record, the torn tail a kill mid-append leaves), resumes under
+        one and under two workers to the uninterrupted scan."""
+        full_path = tmp_path / "full.jsonl"
+        full = scan(model, corrupted, backend=backend, n_workers=writer,
+                    journal=str(full_path))
+        lines = full_path.read_text().splitlines(keepends=True)
+        n_tiles = full.coverage.tiles_total
+        assert len(lines) == 1 + n_tiles == 10
+        cuts = [(k, "".join(lines[:1 + k])) for k in range(n_tiles + 1)]
+        cuts.append((4, "".join(lines[:5]) + lines[5][:len(lines[5]) // 2]))
+        for k, text in cuts:
+            for resumer in (1, 2):
+                part = ScanJournal(
+                    tmp_path / f"cut{k}-{len(text)}-{resumer}.jsonl")
+                part.path.write_text(text)
+                resumed = scan(model, corrupted, backend=backend,
+                               n_workers=resumer, journal=part, resume=True)
+                assert list(resumed) == list(full)
+                assert resumed.coverage == replace(full.coverage,
+                                                   tiles_resumed=k)
+                assert part.shard_paths() == []
+                # every tile journaled once, none re-run, none lost
+                assert sorted(part.path.read_text().splitlines(True)) \
+                    == sorted(lines)
 
     def test_parallel_journal_resumes_sequentially(self, model, corrupted,
                                                    tmp_path):

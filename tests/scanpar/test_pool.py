@@ -10,7 +10,7 @@ from multiprocessing import connection as mp_connection
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
+from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
@@ -19,7 +19,6 @@ from repro.scanpar import (
     WorkerError,
     WorkerPool,
     default_start_method,
-    parallel_scan_scene,
     resolve_n_workers,
     serialized_model,
 )
@@ -54,7 +53,7 @@ def scan(model, scene, **kwargs):
     kwargs.setdefault("stride", STRIDE)
     kwargs.setdefault("confidence_threshold", 0.3)
     kwargs.setdefault("batch_size", BATCH)
-    return parallel_scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **kwargs)
 
 
 def make_tasks(scene, shared, model_hash, backend="engine"):
@@ -198,7 +197,7 @@ class TestScheduleSync:
     parent's stage/group plan."""
 
     def warm_parent(self, model, scene, tasks):
-        """What ``parallel_scan_scene`` binds before it ships: the
+        """What ``scanpar.run_shards`` binds before it ships: the
         scan's prefix/suffix programs and a head per micro-batch size."""
         from repro.engine import compiled_for
 
@@ -347,8 +346,9 @@ class TestFailurePaths:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to observe")
         before = set(os.listdir("/dev/shm"))
-        with pytest.raises(WorkerError, match="boom|Error"):
-            scan(ExplodingModel(), scene, n_workers=2, reuse_pool=False)
+        with WorkerPool(2) as pool:
+            with pytest.raises(WorkerError, match="boom|Error"):
+                scan(ExplodingModel(), scene, n_workers=2, pool=pool)
         after = set(os.listdir("/dev/shm"))
         leaked = {name for name in after - before if name.startswith("psm_")}
         assert leaked == set()
@@ -411,8 +411,9 @@ class TestDispatchDeadline:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to observe")
         before = set(os.listdir("/dev/shm"))
-        with pytest.raises(WorkerError, match="died"):
-            scan(SelfKillingModel(), scene, n_workers=2, reuse_pool=False)
+        with WorkerPool(2) as pool:
+            with pytest.raises(WorkerError, match="died"):
+                scan(SelfKillingModel(), scene, n_workers=2, pool=pool)
         after = set(os.listdir("/dev/shm"))
         leaked = {name for name in after - before if name.startswith("psm_")}
         assert leaked == set()

@@ -59,15 +59,51 @@ class TestScanMethod:
         assert snap["scan_tiles"] == served.coverage.tiles_total
 
     def test_bulk_path_matches_local_scan(self, model, scene):
-        local = scan_scene(model, scene, **KWARGS)
+        # batch 4, so the 9-origin scene makes two shards: at the default
+        # 20 the scan inlines (and now says so with a RuntimeWarning)
+        kwargs = dict(KWARGS, batch_size=4)
+        local = scan_scene(model, scene, **kwargs)
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
-            served = service.scan_scene(scene, n_workers=2, **KWARGS)
+            served = service.scan_scene(scene, n_workers=2, **kwargs)
             snap = service.metrics.snapshot()
         assert_same_detections(served, local)
         assert served.coverage == local.coverage
         assert snap["scans"] == 1
         assert snap["scan_tiles"] == served.coverage.tiles_total
+
+    def test_request_path_rejects_sanitize(self, model, scene):
+        """The robust stage runs the model locally; the request path
+        cannot honour it (was ``scan_scene(service=, sanitize=)``)."""
+        from repro.robust import SanitizePolicy
+
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
+            with pytest.raises(ValueError, match="robust scanning"):
+                service.scan_scene(scene, n_workers=1,
+                                   sanitize=SanitizePolicy.for_scene(),
+                                   **KWARGS)
+            assert service.metrics.snapshot()["scans"] == 0
+
+    def test_request_path_rejects_journal_and_resume(self, model, scene,
+                                                     tmp_path):
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
+            with pytest.raises(ValueError, match="robust scanning"):
+                service.scan_scene(scene, n_workers=1,
+                                   journal=tmp_path / "scan.jsonl", **KWARGS)
+            with pytest.raises(ValueError, match="robust scanning"):
+                service.scan_scene(scene, n_workers=1, resume=True, **KWARGS)
+        assert not (tmp_path / "scan.jsonl").exists()
+
+    def test_request_path_accepts_batch_size_and_backend(self, model, scene):
+        """Accepted and without effect there: the service cuts its own
+        batches on its own backend."""
+        with InferenceService(model, BatchPolicy(max_batch=8),
+                              cache_size=0) as service:
+            plain = service.scan_scene(scene, **KWARGS)
+            spelled = service.scan_scene(scene, batch_size=3,
+                                         backend="engine", **KWARGS)
+            assert service.backend == "eager"
+        assert_same_detections(spelled, plain)
 
     def test_bulk_path_rejects_custom_backend(self, model, scene):
         def fake_predict(model, stack, batch_size):
