@@ -16,10 +16,11 @@ the eager ``predict`` path on exactly that shape, recording:
   float32 engine stays above the paper's a(n) > A floor;
 * the batch sweep — ms/tile of the four Table-1 models at batch 1, 4,
   8 and 20, plus float16 and int8 at batch 20 on the NAS winner, stored
-  as absolute numbers next to the machine fingerprint.  The engine runs
-  the conv trunk one sample at a time and only the FC head at the full
-  batch, so a tile must not cost more at batch 20 than at batch 1 — the
-  gate that keeps a batch-sized trunk from coming back;
+  as absolute numbers (with each cell's planned arena bytes) next to
+  the machine fingerprint.  The engine runs the conv trunk one sample
+  at a time and only the FC head at the full batch, so a tile must not
+  cost more at batch 20 than at batch 1 — the gate that keeps a
+  batch-sized trunk from coming back;
 * the memory planner's arena statistics.
 
 Emits ``BENCH_engine.json`` with a machine-readable ``gates`` section
@@ -195,6 +196,8 @@ def batch_sweep(rounds: int) -> dict:
             "model": name, "quant": quant, "batch": batch,
             "ms_per_tile": stats.median(column),
             "interval95": list(stats.bootstrap_median_interval(column)),
+            "planned_peak_bytes":
+                cells[name, quant, batch].planned_peak_bytes(batch),
         } for (name, quant, batch), column in columns.items()],
         "batch20_over_batch1": {
             name: paired((name, "float32", top), (name, "float32", 1))
@@ -384,7 +387,8 @@ def main() -> None:
     for row in sweep["rows"]:
         lo, hi = row["interval95"]
         print(f"  {row['model']:<17s} {row['quant']:<8s} {row['batch']:3d}  "
-              f"{row['ms_per_tile']:6.2f} [{lo:.2f}, {hi:.2f}]")
+              f"{row['ms_per_tile']:6.2f} [{lo:.2f}, {hi:.2f}]  "
+              f"{row['planned_peak_bytes'] / 1e6:6.2f} MB arena")
     print("  batch 20 / batch 1: " + ", ".join(
         f"{name} {ratio:.2f}"
         for name, ratio in sweep["batch20_over_batch1"].items()))

@@ -324,7 +324,7 @@ def scan_scene(
     else:
         from ..scanpar.parallel import run_shards
 
-        payloads, report = run_shards(model, image, origins, shards, meta,
+        payloads, report = run_shards(model, image, shards, meta,
                                       pool=pool, supervision=supervision,
                                       **stage)
         if jr is not None:

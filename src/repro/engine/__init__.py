@@ -34,16 +34,8 @@ that overlapping windows share then run once per scene row chunk and
 each window runs only the rest, by a rule that is a pure function of
 the scan's geometry (:mod:`.windows`; ``CompiledModel.window_plan``
 explains any one decision).
-
-The one-sample trunk additionally passes through the IOS inter-operator
-scheduler (:mod:`.sched`): per-step kernel costs are measured on the
-bound program, the :mod:`repro.ios` DP partitions the step DAG into
-stages of concurrent groups, and profitable schedules execute on a
-shared thread pool with a stage-barrier arena plan.
-``REPRO_IOS_SCHEDULE=off`` restores flat sequential execution.
 """
 
-from . import sched
 from .compiled import CompiledModel, compile, compiled_for
 from .fusion import FusionError, Step, fuse_graph
 from .kernels import CONV_VARIANTS, conv_variant
@@ -57,7 +49,6 @@ from .trace import Traced, TraceError, register_tracer, trace
 from .windows import WindowPlan
 
 __all__ = [
-    "sched",
     "CompiledModel",
     "compile",
     "compiled_for",

@@ -25,16 +25,6 @@ trunk result cannot depend on its batch-mates.  Weights are packed once
 at compile time and shared by every program (trace node names are
 structural, hence stable across input sizes).
 
-When IOS scheduling is on (the default; see :mod:`repro.engine.sched`),
-binding a trunk additionally measures each step's kernel on the
-freshly-bound sequential program, solves the IOS stage/group DP against
-those measured costs, and — only if the solver found profitable
-inter-operator parallelism — rebinds the trunk with a stage-barrier
-arena plan and a staged executor that runs concurrent groups on a
-shared thread pool.  Solved schedules are sticky per (program, shape,
-quant, workers), so the measure+solve cost is paid once per process (or
-never, when seeded from a scan-pool parent).  The head runs flat.
-
 A scan's input is not independent chips but *windows of one raster*
 (:meth:`CompiledModel.predict_windows`), and where windows overlap
 their unpadded leading convolutions compute the same elements.  The
@@ -47,8 +37,6 @@ window.  Independent chips keep the per-window programs.
 Execution is serialized with an internal lock: programs own mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
 itself.  Multi-worker serving should compile one model per worker.
-(The staged executor's intra-program group threads are internal and do
-not relax this rule.)
 """
 
 from __future__ import annotations
@@ -61,7 +49,6 @@ from itertools import islice
 
 import numpy as np
 
-from . import sched as _sched
 from .fusion import SharedSplit, Step, chain_at, fuse_graph, split_trunk_head
 from .kernels import (
     adaptive_bins,
@@ -143,12 +130,6 @@ def _select_conv_variant(step: Step, shapes: dict, batch: int,
     return variant, scratch_elems
 
 
-def _run_group(group: list) -> None:
-    """Execute one schedule group's closures in order (worker thread body)."""
-    for _, _, fn in group:
-        fn()
-
-
 def _timed_step(triple: tuple, acc: dict[str, float]) -> None:
     """Run one (category, name, closure) step, attributing wall time."""
     category, _, fn = triple
@@ -170,34 +151,19 @@ def _timed_step(triple: tuple, acc: dict[str, float]) -> None:
         acc[category] = acc.get(category, 0.0) + (t1 - t0)
 
 
-def _run_group_timed(group: list, acc: dict[str, float]) -> None:
-    for triple in group:
-        _timed_step(triple, acc)
-
-
 class _Program:
     """One bound executable: arena slots, views, kernel closures.
 
     ``input`` steps are fed from outside — :meth:`feed` for the raw
     batch, or a write into ``views[name]`` for a tensor another program
-    produced — then one of the ``execute*`` methods runs the kernels.
-
-    With ``schedule`` (an IOS :class:`~repro.ios.schedule.Schedule` whose
-    ``max_parallelism`` exceeds 1), the arena is planned with
-    stage-barrier interference so concurrent groups never share slots,
-    and ``execute``/``execute_timed`` run the stage/group structure on
-    the shared group thread pool instead of the flat step list.
+    produced — then one of the ``execute*`` methods runs the kernels
+    in step order.
     """
 
     def __init__(self, steps: list[Step], outputs: tuple[str, ...],
                  batch: int, dtype: np.dtype, packed: dict,
-                 quant: QuantPolicy, act_scales: dict,
-                 schedule=None) -> None:
+                 quant: QuantPolicy, act_scales: dict) -> None:
         self.quant = quant
-        #: the IOS schedule solved for these steps: run staged when
-        #: passed here; the binder attaches a sequential verdict after
-        #: the fact so ``schedule_for`` can report it
-        self.schedule = schedule
         self._act_scales = act_scales
         shapes = {s.name: s.out_shape for s in steps}
 
@@ -221,10 +187,8 @@ class _Program:
             resolved.append(step)
         steps = resolved
 
-        stages = schedule.stage_groups() if schedule is not None else None
         self.plan: MemoryPlan = plan_memory(
-            steps, outputs, batch, itemsize=dtype.itemsize, stages=stages
-        )
+            steps, outputs, batch, itemsize=dtype.itemsize)
         assert self.plan.check()
         self.batch = batch
         self.outputs = outputs
@@ -251,25 +215,6 @@ class _Program:
             if (quant.mode == "int8" and
                     step.kind in ("conv", "conv_pool", "linear")):
                 self._taps[step.name] = views[step.inputs[0]]
-
-        # Staged execution structure: stage -> group -> (category, name,
-        # fn) triples in schedule order.  ``_linear`` is the sequential
-        # linearization actually used by calibration and step timing —
-        # for scheduled programs that is the *schedule* order (the
-        # stage-barrier arena plan assumes it), for plain programs the
-        # original step order.
-        if schedule is not None:
-            by_name = {name: triple for triple in self._fns
-                       for name in (triple[1],)}
-            self._exec_stages: list[list[list[tuple]]] | None = [
-                [[by_name[name] for name in group] for group in stage]
-                for stage in stages
-            ]
-            self._linear = [triple for stage in self._exec_stages
-                            for group in stage for triple in group]
-        else:
-            self._exec_stages = None
-            self._linear = self._fns
 
     # -- binding ---------------------------------------------------------
     def _scratch(self, step: Step, batch: int,
@@ -424,64 +369,22 @@ class _Program:
                   x.transpose(0, 2, 3, 1) if view.ndim == 4 else x)
 
     def execute(self) -> None:
-        if self._exec_stages is None:
-            for _, _, fn in self._fns:
-                fn()
-            return
-        # Single-group stages run inline (no dispatch, no barrier — the
-        # exact overheads the cost model charges).  Parallel stages hand
-        # groups[1:] to the shared pool while the calling thread runs
-        # groups[0], then join at the barrier.
-        for stage in self._exec_stages:
-            if len(stage) == 1:
-                for _, _, fn in stage[0]:
-                    fn()
-                continue
-            executor = _sched.group_executor()
-            futures = [executor.submit(_run_group, group)
-                       for group in stage[1:]]
-            _run_group(stage[0])
-            for future in futures:
-                future.result()
+        for _, _, fn in self._fns:
+            fn()
 
     def execute_timed(self, acc: dict[str, float]) -> None:
-        """Run once, accumulating per-category wall time into ``acc``.
-
-        On scheduled programs each concurrent group times its steps into
-        a group-local accumulator, merged at the stage barrier — so
-        category sums are *thread* time and may exceed the stage's wall
-        clock when groups genuinely overlap.
-        """
-        if self._exec_stages is None:
-            for triple in self._fns:
-                _timed_step(triple, acc)
-            return
-        for stage in self._exec_stages:
-            if len(stage) == 1:
-                for triple in stage[0]:
-                    _timed_step(triple, acc)
-                continue
-            executor = _sched.group_executor()
-            partials = [dict() for _ in stage[1:]]
-            futures = [executor.submit(_run_group_timed, group, part)
-                       for group, part in zip(stage[1:], partials)]
-            _run_group_timed(stage[0], acc)
-            for future in futures:
-                future.result()
-            for part in partials:
-                for category, dt in part.items():
-                    acc[category] = acc.get(category, 0.0) + dt
+        """Run once, accumulating per-category wall time into ``acc``."""
+        for triple in self._fns:
+            _timed_step(triple, acc)
 
     def execute_calibrate(self, stats: dict[str, float],
                           percentile: float) -> None:
         """One pass recording per-quantized-step input scales.
 
-        Always sequential (over the plan's own linearization) so the
-        recorded percentile per tap is deterministic.  ``stats`` keeps
-        the maximum over calls, so a one-sample program called once per
-        sample commits the largest per-sample percentile.
+        ``stats`` keeps the maximum over calls, so a one-sample program
+        called once per sample commits the largest per-sample percentile.
         """
-        for _, name, fn in self._linear:
+        for _, name, fn in self._fns:
             view = self._taps.get(name)
             if view is not None:
                 stats[name] = max(stats.get(name, 0.0),
@@ -492,17 +395,15 @@ class _Program:
                    repeats: int = 3) -> dict[str, float]:
         """Best-of wall-clock seconds per step on the real bound kernels.
 
-        This is the cost input to the IOS DP (``repro.engine.sched``):
         execute_timed-style per-step attribution, but keyed by step name
-        and taken as a min over ``repeats`` full passes so scheduler
-        input is noise-robust.  The pass re-feeds the input each repeat,
-        so every pass executes in a valid sequential order over live
-        buffers.
+        and taken as a min over ``repeats`` full passes (docs/engine.md's
+        step table).  The pass re-feeds the input each repeat, so every
+        pass executes over live buffers.
         """
         costs: dict[str, float] = {}
         for _ in range(max(1, int(repeats))):
             self.feed(x)
-            for _, name, fn in self._linear:
+            for _, name, fn in self._fns:
                 t0 = time.perf_counter()
                 fn()
                 dt = time.perf_counter() - t0
@@ -542,8 +443,9 @@ class _WindowScan:
         #: chunk pixel height -> the prefix program bound at it
         self.prefixes = {px: bind(px) for px in plan.chunk_heights}
         suffix_steps = list(split.suffix)
-        self.suffix = model._bind_trunk(suffix_steps, boundary,
-                                        suffix_steps[0].out_shape)
+        self.suffix = _Program(suffix_steps, boundary, 1, model.dtype,
+                               model._packed, model.quant,
+                               model._act_scales)
         out = self.prefixes[plan.chunk_heights[0]].views[last]
         self.carry = np.empty((plan.carry_rows,) + out.shape[2:],
                               dtype=model.dtype)
@@ -629,14 +531,10 @@ class CompiledModel:
     """
 
     def __init__(self, module, input_shape: tuple[int, ...],
-                 dtype=np.float32, quant="float32",
-                 schedule: bool = True) -> None:
+                 dtype=np.float32, quant="float32") -> None:
         self.module = module
         self.dtype = np.dtype(dtype)
         self.quant = QuantPolicy.coerce(quant)
-        #: per-model IOS-scheduling opt-out; the process-wide escape
-        #: hatch is ``REPRO_IOS_SCHEDULE=off`` (see repro.engine.sched)
-        self.schedule_enabled = bool(schedule)
         self.input_shape = tuple(int(d) for d in input_shape)
         traced = trace(module, self.input_shape)
         self.graph = traced.graph
@@ -756,52 +654,10 @@ class CompiledModel:
         if trunk is None:
             trunk_steps, boundary, _ = self._split_for(sample_shape)
             if trunk_steps:
-                trunk = self._trunks[sample_shape] = self._bind_trunk(
-                    trunk_steps, boundary, sample_shape)
+                trunk = self._trunks[sample_shape] = _Program(
+                    trunk_steps, boundary, 1, self.dtype, self._packed,
+                    self.quant, self._act_scales)
         return trunk, head
-
-    def _bind_trunk(self, steps: list[Step], boundary: tuple[str, ...],
-                    sample_shape: tuple[int, ...]) -> _Program:
-        prog = _Program(steps, boundary, 1, self.dtype, self._packed,
-                        self.quant, self._act_scales)
-        if not (self.schedule_enabled and _sched.scheduling_enabled()):
-            return prog
-        plan = self._resolve_schedule(steps, sample_shape, prog)
-        if plan is not None and plan.max_parallelism > 1:
-            # Rebind with the stage-barrier arena plan and the staged
-            # executor; conv variants are a function of layer geometry,
-            # so the rebind binds the same kernels.
-            return _Program(steps, boundary, 1, self.dtype, self._packed,
-                            self.quant, self._act_scales, schedule=plan)
-        prog.schedule = plan  # solved, judged unprofitable: stays flat
-        return prog
-
-    def _resolve_schedule(self, steps: list[Step],
-                          sample_shape: tuple[int, ...], prog: _Program):
-        """Cached-or-solved IOS schedule of one shape's trunk.
-
-        On a cache miss the freshly-bound sequential trunk measures its
-        own per-step kernel costs (synthetic input — cost magnitude is
-        what matters, not values) and the DP solves against them.  Any
-        failure falls back to no schedule, counted and warned by
-        ``sched.note_fallback``: the sequential program is always a
-        correct executable.
-        """
-        try:
-            key = _sched.schedule_key(steps, 1, sample_shape,
-                                      self.dtype, self.quant.mode)
-            plan = _sched.cached_schedule(key)
-            if plan is None:
-                rng = np.random.default_rng(0)
-                x = rng.standard_normal((1,) + tuple(sample_shape)).astype(
-                    self.dtype, copy=False)
-                costs = prog.step_costs(x)
-                plan = _sched.solve_schedule(key, steps, costs,
-                                             graph_name=self.graph.name)
-            return plan
-        except Exception as exc:
-            _sched.note_fallback(exc)
-            return None
 
     def _bound(self, batch: int, sample_shape: tuple[int, ...] | None
                ) -> tuple[_Program | None, _Program]:
@@ -975,13 +831,11 @@ class CompiledModel:
         """Pre-build the shape's trunk and a head per ``batch_sizes``.
 
         Binding a program — memory planning, arena allocation, view and
-        closure construction, plus (for the trunk, once per shape) the
-        IOS step-cost measurement and DP solve — is the one
-        non-amortized cost of the compiled path; without warmup the
-        first request of each shape pays it inline.  Calling this at
-        startup (the serving layer does, and every parallel scan worker
-        warms its shard's batch shapes) moves that latency out of the
-        request path.
+        closure construction — is the one non-amortized cost of the
+        compiled path; without warmup the first request of each shape
+        pays it inline.  Calling this at startup (the serving layer
+        does, and every parallel scan worker warms its shard's batch
+        shapes) moves that latency out of the request path.
 
         Returns the elapsed milliseconds; already-bound programs cost
         nothing, so warmup is idempotent.
@@ -1080,18 +934,10 @@ class CompiledModel:
 
     def schedule_for(self, batch: int = 1,
                      sample_shape: tuple[int, ...] | None = None):
-        """The IOS schedule of the trunk that serves ``shape``.
-
-        The trunk is bound at one sample, so the answer is the same at
-        every ``batch``.  Returns the :class:`~repro.ios.schedule.
-        Schedule` the trunk runs staged, the solved-but-sequential one
-        when the DP judged parallelism unprofitable (its
-        ``max_parallelism`` is 1), and ``None`` when scheduling is
-        disabled for this model or process, the solve failed, or the
-        model has no trunk (heads run flat).
-        """
-        trunk, _ = self._bound(batch, sample_shape)
-        return None if trunk is None else trunk.schedule
+        """Always ``None``: programs run their steps in order.  Kept for
+        the frozen ``benchmarks/e2e`` harness, which records it; goes
+        with :mod:`.sched` (ROADMAP item 1)."""
+        return None
 
     def planned_peak_bytes(self, batch: int = 1) -> int:
         """Arena bytes held while executing ``batch`` samples (trunk +
@@ -1145,8 +991,7 @@ class CompiledModel:
 
 
 def compile(model, input_shape: tuple[int, ...] | None = None,
-            dtype=np.float32, quant="float32",
-            schedule: bool = True) -> CompiledModel:
+            dtype=np.float32, quant="float32") -> CompiledModel:
     """Compile ``model`` for fast inference.
 
     ``input_shape`` is the nominal per-sample shape ``(C, H, W)``; for an
@@ -1164,10 +1009,6 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
     :mod:`repro.engine.quant` — in particular
     :func:`~.quant.quantize_with_accuracy_gate`, which subordinates the
     mode choice to the paper's accuracy constraint.
-
-    ``schedule=False`` opts this model out of IOS inter-operator
-    scheduling (:mod:`repro.engine.sched`), pinning every program to
-    flat sequential execution.
     """
     if input_shape is None:
         config = getattr(model, "config", None)
@@ -1178,15 +1019,13 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
             )
         side = max(100, config.min_input_size())
         input_shape = (config.in_channels, side, side)
-    return CompiledModel(model, input_shape, dtype=dtype, quant=quant,
-                         schedule=schedule)
+    return CompiledModel(model, input_shape, dtype=dtype, quant=quant)
 
 
 _COMPILED_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def compiled_for(model, dtype=np.float32, quant="float32",
-                 schedule: bool = True) -> CompiledModel:
+def compiled_for(model, dtype=np.float32, quant="float32") -> CompiledModel:
     """Per-model-instance compile cache used by ``backend="engine"``
     call sites (``predict``, ``scan_scene``, the NAS latency evaluator).
 
@@ -1197,9 +1036,7 @@ def compiled_for(model, dtype=np.float32, quant="float32",
     policy = QuantPolicy.coerce(quant)
     compiled = _COMPILED_CACHE.get(model)
     if (compiled is None or compiled.dtype != np.dtype(dtype)
-            or compiled.quant.mode != policy.mode
-            or compiled.schedule_enabled != bool(schedule)):
-        compiled = compile(model, dtype=dtype, quant=policy,
-                           schedule=schedule)
+            or compiled.quant != policy):
+        compiled = compile(model, dtype=dtype, quant=policy)
         _COMPILED_CACHE[model] = compiled
     return compiled

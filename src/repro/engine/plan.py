@@ -18,28 +18,14 @@ Allocation ordering guarantees correctness for in-place-free execution:
 a step's output slot (and scratch) is reserved *before* its input slots
 are released, so a kernel never reads and writes the same memory.
 
-Concurrent execution (the IOS-scheduled engine, ``repro.engine.sched``)
-needs a stronger invariant: two steps in different groups of one stage
-may interleave arbitrarily, so nothing either of them reads, writes, or
-scratches may share a slot with anything the other touches.  Passing a
-stage/group ``stages`` structure to :func:`plan_memory` switches the
-planner to *stage-barrier* release semantics — every slot acquired or
-consumed during a stage stays allocated until the stage's barrier — which
-makes the whole stage one interference set.  That is conservative
-(sequential steps inside one group could legally reuse each other's
-buffers) but exactly matches what the thread-pool executor can prove.
-With ``stages=None`` the planner is byte-identical to the sequential
-behavior above.
-
-Both invariants are checked, not just intended: :meth:`MemoryPlan.check`
-re-derives them from the finished plan, and every bound program asserts
+The invariant is checked, not just intended: :meth:`MemoryPlan.check`
+re-derives it from the finished plan, and every bound program asserts
 it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .fusion import Step
 
@@ -71,8 +57,6 @@ class MemoryPlan:
     slot_sizes  : final byte size of each arena slot.
     peak_bytes  : arena footprint = ``sum(slot_sizes)``.
     naive_bytes : footprint with no reuse (every tensor held at once).
-    stages      : the schedule's stage -> group -> step names the plan
-                  was made for; ``None`` for sequential execution.
     """
 
     batch: int
@@ -81,7 +65,6 @@ class MemoryPlan:
     slot_sizes: tuple[int, ...]
     peak_bytes: int
     naive_bytes: int
-    stages: tuple[tuple[tuple[str, ...], ...], ...] | None = None
 
     @property
     def reuse_factor(self) -> float:
@@ -91,12 +74,10 @@ class MemoryPlan:
     def check(self) -> bool:
         """The arena invariant, verified instead of trusted.
 
-        Every lifetime fits its slot, no two lifetimes that overlap in
-        time share a slot, and under a schedule no two groups of one
-        stage write a common slot (their steps interleave arbitrarily).
-        Raises ``AssertionError`` naming the offenders and returns
-        ``True``, so callers write ``assert plan.check()`` and pay
-        nothing under ``-O``.
+        Every lifetime fits its slot and no two lifetimes that overlap
+        in time share a slot.  Raises ``AssertionError`` naming the
+        offenders and returns ``True``, so callers write
+        ``assert plan.check()`` and pay nothing under ``-O``.
         """
         by_slot: dict[int, list[Lifetime]] = {}
         for lt in self.lifetimes.values():
@@ -112,18 +93,6 @@ class MemoryPlan:
                     raise AssertionError(
                         f"slot {slot}: {a.name} [{a.birth},{a.death}] "
                         f"overlaps {b.name} [{b.birth},{b.death}]")
-        for stage in self.stages or ():
-            owner: dict[int, int] = {}
-            for g, group in enumerate(stage):
-                written = [key for name in group
-                           for key in (name, f"{name}:scratch")
-                           if key in self.lifetimes]
-                for key in written:
-                    slot = self.lifetimes[key].slot
-                    if owner.setdefault(slot, g) != g:
-                        raise AssertionError(
-                            f"stage {stage}: groups {owner[slot]} and {g} "
-                            f"share slot {slot} ({key})")
         return True
 
     def followed_by(self, other: "MemoryPlan") -> "MemoryPlan":
@@ -149,7 +118,6 @@ class MemoryPlan:
             slot_sizes=self.slot_sizes + other.slot_sizes,
             peak_bytes=self.peak_bytes + other.peak_bytes,
             naive_bytes=self.naive_bytes + other.naive_bytes,
-            stages=self.stages,
         )
 
 
@@ -180,22 +148,10 @@ class _Arena:
 
 
 def plan_memory(steps: list[Step], outputs: tuple[str, ...], batch: int,
-                itemsize: int = 4,
-                stages: Sequence[Sequence[Sequence[str]]] | None = None
-                ) -> MemoryPlan:
-    """Assign every step output and scratch buffer to an arena slot.
-
-    ``stages`` (optional) is a schedule's nested stage -> group -> step
-    name structure (``Schedule.stage_groups()``).  When given, the plan
-    is computed over the *scheduled* execution order with stage-barrier
-    release semantics, so buffers of steps in concurrent groups never
-    alias; when ``None``, planning is the original sequential liveness
-    pass, unchanged.
-    """
+                itemsize: int = 4) -> MemoryPlan:
+    """Assign every step output and scratch buffer to an arena slot."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if stages is not None:
-        return _plan_scheduled(steps, outputs, batch, itemsize, stages)
     last = len(steps) - 1
     death: dict[str, int] = {}
     for i, step in enumerate(steps):
@@ -239,112 +195,3 @@ def plan_memory(steps: list[Step], outputs: tuple[str, ...], batch: int,
         naive_bytes=naive,
     )
 
-
-def _scheduled_order(steps: list[Step],
-                     stages: Sequence[Sequence[Sequence[str]]]
-                     ) -> tuple[list[Step], list[list[int]]]:
-    """Flatten ``steps`` into scheduled execution order.
-
-    Returns ``(ordered_steps, stage_indices)`` where each entry of
-    ``stage_indices`` lists the ordered-step indices that execute
-    between two barriers.  Input steps (no schedulable work) run first,
-    each as its own barrier.  Raises ``ValueError`` if the schedule does
-    not cover the compute steps exactly once.
-    """
-    by_name = {s.name: s for s in steps}
-    ordered: list[Step] = []
-    stage_indices: list[list[int]] = []
-    for step in steps:
-        if step.kind == "input":
-            stage_indices.append([len(ordered)])
-            ordered.append(step)
-    seen: set[str] = set()
-    for stage in stages:
-        members: list[int] = []
-        for group in stage:
-            for name in group:
-                step = by_name.get(name)
-                if step is None or step.kind == "input":
-                    raise ValueError(
-                        f"schedule names unknown or non-compute step {name!r}")
-                if name in seen:
-                    raise ValueError(f"step {name!r} scheduled twice")
-                seen.add(name)
-                members.append(len(ordered))
-                ordered.append(step)
-        stage_indices.append(members)
-    compute = {s.name for s in steps if s.kind != "input"}
-    missing = compute - seen
-    if missing:
-        raise ValueError(
-            f"schedule does not cover steps: {sorted(missing)}")
-    return ordered, stage_indices
-
-
-def _plan_scheduled(steps: list[Step], outputs: tuple[str, ...], batch: int,
-                    itemsize: int,
-                    stages: Sequence[Sequence[Sequence[str]]]) -> MemoryPlan:
-    """Stage-barrier planning for concurrent execution.
-
-    Identical to the sequential pass except for *when* slots return to
-    the free list: every release — consumed inputs, dead outputs, step
-    scratch — is deferred to the enclosing stage's barrier, so any two
-    tensors touched by concurrently-running steps occupy distinct slots
-    by construction.
-    """
-    ordered, stage_indices = _scheduled_order(steps, stages)
-    last = len(ordered) - 1
-    death: dict[str, int] = {}
-    for i, step in enumerate(ordered):
-        death[step.name] = i
-        for name in step.inputs:
-            death[name] = i
-    for name in outputs:
-        death[name] = last
-    # A tensor stays resident to the barrier of the stage it dies in.
-    stage_end: dict[int, int] = {}
-    for members in stage_indices:
-        for i in members:
-            stage_end[i] = members[-1] if members else i
-    hold = {name: stage_end[i] for name, i in death.items()}
-
-    arena = _Arena()
-    lifetimes: dict[str, Lifetime] = {}
-    slot_of: dict[str, int] = {}
-    naive = 0
-
-    for members in stage_indices:
-        deferred: list[int] = []
-        for i in members:
-            step = ordered[i]
-            out_bytes = batch * step.out_elems * itemsize
-            naive += out_bytes
-            slot = arena.acquire(out_bytes)
-            slot_of[step.name] = slot
-            lifetimes[step.name] = Lifetime(step.name, i, hold[step.name],
-                                            out_bytes, slot)
-            if step.scratch_elems:
-                s_bytes = batch * step.scratch_elems * itemsize
-                naive += s_bytes
-                s_slot = arena.acquire(s_bytes)
-                lifetimes[f"{step.name}:scratch"] = Lifetime(
-                    f"{step.name}:scratch", i, stage_end[i], s_bytes, s_slot)
-                deferred.append(s_slot)
-            for name in step.inputs:
-                if death[name] == i:
-                    deferred.append(slot_of[name])
-            if death[step.name] == i and step.name not in outputs:
-                deferred.append(slot)
-        for slot in deferred:
-            arena.release(slot)
-
-    return MemoryPlan(
-        batch=batch,
-        itemsize=itemsize,
-        lifetimes=lifetimes,
-        slot_sizes=tuple(arena.sizes),
-        peak_bytes=sum(arena.sizes),
-        naive_bytes=naive,
-        stages=tuple(tuple(tuple(group) for group in stage)
-                     for stage in stages),
-    )

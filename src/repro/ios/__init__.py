@@ -8,13 +8,7 @@ from .aot import (
     scheduling_cost_comparison,
 )
 from .baselines import greedy_schedule, sequential_schedule, single_stage_schedule
-from .cost import (
-    MeasuredCosts,
-    MeasuredRunResult,
-    measure_latency,
-    measure_schedule,
-    schedule_overheads,
-)
+from .cost import measure_latency, measure_schedule, schedule_overheads
 from .dp import DPScheduler, count_downsets, dp_schedule
 from .multigpu import (
     GroupPlacement,
@@ -39,8 +33,6 @@ __all__ = [
     "measure_schedule",
     "measure_latency",
     "schedule_overheads",
-    "MeasuredCosts",
-    "MeasuredRunResult",
     "OptimizationResult",
     "optimize_schedule",
     "compare_strategies",

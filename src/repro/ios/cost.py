@@ -1,162 +1,29 @@
-"""Schedule latency measurement: simulated GPU or measured kernel costs.
+"""Schedule latency measurement on the simulated GPU.
 
 The IOS paper *measures* candidate stages on the device rather than
-trusting an analytic model.  Two cost sources implement that idea here:
-
-* the original path runs a fresh :class:`~repro.gpusim.GraphExecutor`
-  over the simulated device, so DP cost (built from ``plan_stage``) and
-  measured cost agree by construction — a property the test suite
-  asserts;
-* :class:`MeasuredCosts` wraps *real* per-operator timings (the compiled
-  engine's per-step wall clocks, see :mod:`repro.engine.sched`) and
-  prices a stage as its makespan over a bounded worker pool plus the
-  thread dispatch/join overheads concurrency actually costs on the host.
-
-Both feed the same :class:`~repro.ios.dp.DPScheduler` (via its
-``cost_source`` parameter) and the same :func:`measure_schedule` /
-:func:`schedule_overheads` reporting seam — existing gpusim callers keep
-their signatures, engine callers pass ``source=MeasuredCosts(...)``.
+trusting an analytic model; here the measured quantity is a fresh
+:class:`~repro.gpusim.GraphExecutor` run, so DP cost (built from
+``plan_stage``) and measured cost agree by construction — a property the
+test suite asserts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.executor import GraphExecutor, RunResult
 from ..graph.ir import Graph
 from .schedule import Schedule
 
-__all__ = [
-    "MeasuredCosts",
-    "MeasuredRunResult",
-    "measure_schedule",
-    "measure_latency",
-    "schedule_overheads",
-]
-
-
-class MeasuredCosts:
-    """Stage-cost source built from measured per-operator latencies.
-
-    Parameters
-    ----------
-    costs_us   : operator name -> measured solo latency in microseconds.
-    workers    : concurrency bound — how many groups can genuinely run
-                 at once (host threads on CPU, streams on GPU).  Groups
-                 beyond the bound are packed longest-first (LPT), so a
-                 3-group stage on 2 workers is priced honestly instead
-                 of assuming infinite parallelism.
-    dispatch_us: overhead of handing one extra group to a worker
-                 (thread-pool submit + wakeup).  Charged per group
-                 beyond the first, only on parallel stages.
-    sync_us    : stage-barrier join overhead, charged once per parallel
-                 stage.  Sequential (single-group) stages cost exactly
-                 the sum of their operator times — matching how a
-                 sequential program actually executes, with no barrier.
-    """
-
-    strategy = "ios-dp-measured"
-
-    def __init__(self, costs_us: Mapping[str, float], workers: int = 1,
-                 dispatch_us: float = 0.0, sync_us: float = 0.0) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.costs_us = {name: float(us) for name, us in costs_us.items()}
-        self.workers = int(workers)
-        self.dispatch_us = float(dispatch_us)
-        self.sync_us = float(sync_us)
-
-    def op_cost(self, name: str) -> float:
-        return self.costs_us[name]
-
-    def _group_span(self, group) -> float:
-        ops = getattr(group, "ops", group)
-        return sum(self.costs_us[name] for name in ops)
-
-    def stage_cost(self, groups: Sequence) -> float:
-        """Host-observed latency of one stage in microseconds.
-
-        Single-group stages run inline on the calling thread (no
-        dispatch, no barrier).  Multi-group stages run concurrently:
-        latency is the LPT makespan over ``workers`` lanes plus the
-        dispatch/join overheads.
-        """
-        spans = sorted((self._group_span(g) for g in groups), reverse=True)
-        if not spans:
-            raise ValueError("empty stage")
-        if len(spans) == 1:
-            return spans[0]
-        lanes = [0.0] * min(self.workers, len(spans))
-        for span in spans:
-            lanes[lanes.index(min(lanes))] += span
-        return (max(lanes)
-                + self.dispatch_us * (len(spans) - 1)
-                + self.sync_us)
-
-    def stage_latencies(self, schedule: Schedule) -> list[float]:
-        return [self.stage_cost(stage.groups) for stage in schedule.stages]
-
-    def schedule_latency(self, schedule: Schedule) -> float:
-        """End-to-end latency of ``schedule`` under these costs (us)."""
-        return sum(self.stage_latencies(schedule))
-
-
-@dataclass(frozen=True)
-class MeasuredRunResult:
-    """Measured-cost counterpart of :class:`~repro.gpusim.executor.RunResult`.
-
-    Carries what :func:`schedule_overheads` needs to decompose the run:
-    total operator (kernel) time vs the concurrency overheads the
-    schedule added.
-    """
-
-    batch: int
-    latency_us: float
-    stage_latencies_us: list[float]
-    num_stages: int
-    kernel_us: float
-
-    @property
-    def latency_ms(self) -> float:
-        return self.latency_us / 1e3
-
-    @property
-    def overhead_us(self) -> float:
-        return max(0.0, self.latency_us - self.kernel_us)
+__all__ = ["measure_schedule", "measure_latency", "schedule_overheads"]
 
 
 def measure_schedule(
     graph: Graph,
     schedule: Schedule,
     device: DeviceSpec | None = None,
-    *,
-    source: MeasuredCosts | None = None,
-) -> RunResult | MeasuredRunResult:
-    """Measure ``schedule`` once and return the full result.
-
-    Without ``source`` this is the original simulated-GPU path: a fresh
-    :class:`GraphExecutor` run (latency, stage breakdown, trace,
-    memory).  With ``source`` the schedule is priced under the measured
-    per-operator costs instead and a :class:`MeasuredRunResult` comes
-    back — no simulator involved.
-    """
-    if source is not None:
-        stage_latencies = source.stage_latencies(schedule)
-        kernel = sum(
-            source.op_cost(name)
-            for stage in schedule.stages
-            for group in stage.groups
-            for name in group.ops
-        )
-        return MeasuredRunResult(
-            batch=schedule.batch,
-            latency_us=sum(stage_latencies),
-            stage_latencies_us=stage_latencies,
-            num_stages=schedule.num_stages,
-            kernel_us=kernel,
-        )
+) -> RunResult:
+    """Run ``schedule`` once on a fresh simulated device and return the
+    full :class:`RunResult` (latency, stage breakdown, trace, memory)."""
     executor = GraphExecutor(graph, device=device)
     return executor.run(schedule, schedule.batch)
 
@@ -165,32 +32,17 @@ def measure_latency(
     graph: Graph,
     schedule: Schedule,
     device: DeviceSpec | None = None,
-    *,
-    source: MeasuredCosts | None = None,
 ) -> float:
     """End-to-end inference latency of ``schedule`` in microseconds."""
-    return measure_schedule(graph, schedule, device, source=source).latency_us
+    return measure_schedule(graph, schedule, device).latency_us
 
 
-def schedule_overheads(result: RunResult | MeasuredRunResult) -> dict[str, float]:
+def schedule_overheads(result: RunResult) -> dict[str, float]:
     """Decompose a run into device kernel time vs host overheads (us).
 
     Returns keys ``kernel``, ``sync``, ``launch``, ``memcpy``, ``other``;
     useful for explaining *where* IOS wins over the sequential schedule.
-    Accepts both the simulated :class:`RunResult` (overheads read from
-    the CUDA API trace) and a :class:`MeasuredRunResult` (everything
-    beyond operator time is barrier/dispatch overhead, reported as
-    ``sync``).
     """
-    if isinstance(result, MeasuredRunResult):
-        return {
-            "kernel": result.kernel_us,
-            "sync": result.overhead_us,
-            "launch": 0.0,
-            "memcpy": 0.0,
-            "other": 0.0,
-            "total": result.latency_us,
-        }
     kernel = sum(e.duration_us for e in result.trace.kernels)
     api = result.trace.api_time_by_name()
     sync = api.get("cudaStreamSynchronize", 0.0) + api.get("cudaDeviceSynchronize", 0.0)

@@ -40,7 +40,6 @@ class DPScheduler:
         device: DeviceSpec | None = None,
         max_stage_ops: int | None = None,
         max_groups: int | None = None,
-        cost_source=None,
     ) -> None:
         graph.validate()
         self.graph = graph
@@ -48,12 +47,6 @@ class DPScheduler:
         self.device = device if device is not None else DeviceSpec()
         self.max_stage_ops = max_stage_ops
         self.max_groups = max_groups
-        #: alternative stage-cost provider (``stage_cost(groups) -> us``),
-        #: e.g. :class:`repro.ios.cost.MeasuredCosts` built from real
-        #: engine kernel timings.  When set, the analytic gpusim kernel
-        #: model is bypassed entirely — the DP optimizes the measured
-        #: quantity instead.
-        self.cost_source = cost_source
         self._names = [op.name for op in graph.compute_nodes()]
         self._index = {name: i for i, name in enumerate(self._names)}
         self._n = len(self._names)
@@ -65,10 +58,8 @@ class DPScheduler:
                 j = self._index.get(dep)
                 if j is not None:
                     self._pred_mask[i] |= 1 << j
-        self._specs: dict[str, KernelSpec] = (
-            {} if cost_source is not None
-            else KernelCostModel(self.device).specs(graph, batch)
-        )
+        model = KernelCostModel(self.device)
+        self._specs: dict[str, KernelSpec] = model.specs(graph, batch)
         self._stage_cost_cache: dict[int, float] = {}
         self._stage_cost_calls = 0
 
@@ -108,8 +99,6 @@ class DPScheduler:
         groups = self._stage_groups(mask)
         if self.max_groups is not None and len(groups) > self.max_groups:
             cost = float("inf")
-        elif self.cost_source is not None:
-            cost = float(self.cost_source.stage_cost(groups))
         else:
             plan = plan_stage([g.ops for g in groups], self._specs, self.device)
             cost = plan.latency_us
@@ -164,14 +153,12 @@ class DPScheduler:
             mask = best_stage[remaining]
             stages.append(Stage(self._stage_groups(mask)))
             remaining &= ~mask
-        strategy = (getattr(self.cost_source, "strategy", None)
-                    if self.cost_source is not None else None)
         return Schedule(
             graph_name=self.graph.name,
             batch=self.batch,
             stages=tuple(stages),
             latency_us=total,
-            strategy=strategy or "ios-dp",
+            strategy="ios-dp",
         )
 
 
@@ -181,11 +168,9 @@ def dp_schedule(
     device: DeviceSpec | None = None,
     max_stage_ops: int | None = None,
     max_groups: int | None = None,
-    cost_source=None,
 ) -> Schedule:
     """Convenience wrapper: build a :class:`DPScheduler` and solve."""
-    return DPScheduler(graph, batch, device, max_stage_ops, max_groups,
-                       cost_source=cost_source).solve()
+    return DPScheduler(graph, batch, device, max_stage_ops, max_groups).solve()
 
 
 def count_downsets(graph: Graph) -> int:

@@ -85,10 +85,9 @@ class Schedule:
         """Content hash of the *plan* (graph, batch, stage structure).
 
         Annotations — measured latency, strategy label — are excluded,
-        so a schedule keeps its hash when re-annotated.  Pool workers
-        compare this against the parent's hash to verify they adopted
-        the exact schedule that was shipped (``from_json`` checks it
-        automatically when the serialized form carries one).
+        so a schedule keeps its hash when re-annotated.  ``from_json``
+        checks it when the serialized form carries one, so a corrupted
+        or hand-edited saved schedule raises instead of loading.
         """
         canon = json.dumps(
             {"graph": self.graph_name, "batch": self.batch,

@@ -59,7 +59,6 @@ def measure_latency_ms(
     warmup: int = 1,
     backend: str = "eager",
     seed: int = 0,
-    quant: str = "float32",
 ) -> float:
     """Wall-clock inference latency (ms) for one sampled architecture.
 
@@ -74,15 +73,8 @@ def measure_latency_ms(
     ``backend="engine"`` times the compiled inference engine
     (:mod:`repro.engine`) instead of the eager autograd path, so a
     latency-constrained search can rank candidates by their deployed
-    cost — including whatever inter-operator schedule the engine's IOS
-    pass (:mod:`repro.engine.sched`) chose for the architecture, since
-    candidates with wide SPP branches deploy scheduled.  Compilation,
-    step-cost measurement, and the schedule solve all happen in an
-    explicit warmup before any timed pass and are not counted.  ``quant`` (engine backend only) measures the program under
-    a reduced-precision mode (``"float16"``/``"int8"``) so a search can
-    rank candidates by their quantized deployment latency; latency is
-    accuracy-agnostic, so the accuracy gate for the mode is applied
-    separately (:func:`repro.engine.quantize_with_accuracy_gate`).
+    cost.  Compilation and program binding happen in an explicit
+    warmup before any timed pass and are not counted.
     """
     import numpy as np
 
@@ -93,8 +85,6 @@ def measure_latency_ms(
         raise ValueError("repeats must be >= 1")
     if backend not in ("eager", "engine"):
         raise ValueError(f"unknown backend {backend!r}; use 'eager' or 'engine'")
-    if quant != "float32" and backend != "engine":
-        raise ValueError("quant modes require backend='engine'")
     rng = np.random.default_rng(seed)
     model = SPPNetDetector(config)
     model.eval()
@@ -105,12 +95,10 @@ def measure_latency_ms(
     if backend == "engine":
         from ..engine import compiled_for
 
-        compiled = compiled_for(model, quant=quant)
-        # Bind the shape's trunk and this batch's head — including the
-        # IOS step-cost measurement and DP solve on first use — before
-        # any timed (or even warmup=0) pass, so the reported latency is
-        # steady-state execution of the scheduled program, never
-        # compilation.
+        compiled = compiled_for(model)
+        # Bind the shape's trunk and this batch's head before any timed
+        # (or even warmup=0) pass, so the reported latency is
+        # steady-state execution, never compilation.
         compiled.warmup([batch],
                         (config.in_channels, input_size, input_size))
         run = lambda: compiled.predict(images, batch_size=batch)  # noqa: E731

@@ -52,7 +52,7 @@ import numpy as np
 
 from .pool import WorkerPool, get_pool, warm_pool
 from .shm import SharedArray
-from .worker import ShardTask, _warm_engine
+from .worker import ShardTask
 
 __all__ = ["run_shards", "default_start_method", "resolve_n_workers",
            "cpu_affinity_count", "spawn_cost_ms", "record_spawn_cost"]
@@ -190,7 +190,6 @@ _RESULT_DTYPES = {"eager": np.float64, "engine": np.float32}
 def run_shards(
     model,
     image: np.ndarray,
-    origins: list[tuple[int, int]],
     shards: list,
     meta: dict,
     *,
@@ -227,16 +226,6 @@ def run_shards(
     backend = meta["backend"]
     if pool is None:
         pool = get_pool(len(shards))
-    if backend == "engine":
-        # Solve before shipping: bind what the workers will run in the
-        # PARENT first (the scan's shared prefix and per-window suffix,
-        # or the per-tile trunk of a robust scan, and a head per
-        # micro-batch size), so ensure_model ships the IOS schedules and
-        # no worker re-measures or re-solves.  compiled_for caches per
-        # model instance, so repeat scans pay nothing here.
-        _warm_engine(model, image.shape, meta["window"],
-                     [shard.size for shard in shards], batch_size, origins,
-                     robust)
     model_hash = pool.ensure_model(model)
     with SharedArray(image) as shared, ExitStack() as stack:
         # one result slab per batched shard, sized from its origin

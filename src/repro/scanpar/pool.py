@@ -126,14 +126,6 @@ def _pool_worker_main(conn) -> None:
             _, model_hash, data = message
             if model_hash not in models:
                 models[model_hash] = pickle.loads(data)
-        elif kind == "sched":
-            # adopt the parent's solved IOS schedules: a worker that
-            # adopts never re-measures step costs or re-runs the DP
-            # during warmup, and the whole pool provably executes the
-            # parent's stage/group plan (payloads are hash-verified)
-            from ..engine import sched
-
-            sched.seed(message[1])
         elif kind == "shard":
             task = message[1]
             try:
@@ -150,13 +142,12 @@ def _pool_worker_main(conn) -> None:
 class _Worker:
     """One pool slot: process, duplex pipe, and the model hashes sent."""
 
-    __slots__ = ("proc", "conn", "sent", "scheds")
+    __slots__ = ("proc", "conn", "sent")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
         self.sent: set[str] = set()
-        self.scheds: set = set()      # IOS ScheduleKeys already shipped
 
     @property
     def pid(self) -> int:
@@ -357,20 +348,12 @@ class WorkerPool:
 
         Returns the model's content hash (the workers' cache key).
         Bytes travel over each worker's pipe at most once; repeat scans
-        of the same model send nothing.
-
-        The parent's solved IOS schedules ride along (delta per worker,
-        ``Schedule.to_json`` payloads per ``ScheduleKey``), so workers
-        adopt the parent's stage/group plans instead of re-measuring
-        and re-solving during warmup.  Replacement workers get the full
-        snapshot on their first ensure_model.  Conv kernels need no
-        such message: every process computes the same
-        ``engine.conv_variant`` of the layer geometry.
+        of the same model send nothing.  Nothing else about a compile
+        travels: every process computes the same
+        ``engine.conv_variant`` of the layer geometry and the same
+        window plan of the scan geometry.
         """
-        from ..engine import sched
-
         data, model_hash = serialized_model(model)
-        solved = sched.snapshot()
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
@@ -380,11 +363,6 @@ class WorkerPool:
                     worker.conn.send(("model", model_hash, data))
                     worker.sent.add(model_hash)
                     self.stats["model_sends"] += 1
-                sched_delta = {key: text for key, text in solved.items()
-                               if key not in worker.scheds}
-                if sched_delta:
-                    worker.conn.send(("sched", sched_delta))
-                    worker.scheds.update(sched_delta)
         return model_hash
 
     @contextmanager

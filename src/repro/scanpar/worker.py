@@ -58,33 +58,28 @@ class ShardTask:
 
 
 def _warm_engine(model, image_shape: tuple[int, ...], window: int,
-                 span_sizes: list[int], batch_size: int, origins,
-                 robust: bool) -> tuple[float, int]:
-    """Pre-build the engine programs spans of ``span_sizes`` origins
-    will execute; returns ``(warmup milliseconds, IOS DP solves paid)``
-    (compile paid once per worker process — and, with a persistent
-    pool, once per model *lifetime*, because warmup of an
-    already-cached program costs nothing).  A batched span runs what
-    ``predict_windows`` runs over the raster for the whole scan's
-    ``origins`` — the shared prefix and per-window suffix when the scan
-    shares feature maps — and a head per micro-batch size (full batches
-    and each span's ragged last one); a robust span runs one tile at a
-    time, the per-tile programs at batch 1.  The solve count is the
-    pool's schedule-shipping health signal: a worker seeded with the
-    parent's schedules warms with zero solves."""
-    from ..engine import compiled_for, sched
+                 n_origins: int, batch_size: int, origins,
+                 robust: bool) -> float:
+    """Pre-build the engine programs a span of ``n_origins`` origins
+    will execute; returns the warmup milliseconds (compile paid once
+    per worker process — and, with a persistent pool, once per model
+    *lifetime*, because warmup of an already-cached program costs
+    nothing).  A batched span runs what ``predict_windows`` runs over
+    the raster for the whole scan's ``origins`` — the shared prefix and
+    per-window suffix when the scan shares feature maps — and a head
+    per micro-batch size (full batches and the span's ragged last one);
+    a robust span runs one tile at a time, the per-tile programs at
+    batch 1."""
+    from ..engine import compiled_for
 
     model.eval()
     compiled = compiled_for(model)
-    solves_before = sched.stats()["solves"]
     if robust:
-        warmup_ms = compiled.warmup([1], (image_shape[0], window, window))
-    else:
-        sizes = {size for n in span_sizes
-                 for size in (min(batch_size, n), n % batch_size) if size}
-        warmup_ms = compiled.warmup_windows(image_shape, window, origins,
-                                            sorted(sizes))
-    return warmup_ms, sched.stats()["solves"] - solves_before
+        return compiled.warmup([1], (image_shape[0], window, window))
+    sizes = {size for size in (min(batch_size, n_origins),
+                               n_origins % batch_size) if size}
+    return compiled.warmup_windows(image_shape, window, origins,
+                                   sorted(sizes))
 
 
 def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
@@ -107,10 +102,10 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
     robust = task.policy is not None
     with attach_array(task.shm) as shared:
         image = shared.array
-        warmup_ms, sched_solves, plan = 0.0, 0, None
+        warmup_ms, plan = 0.0, None
         if task.backend == "engine":
-            warmup_ms, sched_solves = _warm_engine(
-                model, image.shape, task.window, [task.stop - task.start],
+            warmup_ms = _warm_engine(
+                model, image.shape, task.window, task.stop - task.start,
                 task.batch_size, origins, robust)
             if not robust:
                 from ..engine import compiled_for
@@ -130,7 +125,7 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
             confidence_threshold=task.confidence_threshold,
             policy=task.policy, skip=task.skip, journal=journal)
         payload.update(shard=task.shard_index, warmup_ms=warmup_ms,
-                       model_cached=True, sched_solves=sched_solves)
+                       model_cached=True)
         if robust:
             return payload
         # how the engine ran this shard's windows (None: eager)

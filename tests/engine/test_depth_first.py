@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.predict import predict
 from repro.detect.sppnet import SPPNetDetector
-from repro.engine import CompiledModel, Step, compile as engine_compile, sched
+from repro.engine import CompiledModel, Step, compile as engine_compile
 from repro.engine.compiled import _Program
 from repro.engine.fusion import split_trunk_head
 from repro.nas.space import config_from_sample
@@ -92,20 +92,6 @@ def test_float32_outputs_bitwise_equal_full_batch_binding(name):
 
 # -- property sweep ----------------------------------------------------------
 
-@pytest.fixture(scope="module", autouse=True)
-def parallel_schedules():
-    """Zero modeled overheads and a 4-lane budget: ``schedule=True``
-    then really runs the SPP branches as concurrent groups, on any
-    host."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sched, "DISPATCH_US", 0.0)
-        patch.setattr(sched, "SYNC_US", 0.0)
-        patch.setenv(sched.ENV_WORKERS, "4")
-        sched.clear_cache()
-        yield
-    sched.clear_cache()
-
-
 def sample_config(first_kernel: int, spp_first_level: int,
                   fc_width: int) -> SPPNetConfig:
     """A search-space sample, its trunk shrunk to two narrow convs so
@@ -133,10 +119,9 @@ def bitwise(a, b) -> bool:
        size=st.integers(32, 48),
        batch=st.sampled_from(BATCHES),
        quant=st.sampled_from(("float32", "float16")),
-       schedule=st.booleans(),
        seed=st.integers(0, 2**16))
 def test_model_space_property(first_kernel, spp_first_level, fc_width, size,
-                              batch, quant, schedule, seed):
+                              batch, quant, seed):
     config = sample_config(first_kernel, spp_first_level, fc_width)
     model = SPPNetDetector(config, seed=seed).eval()
     shape = (4, size, size)
@@ -145,21 +130,16 @@ def test_model_space_property(first_kernel, spp_first_level, fc_width, size,
 
     # head-less: every row is exactly what the tile gives on its own
     features = Sequential(model.trunk, model.spp)
-    headless = engine_compile(features, shape, quant=quant,
-                              schedule=schedule)
+    headless = engine_compile(features, shape, quant=quant)
     rows = headless(x)
     assert rows.shape == (batch, config.spp_features)
     for i in range(batch):
         assert bitwise(rows[i:i + 1], headless(x[i:i + 1]))
 
-    compiled = engine_compile(model, shape, quant=quant, schedule=schedule)
+    compiled = engine_compile(model, shape, quant=quant)
     out = compiled(x)
-    if schedule:
-        assert compiled.schedule_for(batch, shape).max_parallelism > 1 \
-            or len(config.spp_levels) == 1
     # two fresh compiles run the same kernels over the same bytes
-    assert bitwise(out, engine_compile(model, shape, quant=quant,
-                                       schedule=not schedule)(x))
+    assert bitwise(out, engine_compile(model, shape, quant=quant)(x))
     # the head's GEMM sees other rows at batch n: low-order bits only
     for i in range(batch):
         for whole, alone in zip(out, compiled(x[i:i + 1])):
@@ -175,6 +155,22 @@ def test_model_space_property(first_kernel, spp_first_level, fc_width, size,
         eng_conf, eng_boxes = compiled.predict(x, batch_size=batch)
         np.testing.assert_allclose(eng_conf, conf, atol=2e-3)
         np.testing.assert_allclose(eng_boxes, boxes, atol=2e-3)
+
+
+class TestStepCosts:
+    def test_costs_cover_every_compute_step(self):
+        model = SPPNetDetector(sample_config(3, 2, 32), seed=0).eval()
+        compiled = CompiledModel(model, (4, 32, 32))
+        trunk, head = compiled._programs_for(2, (4, 32, 32))
+        x = np.random.default_rng(0).standard_normal(
+            (1, 4, 32, 32)).astype(np.float32)
+        costs = trunk.step_costs(x, repeats=2)
+        # costs are the one-sample trunk's; the head's steps are not in
+        linear = {s.name for s in compiled.steps if s.kind == "linear"}
+        assert linear and not linear & set(costs)
+        assert set(costs) | set(head.views) == {
+            s.name for s in compiled.steps if s.kind != "input"}
+        assert all(c > 0 for c in costs.values())
 
 
 def test_all_linear_module_runs_as_one_head():

@@ -74,20 +74,6 @@ class TestCheck:
         with pytest.raises(AssertionError, match="holds"):
             self.moved(plan, "t1", nbytes=10**6).check()
 
-    def test_groups_of_one_stage_sharing_a_slot(self):
-        stages = TestScheduledPlanning.STAGES
-        plan = plan_memory(diamond_steps(scratch=32), ("d",), batch=1,
-                           stages=stages)
-        assert plan.check()
-        # c's scratch moved onto b's: legal in time only if b and c ran
-        # in order, which groups of one stage do not
-        clash = self.moved(plan, "c:scratch",
-                           slot=plan.lifetimes["b:scratch"].slot,
-                           birth=3, death=3)
-        clash = self.moved(clash, "b:scratch", birth=2, death=2)
-        with pytest.raises(AssertionError, match="share slot"):
-            clash.check()
-
 
 class TestPinningAndScratch:
     def test_early_output_is_pinned_until_program_end(self):
@@ -166,7 +152,7 @@ class TestRealModelPlan:
 
     def test_arena_does_not_grow_with_the_batch(self):
         model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0)
-        compiled = CompiledModel(model, (4, 100, 100), schedule=False)
+        compiled = CompiledModel(model, (4, 100, 100))
         assert compiled.planned_peak_bytes(20) < 16 * 2**20
         assert (compiled.planned_peak_bytes(20)
                 - compiled.planned_peak_bytes(1)) < 2**20
@@ -176,78 +162,3 @@ class TestRealModelPlan:
         f32 = CompiledModel(model, (4, 32, 32), dtype=np.float32)
         f64 = CompiledModel(model, (4, 32, 32), dtype=np.float64)
         assert f64.planned_peak_bytes() == 2 * f32.planned_peak_bytes()
-
-
-def diamond_steps(scratch: int = 0):
-    """input -> a -> (b, c) -> d: the minimal parallelizable DAG."""
-    return [
-        step("input", (), 64, kind="input"),
-        step("a", ("input",), 64),
-        step("b", ("a",), 64, scratch=scratch),
-        step("c", ("a",), 64, scratch=scratch),
-        step("d", ("b", "c"), 64),
-    ]
-
-
-class TestScheduledPlanning:
-    """Stage-barrier planning for concurrent execution: buffers touched
-    by different groups of one stage must never share arena slots."""
-
-    STAGES = [[["a"]], [["b"], ["c"]], [["d"]]]
-
-    def touched_slots(self, plan, name):
-        slots = {plan.lifetimes[name].slot}
-        scratch = plan.lifetimes.get(f"{name}:scratch")
-        if scratch is not None:
-            slots.add(scratch.slot)
-        return slots
-
-    def test_parallel_group_buffers_never_alias(self):
-        plan = plan_memory(diamond_steps(scratch=32), ("d",), batch=1,
-                           stages=self.STAGES)
-        b = self.touched_slots(plan, "b") | {plan.lifetimes["a"].slot}
-        c = self.touched_slots(plan, "c") | {plan.lifetimes["a"].slot}
-        # outputs and scratches of the concurrent pair are disjoint
-        # (their shared input "a" is the only legal overlap)
-        assert not (self.touched_slots(plan, "b")
-                    & self.touched_slots(plan, "c"))
-        # and the shared input stays resident through the whole stage
-        assert plan.lifetimes["a"].death >= max(
-            plan.lifetimes["b"].birth, plan.lifetimes["c"].birth)
-        assert b and c  # plans cover both groups
-
-    def test_scratch_held_to_stage_barrier(self):
-        plan = plan_memory(diamond_steps(scratch=32), ("d",), batch=1,
-                           stages=self.STAGES)
-        sb = plan.lifetimes["b:scratch"]
-        sc = plan.lifetimes["c:scratch"]
-        assert sb.slot != sc.slot
-        # both scratches die at the stage barrier, not at their own step
-        assert sb.death == sc.death
-
-    def test_sequential_path_unchanged_by_stages_kwarg(self):
-        steps = diamond_steps(scratch=32)
-        old = plan_memory(steps, ("d",), batch=1)
-        new = plan_memory(steps, ("d",), batch=1, stages=None)
-        assert old == new
-        assert old.check()
-
-    def test_scheduled_peak_at_least_sequential(self):
-        steps = diamond_steps(scratch=32)
-        seq = plan_memory(steps, ("d",), batch=1)
-        sch = plan_memory(steps, ("d",), batch=1, stages=self.STAGES)
-        assert sch.peak_bytes >= seq.peak_bytes
-        assert sch.naive_bytes == seq.naive_bytes
-
-    def test_schedule_must_cover_steps_exactly_once(self):
-        steps = diamond_steps()
-        with pytest.raises(ValueError, match="does not cover"):
-            plan_memory(steps, ("d",), batch=1,
-                        stages=[[["a"]], [["b"], ["c"]]])
-        with pytest.raises(ValueError, match="scheduled twice"):
-            plan_memory(steps, ("d",), batch=1,
-                        stages=self.STAGES + [[["d"]]])
-        with pytest.raises(ValueError, match="unknown or non-compute"):
-            plan_memory(steps, ("d",), batch=1,
-                        stages=[[["a"]], [["b"], ["c"]], [["ghost"]],
-                                [["d"]]])

@@ -205,3 +205,16 @@ class TestCompiledForCache:
         assert q is not f32
         assert q.quant.mode == "float16"
         assert compiled_for(model, quant="float16") is q
+
+    def test_cache_keys_on_the_whole_policy(self):
+        from repro.engine import compiled_for
+
+        model = SPPNetDetector(small_config(), seed=5)
+        model.eval()
+        default = compiled_for(model, quant="int8")
+        assert default.quant.percentile == 99.9
+        # same mode, another calibration percentile: not the cached model
+        clipped = compiled_for(model, quant=QuantPolicy("int8",
+                                                        percentile=99.0))
+        assert clipped is not default
+        assert clipped.quant.percentile == 99.0

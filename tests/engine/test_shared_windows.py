@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec
 from repro.detect.scan import scan_origins
 from repro.detect.sppnet import SPPNetDetector
-from repro.engine import Step, compile as engine_compile, fusion, sched, windows
+from repro.engine import Step, compile as engine_compile, fusion, windows
 from repro.engine.fusion import chain_at, split_shared_prefix
 from repro.engine.plan import MemoryPlan
 from repro.engine.windows import origin_lattice, plan_windows
@@ -316,22 +316,8 @@ def test_table1_models_bitwise_equal_at_every_geometry(name, quant):
         assert (declined is not None) == (stride >= window)
 
 
-@pytest.fixture(scope="module")
-def parallel_schedules():
-    """Zero modeled overheads and a 4-lane budget: ``schedule=True``
-    then really runs the suffix's SPP branches as concurrent groups."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sched, "DISPATCH_US", 0.0)
-        patch.setattr(sched, "SYNC_US", 0.0)
-        patch.setenv(sched.ENV_WORKERS, "4")
-        sched.clear_cache()
-        yield
-    sched.clear_cache()
-
-
 @settings(derandomize=True, deadline=None, max_examples=40,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(first_kernel=st.sampled_from((1, 3, 5, 7, 9)),
        spp_first_level=st.integers(1, 5),
        fc_width=st.sampled_from((8, 16, 24)),
@@ -341,14 +327,12 @@ def parallel_schedules():
                         st.sampled_from(("window", "beyond"))),
        batch=st.sampled_from((1, 7, 20)),
        quant=st.sampled_from(("float32", "float16")),
-       schedule=st.booleans(),
        seed=st.integers(0, 2**16))
-def test_model_space_property(parallel_schedules, first_kernel,
-                              spp_first_level, fc_width, window, extra,
-                              stride, batch, quant, schedule, seed):
+def test_model_space_property(first_kernel, spp_first_level, fc_width,
+                              window, extra, stride, batch, quant, seed):
     """Random search-space samples x scan geometries (ragged last
     origins, odd lattices, stride == window, stride > window) x batch x
-    quant x flat / forced-parallel suffix schedules."""
+    quant."""
     if stride == "window":
         stride = window
     elif stride == "beyond":
@@ -356,8 +340,7 @@ def test_model_space_property(parallel_schedules, first_kernel,
     size = window + extra
     model = small_model(seed, first_kernel=first_kernel,
                         spp_first_level=spp_first_level, fc_width=fc_width)
-    compiled = engine_compile(model, (4, window, window), quant=quant,
-                              schedule=schedule)
+    compiled = engine_compile(model, (4, window, window), quant=quant)
     image = raster(size, seed=seed)
     origins = scan_origins(size, window, stride)
     ours = shared(compiled, image, origins, window, batch)
@@ -366,8 +349,6 @@ def test_model_space_property(parallel_schedules, first_kernel,
     if plan.reason is None:
         assert plan.macs_shared < plan.macs_per_window
         assert plan.lattice % plan.stride == 0
-        if schedule and len(compiled.module.config.spp_levels) > 1:
-            assert compiled._scan[2].suffix.schedule.max_parallelism > 1
     else:
         # the only way an unpadded chain on a lattice declines
         assert plan.reason == windows.NOT_LESS_WORK

@@ -183,8 +183,7 @@ print(json.dumps({
     name: {str(b): list(compiled.kernel_choices(b).values())
            for b in (1, 5, 20)}
     for name, config in TABLE1_MODELS.items()
-    for compiled in [compile(SPPNetDetector(config, seed=0).eval(),
-                             schedule=False)]
+    for compiled in [compile(SPPNetDetector(config, seed=0).eval())]
 }))
 """
 

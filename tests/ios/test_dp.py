@@ -81,7 +81,7 @@ class TestDPValidity:
 class TestDPOptimality:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force_on_random_dags(self, seed):
-        graph = random_dag(5, seed)
+        graph = random_dag(8, seed)
         sched = dp_schedule(graph, 1)
         assert sched.latency_us == pytest.approx(brute_force_best(graph, 1), rel=1e-9)
 
@@ -175,7 +175,7 @@ class TestDPRandomCosts:
     def test_matches_brute_force_with_random_costs(self, seed):
         from repro.gpusim.kernels import KernelSpec
 
-        graph = random_dag(5, seed + 100)
+        graph = random_dag(8, seed + 100)
         scheduler = DPScheduler(graph, 1)
         rng = np.random.default_rng(seed)
         fuzzed = {}

@@ -180,104 +180,38 @@ class TestPipeProtocol:
             pooled = scan(model, scene, n_workers=2, pool=pool,
                           backend="engine")
             # a replacement worker compiles from scratch, with no
-            # parent decisions to adopt but the IOS schedules
+            # parent decisions to adopt
             pool.replace_worker(pool._workers[0])
             revived = scan(model, scene, n_workers=2, pool=pool,
                            backend="engine")
         assert {"model", "shard"} <= set(sent)
-        assert set(sent) <= {"model", "sched", "shard", "ping", "stop"}
+        assert set(sent) <= {"model", "shard", "ping", "stop"}
         assert list(pooled) == list(sequential)
         assert list(revived) == list(sequential)
 
 
 class TestScheduleSync:
-    """ensure_model ships the parent's solved IOS schedules: a seeded
-    worker warms its shard's engine programs without re-measuring step
-    costs or re-running the DP, and the whole pool executes the
-    parent's stage/group plan."""
-
-    def warm_parent(self, model, scene, tasks):
-        """What ``scanpar.run_shards`` binds before it ships: the
-        scan's prefix/suffix programs and a head per micro-batch size."""
-        from repro.engine import compiled_for
-
-        sizes = set()
-        for task in tasks:
-            span = task.stop - task.start
-            sizes.add(min(BATCH, span))
-            if span % BATCH:
-                sizes.add(span % BATCH)
-        compiled_for(model).warmup_windows(
-            scene.image.shape, WINDOW,
-            scan_origins(scene.size, WINDOW, STRIDE), sorted(sizes))
-
-    def test_seeded_worker_warms_with_zero_solves(self, model, scene):
-        from repro.engine import sched
-
-        with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
-            model_hash = pool.ensure_model(model)
-            tasks = make_tasks(scene, shared, model_hash)
-            self.warm_parent(model, scene, tasks)
-            assert sched.snapshot(), "parent never solved the scan shapes"
-            pool.ensure_model(model)  # ships the schedule delta
-            assert all(set(sched.snapshot()) <= w.scheds
-                       for w in pool._workers)
-            for payload in pool.run(tasks):
-                assert payload["sched_solves"] == 0
-
-    def test_engine_scan_ships_parent_schedules(self, model, scene):
-        from repro.engine import compiled_for, sched
-
-        sequential = scan(model, scene, n_workers=1, backend="engine")
-        with WorkerPool(2) as pool:
-            pooled = scan(model, scene, n_workers=2, pool=pool,
-                          backend="engine")
-            # the per-window suffix is what the scan schedules: its
-            # input is the crop of the shared prefix's output
-            plan = compiled_for(model).window_plan(
-                scene.image.shape, WINDOW,
-                scan_origins(scene.size, WINDOW, STRIDE))
-            shipped = {key for key in sched.snapshot()
-                       if key.shape[1:] == (plan.crop, plan.crop)}
-            assert shipped, "parent never solved the scan geometry"
-            assert all(shipped <= w.scheds for w in pool._workers)
-        assert list(pooled) == list(sequential)
+    """Nothing about a compile is shipped to workers: they compute the
+    parent's window plan from the scan geometry themselves."""
 
     def test_workers_run_the_sequential_scans_window_plan(self, model,
                                                           scene):
         """Pool workers take the shared path on the *scan's* chunk grid:
         every shard reports the plan (and so the prefix shapes) the
-        sequential scan binds, and solves nothing."""
+        sequential scan binds."""
         from repro.engine import compiled_for
 
         origins = scan_origins(scene.size, WINDOW, STRIDE)
         with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
             tasks = make_tasks(scene, shared, pool.ensure_model(model))
-            self.warm_parent(model, scene, tasks)
-            pool.ensure_model(model)
             sequential = compiled_for(model).window_plan(
                 scene.image.shape, WINDOW, origins)
             assert sequential.reason is None and sequential.chunk_heights
             for payload in pool.run(tasks):
                 assert payload["window_plan"] == sequential.to_json()
-                assert payload["sched_solves"] == 0
             eager = pool.run(make_tasks(scene, shared,
                                         pool.ensure_model(model), "eager"))
             assert all(p["window_plan"] is None for p in eager)
-
-    def test_replacement_worker_reships_schedules(self, model, scene):
-        from repro.engine import sched
-
-        with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
-            model_hash = pool.ensure_model(model)
-            tasks = make_tasks(scene, shared, model_hash)
-            self.warm_parent(model, scene, tasks)
-            pool.ensure_model(model)
-            solved = set(sched.snapshot())
-            fresh = pool.replace_worker(pool._workers[0])
-            assert fresh.scheds == set()
-            pool.ensure_model(model)
-            assert solved <= fresh.scheds
 
 
 class TestAdaptivePolicy:
