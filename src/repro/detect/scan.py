@@ -27,6 +27,14 @@ holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
 per-tile fault boundary, outcomes stream to an append-only JSONL scan
 journal, and ``resume=True`` replays a crashed scan's journaled tiles
 verbatim so the finished result is identical to an uninterrupted run.
+The robust stage is a filter in front of the same shared execution: on
+the engine a tile the sanitizer leaves untouched crops the scene's
+feature maps like any batched window (only a repaired tile, whose
+pixels are no longer the raster's, runs the whole trunk), and the
+journal commits once per ``batch_size`` finished tiles — one fsync per
+micro-batch, flushed on the way out of a deadline or a crash, so a hard
+kill loses at most ``batch_size - 1`` finished tiles (plus the one in
+flight) and a resume re-runs exactly those.
 
 There is one pipeline (``docs/scanning.md``): :func:`scan_scene` plans
 the scan, :func:`scan_span` runs a span of its tiles through either
@@ -253,9 +261,12 @@ def scan_scene(
       ``journal`` (a path or :class:`~repro.robust.ScanJournal`) select
       the *robust* stage: each tile is sanitized, run alone behind its
       own fault boundary (a poisoned tile is quarantined, never fatal)
-      and journaled; ``resume=True`` replays a crashed scan's journaled
-      tiles verbatim, so the result equals the uninterrupted one.
-      Without them tiles run in micro-batches of ``batch_size``.
+      and journaled, one durable commit per ``batch_size`` finished
+      tiles (a hard kill loses at most ``batch_size - 1`` of them; a
+      deadline or an exception flushes first); ``resume=True`` replays
+      a crashed scan's journaled tiles verbatim, so the result equals
+      the uninterrupted one.  Without them tiles run in micro-batches
+      of ``batch_size``.
     * ``n_workers``: 1 runs the scan in this process; more (or
       ``"auto"``, which picks from CPU affinity and scene size and may
       pick 1) shards it over a persistent warm
@@ -393,11 +404,17 @@ def scan_span(
     Without a ``policy`` tiles run in micro-batches pulled from
     :func:`~repro.detect.predict.predict_windows` and the payload is
     ``{"confidences", "boxes"}`` (raw model outputs, in origin order).
-    With one, every tile not in ``skip`` (already journaled) goes
-    sanitize -> guarded predict -> ``journal.append`` on its own, and the
-    payload is ``{"records", "fallbacks"}``.  ``deadline_at`` (monotonic)
-    is checked before each batch or tile runs and raises
-    :class:`ScanDeadlineError`; what was journaled stays on disk.
+    With one, every tile not in ``skip`` (already journaled) is
+    sanitized and answered on its own, in index order: on the engine an
+    untouched ("ok") tile crops the scan's shared feature maps through
+    the guarded window runner, a repaired one runs the per-tile trunk
+    through ``GuardedEngine.predict_batch`` (the same bits either way);
+    eager tiles go through ``predict``.  Finished records are written
+    with one ``journal.extend`` (one fsync) per ``batch_size`` of them,
+    and the payload is ``{"records", "fallbacks"}``.  ``deadline_at``
+    (monotonic) is checked before each batch or tile runs and raises
+    :class:`ScanDeadlineError`; the records finished by then, or by any
+    other exception out of the loop, are flushed before it propagates.
     """
     start, stop = span
 
@@ -425,50 +442,72 @@ def scan_span(
     from ..robust.journal import TileRecord
     from ..robust.sanitize import sanitize_chip
 
-    guarded = None
+    guarded = windows = None
     if backend == "engine":     # the validated engine -> eager fallback
         from ..robust.guard import GuardedEngine
 
         guarded = GuardedEngine(model)
+        windows = guarded.window_runner(image, origins, window)
 
-    def run(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if guarded is not None:
-            return guarded.predict_batch(stack)[:2]
-        # resolved at call time, so fault-injection monkeypatches of
-        # ``predict`` apply inside forked worker processes too
-        return predict(model, stack, batch_size=len(stack), backend=backend)
+    def answer(result, origin) -> tuple[np.ndarray, np.ndarray]:
+        """``(confidence, box)`` of one sanitized tile."""
+        if guarded is None:
+            # resolved at call time, so fault-injection monkeypatches
+            # of ``predict`` apply inside forked worker processes too
+            return predict(model, result.chip[None], batch_size=1,
+                           backend=backend)
+        if result.status == "ok":
+            # untouched pixels: crop the scan's shared feature maps,
+            # the bits of the per-tile trunk a repaired tile runs
+            return windows([origin])[:2]
+        return guarded.predict_batch(result.chip[None])[:2]
 
     todo = [index for index in range(start, stop) if index not in skip]
     records: list[TileRecord] = []
-    for index in todo:
-        check_deadline(len(records), len(todo))
-        r0, c0 = origins[index]
-        tile = np.asarray(
-            image[:, r0:r0 + window, c0:c0 + window], dtype=np.float32
-        )
-        result = sanitize_chip(tile, policy)
-        if result.status == "quarantined":
-            record = TileRecord(index, (r0, c0), "quarantined",
-                                reason=result.report.summary())
-        else:
-            record = _run_tile(run, result, index, (r0, c0), window,
-                               confidence_threshold)
-        records.append(record)
+    committed = 0
+
+    def commit() -> None:
+        """One durable append (one fsync) for the records finished
+        since the last one."""
+        nonlocal committed
         if journal is not None:
-            journal.append(record)
+            journal.extend(records[committed:])
+        committed = len(records)
+
+    try:
+        for index in todo:
+            check_deadline(len(records), len(todo))
+            origin = r0, c0 = origins[index]
+            tile = np.asarray(
+                image[:, r0:r0 + window, c0:c0 + window], dtype=np.float32
+            )
+            result = sanitize_chip(tile, policy)
+            if result.status == "quarantined":
+                record = TileRecord(index, origin, "quarantined",
+                                    reason=result.report.summary())
+            else:
+                record = _run_tile(answer, result, index, origin, window,
+                                   confidence_threshold)
+            records.append(record)
+            if len(records) - committed == batch_size:
+                commit()
+    finally:
+        # a deadline or a crash out of the loop still leaves every
+        # finished tile on disk
+        commit()
     return {"records": records, "fallbacks": (
         {} if guarded is None else dict(guarded.fallback_by_reason))}
 
 
-def _run_tile(run, result, index: int, origin: tuple[int, int], window: int,
-              confidence_threshold: float):
+def _run_tile(answer, result, index: int, origin: tuple[int, int],
+              window: int, confidence_threshold: float):
     """Model execution for one sanitized tile, with its fault boundary."""
     from ..robust.journal import TileRecord
 
     r0, c0 = origin
     reason = "; ".join(result.repairs) if result.repairs else None
     try:
-        conf, box = run(result.chip[None])
+        conf, box = answer(result, origin)
     except Exception as exc:  # the fault boundary: poison stays in the tile
         return TileRecord(index, origin, "quarantined",
                           reason=f"model failure: {exc!r}")

@@ -18,7 +18,13 @@ a scan computes once per scene instead of once per window:
   path (it is not once ``stride >= window``).
 
 The result is a :class:`WindowPlan`: the decision and every number
-behind it, or the reason sharing was declined.  There is no knob: the
+behind it, or the reason sharing was declined.  One input is not the
+caller's to choose and can cost most of the sharing: a scene whose size
+is not a multiple of the stride gets a last, *edge* origin at ``size -
+window``, and that origin, not the stride, then sets the lattice (577 px
+at stride 50: lattice 1, only conv1 shares).  The plan names that case
+(``lost_to_edge``) and the engine warns once per geometry it binds.
+There is no knob: the
 same ``(model, scene shape, window, origins, quant)`` gives the same
 plan in every process, which is what keeps a sharded scan byte-identical
 to the sequential one.
@@ -47,6 +53,15 @@ def origin_lattice(origins: Sequence[tuple[int, int]]) -> int:
     return math.gcd(*(int(v) for origin in origins for v in origin))
 
 
+def _interior_lattice(origins: Sequence[tuple[int, int]]) -> int:
+    """:func:`origin_lattice` short of each axis's last origin, the one
+    ``scan_origins`` pins to the scene edge whatever the stride (0 when
+    an axis has nothing but the corner and that edge)."""
+    rows = sorted({int(r) for r, _ in origins})
+    cols = sorted({int(c) for _, c in origins})
+    return math.gcd(*rows[:-1], *cols[:-1])
+
+
 @dataclass(frozen=True)
 class WindowPlan:
     """How one scan geometry executes, and why.
@@ -70,6 +85,13 @@ class WindowPlan:
     prefix_arena_bytes / carry_bytes : what the shared execution holds
                    (the largest prefix program's arena; the rolling
                    buffer of prefix output rows)
+    interior_lattice : the lattice short of each axis's last (edge)
+                   origin; differs from ``lattice`` when the scene
+                   edge, not the stride, set it
+    lost_to_edge / macs_lost_to_edge : what ``shared`` would be on
+                   ``interior_lattice`` when that is more than this
+                   scan shares (else empty), and the multiply-adds,
+                   over all windows, of the layers that stay per window
     """
 
     scene_shape: tuple[int, int, int]
@@ -87,6 +109,31 @@ class WindowPlan:
     macs_per_window: int = 0
     prefix_arena_bytes: int = 0
     carry_bytes: int = 0
+    interior_lattice: int = 0
+    lost_to_edge: tuple[str, ...] = ()
+    macs_lost_to_edge: int = 0
+
+    @property
+    def macs_shared_per_window(self) -> int:
+        """Per-window-path multiply-adds, over all windows, of the
+        layers this scan actually shares (none when declined)."""
+        return self.macs_per_window if self.reason is None else 0
+
+    def edge_loss(self) -> str | None:
+        """What the edge origin cost this scan, in words (``None`` when
+        nothing): the text of the engine's ``RuntimeWarning``."""
+        if not self.lost_to_edge:
+            return None
+        shareable = self.macs_shared_per_window + self.macs_lost_to_edge
+        return (
+            f"scan of {self.n_windows} windows over "
+            f"{self.scene_shape[1]}x{self.scene_shape[2]} px: the edge "
+            f"origin sets the origin lattice to {self.lattice} where the "
+            f"stride gives {self.interior_lattice}, so windows share "
+            f"{', '.join(self.shared) or 'nothing'} instead of "
+            f"{', '.join(self.lost_to_edge)} and "
+            f"{self.macs_lost_to_edge / shareable:.0%} of the shareable "
+            f"multiply-adds run once per window")
 
     @property
     def carry_rows(self) -> int:
@@ -141,9 +188,30 @@ def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
     ``trunk`` / ``boundary`` are :func:`~.fusion.split_trunk_head`'s
     for the window shape.  Pure: no clock, no environment, no state.
     """
+    def plan_on(lattice: int) -> tuple[WindowPlan, SharedSplit | None]:
+        return _plan_on(lattice, trunk, boundary, scene_shape, window,
+                        len(origins), quant_mode, itemsize)
+
+    interior = _interior_lattice(origins)
+    plan, split = plan_on(origin_lattice(origins))
+    plan = replace(plan, interior_lattice=interior)
+    if interior and interior != plan.lattice:
+        wider, _ = plan_on(interior)
+        lost = wider.macs_shared_per_window - plan.macs_shared_per_window
+        if lost > 0:
+            plan = replace(plan, lost_to_edge=wider.shared,
+                           macs_lost_to_edge=lost)
+    return plan, split
+
+
+def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
+             scene_shape: tuple[int, int, int], window: int, n_windows: int,
+             quant_mode: str, itemsize: int
+             ) -> tuple[WindowPlan, SharedSplit | None]:
+    """The plan of ``n_windows`` windows on ``lattice``."""
     channels, height, width = (int(d) for d in scene_shape)
-    base = WindowPlan((channels, height, width), int(window), len(origins),
-                      origin_lattice(origins))
+    base = WindowPlan((channels, height, width), int(window), n_windows,
+                      lattice)
     if not trunk:
         return _declined(base, NO_TRUNK)
     if quant_mode == "int8":
@@ -175,7 +243,7 @@ def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
         base, shared=tuple(s.name for s in prefix[1:]), cut=split.cut,
         stride=split.stride, chunk_rows=rows, chunk_heights=tuple(heights),
         crop=crop, macs_shared=(n_chunks - 1) * macs[0] + macs[-1],
-        macs_per_window=_macs(prefix) * len(origins))
+        macs_per_window=_macs(prefix) * n_windows)
     if plan.macs_shared >= plan.macs_per_window:
         return _declined(plan, NOT_LESS_WORK)
     carry = (plan.carry_rows * int(scene_chain[-1].out_shape[2])

@@ -2,10 +2,12 @@
 full-scene scans.
 
 Same pattern as :mod:`repro.nas.journal`, one level lower: every scanned
-*tile* (clean, repaired, or quarantined) is appended as one JSON line and
-flushed, so a scan killed at tile k has lost nothing — a resumed scan
-replays the journaled tiles verbatim and only runs the model on the
-remainder.  Line 1 is a header describing the scan (window, stride,
+*tile* (clean, repaired, or quarantined) is one JSON line, committed a
+micro-batch at a time (:meth:`ScanJournal.extend`: one fsync for
+``batch_size`` finished tiles), so a scan killed at tile k has lost at
+most the ``batch_size - 1`` tiles waiting for their commit — a resumed
+scan replays the journaled tiles verbatim and only runs the model on
+the remainder.  Line 1 is a header describing the scan (window, stride,
 threshold, scene size, backend); resuming against a journal whose header
 disagrees with the requested scan raises instead of silently mixing two
 different scans' detections.
@@ -83,20 +85,25 @@ class ScanJournal:
                      truncate=True)
 
     def append(self, record: TileRecord) -> None:
-        """Write one tile record and force it to disk before returning.
+        """Write one tile record and force it to disk before returning:
+        open/append/fsync/close, like the trial journal, so a kill after
+        it returns cannot lose the record.
 
-        Open/append/fsync/close per tile, like the trial journal: a tile
-        takes milliseconds of model time, and the whole point is that a
-        kill between tiles loses at most the tile in flight.
+        ``scan_scene`` no longer pays this per tile: its robust stage
+        commits finished records ``batch_size`` at a time through
+        :meth:`extend` (and flushes the remainder when a deadline or an
+        exception ends the scan early), so a hard kill loses at most
+        ``batch_size - 1`` finished tiles, which a resume re-runs.
         """
         append_jsonl(self.path, [record.to_json()])
 
     def extend(self, records: list[TileRecord]) -> None:
-        """Append many records with one open/fsync.
+        """Append many records with one open/fsync, all on disk before
+        it returns.
 
-        The bulk form of :meth:`append`, for merges: the records already
-        survived a crash once (in a shard journal), so per-record fsync
-        durability buys nothing here.
+        The bulk form of :meth:`append`: a scan's group commit (one per
+        micro-batch of finished tiles), and shard merges, whose records
+        already survived a crash once in a shard journal.
         """
         if records:
             append_jsonl(self.path, [rec.to_json() for rec in records])

@@ -5,6 +5,7 @@ the gathered window stacks, byte for byte."""
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +234,35 @@ class TestWindowPlan:
         assert held[1200, 600] == held[600, 600]
         assert held[600, 600] < held[600, 1200] <= 2 * held[600, 600]
 
+    def test_an_edge_origin_that_sets_the_lattice_is_named_and_loud(
+            self, table1):
+        """577 px at stride 50 ends on origin 477: lattice 1, conv1
+        only.  The plan says what the edge cost and binding it warns;
+        600 and 300 px (edge on the stride's grid) and 620 px (lattice
+        10, the same sharing as 50) stay silent."""
+        compiled = table1["SPP-Net #3"]
+        with pytest.warns(RuntimeWarning, match="edge origin") as caught:
+            plan = plan_of(compiled, 577, 100, 50)
+            compiled.warmup_windows((4, 577, 577), 100,
+                                    scan_origins(577, 100, 50), [1])
+        assert len(caught) == 1             # once per geometry bound
+        assert (plan.lattice, plan.interior_lattice) == (1, 50)
+        assert plan.shared == ("conv1",) and plan.cut == "pool1"
+        assert plan.lost_to_edge == ("pool1", "conv2")
+        on_grid = plan_of(compiled, 600, 100, 50)
+        assert plan.macs_lost_to_edge == (
+            on_grid.macs_per_window - plan.macs_per_window)
+        assert "88% of the shareable" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for size in (600, 300, 620):
+                quiet = plan_of(compiled, size, 100, 50)
+                assert quiet.lost_to_edge == ()
+                assert quiet.macs_lost_to_edge == 0
+                assert quiet.interior_lattice == 50
+            # two origins an axis: no interior to read a stride from
+            assert plan_of(compiled, 150, 100, 50).interior_lattice == 0
+
     def test_stride_at_or_past_the_window_is_not_less_work(self, table1):
         for stride in (100, 130):
             plan = plan_of(table1["SPP-Net #3"], 600, 100, stride)
@@ -437,6 +467,52 @@ class TestSpans:
         ours = (np.concatenate([conf for conf, _ in parts]),
                 np.concatenate([box for _, box in parts]))
         assert same_bytes(ours, ref)
+
+    def test_interleaved_runners_recompute_rather_than_corrupt(self):
+        """Two runners of one geometry share the ring; each takes it
+        over from the other, skips windows and still returns the bits
+        of the per-window path."""
+        compiled = engine_compile(self.model, (4, 40, 40))
+        other = raster(150, seed=6)
+        ref_a = gathered(compiled, self.image, self.origins, 40, 144)
+        ref_b = gathered(compiled, other, self.origins, 40, 144)
+        run_a = compiled.window_runner(self.image, self.origins, 40)
+        run_b = compiled.window_runner(other, self.origins, 40)
+        for at in range(0, 144, 10):        # every other batch skipped
+            picks = list(range(at, min(at + 5, 144)))
+            batch = [self.origins[i] for i in picks]
+            for run, ref in ((run_a, ref_a), (run_b, ref_b)):
+                assert same_bytes(run(batch), (ref[0][picks], ref[1][picks]))
+
+    def test_a_per_tile_predict_between_runner_calls_leaves_the_ring(
+            self, monkeypatch):
+        compiled = engine_compile(self.model, (4, 40, 40))
+        ref = shared(compiled, self.image, self.origins, 40, 1)
+        scan = compiled._scan[2]
+        chunks = []
+        real = scan._chunk
+        monkeypatch.setattr(
+            scan, "_chunk", lambda image, k: (chunks.append(k),
+                                              real(image, k))[1])
+        run = compiled.window_runner(self.image, self.origins, 40)
+        tiles = TileSource(self.image, 40)
+        parts = []
+        for origin in self.origins:
+            parts.append(run([origin]))
+            compiled.predict(np.asarray(tiles.tile(origin))[None])
+        assert same_bytes(
+            (np.concatenate([conf for conf, _ in parts]),
+             np.concatenate([box for _, box in parts])), ref)
+        # every chunk computed once, in row order: nothing was evicted
+        assert chunks == sorted(set(chunks))
+
+    def test_runner_rejects_windows_off_the_lattice(self):
+        compiled = engine_compile(self.model, (4, 40, 40))
+        run = compiled.window_runner(self.image, self.origins, 40)
+        assert compiled.window_plan(self.image.shape, 40,
+                                    self.origins).stride == 2
+        with pytest.raises(ValueError, match="off the scan's lattice"):
+            run([(0, 0), (5, 10)])
 
     def test_unsorted_origins_are_still_exact(self):
         compiled = engine_compile(self.model, (4, 40, 40))

@@ -1,13 +1,16 @@
 """Robust full-scene scanning: quarantine, journal, resume, NMS hygiene."""
 
 import json
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import (
+    ScanCoverage,
     SceneDetection,
     SPPNetDetector,
     evaluate_scene_detections,
@@ -15,9 +18,18 @@ from repro.detect import (
     scan_origins,
     scan_scene,
 )
+from repro.detect.scan import ScanDeadlineError
+from repro.engine import compiled_for
 from repro.faults import FatalOn, InjectedFault, corrupt_scene
 from repro.geo import WatershedConfig, build_scene
-from repro.robust import SanitizePolicy, ScanJournal, ScanJournalError
+from repro.robust import (
+    GuardedEngine,
+    SanitizePolicy,
+    ScanJournal,
+    ScanJournalError,
+    TileRecord,
+    sanitize_chip,
+)
 
 WINDOW = 64
 STRIDE = 64
@@ -298,3 +310,239 @@ class TestJournalFaults:
         assert any(rec.origin == poison_origin for rec in quarantined)
         assert all("InjectedFault" in (rec.reason or "")
                    for rec in quarantined)
+
+
+class TestGroupCommit:
+    """The journal commits once per ``batch_size`` finished tiles, and a
+    scan that ends early still leaves every finished tile on disk."""
+
+    KW = dict(window=WINDOW, stride=STRIDE, confidence_threshold=0.6,
+              batch_size=4, sanitize=SanitizePolicy.for_scene())
+
+    @pytest.fixture()
+    def ticking(self, monkeypatch):
+        """A scan clock that advances one second per model call."""
+        import repro.detect.scan as scan_mod
+
+        clock = SimpleNamespace(now=0.0, calls=0)
+        real = scan_mod.predict
+
+        def predict(*args, **kwargs):
+            clock.now += 1.0
+            clock.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan_mod, "predict", predict)
+        monkeypatch.setattr(scan_mod, "time",
+                            SimpleNamespace(monotonic=lambda: clock.now))
+        return clock
+
+    def test_deadline_mid_buffer_leaves_the_finished_tiles_resumable(
+            self, scene, model, tmp_path, ticking):
+        full = scan_scene(model, scene, journal=tmp_path / "full.jsonl",
+                          **self.KW)
+        path = tmp_path / "cut.jsonl"
+        with pytest.raises(ScanDeadlineError, match="after 6 of 9 tiles"):
+            # 4 tiles committed by count, 2 more waiting in the buffer
+            scan_scene(model, scene, journal=path, timeout_s=5.5, **self.KW)
+        _, records = ScanJournal(path).load()
+        assert [rec.index for rec in records] == list(range(6))
+
+        ticking.calls = 0
+        resumed = scan_scene(model, scene, journal=path, resume=True,
+                             **self.KW)
+        assert ticking.calls == 3           # none of the six re-ran
+        assert resumed.coverage.tiles_resumed == 6
+        assert list(resumed) == list(full)
+        assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+    def test_a_crash_out_of_the_loop_flushes_the_buffer(
+            self, scene, model, tmp_path, monkeypatch):
+        import repro.detect.scan as scan_mod
+
+        real, calls = scan_mod.predict, []
+
+        def predict(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 7:
+                raise KeyboardInterrupt     # not the tile's to contain
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan_mod, "predict", predict)
+        path = tmp_path / "scan.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            scan_scene(model, scene, journal=path, **self.KW)
+        _, records = ScanJournal(path).load()
+        assert [rec.index for rec in records] == list(range(6))
+
+    def test_one_fsync_per_micro_batch(self, scene, model, tmp_path,
+                                       monkeypatch):
+        """121 tiles at ``batch_size=20``: the header and seven commits,
+        not one per tile."""
+        import repro.durable as durable
+
+        synced = []
+        real = durable.os.fsync
+        monkeypatch.setattr(durable.os, "fsync",
+                            lambda fd: (synced.append(fd), real(fd))[1])
+        result = scan_scene(model, scene, window=32, stride=16,
+                            confidence_threshold=0.6, batch_size=20,
+                            sanitize=SanitizePolicy.for_scene(),
+                            journal=tmp_path / "scan.jsonl")
+        assert result.coverage.tiles_total == 121
+        assert len(synced) == 8
+        _, records = ScanJournal(tmp_path / "scan.jsonl").load()
+        assert [rec.index for rec in records] == list(range(121))
+
+
+def two_conv_model():
+    """Two unpadded conv+pool stages: at window 64 / stride 32 the scan
+    shares both with every overlapping window."""
+    arch = SPPNetConfig(
+        convs=(ConvSpec(8, 3, 1), ConvSpec(16, 3, 1)),
+        pools=(PoolSpec(2, 2), PoolSpec(2, 2)),
+        spp_levels=(2, 1), fc_sizes=(32,), name="robust-scan-shared",
+    )
+    return SPPNetDetector(arch, seed=1).eval()
+
+
+def per_tile_reference(model, scene, stride, threshold, path, meta):
+    """The robust scan as the parent commit ran it, composed from public
+    calls: every tile alone through ``sanitize_chip ->
+    GuardedEngine.predict_batch(chip[None]) -> decode ->
+    ScanJournal.append``, then NMS."""
+    origins = scan_origins(scene.size, WINDOW, stride)
+    policy = SanitizePolicy.for_scene()
+    guarded = GuardedEngine(model)
+    journal = ScanJournal(path)
+    journal.start(meta)
+    records = []
+    for index, (r0, c0) in enumerate(origins):
+        tile = np.asarray(scene.image[:, r0:r0 + WINDOW, c0:c0 + WINDOW],
+                          dtype=np.float32)
+        result = sanitize_chip(tile, policy)
+        if result.status == "quarantined":
+            record = TileRecord(index, (r0, c0), "quarantined",
+                                reason=result.report.summary())
+        else:
+            conf, box, _ = guarded.predict_batch(result.chip[None])
+            conf0 = float(np.asarray(conf).reshape(-1)[0])
+            cx, cy, w, h = (float(v) for v in np.asarray(
+                box, dtype=np.float64).reshape(-1)[:4])
+            found = ()
+            if conf0 >= threshold:
+                found = ((r0 + cy * WINDOW, c0 + cx * WINDOW,
+                          h * WINDOW, w * WINDOW, conf0),)
+            record = TileRecord(index, (r0, c0), result.status,
+                                detections=found,
+                                reason="; ".join(result.repairs) or None)
+        journal.append(record)
+        records.append(record)
+    kept = non_max_suppression(
+        [SceneDetection(row=r, col=c, height=h, width=w, confidence=p)
+         for rec in records for (r, c, h, w, p) in rec.detections])
+    status = [rec.status for rec in records]
+    return kept, ScanCoverage(
+        tiles_total=len(origins),
+        tiles_scanned=len(origins) - status.count("quarantined"),
+        tiles_repaired=status.count("repaired"),
+        tiles_quarantined=status.count("quarantined"),
+        engine_fallbacks=sum(guarded.fallback_by_reason.values()))
+
+
+class TestSharedCropsAreThePerTileBits:
+    """Clean tiles crop the scan's shared feature maps and the journal
+    commits in groups; neither may move a bit or a byte."""
+
+    STRIDE = 32
+    THRESHOLD = 0.3
+
+    def scan(self, model, scene, journal, **kwargs):
+        return scan_scene(model, scene, window=WINDOW, stride=self.STRIDE,
+                          confidence_threshold=self.THRESHOLD, batch_size=4,
+                          backend="engine",
+                          sanitize=SanitizePolicy.for_scene(),
+                          journal=journal, **kwargs)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_scan_equals_the_per_tile_reference(self, scene, tmp_path, seed):
+        model = two_conv_model()
+        bad_scene, applied = corrupted(scene, seed=seed)
+        assert applied
+        path = tmp_path / "scan.jsonl"
+        result = self.scan(model, bad_scene, path)
+        cov = result.coverage
+        # both paths ran: clean tiles cropped, repaired ones did not
+        assert 0 < cov.tiles_repaired < cov.tiles_scanned
+        assert compiled_for(model).window_plan(
+            bad_scene.image.shape, WINDOW,
+            scan_origins(scene.size, WINDOW, self.STRIDE)).reason is None
+
+        meta, _ = ScanJournal(path).load()
+        ref_path = tmp_path / "reference.jsonl"
+        ref, ref_coverage = per_tile_reference(
+            model, bad_scene, self.STRIDE, self.THRESHOLD, ref_path, meta)
+        assert list(result) == ref and cov == ref_coverage
+        assert len(ref) > 0
+        # record order and codec unchanged: the journal a per-tile
+        # append wrote
+        assert path.read_bytes() == ref_path.read_bytes()
+
+        lines = path.read_text().splitlines(keepends=True)
+        for n_workers, cut in [(1, 7), (2, 0), (2, 13)]:
+            part = tmp_path / f"part-{n_workers}-{cut}.jsonl"
+            part.write_text("".join(lines[:1 + cut]))
+            again = self.scan(model, bad_scene, part, resume=cut > 0,
+                              n_workers=n_workers)
+            assert list(again) == ref
+            assert again.coverage == replace(ref_coverage,
+                                             tiles_resumed=cut)
+            assert sorted(part.read_text().splitlines(True)) \
+                == sorted(lines)
+
+    def test_a_non_finite_clean_window_falls_back_alone(
+            self, scene, tmp_path, monkeypatch):
+        model = two_conv_model()
+        bad_scene, _ = corrupted(scene, seed=3)
+        self.scan(model, bad_scene, tmp_path / "healthy.jsonl")
+        _, healthy = ScanJournal(tmp_path / "healthy.jsonl").load()
+        victim = next(rec for rec in healthy
+                      if rec.status == "ok" and rec.detections)
+
+        compiled = compiled_for(model)
+        real = compiled.window_runner
+
+        def window_runner(image, origins, window):
+            run = real(image, origins, window)
+
+            def faulty(batch):
+                conf, boxes = run(batch)
+                if victim.origin in batch:
+                    conf = np.full_like(conf, np.nan)
+                return conf, boxes
+            return faulty
+
+        monkeypatch.setattr(compiled, "window_runner", window_runner)
+        result = self.scan(model, bad_scene, tmp_path / "faulty.jsonl")
+        assert result.coverage.engine_fallbacks == 1
+        assert result.coverage.tiles_quarantined == 0
+        _, records = ScanJournal(tmp_path / "faulty.jsonl").load()
+        for rec, ref in zip(records, healthy):
+            if rec.index != victim.index:
+                assert rec == ref           # neighbours: bitwise
+        # eager answered the victim: same tile, float tolerance
+        answered = records[victim.index]
+        assert answered.status == "ok" and len(answered.detections) == 1
+        np.testing.assert_allclose(answered.detections[0],
+                                   victim.detections[0], atol=1e-4)
+
+    def test_clean_scene_fires_no_fallback_and_no_warning(self, scene,
+                                                          tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = self.scan(two_conv_model(), scene,
+                               tmp_path / "scan.jsonl")
+        cov = result.coverage
+        assert cov.engine_fallbacks == 0
+        assert cov.tiles_scanned == cov.tiles_total
+        assert cov.tiles_repaired == cov.tiles_quarantined == 0
