@@ -20,10 +20,10 @@ Four scenarios, all with deterministic injected damage (``repro.faults``):
    ``journal=`` against the plain batched scan, as a median of paired
    ratios (``benchmarks/e2e/stats.py``) next to the machine
    fingerprint, and the journal's fsyncs per scan.  The ratio is
-   recorded, not gated (its ceiling only catches a collapse): it is the
-   number ROADMAP item 4's "<= 1.3x the batched scan" target is read
-   from outside the frozen harness.  The fsync count is exact and
-   drift-tracked: ``1 + ceil(tiles / batch_size)``.
+   recorded, not gated: it is the number ROADMAP item 4's "<= 1.3x the
+   batched scan" target is read from outside the frozen harness.  The
+   fsync count is exact and drift-tracked: ``1 + ceil(tiles /
+   batch_size)``.
 
 Emits ``BENCH_robustness.json`` so degraded-input telemetry is recorded
 run over run.
@@ -74,10 +74,6 @@ F1_MARGIN = 0.2
 COVERAGE_FLOOR = 0.95
 OVERHEAD_ROUNDS = 7       # paired rounds behind the overhead ratio
 OVERHEAD_WARMUP = 1       # discarded before them
-# robust / batched ms per tile reads 2.3-2.6 on the reference box with 31
-# of the 36 windows repaired (each runs the whole per-tile trunk); the
-# ceiling is there to catch a collapse, not to gate the ratio
-OVERHEAD_CEILING = 4.0
 
 
 def make_scenes(scene_size: int, fraction: float, seed: int = 5,
@@ -296,11 +292,12 @@ def payload_checks(payload: dict) -> list:
               fallback["fallback_outputs_match_eager"], "bool"),
         check("fallback_all_outputs_finite",
               fallback["all_outputs_finite"], "bool"),
-        # a ratio of two timings over a handful of rounds: recorded
-        # (ROADMAP item 4 reads it), not drift-tracked
+        # a ratio of two wall-clock timings over a handful of rounds:
+        # carried in the tracker's table (ROADMAP item 4 reads it), with
+        # no threshold and no drift comparison to flake on a loaded runner
         check("robust_over_batched_ms_per_tile",
               overhead["robust_over_batched_ms_per_tile"]["median"],
-              "<=", OVERHEAD_CEILING, track=False),
+              "info", track=False),
         check("journal_fsyncs_per_scan", overhead["journal_fsyncs_per_scan"],
               "<=", overhead["journal_fsyncs_expected"]),
     ]

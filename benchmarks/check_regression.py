@@ -19,7 +19,9 @@ check values against the committed baselines in
 
 Checks marked ``track: false`` (values that legally jump between runs,
 e.g. a max-abs-error that moves with any change to kernel arithmetic
-order) are exempt from drift comparison but still gate-enforced.
+order) are exempt from drift comparison but still gate-enforced; an
+``info`` check has no threshold to enforce either, so with ``track:
+false`` it is only carried in the table and may not disappear.
 
 Baselines store the gates section, plus a payload's ``absolute``
 section when it has one: absolute latencies next to the fingerprint of

@@ -16,7 +16,9 @@ through :func:`finish`.  That buys three things at once:
 
 ``op`` semantics: ``">="`` / ``"<="`` compare ``value`` to
 ``threshold``; ``"bool"`` requires ``value`` to be truthy (threshold
-ignored).  ``track=False`` marks a check whose *value* is not suitable
+ignored); ``"info"`` records ``value`` with no pass/fail at all (a
+number the tracker's table should carry and must not lose, such as a
+ratio of two wall-clock timings).  ``track=False`` marks a check whose *value* is not suitable
 for run-over-run relative tracking (e.g. a max-abs-error that legally
 jumps with any change to kernel arithmetic order) — the regression
 tracker still verifies it passes, but skips the 10% drift comparison.
@@ -39,18 +41,20 @@ class Check:
 
     name: str
     value: float | bool
-    op: str                      # ">=", "<=", or "bool"
+    op: str                      # ">=", "<=", "bool" or "info"
     threshold: float | None = None
     track: bool = True           # eligible for relative regression tracking
 
     def __post_init__(self) -> None:
-        if self.op not in (">=", "<=", "bool"):
+        if self.op not in (">=", "<=", "bool", "info"):
             raise ValueError(f"unknown gate op {self.op!r}")
-        if self.op != "bool" and self.threshold is None:
+        if self.op in (">=", "<=") and self.threshold is None:
             raise ValueError(f"gate {self.name!r} needs a threshold")
 
     @property
     def passed(self) -> bool:
+        if self.op == "info":
+            return True
         if self.op == "bool":
             return bool(self.value)
         if self.op == ">=":

@@ -27,14 +27,10 @@ holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
 per-tile fault boundary, outcomes stream to an append-only JSONL scan
 journal, and ``resume=True`` replays a crashed scan's journaled tiles
 verbatim so the finished result is identical to an uninterrupted run.
-The robust stage is a filter in front of the same shared execution: on
-the engine a tile the sanitizer leaves untouched crops the scene's
-feature maps like any batched window (only a repaired tile, whose
-pixels are no longer the raster's, runs the whole trunk), and the
-journal commits once per ``batch_size`` finished tiles — one fsync per
-micro-batch, flushed on the way out of a deadline or a crash, so a hard
-kill loses at most ``batch_size - 1`` finished tiles (plus the one in
-flight) and a resume re-runs exactly those.
+The journal commits once per ``batch_size`` finished tiles — one fsync
+per micro-batch, flushed on the way out of a deadline or a crash, so a
+hard kill loses at most ``batch_size - 1`` finished tiles (plus the one
+in flight) and a resume re-runs exactly those.
 
 There is one pipeline (``docs/scanning.md``): :func:`scan_scene` plans
 the scan, :func:`scan_span` runs a span of its tiles through either
@@ -404,17 +400,14 @@ def scan_span(
     Without a ``policy`` tiles run in micro-batches pulled from
     :func:`~repro.detect.predict.predict_windows` and the payload is
     ``{"confidences", "boxes"}`` (raw model outputs, in origin order).
-    With one, every tile not in ``skip`` (already journaled) is
-    sanitized and answered on its own, in index order: on the engine an
-    untouched ("ok") tile crops the scan's shared feature maps through
-    the guarded window runner, a repaired one runs the per-tile trunk
-    through ``GuardedEngine.predict_batch`` (the same bits either way);
-    eager tiles go through ``predict``.  Finished records are written
-    with one ``journal.extend`` (one fsync) per ``batch_size`` of them,
-    and the payload is ``{"records", "fallbacks"}``.  ``deadline_at``
-    (monotonic) is checked before each batch or tile runs and raises
-    :class:`ScanDeadlineError`; the records finished by then, or by any
-    other exception out of the loop, are flushed before it propagates.
+    With one, every tile not in ``skip`` (already journaled) goes
+    sanitize -> guarded predict on its own, in index order; finished
+    records are written with one ``journal.extend`` (one fsync) per
+    ``batch_size`` of them, and the payload is ``{"records",
+    "fallbacks"}``.  ``deadline_at`` (monotonic) is checked before each
+    batch or tile runs and raises :class:`ScanDeadlineError`; the
+    records finished by then, or by any other exception out of the
+    loop, are flushed before it propagates.
     """
     start, stop = span
 
@@ -442,25 +435,18 @@ def scan_span(
     from ..robust.journal import TileRecord
     from ..robust.sanitize import sanitize_chip
 
-    guarded = windows = None
+    guarded = None
     if backend == "engine":     # the validated engine -> eager fallback
         from ..robust.guard import GuardedEngine
 
         guarded = GuardedEngine(model)
-        windows = guarded.window_runner(image, origins, window)
 
-    def answer(result, origin) -> tuple[np.ndarray, np.ndarray]:
-        """``(confidence, box)`` of one sanitized tile."""
-        if guarded is None:
-            # resolved at call time, so fault-injection monkeypatches
-            # of ``predict`` apply inside forked worker processes too
-            return predict(model, result.chip[None], batch_size=1,
-                           backend=backend)
-        if result.status == "ok":
-            # untouched pixels: crop the scan's shared feature maps,
-            # the bits of the per-tile trunk a repaired tile runs
-            return windows([origin])[:2]
-        return guarded.predict_batch(result.chip[None])[:2]
+    def run(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if guarded is not None:
+            return guarded.predict_batch(stack)[:2]
+        # resolved at call time, so fault-injection monkeypatches of
+        # ``predict`` apply inside forked worker processes too
+        return predict(model, stack, batch_size=len(stack), backend=backend)
 
     todo = [index for index in range(start, stop) if index not in skip]
     records: list[TileRecord] = []
@@ -470,23 +456,25 @@ def scan_span(
         """One durable append (one fsync) for the records finished
         since the last one."""
         nonlocal committed
+        group, committed = records[committed:], len(records)
         if journal is not None:
-            journal.extend(records[committed:])
-        committed = len(records)
+            # a group whose write fails is not written again on top of
+            # a possibly torn tail: a resume repairs the tail, re-runs it
+            journal.extend(group)
 
     try:
         for index in todo:
             check_deadline(len(records), len(todo))
-            origin = r0, c0 = origins[index]
+            r0, c0 = origins[index]
             tile = np.asarray(
                 image[:, r0:r0 + window, c0:c0 + window], dtype=np.float32
             )
             result = sanitize_chip(tile, policy)
             if result.status == "quarantined":
-                record = TileRecord(index, origin, "quarantined",
+                record = TileRecord(index, (r0, c0), "quarantined",
                                     reason=result.report.summary())
             else:
-                record = _run_tile(answer, result, index, origin, window,
+                record = _run_tile(run, result, index, (r0, c0), window,
                                    confidence_threshold)
             records.append(record)
             if len(records) - committed == batch_size:
@@ -499,15 +487,15 @@ def scan_span(
         {} if guarded is None else dict(guarded.fallback_by_reason))}
 
 
-def _run_tile(answer, result, index: int, origin: tuple[int, int],
-              window: int, confidence_threshold: float):
+def _run_tile(run, result, index: int, origin: tuple[int, int], window: int,
+              confidence_threshold: float):
     """Model execution for one sanitized tile, with its fault boundary."""
     from ..robust.journal import TileRecord
 
     r0, c0 = origin
     reason = "; ".join(result.repairs) if result.repairs else None
     try:
-        conf, box = answer(result, origin)
+        conf, box = run(result.chip[None])
     except Exception as exc:  # the fault boundary: poison stays in the tile
         return TileRecord(index, origin, "quarantined",
                           reason=f"model failure: {exc!r}")

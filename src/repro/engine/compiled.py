@@ -26,10 +26,8 @@ at compile time and shared by every program (trace node names are
 structural, hence stable across input sizes).
 
 A scan's input is not independent chips but *windows of one raster*
-(:meth:`CompiledModel.window_runner`, the one seam the batched scan's
-:meth:`~CompiledModel.predict_windows` loop and the robust scan's clean
-tiles both go through), and where windows overlap their unpadded
-leading convolutions compute the same elements.  The
+(:meth:`CompiledModel.predict_windows`), and where windows overlap
+their unpadded leading convolutions compute the same elements.  The
 trunk is then split a second time (:func:`.fusion.split_shared_prefix`,
 decided by :func:`.windows.plan_windows` from geometry alone): the
 shared prefix runs once per row chunk of the scene into a small rolling
@@ -683,14 +681,16 @@ class CompiledModel:
             plan, split = plan_windows(
                 trunk, boundary, scene_shape, window, origins,
                 self.quant.mode, self.dtype.itemsize)
-            lost = plan.edge_loss()
-            if lost is not None:
-                warnings.warn(lost, RuntimeWarning, stacklevel=3)
             scan = None
             if split is not None:
                 scan = _WindowScan(self, plan, split, boundary)
                 plan = scan.plan
             self._scan = (key, plan, scan)
+            # bound before it warns: a filter that raises the warning
+            # still leaves the geometry bound, and it fires once
+            lost = plan.edge_loss()
+            if lost is not None:
+                warnings.warn(lost, RuntimeWarning, stacklevel=3)
         return self._scan[1:]
 
     # -- execution -------------------------------------------------------
@@ -782,78 +782,55 @@ class CompiledModel:
             logits, box = self._forward(chips, limit, _Program.execute)
         return _crossing_confidence(logits), box
 
-    def window_runner(self, image: np.ndarray, origins, window: int):
-        """The bound execution of one scan: ``run(batch) -> (confidences,
-        boxes)`` over the ``window``-sized windows of one ``(C, H, W)``
-        raster at the origins in ``batch``, one head call per batch.
-
-        ``origins`` is the *whole* scan: its lattice and window count
-        decide (:meth:`window_plan`) whether the leading unpadded conv
-        steps run once per scene row chunk and each window only crops
-        their output, or every window runs the whole trunk.  A batch is
-        any of those origins in any order (each must fit the raster and
-        sit on the plan's stride grid); the decision and the chunk grid
-        never depend on it, so a shard, or a scan that skips windows,
-        computes the bytes the whole scan computes.  float32 and
-        float16 results are bitwise those of :meth:`predict` over the
-        gathered window stack: every shared layer is unpadded, so a
-        window's features are the same arithmetic on the same pixels.
-
-        The runner owns the shared execution's ring of chunk slots for
-        as long as nobody else asks for it: another runner of the same
-        geometry on this model takes the ring over (both stay exact,
-        each recomputes what the other evicted), and :meth:`predict`
-        calls in between touch other programs and leave it intact.
-        """
-        self._require_detector("window_runner()")
-        image = np.asarray(image)
-        if image.ndim != 3:
-            raise ValueError(f"expected a (C, H, W) raster, got {image.shape}")
-        window = int(window)
-        shape = (image.shape[0], window, window)
-        last_row, last_col = image.shape[1] - window, image.shape[2] - window
-        with self._lock:
-            plan, scan = self._window_scan(image.shape, window, origins)
-        owner = object()
-
-        def run(batch) -> tuple[np.ndarray, np.ndarray]:
-            for r0, c0 in batch:
-                if not (0 <= r0 <= last_row and 0 <= c0 <= last_col):
-                    raise ValueError(
-                        f"window at {(r0, c0)} does not fit raster "
-                        f"{image.shape[1:]}")
-                if r0 % plan.stride or c0 % plan.stride:
-                    raise ValueError(
-                        f"window at {(r0, c0)} is off the scan's lattice "
-                        f"of {plan.lattice}")
-            with self._lock:
-                if scan is None:
-                    # tiles reach the per-window path as float32
-                    logits, box = self._forward(
-                        (np.asarray(image[:, r0:r0 + window, c0:c0 + window],
-                                    dtype=np.float32) for r0, c0 in batch),
-                        len(batch), _Program.execute)
-                else:
-                    head = self._head_for(len(batch), shape)
-                    scan.run(image, batch, head, owner)
-                    logits, box = head.extract()
-            return _crossing_confidence(logits), box
-        return run
-
     def predict_windows(self, image: np.ndarray, origins, window: int,
                         batch_size: int = 20,
                         span: tuple[int, int] | None = None):
         """:meth:`predict` over the ``window``-sized windows of one
         ``(C, H, W)`` raster at ``origins``, as a generator of
-        ``(confidences, boxes)`` per micro-batch of ``batch_size``: a
-        loop over one :meth:`window_runner`.  ``span = (start, stop)``
-        restricts execution to ``origins[start:stop]`` (a shard) on the
-        whole scan's plan and chunk grid.
+        ``(confidences, boxes)`` per micro-batch of ``batch_size``.
+
+        ``origins`` is the *whole* scan: its lattice and window count
+        decide (:meth:`window_plan`) whether the leading unpadded conv
+        steps run once per scene row chunk and each window only crops
+        their output, or every window runs the whole trunk.  ``span =
+        (start, stop)`` restricts execution to ``origins[start:stop]``
+        (a shard) without changing that decision or the chunk grid, so
+        a shard computes the bytes the whole scan computes.  float32
+        and float16 results are bitwise those of :meth:`predict` over
+        the gathered window stacks: every shared layer is unpadded, so
+        a window's features are the same arithmetic on the same pixels.
         """
-        run = self.window_runner(image, origins, window)
+        self._require_detector("predict_windows()")
+        image = np.asarray(image)
+        if image.ndim != 3:
+            raise ValueError(f"expected a (C, H, W) raster, got {image.shape}")
         start, stop = (0, len(origins)) if span is None else span
-        for at in range(start, stop, batch_size):
-            yield run(origins[at:min(at + batch_size, stop)])
+        todo = origins[start:stop]
+        for r0, c0 in todo:
+            if not (0 <= r0 <= image.shape[1] - window
+                    and 0 <= c0 <= image.shape[2] - window):
+                raise ValueError(
+                    f"window at {(r0, c0)} does not fit raster "
+                    f"{image.shape[1:]}")
+        shape = (image.shape[0], int(window), int(window))
+        with self._lock:
+            _, scan = self._window_scan(image.shape, window, origins)
+        stack = None if scan is not None else np.empty(
+            (batch_size,) + shape, dtype=np.float32)
+        owner = object()
+        for at in range(0, len(todo), batch_size):
+            batch = todo[at:at + batch_size]
+            with self._lock:
+                if scan is None:
+                    for i, (r0, c0) in enumerate(batch):
+                        stack[i] = image[:, r0:r0 + window, c0:c0 + window]
+                    logits, box = self._forward(stack, len(batch),
+                                                _Program.execute)
+                else:
+                    head = self._head_for(len(batch), shape)
+                    scan.run(image, batch, head, owner)
+                    logits, box = head.extract()
+            yield _crossing_confidence(logits), box
 
     def warmup(self, batch_sizes, sample_shape: tuple[int, ...] | None = None
                ) -> float:

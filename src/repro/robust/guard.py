@@ -8,12 +8,10 @@ every engine batch is checked for non-finite values and for shape
 agreement with the traced program's contract, and on any violation (or
 an outright exception) the *same* batch transparently re-executes on the
 eager backend, so the caller always gets a valid answer.  A batch is
-either a stack (:meth:`GuardedEngine.predict_batch`), *open*
+either a stack (:meth:`GuardedEngine.predict_batch`) or *open*
 (:meth:`GuardedEngine.predict_stream`: chips pulled from an iterator
-while the batch runs, as the serving layer feeds it; "the same batch"
-is then the chips pulled so far) or windows of one raster
-(:meth:`GuardedEngine.window_runner`: a scan's clean tiles, answered
-from its shared feature maps).
+while the batch runs, as the serving layer feeds it); "the same batch"
+is then the chips pulled so far.
 
 Repeated engine faults trip a :class:`~repro.serve.breaker.CircuitBreaker`
 scoped to the engine: while it is open every batch goes straight to
@@ -199,33 +197,6 @@ class GuardedEngine:
 
         return self._guarded(
             lambda: self.compiled.predict_stream(remembered(), limit), taken)
-
-    def window_runner(self, image: np.ndarray, origins, window: int):
-        """The guarded form of
-        :meth:`repro.engine.CompiledModel.window_runner`: ``run(batch)
-        -> (confidences, boxes, backend-that-answered)`` over windows
-        of one raster, which the engine answers from the scan's shared
-        feature maps.  The fault boundary is the batch: an engine
-        exception (binding the scan's programs on the first call
-        included) or an invalid output re-runs *those windows'* float32
-        pixels on eager, under the same reasons and breaker accounting
-        as :meth:`predict_batch`.
-        """
-        image = np.asarray(image)
-        engine = None
-
-        def run(batch) -> tuple[np.ndarray, np.ndarray, str]:
-            def attempt():
-                nonlocal engine
-                if engine is None:
-                    engine = self.compiled.window_runner(
-                        image, origins, window)
-                return engine(batch)
-
-            return self._guarded(attempt, lambda: [
-                np.asarray(image[:, r0:r0 + window, c0:c0 + window],
-                           dtype=np.float32) for r0, c0 in batch])
-        return run
 
     def predict(self, images: np.ndarray, batch_size: int = 20
                 ) -> tuple[np.ndarray, np.ndarray]:

@@ -89,7 +89,7 @@ class ScanJournal:
         open/append/fsync/close, like the trial journal, so a kill after
         it returns cannot lose the record.
 
-        ``scan_scene`` no longer pays this per tile: its robust stage
+        ``scan_scene`` does not pay this per tile: its robust stage
         commits finished records ``batch_size`` at a time through
         :meth:`extend` (and flushes the remainder when a deadline or an
         exception ends the scan early), so a hard kill loses at most

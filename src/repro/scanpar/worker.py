@@ -68,16 +68,14 @@ def _warm_engine(model, image_shape: tuple[int, ...], window: int,
     the raster for the whole scan's ``origins`` — the shared prefix and
     per-window suffix when the scan shares feature maps — and a head
     per micro-batch size (full batches and the span's ragged last one);
-    a robust span runs one tile at a time, clean tiles through those
-    window programs and repaired ones through the per-tile trunk, both
-    into the head at batch 1."""
+    a robust span runs one tile at a time, the per-tile programs at
+    batch 1."""
     from ..engine import compiled_for
 
     model.eval()
     compiled = compiled_for(model)
     if robust:
-        return (compiled.warmup([1], (image_shape[0], window, window))
-                + compiled.warmup_windows(image_shape, window, origins, [1]))
+        return compiled.warmup([1], (image_shape[0], window, window))
     sizes = {size for size in (min(batch_size, n_origins),
                                n_origins % batch_size) if size}
     return compiled.warmup_windows(image_shape, window, origins,

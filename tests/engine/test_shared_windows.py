@@ -255,6 +255,11 @@ class TestWindowPlan:
         assert "88% of the shareable" in str(caught[0].message)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # escalated, it raises once: the geometry is bound first
+            scene = ((4, 527, 527), 100, scan_origins(527, 100, 50))
+            with pytest.raises(RuntimeWarning, match="edge origin"):
+                compiled.warmup_windows(*scene, [1])
+            compiled.warmup_windows(*scene, [1])
             for size in (600, 300, 620):
                 quiet = plan_of(compiled, size, 100, 50)
                 assert quiet.lost_to_edge == ()
@@ -467,52 +472,6 @@ class TestSpans:
         ours = (np.concatenate([conf for conf, _ in parts]),
                 np.concatenate([box for _, box in parts]))
         assert same_bytes(ours, ref)
-
-    def test_interleaved_runners_recompute_rather_than_corrupt(self):
-        """Two runners of one geometry share the ring; each takes it
-        over from the other, skips windows and still returns the bits
-        of the per-window path."""
-        compiled = engine_compile(self.model, (4, 40, 40))
-        other = raster(150, seed=6)
-        ref_a = gathered(compiled, self.image, self.origins, 40, 144)
-        ref_b = gathered(compiled, other, self.origins, 40, 144)
-        run_a = compiled.window_runner(self.image, self.origins, 40)
-        run_b = compiled.window_runner(other, self.origins, 40)
-        for at in range(0, 144, 10):        # every other batch skipped
-            picks = list(range(at, min(at + 5, 144)))
-            batch = [self.origins[i] for i in picks]
-            for run, ref in ((run_a, ref_a), (run_b, ref_b)):
-                assert same_bytes(run(batch), (ref[0][picks], ref[1][picks]))
-
-    def test_a_per_tile_predict_between_runner_calls_leaves_the_ring(
-            self, monkeypatch):
-        compiled = engine_compile(self.model, (4, 40, 40))
-        ref = shared(compiled, self.image, self.origins, 40, 1)
-        scan = compiled._scan[2]
-        chunks = []
-        real = scan._chunk
-        monkeypatch.setattr(
-            scan, "_chunk", lambda image, k: (chunks.append(k),
-                                              real(image, k))[1])
-        run = compiled.window_runner(self.image, self.origins, 40)
-        tiles = TileSource(self.image, 40)
-        parts = []
-        for origin in self.origins:
-            parts.append(run([origin]))
-            compiled.predict(np.asarray(tiles.tile(origin))[None])
-        assert same_bytes(
-            (np.concatenate([conf for conf, _ in parts]),
-             np.concatenate([box for _, box in parts])), ref)
-        # every chunk computed once, in row order: nothing was evicted
-        assert chunks == sorted(set(chunks))
-
-    def test_runner_rejects_windows_off_the_lattice(self):
-        compiled = engine_compile(self.model, (4, 40, 40))
-        run = compiled.window_runner(self.image, self.origins, 40)
-        assert compiled.window_plan(self.image.shape, 40,
-                                    self.origins).stride == 2
-        with pytest.raises(ValueError, match="off the scan's lattice"):
-            run([(0, 0), (5, 10)])
 
     def test_unsorted_origins_are_still_exact(self):
         compiled = engine_compile(self.model, (4, 40, 40))

@@ -130,102 +130,6 @@ class TestGuardedEngine:
         assert sum(guard.fallback_by_reason.values()) == 1
 
 
-class FaultyWindows:
-    """Delegates to a real compiled model; its window runner misbehaves
-    on the windows at ``poisoned`` origins (or cannot even bind)."""
-
-    def __init__(self, compiled, poisoned, mode="nan"):
-        self.compiled = compiled
-        self.poisoned = set(poisoned)
-        self.mode = mode
-        self.binds = 0
-
-    def window_runner(self, image, origins, window):
-        self.binds += 1
-        if self.mode == "bind":
-            raise RuntimeError("injected bind failure")
-        run = self.compiled.window_runner(image, origins, window)
-
-        def faulty(batch):
-            conf, boxes = run(batch)
-            if self.poisoned & set(batch):
-                if self.mode == "raise":
-                    raise RuntimeError("injected engine crash")
-                conf = np.full_like(conf, np.nan)
-            return conf, boxes
-        return faulty
-
-
-class TestGuardedWindows:
-    WINDOW = 24
-    ORIGINS = [(r, c) for r in (0, 12, 24) for c in (0, 12, 24)]
-
-    @pytest.fixture()
-    def image(self):
-        return np.random.default_rng(3).random((4, 48, 48)).astype(np.float32)
-
-    def tile(self, image, origin):
-        r0, c0 = origin
-        return image[None, :, r0:r0 + self.WINDOW, c0:c0 + self.WINDOW]
-
-    def test_healthy_windows_are_the_per_tile_bits(self, model, image):
-        guard = GuardedEngine(model)
-        run = guard.window_runner(image, self.ORIGINS, self.WINDOW)
-        for origin in self.ORIGINS:
-            conf, boxes, backend = run([origin])
-            ref = guard.predict_batch(self.tile(image, origin))
-            assert backend == ref[2] == "engine"
-            assert conf.tobytes() == ref[0].tobytes()
-            assert boxes.tobytes() == ref[1].tobytes()
-        assert guard.fallback_by_reason == {}
-
-    @pytest.mark.parametrize("mode,reason", [
-        ("nan", FALLBACK_NON_FINITE), ("raise", FALLBACK_ENGINE_ERROR)])
-    def test_one_bad_window_falls_back_alone(self, model, image, mode,
-                                             reason):
-        """The fault boundary is the window: its float32 pixels re-run
-        on eager, counted by reason; the neighbours stay on the engine
-        with the bits a healthy runner gives them."""
-        bad = self.ORIGINS[4]
-        healthy = GuardedEngine(model).window_runner(
-            image, self.ORIGINS, self.WINDOW)
-        guard = GuardedEngine(model, compiled=FaultyWindows(
-            compiled_for(model), {bad}, mode))
-        run = guard.window_runner(image, self.ORIGINS, self.WINDOW)
-        for origin in self.ORIGINS:
-            conf, boxes, backend = run([origin])
-            if origin == bad:
-                e_conf, e_boxes = predict(model, self.tile(image, origin),
-                                          batch_size=1)
-                assert backend == "eager"
-                np.testing.assert_array_equal(conf, e_conf)
-                np.testing.assert_array_equal(boxes, e_boxes)
-            else:
-                ref = healthy([origin])
-                assert backend == "engine"
-                assert conf.tobytes() == ref[0].tobytes()
-                assert boxes.tobytes() == ref[1].tobytes()
-        assert guard.fallback_by_reason == {reason: 1}
-
-    def test_a_scan_that_cannot_bind_answers_on_eager(self, model, image):
-        """Binding happens inside the guarded call, so a geometry the
-        engine cannot bind costs fallbacks (then an open breaker), never
-        the scan."""
-        faulty = FaultyWindows(compiled_for(model), (), mode="bind")
-        guard = GuardedEngine(
-            model, compiled=faulty,
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0))
-        run = guard.window_runner(image, self.ORIGINS, self.WINDOW)
-        for origin in self.ORIGINS[:4]:
-            conf, boxes, backend = run([origin])
-            e_conf, _ = predict(model, self.tile(image, origin), batch_size=1)
-            assert backend == "eager"
-            np.testing.assert_array_equal(conf, e_conf)
-        assert faulty.binds == 2            # then the breaker stays open
-        assert guard.fallback_by_reason == {
-            FALLBACK_ENGINE_ERROR: 2, FALLBACK_BREAKER_OPEN: 2}
-
-
 class TestServeIntegration:
     def test_injected_faulty_engine_surfaces_in_metrics(self, model):
         guard = GuardedEngine(

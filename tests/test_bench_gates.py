@@ -37,6 +37,11 @@ class TestCheck:
         assert gates.check("x", True, "bool").passed
         assert not gates.check("x", False, "bool").passed
 
+    def test_info_check_records_without_a_verdict(self):
+        row = gates.check("ratio", 1e9, "info", track=False)
+        assert row.passed and gates.evaluate([row]) == []
+        assert row.to_json()["threshold"] is None
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             gates.check("x", 1.0, "==", 1.0).passed
@@ -135,6 +140,17 @@ class TestCompare:
             gates.check("err", 2e-5, "<=", 1e-5, track=False)])
         _, failures = check_regression.compare(cur, cur, 0.10)
         assert len(failures) == 1 and "gate failed" in failures[0]
+
+    def test_info_check_is_carried_and_may_not_vanish(self):
+        base = make_payload(checks=[
+            gates.check("ratio", 2.5, "info", track=False)])
+        cur = make_payload(checks=[
+            gates.check("ratio", 25.0, "info", track=False)])
+        rows, failures = check_regression.compare(cur, base, 0.10)
+        assert failures == []
+        assert (rows[0]["baseline"], rows[0]["current"]) == (2.5, 25.0)
+        _, failures = check_regression.compare(make_payload(), base, 0.10)
+        assert len(failures) == 1 and "missing" in failures[0]
 
     def test_boolean_true_to_false_fails(self):
         base = make_payload(checks=[gates.check("flag", True, "bool")])
