@@ -32,7 +32,9 @@ trunk is then split a second time (:func:`.fusion.split_shared_prefix`,
 decided by :func:`.windows.plan_windows` from geometry alone): the
 shared prefix runs once per row chunk of the scene into a small rolling
 buffer, and only the suffix — fed a crop of that buffer — runs per
-window.  Independent chips keep the per-window programs.
+window.  The few windows the scene edge pins off the prefix's grid run
+the one-sample trunk instead, into the same head rows.  Independent
+chips keep the per-window programs.
 
 Execution is serialized with an internal lock: programs own mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
 from dataclasses import replace
 from itertools import islice
@@ -78,7 +79,7 @@ from .quant import (
     round_f16,
 )
 from .trace import Traced, trace
-from .windows import WindowPlan, origin_lattice, plan_windows
+from .windows import WindowPlan, plan_windows
 
 __all__ = ["CompiledModel", "compile", "compiled_for"]
 
@@ -420,6 +421,13 @@ class _Program:
                 else view.copy() for view in views]
 
 
+def _as_tile(pixels: np.ndarray) -> np.ndarray:
+    """Raster pixels as the per-window path sees them: tiles reach it
+    through a float32 buffer, whatever the raster's dtype."""
+    return pixels if pixels.dtype == np.float32 \
+        else pixels.astype(np.float32)
+
+
 class _WindowScan:
     """The bound shared execution of one scan geometry
     (:mod:`repro.engine.windows`).
@@ -427,9 +435,15 @@ class _WindowScan:
     Holds a prefix program per chunk height, the per-window suffix
     program, and the rolling carry buffer: a ring of chunk slots, chunk
     ``k`` (prefix-output rows ``[k*R, (k+1)*R)`` on the scene-anchored
-    grid) living in slot ``k % n_slots``.  Chunks are computed lazily
-    in row order as windows ask for rows, and a slot is reused once
-    every window row that reads its chunk has retired.
+    grid) living in slot ``k % n_slots``, so prefix row ``p`` is ring
+    row ``p % ring``.  Chunks are computed lazily in row order as
+    windows ask for rows, and a slot is reused once every window row
+    that reads its chunk has retired.  When the cut fell inside a fused
+    ``conv_pool`` the window's 2x2 pool reads the ring in place and the
+    suffix program starts at the pooled tensor; otherwise the window's
+    crop is copied into the suffix's input.  A plan with edge windows
+    also holds the window shape's one-sample trunk, the program
+    ``predict`` runs, for the windows off the prefix's grid.
     """
 
     def __init__(self, model: "CompiledModel", plan: WindowPlan,
@@ -444,11 +458,21 @@ class _WindowScan:
         #: chunk pixel height -> the prefix program bound at it
         self.prefixes = {px: bind(px) for px in plan.chunk_heights}
         suffix_steps = list(split.suffix)
+        #: the suffix opens with the cut step's pool: run here, off the ring
+        self._pools = split.cut is not None
+        if self._pools:
+            pool = suffix_steps[1]
+            suffix_steps[:2] = [Step("input", pool.name, (), pool.out_shape,
+                                     covers=(pool.name,))]
         self.suffix = _Program(suffix_steps, boundary, 1, model.dtype,
                                model._packed, model.quant,
                                model._act_scales)
+        shape = (channels, plan.window, plan.window)
+        self.trunk = model._trunk_for(shape) if plan.edge_windows else None
         out = self.prefixes[plan.chunk_heights[0]].views[last]
-        self.carry = np.empty((plan.carry_rows,) + out.shape[2:],
+        # one row past the ring mirrors row 0: a pool's row pair that
+        # straddles the wrap is still two adjacent rows
+        self.carry = np.empty((plan.carry_rows + 1,) + out.shape[2:],
                               dtype=model.dtype)
         self.plan = replace(
             plan, prefix_arena_bytes=max(
@@ -469,47 +493,70 @@ class _WindowScan:
             # the ragged last chunk fails to
             height = plan.chunk_heights[-1]
         prog = self.prefixes[height]
-        pixels = image[None, :, px0:px0 + height]
-        if pixels.dtype != np.float32:
-            # tiles reach the per-window path through a float32 buffer
-            pixels = pixels.astype(np.float32)
-        prog.feed(pixels)
+        prog.feed(_as_tile(image[None, :, px0:px0 + height]))
         prog.execute()
         out = prog.views[prog.outputs[0]][0]
         slot = k % self._n_slots * rows
         np.copyto(self.carry[slot:slot + len(out)], out)
+        if slot == 0:
+            np.copyto(self.carry[-1], out[0])
+
+    def _feed(self, image: np.ndarray, top: int, left: int) -> None:
+        """Feed the suffix the window whose prefix-output corner is
+        ``(top, left)``, running the chunks it reads that the ring does
+        not hold yet."""
+        plan = self.plan
+        rows, n, ring = plan.chunk_rows, plan.crop, plan.carry_rows
+        k_lo, k_hi = top // rows, (top + n - 1) // rows
+        if not self._first <= k_lo <= self._stop:
+            self._stop = k_lo       # nothing held can be reused
+        self._first = k_lo
+        while self._stop <= k_hi:
+            self._chunk(image, self._stop)
+            self._stop += 1
+        (fed,) = self.suffix._inputs
+        at = top % ring
+        if not self._pools:
+            held = min(n, ring - at)        # crop rows before the wrap
+            np.copyto(fed[0, :held], self.carry[at:at + held, left:left + n])
+            if held < n:
+                np.copyto(fed[0, held:],
+                          self.carry[:n - held, left:left + n])
+            return
+        # the cut step's pool then its ReLU, in the fused kernel's order:
+        # the row pairs that start before the wrap (the mirror row
+        # closes an odd one), then those after it
+        ph, pw = fed.shape[1:3]
+        held = min(ph, (ring - at + 1) // 2)
+        for lo, hi, row in ((0, held, at), (held, ph, (at + 2 * held) % ring)):
+            if lo < hi:
+                block = self.carry[None, row:row + 2 * (hi - lo),
+                                   left:left + 2 * pw]
+                maxpool_shifted(shifted_views(block, 2, 2, hi - lo, pw),
+                                fed[:, lo:hi])
+        np.maximum(fed, 0.0, out=fed)
 
     def run(self, image: np.ndarray, origins, head: _Program,
             owner: object) -> None:
-        """One micro-batch: each window's crop through the suffix into
-        row ``i`` of ``head``, then the head."""
-        plan = self.plan
-        rows, n, cs = plan.chunk_rows, plan.crop, plan.stride
+        """One micro-batch: each window's crop through the suffix (an
+        edge window's pixels through the trunk) into row ``i`` of
+        ``head``, then the head."""
+        cs, window = self.plan.stride, self.plan.window
         if self._owner is not owner:
             # another scan used the ring since: nothing in it is ours
             self._owner, self._first, self._stop = owner, 0, 0
-        suffix = self.suffix
-        (crop,) = suffix._inputs
-        pairs = [(head.views[name], suffix.views[name])
-                 for name in suffix.outputs]
+        gathered = [head.views[name] for name in self.suffix.outputs]
         for i, (r0, c0) in enumerate(origins):
-            top, left = r0 // cs, c0 // cs
-            k_lo, k_hi = top // rows, (top + n - 1) // rows
-            if not self._first <= k_lo <= self._stop:
-                self._stop = k_lo       # nothing held can be reused
-            self._first = k_lo
-            while self._stop <= k_hi:
-                self._chunk(image, self._stop)
-                self._stop += 1
-            for k in range(k_lo, k_hi + 1):
-                lo = max(top, k * rows)
-                hi = min(top + n, (k + 1) * rows)
-                at = k % self._n_slots * rows - k * rows
-                np.copyto(crop[0, lo - top:hi - top],
-                          self.carry[at + lo:at + hi, left:left + n])
-            suffix.execute()
-            for batch_rows, sample in pairs:
-                np.copyto(batch_rows[i:i + 1], sample)
+            if r0 % cs or c0 % cs:
+                prog = self.trunk
+                prog.feed(_as_tile(
+                    image[None, :, r0:r0 + window, c0:c0 + window]))
+            else:
+                prog = self.suffix
+                self._feed(image, r0 // cs, c0 // cs)
+            prog.execute()
+            for batch_rows, name in zip(gathered, prog.outputs):
+                np.copyto(batch_rows[i:i + 1], prog.views[name])
         head.execute()
 
 
@@ -642,6 +689,17 @@ class CompiledModel:
                 self.dtype, self._packed, self.quant, self._act_scales)
         return head
 
+    def _trunk_for(self, sample_shape: tuple[int, ...]) -> _Program | None:
+        """The shape's one-sample trunk (``None``: all head)."""
+        trunk = self._trunks.get(sample_shape)
+        if trunk is None:
+            trunk_steps, boundary, _ = self._split_for(sample_shape)
+            if trunk_steps:
+                trunk = self._trunks[sample_shape] = _Program(
+                    trunk_steps, boundary, 1, self.dtype, self._packed,
+                    self.quant, self._act_scales)
+        return trunk
+
     def _programs_for(self, batch: int, sample_shape: tuple[int, ...]
                       ) -> tuple[_Program | None, _Program]:
         """The ``(trunk, head)`` pair that executes ``(batch, shape)``.
@@ -650,15 +708,8 @@ class CompiledModel:
         shared by every batch size; the head is per batch size.  The
         trunk is ``None`` for a model that is all head.
         """
-        head = self._head_for(batch, sample_shape)
-        trunk = self._trunks.get(sample_shape)
-        if trunk is None:
-            trunk_steps, boundary, _ = self._split_for(sample_shape)
-            if trunk_steps:
-                trunk = self._trunks[sample_shape] = _Program(
-                    trunk_steps, boundary, 1, self.dtype, self._packed,
-                    self.quant, self._act_scales)
-        return trunk, head
+        return (self._trunk_for(sample_shape),
+                self._head_for(batch, sample_shape))
 
     def _bound(self, batch: int, sample_shape: tuple[int, ...] | None
                ) -> tuple[_Program | None, _Program]:
@@ -673,8 +724,9 @@ class CompiledModel:
         arena and carry buffer grow with the scene's width."""
         scene_shape = tuple(int(d) for d in scene_shape)
         window = int(window)
-        # everything about the origins the plan depends on
-        key = (scene_shape, window, len(origins), origin_lattice(origins))
+        # the plan counts the origins off its grid: all of them matter
+        key = (scene_shape, window,
+               tuple((int(r), int(c)) for r, c in origins))
         if self._scan is None or self._scan[0] != key:
             trunk, boundary, _ = self._split_for(
                 (scene_shape[0], window, window))
@@ -686,11 +738,6 @@ class CompiledModel:
                 scan = _WindowScan(self, plan, split, boundary)
                 plan = scan.plan
             self._scan = (key, plan, scan)
-            # bound before it warns: a filter that raises the warning
-            # still leaves the geometry bound, and it fires once
-            lost = plan.edge_loss()
-            if lost is not None:
-                warnings.warn(lost, RuntimeWarning, stacklevel=3)
         return self._scan[1:]
 
     # -- execution -------------------------------------------------------
@@ -857,9 +904,9 @@ class CompiledModel:
                        origins, batch_sizes) -> float:
         """:meth:`warmup` for :meth:`predict_windows`: pre-build what a
         scan of ``origins`` over a ``scene_shape`` raster executes —
-        the shared prefix and per-window suffix programs (or, when
-        :meth:`window_plan` declines, the window shape's trunk) and a
-        head per ``batch_sizes``.  Returns the elapsed milliseconds."""
+        the shared prefix and per-window suffix programs, the window
+        shape's trunk when the plan has edge windows (or declines), and
+        a head per ``batch_sizes``.  Returns the elapsed milliseconds."""
         start = time.perf_counter()
         shape = (int(scene_shape[0]), int(window), int(window))
         with self._lock:

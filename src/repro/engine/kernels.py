@@ -30,6 +30,7 @@ __all__ = [
     "CONV_VARIANTS",
     "conv_variant",
     "conv_out_hw",
+    "pooled_extent",
     "conv_scratch_elems",
     "bind_conv",
     "linear",
@@ -110,6 +111,13 @@ def conv_out_hw(h: int, w: int, k: int, stride: int,
             (w + 2 * pad - k) // stride + 1)
 
 
+def pooled_extent(ho: int, wo: int) -> tuple[int, int]:
+    """Rows and columns of an ``(ho, wo)`` conv output that a floor-mode
+    2x2/s2 pool reads: a trailing odd row or column feeds no pool window,
+    so a fused ``conv_pool`` never gathers or multiplies it."""
+    return ho - ho % 2, wo - wo % 2
+
+
 def _tile_rows(ho: int, pool: bool) -> int:
     """Block height of the tiled variant (even when a pool is fused)."""
     if pool:
@@ -128,6 +136,8 @@ def conv_scratch_elems(variant: str, *, batch: int, h: int, w: int,
     amortized with a ceiling division.
     """
     ho, wo = conv_out_hw(h, w, kernel, stride, padding)
+    if pool:
+        ho, wo = pooled_extent(ho, wo)
     f = out_channels
     width = c_in * kernel * kernel + (1 if bias else 0)
     pad_elems = ((h + 2 * padding) * (w + 2 * padding) * c_in
@@ -135,7 +145,7 @@ def conv_scratch_elems(variant: str, *, batch: int, h: int, w: int,
     if variant == "im2col":
         elems = ho * wo * width + pad_elems
         if pool:
-            elems += ho * wo * f  # full conv output staged before the pool
+            elems += ho * wo * f  # conv output staged before the pool
         return elems
     if variant == "im2col_tiled":
         br = _tile_rows(ho, pool)
@@ -233,7 +243,10 @@ def relu_(x: np.ndarray, out: np.ndarray) -> None:
 
 def sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     np.negative(x, out=out)
-    np.exp(out, out=out)
+    # exp(-x) overflows to inf below about -88 in float32, and 1 / inf
+    # is the right answer (0.0): nothing to warn about
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
     np.add(out, 1.0, out=out)
     np.reciprocal(out, out=out)
 
@@ -298,21 +311,31 @@ def _pool2x2_views(stage: np.ndarray, ph: int, pw: int):
     return shifted_views(stage, 2, 2, ph, pw)
 
 
+def _conv_windows(src, scratch, k, stride, pad, pool, phases):
+    """The ``(N, Ho, Wo, k, k, C)`` window view a conv gathers from
+    (staged through a zero-bordered copy when padded, cut to the
+    :func:`pooled_extent` when a pool is fused) and the scratch offset
+    past the staging buffer."""
+    offset = 0
+    if pad:
+        phase, src, offset = _pad_phase(src, scratch, offset, pad)
+        phases.append(phase)
+    win = strided_windows(src, k, stride)
+    if pool is not None:
+        ho, wo = pooled_extent(win.shape[1], win.shape[2])
+        win = win[:, :ho, :wo]
+    return win, offset
+
+
 def _bind_conv_im2col(src, out, scratch, w_pack, k, stride, pad, relu, pool):
-    n, h, w, c = src.shape
-    ho, wo = conv_out_hw(h, w, k, stride, pad)
+    n, c = src.shape[0], src.shape[-1]
     f = out.shape[-1]
     kkc = c * k * k
     width = w_pack.shape[0]
     has_bias = width == kkc + 1
     phases: list[tuple[str, object]] = []
-    offset = 0
-    if pad:
-        phase, padded, offset = _pad_phase(src, scratch, offset, pad)
-        phases.append(phase)
-        win = strided_windows(padded, k, stride)
-    else:
-        win = strided_windows(src, k, stride)
+    win, offset = _conv_windows(src, scratch, k, stride, pad, pool, phases)
+    ho, wo = win.shape[1], win.shape[2]
     cols2d = scratch[offset:offset + n * ho * wo * width].reshape(
         n * ho * wo, width)
     offset += n * ho * wo * width
@@ -355,21 +378,15 @@ def _bind_conv_im2col(src, out, scratch, w_pack, k, stride, pad, relu, pool):
 
 
 def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
-    n, h, w, c = src.shape
-    ho, wo = conv_out_hw(h, w, k, stride, pad)
+    n, c = src.shape[0], src.shape[-1]
     f = out.shape[-1]
     kkc = c * k * k
     width = w_pack.shape[0]
     has_bias = width == kkc + 1
-    br = _tile_rows(ho, pool is not None)
     phases: list[tuple[str, object]] = []
-    offset = 0
-    if pad:
-        phase, padded, offset = _pad_phase(src, scratch, offset, pad)
-        phases.append(phase)
-        win = strided_windows(padded, k, stride)
-    else:
-        win = strided_windows(src, k, stride)
+    win, offset = _conv_windows(src, scratch, k, stride, pad, pool, phases)
+    ho, wo = win.shape[1], win.shape[2]
+    br = _tile_rows(ho, pool is not None)
 
     bcols = scratch[offset:offset + br * wo * width].reshape(br * wo, width)
     offset += br * wo * width
@@ -380,7 +397,6 @@ def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
         rowbuf = scratch[offset:offset + (br // 2) * wo * f].reshape(
             br // 2, wo, f)
         offset += (br // 2) * wo * f
-        ph, pw = out.shape[1], out.shape[2]
 
     # Prebind every (batch item, row block): tuples of views, so the hot
     # loop is pure NumPy calls over L2-resident buffers — the full
@@ -397,14 +413,12 @@ def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
                 tgt = out[b].reshape(ho * wo, f)[r0 * wo:r1 * wo]
                 blocks.append((cb, cb_win, src_win, tgt))
             else:
-                pr = min(rows // 2, ph - r0 // 2)
-                if pr <= 0 and rows > 0:
-                    continue  # trailing rows past the last pool window
+                # ho and br are even here: a block is whole row pairs
                 blocks.append((
                     cb, cb_win, src_win,
                     bstage.reshape(br * wo, f)[:rows * wo],
-                    bstage[0:2 * pr:2], bstage[1:2 * pr:2], rowbuf[:pr],
-                    out[b, r0 // 2:r0 // 2 + pr],
+                    bstage[0:rows:2], bstage[1:rows:2], rowbuf[:rows // 2],
+                    out[b, r0 // 2:r1 // 2],
                 ))
 
     if pool is None:
@@ -419,7 +433,7 @@ def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
                 np.maximum(out, 0.0, out=out)
     else:
         def run(blocks=blocks, w_pack=w_pack, ones_col=ones_col,
-                out=out, relu=relu, pw=pw):
+                out=out, relu=relu):
             if ones_col is not None:
                 ones_col.fill(1.0)
             for (cb, cb_win, src_win, gtgt, even, odd, rbuf,
@@ -427,8 +441,7 @@ def _bind_conv_tiled(src, out, scratch, w_pack, k, stride, pad, relu, pool):
                 np.copyto(cb_win, src_win)
                 np.dot(cb, w_pack, out=gtgt)
                 np.maximum(even, odd, out=rbuf)
-                np.maximum(rbuf[:, 0:2 * pw:2], rbuf[:, 1:2 * pw:2],
-                           out=ptgt)
+                np.maximum(rbuf[:, 0::2], rbuf[:, 1::2], out=ptgt)
             if relu:
                 np.maximum(out, 0.0, out=out)
     phases.append(("conv", run))

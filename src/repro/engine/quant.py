@@ -136,28 +136,23 @@ def bind_conv_q8(*, src, out, scratch, w_q, w_scales, bias, k, stride, pad,
     :meth:`calibrate` populates ``scales[name]`` the kernel falls back
     to a dynamic per-call absmax scale.  Pooling runs on the raw integer
     accumulator (per-channel rescaling is positive, so it commutes with
-    max), keeping the dequantization pass on the 4x-smaller tensor.
+    max), keeping the dequantization pass on the 4x-smaller tensor.  A
+    fused pool gathers only the conv rows and columns it reads
+    (:func:`.kernels.pooled_extent`), so the dynamic scale is the absmax
+    of those columns alone.
     """
     from .kernels import (  # local import avoids a module cycle
-        _pad_phase,
+        _conv_windows,
         _pool2x2_views,
-        conv_out_hw,
         maxpool_shifted,
-        strided_windows,
     )
 
-    n, h, w, c = src.shape
-    ho, wo = conv_out_hw(h, w, k, stride, pad)
+    n, c = src.shape[0], src.shape[-1]
     f = w_q.shape[1]
     kkc = c * k * k
     phases = []
-    offset = 0
-    if pad:
-        phase, padded, offset = _pad_phase(src, scratch, offset, pad)
-        phases.append(phase)
-        win = strided_windows(padded, k, stride)
-    else:
-        win = strided_windows(src, k, stride)
+    win, offset = _conv_windows(src, scratch, k, stride, pad, pool, phases)
+    ho, wo = win.shape[1], win.shape[2]
     cols2d = scratch[offset:offset + n * ho * wo * kkc].reshape(
         n * ho * wo, kkc)
     offset += n * ho * wo * kkc

@@ -17,14 +17,18 @@ a scan computes once per scene instead of once per window:
 * sharing happens only when it is less arithmetic than the per-window
   path (it is not once ``stride >= window``).
 
+One input is not the caller's to choose: a scene whose size is not a
+multiple of the stride gets a last, *edge* origin at ``size - window``
+on each axis, and the gcd of every origin is then whatever that origin
+leaves of the stride (577 px at stride 50: 477, lattice 1, only conv1
+would share).  So the plan is made twice, on the lattice of every origin
+and on the lattice of the *interior* ones, and the one that saves more
+arithmetic runs.  Windows off the chosen prefix's grid, the edge row and
+column at most, are **edge windows**: they run the whole per-window
+trunk, and their cost counts against the sharing.
+
 The result is a :class:`WindowPlan`: the decision and every number
-behind it, or the reason sharing was declined.  One input is not the
-caller's to choose and can cost most of the sharing: a scene whose size
-is not a multiple of the stride gets a last, *edge* origin at ``size -
-window``, and that origin, not the stride, then sets the lattice (577 px
-at stride 50: lattice 1, only conv1 shares).  The plan names that case
-(``lost_to_edge``) and the engine warns once per geometry it binds.
-There is no knob: the
+behind it, or the reason sharing was declined.  There is no knob: the
 same ``(model, scene shape, window, origins, quant)`` gives the same
 plan in every process, which is what keeps a sharded scan byte-identical
 to the sequential one.
@@ -37,6 +41,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from .fusion import SharedSplit, Step, chain_at, split_shared_prefix
+from .kernels import pooled_extent
 
 __all__ = ["WindowPlan", "origin_lattice", "plan_windows",
            "INT8_PER_SAMPLE", "NOT_LESS_WORK", "NO_TRUNK"]
@@ -74,24 +79,25 @@ class WindowPlan:
     shared       : names of the prefix's steps, in order
     cut          : fused ``conv_pool`` step whose conv is shared and
                    whose pool runs per window, if any
+    lattice      : the origin lattice the plan was made on: every
+                   origin's, or the interior origins' when leaving the
+                   edge windows to the per-window trunk is less work
     stride       : pixels per prefix-output element (``cs``)
+    edge_windows : windows whose origin is off the ``stride`` grid (the
+                   row and column ``scan_origins`` pins to the scene
+                   edge): each runs the whole per-window trunk
     chunk_rows   : prefix-output rows per chunk (``R``)
     chunk_heights: pixel rows of an interior chunk and, when the grid
                    does not tile the scene, of the ragged last one
     crop         : side of the per-window crop of the prefix's output
     macs_shared / macs_per_window : multiply-adds of the shared layers
-                   over every chunk of the scene / over all
-                   ``n_windows`` windows
+                   as this plan runs them (every chunk of the scene,
+                   plus once per edge window) / as the per-window path
+                   does (once per window, all ``n_windows``)
     prefix_arena_bytes / carry_bytes : what the shared execution holds
                    (the largest prefix program's arena; the rolling
-                   buffer of prefix output rows)
-    interior_lattice : the lattice short of each axis's last (edge)
-                   origin; differs from ``lattice`` when the scene
-                   edge, not the stride, set it
-    lost_to_edge / macs_lost_to_edge : what ``shared`` would be on
-                   ``interior_lattice`` when that is more than this
-                   scan shares (else empty), and the multiply-adds,
-                   over all windows, of the layers that stay per window
+                   buffer of prefix output rows, ``carry_rows`` and one
+                   that mirrors the first)
     """
 
     scene_shape: tuple[int, int, int]
@@ -102,6 +108,7 @@ class WindowPlan:
     shared: tuple[str, ...] = ()
     cut: str | None = None
     stride: int = 1
+    edge_windows: int = 0
     chunk_rows: int = 0
     chunk_heights: tuple[int, ...] = ()
     crop: int = 0
@@ -109,31 +116,13 @@ class WindowPlan:
     macs_per_window: int = 0
     prefix_arena_bytes: int = 0
     carry_bytes: int = 0
-    interior_lattice: int = 0
-    lost_to_edge: tuple[str, ...] = ()
-    macs_lost_to_edge: int = 0
 
     @property
-    def macs_shared_per_window(self) -> int:
-        """Per-window-path multiply-adds, over all windows, of the
-        layers this scan actually shares (none when declined)."""
-        return self.macs_per_window if self.reason is None else 0
-
-    def edge_loss(self) -> str | None:
-        """What the edge origin cost this scan, in words (``None`` when
-        nothing): the text of the engine's ``RuntimeWarning``."""
-        if not self.lost_to_edge:
-            return None
-        shareable = self.macs_shared_per_window + self.macs_lost_to_edge
-        return (
-            f"scan of {self.n_windows} windows over "
-            f"{self.scene_shape[1]}x{self.scene_shape[2]} px: the edge "
-            f"origin sets the origin lattice to {self.lattice} where the "
-            f"stride gives {self.interior_lattice}, so windows share "
-            f"{', '.join(self.shared) or 'nothing'} instead of "
-            f"{', '.join(self.lost_to_edge)} and "
-            f"{self.macs_lost_to_edge / shareable:.0%} of the shareable "
-            f"multiply-adds run once per window")
+    def macs_saved(self) -> int:
+        """Multiply-adds this plan spares the per-window path (0 when
+        declined): what :func:`plan_windows` ranks candidates by."""
+        return (self.macs_per_window - self.macs_shared
+                if self.reason is None else 0)
 
     @property
     def carry_rows(self) -> int:
@@ -147,11 +136,12 @@ class WindowPlan:
 
 
 def _conv_dims(step: Step) -> tuple[int, int]:
-    """Output rows and columns of a conv step's GEMM (before any fused
-    pool)."""
-    shape = step.attrs["conv_out"] if step.kind == "conv_pool" \
-        else step.out_shape
-    return int(shape[1]), int(shape[2])
+    """Output rows and columns of a conv step's GEMM: the conv's own,
+    short of the odd row and column a fused pool never reads."""
+    if step.kind == "conv_pool":
+        _, rows, cols = step.attrs["conv_out"]
+        return pooled_extent(int(rows), int(cols))
+    return int(step.out_shape[1]), int(step.out_shape[2])
 
 
 def _macs(steps: Sequence[Step]) -> int:
@@ -190,26 +180,26 @@ def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
     """
     def plan_on(lattice: int) -> tuple[WindowPlan, SharedSplit | None]:
         return _plan_on(lattice, trunk, boundary, scene_shape, window,
-                        len(origins), quant_mode, itemsize)
+                        origins, quant_mode, itemsize)
 
+    best = plan_on(origin_lattice(origins))
     interior = _interior_lattice(origins)
-    plan, split = plan_on(origin_lattice(origins))
-    plan = replace(plan, interior_lattice=interior)
-    if interior and interior != plan.lattice:
-        wider, _ = plan_on(interior)
-        lost = wider.macs_shared_per_window - plan.macs_shared_per_window
-        if lost > 0:
-            plan = replace(plan, lost_to_edge=wider.shared,
-                           macs_lost_to_edge=lost)
-    return plan, split
+    if interior != best[0].lattice:
+        # the edge origin set the lattice: sharing on the stride's own
+        # and running the edge windows whole may be less work
+        wider = plan_on(interior)
+        if wider[0].macs_saved > best[0].macs_saved:
+            best = wider
+    return best
 
 
 def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
-             scene_shape: tuple[int, int, int], window: int, n_windows: int,
-             quant_mode: str, itemsize: int
-             ) -> tuple[WindowPlan, SharedSplit | None]:
-    """The plan of ``n_windows`` windows on ``lattice``."""
+             scene_shape: tuple[int, int, int], window: int,
+             origins: Sequence[tuple[int, int]], quant_mode: str,
+             itemsize: int) -> tuple[WindowPlan, SharedSplit | None]:
+    """The plan of windows at ``origins`` sharing on ``lattice``."""
     channels, height, width = (int(d) for d in scene_shape)
+    n_windows = len(origins)
     base = WindowPlan((channels, height, width), int(window), n_windows,
                       lattice)
     if not trunk:
@@ -239,14 +229,22 @@ def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
         heights.append((ragged - 1) * split.stride + rf)
     # every chunk but the last is an interior one
     macs = [_macs(chain_at(prefix, (channels, px, width))) for px in heights]
+    edge = sum(1 for r, c in origins
+               if r % split.stride or c % split.stride)
+    # the same layers in the window's own trunk (a cut conv is fused
+    # with its pool there, and skips the rows the pool never reads)
+    per_window = _macs(trunk[:len(prefix)])
     plan = replace(
         base, shared=tuple(s.name for s in prefix[1:]), cut=split.cut,
-        stride=split.stride, chunk_rows=rows, chunk_heights=tuple(heights),
-        crop=crop, macs_shared=(n_chunks - 1) * macs[0] + macs[-1],
-        macs_per_window=_macs(prefix) * n_windows)
+        stride=split.stride, edge_windows=edge, chunk_rows=rows,
+        chunk_heights=tuple(heights), crop=crop,
+        macs_shared=((n_chunks - 1) * macs[0] + macs[-1]
+                     + edge * per_window),
+        macs_per_window=per_window * n_windows)
     if plan.macs_shared >= plan.macs_per_window:
         return _declined(plan, NOT_LESS_WORK)
-    carry = (plan.carry_rows * int(scene_chain[-1].out_shape[2])
+    # the ring and the one row past it that mirrors its first
+    carry = ((plan.carry_rows + 1) * int(scene_chain[-1].out_shape[2])
              * int(last.out_shape[0]) * itemsize)
     return replace(plan, carry_bytes=carry), split
 

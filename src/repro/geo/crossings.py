@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..hydro import delineate_streams
 
@@ -60,6 +59,8 @@ def find_crossings(
         accepted crossing are dropped, mirroring the digitization rule of
         one structure per road/stream encounter.
     """
+    from scipy import ndimage  # deferred: inference never pays the import
+
     from ..hydro import priority_flood_fill
 
     filled = priority_flood_fill(np.asarray(bare_dem, dtype=float), epsilon=1e-4)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["LandClass", "LandcoverMap", "classify_landcover"]
 
@@ -60,6 +59,8 @@ def classify_landcover(
     streams : boolean stream raster (true hydrography).
     roads : boolean road-surface raster.
     """
+    from scipy import ndimage  # deferred: inference never pays the import
+
     if not (dem.shape == streams.shape == roads.shape):
         raise ValueError("dem/streams/roads shapes must match")
     size = dem.shape[0]

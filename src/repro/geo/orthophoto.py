@@ -15,7 +15,6 @@ R, G, B, NIR at 1 m resolution.  Rendering layers:
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .crossings import Crossing
 from .landcover import LandClass, LandcoverMap
@@ -55,6 +54,8 @@ def render_orthophoto(
     noise_scale: float = 0.035,
 ) -> np.ndarray:
     """Render the scene image; deterministic in ``seed``."""
+    from scipy import ndimage  # deferred: inference never pays the import
+
     classes = landcover.classes
     h, w = classes.shape
     rng = np.random.default_rng(seed + 32452843)

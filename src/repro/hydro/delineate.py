@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .flow import FLOW_NONE, downstream_index, flow_accumulation, flow_direction
 
@@ -33,6 +32,8 @@ class StreamNetwork:
 
     def components(self) -> tuple[np.ndarray, int]:
         """8-connected stream segments (labels array, count)."""
+        from scipy import ndimage  # deferred: inference never pays the import
+
         labels, count = ndimage.label(self.mask, structure=np.ones((3, 3)))
         return labels, count
 

@@ -66,9 +66,12 @@ def _warm_engine(model, image_shape: tuple[int, ...], window: int,
     *lifetime*, because warmup of an already-cached program costs
     nothing).  A batched span runs what ``predict_windows`` runs over
     the raster for the whole scan's ``origins`` — the shared prefix and
-    per-window suffix when the scan shares feature maps — and a head
-    per micro-batch size (full batches and the span's ragged last one);
-    a robust span runs one tile at a time, the per-tile programs at
+    per-window suffix when the scan shares feature maps, the window's
+    one-sample trunk when the scene edge leaves windows off the shared
+    grid (``warmup_windows`` binds it with the plan, so no shard's first
+    edge window binds inside its timed scan) — and a head per
+    micro-batch size (full batches and the span's ragged last one); a
+    robust span runs one tile at a time, the per-tile programs at
     batch 1."""
     from ..engine import compiled_for
 

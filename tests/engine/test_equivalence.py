@@ -2,6 +2,8 @@
 NAS search axes (first-conv kernel size, SPP pyramid levels, FC widths)
 plus batching, variable input sizes, and BatchNorm folding."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.predict import predict
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel, compile as engine_compile, compiled_for
+from repro.engine.kernels import sigmoid_into
 from repro.tensor import Tensor, no_grad
 
 ATOL = 1e-5
@@ -112,6 +115,21 @@ class TestExecutionModes:
         from_tensor = compiled(Tensor(images))
         from_array = compiled(images)
         np.testing.assert_array_equal(from_tensor[0], from_array[0])
+
+
+def test_sigmoid_of_very_negative_logits_is_silent():
+    """exp(200) overflows float32 to inf and 1 / (1 + inf) is the right
+    answer: no RuntimeWarning, and the bits of the plain formula."""
+    logits = np.array([[-200.0, -89.0, -5.0, 0.0, 200.0]], dtype=np.float32)
+    out = np.empty_like(logits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmoid_into(logits, out)
+    with np.errstate(over="ignore"):
+        plain = 1.0 / (np.exp(-logits) + np.float32(1.0))
+    assert out.tobytes() == plain.astype(np.float32).tobytes()
+    assert out[0, 0] == out[0, 1] == 0.0 and out[0, 3] == 0.5
+    assert out[0, 4] == 1.0
 
 
 class TestBackendSelection:

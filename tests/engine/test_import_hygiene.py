@@ -1,0 +1,39 @@
+"""Inference imports no scipy: scene synthesis (``repro.geo``,
+``repro.hydro``) needs ``scipy.ndimage`` and imports it inside the
+functions that call it, so a process that only loads, compiles and scans
+— a pool worker, a service, a resumed scan — never pays the 0.4 s."""
+
+import subprocess
+import sys
+
+SCRIPT = """
+import sys
+
+import repro.detect
+import repro.engine
+import repro.robust
+import repro.scanpar
+import repro.serve
+assert "scipy" not in sys.modules, "import pulled in scipy"
+
+import numpy as np
+from repro.arch import TABLE1_MODELS
+from repro.detect import SPPNetDetector, scan_origins
+
+model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+compiled = repro.engine.compile(model)
+raster = np.random.default_rng(0).standard_normal(
+    (4, 227, 227)).astype(np.float32)
+origins = scan_origins(227, 100, 50)
+assert compiled.window_plan(raster.shape, 100, origins).edge_windows == 7
+list(compiled.predict_windows(raster, origins, 100, batch_size=5))
+assert "scipy" not in sys.modules, "compiling or scanning pulled in scipy"
+print("ok")
+"""
+
+
+def test_importing_compiling_and_scanning_leave_scipy_out():
+    done = subprocess.run([sys.executable, "-c", SCRIPT],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

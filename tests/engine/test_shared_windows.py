@@ -213,8 +213,9 @@ class TestWindowPlan:
         plan = plan_of(table1["SPP-Net #3"], *BENCH)
         assert (plan.chunk_rows, plan.chunk_heights, plan.crop) == (
             7, (20, 12), 47)
-        # conv1 + conv2 multiply-adds per tile: 185 M per window
-        assert plan.macs_per_window // plan.n_windows == 184_992_768
+        # conv1 + conv2 multiply-adds per tile in the window's own
+        # trunk: 9604 and 2116 GEMM rows (conv2's pool reads 46 x 46)
+        assert plan.macs_per_window // plan.n_windows == 178_136_064
         assert plan.to_json()["shared"] == ("pool1", "conv2")
 
     def test_memory_is_depth_first(self, table1):
@@ -234,39 +235,82 @@ class TestWindowPlan:
         assert held[1200, 600] == held[600, 600]
         assert held[600, 600] < held[600, 1200] <= 2 * held[600, 600]
 
-    def test_an_edge_origin_that_sets_the_lattice_is_named_and_loud(
-            self, table1):
-        """577 px at stride 50 ends on origin 477: lattice 1, conv1
-        only.  The plan says what the edge cost and binding it warns;
-        600 and 300 px (edge on the stride's grid) and 620 px (lattice
-        10, the same sharing as 50) stay silent."""
+    def test_the_scene_edge_does_not_set_the_lattice(self, table1):
+        """577 px at stride 50 ends on origin 477.  The interior origins
+        still share through conv2 on the stride's lattice; the 21
+        windows of the edge row and column are counted, run the
+        per-window trunk, and binding the geometry is silent."""
         compiled = table1["SPP-Net #3"]
-        with pytest.warns(RuntimeWarning, match="edge origin") as caught:
-            plan = plan_of(compiled, 577, 100, 50)
-            compiled.warmup_windows((4, 577, 577), 100,
-                                    scan_origins(577, 100, 50), [1])
-        assert len(caught) == 1             # once per geometry bound
-        assert (plan.lattice, plan.interior_lattice) == (1, 50)
-        assert plan.shared == ("conv1",) and plan.cut == "pool1"
-        assert plan.lost_to_edge == ("pool1", "conv2")
-        on_grid = plan_of(compiled, 600, 100, 50)
-        assert plan.macs_lost_to_edge == (
-            on_grid.macs_per_window - plan.macs_per_window)
-        assert "88% of the shareable" in str(caught[0].message)
+        origins = scan_origins(577, 100, 50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # escalated, it raises once: the geometry is bound first
-            scene = ((4, 527, 527), 100, scan_origins(527, 100, 50))
-            with pytest.raises(RuntimeWarning, match="edge origin"):
-                compiled.warmup_windows(*scene, [1])
-            compiled.warmup_windows(*scene, [1])
-            for size in (600, 300, 620):
-                quiet = plan_of(compiled, size, 100, 50)
-                assert quiet.lost_to_edge == ()
-                assert quiet.macs_lost_to_edge == 0
-                assert quiet.interior_lattice == 50
-            # two origins an axis: no interior to read a stride from
-            assert plan_of(compiled, 150, 100, 50).interior_lattice == 0
+            plan = plan_of(compiled, 577, 100, 50)
+            compiled.warmup_windows((4, 577, 577), 100, origins, [1])
+        assert origin_lattice(origins) == 1
+        assert (plan.lattice, plan.stride) == (50, 2)
+        assert plan.shared == ("pool1", "conv2") and plan.cut == "pool2"
+        assert (plan.n_windows, plan.edge_windows) == (121, 21)
+        assert plan.to_json()["edge_windows"] == 21
+        # the edge windows' own conv1 + conv2 count against the sharing
+        on_grid = plan_of(compiled, 600, 100, 50)
+        per_tile = on_grid.macs_per_window // 121
+        assert plan.macs_per_window == on_grid.macs_per_window
+        assert plan.macs_shared > 21 * per_tile
+        assert plan.macs_saved == plan.macs_per_window - plan.macs_shared > 0
+        assert on_grid.edge_windows == 0 and on_grid.lattice == 50
+
+    def test_edge_windows_are_taken_only_when_they_are_less_work(
+            self, table1):
+        """Both lattices are planned and the one that saves more runs:
+        an edge origin that is on the prefix's grid anyway costs
+        nothing (620 px: 520 is even), and one that would trade a
+        deeper prefix for whole trunks is not taken (600 px at stride
+        48: conv3 shares on lattice 4 with no edge window, the whole
+        trunk on 48 with 23)."""
+        compiled = table1["SPP-Net #3"]
+        for size, stride, lattice, last, edge in [
+                (620, 50, 10, "conv2", 0), (596, 50, 2, "conv2", 0),
+                (613, 50, 50, "conv2", 23), (333, 50, 50, "conv2", 11),
+                (600, 48, 4, "conv3", 0), (580, 48, 48, "pool3", 0)]:
+            plan = plan_of(compiled, size, 100, stride)
+            assert (plan.lattice, plan.shared[-1], plan.edge_windows) == (
+                lattice, last, edge), (size, stride)
+            assert plan.macs_shared < plan.macs_per_window
+        # two origins an axis: no interior to read a stride from
+        corners = plan_of(compiled, 150, 100, 50)
+        assert (corners.lattice, corners.edge_windows) == (50, 0)
+
+    def test_a_warmed_scan_with_edge_windows_binds_nothing_more(
+            self, table1):
+        compiled = engine_compile(
+            SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval())
+        origins = scan_origins(577, 100, 50)
+        compiled.warmup_windows((4, 577, 577), 100, origins, [20, 1])
+        scan = compiled._scan[2]
+        assert scan.trunk is compiled._trunks[(4, 100, 100)]
+        bound = (dict(compiled._trunks), dict(compiled._heads), scan)
+        image = raster(577, seed=1)
+        list(compiled.predict_windows(image, origins, 100, batch_size=20))
+        assert (dict(compiled._trunks), dict(compiled._heads),
+                compiled._scan[2]) == bound
+
+    def test_a_cut_steps_pool_reads_the_ring_in_place(self, table1):
+        """When the cut falls inside a fused step, the window's pool
+        runs off the carry buffer and the suffix program starts at the
+        pooled tensor: no crop is copied.  With no cut the suffix is
+        fed the crop of the prefix's output."""
+        compiled = table1["SPP-Net #3"]
+        for size, stride, cut, fed in [(600, 50, "pool2", (1, 23, 23, 128)),
+                                       (600, 48, "pool3", (1, 10, 10, 256)),
+                                       (580, 48, None, (1, 10, 10, 256))]:
+            plan = plan_of(compiled, size, 100, stride)
+            scan = compiled._scan[2]
+            assert plan.cut == cut and scan._pools == (cut is not None)
+            (entry,) = scan.suffix._inputs
+            assert entry.shape == fed
+            # the ring, plus the row that mirrors its first
+            assert len(scan.carry) == plan.carry_rows + 1
+            assert plan.carry_bytes == scan.carry.nbytes
 
     def test_stride_at_or_past_the_window_is_not_less_work(self, table1):
         for stride in (100, 130):
@@ -351,6 +395,75 @@ def test_table1_models_bitwise_equal_at_every_geometry(name, quant):
         assert (declined is not None) == (stride >= window)
 
 
+#: scene sizes whose edge origin is on the stride's lattice (600 at 50,
+#: 580 at 48), on a coarser one that shares as much (580 / 596 at 50,
+#: 596 at 48), or off every grid past conv1 (577, 613; 600 at 48)
+SCENE_SIZES = (577, 580, 596, 600, 613)
+
+
+@pytest.fixture(scope="module")
+def deployed():
+    model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+    return {quant: engine_compile(model, quant=quant)
+            for quant in ("float32", "float16")}
+
+
+@pytest.mark.parametrize("quant", ["float32", "float16"])
+@pytest.mark.parametrize("stride", [48, 50])
+@pytest.mark.parametrize("size", SCENE_SIZES)
+def test_scene_sizes_off_the_stride_are_bitwise_equal(deployed, size, stride,
+                                                      quant):
+    compiled = deployed[quant]
+    image = raster(size, seed=size + stride)
+    origins = scan_origins(size, 100, stride)
+    plan = compiled.window_plan(image.shape, 100, origins)
+    assert plan.reason is None and plan.shared[-1] != "conv1"
+    for batch in (1, 7, 20):
+        assert same_bytes(shared(compiled, image, origins, 100, batch),
+                          gathered(compiled, image, origins, 100, batch)), \
+            (size, stride, quant, batch)
+
+
+@pytest.mark.parametrize("quant", ["float32", "float16"])
+def test_spans_of_edge_windows_are_bitwise_equal(deployed, quant):
+    """577 px at stride 50 is 11 x 11 windows, the last of every row and
+    the whole last row off the lattice.  A span that starts on the edge
+    column, one that is the edge row alone and one of a single edge
+    window compute what ``predict`` computes over their stacks."""
+    compiled = deployed[quant]
+    image = raster(577, seed=9)
+    origins = scan_origins(577, 100, 50)
+    assert origins[10] == (0, 477) and origins[110] == (477, 0)
+    for start, stop in [(10, 40), (110, 121), (120, 121), (0, 10)]:
+        ours = shared(compiled, image, origins, 100, 10, span=(start, stop))
+        ref = gathered(compiled, image, origins[start:stop], 100, 10)
+        assert same_bytes(ours, ref), (quant, start, stop)
+    assert compiled.window_plan(image.shape, 100, origins).edge_windows == 21
+
+
+def check_geometry(model_kwargs, window, size, stride, batch, quant, seed):
+    """One model x scan geometry: the shared scan is ``predict`` over
+    the stacks, and the plan's numbers are consistent with it."""
+    model = small_model(seed, **model_kwargs)
+    compiled = engine_compile(model, (4, window, window), quant=quant)
+    image = raster(size, seed=seed)
+    origins = scan_origins(size, window, stride)
+    ours = shared(compiled, image, origins, window, batch)
+    assert same_bytes(ours, gathered(compiled, image, origins, window, batch))
+    plan = compiled.window_plan(image.shape, window, origins)
+    if plan.reason is None:
+        assert plan.macs_shared < plan.macs_per_window
+        assert plan.lattice % plan.stride == 0
+        off_grid = [o for o in origins
+                    if o[0] % plan.stride or o[1] % plan.stride]
+        assert plan.edge_windows == len(off_grid)
+        # never more than the edge row and column
+        per_axis = len({r for r, _ in origins})
+        assert plan.edge_windows <= 2 * per_axis - 1
+        assert all(size - window in o for o in off_grid)
+    return plan, origins
+
+
 @settings(derandomize=True, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.too_slow])
 @given(first_kernel=st.sampled_from((1, 3, 5, 7, 9)),
@@ -372,22 +485,51 @@ def test_model_space_property(first_kernel, spp_first_level, fc_width,
         stride = window
     elif stride == "beyond":
         stride = window + 5
-    size = window + extra
-    model = small_model(seed, first_kernel=first_kernel,
-                        spp_first_level=spp_first_level, fc_width=fc_width)
-    compiled = engine_compile(model, (4, window, window), quant=quant)
-    image = raster(size, seed=seed)
-    origins = scan_origins(size, window, stride)
-    ours = shared(compiled, image, origins, window, batch)
-    assert same_bytes(ours, gathered(compiled, image, origins, window, batch))
-    plan = compiled.window_plan(image.shape, window, origins)
-    if plan.reason is None:
-        assert plan.macs_shared < plan.macs_per_window
-        assert plan.lattice % plan.stride == 0
-    else:
+    plan, origins = check_geometry(
+        dict(first_kernel=first_kernel, spp_first_level=spp_first_level,
+             fc_width=fc_width), window, window + extra, stride, batch,
+        quant, seed)
+    if plan.reason is not None:
         # the only way an unpadded chain on a lattice declines
         assert plan.reason == windows.NOT_LESS_WORK
         assert stride >= window or len(origins) < 9
+
+
+@settings(derandomize=True, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(first_kernel=st.sampled_from((1, 3, 5)),
+       spp_first_level=st.integers(1, 5),
+       window=st.integers(32, 44),
+       stride=st.sampled_from((8, 12, 16, 20, 24)),
+       steps=st.integers(4, 8),
+       remainder=st.sampled_from((1, 2, 3, 5, 7)),
+       batch=st.sampled_from((1, 7, 20)),
+       quant=st.sampled_from(("float32", "float16")),
+       seed=st.integers(0, 2**16))
+def test_scene_sizes_off_the_stride_property(first_kernel, spp_first_level,
+                                             window, stride, steps,
+                                             remainder, batch, quant, seed):
+    """Scenes whose size is not a multiple of the stride: ``steps``
+    strides of interior origins, then an edge origin ``remainder`` px
+    past the last.  The scan is exact whatever that origin does to the
+    gcd; when it leaves windows off the grid, the grid is the stride's.
+    (Small first kernels, so that sharing conv2 is worth the edge
+    windows' whole trunks; and at 8 filters a 9 px kernel's per-window
+    block GEMM is under OpenBLAS's small-matrix switch while its
+    scene-wide one is not, see
+    ``test_sgemm_rows_do_not_depend_on_their_call``.)"""
+    size = window + steps * stride + remainder
+    plan, origins = check_geometry(
+        dict(first_kernel=first_kernel, spp_first_level=spp_first_level,
+             fc_width=16), window, size, stride, batch, quant, seed)
+    assert origins[-1] == (size - window,) * 2
+    if plan.reason is not None:
+        # chunks one row high recompute more halo than windows overlap
+        assert plan.reason == windows.NOT_LESS_WORK
+    elif plan.edge_windows:
+        assert plan.lattice == stride
+    else:
+        assert plan.lattice in (stride, origin_lattice(origins))
 
 
 def test_int8_takes_the_per_window_path_and_is_equal():

@@ -19,7 +19,9 @@ from repro.engine.kernels import (
     conv_out_hw,
     conv_scratch_elems,
     pack_conv_weight,
+    pooled_extent,
 )
+from repro.nas.space import config_from_sample, sppnet_search_space
 from repro.tensor import Tensor, no_grad
 from repro.tensor.modules import Conv2d, MaxPool2d, ReLU, Sequential
 
@@ -120,6 +122,71 @@ class TestKernelEquivalence:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             run_variant("fft")
+
+
+def search_space_layers():
+    """(c_in, filters, kernel, input side) of every conv layer a
+    search-space sample can hold, at the 100 px window."""
+    layers = set()
+    for kernel in sppnet_search_space()["first_kernel"].candidates:
+        config = config_from_sample({"first_kernel": kernel,
+                                     "spp_first_level": 1, "fc_width": 128})
+        c_in, side = config.in_channels, 100
+        for conv in config.convs:
+            layers.add((c_in, conv.filters, conv.kernel, side))
+            c_in, side = conv.filters, (side - conv.kernel + 1) // 2
+    return sorted(layers)
+
+
+class TestPooledExtent:
+    """A fused ``conv_pool`` gathers and multiplies only the conv rows
+    and columns its floor-mode pool reads; the result is the full conv
+    followed by the pool, bit for bit."""
+
+    def test_extent_drops_the_odd_row_and_column(self):
+        assert pooled_extent(21, 21) == (20, 20)
+        assert pooled_extent(22, 47) == (22, 46)
+        assert pooled_extent(1, 2) == (0, 2)
+
+    @pytest.mark.parametrize("variant", CONV_VARIANTS)
+    @pytest.mark.parametrize("c_in, filters, kernel, side",
+                             search_space_layers())
+    def test_trimmed_equals_full_conv_then_pool(self, variant, c_in, filters,
+                                                kernel, side):
+        for dh, dw in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            kw = dict(batch=1, h=side + dh, w=side + dw, c=c_in, f=filters,
+                      k=kernel)
+            full = run_variant(variant, relu=False, **kw)
+            ph, pw = full.shape[1] // 2, full.shape[2] // 2
+            pairs = full[:, :2 * ph, :2 * pw].reshape(1, ph, 2, pw, 2, filters)
+            ref = np.maximum(pairs.max(axis=(2, 4)), 0.0)
+            got = run_variant(variant, pool=(2, 2), **kw)
+            assert got.tobytes() == ref.tobytes(), (variant, kw)
+
+    def test_scratch_counts_only_what_the_pool_reads(self):
+        for variant in CONV_VARIANTS:
+            kw = dict(batch=1, c_in=128, out_channels=256, kernel=3,
+                      stride=1, padding=0, bias=True, pool=True)
+            odd = conv_scratch_elems(variant, h=23, w=23, **kw)
+            even = conv_scratch_elems(variant, h=22, w=22, **kw)
+            assert odd == even      # 21x21 conv output, 20x20 read
+        assert conv_scratch_elems("im2col", h=23, w=23, **kw) == \
+            400 * (128 * 9 + 1) + 400 * 256
+
+    def test_planned_peak_bytes_does_not_grow(self):
+        """Arena bytes at batch 1 / 20 against the untrimmed kernels'
+        (PR 22): three models lose 262 KB; #1's largest scratch is its
+        even 46 x 46 conv2."""
+        before = {"Original SPP-Net": (7145620, 7632324),
+                  "SPP-Net #1": (6890272, 7376976),
+                  "SPP-Net #2": (7167124, 8062404),
+                  "SPP-Net #3": (7158932, 7898564)}
+        for name, config in TABLE1_MODELS.items():
+            compiled = CompiledModel(SPPNetDetector(config, seed=0).eval(),
+                                     (4, 100, 100))
+            now = tuple(compiled.planned_peak_bytes(b) for b in (1, 20))
+            assert all(n <= b for n, b in zip(now, before[name])), name
+            assert (now < before[name]) == (name != "SPP-Net #1")
 
 
 class TestCompiledEquivalence:

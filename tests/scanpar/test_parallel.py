@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.faults import corrupt_scene
@@ -100,6 +100,52 @@ class TestParity:
             pooled = scan(model, scene, backend=backend, n_workers=2,
                           pool=pool)
         assert_identical(pooled, sequential)
+
+
+class TestEdgeWindows:
+    """A scene whose size is not a multiple of the stride (577 px at
+    50): the 21 windows its edge pins off the lattice run the
+    per-window trunk, in a worker as inline, and a worker has that
+    trunk bound before its shard's clock starts."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        return SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        return build_scene(WatershedConfig(size=577, road_spacing=96,
+                                           stream_threshold=600, seed=5))
+
+    def test_pooled_scan_equals_the_inline_one(self, deployed, ragged):
+        kwargs = dict(backend="engine", batch_size=20,
+                      confidence_threshold=0.0)
+        inline = scan(deployed, ragged, **kwargs)
+        pooled = scan(deployed, ragged, n_workers=2, **kwargs)
+        assert len(inline) > 0
+        assert_identical(pooled, inline)
+
+    def test_a_worker_warms_the_trunk_its_edge_windows_run(self, ragged):
+        from repro.engine import compiled_for
+        from repro.scanpar.worker import _warm_engine
+
+        # a model no scan has bound anything for, as in a fresh worker
+        deployed = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0)
+        origins = scan_origins(ragged.size, WINDOW, 50)
+        # the second of two shards: 61 origins, the edge row among them
+        _warm_engine(deployed, ragged.image.shape, WINDOW, 61, 20, origins,
+                     robust=False)
+        compiled = compiled_for(deployed)
+        assert compiled.window_plan(ragged.image.shape, WINDOW,
+                                    origins).edge_windows == 21
+        bound = (set(compiled._trunks), set(compiled._heads),
+                 compiled._scan[2])
+        assert bound[0] == {(4, WINDOW, WINDOW)}
+        assert {key[0] for key in bound[1]} == {20, 1}
+        list(compiled.predict_windows(ragged.image, origins, WINDOW,
+                                      batch_size=20, span=(60, 121)))
+        assert (set(compiled._trunks), set(compiled._heads),
+                compiled._scan[2]) == bound
 
 
 class TestSlabFallback:
