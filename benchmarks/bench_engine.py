@@ -11,16 +11,12 @@ the eager ``predict`` path on exactly that shape, recording:
   behind ``repro.engine.kernels.TILED_MAX_DEPTH``;
 * the kernel-category breakdown (sub-step phases are attributed
   honestly: im2col gathers count as memops, fused pooling as pooling);
-* the quantization accuracy gate on the Table 1 NAS winner — int8 and
-  float16 execution admitted only while prediction agreement with the
-  float32 engine stays above the paper's a(n) > A floor;
 * the batch sweep — ms/tile of the four Table-1 models at batch 1, 4,
-  8 and 20, plus float16 and int8 at batch 20 on the NAS winner, stored
-  as absolute numbers (with each cell's planned arena bytes) next to
-  the machine fingerprint.  The engine runs the conv trunk one sample
-  at a time and only the FC head at the full batch, so a tile must not
-  cost more at batch 20 than at batch 1 — the gate that keeps a
-  batch-sized trunk from coming back;
+  8 and 20, stored as absolute numbers (with each cell's planned arena
+  bytes) next to the machine fingerprint.  The engine runs the conv
+  trunk one sample at a time and only the FC head at the full batch, so
+  a tile must not cost more at batch 20 than at batch 1 — the gate that
+  keeps a batch-sized trunk from coming back;
 * the memory planner's arena statistics.
 
 Emits ``BENCH_engine.json`` with a machine-readable ``gates`` section
@@ -42,7 +38,6 @@ from repro.arch import SPPNetConfig, TABLE1_MODELS
 from repro.detect import SPPNetDetector, predict
 from repro.engine import CONV_VARIANTS, conv_variant
 from repro.engine import compile as engine_compile
-from repro.engine import quantize_with_accuracy_gate
 from repro.engine.kernels import (
     bind_conv,
     conv_out_hw,
@@ -69,9 +64,6 @@ WARMUP_PAIRS = 3
 CONV_SHARE_CEILING = 0.85
 MEMOPS_SHARE_CEILING = 0.15
 POOLING_SHARE_CEILING = 0.10
-ACCURACY_FLOOR = 0.95       # a(n) > A: agreement with the float32 engine
-QUANT_EVAL_CHIPS = 64
-QUANT_CALIB_CHIPS = 20
 
 SWEEP_BATCHES = (1, 4, 8, 20)
 
@@ -154,24 +146,19 @@ def layer_table(rounds: int) -> list[dict]:
 
 
 def batch_sweep(rounds: int) -> dict:
-    """ms/tile per (model, quant, batch) cell: every cell once per round
+    """ms/tile per (model, batch) cell: every cell once per round
     so drift over the run falls on all of them, each cell timed over the
     same stream of tiles cut into its batch size (so a small batch is not
     charged the round's one cold start per tile), median and bootstrap
     interval over the rounds after one discarded warm-up round."""
-    cells: dict[tuple[str, str, int], object] = {}
+    cells: dict[tuple[str, int], object] = {}
     top = max(SWEEP_BATCHES)
     chips = make_chips(top, seed=21)
     for name, config in TABLE1_MODELS.items():
         compiled = engine_compile(SPPNetDetector(config, seed=0).eval())
         for batch in SWEEP_BATCHES:
-            cells[name, "float32", batch] = compiled
-    for quant in ("float16", "int8"):
-        compiled = engine_compile(SPPNetDetector(NAS_WINNER, seed=0).eval(),
-                                  quant=quant)
-        compiled.calibrate(make_chips(QUANT_CALIB_CHIPS, seed=12))
-        cells[NAS_WINNER.name, quant, top] = compiled
-    for (_, _, batch), compiled in cells.items():
+            cells[name, batch] = compiled
+    for (_, batch), compiled in cells.items():
         compiled.warmup([batch])
 
     def stream_ms_per_tile(compiled, batch: int) -> float:
@@ -181,7 +168,7 @@ def batch_sweep(rounds: int) -> dict:
             / (calls * batch)
 
     samples = stats.discard_warmup(
-        [{cell: stream_ms_per_tile(compiled, cell[2])
+        [{cell: stream_ms_per_tile(compiled, cell[1])
           for cell, compiled in cells.items()}
          for _ in range(1 + rounds)], 1)
 
@@ -189,55 +176,18 @@ def batch_sweep(rounds: int) -> dict:
         return stats.median([s[top_cell] / s[bottom_cell] for s in samples])
 
     columns = {cell: [s[cell] for s in samples] for cell in cells}
-    winner = NAS_WINNER.name
     return {
         "rounds": rounds,
         "rows": [{
-            "model": name, "quant": quant, "batch": batch,
+            "model": name, "batch": batch,
             "ms_per_tile": stats.median(column),
             "interval95": list(stats.bootstrap_median_interval(column)),
             "planned_peak_bytes":
-                cells[name, quant, batch].planned_peak_bytes(batch),
-        } for (name, quant, batch), column in columns.items()],
+                cells[name, batch].planned_peak_bytes(batch),
+        } for (name, batch), column in columns.items()],
         "batch20_over_batch1": {
-            name: paired((name, "float32", top), (name, "float32", 1))
-            for name in TABLE1_MODELS},
-        "quant_over_float32_batch20": {
-            quant: paired((winner, quant, top), (winner, "float32", top))
-            for quant in ("float16", "int8")},
+            name: paired((name, top), (name, 1)) for name in TABLE1_MODELS},
     }
-
-
-def quant_gate_report() -> dict:
-    """Run the accuracy-constrained quantization gate on the NAS winner.
-
-    Accuracy proxy: fraction of held-out chips whose thresholded
-    prediction agrees with the float32 engine — latency-free to compute
-    and sensitive to exactly the numeric damage quantization can do.
-    """
-    model = SPPNetDetector(NAS_WINNER, seed=0)
-    model.eval()
-    eval_chips = make_chips(QUANT_EVAL_CHIPS, seed=11)
-    calib_chips = make_chips(QUANT_CALIB_CHIPS, seed=12)
-
-    ref_conf, _ = engine_compile(model).predict(eval_chips, batch_size=16)
-    ref_labels = ref_conf > 0.5
-
-    def agreement(compiled) -> float:
-        conf, _ = compiled.predict(eval_chips, batch_size=16)
-        return float(np.mean((conf > 0.5) == ref_labels))
-
-    compiled, report = quantize_with_accuracy_gate(
-        model, agreement, floor=ACCURACY_FLOOR,
-        calibration=calib_chips)
-    report["model"] = NAS_WINNER.name
-    report["eval_chips"] = QUANT_EVAL_CHIPS
-    report["calibration_chips"] = QUANT_CALIB_CHIPS
-    selected = report["selected"]
-    report["selected_accuracy"] = next(
-        (c["accuracy"] for c in report["candidates"]
-         if c["mode"] == selected), report["float32_accuracy"])
-    return report
 
 
 def run_benchmark(repeats: int = 10) -> dict:
@@ -280,7 +230,6 @@ def run_benchmark(repeats: int = 10) -> dict:
         "layer_table": layer_table(rounds=max(5, repeats // 2)),
         "kernel_categories": profile["categories"],
         "category_shares": shares,
-        "quantization": quant_gate_report(),
         "absolute": {
             "fingerprint": host.fingerprint(),
             "machine": host.machine_info(),
@@ -300,7 +249,6 @@ def run_benchmark(repeats: int = 10) -> dict:
 
 
 def payload_checks(payload: dict) -> list:
-    quant = payload["quantization"]
     return [
         check("engine_speedup_vs_eager", payload["speedup"],
               ">=", SPEEDUP_GATE),
@@ -324,12 +272,6 @@ def payload_checks(payload: dict) -> list:
               "<=", POOLING_SHARE_CEILING, track=False),
         check("arena_reuse_factor",
               payload["memory_plan"]["reuse_factor"], ">=", 1.2),
-        # The paper's constraint: a reduced-precision mode is admitted,
-        # and only above the accuracy floor.
-        check("quant_selected_reduced_precision",
-              quant["selected"] in ("int8", "float16"), "bool"),
-        check("quant_selected_accuracy", quant["selected_accuracy"],
-              ">=", ACCURACY_FLOOR),
         # Depth-first execution: the trunk's working set must not grow
         # with the batch.  Median of per-round batch-20 / batch-1
         # ms/tile on the NAS winner: 0.72-0.88 on the reference box
@@ -346,8 +288,8 @@ def test_engine_meets_speedup_gate():
     """Acceptance: compiled single-chip inference clears SPEEDUP_GATE
     over eager (median of paired ratios) on the 100x100x4 deployment
     shape, equivalent outputs, conv share within
-    the attribution ceiling, a reduced-precision mode admitted by
-    the accuracy gate, and a tile no dearer at batch 20 than at 1."""
+    the attribution ceiling, and a tile no dearer at batch 20 than at
+    1."""
     payload = run_benchmark(repeats=12)
     failures = [c.failure_message() for c in payload_checks(payload)
                 if not c.passed]
@@ -386,19 +328,12 @@ def main() -> None:
           f"[95% interval]) on {payload['absolute']['fingerprint']}")
     for row in sweep["rows"]:
         lo, hi = row["interval95"]
-        print(f"  {row['model']:<17s} {row['quant']:<8s} {row['batch']:3d}  "
+        print(f"  {row['model']:<17s} {row['batch']:3d}  "
               f"{row['ms_per_tile']:6.2f} [{lo:.2f}, {hi:.2f}]  "
               f"{row['planned_peak_bytes'] / 1e6:6.2f} MB arena")
     print("  batch 20 / batch 1: " + ", ".join(
         f"{name} {ratio:.2f}"
         for name, ratio in sweep["batch20_over_batch1"].items()))
-    print("  vs float32 at batch 20: " + ", ".join(
-        f"{quant} {ratio:.2f}x"
-        for quant, ratio in sweep["quant_over_float32_batch20"].items()))
-    quant = payload["quantization"]
-    print(f"quant  : {quant['selected']} selected on {quant['model']} "
-          f"(agreement {quant['selected_accuracy']:.3f} vs floor "
-          f"{quant['floor']})")
     mem = payload["memory_plan"]
     print(f"arena  : {mem['planned_peak_bytes'] / 1e6:.2f} MB planned peak "
           f"vs {mem['naive_bytes'] / 1e6:.2f} MB naive "

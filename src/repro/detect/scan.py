@@ -279,6 +279,8 @@ def scan_scene(
     if n_workers != "auto" and (isinstance(n_workers, str) or n_workers < 1):
         raise ValueError(
             f"n_workers must be an int >= 1 or 'auto', got {n_workers!r}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if resume and journal is None:
         raise ValueError("resume=True requires a journal")
     deadline_at = (time.monotonic() + timeout_s

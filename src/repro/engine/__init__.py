@@ -17,10 +17,9 @@ Convolutions bind one of two kernels, chosen by a pure function of the
 layer's geometry (:func:`.kernels.conv_variant`): memory-tiled implicit
 GEMM for shallow (gather-bound) layers, plain im2col otherwise — so
 every process and pool worker binds the same kernels without
-measuring or messaging anything.  Reduced-precision execution
-(float16 weight rounding, int8 per-channel GEMM) lives in
-:mod:`.quant` and is selected under the paper's accuracy constraint by
-:func:`quantize_with_accuracy_gate`.
+measuring or messaging anything.  The engine runs one precision,
+float32 (``dtype=float64`` is the eager-equivalence reference for
+tests).
 
 Execution is depth-first (:func:`.fusion.split_trunk_head`): the steps
 before the first fully-connected layer are bound once per input shape
@@ -40,11 +39,6 @@ from .compiled import CompiledModel, compile, compiled_for
 from .fusion import FusionError, Step, fuse_graph
 from .kernels import CONV_VARIANTS, conv_variant
 from .plan import Lifetime, MemoryPlan, plan_memory
-from .quant import (
-    QUANT_MODES,
-    QuantPolicy,
-    quantize_with_accuracy_gate,
-)
 from .trace import Traced, TraceError, register_tracer, trace
 from .windows import WindowPlan
 
@@ -65,7 +59,4 @@ __all__ = [
     "trace",
     "CONV_VARIANTS",
     "conv_variant",
-    "QUANT_MODES",
-    "QuantPolicy",
-    "quantize_with_accuracy_gate",
 ]

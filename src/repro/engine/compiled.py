@@ -70,14 +70,6 @@ from .kernels import (
     softmax_rows,
 )
 from .plan import MemoryPlan, plan_memory
-from .quant import (
-    QuantPolicy,
-    activation_scale,
-    bind_conv_q8,
-    bind_linear_q8,
-    quantize_weight_per_channel,
-    round_f16,
-)
 from .trace import Traced, trace
 from .windows import WindowPlan, plan_windows
 
@@ -85,10 +77,10 @@ __all__ = ["CompiledModel", "compile", "compiled_for"]
 
 # Kernel-category attribution for profile(), matching the
 # repro.profiling taxonomy (conv / matmul / pooling / elementwise) plus
-# a "memops" bucket for pure data movement.  Fused kernels (conv_pool,
-# quantized convs) further split their own wall time into phases —
-# gather/staging as memops, fused pooling as pooling — inside
-# execute_timed(); the entry here is the bucket for any untimed remainder.
+# a "memops" bucket for pure data movement.  Fused kernels (conv_pool)
+# further split their own wall time into phases — gather/staging as
+# memops, fused pooling as pooling — inside execute_timed(); the entry
+# here is the bucket for any untimed remainder.
 _CATEGORY = {
     "conv": "conv",
     "conv_pool": "conv",
@@ -115,19 +107,17 @@ def _nhwc(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
     return (n,) + shape
 
 
-def _select_conv_variant(step: Step, shapes: dict, batch: int,
-                         quant: QuantPolicy) -> tuple[str, int]:
+def _select_conv_variant(step: Step, shapes: dict,
+                         batch: int) -> tuple[str, int]:
     """Kernel variant of one conv step and its per-sample scratch size."""
     c_in, h, w = shapes[step.inputs[0]]
     kernel = int(step.attrs["kernel"])
-    variant = conv_variant(int(c_in), kernel, quant.mode)
+    variant = conv_variant(int(c_in), kernel)
     scratch_elems = conv_scratch_elems(
         variant, batch=batch, h=int(h), w=int(w), c_in=int(c_in),
         out_channels=int(step.attrs["out_channels"]), kernel=kernel,
         stride=int(step.attrs["stride"]),
-        padding=int(step.attrs["padding"]),
-        # the int8 kernel adds the bias in its epilogue, not as a column
-        bias=bool(step.attrs["bias"]) and quant.mode != "int8",
+        padding=int(step.attrs["padding"]), bias=bool(step.attrs["bias"]),
         pool=step.kind == "conv_pool")
     return variant, scratch_elems
 
@@ -163,10 +153,7 @@ class _Program:
     """
 
     def __init__(self, steps: list[Step], outputs: tuple[str, ...],
-                 batch: int, dtype: np.dtype, packed: dict,
-                 quant: QuantPolicy, act_scales: dict) -> None:
-        self.quant = quant
-        self._act_scales = act_scales
+                 batch: int, dtype: np.dtype, packed: dict) -> None:
         shapes = {s.name: s.out_shape for s in steps}
 
         # Resolve the kernel variant per conv before planning: each
@@ -177,15 +164,9 @@ class _Program:
         resolved: list[Step] = []
         for step in steps:
             if step.kind in ("conv", "conv_pool"):
-                variant, scratch = _select_conv_variant(
-                    step, shapes, batch, quant)
+                variant, scratch = _select_conv_variant(step, shapes, batch)
                 self.kernel_choices[step.name] = variant
                 step = replace(step, scratch_elems=scratch)
-            elif step.kind == "linear" and quant.mode == "int8":
-                # quantized input copy (the arena view may have other
-                # consumers, so it cannot be quantized in place)
-                step = replace(step,
-                               scratch_elems=int(step.attrs["in_features"]))
             resolved.append(step)
         steps = resolved
 
@@ -207,16 +188,11 @@ class _Program:
 
         self._inputs = [views[s.name] for s in steps if s.kind == "input"]
         self._fns: list[tuple[str, str, object]] = []  # (category, name, fn)
-        # quantized step name -> input view (int8 calibration taps)
-        self._taps: dict[str, np.ndarray] = {}
         for step in steps:
             if step.kind == "input":
                 continue
             fn = self._bind(step, views, shapes, batch, dtype, packed)
             self._fns.append((_CATEGORY[step.kind], step.name, fn))
-            if (quant.mode == "int8" and
-                    step.kind in ("conv", "conv_pool", "linear")):
-                self._taps[step.name] = views[step.inputs[0]]
 
     # -- binding ---------------------------------------------------------
     def _scratch(self, step: Step, batch: int,
@@ -239,13 +215,6 @@ class _Program:
             scratch = self._scratch(step, n, dtype)
             pack = packed[step.attrs["weights"]]
             src = ins[0]
-            if self.quant.mode == "int8":
-                w_q, w_scales = pack["q"]
-                return bind_conv_q8(
-                    src=src, out=out, scratch=scratch, w_q=w_q,
-                    w_scales=w_scales, bias=pack["bias"], k=k,
-                    stride=stride, pad=pad, relu=relu, pool=pool,
-                    scales=self._act_scales, name=step.name)
             return bind_conv(
                 self.kernel_choices[step.name], src=src, out=out,
                 scratch=scratch, k=k, stride=stride, pad=pad, relu=relu,
@@ -254,13 +223,6 @@ class _Program:
         if kind == "linear":
             pack = packed[step.attrs["weights"]]
             relu = bool(step.attrs["relu"])
-            if self.quant.mode == "int8":
-                w_q, w_scales = pack["q"]
-                return bind_linear_q8(
-                    in2d=ins[0], out=out,
-                    scratch=self._scratch(step, n, dtype), w_q=w_q,
-                    w_scales=w_scales, bias=pack["bias"], relu=relu,
-                    scales=self._act_scales, name=step.name)
             w_pack, bias = pack["pack"], pack["bias"]
 
             def fn(acc=None, in2d=ins[0], w_pack=w_pack, bias=bias,
@@ -379,20 +341,6 @@ class _Program:
         for triple in self._fns:
             _timed_step(triple, acc)
 
-    def execute_calibrate(self, stats: dict[str, float],
-                          percentile: float) -> None:
-        """One pass recording per-quantized-step input scales.
-
-        ``stats`` keeps the maximum over calls, so a one-sample program
-        called once per sample commits the largest per-sample percentile.
-        """
-        for _, name, fn in self._fns:
-            view = self._taps.get(name)
-            if view is not None:
-                stats[name] = max(stats.get(name, 0.0),
-                                  activation_scale(view, percentile))
-            fn()
-
     def step_costs(self, x: np.ndarray,
                    repeats: int = 3) -> dict[str, float]:
         """Best-of wall-clock seconds per step on the real bound kernels.
@@ -454,7 +402,7 @@ class _WindowScan:
         def bind(px: int) -> _Program:
             return _Program(
                 chain_at(split.prefix, (channels, px, width)), (last,), 1,
-                model.dtype, model._packed, model.quant, model._act_scales)
+                model.dtype, model._packed)
         #: chunk pixel height -> the prefix program bound at it
         self.prefixes = {px: bind(px) for px in plan.chunk_heights}
         suffix_steps = list(split.suffix)
@@ -465,8 +413,7 @@ class _WindowScan:
             suffix_steps[:2] = [Step("input", pool.name, (), pool.out_shape,
                                      covers=(pool.name,))]
         self.suffix = _Program(suffix_steps, boundary, 1, model.dtype,
-                               model._packed, model.quant,
-                               model._act_scales)
+                               model._packed)
         shape = (channels, plan.window, plan.window)
         self.trunk = model._trunk_for(shape) if plan.edge_windows else None
         out = self.prefixes[plan.chunk_heights[0]].views[last]
@@ -579,19 +526,15 @@ class CompiledModel:
     """
 
     def __init__(self, module, input_shape: tuple[int, ...],
-                 dtype=np.float32, quant="float32") -> None:
+                 dtype=np.float32) -> None:
         self.module = module
         self.dtype = np.dtype(dtype)
-        self.quant = QuantPolicy.coerce(quant)
         self.input_shape = tuple(int(d) for d in input_shape)
         traced = trace(module, self.input_shape)
         self.graph = traced.graph
         self.outputs = traced.outputs
         self.steps: list[Step] = fuse_graph(traced.graph, traced.outputs)
         self._packed = self._pack(traced)
-        #: static int8 activation scales, committed by calibrate();
-        #: quantized kernels fall back to dynamic scales while empty.
-        self._act_scales: dict[str, float] = {}
         self._step_cache: dict[tuple[int, ...], list[Step]] = {
             self.input_shape: self.steps
         }
@@ -607,48 +550,21 @@ class CompiledModel:
 
     # -- compile-time ----------------------------------------------------
     def _pack(self, traced: Traced) -> dict[str, dict]:
-        """Snapshot weights into per-variant GEMM layouts (taken once).
-
-        Under ``quant="float16"`` every parameter is rounded through
-        half precision first; under ``quant="int8"`` the GEMM operands
-        are additionally quantized per output channel (integer values
-        stored in the arena dtype so BLAS consumes them directly).
-        """
-        f16 = self.quant.mode == "float16"
-        int8 = self.quant.mode == "int8"
+        """Snapshot weights into GEMM-ready layouts (taken once)."""
         packed: dict[str, dict] = {}
         for name, params in traced.params.items():
             weight = params["weight"]
             bias = params.get("bias")
-            if f16:
-                weight = round_f16(weight, self.dtype)
-                bias = None if bias is None else round_f16(bias, self.dtype)
-            b_vec = None if bias is None else \
-                np.ascontiguousarray(bias, dtype=self.dtype)
             if weight.ndim == 4:
                 # conv bias rides inside the packed matrix (ones-column
-                # trick); the separate vector serves the quantized
-                # kernel's epilogue
-                entry = {
-                    "kind": "conv",
-                    "im2col": pack_conv_weight(weight, bias, self.dtype),
-                    "bias": b_vec,
-                }
-                if int8:
-                    rows = weight.transpose(2, 3, 1, 0).reshape(
-                        -1, weight.shape[0])
-                    entry["q"] = quantize_weight_per_channel(rows, self.dtype)
-                packed[name] = entry
+                # trick)
+                packed[name] = {
+                    "im2col": pack_conv_weight(weight, bias, self.dtype)}
             else:
-                entry = {
-                    "kind": "linear",
+                packed[name] = {
                     "pack": pack_linear_weight(weight, self.dtype),
-                    "bias": b_vec,
-                }
-                if int8:
-                    entry["q"] = quantize_weight_per_channel(
-                        entry["pack"], self.dtype)
-                packed[name] = entry
+                    "bias": None if bias is None else
+                    np.ascontiguousarray(bias, dtype=self.dtype)}
         return packed
 
     def _steps_for(self, sample_shape: tuple[int, ...]) -> list[Step]:
@@ -686,7 +602,7 @@ class CompiledModel:
         if head is None:
             head = self._heads[key] = _Program(
                 self._split_for(sample_shape)[2], self.outputs, batch,
-                self.dtype, self._packed, self.quant, self._act_scales)
+                self.dtype, self._packed)
         return head
 
     def _trunk_for(self, sample_shape: tuple[int, ...]) -> _Program | None:
@@ -696,8 +612,7 @@ class CompiledModel:
             trunk_steps, boundary, _ = self._split_for(sample_shape)
             if trunk_steps:
                 trunk = self._trunks[sample_shape] = _Program(
-                    trunk_steps, boundary, 1, self.dtype, self._packed,
-                    self.quant, self._act_scales)
+                    trunk_steps, boundary, 1, self.dtype, self._packed)
         return trunk
 
     def _programs_for(self, batch: int, sample_shape: tuple[int, ...]
@@ -732,7 +647,7 @@ class CompiledModel:
                 (scene_shape[0], window, window))
             plan, split = plan_windows(
                 trunk, boundary, scene_shape, window, origins,
-                self.quant.mode, self.dtype.itemsize)
+                self.dtype.itemsize)
             scan = None
             if split is not None:
                 scan = _WindowScan(self, plan, split, boundary)
@@ -805,6 +720,8 @@ class CompiledModel:
         """Drop-in for :func:`repro.detect.predict` on a traced detector:
         returns (crossing confidences, normalized boxes)."""
         self._require_detector("predict()")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         confidences: list[np.ndarray] = []
         boxes: list[np.ndarray] = []
         for start in range(0, len(images), batch_size):
@@ -842,12 +759,14 @@ class CompiledModel:
         their output, or every window runs the whole trunk.  ``span =
         (start, stop)`` restricts execution to ``origins[start:stop]``
         (a shard) without changing that decision or the chunk grid, so
-        a shard computes the bytes the whole scan computes.  float32
-        and float16 results are bitwise those of :meth:`predict` over
-        the gathered window stacks: every shared layer is unpadded, so
-        a window's features are the same arithmetic on the same pixels.
+        a shard computes the bytes the whole scan computes.  Results
+        are bitwise those of :meth:`predict` over the gathered window
+        stacks: every shared layer is unpadded, so a window's features
+        are the same arithmetic on the same pixels.
         """
         self._require_detector("predict_windows()")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         image = np.asarray(image)
         if image.ndim != 3:
             raise ValueError(f"expected a (C, H, W) raster, got {image.shape}")
@@ -918,38 +837,6 @@ class CompiledModel:
                     self._head_for(int(batch), shape)
         return (time.perf_counter() - start) * 1e3
 
-    def calibrate(self, images, batch_size: int = 20,
-                  percentile: float | None = None) -> dict[str, float]:
-        """Freeze int8 activation scales from a held-out chip sample.
-
-        Runs ``images`` (NCHW) through the quantized programs, records
-        the |activation| percentile at every quantized step's input, and
-        commits the resulting static scales — replacing the per-call
-        dynamic absmax fallback.  A trunk step sees one sample per call,
-        so its scale is the largest per-sample percentile; a head step's
-        is the largest per-batch one.  Returns the committed ``{step
-        name: scale}`` table (empty for non-int8 modes, where
-        calibration is a no-op).
-        """
-        if self.quant.mode != "int8":
-            return {}
-        pct = self.quant.percentile if percentile is None else percentile
-        data = np.asarray(getattr(images, "data", images))
-        if data.ndim != len(self.input_shape) + 1:
-            raise ValueError(
-                f"calibration sample must be batched with "
-                f"{len(self.input_shape) + 1} dims, got {data.shape}")
-        stats: dict[str, float] = {}
-        with self._lock:
-            for start in range(0, len(data), batch_size):
-                batch = data[start:start + batch_size]
-                self._forward(
-                    batch, len(batch),
-                    lambda prog: prog.execute_calibrate(stats, pct))
-            self._act_scales.clear()
-            self._act_scales.update(stats)
-        return dict(stats)
-
     # -- introspection ---------------------------------------------------
     def memory_plan(self, batch: int = 1,
                     sample_shape: tuple[int, ...] | None = None) -> MemoryPlan:
@@ -969,9 +856,8 @@ class CompiledModel:
         origins' lattice, the chunk grid, what the shared execution
         holds in memory and the multiply-adds on either side — or the
         reason every window runs the whole trunk.  A function of the
-        model, the geometry and the quant mode alone.  (A shared plan
-        binds its programs, as :meth:`memory_plan` does, to report
-        their arena.)"""
+        model and the geometry alone.  (A shared plan binds its
+        programs, as :meth:`memory_plan` does, to report their arena.)"""
         with self._lock:
             return self._window_scan(scene_shape, window, origins)[0]
 
@@ -1044,7 +930,7 @@ class CompiledModel:
 
 
 def compile(model, input_shape: tuple[int, ...] | None = None,
-            dtype=np.float32, quant="float32") -> CompiledModel:
+            dtype=np.float32) -> CompiledModel:
     """Compile ``model`` for fast inference.
 
     ``input_shape`` is the nominal per-sample shape ``(C, H, W)``; for an
@@ -1056,12 +942,6 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
     ``dtype`` selects the arena precision: ``float32`` (default) is the
     deployment configuration; ``float64`` reproduces eager numerics
     bit-for-bit and exists for equivalence testing.
-
-    ``quant`` selects reduced-precision execution (``"float16"`` /
-    ``"int8"`` or a :class:`~.quant.QuantPolicy`); see
-    :mod:`repro.engine.quant` — in particular
-    :func:`~.quant.quantize_with_accuracy_gate`, which subordinates the
-    mode choice to the paper's accuracy constraint.
     """
     if input_shape is None:
         config = getattr(model, "config", None)
@@ -1072,13 +952,13 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
             )
         side = max(100, config.min_input_size())
         input_shape = (config.in_channels, side, side)
-    return CompiledModel(model, input_shape, dtype=dtype, quant=quant)
+    return CompiledModel(model, input_shape, dtype=dtype)
 
 
 _COMPILED_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def compiled_for(model, dtype=np.float32, quant="float32") -> CompiledModel:
+def compiled_for(model) -> CompiledModel:
     """Per-model-instance compile cache used by ``backend="engine"``
     call sites (``predict``, ``scan_scene``, the NAS latency evaluator).
 
@@ -1086,10 +966,7 @@ def compiled_for(model, dtype=np.float32, quant="float32") -> CompiledModel:
     model afterwards requires a fresh :func:`compile` (or a new model
     object) to pick up the new parameters.
     """
-    policy = QuantPolicy.coerce(quant)
     compiled = _COMPILED_CACHE.get(model)
-    if (compiled is None or compiled.dtype != np.dtype(dtype)
-            or compiled.quant != policy):
-        compiled = compile(model, dtype=dtype, quant=policy)
-        _COMPILED_CACHE[model] = compiled
+    if compiled is None:
+        compiled = _COMPILED_CACHE[model] = compile(model)
     return compiled

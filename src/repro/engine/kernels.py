@@ -65,15 +65,14 @@ CONV_VARIANTS = ("im2col", "im2col_tiled")
 TILED_MAX_DEPTH = 324
 
 
-def conv_variant(c_in: int, kernel: int, mode: str = "float32") -> str:
+def conv_variant(c_in: int, kernel: int) -> str:
     """The kernel a conv binds: a pure function of its static geometry.
 
     Every process, batch size and pool worker computes the same answer,
     which is what makes parallel scans byte-identical to sequential
-    ones.  int8 is pinned to ``im2col``: the quantized GEMM quantizes
-    the gathered columns once, and tiling would re-quantize per block.
+    ones.
     """
-    if mode != "int8" and c_in * kernel * kernel <= TILED_MAX_DEPTH:
+    if c_in * kernel * kernel <= TILED_MAX_DEPTH:
         return "im2col_tiled"
     return "im2col"
 

@@ -29,7 +29,7 @@ trunk, and their cost counts against the sharing.
 
 The result is a :class:`WindowPlan`: the decision and every number
 behind it, or the reason sharing was declined.  There is no knob: the
-same ``(model, scene shape, window, origins, quant)`` gives the same
+same ``(model, scene shape, window, origins)`` gives the same
 plan in every process, which is what keeps a sharded scan byte-identical
 to the sequential one.
 """
@@ -44,10 +44,9 @@ from .fusion import SharedSplit, Step, chain_at, split_shared_prefix
 from .kernels import pooled_extent
 
 __all__ = ["WindowPlan", "origin_lattice", "plan_windows",
-           "INT8_PER_SAMPLE", "NOT_LESS_WORK", "NO_TRUNK"]
+           "NOT_LESS_WORK", "NO_TRUNK"]
 
 #: decline reasons decided here (the split's own are in ``fusion``)
-INT8_PER_SAMPLE = "int8 trunk activation scales are per sample"
 NOT_LESS_WORK = "sharing is not less work than per-window"
 NO_TRUNK = "model has no conv trunk"
 
@@ -169,7 +168,7 @@ def _receptive_field(prefix: Sequence[Step]) -> int:
 
 def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
                  scene_shape: tuple[int, int, int], window: int,
-                 origins: Sequence[tuple[int, int]], quant_mode: str,
+                 origins: Sequence[tuple[int, int]],
                  itemsize: int) -> tuple[WindowPlan, SharedSplit | None]:
     """The :class:`WindowPlan` of scanning ``origins`` (the *whole*
     scan's, never a shard's slice) over a raster of ``scene_shape``,
@@ -180,7 +179,7 @@ def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
     """
     def plan_on(lattice: int) -> tuple[WindowPlan, SharedSplit | None]:
         return _plan_on(lattice, trunk, boundary, scene_shape, window,
-                        origins, quant_mode, itemsize)
+                        origins, itemsize)
 
     best = plan_on(origin_lattice(origins))
     interior = _interior_lattice(origins)
@@ -195,7 +194,7 @@ def plan_windows(trunk: Sequence[Step], boundary: Sequence[str],
 
 def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
              scene_shape: tuple[int, int, int], window: int,
-             origins: Sequence[tuple[int, int]], quant_mode: str,
+             origins: Sequence[tuple[int, int]],
              itemsize: int) -> tuple[WindowPlan, SharedSplit | None]:
     """The plan of windows at ``origins`` sharing on ``lattice``."""
     channels, height, width = (int(d) for d in scene_shape)
@@ -204,8 +203,6 @@ def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
                       lattice)
     if not trunk:
         return _declined(base, NO_TRUNK)
-    if quant_mode == "int8":
-        return _declined(base, INT8_PER_SAMPLE)
     split = split_shared_prefix(trunk, boundary, base.lattice)
     if split.reason is not None:
         return _declined(base, split.reason)

@@ -318,11 +318,6 @@ class TestWindowPlan:
             assert plan.reason == windows.NOT_LESS_WORK
             assert plan.macs_shared >= plan.macs_per_window > 0
 
-    def test_int8_declines(self):
-        compiled = engine_compile(small_model(), (4, 32, 32), quant="int8")
-        plan = plan_of(compiled, 96, 32, 16)
-        assert plan.reason == windows.INT8_PER_SAMPLE and not plan.shared
-
     def test_padded_first_conv_declines(self):
         model = small_model()
         model.trunk.layers[0].padding = 1
@@ -347,19 +342,17 @@ class TestWindowPlan:
         for trunk, reason in [(steps, fusion.BRANCHING_TRUNK),
                               ([], windows.NO_TRUNK)]:
             plan, split = plan_windows(trunk, ("cat",), (4, 120, 120), 40,
-                                       origins, "float32", 4)
+                                       origins, 4)
             assert plan.reason == reason and split is None
 
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_no_decline_reason_fires_on_the_benchmark_geometry(
             self, table1, name):
         origins = scan_origins(600, 100, 50)
-        for quant in ("float32", "float16"):
-            compiled = table1[name]
-            trunk, boundary, _ = compiled._split_for((4, 100, 100))
-            plan, split = plan_windows(trunk, boundary, (4, 600, 600), 100,
-                                       origins, quant, 4)
-            assert plan.reason is None and split is not None
+        trunk, boundary, _ = table1[name]._split_for((4, 100, 100))
+        plan, split = plan_windows(trunk, boundary, (4, 600, 600), 100,
+                                   origins, 4)
+        assert plan.reason is None and split is not None
 
     def test_the_decision_is_the_same_in_two_fresh_processes(self):
         code = (
@@ -380,17 +373,16 @@ class TestWindowPlan:
 
 # -- predict_windows == predict over the gathered stacks ---------------------
 
-@pytest.mark.parametrize("quant", ["float32", "float16"])
 @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
-def test_table1_models_bitwise_equal_at_every_geometry(name, quant):
+def test_table1_models_bitwise_equal_at_every_geometry(name):
     model = SPPNetDetector(TABLE1_MODELS[name], seed=0).eval()
-    compiled = engine_compile(model, quant=quant)
+    compiled = engine_compile(model)
     for size, window, stride in GEOMETRIES:
         image = raster(size, seed=size)
         origins = scan_origins(size, window, stride)
         assert same_bytes(shared(compiled, image, origins, window, 20),
                           gathered(compiled, image, origins, window, 20)), \
-            (name, quant, size, window, stride)
+            (name, size, window, stride)
         declined = compiled.window_plan(image.shape, window, origins).reason
         assert (declined is not None) == (stride >= window)
 
@@ -401,19 +393,10 @@ def test_table1_models_bitwise_equal_at_every_geometry(name, quant):
 SCENE_SIZES = (577, 580, 596, 600, 613)
 
 
-@pytest.fixture(scope="module")
-def deployed():
-    model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
-    return {quant: engine_compile(model, quant=quant)
-            for quant in ("float32", "float16")}
-
-
-@pytest.mark.parametrize("quant", ["float32", "float16"])
 @pytest.mark.parametrize("stride", [48, 50])
 @pytest.mark.parametrize("size", SCENE_SIZES)
-def test_scene_sizes_off_the_stride_are_bitwise_equal(deployed, size, stride,
-                                                      quant):
-    compiled = deployed[quant]
+def test_scene_sizes_off_the_stride_are_bitwise_equal(table1, size, stride):
+    compiled = table1["SPP-Net #3"]
     image = raster(size, seed=size + stride)
     origins = scan_origins(size, 100, stride)
     plan = compiled.window_plan(image.shape, 100, origins)
@@ -421,31 +404,30 @@ def test_scene_sizes_off_the_stride_are_bitwise_equal(deployed, size, stride,
     for batch in (1, 7, 20):
         assert same_bytes(shared(compiled, image, origins, 100, batch),
                           gathered(compiled, image, origins, 100, batch)), \
-            (size, stride, quant, batch)
+            (size, stride, batch)
 
 
-@pytest.mark.parametrize("quant", ["float32", "float16"])
-def test_spans_of_edge_windows_are_bitwise_equal(deployed, quant):
+def test_spans_of_edge_windows_are_bitwise_equal(table1):
     """577 px at stride 50 is 11 x 11 windows, the last of every row and
     the whole last row off the lattice.  A span that starts on the edge
     column, one that is the edge row alone and one of a single edge
     window compute what ``predict`` computes over their stacks."""
-    compiled = deployed[quant]
+    compiled = table1["SPP-Net #3"]
     image = raster(577, seed=9)
     origins = scan_origins(577, 100, 50)
     assert origins[10] == (0, 477) and origins[110] == (477, 0)
     for start, stop in [(10, 40), (110, 121), (120, 121), (0, 10)]:
         ours = shared(compiled, image, origins, 100, 10, span=(start, stop))
         ref = gathered(compiled, image, origins[start:stop], 100, 10)
-        assert same_bytes(ours, ref), (quant, start, stop)
+        assert same_bytes(ours, ref), (start, stop)
     assert compiled.window_plan(image.shape, 100, origins).edge_windows == 21
 
 
-def check_geometry(model_kwargs, window, size, stride, batch, quant, seed):
+def check_geometry(model_kwargs, window, size, stride, batch, seed):
     """One model x scan geometry: the shared scan is ``predict`` over
     the stacks, and the plan's numbers are consistent with it."""
     model = small_model(seed, **model_kwargs)
-    compiled = engine_compile(model, (4, window, window), quant=quant)
+    compiled = engine_compile(model, (4, window, window))
     image = raster(size, seed=seed)
     origins = scan_origins(size, window, stride)
     ours = shared(compiled, image, origins, window, batch)
@@ -474,21 +456,19 @@ def check_geometry(model_kwargs, window, size, stride, batch, quant, seed):
        stride=st.one_of(st.integers(4, 40),
                         st.sampled_from(("window", "beyond"))),
        batch=st.sampled_from((1, 7, 20)),
-       quant=st.sampled_from(("float32", "float16")),
        seed=st.integers(0, 2**16))
 def test_model_space_property(first_kernel, spp_first_level, fc_width,
-                              window, extra, stride, batch, quant, seed):
+                              window, extra, stride, batch, seed):
     """Random search-space samples x scan geometries (ragged last
-    origins, odd lattices, stride == window, stride > window) x batch x
-    quant."""
+    origins, odd lattices, stride == window, stride > window) x
+    batch."""
     if stride == "window":
         stride = window
     elif stride == "beyond":
         stride = window + 5
     plan, origins = check_geometry(
         dict(first_kernel=first_kernel, spp_first_level=spp_first_level,
-             fc_width=fc_width), window, window + extra, stride, batch,
-        quant, seed)
+             fc_width=fc_width), window, window + extra, stride, batch, seed)
     if plan.reason is not None:
         # the only way an unpadded chain on a lattice declines
         assert plan.reason == windows.NOT_LESS_WORK
@@ -504,11 +484,10 @@ def test_model_space_property(first_kernel, spp_first_level, fc_width,
        steps=st.integers(4, 8),
        remainder=st.sampled_from((1, 2, 3, 5, 7)),
        batch=st.sampled_from((1, 7, 20)),
-       quant=st.sampled_from(("float32", "float16")),
        seed=st.integers(0, 2**16))
 def test_scene_sizes_off_the_stride_property(first_kernel, spp_first_level,
                                              window, stride, steps,
-                                             remainder, batch, quant, seed):
+                                             remainder, batch, seed):
     """Scenes whose size is not a multiple of the stride: ``steps``
     strides of interior origins, then an edge origin ``remainder`` px
     past the last.  The scan is exact whatever that origin does to the
@@ -521,7 +500,7 @@ def test_scene_sizes_off_the_stride_property(first_kernel, spp_first_level,
     size = window + steps * stride + remainder
     plan, origins = check_geometry(
         dict(first_kernel=first_kernel, spp_first_level=spp_first_level,
-             fc_width=16), window, size, stride, batch, quant, seed)
+             fc_width=16), window, size, stride, batch, seed)
     assert origins[-1] == (size - window,) * 2
     if plan.reason is not None:
         # chunks one row high recompute more halo than windows overlap
@@ -530,16 +509,6 @@ def test_scene_sizes_off_the_stride_property(first_kernel, spp_first_level,
         assert plan.lattice == stride
     else:
         assert plan.lattice in (stride, origin_lattice(origins))
-
-
-def test_int8_takes_the_per_window_path_and_is_equal():
-    model = small_model(3)
-    compiled = engine_compile(model, (4, 32, 32), quant="int8")
-    image = raster(96, seed=3)
-    origins = scan_origins(96, 32, 16)
-    assert same_bytes(shared(compiled, image, origins, 32, 7),
-                      gathered(compiled, image, origins, 32, 7))
-    assert compiled._scan[2] is None
 
 
 def test_float64_raster_goes_through_float32_like_the_tile_buffer():

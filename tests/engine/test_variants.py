@@ -62,7 +62,7 @@ def run_variant(variant, *, batch=2, h=13, w=11, c=3, f=8, k=3, stride=1,
 def force_variant(monkeypatch, variant):
     """Bind ``variant`` on every conv, whatever the selector says."""
     monkeypatch.setattr(compiled_mod, "conv_variant",
-                        lambda c_in, kernel, mode: variant)
+                        lambda c_in, kernel: variant)
 
 
 #: every kernel other than the ``im2col`` reference
@@ -256,7 +256,7 @@ print(json.dumps({
 
 
 class TestSelector:
-    """Kernel choice is a pure function of (c_in, kernel, quant mode)."""
+    """Kernel choice is a pure function of (c_in, kernel)."""
 
     def test_threshold_is_gemm_depth(self):
         assert conv_variant(4, 3) == "im2col_tiled"       # depth 36
@@ -266,19 +266,10 @@ class TestSelector:
         assert conv_variant(64, 3) == "im2col"            # depth 576
         assert conv_variant(128, 3) == "im2col"
 
-    def test_int8_pinned_to_im2col(self):
-        assert conv_variant(4, 3, "int8") == "im2col"
-        assert conv_variant(4, 3, "float16") == "im2col_tiled"
-
     def test_table1_models_bind_tiled_then_im2col(self):
         for config in TABLE1_MODELS.values():
             picks = [conv_variant(c, k) for c, k in conv_geometry(config)]
             assert picks == ["im2col_tiled", "im2col", "im2col"]
-
-    def test_int8_program_binds_only_im2col(self):
-        model = SPPNetDetector(small_config(), seed=3).eval()
-        compiled = CompiledModel(model, (4, 32, 32), quant="int8")
-        assert set(compiled.kernel_choices(2).values()) == {"im2col"}
 
     def test_fresh_processes_agree_with_the_selector(self):
         """Determinism by construction: two cold interpreters compile

@@ -170,6 +170,22 @@ class TestRobustScan:
         with pytest.raises(ValueError):
             scan_scene(model, scene, resume=True)
 
+    @pytest.mark.parametrize("stage", ["plain", "sanitize", "journal"])
+    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected_before_any_work(
+            self, scene, model, tmp_path, batch_size, backend, stage):
+        """A robust scan at ``batch_size < 1`` would run and never
+        commit: no group of finished tiles ever reaches the size."""
+        path = tmp_path / "scan.jsonl"
+        kwargs = {"plain": {},
+                  "sanitize": {"sanitize": SanitizePolicy.for_scene()},
+                  "journal": {"journal": path}}[stage]
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            scan_scene(model, scene, window=WINDOW, stride=STRIDE,
+                       batch_size=batch_size, backend=backend, **kwargs)
+        assert not path.exists()
+
     def test_coverage_flows_into_scores(self, scene, model):
         bad_scene, _ = corrupted(scene)
         result = scan_scene(model, bad_scene, window=WINDOW, stride=STRIDE,
