@@ -1,13 +1,12 @@
 """Per-shard supervision for pool scans: deadlines, revival, poison
 quarantine.
 
-:class:`~repro.scanpar.pool.WorkerPool.run` trusts its workers: each one
-gets a FIFO of shards and the parent waits for answers (bounded, since
-PR 8, by a run-level dispatch deadline — but a single wedged worker
-still fails the whole run).  The fleet needs scans that *finish* in the
-presence of misbehaving workers, so :class:`ShardSupervisor` takes over
-dispatch through :meth:`~repro.scanpar.pool.WorkerPool.exclusive` and
-schedules shards itself, one in flight per worker:
+The fleet needs scans that *finish* in the presence of misbehaving
+workers.  :class:`ShardSupervisor` runs the pool's one dispatch loop
+(:mod:`repro.scanpar.pool`, one shard in flight per worker) under a
+:class:`SupervisionPolicy`, where :meth:`WorkerPool.run
+<repro.scanpar.pool.WorkerPool.run>` runs it with one attempt and fails
+on the first lost shard:
 
 * every in-flight shard carries a deadline
   (:attr:`SupervisionPolicy.shard_deadline_s`); a worker that misses it
@@ -17,12 +16,12 @@ schedules shards itself, one in flight per worker:
 * a worker that *dies* mid-shard (OOM kill, segfault, SIGKILL) is
   detected through its process sentinel the moment it exits, replaced,
   and its shard redispatched;
-* a shard that fails :attr:`SupervisionPolicy.max_attempts` times on
-  distinct workers is a **poison shard**: it is quarantined out of the
-  pool and degrades to inline sequential execution in the parent after
-  the pool phase, so one pathological shard can neither wedge the scan
-  nor break the deterministic merge — the inline run produces exactly
-  the bytes a worker would have;
+* a shard that fails :attr:`SupervisionPolicy.max_attempts` times is a
+  **poison shard**: it is quarantined out of the pool and degrades to
+  inline sequential execution in the parent after the pool phase, so
+  one pathological shard can neither wedge the scan nor break the
+  deterministic merge — the inline run produces exactly the bytes a
+  worker would have;
 * an overall ``deadline_at`` (the per-request deadline propagated from
   ``serve.InferenceService.scan_scene(timeout_s=...)``) aborts the run
   with :class:`~repro.detect.scan.ScanDeadlineError`, salvaging every
@@ -31,273 +30,11 @@ schedules shards itself, one in flight per worker:
 Because redispatch hands the *same* :class:`~repro.scanpar.worker.ShardTask`
 to the replacement worker — same origin range, same batch boundaries,
 same result slab — recovery is invisible to the merge: detections stay
-byte-identical to the fault-free sequential scan.
+byte-identical to the fault-free sequential scan.  The classes live
+beside the loop in :mod:`repro.scanpar.pool`; this module names them
+for the fleet.
 """
 
-from __future__ import annotations
-
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-
-from ..detect.scan import ScanDeadlineError
-from ..scanpar.pool import WorkerError, WorkerPool
-from ..scanpar.sharding import describe_shard
-from ..scanpar.worker import run_shard
+from ..scanpar.pool import ShardSupervisor, SupervisionPolicy, SupervisionReport
 
 __all__ = ["SupervisionPolicy", "SupervisionReport", "ShardSupervisor"]
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """Knobs for one supervised dispatch.
-
-    shard_deadline_s : seconds an in-flight shard may run before its
-                       worker is presumed hung (killed + revived,
-                       shard redispatched); ``None`` disables per-shard
-                       deadlines (deaths are still recovered).
-    max_attempts     : distinct workers a shard may fail on before it
-                       is quarantined as poison and runs inline.
-    probe_interval_s : upper bound on how long the supervisor sleeps
-                       between liveness checks — the wait also wakes on
-                       replies and worker-death sentinels, so this only
-                       bounds staleness, not latency.
-    """
-
-    shard_deadline_s: float | None = 120.0
-    max_attempts: int = 3
-    probe_interval_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError("shard_deadline_s must be positive or None")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
-
-
-@dataclass
-class SupervisionReport:
-    """What supervision had to do to finish one dispatch.
-
-    ``max_overshoot_s`` is the worst gap between a shard's deadline and
-    the moment its hung worker was actually killed — the chaos gate
-    bounds it, because it is exactly the "hung worker stalls dispatch"
-    failure the supervisor exists to prevent.
-    """
-
-    shards_total: int = 0
-    deadline_kills: int = 0          # workers killed for missing a deadline
-    worker_deaths: int = 0           # workers that died mid-shard
-    workers_replaced: int = 0        # fresh processes spawned into slots
-    redispatches: int = 0            # shard retries on another worker
-    salvaged_replies: int = 0        # answers drained after death/deadline
-    poison_shards: list[int] = field(default_factory=list)
-    inline_shards: list[int] = field(default_factory=list)
-    attempts: dict[int, int] = field(default_factory=dict)
-    max_overshoot_s: float = 0.0
-
-    @property
-    def clean(self) -> bool:
-        """True when no fault handling fired at all."""
-        return (self.deadline_kills == 0 and self.worker_deaths == 0
-                and self.redispatches == 0 and not self.poison_shards)
-
-    def to_json(self) -> dict:
-        return {
-            "shards_total": self.shards_total,
-            "deadline_kills": self.deadline_kills,
-            "worker_deaths": self.worker_deaths,
-            "workers_replaced": self.workers_replaced,
-            "redispatches": self.redispatches,
-            "salvaged_replies": self.salvaged_replies,
-            "poison_shards": list(self.poison_shards),
-            "inline_shards": list(self.inline_shards),
-            "attempts": {str(k): v for k, v in sorted(self.attempts.items())},
-            "max_overshoot_s": self.max_overshoot_s,
-        }
-
-
-class ShardSupervisor:
-    """Supervised shard dispatch over a :class:`WorkerPool`.
-
-    Holds the model object itself (not just its hash) for two reasons:
-    replacement workers have empty caches and need the bytes re-sent,
-    and poison shards run inline in the parent against this instance.
-    """
-
-    def __init__(self, pool: WorkerPool, model,
-                 policy: SupervisionPolicy | None = None) -> None:
-        self.pool = pool
-        self.model = model
-        self.policy = policy or SupervisionPolicy()
-
-    def run(self, tasks: list, *,
-            deadline_at: float | None = None,
-            ) -> tuple[list[dict], SupervisionReport]:
-        """Run shard tasks to completion under supervision.
-
-        Returns ``(payloads in task order, report)``.  ``deadline_at``
-        is an absolute ``time.monotonic()`` instant; past it the run
-        aborts with :class:`ScanDeadlineError`.  Worker failures never
-        raise — they redispatch — except a shard whose *inline* fallback
-        also fails, which raises :class:`WorkerError` (at that point the
-        failure is the model's, not a worker's).
-        """
-        policy = self.policy
-        report = SupervisionReport(shards_total=len(tasks))
-        if not tasks:
-            return [], report
-        results: dict[int, dict] = {}
-        poisoned: list = []
-        attempts: dict[int, int] = {t.shard_index: 0 for t in tasks}
-
-        with self.pool.exclusive() as workers:
-            self.pool.ensure_model(self.model)
-            queue: deque = deque(tasks)
-            idle: deque = deque(workers)
-            in_flight: dict = {}      # conn -> [worker, task, deadline]
-
-            def replace(worker, *, died: bool) -> None:
-                if died:
-                    report.worker_deaths += 1
-                fresh = self.pool.replace_worker(worker)
-                report.workers_replaced += 1
-                self.pool.ensure_model(self.model)
-                idle.append(fresh)
-
-            def shard_failed(task) -> None:
-                if attempts[task.shard_index] >= policy.max_attempts:
-                    report.poison_shards.append(task.shard_index)
-                    poisoned.append(task)
-                else:
-                    report.redispatches += 1
-                    queue.append(task)
-
-            def consume(conn, *, salvaged: bool = False) -> bool:
-                """Receive the one in-flight reply on ``conn``; True if
-                the worker is healthy and back to idle."""
-                worker, task, _ = in_flight.pop(conn)
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    replace(worker, died=True)
-                    shard_failed(task)
-                    return False
-                if salvaged:
-                    report.salvaged_replies += 1
-                if reply[0] == "ok":
-                    results[task.shard_index] = reply[2]
-                else:
-                    # worker is alive and sane — the shard itself blew
-                    # up — so it goes back to the idle set while the
-                    # shard retries elsewhere (or is poisoned)
-                    shard_failed(task)
-                idle.append(worker)
-                return True
-
-            def dispatch() -> None:
-                while queue and idle:
-                    worker = idle.popleft()
-                    task = queue.popleft()
-                    try:
-                        worker.send_shard(task)
-                    except (BrokenPipeError, OSError):
-                        queue.appendleft(task)
-                        replace(worker, died=True)
-                        continue
-                    attempts[task.shard_index] += 1
-                    due = (time.monotonic() + policy.shard_deadline_s
-                           if policy.shard_deadline_s is not None else None)
-                    in_flight[worker.conn] = [worker, task, due]
-
-            def abort(now: float) -> None:
-                # salvage everything already answered, then clear the
-                # stragglers out of the pool so the next run is clean
-                for conn in list(in_flight):
-                    if conn.poll(0):
-                        consume(conn, salvaged=True)
-                missing = sorted(
-                    {t.shard_index for t in tasks} - set(results)
-                )
-                for conn in list(in_flight):
-                    worker, _, _ = in_flight.pop(conn)
-                    report.deadline_kills += 1
-                    replace(worker, died=False)
-                raise ScanDeadlineError(
-                    f"scan deadline expired with {len(missing)} of "
-                    f"{len(tasks)} shards unfinished "
-                    f"(missing shards {missing}); journaled tiles are "
-                    f"resumable"
-                )
-
-            while queue or in_flight:
-                dispatch()
-                if not in_flight:
-                    continue  # dispatch() replaced a worker; try again
-                now = time.monotonic()
-                if deadline_at is not None and now >= deadline_at:
-                    abort(now)
-                waits = [policy.probe_interval_s]
-                waits += [due - now for _, _, due in in_flight.values()
-                          if due is not None]
-                if deadline_at is not None:
-                    waits.append(deadline_at - now)
-                sentinels = {entry[0].proc.sentinel: conn
-                             for conn, entry in in_flight.items()}
-                ready = mp_connection.wait(
-                    list(in_flight) + list(sentinels),
-                    timeout=max(0.0, min(waits)),
-                )
-                for obj in ready:
-                    conn = obj if obj in in_flight else sentinels.get(obj)
-                    if conn is None or conn not in in_flight:
-                        continue
-                    worker = in_flight[conn][0]
-                    if conn.poll(0):
-                        consume(conn, salvaged=obj is not conn)
-                    elif not worker.proc.is_alive():
-                        # died mid-shard, nothing buffered: the shard's
-                        # answer is gone
-                        _, task, _ = in_flight.pop(conn)
-                        replace(worker, died=True)
-                        shard_failed(task)
-                # deadline sweep (also reached on a pure timeout wake)
-                now = time.monotonic()
-                for conn in list(in_flight):
-                    worker, task, due = in_flight[conn]
-                    if due is None or now < due:
-                        continue
-                    if conn.poll(0):     # answered just in time
-                        consume(conn, salvaged=True)
-                        continue
-                    in_flight.pop(conn)
-                    report.deadline_kills += 1
-                    report.max_overshoot_s = max(report.max_overshoot_s,
-                                                 now - due)
-                    replace(worker, died=False)
-                    shard_failed(task)
-
-        # poison shards: inline sequential execution in the parent —
-        # same task, same slab, same journal path, so the merge cannot
-        # tell recovery happened
-        for task in poisoned:
-            report.inline_shards.append(task.shard_index)
-            cache = ({task.model_hash: self.model}
-                     if task.model_hash is not None else None)
-            try:
-                results[task.shard_index] = run_shard(task,
-                                                      model_cache=cache)
-            except Exception as exc:
-                context = describe_shard(task.shard_index, task.start,
-                                         task.stop)
-                raise WorkerError(
-                    f"{context} failed on {attempts[task.shard_index]} "
-                    f"workers and again inline: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-
-        report.attempts = dict(attempts)
-        return [results[task.shard_index] for task in tasks], report

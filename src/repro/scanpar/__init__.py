@@ -11,12 +11,15 @@ that scan both memory-bounded and multi-core:
   slabs) in shared memory, read and written zero-copy by every worker;
 * :class:`WorkerPool` — persistent warm worker processes reused across
   scans, caching deserialized models (and their warmed compiled-engine
-  programs) by content hash;
+  programs) by content hash, with the one dispatch loop over their
+  pipes: one shard in flight per worker, run trusting
+  (:meth:`WorkerPool.run`) or under a supervision policy
+  (``repro.fleet.ShardSupervisor``);
 * :func:`run_shards` — the dispatch ``repro.detect.scan_scene`` hands
   two or more shards to: engine-warm pooled workers each running the
-  scan's one tile pipeline on their span, shared-memory result return,
-  plain or supervised dispatch; :func:`resolve_n_workers` is the
-  adaptive ``n_workers="auto"`` policy.
+  scan's one tile pipeline on their span, shared-memory result return;
+  :func:`resolve_n_workers` is the adaptive ``n_workers="auto"``
+  policy.
 
 See ``docs/scanning.md`` for the sharding model, the determinism
 contract, the pool lifecycle, and the adaptive worker policy.

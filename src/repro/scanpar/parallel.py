@@ -50,7 +50,13 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .pool import WorkerPool, get_pool, warm_pool
+from .pool import (
+    ShardSupervisor,
+    SupervisionPolicy,
+    WorkerPool,
+    get_pool,
+    warm_pool,
+)
 from .shm import SharedArray
 from .worker import ShardTask
 
@@ -213,11 +219,13 @@ def run_shards(
     through a result slab, copied back into its payload here so the
     caller's merge sees one payload form.
 
-    Dispatch is ``pool.run`` unless ``supervision`` (a
-    ``repro.fleet.SupervisionPolicy``, or ``True`` for the defaults) or
-    a ``deadline_at`` is given: then the fleet supervisor takes over —
-    per-shard deadlines, hung/dead worker kill-and-revive with
-    redispatch, poison shards degraded to inline execution, and
+    Dispatch is the pool's one loop: ``pool.run`` (one attempt, a lost
+    shard raises) unless ``supervision`` (a
+    :class:`~repro.scanpar.pool.SupervisionPolicy`, or ``True`` for the
+    defaults) or a ``deadline_at`` is given, which run it as a
+    :class:`~repro.scanpar.pool.ShardSupervisor` — per-shard deadlines,
+    hung/dead worker kill-and-revive with redispatch, poison shards
+    degraded to inline execution, and
     :class:`~repro.detect.scan.ScanDeadlineError` past ``deadline_at``.
     Recovery hands the same task to the next worker, so it is invisible
     to the merge.
@@ -254,9 +262,6 @@ def run_shards(
         ]
         report = None
         if supervision or deadline_at is not None:
-            # lazy: repro.fleet imports back into this package
-            from ..fleet.supervise import ShardSupervisor, SupervisionPolicy
-
             defaults = not isinstance(supervision, SupervisionPolicy)
             payloads, report = ShardSupervisor(
                 pool, model, None if defaults else supervision,

@@ -23,11 +23,21 @@ module is that amortization:
   ``pool=`` of its own (``serve.InferenceService.scan_scene`` hands it
   a private one tied to the service's startup/shutdown lifecycle).
 
-Dispatch never oversubscribes: tasks are distributed round-robin over
-the pool's worker budget (a worker queues extra shards instead of the
-pool spawning extra processes), and a worker exception comes back
-wrapped in :class:`WorkerError` naming the failing shard and its origin
-range.
+Dispatch is one loop, :meth:`WorkerPool._dispatch`, the only code that
+waits on worker pipes and process sentinels.  It never oversubscribes:
+one shard is in flight per worker and the rest queue in the parent.  A
+shard fails when it raises, when its worker dies, or when it misses its
+per-shard deadline, and a failed shard goes to another worker until it
+has failed ``max_attempts`` times.  Past the run deadline the loop
+salvages buffered replies, kills and replaces the stragglers, and hands
+back what expired.  Its two forms differ only in what they do with
+shards that are exhausted or expired:
+
+* :meth:`WorkerPool.run` — one attempt, no per-shard deadline: every
+  lost shard is named in one :class:`WorkerError`;
+* :class:`ShardSupervisor` — a :class:`SupervisionPolicy`: exhausted
+  (poison) shards run inline in the parent, and an expired run raises
+  :class:`~repro.detect.scan.ScanDeadlineError`.
 
 Like ``repro.engine.compiled_for``, the per-worker model cache
 snapshots weights at first send: training a model afterwards requires a
@@ -45,29 +55,104 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from weakref import WeakKeyDictionary
 
 from .sharding import describe_shard
+from .worker import run_shard
 
 __all__ = ["WorkerPool", "WorkerError", "serialized_model", "get_pool",
-           "warm_pool", "shutdown_pools", "DEFAULT_DISPATCH_TIMEOUT_S"]
+           "warm_pool", "shutdown_pools", "DEFAULT_DISPATCH_TIMEOUT_S",
+           "SupervisionPolicy", "SupervisionReport", "ShardSupervisor"]
 
 _SPAWN_HANDSHAKE_TIMEOUT_S = 120.0
 
-#: default run-level dispatch deadline.  PR 7 shipped ``run`` waiting
-#: with ``timeout=None`` — one wedged worker (alive but hung) stalled
-#: the parent forever.  Generous enough that no legitimate shard on any
-#: supported scene size approaches it; ``dispatch_timeout_s=None``
+#: default run deadline of :meth:`WorkerPool.run`.  PR 7 shipped ``run``
+#: waiting with ``timeout=None`` — one wedged worker (alive but hung)
+#: stalled the parent forever.  Generous enough that no legitimate shard
+#: on any supported scene size approaches it; ``run(timeout_s=None)``
 #: restores the unbounded wait for callers who really want it.
 DEFAULT_DISPATCH_TIMEOUT_S = 300.0
-
-_UNSET = object()
 
 
 class WorkerError(RuntimeError):
     """A shard failed inside a pool worker (shard context attached)."""
+
+
+@dataclass(frozen=True)
+class SupervisionPolicy:
+    """Knobs for one supervised dispatch.
+
+    shard_deadline_s : seconds an in-flight shard may run before its
+                       worker is presumed hung (killed + revived,
+                       shard redispatched); ``None`` disables per-shard
+                       deadlines (deaths are still recovered).
+    max_attempts     : times a shard may fail before it is
+                       quarantined as poison and runs inline.
+    probe_interval_s : upper bound on how long the dispatch loop sleeps
+                       between liveness checks — the wait also wakes on
+                       replies and worker-death sentinels, so this only
+                       bounds staleness, not latency.
+    """
+
+    shard_deadline_s: float | None = 120.0
+    max_attempts: int = 3
+    probe_interval_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
+            raise ValueError("shard_deadline_s must be positive or None")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.probe_interval_s <= 0:
+            raise ValueError("probe_interval_s must be positive")
+
+
+#: :meth:`WorkerPool.run`'s policy: trust the workers
+_TRUSTING = SupervisionPolicy(shard_deadline_s=None, max_attempts=1)
+
+
+@dataclass
+class SupervisionReport:
+    """What supervision had to do to finish one dispatch.
+
+    ``max_overshoot_s`` is the worst gap between a shard's deadline and
+    the moment its hung worker was actually killed — the chaos gate
+    bounds it, because it is exactly the "hung worker stalls dispatch"
+    failure the supervisor exists to prevent.
+    """
+
+    shards_total: int = 0
+    deadline_kills: int = 0          # workers killed for missing a deadline
+    worker_deaths: int = 0           # workers that died mid-shard
+    workers_replaced: int = 0        # fresh processes spawned into slots
+    redispatches: int = 0            # shard retries on another worker
+    salvaged_replies: int = 0        # answers drained after death/deadline
+    poison_shards: list[int] = field(default_factory=list)
+    inline_shards: list[int] = field(default_factory=list)
+    attempts: dict[int, int] = field(default_factory=dict)
+    max_overshoot_s: float = 0.0
+
+    @property
+    def clean(self) -> bool:
+        """True when no fault handling fired at all."""
+        return (self.deadline_kills == 0 and self.worker_deaths == 0
+                and self.redispatches == 0 and not self.poison_shards)
+
+    def to_json(self) -> dict:
+        return {
+            "shards_total": self.shards_total,
+            "deadline_kills": self.deadline_kills,
+            "worker_deaths": self.worker_deaths,
+            "workers_replaced": self.workers_replaced,
+            "redispatches": self.redispatches,
+            "salvaged_replies": self.salvaged_replies,
+            "poison_shards": list(self.poison_shards),
+            "inline_shards": list(self.inline_shards),
+            "attempts": {str(k): v for k, v in sorted(self.attempts.items())},
+            "max_overshoot_s": self.max_overshoot_s,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +194,6 @@ def _pool_worker_main(conn) -> None:
     ``compiled_for``'s per-instance program cache (and therefore the
     warmed engine) hot between scans.
     """
-    from .worker import run_shard
-
     models: dict[str, object] = {}
     while True:
         try:
@@ -153,11 +236,6 @@ class _Worker:
     def pid(self) -> int:
         return self.proc.pid
 
-    def send_shard(self, task) -> None:
-        """Dispatch one shard task (the fleet supervisor's send primitive
-        — keeps the pipe message protocol inside this module)."""
-        self.conn.send(("shard", task))
-
 
 # ---------------------------------------------------------------------------
 # the pool
@@ -169,39 +247,26 @@ class WorkerPool:
     Parameters
     ----------
     n_workers    : worker processes to keep alive (the worker budget —
-                   dispatch round-robins shards over it, never spawning
-                   more processes than this)
+                   dispatch keeps one shard in flight per worker and
+                   never spawns more processes than this)
     start_method : multiprocessing start method; defaults to
                    :func:`~repro.scanpar.default_start_method` (which
                    prefers ``spawn`` once the caller runs threads)
-    dispatch_timeout_s : run-level deadline for :meth:`run` — a worker
-                   that has not answered for its queued shards by then
-                   is presumed wedged: it is killed, revived, and the
-                   run raises :class:`WorkerError` naming the hung
-                   shards instead of blocking the parent forever.
-                   ``None`` restores the pre-fleet unbounded wait.
-                   Per-shard (rather than per-run) deadlines with
-                   redispatch instead of failure live one level up, in
-                   ``repro.fleet.supervise``.
 
-    Thread-safe: :meth:`run` and :meth:`ensure_model` serialize on an
+    Thread-safe: dispatch and :meth:`ensure_model` serialize on an
     internal lock, so a service thread and a CLI scan can share one
     pool.  Workers are daemonic — an exiting interpreter never hangs on
     a forgotten pool — but call :meth:`close` (or use the pool as a
     context manager) for an orderly shutdown.
     """
 
-    def __init__(self, n_workers: int, *, start_method: str | None = None,
-                 dispatch_timeout_s: float | None = DEFAULT_DISPATCH_TIMEOUT_S,
-                 ) -> None:
+    def __init__(self, n_workers: int, *,
+                 start_method: str | None = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if dispatch_timeout_s is not None and dispatch_timeout_s <= 0:
-            raise ValueError("dispatch_timeout_s must be positive or None")
         from .parallel import default_start_method
 
         self.start_method = start_method or default_start_method()
-        self.dispatch_timeout_s = dispatch_timeout_s
         self._ctx = mp.get_context(self.start_method)
         self._lock = threading.RLock()
         self._closed = False
@@ -281,21 +346,6 @@ class WorkerPool:
                 self._replace_locked(worker)
                 self.stats["workers_revived"] += 1
 
-    def replace_worker(self, worker: _Worker) -> _Worker:
-        """Kill ``worker`` (if still alive) and spawn a replacement in
-        its slot; returns the fresh worker.
-
-        The fleet supervisor's recovery primitive: a worker that missed
-        its shard deadline — alive but wedged — is removed with SIGKILL
-        rather than trusted to notice a politer signal, and the pool
-        keeps its budget.  Counted in ``stats["workers_killed"]``.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self.stats["workers_killed"] += 1
-            return self._replace_locked(worker)
-
     @property
     def n_workers(self) -> int:
         return len(self._workers)
@@ -353,161 +403,250 @@ class WorkerPool:
         ``engine.conv_variant`` of the layer geometry and the same
         window plan of the scan geometry.
         """
-        data, model_hash = serialized_model(model)
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
             self._revive_locked()
-            for worker in self._workers:
-                if model_hash not in worker.sent:
-                    worker.conn.send(("model", model_hash, data))
-                    worker.sent.add(model_hash)
-                    self.stats["model_sends"] += 1
+            return self._warm_locked(self._workers, model)
+
+    def _warm_locked(self, workers, model) -> str:
+        """Send ``model``'s bytes to each of ``workers`` not holding it."""
+        data, model_hash = serialized_model(model)
+        for worker in workers:
+            if model_hash not in worker.sent:
+                worker.conn.send(("model", model_hash, data))
+                worker.sent.add(model_hash)
+                self.stats["model_sends"] += 1
         return model_hash
 
-    @contextmanager
-    def exclusive(self):
-        """Hold the dispatch lock and yield the live worker list.
+    def run(self, tasks: list,
+            timeout_s: float | None = DEFAULT_DISPATCH_TIMEOUT_S) -> list[dict]:
+        """Run shard tasks on the pool, trusting the workers; results
+        return in task order.
 
-        The fleet supervisor (:mod:`repro.fleet.supervise`) schedules
-        shards itself — one in flight per worker, per-shard deadlines,
-        redispatch on death — and this is its doorway: dead workers are
-        revived first, then the caller has exclusive use of the worker
-        pipes until the block exits.  Reentrant with :meth:`run` and
-        :meth:`replace_worker` (the lock is an RLock).
+        The dispatch loop at one attempt and no per-shard deadline: a
+        shard that raises, whose worker dies, or that is unanswered when
+        ``timeout_s`` runs out (its wedged worker is killed and revived)
+        is lost, and the run raises one :class:`WorkerError` naming every
+        lost shard's index and origin range.  The other shards still
+        finish and the pool stays usable; a dead worker's replacement
+        receives the model at the next :meth:`ensure_model`.
         """
+        deadline_at = (time.monotonic() + timeout_s
+                       if timeout_s is not None else None)
+        results, lost, expired, _ = self._dispatch(tasks, _TRUSTING,
+                                                   deadline_at)
+        failures = [f"{_task_context(task)} {why}" for task, why in lost]
+        failures += [f"{_task_context(task)} missed the {timeout_s:.1f}s "
+                     f"dispatch deadline {where}" for task, where in expired]
+        if failures:
+            raise WorkerError("; ".join(failures))
+        return [results[task.shard_index] for task in tasks]
+
+    def _dispatch(self, tasks: list, policy: SupervisionPolicy,
+                  deadline_at: float | None, model=None):
+        """The dispatch loop: one shard in flight per worker, the rest
+        queued here, until every shard is answered, exhausted or expired.
+
+        A shard fails when it raises, when its worker dies (seen through
+        the process sentinel, after salvaging a buffered reply) or when
+        it outlives ``policy.shard_deadline_s`` (its wedged worker is
+        killed); it goes back in the queue until it has failed
+        ``policy.max_attempts`` times.  A dead or killed worker is
+        replaced in its slot: with ``model`` the replacement is warmed
+        and rejoins the run, without it the replacement waits for the
+        next :meth:`ensure_model`.  Past ``deadline_at`` the loop
+        salvages buffered replies, kills and replaces the stragglers,
+        and everything unanswered expires.
+
+        Returns ``(payloads by shard index, exhausted, expired,
+        report)``: ``exhausted`` pairs each given-up task with why its
+        last attempt failed, ``expired`` with where it stood when the
+        run deadline passed.
+        """
+        report = SupervisionReport(shards_total=len(tasks))
+        results: dict[int, dict] = {}
+        exhausted: list[tuple] = []
+        expired: list[tuple] = []
+        attempts = {task.shard_index: 0 for task in tasks}
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
             self._revive_locked()
-            self.stats["runs"] += 1
-            yield self._workers
-
-    def run(self, tasks: list, timeout_s: float | None = _UNSET) -> list[dict]:
-        """Run shard tasks on the pool; results return in task order.
-
-        Tasks are assigned round-robin over the worker budget — more
-        shards than workers queue up per worker instead of spawning
-        extra processes.  Worker exceptions (and worker deaths) raise
-        :class:`WorkerError` naming the shard index and origin range;
-        surviving workers finish their queued shards first, so the pool
-        stays reusable after a failure.
-
-        ``timeout_s`` overrides the pool's ``dispatch_timeout_s`` for
-        this run.  When the deadline expires with shards still
-        unanswered, the wedged workers are killed and revived (their
-        queued shards fail with a clear deadline message in the raised
-        :class:`WorkerError`) — the parent never hangs on a stuck
-        worker, and the pool stays usable.
-        """
-        if not tasks:
-            return []
-        if timeout_s is _UNSET:
-            timeout_s = self.dispatch_timeout_s
-        deadline = (time.monotonic() + timeout_s
-                    if timeout_s is not None else None)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self._revive_locked()
+            if model is not None:
+                self._warm_locked(self._workers, model)
             self.stats["runs"] += 1
             self.stats["tasks"] += len(tasks)
+            queue = deque(tasks)
+            idle = deque(self._workers)
+            in_flight: dict = {}          # conn -> (worker, task, due)
 
-            pending: dict[object, deque] = {}
-            by_conn: dict[object, _Worker] = {}
-            for i, task in enumerate(tasks):
-                worker = self._workers[i % len(self._workers)]
-                worker.conn.send(("shard", task))
-                pending.setdefault(worker.conn, deque()).append(task)
-                by_conn[worker.conn] = worker
+            def replace(worker: _Worker, counter: str) -> None:
+                self.stats[counter] += 1
+                report.workers_replaced += 1
+                fresh = self._replace_locked(worker)
+                if model is not None:
+                    self._warm_locked([fresh], model)
+                    idle.append(fresh)
 
-            results: dict[int, dict] = {}
-            failures: list[str] = []
+            def failed(task, why: str) -> None:
+                if attempts[task.shard_index] < policy.max_attempts:
+                    report.redispatches += 1
+                    queue.append(task)
+                else:
+                    report.poison_shards.append(task.shard_index)
+                    exhausted.append((task, why))
 
-            def fail_remaining(conn) -> None:
-                for task in pending.pop(conn):
-                    failures.append(
-                        f"{_task_context(task)} lost: worker "
-                        f"pid={by_conn[conn].proc.pid} died"
-                    )
+            def died(worker: _Worker, task) -> None:
+                report.worker_deaths += 1
+                replace(worker, "workers_revived")
+                failed(task, f"lost: worker pid={worker.pid} died")
 
-            def consume(conn) -> None:
-                """Receive one reply on ``conn`` (replies arrive in the
-                FIFO order the shards were sent)."""
+            def kill(conn) -> tuple:
+                worker, task, due = in_flight.pop(conn)
+                report.deadline_kills += 1
+                replace(worker, "workers_killed")
+                return worker, task, due
+
+            def consume(conn, salvaged: bool = False) -> None:
+                worker, task, _ = in_flight.pop(conn)
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
-                    fail_remaining(conn)
+                    died(worker, task)
                     return
-                queue = pending[conn]
-                task = queue.popleft()
-                if not queue:
-                    del pending[conn]
-                kind, payload = reply[0], reply[2]
-                if kind == "ok":
-                    results[task.shard_index] = payload
+                if salvaged:
+                    report.salvaged_replies += 1
+                # the worker answered, so it is sane whatever its shard did
+                idle.append(worker)
+                if reply[0] == "ok":
+                    results[task.shard_index] = reply[2]
                 else:
-                    failures.append(
-                        f"{_task_context(task)} failed in worker "
-                        f"pid={by_conn[conn].proc.pid}: {payload}\n{reply[3]}"
-                    )
+                    failed(task, f"failed in worker pid={worker.pid}: "
+                                 f"{reply[2]}\n{reply[3]}")
 
-            while pending:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._expire_locked(pending, by_conn, consume,
-                                            failures, timeout_s)
-                        break
-                sentinels = {by_conn[conn].proc.sentinel: conn
-                             for conn in pending}
-                ready = mp_connection.wait(
-                    list(pending) + list(sentinels), timeout=remaining
-                )
-                for obj in ready:
-                    if obj in pending:
-                        consume(obj)
-                    else:
-                        conn = sentinels.get(obj)
-                        if conn is None or conn not in pending:
-                            continue
-                        # worker exited: drain buffered replies before
-                        # declaring the rest lost
-                        while conn in pending and conn.poll(0):
-                            consume(conn)
-                        if (conn in pending
-                                and not by_conn[conn].proc.is_alive()):
-                            fail_remaining(conn)
-            if failures:
-                raise WorkerError("; ".join(failures))
-            return [results[task.shard_index] for task in tasks]
-
-    def _expire_locked(self, pending, by_conn, consume, failures,
-                       timeout_s) -> None:
-        """Dispatch deadline hit: salvage buffered replies, then kill
-        and revive every worker still holding unanswered shards so the
-        next run starts with a clean pool (satellite fix for the
-        ``wait(..., timeout=None)`` hang)."""
-        for conn in list(pending):
-            while conn in pending and conn.poll(0):
-                consume(conn)
-        for conn in list(pending):
-            worker = by_conn[conn]
-            pid = worker.proc.pid
-            for task in pending.pop(conn):
-                failures.append(
-                    f"{_task_context(task)} missed the {timeout_s:.1f}s "
-                    f"dispatch deadline in worker pid={pid} "
-                    f"(worker killed and revived)"
-                )
-            self.stats["workers_killed"] += 1
-            self._replace_locked(worker)
+            while queue or in_flight:
+                if deadline_at is not None and time.monotonic() >= deadline_at:
+                    for conn in [c for c in in_flight if c.poll(0)]:
+                        consume(conn, salvaged=True)
+                    for conn in list(in_flight):
+                        worker, task, _ = kill(conn)
+                        expired.append((task, f"in worker pid={worker.pid} "
+                                              f"(worker killed and revived)"))
+                    expired += [(task, "before a worker was free")
+                                for task in queue]
+                    break
+                while queue and idle:
+                    worker, task = idle.popleft(), queue.popleft()
+                    try:
+                        worker.conn.send(("shard", task))
+                    except (BrokenPipeError, OSError):
+                        queue.appendleft(task)
+                        report.worker_deaths += 1
+                        replace(worker, "workers_revived")
+                        continue
+                    attempts[task.shard_index] += 1
+                    due = (time.monotonic() + policy.shard_deadline_s
+                           if policy.shard_deadline_s is not None else None)
+                    in_flight[worker.conn] = (worker, task, due)
+                if not in_flight:     # every worker died, none came back warm
+                    exhausted += [(task, "lost: every worker died")
+                                  for task in queue]
+                    break
+                now = time.monotonic()
+                waits = [policy.probe_interval_s]
+                waits += [due - now for _, _, due in in_flight.values()
+                          if due is not None]
+                if deadline_at is not None:
+                    waits.append(deadline_at - now)
+                sentinels = {worker.proc.sentinel: conn
+                             for conn, (worker, _, _) in in_flight.items()}
+                for obj in mp_connection.wait([*in_flight, *sentinels],
+                                              timeout=max(0.0, min(waits))):
+                    conn = sentinels.get(obj, obj)
+                    if conn not in in_flight:
+                        continue
+                    if conn.poll(0):
+                        consume(conn, salvaged=obj is not conn)
+                    elif not in_flight[conn][0].proc.is_alive():
+                        # died mid-shard with nothing buffered
+                        worker, task, _ = in_flight.pop(conn)
+                        died(worker, task)
+                now = time.monotonic()
+                for conn, (_, _, due) in list(in_flight.items()):
+                    if due is None or now < due:
+                        continue
+                    if conn.poll(0):          # answered just in time
+                        consume(conn, salvaged=True)
+                        continue
+                    worker, task, due = kill(conn)
+                    report.max_overshoot_s = max(report.max_overshoot_s,
+                                                 now - due)
+                    failed(task, f"missed its shard deadline in worker "
+                                 f"pid={worker.pid}")
+            report.attempts = attempts
+        return results, exhausted, expired, report
 
 
 def _task_context(task) -> str:
     """Human-readable shard identity for error wrapping."""
     return describe_shard(task.shard_index, task.start, task.stop)
+
+
+class ShardSupervisor:
+    """Supervised shard dispatch: the pool's dispatch loop under a
+    :class:`SupervisionPolicy`.
+
+    Holds the model object itself (not just its hash) for two reasons:
+    replacement workers have empty caches and need the bytes re-sent,
+    and poison shards run inline in the parent against this instance.
+    """
+
+    def __init__(self, pool: WorkerPool, model,
+                 policy: SupervisionPolicy | None = None) -> None:
+        self.pool = pool
+        self.model = model
+        self.policy = policy or SupervisionPolicy()
+
+    def run(self, tasks: list, *,
+            deadline_at: float | None = None,
+            ) -> tuple[list[dict], SupervisionReport]:
+        """Run shard tasks to completion under supervision.
+
+        Returns ``(payloads in task order, report)``.  ``deadline_at``
+        is an absolute ``time.monotonic()`` instant; past it the run
+        aborts with :class:`~repro.detect.scan.ScanDeadlineError`.
+        Worker failures never raise — they redispatch — except a shard
+        whose *inline* fallback also fails, which raises
+        :class:`WorkerError` (at that point the failure is the model's,
+        not a worker's).
+        """
+        results, poisoned, expired, report = self.pool._dispatch(
+            tasks, self.policy, deadline_at, self.model)
+        if expired:
+            from ..detect.scan import ScanDeadlineError
+
+            missing = sorted({t.shard_index for t in tasks} - set(results))
+            raise ScanDeadlineError(
+                f"scan deadline expired with {len(missing)} of "
+                f"{len(tasks)} shards unfinished (missing shards "
+                f"{missing}); journaled tiles are resumable")
+        # poison shards: inline sequential execution in the parent —
+        # same task, same slab, same journal path, so the merge cannot
+        # tell recovery happened
+        for task, _ in poisoned:
+            report.inline_shards.append(task.shard_index)
+            cache = ({task.model_hash: self.model}
+                     if task.model_hash is not None else None)
+            try:
+                results[task.shard_index] = run_shard(task,
+                                                      model_cache=cache)
+            except Exception as exc:
+                raise WorkerError(
+                    f"{_task_context(task)} failed on "
+                    f"{report.attempts[task.shard_index]} workers and "
+                    f"again inline: {type(exc).__name__}: {exc}") from exc
+        return [results[task.shard_index] for task in tasks], report
 
 
 # ---------------------------------------------------------------------------

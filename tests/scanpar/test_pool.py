@@ -181,9 +181,12 @@ class TestPipeProtocol:
                           backend="engine")
             # a replacement worker compiles from scratch, with no
             # parent decisions to adopt
-            pool.replace_worker(pool._workers[0])
+            victim = pool._workers[0].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
             revived = scan(model, scene, n_workers=2, pool=pool,
                            backend="engine")
+            assert pool.stats["workers_revived"] == 1
         assert {"model", "shard"} <= set(sent)
         assert set(sent) <= {"model", "shard", "ping", "stop"}
         assert list(pooled) == list(sequential)
@@ -305,10 +308,6 @@ class TestFailurePaths:
 
 class TestDispatchDeadline:
     """Satellite fix: ``run`` must never block forever on a wedged worker."""
-
-    def test_dispatch_timeout_validation(self):
-        with pytest.raises(ValueError, match="dispatch_timeout_s"):
-            WorkerPool(1, dispatch_timeout_s=0.0)
 
     def test_hung_workers_are_killed_and_revived(self, model, scene):
         with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
