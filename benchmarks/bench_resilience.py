@@ -7,8 +7,10 @@ Two scenarios, both with deterministic injected faults (``repro.faults``):
    (retry + quarantine) and pick the same winner as the fault-free sweep
    with the same seed.  This is the CI gate.
 2. **Serving through a worker outage** — an ``InferenceService`` whose
-   model workers fail hard must trip the circuit breaker, keep answering
-   cached chips in degraded mode, and recover via the half-open probe.
+   guarded engine fails hard (the compiled program *and* its eager
+   fallback, ``repro.faults.FaultyEngine``) must trip the circuit
+   breaker, keep answering cached chips in degraded mode, and recover
+   via the half-open probe.
 
 Emits ``BENCH_resilience.json`` so fault-tolerance telemetry is recorded
 run over run.
@@ -27,8 +29,8 @@ import numpy as np
 from gates import bench_arg_parser, check, finish
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, predict
-from repro.faults import FailFirst, Flaky, InjectedFault
+from repro.detect import SPPNetDetector
+from repro.faults import FaultyEngine, Flaky, InjectedFault
 from repro.nas import (
     FunctionalEvaluator,
     ParallelExperiment,
@@ -84,17 +86,19 @@ def run_serve_scenario() -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     rng = np.random.default_rng(0)
     chips = rng.normal(size=(8, 4, 24, 24)).astype(np.float32)
-    fn = FailFirst(predict, 0)
+    # both halves of the guard fail during the outage: the compiled
+    # engine and the eager fallback that would otherwise absorb it
+    faulty = FaultyEngine(model)
     breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=0.05)
     outage_failures = 0
     degraded_hit = degraded_miss = False
 
-    with InferenceService(model, BatchPolicy(max_batch=4, max_wait_ms=1.0),
-                          predict_fn=fn, max_batch_retries=0,
+    with InferenceService(model, BatchPolicy(max_batch=4),
+                          engine=faulty.guarded(), max_batch_retries=0,
                           breaker=breaker) as service:
         service.submit(chips[0]).result(timeout=10)  # healthy + cached
 
-        fn.calls, fn.n = 0, 2  # outage: the next two batches fail
+        faulty.failures = 2  # outage: the next two batches fail
         for chip in chips[1:3]:
             try:
                 service.submit(chip).result(timeout=10)

@@ -238,7 +238,7 @@ def run_fallback_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
     eager_conf, _ = predict(model, chips, batch_size=1)
 
     guard = GuardedEngine(model, compiled=_FaultyCompiled(model, fail_first))
-    with InferenceService(model, BatchPolicy(max_batch=1, max_wait_ms=1.0),
+    with InferenceService(model, BatchPolicy(max_batch=1),
                           cache_size=0, engine=guard) as service:
         results = [service.submit(c).result(timeout=30) for c in chips]
         snapshot = service.metrics.snapshot()

@@ -5,9 +5,11 @@ detector and demonstrates the serving features end to end:
 
 1. tune the batcher from the Figure 6 batch-efficiency artifact
    (``results/fig6.json``) when available;
-2. scan a synthetic watershed scene through the service — windows are
-   micro-batched instead of looped;
-3. scan it again to show repeat tiles answered by the content-hash LRU
+2. scan a synthetic watershed scene through the service — one
+   ``scan_scene`` on the service's compiled engine, sharing feature maps
+   between overlapping windows;
+3. send chips of that scene as requests, twice, to show open
+   micro-batches and repeat chips answered by the content-hash LRU
    cache;
 4. print the metrics report (queue depth, batch-size histogram,
    latency quantiles, cache hit rate) in the profiling-report style.
@@ -20,7 +22,7 @@ Usage::
 import argparse
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
+from repro.detect import SPPNetDetector, scan_origins
 from repro.geo import WatershedConfig, build_scene
 from repro.serve import (
     BatchPolicy,
@@ -35,18 +37,17 @@ def main() -> None:
     parser.add_argument("--scene-size", type=int, default=192)
     parser.add_argument("--window", type=int, default=64)
     parser.add_argument("--stride", type=int, default=48)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     print("== 1. Batching policy from the Figure 6 efficiency curve ==")
     try:
         policy = policy_from_fig6()
-        print(f"   knee of fig6.json -> max_batch={policy.max_batch}, "
-              f"max_wait={policy.max_wait_ms} ms")
+        print(f"   knee of fig6.json -> max_batch={policy.max_batch}")
     except (OSError, ValueError):
         policy = BatchPolicy()
-        print(f"   fig6.json unavailable, defaults -> max_batch="
-              f"{policy.max_batch}, max_wait={policy.max_wait_ms} ms")
+        print(f"   fig6.json unavailable, default max_batch="
+              f"{policy.max_batch}")
 
     arch = SPPNetConfig(
         convs=(ConvSpec(8, 3, 1), ConvSpec(16, 3, 1)),
@@ -61,13 +62,18 @@ def main() -> None:
         detections = service.scan_scene(scene, window=args.window,
                                         stride=args.stride,
                                         confidence_threshold=0.5)
-        print(f"   {service.metrics.completed.value} windows served, "
+        print(f"   {service.metrics.scan_tiles.value} windows scanned, "
               f"{len(detections)} detections after NMS")
 
-        print("\n== 3. Repeat scan: tiles come back from the LRU cache ==")
-        service.scan_scene(scene, window=args.window, stride=args.stride,
-                           confidence_threshold=0.5)
-        print(f"   cache hit rate now "
+        print("\n== 3. Chip requests, then the same chips again ==")
+        chips = [scene.image[:, r:r + args.window, c:c + args.window]
+                 for r, c in scan_origins(scene.size, args.window,
+                                          args.stride)]
+        for future in service.submit_many(chips):
+            future.result()
+        repeats = [future.result() for future in service.submit_many(chips)]
+        print(f"   {sum(r.cached for r in repeats)} of {len(chips)} repeat "
+              f"chips answered from the LRU cache; hit rate now "
               f"{100 * service.metrics.cache_hit_rate():.1f}%")
 
         print("\n== 4. Service metrics ==")

@@ -9,9 +9,10 @@ memory planner.  The result runs single-image chip inference several
 times faster than the eager autograd path while producing equivalent
 outputs (``docs/engine.md`` walks through each stage).
 
-The eager path remains the default everywhere; callers opt in with
-``backend="engine"`` (``repro.detect.predict`` / ``scan_scene``,
-``repro.serve.InferenceService``, ``repro.nas.measure_latency_ms``).
+``repro.serve.InferenceService`` serves through it only (behind
+``repro.robust.GuardedEngine``, with eager as the fallback); elsewhere
+callers opt in with ``backend="engine"`` (``repro.detect.predict`` /
+``scan_scene``, ``repro.nas.measure_latency_ms``).
 
 Convolutions bind one of two kernels, chosen by a pure function of the
 layer's geometry (:func:`.kernels.conv_variant`): memory-tiled implicit

@@ -7,7 +7,8 @@ every run:
 * **Call-level wrappers** that make a callable misbehave on purpose —
   flaky (seeded random failures), fail-first (deterministic transient
   outage), fatal-on (a poisoned subset of inputs), and slow (added
-  latency).
+  latency) — plus :class:`FaultyEngine`, the same outage and stall
+  scripted into both halves of a guarded engine for the serving layer.
 * **Data-level corruption injectors** that degrade (C, H, W) imagery the
   way production NAIP tiles actually degrade — NaN pepper, nodata holes,
   dropped bands, saturation stripes, truncated edge tiles — plus
@@ -44,6 +45,7 @@ __all__ = [
     "FailFirst",
     "FatalOn",
     "Slow",
+    "FaultyEngine",
     "Corruption",
     "NaNPepper",
     "NodataHoles",
@@ -157,6 +159,64 @@ class Slow:
     def __call__(self, *args, **kwargs):
         time.sleep(self.delay_s)
         return self.fn(*args, **kwargs)
+
+
+class FaultyEngine:
+    """Both halves of a :class:`repro.robust.GuardedEngine` behind one
+    fault script, for the serving layer's tests and benchmarks.
+
+    Stands in for the compiled program (``predict_stream``) *and* for
+    the eager model the guard falls back to (``__call__``), delegating
+    to the real ones; :meth:`guarded` builds the guard to hand to
+    ``InferenceService(engine=...)``.
+
+    * ``failures``: the next this-many batches fail whole.  While it is
+      positive every compiled call raises :class:`InjectedFault`, and so
+      does every eager fallback, each counting it down by one: a batch
+      fails only when the guard's fallback does, which is the failure
+      the service's own retries and breaker exist for.  Set it at any
+      time to start or end an outage.
+    * ``delay_s``: every compiled call stalls this long first, keeping
+      the service's workers busy (backpressure, deadline, shutdown).
+    """
+
+    def __init__(self, model, failures: int = 0, delay_s: float = 0.0) -> None:
+        if failures < 0 or delay_s < 0:
+            raise ValueError("failures and delay_s must be >= 0")
+        from .engine import compiled_for
+
+        self.model = model.eval()
+        self.compiled = compiled_for(model)
+        self.failures = failures
+        self.delay_s = delay_s
+        self._lock = threading.Lock()
+
+    def guarded(self, breaker=None):
+        """A ``GuardedEngine`` whose compiled program and eager model are
+        both this double."""
+        from .robust.guard import GuardedEngine
+
+        return GuardedEngine(self, breaker=breaker, compiled=self)
+
+    def predict_stream(self, chips, limit: int):
+        time.sleep(self.delay_s)
+        if self.failures > 0:
+            raise InjectedFault("injected engine fault")
+        return self.compiled.predict_stream(chips, limit)
+
+    def warmup(self, batch_sizes, sample_shape=None) -> float:
+        return self.compiled.warmup(batch_sizes, sample_shape)
+
+    def eval(self):
+        return self
+
+    def __call__(self, x):
+        with self._lock:
+            fail = self.failures > 0
+            self.failures -= fail
+        if fail:
+            raise InjectedFault("injected eager fault")
+        return self.model(x)
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,15 @@ scoped to the engine: while it is open every batch goes straight to
 eager (no doomed engine attempt per batch), and the breaker's usual
 half-open probe lets the engine earn its way back.  Every fallback is
 tallied by reason — ``repro.serve.InferenceService`` feeds the tally
-into ``ServiceMetrics.fallback_by_reason``.
+into ``ServiceMetrics.fallback_by_reason`` — and the first of each
+reason on an engine emits a ``RuntimeWarning`` naming it, so no
+engine->eager degradation is silent.
 """
 
 from __future__ import annotations
 
 import threading
+import warnings
 from collections import Counter
 from itertools import islice
 from typing import Callable
@@ -125,6 +128,13 @@ class GuardedEngine:
     def _fallback(self, reason: str) -> None:
         with self._lock:
             self._fallbacks[reason] += 1
+            first = self._fallbacks[reason] == 1
+        if first:
+            # loud once per reason; the tally counts every one
+            warnings.warn(
+                f"GuardedEngine fell back to eager ({reason}); further "
+                f"{reason!r} fallbacks of this engine are only counted "
+                "(fallback_by_reason)", RuntimeWarning, stacklevel=4)
         for listener in self._listeners:
             listener(reason)
 

@@ -1,7 +1,8 @@
 """repro.serve — dynamic-batching inference service for crossing detection.
 
-Production front-end over the trained detector: micro-batching tuned by
-the Figure 6 batch-efficiency curve, content-hash LRU caching, bounded
+Production front-end over the trained detector, served through its
+guarded compiled engine: open micro-batches sized by the Figure 6
+batch-efficiency curve, content-hash LRU caching, bounded
 queueing with backpressure, per-request deadlines, graceful draining
 shutdown, a model-worker circuit breaker with cache-only degraded mode,
 and a metrics registry rendered in the ``repro.profiling`` report style.

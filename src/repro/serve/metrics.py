@@ -168,11 +168,8 @@ class ServiceMetrics:
             return dict(sorted(self._breaker_transitions.items()))
 
     def record_backend(self, backend: str) -> None:
-        """Tally one completed inference result per execution backend.
-
-        Lets a single BENCH_serve.json A/B run show exactly how many
-        results each backend (eager vs engine vs custom) produced.
-        """
+        """Tally one completed inference result per backend that
+        answered it: ``engine``, or ``eager`` when the guard fell back."""
         with self._lock:
             self._backend_results[backend] += 1
 
@@ -183,9 +180,8 @@ class ServiceMetrics:
 
     def record_fallback(self, reason: str) -> None:
         """Tally one engine→eager fallback by its guard reason
-        (non-finite output, shape mismatch, engine error, breaker open).
-        Fed by :class:`repro.robust.GuardedEngine` when the service runs
-        ``backend="engine"``."""
+        (non-finite output, shape mismatch, engine error, breaker open),
+        fed by the service's :class:`repro.robust.GuardedEngine`."""
         with self._lock:
             self._fallbacks[reason] += 1
 
@@ -197,9 +193,8 @@ class ServiceMetrics:
     def observe_batch(self, size: int, latency_ms: float,
                       closed_by: str | None = None) -> None:
         """Tally one executed micro-batch: its size, its latency and why
-        it closed when it did — ``max_batch`` (full), ``timer``
-        (``max_wait_ms`` ran out), ``queue_empty`` (an open engine batch
-        found nothing more to admit) or ``draining`` (shutdown began)."""
+        it closed when it did — ``max_batch`` (full), ``queue_empty``
+        (nothing more to admit) or ``draining`` (shutdown began)."""
         with self._lock:
             self._batch_sizes[size] += 1
             if closed_by is not None:

@@ -5,18 +5,16 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
 
 * callers :meth:`~InferenceService.submit` single chips and receive
   ``concurrent.futures.Future`` objects;
-* worker threads coalesce waiting requests into micro-batches
-  (:class:`~repro.serve.batching.BatchPolicy`) and run the model on
-  them.  A batch is cut from the queue only by a worker that is free to
-  run it, so whatever arrives while every worker is busy joins the next
-  batch instead of trailing a batch cut too early.  The eager and
-  ``predict_fn`` backends run a batch as one stacked call, cut at
-  ``max_batch`` or ``max_wait_ms`` after the oldest request arrived,
-  whichever first.  The engine backend runs its conv trunk one chip at
-  a time and only the head over the batch, so its batches are *open*:
-  the worker starts the oldest request's trunk at once, admits queued
-  requests between trunk runs, and closes the batch (queue empty, or
-  ``max_batch`` admitted) only when the head runs;
+* worker threads run them through the compiled engine behind its guard
+  (:class:`repro.robust.GuardedEngine`) in *open* micro-batches
+  (:class:`~repro.serve.batching.BatchPolicy`).  The engine runs its
+  conv trunk one chip at a time and only the head over the batch, so a
+  worker that is free to run a batch starts the oldest request's trunk
+  at once, admits queued requests of that chip shape between trunk runs,
+  and closes the batch (queue empty, or ``max_batch`` admitted) only
+  when the head runs.  A batch is cut from the queue only by a worker
+  that is free to run it, so whatever arrives while every worker is busy
+  joins the next batch;
 * an LRU cache keyed by chip content hash answers repeat tiles without
   touching the model;
 * a bounded queue applies backpressure (:class:`QueueFullError`),
@@ -24,10 +22,12 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
   and :meth:`~InferenceService.shutdown` drains in-flight requests before
   the threads exit;
 * a circuit breaker (:class:`~repro.serve.breaker.CircuitBreaker`) guards
-  the model workers: failed batches are retried, consecutive failures
-  trip the breaker, and while it is open the service runs in *degraded
-  mode* — cache hits are still served, uncached requests fail fast with
-  :class:`DegradedServiceError` until a half-open probe succeeds.
+  the model workers against the one failure the guard cannot absorb, its
+  eager fallback raising: failed batches are retried, consecutive
+  failures trip the breaker, and while it is open the service runs in
+  *degraded mode* — cache hits are still served, uncached requests fail
+  fast with :class:`DegradedServiceError` until a half-open probe
+  succeeds.
 
 Telemetry lives in a :class:`~repro.serve.metrics.ServiceMetrics`
 registry rendered through the ``repro.profiling`` report conventions.
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..detect.predict import predict
 from ..detect.sppnet import SPPNetDetector
 from .batching import BatchPolicy
 from .breaker import OPEN, BreakerPolicy, CircuitBreaker
@@ -96,17 +95,16 @@ class DetectionResult:
     box        : normalized (cx, cy, w, h) in chip coordinates
     cached     : True when served from the LRU cache
     batch_size : size of the micro-batch this request rode in (0 if cached)
-    backend    : execution path that produced the value ("eager",
-                 "engine", or "custom" for an injected predict_fn); a
-                 cached result reports the backend of the run that filled
-                 the cache
+    backend    : what answered: ``"engine"``, or ``"eager"`` when the
+                 guard fell back; a cached result reports the backend of
+                 the run that filled the cache
     """
 
     confidence: float
     box: np.ndarray
     cached: bool = False
     batch_size: int = 0
-    backend: str = "eager"
+    backend: str = "engine"
 
 
 class _Pending:
@@ -139,37 +137,24 @@ class InferenceService:
                   :class:`QueueFullError`
     cache_size  : LRU entries (0 disables caching)
     num_workers : model-execution threads; each cuts its own
-                  micro-batch from the queue when it is free to run one
+                  micro-batch from the queue when it is free to run one.
+                  The engine serializes execution internally, so the
+                  default of one is the deployed setting
     breaker     : :class:`~repro.serve.breaker.BreakerPolicy` for the
                   model-worker circuit breaker (None = defaults)
     max_batch_retries : immediate re-runs of a failed micro-batch before
                   its futures fail and the breaker counts the failure
-    backend     : ``"eager"`` (default) runs the autograd model;
-                  ``"engine"`` compiles the model at service start
-                  (:func:`repro.engine.compile`) and serves every batch
-                  through the *guarded* compiled program
-                  (:class:`repro.robust.GuardedEngine`): outputs are
-                  checked for non-finite values and shape mismatches,
-                  violations transparently re-execute on the eager
-                  backend (tallied in the metrics snapshot's
-                  ``fallback_by_reason``), and repeated engine faults
-                  trip an engine-scoped circuit breaker toward
-                  eager-only.  Engine batches are *open*
-                  (:meth:`~repro.robust.GuardedEngine.predict_stream`):
-                  a free worker starts the oldest request's conv trunk
-                  without waiting ``max_wait_ms`` and keeps admitting
-                  queued requests of that chip shape between trunk
-                  runs, so the batch a chip lands in depends on
-                  arrival and answers agree with a direct engine call
-                  within float32 tolerance, not bitwise.  The engine
-                  serializes execution internally, so pair it with the
-                  default ``num_workers=1``; results record which
-                  backend produced them (:class:`DetectionResult` and
-                  the metrics snapshot's ``completed_by_backend``).
+    backend     : ``"engine"``, its only value: the model is compiled at
+                  service start (:func:`repro.engine.compiled_for`) and
+                  every batch runs through the *guarded* compiled program
+                  (:class:`repro.robust.GuardedEngine`), whose outputs are
+                  checked for non-finite values and shape mismatches and
+                  re-executed on eager on a violation (tallied in the
+                  metrics snapshot's ``fallback_by_reason``).  Any other
+                  value raises ``ValueError``
     engine      : a pre-built :class:`~repro.robust.GuardedEngine` to
-                  serve with (implies ``backend="engine"``); lets tests
-                  inject faulty compiled programs and deployments share
-                  one compile across services
+                  serve with; lets tests inject faulty compiled programs
+                  and deployments share one compile across services
     validate    : admission control for :meth:`submit`.  ``True``
                   (default) rejects chips with non-finite pixels
                   (:meth:`~repro.robust.SanitizePolicy.for_serving`);
@@ -177,10 +162,6 @@ class InferenceService:
                   policy's checks; ``False`` disables validation.
                   Rejections raise :class:`InvalidInputError` and count
                   in ``metrics.invalid_inputs``.
-    predict_fn  : model-execution function
-                  ``(model, stack, batch_size) -> (confidences, boxes)``;
-                  injectable for fault-injection tests (``repro.faults``).
-                  Overrides ``backend`` (results then report "custom")
     scan_workers: bulk-scan worker processes.  ``None`` (default)
                   creates the service's scan pool lazily on the first
                   ``scan_scene(n_workers=...)`` bulk call; an int (or
@@ -208,10 +189,9 @@ class InferenceService:
         num_workers: int = 1,
         breaker: BreakerPolicy | None = None,
         max_batch_retries: int = 1,
-        backend: str = "eager",
+        backend: str = "engine",
         engine=None,
         validate=True,
-        predict_fn=None,
         scan_workers: int | str | None = None,
     ) -> None:
         if max_queue < 1:
@@ -220,12 +200,12 @@ class InferenceService:
             raise ValueError("num_workers must be >= 1")
         if max_batch_retries < 0:
             raise ValueError("max_batch_retries must be >= 0")
-        if engine is not None:
-            backend = "engine"
-        if backend not in ("eager", "engine"):
+        if backend != "engine":
             raise ValueError(
-                f"unknown backend {backend!r}; use 'eager' or 'engine'"
-            )
+                f"backend={backend!r}: InferenceService serves through its "
+                "guarded compiled engine only (eager is the guard's "
+                "fallback); 'engine' is the one accepted value, and the "
+                "keyword goes with ROADMAP item 1")
         self.model = model
         self.policy = policy if policy is not None else BatchPolicy()
         self.max_queue = max_queue
@@ -242,37 +222,22 @@ class InferenceService:
             self._validate_policy = SanitizePolicy.for_serving()
         elif validate:  # a SanitizePolicy
             self._validate_policy = validate
-        self.engine = None
-        if predict_fn is not None:
-            self.backend = "custom"
-            self._predict_fn = predict_fn
-        elif backend == "engine":
-            if engine is None:
-                from ..robust.guard import GuardedEngine
+        if engine is None:
+            from ..robust.guard import GuardedEngine
 
-                model.eval()
-                engine = GuardedEngine(model)
-            engine.add_fallback_listener(self.metrics.record_fallback)
-            self.engine = engine
-            self.backend = "engine"
-            self._predict_fn = (
-                lambda _model, stack, batch_size:
-                engine.predict_batch(stack, batch_size=batch_size)
-            )
-            # an open batch closes at any size up to max_batch, so
-            # pre-build the trunk and every head: no request binds inline
-            try:
-                warmup_ms = engine.warmup(
-                    range(1, self.policy.max_batch + 1)
-                )
-            except Exception:
-                # a broken engine surfaces through the guarded per-batch
-                # fallback, not as a startup crash
-                warmup_ms = 0.0
-            self.metrics.warmup_ms.set(warmup_ms)
-        else:
-            self.backend = "eager"
-            self._predict_fn = predict
+            model.eval()
+            engine = GuardedEngine(model)
+        engine.add_fallback_listener(self.metrics.record_fallback)
+        self.engine = engine
+        # an open batch closes at any size up to max_batch, so pre-build
+        # the trunk and every head: no request binds inline
+        try:
+            warmup_ms = engine.warmup(range(1, self.policy.max_batch + 1))
+        except Exception:
+            # a broken engine surfaces through the guarded per-batch
+            # fallback, not as a startup crash
+            warmup_ms = 0.0
+        self.metrics.warmup_ms.set(warmup_ms)
 
         # bulk-scan worker pool: created here (pre-thread, fork-safe)
         # when scan_workers is given, else lazily at the first bulk
@@ -285,19 +250,20 @@ class InferenceService:
                 self._scan_pool.ensure_model(self.model)
 
         self._queue: deque[_Pending] = deque()
-        # O(1) batching bookkeeping: same-shape counts decide batch
-        # readiness and deadline_count gates the expiry scan, so a wake
-        # never walks the queue in the common (uniform, no-deadline) case
+        # O(1) batching bookkeeping: same-shape counts decide what an
+        # open batch may admit and deadline_count gates the expiry scan,
+        # so a wake never walks the queue in the common (uniform,
+        # no-deadline) case
         self._shape_counts: Counter[tuple] = Counter()
         self._deadline_count = 0
         self._cond = threading.Condition()
         self._stopping = False
         self._draining = True
         # One slot per running model call.  A worker takes one only when
-        # a batch is due and *before* cutting it (never while idle), so
-        # an inline_single caller can find a slot free, requests stay in
-        # the queue — where max_queue bounds them — until a model call
-        # can start, and a cut batch never waits behind busy workers.
+        # something is queued and *before* cutting its batch (never while
+        # idle), so requests stay in the queue — where max_queue bounds
+        # them — until a model call can start, and a cut batch never
+        # waits behind busy workers.
         self._inflight = threading.Semaphore(num_workers)
         self._workers = [
             threading.Thread(target=self._work_loop,
@@ -370,21 +336,6 @@ class InferenceService:
 
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         pending = _Pending(np.asarray(chip, dtype=np.float32), key, deadline)
-        if self.policy.inline_single:
-            # max_batch=1 with the low-latency opt-in: when nothing is
-            # queued and a worker slot is free, run the request
-            # synchronously on the caller's thread instead of paying the
-            # queue → worker-thread round-trip (see BatchPolicy)
-            with self._cond:
-                stopping = self._stopping
-                idle = not self._queue
-            if stopping:
-                self.metrics.rejected.inc()
-                raise ServiceStoppedError("service is shut down")
-            if idle and self._inflight.acquire(blocking=False):
-                # a batch of one at max_batch=1; releases the slot
-                self._run_batch([pending], "max_batch")
-                return pending.future
         with self._cond:
             if self._stopping:
                 self.metrics.rejected.inc()
@@ -439,32 +390,25 @@ class InferenceService:
                 self._scan_pool = pool
             return self._scan_pool
 
-    def scan_scene(self, scene, *, n_workers: int | str = 1,
-                   timeout_s: float | None = None, supervision=None,
-                   **scan_kwargs):
-        """Scan a whole scene with this service's model.
+    def scan_scene(self, scene, *, n_workers: int | str = 1, **scan_kwargs):
+        """Scan a whole scene with this service's model: one
+        :func:`repro.detect.scan_scene` call on the engine, so the
+        result equals ``scan_scene(model, scene, backend="engine", ...)``
+        bit for bit, coverage included.
 
-        ``scan_kwargs`` are :func:`repro.detect.scan_scene`'s.
-        ``n_workers=1`` routes every window through the *request path*
-        (:meth:`_scan_requests`): the scan shares the micro-batches,
-        cache and breaker with live traffic.  ``n_workers > 1`` (or
-        ``"auto"``) takes the *bulk* path instead:
-        :func:`repro.detect.scan_scene` runs the service's model on its
-        configured backend across the service-owned persistent worker
-        pool, bypassing the request queue — whole-scene throughput
-        without holding the queue hostage for thousands of tiles.  Both
-        paths tally ``metrics.scans`` / ``metrics.scan_tiles``.
-
-        ``timeout_s`` is this scan's deadline, propagated all the way
-        down: on the request path it also bounds each submitted tile, on
-        the bulk path it becomes the fleet supervisor's run deadline
-        over the shard dispatch — either way the call raises
-        :class:`~repro.detect.scan.ScanDeadlineError` rather than
-        outliving its budget.  ``supervision`` (a
-        ``repro.fleet.SupervisionPolicy``, or ``True``) supervises bulk
-        dispatch — hung/dead pool workers are killed, revived, and
-        their shards redispatched — and its recovery counts land in the
-        ``scan_*`` fleet metrics.
+        ``scan_kwargs`` are that function's (``sanitize`` / ``journal``
+        / ``resume``, ``timeout_s``, ``supervision``, ...).  With
+        ``n_workers=1`` the scan runs on the calling thread through the
+        compiled program the request workers use; it takes the engine
+        lock once per micro-batch, so live requests interleave with it
+        instead of queueing behind its windows.  ``n_workers > 1`` (or
+        ``"auto"``) shards it over the service-owned persistent worker
+        pool.  Scans bypass the request queue and cache; they tally
+        ``metrics.scans`` / ``metrics.scan_tiles``, a missed
+        ``timeout_s`` (:class:`~repro.detect.scan.ScanDeadlineError`)
+        counts in ``metrics.scan_deadline_expired``, and a supervised
+        bulk scan's recovery counts land in the ``scan_*`` fleet
+        metrics.
         """
         from ..detect.scan import ScanDeadlineError
         from ..detect.scan import scan_scene as scan
@@ -472,22 +416,10 @@ class InferenceService:
         bulk = n_workers == "auto" or (
             isinstance(n_workers, int) and n_workers > 1
         )
-        if bulk and self.backend == "custom":
-            raise ValueError(
-                "bulk parallel scanning runs the model directly and "
-                "needs backend='eager' or 'engine', not an injected "
-                "predict_fn"
-            )
+        pool = self._ensure_scan_pool(n_workers) if bulk else None
         try:
-            if bulk:
-                pool = self._ensure_scan_pool(n_workers)
-                result = scan(self.model, scene, backend=self.backend,
-                              n_workers=n_workers, pool=pool,
-                              timeout_s=timeout_s, supervision=supervision,
-                              **scan_kwargs)
-            else:
-                result = self._scan_requests(scene, timeout_s=timeout_s,
-                                             **scan_kwargs)
+            result = scan(self.model, scene, backend="engine",
+                          n_workers=n_workers, pool=pool, **scan_kwargs)
         except ScanDeadlineError:
             self.metrics.scan_deadline_expired.inc()
             raise
@@ -495,67 +427,6 @@ class InferenceService:
         self.metrics.scan_tiles.inc(result.coverage.tiles_total)
         self.metrics.record_supervision(getattr(result, "supervision", None))
         return result
-
-    def _scan_requests(self, scene, *, window: int = 100, stride: int = 50,
-                       confidence_threshold: float = 0.7,
-                       nms_radius: float = 20.0, batch_size: int = 20,
-                       backend: str | None = None, sanitize=None,
-                       journal=None, resume: bool = False,
-                       timeout_s: float | None = None):
-        """The request-path scan: every window of ``scene`` is one
-        submitted request, decoded and merged like any other scan.
-
-        ``batch_size`` and ``backend`` are accepted and have no effect
-        (the service cuts its own batches on its own backend); the
-        robust stage runs the model locally and cannot be honoured.
-        """
-        from ..detect.scan import (
-            ScanCoverage,
-            ScanDeadlineError,
-            ScanDetections,
-            _detections_from_outputs,
-            non_max_suppression,
-            scan_origins,
-        )
-
-        if sanitize is not None or journal is not None or resume:
-            raise ValueError(
-                "robust scanning (sanitize/journal/resume) runs the model "
-                "locally; requests are sanitized by the service's own "
-                "admission validation instead"
-            )
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive or None")
-        deadline_at = (time.monotonic() + timeout_s
-                       if timeout_s is not None else None)
-        origins = scan_origins(scene.size, window, stride)
-        # per-origin strided views: zero-copy until a worker stacks its
-        # micro-batch.  The scan deadline rides along as each request's
-        # dispatch deadline, so a wedged service fails the scan with a
-        # timeout instead of blocking it forever.
-        futures = [
-            self.submit(np.asarray(scene.image[:, r:r + window, c:c + window],
-                                   dtype=np.float32), timeout_s=timeout_s)
-            for r, c in origins
-        ]
-        results = []
-        for future in futures:
-            remaining = None
-            if deadline_at is not None:
-                remaining = max(deadline_at - time.monotonic(), 1e-3)
-            try:
-                results.append(future.result(timeout=remaining))
-            except (TimeoutError, RequestTimeoutError) as exc:
-                raise ScanDeadlineError(
-                    f"scan deadline ({timeout_s:.1f}s) expired with "
-                    f"{len(results)} of {len(origins)} tiles answered"
-                ) from exc
-        detections = _detections_from_outputs(
-            origins, np.array([r.confidence for r in results]),
-            np.stack([r.box for r in results]), window, confidence_threshold)
-        return ScanDetections(
-            non_max_suppression(detections, radius=nms_radius),
-            ScanCoverage(tiles_total=len(origins), tiles_scanned=len(origins)))
 
     def scan_many(self, jobs, *, workdir, n_workers: int | str = "auto",
                   supervision=None, queue_path=None, **fleet_kwargs):
@@ -566,28 +437,23 @@ class InferenceService:
         :class:`repro.fleet.ScanFleet` over a job queue at
         ``queue_path`` (default ``<workdir>/queue.jsonl``), submits
         every job (idempotently — resubmitting a sweep that crashed
-        resumes it), drains the queue with this service's model, and
-        returns the sweep summary.  Per-scene crash recovery, retries,
-        and dead-lettering follow the fleet semantics in
-        ``docs/fleet.md``; supervision recovery counts fold into the
+        resumes it), drains the queue with this service's model on the
+        engine, and returns the sweep summary.  Per-scene crash
+        recovery, retries, and dead-lettering follow the fleet semantics
+        in ``docs/fleet.md``; supervision recovery counts fold into the
         ``scan_*`` fleet metrics.
         """
         from pathlib import Path
 
         from ..fleet import JobQueue, ScanFleet
 
-        if self.backend == "custom":
-            raise ValueError(
-                "fleet scanning runs the model directly and needs "
-                "backend='eager' or 'engine', not an injected predict_fn"
-            )
         workdir = Path(workdir)
         queue = JobQueue(queue_path or workdir / "queue.jsonl")
         fleet = ScanFleet(queue, self.model, workdir=workdir,
                           n_workers=n_workers, supervision=supervision,
                           **fleet_kwargs)
         for job_id, config in jobs.items():
-            fleet.submit_scene(job_id, config, backend=self.backend)
+            fleet.submit_scene(job_id, config, backend="engine")
         summary = fleet.run()
         for job in summary["results"].values():
             self.metrics.scans.inc()
@@ -632,68 +498,37 @@ class InferenceService:
     # ------------------------------------------------------------------
     def _work_loop(self) -> None:
         while True:
-            cut = self._next_batch()
-            if cut is None:
+            opening = self._next_opening()
+            if opening is None:
                 break
-            self._run_batch(*cut)  # releases the inflight slot
+            self._run_batch(opening)  # releases the inflight slot
 
-    def _due_locked(self, now: float) -> str | None:
-        """Why a batch may be cut from the queue now, or None to wait.
-
-        The engine's open batch is due as soon as anything is queued (it
-        is closed later, by :meth:`_run_batch`).  A batch that runs as
-        one stacked call gathers until ``max_batch`` chips of the oldest
-        request's *shape* are waiting or that request has aged
-        ``max_wait_ms``; a draining shutdown cuts what there is.
-        """
-        if not self._queue:
-            return None
-        oldest = self._queue[0]
-        if (self.engine is not None     # open: closes at max_batch or sooner
-                or self._shape_counts[oldest.chip.shape]
-                >= self.policy.max_batch):
-            return "max_batch"
-        if self._stopping:
-            return "draining"
-        if now >= oldest.enqueued_at + self.policy.max_wait_s:
-            return "timer"
-        return None
-
-    def _wait_due_locked(self) -> bool:
-        """Wait (``_cond`` held) until a batch is due; False when the
-        worker should exit instead.  Expired requests are timed out
-        here, so a timeout never needs its own timer thread."""
+    def _wait_queued_locked(self) -> bool:
+        """Wait (``_cond`` held) until a request is queued and may run;
+        False when the worker should exit instead.  Expired requests
+        are timed out here, so a timeout never needs its own timer
+        thread (submit and shutdown notify)."""
         while True:
             self._expire_locked()
-            if self._stopping and not (self._draining and self._queue):
-                return False
-            now = time.monotonic()
-            if self._due_locked(now):
-                return True
-            # wake at the flush point or the nearest request deadline,
-            # whichever comes first, so timeouts fire promptly (submit
-            # and shutdown notify)
-            wake_at = now + 0.05
             if self._queue:
-                wake_at = self._queue[0].enqueued_at + self.policy.max_wait_s
-                if self._deadline_count:
-                    for pending in self._queue:
-                        if pending.deadline is not None:
-                            wake_at = min(wake_at, pending.deadline)
-            self._cond.wait(timeout=max(wake_at - now, 1e-4))
+                return self._draining or not self._stopping
+            if self._stopping:
+                return False
+            self._cond.wait()
 
-    def _next_batch(self) -> tuple[list[_Pending], str] | None:
-        """Block until this worker may run a micro-batch, then cut it.
+    def _next_opening(self) -> _Pending | None:
+        """Block until this worker may open a micro-batch, then pop its
+        opening request: the oldest queued one.
 
-        Returns ``(batch, closed_by)`` with an ``_inflight`` slot held
-        for it, or None when the worker should exit.  The slot is taken
-        *before* the cut and the cut is whatever is due at that moment
-        (late-bound), so no batch is ever held while every model call is
-        busy.
+        Returns it with an ``_inflight`` slot held for its batch, or
+        None when the worker should exit.  The slot is taken *before*
+        the pop and the pop takes whatever is oldest at that moment
+        (late-bound), so no request is ever held out of the queue while
+        every model call is busy.
         """
         while True:
             with self._cond:
-                if not self._wait_due_locked():
+                if not self._wait_queued_locked():
                     # non-draining shutdown, or nothing left to drain
                     leftovers = list(self._queue)
                     self._queue.clear()
@@ -705,13 +540,8 @@ class InferenceService:
                 continue
             with self._cond:
                 self._expire_locked()
-                closed_by = self._due_locked(time.monotonic())
-                if closed_by and (self._draining or not self._stopping):
-                    # an open batch starts as its oldest request alone
-                    limit = (1 if self.engine is not None
-                             else self.policy.max_batch)
-                    return self._take_batch_locked(
-                        self._queue[0].chip.shape, limit), closed_by
+                if self._queue and (self._draining or not self._stopping):
+                    return self._pop_locked(self._queue[0].chip.shape)
             # another worker took it, it expired, or the service aborted
             self._inflight.release()
         for pending in leftovers:
@@ -720,24 +550,22 @@ class InferenceService:
             )
         return None
 
-    def _take_batch_locked(self, shape: tuple, limit: int) -> list[_Pending]:
-        """Pop up to ``limit`` same-shaped requests (SPP accepts any chip
-        size, but one stacked batch must share H and W)."""
-        batch: list[_Pending] = []
+    def _pop_locked(self, shape: tuple) -> _Pending:
+        """Pop the oldest queued request of ``shape`` (SPP accepts any
+        chip size, but one batch must share H and W)."""
         skipped: deque[_Pending] = deque()
-        while self._queue and len(batch) < limit:
+        pending = self._queue.popleft()
+        while pending.chip.shape != shape:
+            skipped.append(pending)
             pending = self._queue.popleft()
-            if pending.chip.shape == shape:
-                batch.append(pending)
-            else:
-                skipped.append(pending)
         self._queue.extendleft(reversed(skipped))
-        self._shape_counts[shape] -= len(batch)
+        self._shape_counts[shape] -= 1
         if not self._shape_counts[shape]:
             del self._shape_counts[shape]
-        self._deadline_count -= sum(1 for p in batch if p.deadline is not None)
+        if pending.deadline is not None:
+            self._deadline_count -= 1
         self.metrics.queue_depth.set(len(self._queue))
-        return batch
+        return pending
 
     def _expire_locked(self) -> None:
         if not self._deadline_count:
@@ -764,7 +592,7 @@ class InferenceService:
 
     def _timed_out(self, pending: _Pending, now: float) -> bool:
         """Fail ``pending`` if its deadline passed while it waited for
-        the model (queued, or cut and behind busy workers)."""
+        the model (queued, or popped and behind busy workers)."""
         if not pending.expired(now):
             return False
         self.metrics.timeouts.inc()
@@ -778,36 +606,35 @@ class InferenceService:
         """Pop the oldest live queued request of ``shape`` for an open
         batch, failing expired ones on the way; None when none waits."""
         while self._shape_counts[shape]:
-            (pending,) = self._take_batch_locked(shape, 1)
+            pending = self._pop_locked(shape)
             if not self._timed_out(pending, time.monotonic()):
                 return pending
         return None
 
-    def _run_batch(self, batch: list[_Pending], closed_by: str) -> None:
-        """Run one cut micro-batch on this thread and answer its
-        futures; releases the ``_inflight`` slot held for it.
+    def _run_batch(self, opening: _Pending) -> None:
+        """Run the open micro-batch ``opening`` starts on this thread and
+        answer its futures; releases the ``_inflight`` slot held for it.
 
-        On the engine backend the batch is still open: the guarded
-        engine pulls its chips one at a time, each just before that
-        chip's trunk runs, and once ``batch`` is used up the pull admits
-        queued requests of the same chip shape — appended to ``batch``,
-        so results, cache fills, metrics and a retry cover them — until
-        none waits (``queue_empty``), a non-draining shutdown began
-        (``draining``) or ``max_batch`` chips are in.  ``closed_by`` is
-        why a stacked batch was cut, and what an open batch reports if
-        it fills.
+        The guarded engine pulls the batch's chips one at a time, each
+        just before that chip's trunk runs: first the opening request,
+        then queued requests of the same chip shape — appended to the
+        batch, so results, cache fills, metrics and a retry cover them —
+        until none waits (``queue_empty``), a non-draining shutdown
+        began (``draining``) or ``max_batch`` chips are in
+        (``max_batch``).  A retry re-runs the same open batch: its
+        admitted members first, then whatever it may still admit.
         """
         try:
             started = time.monotonic()
-            # a batch can out-wait its deadline behind busy workers, so
-            # expire again at the moment work actually starts
-            batch = [p for p in batch if not self._timed_out(p, started)]
-            if not batch:
+            # a request can out-wait its deadline behind busy workers,
+            # so expire again at the moment work actually starts
+            if self._timed_out(opening, started):
                 return
             if not self.breaker.allow():
-                # tripped while these requests were queued: cache-only
-                self._serve_degraded(batch)
+                # tripped while this request was queued: cache-only
+                self._serve_degraded(opening)
                 return
+            batch = [opening]
 
             def admitted():
                 # runs inside the engine, with the engine lock held:
@@ -815,7 +642,7 @@ class InferenceService:
                 # engine (lock order engine -> _cond)
                 nonlocal closed_by
                 yield from [p.chip for p in batch]
-                shape = batch[0].chip.shape
+                shape = opening.chip.shape
                 while True:
                     with self._cond:
                         if self._stopping and not self._draining:
@@ -830,28 +657,12 @@ class InferenceService:
                     yield pending.chip
 
             attempts = 0
-            used_backend = self.backend
             while True:
                 attempts += 1
+                closed_by = "max_batch"     # unless the pull ends first
                 try:
-                    if self.engine is not None and attempts == 1:
-                        out = self.engine.predict_stream(
-                            admitted(), self.policy.max_batch)
-                    else:
-                        # single-request batches (stragglers,
-                        # inline_single) skip the stack copy — chip[None]
-                        # is a view with the same layout
-                        stack = (batch[0].chip[None] if len(batch) == 1
-                                 else np.stack([p.chip for p in batch]))
-                        out = self._predict_fn(
-                            self.model, stack, batch_size=len(batch)
-                        )
-                    # the guarded engine also reports which backend
-                    # actually answered (engine, or eager on fallback)
-                    if len(out) == 3:
-                        confidences, boxes, used_backend = out
-                    else:
-                        confidences, boxes = out
+                    confidences, boxes, backend = self.engine.predict_stream(
+                        admitted(), self.policy.max_batch)
                     self.breaker.record_success()
                     break
                 except BaseException as exc:
@@ -871,38 +682,37 @@ class InferenceService:
             for pending, conf, box in zip(batch, confidences, boxes):
                 result = DetectionResult(
                     float(conf), box.copy(), cached=False,
-                    batch_size=len(batch), backend=used_backend,
+                    batch_size=len(batch), backend=backend,
                 )
                 self.cache.put(pending.key, result)
-                self.metrics.record_backend(used_backend)
+                self.metrics.record_backend(backend)
                 self.metrics.completed.inc()
                 self.metrics.latency_ms.observe((now - pending.enqueued_at) * 1e3)
                 pending.future.set_result(result)
         finally:
             self._inflight.release()
 
-    def _serve_degraded(self, batch: list[_Pending]) -> None:
-        """Cache-only answers for a batch the open breaker refused.
+    def _serve_degraded(self, pending: _Pending) -> None:
+        """Cache-only answer for a request the open breaker refused.
 
-        Requests whose chips were cached since they queued are still
-        served (marked degraded); the rest fail with
+        A request whose chip was cached since it queued is still served
+        (marked degraded); otherwise it fails with
         :class:`DegradedServiceError` rather than touching the workers.
         """
-        for pending in batch:
-            hit = self.cache.get(pending.key) if self.cache.capacity else None
-            if hit is not None:
-                self.metrics.degraded_served.inc()
-                self.metrics.completed.inc()
-                self.metrics.latency_ms.observe(
-                    (time.monotonic() - pending.enqueued_at) * 1e3
-                )
-                pending.future.set_result(
-                    DetectionResult(hit.confidence, hit.box, cached=True,
-                                    backend=hit.backend)
-                )
-            else:
-                self.metrics.degraded_rejected.inc()
-                pending.future.set_exception(DegradedServiceError(
-                    "circuit breaker open: model workers unavailable and "
-                    "result not cached"
-                ))
+        hit = self.cache.get(pending.key) if self.cache.capacity else None
+        if hit is None:
+            self.metrics.degraded_rejected.inc()
+            pending.future.set_exception(DegradedServiceError(
+                "circuit breaker open: model workers unavailable and "
+                "result not cached"
+            ))
+            return
+        self.metrics.degraded_served.inc()
+        self.metrics.completed.inc()
+        self.metrics.latency_ms.observe(
+            (time.monotonic() - pending.enqueued_at) * 1e3
+        )
+        pending.future.set_result(
+            DetectionResult(hit.confidence, hit.box, cached=True,
+                            backend=hit.backend)
+        )

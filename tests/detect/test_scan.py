@@ -173,9 +173,9 @@ class TestScanScene:
             scan_scene(SPPNetDetector(arch), scene, window=1000)
 
     def test_service_path_matches_local_predict(self, scene):
-        """service.scan_scene(scene) returns the same detections as the
-        direct predict path, modulo float order — same windows, same
-        model, one goes through the service's micro-batches."""
+        """service.scan_scene(scene) is the engine scan: the same
+        detections and coverage, bit for bit, and counted as one scan of
+        every window."""
         from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
         from repro.detect import SPPNetDetector
         from repro.serve import BatchPolicy, InferenceService
@@ -187,16 +187,14 @@ class TestScanScene:
         )
         model = SPPNetDetector(arch, seed=0)
         kwargs = dict(window=64, stride=48, confidence_threshold=0.5)
-        local = scan_scene(model, scene, **kwargs)
-        with InferenceService(model, BatchPolicy(max_batch=8,
-                                                 max_wait_ms=5.0)) as service:
+        local = scan_scene(model, scene, backend="engine", **kwargs)
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
             served = service.scan_scene(scene, **kwargs)
-            assert service.metrics.completed.value > 0
-        assert len(local) == len(served)
-        for a, b in zip(sorted(local, key=lambda d: d.center),
-                        sorted(served, key=lambda d: d.center)):
-            assert a.center == b.center
-            assert a.confidence == pytest.approx(b.confidence, abs=1e-6)
+            snap = service.metrics.snapshot()
+        assert list(served) == list(local)
+        assert served.coverage == local.coverage
+        assert snap["scans"] == 1
+        assert snap["scan_tiles"] == len(scan_origins(scene.size, 64, 48))
 
 
 class TestBatchSeam:

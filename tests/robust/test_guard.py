@@ -81,7 +81,8 @@ class TestGuardedEngine:
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode=mode))
         stack = chips()
-        conf, boxes, backend = guard.predict_batch(stack)
+        with pytest.warns(RuntimeWarning, match=reason):
+            conf, boxes, backend = guard.predict_batch(stack)
         assert backend == "eager"
         assert guard.fallback_by_reason == {reason: 1}
         e_conf, e_boxes = predict(model, stack, batch_size=len(stack))
@@ -97,16 +98,22 @@ class TestGuardedEngine:
             model, compiled=faulty,
             breaker=BreakerPolicy(failure_threshold=3, reset_timeout_s=60.0))
         stack = chips()
-        for _ in range(3):
-            guard.predict_batch(stack)
-        assert not guard.engine_available
-        engine_calls = faulty.calls
-        _, _, backend = guard.predict_batch(stack)
+        with pytest.warns(RuntimeWarning) as warned:
+            for _ in range(3):
+                guard.predict_batch(stack)
+            assert not guard.engine_available
+            engine_calls = faulty.calls
+            _, _, backend = guard.predict_batch(stack)
         assert backend == "eager"
         assert faulty.calls == engine_calls  # no doomed engine attempt
         tally = guard.fallback_by_reason
         assert tally[FALLBACK_NON_FINITE] == 3
         assert tally[FALLBACK_BREAKER_OPEN] == 1
+        # loud once per reason, counted every time
+        messages = [str(w.message) for w in warned]
+        assert len(messages) == 2
+        assert FALLBACK_NON_FINITE in messages[0]
+        assert FALLBACK_BREAKER_OPEN in messages[1]
 
     def test_fallback_listeners_fire(self, model):
         seen = []
@@ -114,7 +121,8 @@ class TestGuardedEngine:
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"),
             on_fallback=seen.append)
         guard.add_fallback_listener(seen.append)
-        guard.predict_batch(chips())
+        with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
+            guard.predict_batch(chips())
         assert seen == [FALLBACK_NON_FINITE, FALLBACK_NON_FINITE]
 
     def test_predict_loop_isolates_micro_batches(self, model):
@@ -123,7 +131,8 @@ class TestGuardedEngine:
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
         stack = chips(n=6)
-        conf, boxes = guard.predict(stack, batch_size=2)
+        with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
+            conf, boxes = guard.predict(stack, batch_size=2)
         e_conf, e_boxes = predict(model, stack, batch_size=2)
         np.testing.assert_allclose(conf, e_conf, atol=1e-4)
         np.testing.assert_allclose(boxes, e_boxes, atol=1e-4)
@@ -134,10 +143,11 @@ class TestServeIntegration:
     def test_injected_faulty_engine_surfaces_in_metrics(self, model):
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
-        with InferenceService(model, BatchPolicy(max_batch=1, max_wait_ms=1.0),
+        with InferenceService(model, BatchPolicy(max_batch=1),
                               cache_size=0, engine=guard) as svc:
             stack = chips(n=3)
-            results = [svc.submit(c).result(timeout=10) for c in stack]
+            with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
+                results = [svc.submit(c).result(timeout=10) for c in stack]
         backends = [r.backend for r in results]
         assert backends[0] == "eager" and backends[1:] == ["engine", "engine"]
         snap = svc.metrics.snapshot()
@@ -145,8 +155,8 @@ class TestServeIntegration:
         assert snap["completed_by_backend"] == {"eager": 1, "engine": 2}
 
     def test_engine_backend_defaults_to_guarded(self, model):
-        with InferenceService(model, BatchPolicy(max_batch=1, max_wait_ms=1.0),
-                              cache_size=0, backend="engine") as svc:
+        with InferenceService(model, BatchPolicy(max_batch=1),
+                              cache_size=0) as svc:
             assert isinstance(svc.engine, GuardedEngine)
             result = svc.submit(chips(n=1)[0]).result(timeout=10)
         assert result.backend == "engine"

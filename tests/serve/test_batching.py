@@ -11,15 +11,11 @@ pytestmark = pytest.mark.fast
 
 class TestBatchPolicy:
     def test_defaults(self):
-        policy = BatchPolicy()
-        assert policy.max_batch >= 1
-        assert policy.max_wait_s == policy.max_wait_ms / 1e3
+        assert BatchPolicy().max_batch == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait_ms=-1.0)
 
 
 class TestPolicyFromFig6:
@@ -37,9 +33,7 @@ class TestPolicyFromFig6:
                      [4, "240.0", "195.0", "1.2x"]],
         }))
         # 1 -> 2 improves 33%, 2 -> 4 improves 2.5% < 10%: knee is 2
-        policy = policy_from_fig6(artifact, max_wait_ms=7.5)
-        assert policy.max_batch == 2
-        assert policy.max_wait_ms == 7.5
+        assert policy_from_fig6(artifact) == BatchPolicy(max_batch=2)
 
     def test_empty_rows_falls_back_with_warning(self, tmp_path):
         artifact = tmp_path / "fig6.json"
@@ -50,9 +44,8 @@ class TestPolicyFromFig6:
 
     def test_missing_artifact_falls_back_with_warning(self, tmp_path):
         with pytest.warns(RuntimeWarning, match="falling back"):
-            policy = policy_from_fig6(tmp_path / "nope.json", max_wait_ms=5.0)
-        assert policy.max_batch == BatchPolicy().max_batch
-        assert policy.max_wait_ms == 5.0
+            policy = policy_from_fig6(tmp_path / "nope.json")
+        assert policy == BatchPolicy()
 
     def test_malformed_artifact_falls_back_with_warning(self, tmp_path):
         artifact = tmp_path / "fig6.json"

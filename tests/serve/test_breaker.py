@@ -1,11 +1,15 @@
 """Circuit breaker: state machine, degraded cache-only serving, recovery."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, predict
-from repro.faults import FailFirst, InjectedFault
+from repro.detect import SPPNetDetector
+from repro.engine import compiled_for
+from repro.faults import FailFirst, FaultyEngine, InjectedFault
+from repro.robust import GuardedEngine
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -111,20 +115,21 @@ class TestCircuitBreaker:
             BreakerPolicy(half_open_probes=0)
 
 
-def failing_predict(n_failures):
-    """predict_fn that fails its first ``n_failures`` executions."""
-    return FailFirst(predict, n_failures)
-
-
 class TestServiceResilience:
+    """The service's own retries and breaker answer the one failure its
+    guarded engine cannot absorb: the eager fallback raising too.  The
+    double (``repro.faults.FaultyEngine``) fails both halves of the
+    guard for a scripted number of batches."""
+
     def policy(self):
-        return BatchPolicy(max_batch=4, max_wait_ms=1.0)
+        return BatchPolicy(max_batch=4)
 
     def test_transient_batch_failure_is_retried(self, model):
-        fn = failing_predict(1)
-        with InferenceService(model, self.policy(), predict_fn=fn,
+        faulty = FaultyEngine(model, failures=1)
+        with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=2) as service:
-            result = service.submit(chips(1)[0]).result(timeout=5)
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                result = service.submit(chips(1)[0]).result(timeout=5)
             assert 0.0 <= result.confidence <= 1.0
             snap = service.metrics.snapshot()
         assert snap["worker_failures"] == 1
@@ -132,14 +137,15 @@ class TestServiceResilience:
         assert snap["breaker_state"] == "closed"
 
     def test_exhausted_retries_fail_the_batch_futures(self, model):
-        fn = failing_predict(10**6)
-        with InferenceService(model, self.policy(), predict_fn=fn,
+        faulty = FaultyEngine(model, failures=10**6)
+        with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=1,
                               breaker=BreakerPolicy(failure_threshold=50)
                               ) as service:
-            future = service.submit(chips(1)[0])
-            with pytest.raises(InjectedFault):
-                future.result(timeout=5)
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                future = service.submit(chips(1)[0])
+                with pytest.raises(InjectedFault):
+                    future.result(timeout=5)
             snap = service.metrics.snapshot()
         assert snap["worker_failures"] >= 2  # initial + retry
         assert snap["worker_retries"] == 1
@@ -147,17 +153,17 @@ class TestServiceResilience:
     def test_breaker_trips_and_serves_cache_only(self, model):
         batch = chips(6)
         warm, cold = batch[0], batch[5]
-        fn = FailFirst(predict, 0)
+        faulty = FaultyEngine(model)
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0)
-        with InferenceService(model, self.policy(), predict_fn=fn,
+        with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=0, breaker=breaker) as service:
             service.submit(warm).result(timeout=5)  # cache the warm chip
 
-            fn.calls = 0
-            fn.n = 10**6  # outage begins
-            for chip in batch[1:3]:
-                with pytest.raises(InjectedFault):
-                    service.submit(chip).result(timeout=5)
+            faulty.failures = 10**6  # outage begins
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                for chip in batch[1:3]:
+                    with pytest.raises(InjectedFault):
+                        service.submit(chip).result(timeout=5)
             snap = service.metrics.snapshot()
             assert snap["breaker_state"] == "open"
 
@@ -171,15 +177,55 @@ class TestServiceResilience:
         assert snap["degraded_rejected"] == 1
         assert snap["breaker_transitions"].get("closed->open") == 1
 
+    def test_a_failing_eager_fallback_is_what_trips_the_service_breaker(
+            self, model):
+        """Why the service keeps a fault layer over its guard.  An engine
+        fault alone is absorbed: the guard answers on eager and the
+        service never sees a failure.  When the eager fallback raises
+        too, the failure reaches the service: its breaker trips and it
+        serves cached chips only."""
+        batch = chips(5)
+        compiled = compiled_for(model)
+        compiled_only = GuardedEngine(model, compiled=SimpleNamespace(
+            predict_stream=FailFirst(compiled.predict_stream, 10**6),
+            warmup=compiled.warmup))
+        with InferenceService(model, self.policy(), engine=compiled_only,
+                              max_batch_retries=0) as service:
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                results = [service.submit(c).result(timeout=5)
+                           for c in batch[:2]]
+            snap = service.metrics.snapshot()
+        assert [r.backend for r in results] == ["eager", "eager"]
+        assert snap["worker_failures"] == 0
+        assert snap["breaker_state"] == "closed"
+
+        faulty = FaultyEngine(model)
+        guard = faulty.guarded()
+        breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0)
+        with InferenceService(model, self.policy(), engine=guard,
+                              max_batch_retries=0, breaker=breaker) as service:
+            service.submit(batch[0]).result(timeout=5)  # healthy, cached
+            faulty.failures = 2     # the guard's engine and eager both fail
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                for chip in batch[1:3]:
+                    with pytest.raises(InjectedFault, match="eager"):
+                        service.submit(chip).result(timeout=5)
+            assert guard.fallback_by_reason == {"engine_error": 2}
+            assert service.metrics.breaker_state == "open"
+            assert service.submit(batch[0]).result(timeout=5).cached
+            with pytest.raises(DegradedServiceError):
+                service.submit(batch[3])
+
     def test_breaker_recovers_via_half_open_probe(self, model):
-        fn = FailFirst(predict, 2)  # two failures, then healthy forever
+        faulty = FaultyEngine(model, failures=2)  # two failures, then healthy
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=0.05)
-        with InferenceService(model, self.policy(), predict_fn=fn,
+        with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=0, breaker=breaker) as service:
             batch = chips(4)
-            for chip in batch[:2]:
-                with pytest.raises(InjectedFault):
-                    service.submit(chip).result(timeout=5)
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                for chip in batch[:2]:
+                    with pytest.raises(InjectedFault):
+                        service.submit(chip).result(timeout=5)
             assert service.metrics.breaker_state == "open"
 
             import time

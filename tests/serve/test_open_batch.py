@@ -1,17 +1,18 @@
-"""Open micro-batches on the engine backend and the late-bound cut on
-every backend: who cuts a batch, when it closes, and that the guard's,
-the deadline's and shutdown's contracts hold over a batch that is still
-admitting requests while it runs.
+"""Open micro-batches and the late-bound cut: who cuts a batch, when it
+closes, and that the guard's, the deadline's and shutdown's contracts
+hold over a batch that is still admitting requests while it runs.
 
-The engine tests drive the service through a compiled double whose open
-form pulls one chip, parks on an ``Event`` and only then keeps pulling,
-so what is queued at every pull is decided by the test, not by timing.
+The tests drive the service through a compiled double whose open form
+pulls one chip, parks on an ``Event`` and only then keeps pulling, so
+what is queued at every pull is decided by the test, not by timing.
 """
 
 import json
 import sys
 import threading
 import time
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.engine import compiled_for
+from repro.faults import FaultyEngine
 from repro.robust import GuardedEngine
 from repro.serve import (
     BatchPolicy,
@@ -139,8 +141,7 @@ class TestOpenBatch:
         assert "closed by [queue_empty]: 1" in report
 
     def test_lone_request_does_not_wait_for_company(self, model):
-        policy = BatchPolicy(max_batch=8, max_wait_ms=500.0)
-        with InferenceService(model, policy, backend="engine") as service:
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
             start = time.monotonic()
             result = service.submit(chips(1)[0]).result(timeout=WAIT)
             elapsed = time.monotonic() - start
@@ -188,8 +189,9 @@ class TestOpenBatch:
         with service:
             futures = [open_first_batch(service, double, batch[0])]
             futures += service.submit_many(batch[1:])
-            double.gate.set()
-            results = [f.result(timeout=WAIT) for f in futures]
+            with pytest.warns(RuntimeWarning, match="engine_error"):
+                double.gate.set()
+                results = [f.result(timeout=WAIT) for f in futures]
             snap = service.metrics.snapshot()
         assert [(r.backend, r.batch_size) for r in results] == (
             [("eager", 3)] * 3 + [("engine", 2)] * 2)
@@ -199,71 +201,60 @@ class TestOpenBatch:
         np.testing.assert_allclose([r.confidence for r in results], conf,
                                    atol=1e-5)
 
-    def test_retry_reruns_the_admitted_members_as_a_closed_stack(self, model):
+    def test_retry_reruns_the_admitted_members(self, model):
         """The guard itself failing (engine and eager both) is the
-        service's retry: every admitted member is in the re-run."""
+        service's retry: it re-opens the same batch, and every admitted
+        member is in the re-run."""
         batch = chips(3)
         guard = GuardedEngine(model)
-        stream, seen = guard.predict_stream, []
+        stream, pulled = guard.predict_stream, []
 
-        def failing_stream(source, limit):
-            stream(source, limit)
-            raise RuntimeError("injected guard failure")
+        def fails_once(source, limit):
+            chips_in = list(islice(source, limit))
+            pulled.append(len(chips_in))
+            if len(pulled) == 1:
+                raise RuntimeError("injected guard failure")
+            return stream(iter(chips_in), limit)
 
-        def closed(stack, batch_size=None):
-            seen.append(len(stack))
-            return GuardedEngine.predict_batch(guard, stack, batch_size)
-
-        guard.predict_stream, guard.predict_batch = failing_stream, closed
+        guard.predict_stream = fails_once
         with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
                               engine=guard, max_queue=8) as service:
             with service._cond:     # all three queued before the cut
                 futures = service.submit_many(batch)
             sizes = [f.result(timeout=WAIT).batch_size for f in futures]
             snap = service.metrics.snapshot()
-        assert sizes == [3, 3, 3] and seen == [3]
+        assert sizes == [3, 3, 3] and pulled == [3, 3]
         assert snap["worker_retries"] == 1 and snap["completed"] == 3
+        assert snap["batch_close_reasons"] == {"queue_empty": 1}
 
 
 class TestLateBoundCut:
     def test_busy_worker_cuts_nothing_until_it_is_free(self, model):
-        """Five requests arrive over several ``max_wait_ms`` while the
-        only worker is busy: they are one batch, not a trail of
-        timer-cut ones."""
-        entered, release, sizes = threading.Event(), threading.Event(), []
+        """Five requests arrive while the only worker is still busy with
+        a batch that already closed: they wait in the queue and become
+        one batch when the worker is free, not a trail of them."""
+        compiled = compiled_for(model)
+        entered, release = threading.Event(), threading.Event()
 
-        def predict_fn(_model, stack, batch_size):
-            sizes.append(len(stack))
-            if len(sizes) == 1:
+        def held(source, limit):
+            out = compiled.predict_stream(source, limit)
+            if not entered.is_set():    # the first batch, closed and run
                 entered.set()
                 assert release.wait(WAIT)
-            return np.zeros(len(stack)), np.zeros((len(stack), 4))
+            return out
 
-        policy = BatchPolicy(max_batch=8, max_wait_ms=5.0)
-        with InferenceService(model, policy, cache_size=0,
-                              predict_fn=predict_fn) as service:
+        guard = GuardedEngine(model, compiled=SimpleNamespace(
+            predict_stream=held, warmup=compiled.warmup))
+        with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
+                              engine=guard) as service:
             futures = [service.submit(chips(1)[0])]
             assert entered.wait(WAIT)
-            for chip in chips(5, seed=1):
-                futures.append(service.submit(chip))
-                time.sleep(0.004)
+            futures += service.submit_many(chips(5, seed=1))
             release.set()
-            for future in futures:
-                future.result(timeout=WAIT)
+            sizes = [f.result(timeout=WAIT).batch_size for f in futures]
             snap = service.metrics.snapshot()
-        assert sizes == [1, 5]
-        assert snap["batch_close_reasons"] == {"timer": 2}
-
-    def test_stacked_batches_close_on_max_batch_or_the_timer(self, model):
-        policy = BatchPolicy(max_batch=4, max_wait_ms=200.0)
-        with InferenceService(model, policy, cache_size=0) as service:
-            with service._cond:     # all four queued before the cut
-                full = service.submit_many(chips(4))
-            assert [f.result(timeout=WAIT).batch_size for f in full] == [4] * 4
-            lone = service.submit(chips(1, seed=1)[0]).result(timeout=WAIT)
-            snap = service.metrics.snapshot()
-        assert lone.batch_size == 1
-        assert snap["batch_close_reasons"] == {"max_batch": 1, "timer": 1}
+        assert sizes == [1] + [5] * 5
+        assert snap["batch_close_reasons"] == {"queue_empty": 2}
 
     def test_idle_workers_hold_no_model_slot(self, model):
         with InferenceService(model, num_workers=2) as service:
@@ -330,31 +321,27 @@ class TestShutdownAndBackpressure:
 
 
 class TestStress:
-    @pytest.mark.parametrize("backend", ["engine", "custom"])
-    def test_every_request_is_answered_exactly_once(self, model, backend):
+    @pytest.mark.parametrize("engine", ["engine", "custom"])
+    def test_every_request_is_answered_exactly_once(self, model, engine):
         """More workers and submitters than cores, a short switch
         interval: each request gets its own chip's answer, the batch
         histogram accounts for every request, and the queue's O(1)
-        bookkeeping ends at zero."""
-        def predict_fn(_model, stack, batch_size):
-            return stack[:, 0, 0, 0].astype(np.float64), np.zeros(
-                (len(stack), 4))
-
-        kwargs = ({"backend": "engine"} if backend == "engine"
-                  else {"predict_fn": predict_fn, "num_workers": 4})
+        bookkeeping ends at zero.  ``engine`` is the service's own
+        guarded engine on one worker; ``custom`` an injected one
+        (``engine=``) shared by four."""
+        kwargs = ({} if engine == "engine" else
+                  {"engine": FaultyEngine(model).guarded(), "num_workers": 4})
         per_client, clients = 40, 6
         total = per_client * clients
         stack = chips(total, seed=7)
-        want = (GuardedEngine(model).predict(stack)[0] if backend == "engine"
-                else stack[:, 0, 0, 0])
+        want = GuardedEngine(model).predict(stack)[0]
         got = np.full(total, np.nan)
         errors = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            policy = BatchPolicy(max_batch=5, max_wait_ms=1.0)
-            with InferenceService(model, policy, cache_size=0,
-                                  **kwargs) as service:
+            with InferenceService(model, BatchPolicy(max_batch=5),
+                                  cache_size=0, **kwargs) as service:
                 def client(k):
                     try:
                         rows = range(k * per_client, (k + 1) * per_client)

@@ -37,7 +37,7 @@ class TestRequestDeadline:
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
             with pytest.raises(ScanDeadlineError):
-                service.scan_scene(scene, timeout_s=1e-4, **KWARGS)
+                service.scan_scene(scene, timeout_s=1e-9, **KWARGS)
             snap = service.metrics.snapshot()
         assert snap["scan_deadline_expired"] == 1
 
@@ -121,16 +121,3 @@ class TestScanMany:
         # the drained queue replays: nothing reruns, nothing double-counts
         assert again["counts"]["done"] == 1
         assert again["jobs_run"] == 0
-
-    def test_custom_backend_is_rejected(self, model, tmp_path):
-        import numpy as np
-
-        def fake_predict(model, stack, batch_size):
-            n = len(stack)
-            return (np.zeros(n, dtype=np.float32),
-                    np.zeros((n, 4), dtype=np.float32))
-
-        with InferenceService(model, BatchPolicy(max_batch=8),
-                              predict_fn=fake_predict) as service:
-            with pytest.raises(ValueError, match="fleet scanning"):
-                service.scan_many({"j1": SCENE_CONFIG}, workdir=tmp_path)

@@ -1,20 +1,26 @@
-"""InferenceService.scan_scene: request-path and bulk-parallel scans."""
+"""InferenceService.scan_scene: one ``repro.detect.scan_scene`` call on
+the service's engine, inline or over the service-owned pool."""
 
-from dataclasses import fields
+import threading
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
+from repro.detect import SPPNetDetector, scan_origins, scan_scene
+from repro.faults import corrupt_scene
 from repro.geo import WatershedConfig, build_scene
+from repro.robust import SanitizePolicy
 from repro.serve import BatchPolicy, InferenceService
 
 ARCH = SPPNetConfig(
     convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
     spp_levels=(2, 1), fc_sizes=(32,), name="scan-method-test",
 )
-KWARGS = dict(window=64, stride=64, confidence_threshold=0.3)
+# batch 4, so the 9-origin scene makes two shards under n_workers=2: at
+# the default 20 the scan inlines (and says so with a RuntimeWarning)
+KWARGS = dict(window=64, stride=64, confidence_threshold=0.3, batch_size=4)
+WAIT = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -30,99 +36,120 @@ def scene():
                                        stream_threshold=600, seed=5))
 
 
-def assert_same_detections(served, local, ulps: int = 4) -> None:
-    """Same detections in the same order, float fields within ``ulps``
-    units in the last place.
+@pytest.fixture(scope="module")
+def damaged(scene):
+    """The scene with a third of its tiles corrupted (three of nine), so
+    a sanitized scan repairs some."""
+    origins = scan_origins(scene.size, KWARGS["window"], KWARGS["stride"])
+    image, _ = corrupt_scene(scene.image, origins, KWARGS["window"],
+                             fraction=0.34, seed=1)
+    return replace(scene, image=image)
 
-    A served scan's batch composition depends on batcher timing, and a
-    GEMM's low-order bits depend on which rows share the call, so exact
-    equality with a local scan is not a contract here (it is where
-    composition is pinned: the tests/scanpar parity matrix).
-    """
-    assert len(served) == len(local)
-    for got, want in zip(served, local):
-        for field in fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b))), (
-                f"{field.name}: {a!r} vs {b!r}")
+
+@pytest.fixture(scope="module")
+def service(model):
+    """One service for the equivalence matrix, so its lazily created
+    scan pool is spawned once."""
+    with InferenceService(model, BatchPolicy(max_batch=8)) as svc:
+        yield svc
 
 
 class TestScanMethod:
-    def test_request_path_matches_local_scan(self, model, scene):
-        local = scan_scene(model, scene, **KWARGS)
-        with InferenceService(model, BatchPolicy(max_batch=8),
-                              cache_size=0) as service:
-            served = service.scan_scene(scene, **KWARGS)
-            snap = service.metrics.snapshot()
-        assert_same_detections(served, local)
-        assert snap["scans"] == 1
-        assert snap["scan_tiles"] == served.coverage.tiles_total
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("robust", ["plain", "sanitize", "journal",
+                                        "sanitize+journal"])
+    def test_service_scan_is_scan_scene(self, model, service, damaged,
+                                        tmp_path, n_workers, robust):
+        """Bit for bit, coverage and journal bytes included."""
+        def scan(run, name):
+            kwargs = dict(KWARGS, n_workers=n_workers)
+            if "sanitize" in robust:
+                kwargs["sanitize"] = SanitizePolicy.for_scene()
+            if "journal" in robust:
+                kwargs["journal"] = tmp_path / name
+            return run(damaged, **kwargs)
+
+        before = service.metrics.snapshot()
+        served = scan(service.scan_scene, "served.jsonl")
+        local = scan(lambda *a, **k: scan_scene(model, *a, backend="engine",
+                                                **k), "local.jsonl")
+        after = service.metrics.snapshot()
+        assert list(served) == list(local)
+        assert served.coverage == local.coverage
+        if "journal" in robust:
+            assert ((tmp_path / "served.jsonl").read_bytes()
+                    == (tmp_path / "local.jsonl").read_bytes())
+        assert after["scans"] - before["scans"] == 1
+        assert (after["scan_tiles"] - before["scan_tiles"]
+                == served.coverage.tiles_total)
+
+    def test_resume_replays_a_journaled_service_scan(self, service, damaged,
+                                                     tmp_path):
+        journal = tmp_path / "scan.jsonl"
+        first = service.scan_scene(damaged, journal=journal, **KWARGS)
+        again = service.scan_scene(damaged, journal=journal, resume=True,
+                                   **KWARGS)
+        assert list(again) == list(first)
+        assert again.coverage.tiles_resumed == first.coverage.tiles_total
 
     def test_bulk_path_matches_local_scan(self, model, scene):
-        # batch 4, so the 9-origin scene makes two shards: at the default
-        # 20 the scan inlines (and now says so with a RuntimeWarning)
-        kwargs = dict(KWARGS, batch_size=4)
-        local = scan_scene(model, scene, **kwargs)
+        local = scan_scene(model, scene, backend="engine", **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
-            served = service.scan_scene(scene, n_workers=2, **kwargs)
+            served = service.scan_scene(scene, n_workers=2, **KWARGS)
             snap = service.metrics.snapshot()
-        assert_same_detections(served, local)
+        assert list(served) == list(local)
         assert served.coverage == local.coverage
         assert snap["scans"] == 1
         assert snap["scan_tiles"] == served.coverage.tiles_total
 
-    def test_request_path_rejects_sanitize(self, model, scene):
-        """The robust stage runs the model locally; the request path
-        cannot honour it (was ``scan_scene(service=, sanitize=)``)."""
-        from repro.robust import SanitizePolicy
+    def test_a_request_is_not_starved_by_a_running_scan(self, model, scene,
+                                                        monkeypatch):
+        """A chip submitted while ``scan_scene`` runs on another thread is
+        answered before the scan returns.  The scan takes the engine lock
+        per micro-batch (7 of them here), so the chip's batch runs
+        between two of them instead of queueing behind the whole scan.
+        The scan pauses after its first micro-batch until the chip is
+        answered (at most ``WAIT``), so the order is the test's, not the
+        scheduler's."""
+        from repro.detect import scan as scan_module
 
-        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
-            with pytest.raises(ValueError, match="robust scanning"):
-                service.scan_scene(scene, n_workers=1,
-                                   sanitize=SanitizePolicy.for_scene(),
-                                   **KWARGS)
-            assert service.metrics.snapshot()["scans"] == 0
+        kwargs = dict(window=64, stride=32, batch_size=4)
+        reference = scan_scene(model, scene, backend="engine", **kwargs)
+        real, under_way, answered = (scan_module.predict_windows,
+                                     threading.Event(), threading.Event())
 
-    def test_request_path_rejects_journal_and_resume(self, model, scene,
-                                                     tmp_path):
-        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
-            with pytest.raises(ValueError, match="robust scanning"):
-                service.scan_scene(scene, n_workers=1,
-                                   journal=tmp_path / "scan.jsonl", **KWARGS)
-            with pytest.raises(ValueError, match="robust scanning"):
-                service.scan_scene(scene, n_workers=1, resume=True, **KWARGS)
-        assert not (tmp_path / "scan.jsonl").exists()
+        def paused(*args, **kw):
+            for batch in real(*args, **kw):
+                yield batch
+                if not under_way.is_set():
+                    under_way.set()
+                    answered.wait(WAIT)
 
-    def test_request_path_accepts_batch_size_and_backend(self, model, scene):
-        """Accepted and without effect there: the service cuts its own
-        batches on its own backend."""
+        monkeypatch.setattr(scan_module, "predict_windows", paused)
+        order, scans = [], []
+        chip = scene.image[:, :64, 64:128].copy()
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
-            plain = service.scan_scene(scene, **KWARGS)
-            spelled = service.scan_scene(scene, batch_size=3,
-                                         backend="engine", **KWARGS)
-            assert service.backend == "eager"
-        assert_same_detections(spelled, plain)
+            def scan():
+                scans.append(service.scan_scene(scene, **kwargs))
+                order.append("scan")
 
-    def test_bulk_path_rejects_custom_backend(self, model, scene):
-        def fake_predict(model, stack, batch_size):
-            n = len(stack)
-            return (np.zeros(n, dtype=np.float32),
-                    np.zeros((n, 4), dtype=np.float32))
-
-        with InferenceService(model, BatchPolicy(max_batch=8),
-                              predict_fn=fake_predict) as service:
-            with pytest.raises(ValueError, match="bulk parallel"):
-                service.scan_scene(scene, n_workers=2, **KWARGS)
+            scanner = threading.Thread(target=scan)
+            scanner.start()
+            under_way.wait(WAIT)
+            future = service.submit(chip)
+            future.add_done_callback(
+                lambda _: (order.append("chip"), answered.set()))
+            future.result(timeout=2 * WAIT)
+            scanner.join(2 * WAIT)
+            assert not scanner.is_alive()
+        assert order == ["chip", "scan"]
+        assert list(scans[0]) == list(reference)
 
 
 class TestScanPool:
     """The service-owned persistent pool and thread-safe start methods."""
-
-    # small batches so the 9-origin scene shards across 2 workers
-    # instead of inlining (shards snap to micro-batch boundaries)
-    POOL_KWARGS = dict(KWARGS, batch_size=4)
 
     def test_scan_from_threaded_service_prefers_spawn(self, model):
         # regression: the batcher/worker threads make fork unsafe, so a
@@ -133,15 +160,14 @@ class TestScanPool:
             assert default_start_method() == "spawn"
 
     def test_startup_pool_is_warm_and_closed_on_shutdown(self, model, scene):
-        local = scan_scene(model, scene, **self.POOL_KWARGS)
+        local = scan_scene(model, scene, backend="engine", **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8),
                               scan_workers=2) as service:
             pool = service._scan_pool
             assert pool is not None and pool.n_workers == 2
             # the model was delivered at startup, before any scan
             assert pool.stats["model_sends"] == 2
-            served = service.scan_scene(scene, n_workers=2,
-                                        **self.POOL_KWARGS)
+            served = service.scan_scene(scene, n_workers=2, **KWARGS)
             assert list(served) == list(local)
             assert pool.stats["runs"] == 1
             assert pool.stats["model_sends"] == 2  # no re-send
@@ -149,15 +175,13 @@ class TestScanPool:
         assert service._scan_pool is None
 
     def test_lazy_pool_created_once_and_closed(self, model, scene):
-        local = scan_scene(model, scene, **self.POOL_KWARGS)
+        local = scan_scene(model, scene, backend="engine", **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8)) as service:
             assert service._scan_pool is None
-            first = service.scan_scene(scene, n_workers=2,
-                                       **self.POOL_KWARGS)
+            first = service.scan_scene(scene, n_workers=2, **KWARGS)
             pool = service._scan_pool
             assert pool is not None
-            second = service.scan_scene(scene, n_workers=2,
-                                        **self.POOL_KWARGS)
+            second = service.scan_scene(scene, n_workers=2, **KWARGS)
             assert service._scan_pool is pool
             assert pool.stats["workers_spawned"] == 2
             assert pool.stats["runs"] == 2
