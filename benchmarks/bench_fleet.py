@@ -14,7 +14,7 @@ merge.  This benchmark is that promise as an executable gate:
 * **chaos sweep** — the same scenes through a
   :class:`~repro.faults.FaultyDetector` whose
   :class:`~repro.faults.WorkerFaultPlan` scripts faults on ≥30% of the
-  expected worker model calls (a mix of hung workers, SIGKILLs
+  expected worker engine calls (a mix of hung workers, SIGKILLs
   mid-shard, and slow calls), plus one scene's journal pre-seeded as a
   torn crash artifact (:func:`~repro.faults.tear_trailing_line`);
 * **gate** — the chaos sweep must complete every job (no dead
@@ -60,7 +60,7 @@ STRIDE = 32
 BATCH_SIZE = 8
 CONFIDENCE = 0.3
 N_WORKERS = 2
-FAULT_FRACTION = 0.30     # of expected worker model calls
+FAULT_FRACTION = 0.30     # of expected worker engine calls
 SHARD_DEADLINE_S = 2.0
 OVERSHOOT_GATE_S = 1.0    # hung worker may not stall past deadline+this
 
@@ -185,10 +185,11 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
     shutil.copyfile(clean_dir / f"{torn_job}.journal.jsonl", torn_journal)
     torn_bytes = tear_trailing_line(torn_journal)
 
-    # expected worker model calls: one per tile actually scanned in a
-    # worker (robust shards run per-tile batches).  The torn scene's
-    # single missing tile rescans *inline* (one remaining tile is below
-    # the 2-shard parallel floor), so only the untouched scenes are
+    # expected worker engine calls: one per tile actually scanned in a
+    # worker (robust shards run each tile alone through the guard).  The
+    # torn scene's single missing tile rescans *inline* (one remaining
+    # tile is below the 2-shard parallel floor), so only the untouched
+    # scenes are
     # guaranteed worker calls — faults beyond this floor might never
     # fire, and the fired() gate would flake.
     expected_calls = tiles_per_scene * (n_scenes - 1)

@@ -25,31 +25,27 @@ per-window <= 0.85 at 577 px, where 21 of 121 windows are edge windows
 (it reads 0.71-0.76; 0.96-1.0 when the edge origin set the lattice).
 
 **The pool rows** (a small model, so scanpar's own costs show): the
-same scene scanned by
+same scene scanned on the engine by
 
-* sequential eager / sequential engine : one process (the floor and
-  the compiled baseline);
-* parallel eager / parallel engine : ``scan_scene(n_workers=N)`` with
-  shared-memory sharding, measured both *cold* (a private throwaway
-  ``WorkerPool`` built inside the timed call: worker spawn + model
-  send + engine warmup inside the timed region) and *warm* (the
-  persistent shared pool, workers already holding the deserialized
-  model and its warmed engine);
+* sequential : one process, the baseline;
+* parallel : ``scan_scene(n_workers=N)`` with shared-memory sharding,
+  measured both *cold* (a private throwaway ``WorkerPool`` built inside
+  the timed call: worker spawn + model send + engine warmup inside the
+  timed region) and *warm* (the persistent shared pool, workers already
+  holding the deserialized model and its warmed engine);
 * auto : ``n_workers="auto"`` — the adaptive policy picks the worker
   count from CPU affinity and scene size, inlining to sequential when
   parallelism cannot win; the chosen count is reported in the payload.
 
 Every parallel configuration is parity-checked against the sequential
-scan of the same backend — the scanpar determinism contract says
-detections and coverage must match exactly.  The ratio gates are the
-**median of paired ratios** over fixed rounds (each round times every
-warm configuration once, from a rotating start; one discarded warm-up
-round; a bootstrap interval from ``benchmarks/e2e/stats.py``): no
-best-of, no resample-until-pass.  The pool's win is made explicit as
+scan — the scanpar determinism contract says detections and coverage
+must match exactly.  The ratio gates are the **median of paired
+ratios** over fixed rounds (each round times every warm configuration
+once, from a rotating start; one discarded warm-up round; a bootstrap
+interval from ``benchmarks/e2e/stats.py``): no best-of, no
+resample-until-pass.  The pool's win is made explicit as
 ``parallel_overhead_ms`` (cold minus warm scan time: what the
-persistent pool saves every scan after the first), and the streaming
-tiler's bounded batch buffer is recorded against the bytes the old
-materialize-everything scan would have allocated.  Emits
+persistent pool saves every scan after the first).  Emits
 ``BENCH_scan.json``.
 
 The speedup gate is honest about hardware: sharding cannot beat the
@@ -95,23 +91,18 @@ BATCH_SIZE = 20
 CONFIDENCE = 0.3
 ROUNDS = 11               # paired rounds behind every ratio gate
 WARMUP_ROUNDS = 1         # discarded before them
-# Re-measured as medians of paired ratios on the 2-core reference box
-# (95258cd88437) at the 256 px CI scene / the 600 px scene, the parent
-# commit under the same statistic in brackets (the retired best-of
-# statistic also timed eager cold, which is where "11x" came from):
-#   warm pool vs sequential eager    3.0-3.9 / 6.0-6.5  [2.0 / 3.5]
-#   warm pool vs sequential engine   0.62-0.72 / 1.2    [1.0 / 1.8]
-#   auto vs sequential engine        1.0 (inlines) / 0.9-1.0  [1.3 / 1.9]
-# Both sides got faster in absolute terms (sequential 1.9-2.4x, warm
-# pool 1.1-1.9x): this model's whole conv trunk is shared, so a tile
-# costs 0.2-0.3 ms, a 49-tile scan is 14 ms of work against ~8 ms of
-# dispatch, and each shard recomputes the prefix chunks its first
-# window row straddles.  With intervals as wide as 0.6-1.4 on 15-60 ms
-# scans, the pool gates are floors against a collapse, not claimed
-# speedups; the 384 px default reads 0.8-1.2 and 0.7-1.1.
-SPEEDUP_GATE = 2.0        # warm parallel engine vs sequential eager
-POOL_SPEEDUP_GATE = 0.5   # warm parallel engine vs sequential engine
-AUTO_FLOOR = 0.6          # auto row vs sequential engine
+# Medians of paired ratios on the 2-core reference box (95258cd88437)
+# at the 256 px CI scene / the 600 px scene:
+#   warm pool vs sequential   0.62-0.72 / 1.2
+#   auto vs sequential        1.0 (inlines) / 0.9-1.0
+# This model's whole conv trunk is shared, so a tile costs 0.2-0.3 ms, a
+# 49-tile scan is 14 ms of work against ~8 ms of dispatch, and each
+# shard recomputes the prefix chunks its first window row straddles.
+# With intervals as wide as 0.6-1.4 on 15-60 ms scans, the pool gates
+# are floors against a collapse, not claimed speedups; the 384 px
+# default reads 0.8-1.2 and 0.7-1.1.
+POOL_SPEEDUP_GATE = 0.5   # warm parallel vs sequential
+AUTO_FLOOR = 0.6          # auto row vs sequential
 
 STRIDE_SCENE = harness.SCENE["size"]
 STRIDES = (25, 50, 100)
@@ -261,12 +252,8 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
                           confidence_threshold=CONFIDENCE,
                           batch_size=BATCH_SIZE, **kwargs)
 
-    # Parity is a *per-backend* contract: the sharded scan must
-    # reproduce the sequential scan of the same backend exactly (engine
-    # and eager legitimately differ in low-order float bits, so a
-    # cross-backend comparison would only measure kernel fusion).
-    reference = {backend: scan(backend=backend, n_workers=1)
-                 for backend in ("eager", "engine")}
+    # the sharded scan must reproduce the sequential scan exactly
+    reference = scan(n_workers=1)
 
     # The cold row builds a private throwaway pool inside its timed call
     # (spawn + model send + engine warmup are what it measures) *before*
@@ -276,22 +263,17 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
     # configuration once, starting one further down the list than the
     # last, so no configuration always inherits the same predecessor's
     # spinning BLAS threads.
-    cold = dict(backend="engine", n_workers=forced)
-
     def cold_scan():
         with WorkerPool(forced) as private:
-            return scan(pool=private, **cold)
+            return scan(pool=private, n_workers=forced)
     paired = {
-        "sequential-eager": dict(backend="eager", n_workers=1),
-        "parallel-eager": dict(backend="eager", n_workers=forced),
-        "sequential-engine": dict(backend="engine", n_workers=1),
-        "auto-engine": dict(backend="engine", n_workers="auto"),
-        "parallel-engine": dict(backend="engine", n_workers=forced),
+        "sequential-engine": dict(n_workers=1),
+        "auto-engine": dict(n_workers="auto"),
+        "parallel-engine": dict(n_workers=forced),
     }
     results: dict[str, object] = {}
     cold_ms, results["parallel-engine-cold"] = timed_ms(cold_scan)
-    for backend in reference:
-        scan(backend=backend, n_workers=forced)
+    scan(n_workers=forced)
     labels = list(paired)
     rounds = []
     for index in range(WARMUP_ROUNDS + ROUNDS):
@@ -304,21 +286,20 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
     walls = {label: [r[label] for r in rounds] for label in paired}
     walls["parallel-engine-cold"] = [cold_ms]
 
-    eager_ms = stats.median(walls["sequential-eager"])
+    sequential_ms = stats.median(walls["sequential-engine"])
     rows = []
-    for label, kwargs in {**paired, "parallel-engine-cold": cold}.items():
+    configs = {**paired, "parallel-engine-cold": paired["parallel-engine"]}
+    for label, kwargs in configs.items():
         elapsed_ms = stats.median(walls[label])
-        ref = reference[kwargs["backend"]]
         rows.append({
             "label": label,
-            "backend": kwargs["backend"],
             "n_workers": kwargs["n_workers"],
             "tiles_per_s": n_tiles / elapsed_ms * 1e3,
             "elapsed_ms": elapsed_ms,
-            "speedup_vs_sequential_eager": eager_ms / elapsed_ms,
-            "matches_sequential_same_backend": (
-                list(results[label]) == list(ref)
-                and results[label].coverage == ref.coverage
+            "speedup_vs_sequential": sequential_ms / elapsed_ms,
+            "matches_sequential": (
+                list(results[label]) == list(reference)
+                and results[label].coverage == reference.coverage
             ),
             "n_detections": len(results[label]),
         })
@@ -330,16 +311,8 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
     method = default_start_method()
     pool = warm_pool(method)
 
-    # memory story: the eager scan's reusable batch buffer vs the
-    # (n_tiles, C, window, window) stack the old scan materialized
-    source = TileSource(scene.image, WINDOW, batch_size=BATCH_SIZE)
-    streaming_bytes = source.tile_buffer_bytes
-    materialized_bytes = n_tiles * scene.image.shape[0] * WINDOW * WINDOW * 4
-
     strides = stride_table(stride_scene)
     ratios = {
-        "parallel_engine_vs_sequential_eager": paired_ratio(
-            rounds, "sequential-eager", "parallel-engine"),
         "parallel_engine_vs_sequential_engine": paired_ratio(
             rounds, "sequential-engine", "parallel-engine"),
         "auto_vs_sequential_engine": paired_ratio(
@@ -364,11 +337,6 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
             "stats": dict(pool.stats) if pool is not None else None,
         },
         "configs": rows,
-        "tile_buffer_bytes": {
-            "streaming": streaming_bytes,
-            "materialized": materialized_bytes,
-            "reduction_x": materialized_bytes / streaming_bytes,
-        },
         # what check_regression.py keeps in the baseline: absolute
         # numbers and the ratios behind the gates, next to the machine
         "absolute": {
@@ -398,7 +366,7 @@ def payload_checks(payload: dict, mode: str) -> list:
     """
     checks = [
         check(f"{row['label']}_matches_sequential",
-              row["matches_sequential_same_backend"], "bool")
+              row["matches_sequential"], "bool")
         for row in payload["configs"]
     ]
     strides = payload["absolute"]["stride_table"]["rows"]
@@ -437,9 +405,6 @@ def payload_checks(payload: dict, mode: str) -> list:
             checks.append(check(name, ratio, "<=", EDGE_GATE, track=False))
         else:
             checks.append(check(name, ratio, "info", track=False))
-    checks.append(check(
-        "streaming_buffer_reduction_x",
-        payload["tile_buffer_bytes"]["reduction_x"], ">=", 2.0))
     # machine-absolute timings: tracked for sign/floor, not for drift
     checks.append(check("parallel_overhead_ms",
                         payload["parallel_overhead_ms"], ">=", 0.0,
@@ -452,10 +417,6 @@ def payload_checks(payload: dict, mode: str) -> list:
         mode = "speedup" if payload["cpu_count"] >= 2 else "parity"
     if mode == "speedup":
         checks.append(check(
-            "parallel_engine_speedup_vs_sequential_eager",
-            ratios["parallel_engine_vs_sequential_eager"]["median"],
-            ">=", SPEEDUP_GATE, track=False))
-        checks.append(check(
             "parallel_engine_speedup_vs_sequential_engine",
             ratios["parallel_engine_vs_sequential_engine"]["median"],
             ">=", POOL_SPEEDUP_GATE, track=False))
@@ -464,7 +425,7 @@ def payload_checks(payload: dict, mode: str) -> list:
 
 def test_scan_configurations_agree():
     """Acceptance: every scan configuration reproduces the sequential
-    scan of its backend exactly, the shared path returns the per-window
+    scan exactly, the shared path returns the per-window
     composition's detections at every stride without losing at stride 50
     or 100, the persistent pool beats a cold pool, the auto policy holds
     its floor against the sequential engine scan, and the warm-pool
@@ -515,20 +476,16 @@ def main() -> None:
           f"{payload['n_workers_auto']} worker(s), forced "
           f"{payload['n_workers_forced']}")
     for row in payload["configs"]:
-        parity = "ok" if row["matches_sequential_same_backend"] else "MISMATCH"
+        parity = "ok" if row["matches_sequential"] else "MISMATCH"
         print(f"{row['label']:<20s}: {row['tiles_per_s']:8.1f} tiles/s  "
-              f"({row['speedup_vs_sequential_eager']:4.2f}x)  parity={parity}")
+              f"({row['speedup_vs_sequential']:4.2f}x)  parity={parity}")
     for name, ratio in payload["absolute"]["pool"]["paired_ratios"].items():
         print(f"{name:<37s}: {ratio['median']:.2f} "
               f"[{ratio['interval95'][0]:.2f}-{ratio['interval95'][1]:.2f}]")
     pool = payload["pool"]
     print(f"pool              : start_method={pool['start_method']} "
           f"spawn_ms={pool['spawn_ms']} warm saves "
-          f"{payload['parallel_overhead_ms']:.1f} ms/scan")
-    mem = payload["tile_buffer_bytes"]
-    print(f"tile buffer       : {mem['streaming']:,} B streaming vs "
-          f"{mem['materialized']:,} B materialized "
-          f"({mem['reduction_x']:.0f}x smaller) -> {args.out}")
+          f"{payload['parallel_overhead_ms']:.1f} ms/scan -> {args.out}")
 
     finish(payload, payload_checks(payload, args.gate_mode), args.out,
            enforce=args.gate == "on")

@@ -10,15 +10,12 @@ ground-truth crossing locations by center distance — the operational
 metric a hydrologist cares about (is the breach applied at the right
 cell?).
 
-The batched scan pulls its model outputs from one generator,
-:func:`repro.detect.predict.predict_windows`.  On the engine that is
-SPP-Net's own economy: the conv layers overlapping windows share run
-once per scene row chunk and each window only crops their feature map
-(``docs/engine.md``, "Windows of one raster"), so no window stack is
-ever materialized and the result is bitwise the per-window one.  On the
-eager backend tiles stream through a strided-view micro-batch buffer
-(:class:`repro.scanpar.TileSource`), so peak tile memory is one
-``batch_size`` stack regardless of scene size.
+Every scan runs on the compiled engine.  The batched scan pulls its
+model outputs from :meth:`repro.engine.CompiledModel.predict_windows`:
+SPP-Net's own economy, where the conv layers overlapping windows share
+run once per scene row chunk and each window only crops their feature
+map (``docs/engine.md``, "Windows of one raster"), so no window stack
+is ever materialized and the result is bitwise the per-window one.
 
 Production scenes are not pristine: tiles arrive with NaN pixels, nodata
 holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
@@ -52,7 +49,6 @@ import numpy as np
 
 from ..geo.crossings import Crossing
 from ..geo.scene import Scene
-from .predict import predict, predict_windows
 from .sppnet import SPPNetDetector
 
 if TYPE_CHECKING:
@@ -67,11 +63,12 @@ __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
 class ScanDeadlineError(TimeoutError):
     """A scan's wall-clock deadline expired before it finished.
 
-    Raised by the fleet supervisor (``repro.fleet.supervise``) when a
+    Raised inline before a batch or tile would start late, and by the
+    pool's supervised dispatch loop (``repro.scanpar.pool``) when a
     run-level deadline — typically a per-request deadline propagated
     from ``serve.InferenceService.scan_scene(timeout_s=...)`` — passes
-    with shards still in flight.  Journaled scans lose nothing: the
-    tiles finished before the deadline are on disk and a later
+    with shards still in flight.  Journaled scans lose nothing: the tiles
+    finished before the deadline are on disk and a later
     ``resume=True`` scan picks up from them.
     """
 
@@ -205,13 +202,14 @@ def _detections_from_outputs(
 
 
 def _scan_meta(scene_size: int, bands: int, window: int, stride: int,
-               confidence_threshold: float, backend: str) -> dict:
+               confidence_threshold: float) -> dict:
     """Journal header describing one scan configuration.
 
     Deliberately excludes ``n_workers`` and ``batch_size``: a journal
     written by a parallel scan must resume under a sequential one (and
     vice versa), so only parameters that change the *result* participate
-    in the header identity check.
+    in the header identity check.  ``"backend"`` stays: a journal an
+    eager scan wrote has other float bits and must not resume.
     """
     return {
         "scene_size": int(scene_size),
@@ -219,8 +217,16 @@ def _scan_meta(scene_size: int, bands: int, window: int, stride: int,
         "window": int(window),
         "stride": int(stride),
         "confidence_threshold": float(confidence_threshold),
-        "backend": backend,
+        "backend": "engine",
     }
+
+
+def _require_engine(backend: str, what: str) -> None:
+    """``backend=`` keeps one legal value while the frozen benchmark
+    harness still passes it."""
+    if backend != "engine":
+        raise ValueError(f"backend={backend!r}: {what} runs on the compiled "
+                         "engine only; the keyword goes with ROADMAP item 1")
 
 
 def scan_scene(
@@ -231,7 +237,7 @@ def scan_scene(
     confidence_threshold: float = 0.7,
     nms_radius: float = 20.0,
     batch_size: int = 20,
-    backend: str = "eager",
+    backend: str = "engine",
     sanitize: "SanitizePolicy | None" = None,
     journal: "ScanJournal | str | None" = None,
     resume: bool = False,
@@ -251,8 +257,8 @@ def scan_scene(
 
     What a caller chooses (``docs/scanning.md``, "One pipeline"):
 
-    * ``backend``: ``"eager"`` or ``"engine"`` (the compiled engine,
-      which computes what overlapping windows share once per scene).
+    * ``backend``: ``"engine"`` (the compiled engine, which computes
+      what overlapping windows share once per scene), its only value.
     * ``sanitize`` (a :class:`~repro.robust.SanitizePolicy`) and/or
       ``journal`` (a path or :class:`~repro.robust.ScanJournal`) select
       the *robust* stage: each tile is sanitized, run alone behind its
@@ -274,6 +280,7 @@ def scan_scene(
       recovers hung, dead and poisoned pool workers (``docs/fleet.md``);
       its report is attached as ``.supervision``.
     """
+    _require_engine(backend, "scan_scene")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout_s must be positive or None")
     if n_workers != "auto" and (isinstance(n_workers, str) or n_workers < 1):
@@ -305,7 +312,7 @@ def scan_scene(
                     RuntimeWarning, stacklevel=2)
 
     meta = _scan_meta(scene.size, image.shape[0], window, stride,
-                      confidence_threshold, backend)
+                      confidence_threshold)
     policy, jr, done = sanitize, None, {}
     if sanitize is not None or journal is not None:
         from ..robust.journal import ScanJournal
@@ -328,8 +335,7 @@ def scan_scene(
     if not shards:
         payloads = [scan_span(
             model, image, origins, (0, len(origins)), window=window,
-            backend=backend, confidence_threshold=confidence_threshold,
-            **stage)]
+            confidence_threshold=confidence_threshold, **stage)]
     else:
         from ..scanpar.parallel import run_shards
 
@@ -384,7 +390,6 @@ def scan_span(
     *,
     window: int,
     batch_size: int,
-    backend: str,
     confidence_threshold: float,
     policy: "SanitizePolicy | None" = None,
     skip: frozenset = frozenset(),
@@ -397,13 +402,13 @@ def scan_span(
     :func:`scan_scene` calls it once over the whole scan (inline) or
     once per shard inside pool workers (``scanpar.worker.run_shard``):
     the same code either way.  ``origins`` is always the *whole* scan's,
-    so an engine span shares feature maps on the scan's own chunk grid.
+    so a span shares feature maps on the scan's own chunk grid.
 
     Without a ``policy`` tiles run in micro-batches pulled from
-    :func:`~repro.detect.predict.predict_windows` and the payload is
-    ``{"confidences", "boxes"}`` (raw model outputs, in origin order).
-    With one, every tile not in ``skip`` (already journaled) goes
-    sanitize -> guarded predict on its own, in index order; finished
+    ``CompiledModel.predict_windows`` and the payload is ``{"confidences",
+    "boxes"}`` (raw model outputs, in origin order).  With one, every
+    tile not in ``skip`` (already journaled) goes sanitize ->
+    ``GuardedEngine.predict_batch`` on its own, in index order; finished
     records are written with one ``journal.extend`` (one fsync) per
     ``batch_size`` of them, and the payload is ``{"records",
     "fallbacks"}``.  ``deadline_at`` (monotonic) is checked before each
@@ -421,9 +426,11 @@ def scan_span(
                    if journal is not None else ""))
 
     if policy is None:
-        batches = predict_windows(model, image, origins, window,
-                                  batch_size=batch_size, backend=backend,
-                                  span=span)
+        from ..engine import compiled_for
+
+        model.eval()
+        batches = compiled_for(model).predict_windows(
+            image, origins, window, batch_size=batch_size, span=span)
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         scanned = 0
         while scanned < stop - start:
@@ -434,22 +441,11 @@ def scan_span(
         return {"confidences": np.concatenate([conf for conf, _ in parts]),
                 "boxes": np.concatenate([box for _, box in parts])}
 
+    from ..robust.guard import GuardedEngine
     from ..robust.journal import TileRecord
     from ..robust.sanitize import sanitize_chip
 
-    guarded = None
-    if backend == "engine":     # the validated engine -> eager fallback
-        from ..robust.guard import GuardedEngine
-
-        guarded = GuardedEngine(model)
-
-    def run(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if guarded is not None:
-            return guarded.predict_batch(stack)[:2]
-        # resolved at call time, so fault-injection monkeypatches of
-        # ``predict`` apply inside forked worker processes too
-        return predict(model, stack, batch_size=len(stack), backend=backend)
-
+    guarded = GuardedEngine(model)
     todo = [index for index in range(start, stop) if index not in skip]
     records: list[TileRecord] = []
     committed = 0
@@ -476,8 +472,8 @@ def scan_span(
                 record = TileRecord(index, (r0, c0), "quarantined",
                                     reason=result.report.summary())
             else:
-                record = _run_tile(run, result, index, (r0, c0), window,
-                                   confidence_threshold)
+                record = _run_tile(guarded, result, index, (r0, c0),
+                                   window, confidence_threshold)
             records.append(record)
             if len(records) - committed == batch_size:
                 commit()
@@ -485,19 +481,18 @@ def scan_span(
         # a deadline or a crash out of the loop still leaves every
         # finished tile on disk
         commit()
-    return {"records": records, "fallbacks": (
-        {} if guarded is None else dict(guarded.fallback_by_reason))}
+    return {"records": records, "fallbacks": guarded.fallback_by_reason}
 
 
-def _run_tile(run, result, index: int, origin: tuple[int, int], window: int,
-              confidence_threshold: float):
+def _run_tile(guarded, result, index: int, origin: tuple[int, int],
+              window: int, confidence_threshold: float):
     """Model execution for one sanitized tile, with its fault boundary."""
     from ..robust.journal import TileRecord
 
     r0, c0 = origin
     reason = "; ".join(result.repairs) if result.repairs else None
     try:
-        conf, box = run(result.chip[None])
+        conf, box, _ = guarded.predict_batch(result.chip[None])
     except Exception as exc:  # the fault boundary: poison stays in the tile
         return TileRecord(index, origin, "quarantined",
                           reason=f"model failure: {exc!r}")

@@ -959,13 +959,20 @@ _COMPILED_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def compiled_for(model) -> CompiledModel:
-    """Per-model-instance compile cache used by ``backend="engine"``
-    call sites (``predict``, ``scan_scene``, the NAS latency evaluator).
+    """Per-model-instance compile cache used by every engine call site
+    (``scan_scene``, ``GuardedEngine``, ``predict(backend="engine")``,
+    the NAS latency evaluator).
 
     The compiled program snapshots weights at first use; training the
     model afterwards requires a fresh :func:`compile` (or a new model
     object) to pick up the new parameters.
+
+    A wrapper that is not a traceable module hands over its program
+    from an ``engine_program()`` method (``repro.faults.FaultyDetector``).
     """
+    engine_program = getattr(model, "engine_program", None)
+    if engine_program is not None:
+        return engine_program()
     compiled = _COMPILED_CACHE.get(model)
     if compiled is None:
         compiled = _COMPILED_CACHE[model] = compile(model)

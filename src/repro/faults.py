@@ -14,7 +14,7 @@ every run:
   dropped bands, saturation stripes, truncated edge tiles — plus
   :func:`corrupt_scene` to damage a seeded fraction of a scene's tiles.
 * **Process-level worker faults** for the fleet chaos suite —
-  :class:`FaultyDetector` wraps a picklable model so scripted forward
+  :class:`FaultyDetector` wraps a picklable model so scripted engine
   calls hang, die (SIGKILL), stall, or raise *inside pool worker
   processes*, each fault firing exactly once across the whole worker
   fleet via an atomic filesystem fuse; :func:`tear_trailing_line`
@@ -380,9 +380,10 @@ _FAULT_KINDS = frozenset({"hang", "kill", "slow", "error"})
 class WorkerFaultPlan:
     """Scripted worker-process faults keyed by model-call ordinal.
 
-    ``faults`` maps a *global* forward-call ordinal (0-based, counted
-    across every worker process that shares ``fuse_dir``) to a fault
-    kind:
+    ``faults`` maps a *global* engine-call ordinal (0-based, counted
+    across every worker process that shares ``fuse_dir``; one per
+    micro-batch of a batched shard, one per tile of a robust one) to a
+    fault kind:
 
     - ``"hang"``  : sleep ``hang_s`` (the wedged-but-alive worker; the
       supervisor's deadline kill is the only way out),
@@ -430,13 +431,18 @@ class WorkerFaultPlan:
 #                       keyed by instance, like any other model
 class FaultyDetector:
     """Picklable detector wrapper that injects :class:`WorkerFaultPlan`
-    faults into forward calls **in worker processes only**.
+    faults into its engine calls **in worker processes only**.
 
-    Travels to pool workers inside the normal model pickle; the wrapped
-    model's numerics are untouched (a non-faulting call delegates
-    verbatim), so a scan through a ``FaultyDetector`` that recovers from
+    Travels to pool workers inside the normal model pickle.
+    ``repro.engine.compiled_for`` runs the wrapped model's program
+    behind this wrapper's fault point (:meth:`engine_program`), which
+    claims one ordinal per micro-batch of ``predict_windows`` and one
+    per ``predict`` call (a robust tile).  A non-faulting call delegates
+    verbatim, so a scan through a ``FaultyDetector`` that recovers from
     every fault must produce byte-identical detections to the bare
-    model — the fleet chaos gate's core assertion.
+    model — the fleet chaos gate's core assertion.  An ``"error"`` also
+    fails ``GuardedEngine``'s eager re-run of the call, so it fails a
+    batched shard or quarantines a robust tile, never answered by eager.
 
     The parent pid is captured at construction: calls in that process
     never fault (and never consume ordinals), so the supervisor's
@@ -448,6 +454,7 @@ class FaultyDetector:
     plan: WorkerFaultPlan
     parent_pid: int = field(default_factory=os.getpid)
     _next_ordinal: int = field(default=0, compare=False)
+    _failed: bool = field(default=False, compare=False)
 
     def _claim_ordinal(self) -> int:
         """Atomically claim the next unclaimed global call ordinal."""
@@ -465,6 +472,7 @@ class FaultyDetector:
             return n
 
     def _maybe_fault(self) -> None:
+        self._failed = False
         if os.getpid() == self.parent_pid:
             return
         ordinal = self._claim_ordinal()
@@ -478,12 +486,21 @@ class FaultyDetector:
         elif kind == "slow":
             time.sleep(self.plan.slow_s)
         elif kind == "error":
+            self._failed = True
             raise InjectedFault(
                 f"injected worker fault at call ordinal {ordinal}"
             )
 
+    def engine_program(self) -> "_FaultyProgram":
+        """What ``repro.engine.compiled_for`` runs for this wrapper."""
+        from .engine import compiled_for
+
+        return _FaultyProgram(compiled_for(self.model), self)
+
     def __call__(self, *args, **kwargs):
-        self._maybe_fault()
+        if self._failed:    # the guard re-running the call that just failed
+            self._failed = False
+            raise InjectedFault("injected worker fault, eager re-run")
         return self.model(*args, **kwargs)
 
     def eval(self):
@@ -502,6 +519,27 @@ class FaultyDetector:
         if name.startswith("__") or "model" not in self.__dict__:
             raise AttributeError(name)
         return getattr(self.model, name)
+
+
+class _FaultyProgram:
+    """A compiled program with a :class:`FaultyDetector`'s fault point
+    on the calls a scan makes; the rest is the program's own."""
+
+    def __init__(self, compiled, detector: FaultyDetector) -> None:
+        self.compiled = compiled
+        self.detector = detector
+
+    def predict_windows(self, *args, **kwargs):
+        for batch in self.compiled.predict_windows(*args, **kwargs):
+            self.detector._maybe_fault()
+            yield batch
+
+    def predict(self, images, batch_size: int = 20):
+        self.detector._maybe_fault()
+        return self.compiled.predict(images, batch_size=batch_size)
+
+    def __getattr__(self, name: str):
+        return getattr(self.compiled, name)
 
 
 def tear_trailing_line(path: str | Path, keep_fraction: float = 0.5) -> int:

@@ -41,7 +41,7 @@ __all__ = ["ScanFleet"]
 #: from a durable file, not from code)
 _SCAN_KEYS = frozenset({
     "window", "stride", "confidence_threshold", "nms_radius",
-    "batch_size", "backend", "timeout_s",
+    "batch_size", "timeout_s",
 })
 
 
@@ -137,7 +137,7 @@ class ScanFleet:
         """Register one scene job; returns False if already queued.
 
         ``scan_kwargs`` whitelists the :func:`scan_scene` parameters a
-        payload may pin (window, stride, backend, timeout_s, ...).
+        payload may pin (window, stride, timeout_s, ...).
         """
         unknown = set(scan_kwargs) - _SCAN_KEYS
         if unknown:

@@ -9,7 +9,8 @@ inference path standing on such inputs:
 * :mod:`~repro.robust.journal` — append-only JSONL scan journal backing
   ``scan_scene``'s per-tile quarantine and crash-resume;
 * :mod:`~repro.robust.guard` — :class:`GuardedEngine`, the validated
-  engine→eager fallback used by ``backend="engine"`` serving.
+  engine→eager fallback every served batch and every robust scan tile
+  runs through.
 
 See ``docs/robustness.md``.
 """

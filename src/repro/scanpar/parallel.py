@@ -10,7 +10,7 @@
   (:func:`~repro.scanpar.sharding.partition_origins`), so every
   worker's batches are exactly the inline scan's batches — and every
   worker is told the *whole* scan's origins with its span of them, so
-  an engine worker shares feature maps on the scan's own chunk grid
+  a worker shares feature maps on the scan's own chunk grid
   (docs/engine.md, "Windows of one raster"): a chunk it needs is the
   same program over the same pixels as in the inline scan, and a shard
   only recomputes the chunks its first window row straddles;
@@ -29,8 +29,9 @@
 (:func:`resolve_n_workers`): the worker count derives from the visible
 CPU affinity, the scan's micro-batch count, and a measured spawn-cost
 threshold — on a one-core box (or a scene too small to amortize a cold
-spawn) the scan runs inline, so parallelism is never a regression by
-construction.
+spawn) the scan runs inline.  Where it shards it can lose: on a 2-core
+box ``benchmarks/e2e``'s ``scan_pool`` reads 5.5-5.8 ms/tile against
+4.04 sequential (ROADMAP item 6).
 
 Robust shards (``sanitize=``/``journal=``) journal per-shard JSONL files
 that ``scan_scene`` absorbs into the single main journal
@@ -44,7 +45,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import threading
-import warnings
 from contextlib import ExitStack
 from itertools import zip_longest
 
@@ -186,13 +186,6 @@ def resolve_n_workers(
     return budget
 
 
-# dtype each backend's predict() emits — sizes the parent-allocated
-# result slabs.  A mismatch is safe (workers detect it and return
-# inline) but loud (_note_slab_fallbacks); the map only has to be right
-# for the zero-pickle fast path.
-_RESULT_DTYPES = {"eager": np.float64, "engine": np.float32}
-
-
 def run_shards(
     model,
     image: np.ndarray,
@@ -211,13 +204,14 @@ def run_shards(
     ``(span payloads in shard order, SupervisionReport or None)``.
 
     ``meta`` is the scan's identity header (``detect.scan._scan_meta``:
-    scene size, window, stride, threshold, backend); with ``batch_size``,
+    scene size, window, stride, threshold); with ``batch_size``,
     ``policy`` and ``skip`` it is everything a worker needs to call
     :func:`repro.detect.scan.scan_span` on its span.  ``pool`` defaults
     to the shared persistent pool.  A robust shard (``policy`` set)
     journals to ``journal.shard_path(index)``; a batched one returns
-    through a result slab, copied back into its payload here so the
-    caller's merge sees one payload form.
+    through a float32 result slab (the engine's output dtype), copied
+    back into its payload here so the caller's merge sees one payload
+    form.
 
     Dispatch is the pool's one loop: ``pool.run`` (one attempt, a lost
     shard raises) unless ``supervision`` (a
@@ -231,7 +225,6 @@ def run_shards(
     to the merge.
     """
     robust = policy is not None
-    backend = meta["backend"]
     if pool is None:
         pool = get_pool(len(shards))
     model_hash = pool.ensure_model(model)
@@ -240,8 +233,8 @@ def run_shards(
         # count: column 0 confidences, columns 1:5 boxes.  Parent-owned,
         # so cleanup is guaranteed even when a worker dies mid-shard.
         slabs = [] if robust else [
-            stack.enter_context(SharedArray.allocate(
-                (shard.size, 5), _RESULT_DTYPES.get(backend, np.float64)))
+            stack.enter_context(SharedArray.allocate((shard.size, 5),
+                                                     np.float32))
             for shard in shards
         ]
         tasks = [
@@ -250,7 +243,6 @@ def run_shards(
                 shm=shared.spec(), model_hash=model_hash,
                 scene_size=meta["scene_size"], window=meta["window"],
                 stride=meta["stride"], batch_size=batch_size,
-                backend=backend,
                 confidence_threshold=meta["confidence_threshold"],
                 result=slab.spec() if slab is not None else None,
                 policy=policy,
@@ -269,18 +261,7 @@ def run_shards(
         else:
             payloads = pool.run(tasks)
         for slab, payload in zip(slabs, payloads):
-            if payload["via_slab"]:
-                out = slab.array()
-                payload["confidences"] = out[:, 0].copy()
-                payload["boxes"] = out[:, 1:5].copy()
-    # dtype-map misses: those shards returned their arrays through the
-    # pipe because the slab had the wrong dtype.  The scan is still
-    # byte-identical, but it pickled what the slabs exist to avoid.
-    reasons = [p["slab_fallback"] for p in payloads if p.get("slab_fallback")]
-    if reasons:
-        pool.stats["slab_fallbacks"] += len(reasons)
-        warnings.warn(
-            f"{len(reasons)} of {len(payloads)} shards returned results "
-            f"inline instead of through their slab: {reasons[0]}",
-            RuntimeWarning, stacklevel=3)
+            out = slab.array()
+            payload["confidences"] = out[:, 0].copy()
+            payload["boxes"] = out[:, 1:5].copy()
     return payloads, report

@@ -274,7 +274,7 @@ class WorkerPool:
         self.spawn_ms = 0.0          # cumulative wall time spent spawning
         self.stats = {"workers_spawned": 0, "workers_revived": 0,
                       "workers_killed": 0, "model_sends": 0, "tasks": 0,
-                      "runs": 0, "slab_fallbacks": 0}
+                      "runs": 0}
         with self._lock:
             self._spawn_locked(n_workers)
 

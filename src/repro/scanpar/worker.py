@@ -7,22 +7,19 @@ shared memory, warms the compiled engine's program cache *once* for
 what its shard will actually run, and hands its contiguous origin range
 to :func:`repro.detect.scan.scan_span`: the tile pipeline the inline
 scan runs, told the *whole* scan's origins and the shard's span of
-them, so an engine worker shares feature maps on the scan's own chunk
+them, so a worker shares feature maps on the scan's own chunk
 grid and computes the bytes the inline scan computes.
 
 Result return is shared-memory first: batched shards write their
 ``(confidences, boxes)`` into the parent-allocated result slab named by
-``task.result`` (an ``(n, 5)`` block — column 0 the confidences,
-columns 1:5 the boxes — sized from the shard's origin count), so no
-ndarray is ever pickled back through the pipe; the reply is a small
-metadata dict.  If the backend's output dtype does not match the slab
-(the parent sizes slabs from a per-backend dtype map), the worker
-returns the arrays inline rather than cast — correctness never depends
-on the map being right — and says so: the payload's ``slab_fallback``
-carries the reason, which the parent counts and warns about.  Robust
-shards (``task.policy`` set) journal into a per-shard JSONL file the
-parent later absorbs; their per-tile records return through the pipe
-(small, not ndarrays).
+``task.result`` (an ``(n, 5)`` float32 block — column 0 the
+confidences, columns 1:5 the boxes — sized from the shard's origin
+count), so no ndarray is ever pickled back through the pipe; the reply
+is a small metadata dict.  A slab of any other dtype is refused, not
+cast into: the merge must stay byte-identical to the inline scan.
+Robust shards (``task.policy`` set) journal into a per-shard JSONL file
+the parent later absorbs; their per-tile records return through the
+pipe (small, not ndarrays).
 """
 
 from __future__ import annotations
@@ -46,8 +43,8 @@ class ShardTask:
     window: int
     stride: int
     batch_size: int
-    backend: str
     confidence_threshold: float
+    backend: str = "engine"           # its one legal value (ROADMAP item 1)
     model_hash: str | None = None     # worker-side model cache key
     result: dict | None = None        # SharedArray.spec() of the (n, 5)
     #                                   result slab (batched shards)
@@ -55,6 +52,11 @@ class ShardTask:
     journal_path: str | None = None       # shard journal (robust only)
     journal_meta: dict | None = None
     skip: frozenset = field(default_factory=frozenset)  # resumed indices
+
+    def __post_init__(self) -> None:
+        from ..detect.scan import _require_engine
+
+        _require_engine(self.backend, "a scan shard")
 
 
 def _warm_engine(model, image_shape: tuple[int, ...], window: int,
@@ -94,6 +96,7 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
     the same warmed ``compiled_for`` programs) survives across scans.
     """
     from ..detect.scan import scan_origins, scan_span
+    from ..engine import compiled_for
 
     model = (model_cache or {}).get(task.model_hash)
     if model is None:
@@ -105,16 +108,9 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
     robust = task.policy is not None
     with attach_array(task.shm) as shared:
         image = shared.array
-        warmup_ms, plan = 0.0, None
-        if task.backend == "engine":
-            warmup_ms = _warm_engine(
-                model, image.shape, task.window, task.stop - task.start,
-                task.batch_size, origins, robust)
-            if not robust:
-                from ..engine import compiled_for
-
-                plan = compiled_for(model).window_plan(
-                    image.shape, task.window, origins).to_json()
+        warmup_ms = _warm_engine(
+            model, image.shape, task.window, task.stop - task.start,
+            task.batch_size, origins, robust)
         journal = None
         if task.journal_path is not None:
             from ..robust.journal import ScanJournal
@@ -124,29 +120,27 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
         payload = scan_span(
             model, image, origins, (task.start, task.stop),
             window=task.window, batch_size=task.batch_size,
-            backend=task.backend,
             confidence_threshold=task.confidence_threshold,
             policy=task.policy, skip=task.skip, journal=journal)
         payload.update(shard=task.shard_index, warmup_ms=warmup_ms,
                        model_cached=True)
         if robust:
             return payload
-        # how the engine ran this shard's windows (None: eager)
-        payload.update(window_plan=plan, via_slab=False, slab_fallback=None)
+        # how the engine ran this shard's windows
+        payload.update(window_plan=compiled_for(model).window_plan(
+            image.shape, task.window, origins).to_json(),
+            via_slab=task.result is not None)
         if task.result is not None:
-            confidences, boxes = payload["confidences"], payload["boxes"]
+            confidences = payload.pop("confidences")
+            boxes = payload.pop("boxes")
             with attach_array(task.result) as slab:
-                if confidences.dtype == boxes.dtype == slab.array.dtype:
-                    slab.array[:, 0] = confidences
-                    slab.array[:, 1:5] = boxes
-                    payload["via_slab"] = True
-                    del payload["confidences"], payload["boxes"]
-                else:
-                    # the parent sized the slab for another dtype: return
-                    # inline rather than cast (the merge must stay
-                    # byte-identical to the inline scan), and say so
-                    payload["slab_fallback"] = (
-                        f"{task.backend} backend returned "
-                        f"{confidences.dtype} confidences and {boxes.dtype} "
-                        f"boxes for a {slab.array.dtype} result slab")
+                if not confidences.dtype == boxes.dtype == slab.array.dtype:
+                    # a cast would make the merge differ from the inline
+                    # scan's bytes
+                    raise TypeError(
+                        f"result slab is {slab.array.dtype}, but the engine "
+                        f"returned {confidences.dtype} confidences and "
+                        f"{boxes.dtype} boxes")
+                slab.array[:, 0] = confidences
+                slab.array[:, 1:5] = boxes
         return payload

@@ -393,7 +393,7 @@ class InferenceService:
     def scan_scene(self, scene, *, n_workers: int | str = 1, **scan_kwargs):
         """Scan a whole scene with this service's model: one
         :func:`repro.detect.scan_scene` call on the engine, so the
-        result equals ``scan_scene(model, scene, backend="engine", ...)``
+        result equals ``scan_scene(model, scene, ...)``
         bit for bit, coverage included.
 
         ``scan_kwargs`` are that function's (``sanitize`` / ``journal``
@@ -418,8 +418,8 @@ class InferenceService:
         )
         pool = self._ensure_scan_pool(n_workers) if bulk else None
         try:
-            result = scan(self.model, scene, backend="engine",
-                          n_workers=n_workers, pool=pool, **scan_kwargs)
+            result = scan(self.model, scene, n_workers=n_workers, pool=pool,
+                          **scan_kwargs)
         except ScanDeadlineError:
             self.metrics.scan_deadline_expired.inc()
             raise
@@ -453,7 +453,7 @@ class InferenceService:
                           n_workers=n_workers, supervision=supervision,
                           **fleet_kwargs)
         for job_id, config in jobs.items():
-            fleet.submit_scene(job_id, config, backend="engine")
+            fleet.submit_scene(job_id, config)
         summary = fleet.run()
         for job in summary["results"].values():
             self.metrics.scans.inc()

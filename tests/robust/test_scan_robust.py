@@ -123,19 +123,19 @@ class TestRobustScan:
 
     def test_model_crash_is_contained_to_the_tile(self, scene, model,
                                                   monkeypatch):
-        """A predict() that blows up on one tile quarantines that tile
-        and the scan still completes."""
-        import repro.detect.scan as scan_mod
-
-        real = scan_mod.predict
-        poisoned = FatalOn(real, poisoned={True},
-                           key=lambda m, stack, **kw: bool(np.any(
+        """A guarded engine call that blows up on one tile (its eager
+        fallback too) quarantines that tile and the scan still
+        completes."""
+        poisoned = FatalOn(GuardedEngine.predict_batch, poisoned={True},
+                           key=lambda guard, stack, *_: bool(np.any(
                                stack[:, :, :8, :8] > 0.999)))
         # poison whichever tiles have a near-1 corner pixel; force some
         bad_image = scene.image.copy()
         bad_image[:, 64:72, 64:72] = 0.9999
         bad_scene = replace(scene, image=bad_image)
-        monkeypatch.setattr(scan_mod, "predict", poisoned)
+        monkeypatch.setattr(GuardedEngine, "predict_batch",
+                            lambda guard, stack, batch_size=None:
+                            poisoned(guard, stack, batch_size))
         result = scan_scene(model, bad_scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
                             sanitize=SanitizePolicy.for_scene())
@@ -146,19 +146,17 @@ class TestRobustScan:
 
     def test_non_finite_model_output_quarantines_tile(self, scene, model,
                                                       monkeypatch):
-        import repro.detect.scan as scan_mod
-
         calls = {"n": 0}
-        real = scan_mod.predict
+        real = GuardedEngine.predict_batch
 
-        def nan_on_third(m, stack, **kw):
+        def nan_on_third(guard, stack, batch_size=None):
             calls["n"] += 1
-            conf, boxes = real(m, stack, **kw)
+            conf, boxes, answered = real(guard, stack, batch_size)
             if calls["n"] == 3:
                 conf = np.full_like(conf, np.nan)
-            return conf, boxes
+            return conf, boxes, answered
 
-        monkeypatch.setattr(scan_mod, "predict", nan_on_third)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", nan_on_third)
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
                             sanitize=SanitizePolicy.for_scene())
@@ -171,7 +169,7 @@ class TestRobustScan:
             scan_scene(model, scene, resume=True)
 
     @pytest.mark.parametrize("stage", ["plain", "sanitize", "journal"])
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("backend", ["engine"])
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected_before_any_work(
             self, scene, model, tmp_path, batch_size, backend, stage):
@@ -236,12 +234,10 @@ class TestJournalResume:
         path = tmp_path / "scan.jsonl"
         self.scan(model, scene, path)
 
-        import repro.detect.scan as scan_mod
-
         def boom(*a, **kw):
             raise AssertionError("model must not run on a complete journal")
 
-        monkeypatch.setattr(scan_mod, "predict", boom)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", boom)
         resumed = self.scan(model, scene, path, resume=True)
         assert resumed.coverage.tiles_resumed == resumed.coverage.tiles_total
 
@@ -254,6 +250,19 @@ class TestJournalResume:
                        confidence_threshold=0.6,
                        sanitize=SanitizePolicy.for_scene(),
                        journal=path, resume=True)
+
+    def test_an_eager_journal_does_not_resume_on_the_engine(self, scene,
+                                                            model, tmp_path):
+        """Eager and engine answers differ in low-order bits, so a
+        journal an eager scan wrote is refused, not mixed with engine
+        records."""
+        path = tmp_path / "scan.jsonl"
+        self.scan(model, scene, path)
+        header, *records = path.read_text().splitlines(keepends=True)
+        eager = json.dumps({**json.loads(header), "backend": "eager"})
+        path.write_text(eager + "\n" + "".join(records[:3]))
+        with pytest.raises(ScanJournalError, match="backend"):
+            self.scan(model, scene, path, resume=True)
 
     def test_torn_final_line_is_dropped(self, scene, model, tmp_path):
         path = tmp_path / "scan.jsonl"
@@ -299,20 +308,20 @@ class TestJournalFaults:
             self, scene, model, tmp_path, monkeypatch):
         """The quarantine fault model end to end: deterministic poisoned
         inputs never succeed, and a resume does not retry them."""
-        import repro.detect.scan as scan_mod
-
         origins = scan_origins(scene.size, WINDOW, STRIDE)
         poison_origin = origins[4]
         r, c = poison_origin
         key_tile = scene.image[:, r:r + WINDOW, c:c + WINDOW]
 
-        real = scan_mod.predict
         poisoned = FatalOn(
-            real, poisoned={key_tile[0, 0, 0].tobytes()},
-            key=lambda m, stack, **kw: stack[0, 0, 0, 0].tobytes(),
+            GuardedEngine.predict_batch,
+            poisoned={key_tile[0, 0, 0].tobytes()},
+            key=lambda guard, stack, *_: stack[0, 0, 0, 0].tobytes(),
             exc=InjectedFault,
         )
-        monkeypatch.setattr(scan_mod, "predict", poisoned)
+        monkeypatch.setattr(GuardedEngine, "predict_batch",
+                            lambda guard, stack, batch_size=None:
+                            poisoned(guard, stack, batch_size))
         path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
@@ -339,14 +348,14 @@ class TestGroupCommit:
         import repro.detect.scan as scan_mod
 
         clock = SimpleNamespace(now=0.0, calls=0)
-        real = scan_mod.predict
+        real = GuardedEngine.predict_batch
 
-        def predict(*args, **kwargs):
+        def predict_batch(*args, **kwargs):
             clock.now += 1.0
             clock.calls += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scan_mod, "predict", predict)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
         monkeypatch.setattr(scan_mod, "time",
                             SimpleNamespace(monotonic=lambda: clock.now))
         return clock
@@ -372,17 +381,15 @@ class TestGroupCommit:
 
     def test_a_crash_out_of_the_loop_flushes_the_buffer(
             self, scene, model, tmp_path, monkeypatch):
-        import repro.detect.scan as scan_mod
+        real, calls = GuardedEngine.predict_batch, []
 
-        real, calls = scan_mod.predict, []
-
-        def predict(*args, **kwargs):
+        def predict_batch(*args, **kwargs):
             calls.append(1)
             if len(calls) == 7:
                 raise KeyboardInterrupt     # not the tile's to contain
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scan_mod, "predict", predict)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
         path = tmp_path / "scan.jsonl"
         with pytest.raises(KeyboardInterrupt):
             scan_scene(model, scene, journal=path, **self.KW)
@@ -494,7 +501,6 @@ class TestScanIsThePerTileReference:
     def scan(self, model, scene, journal, **kwargs):
         return scan_scene(model, scene, window=WINDOW, stride=self.STRIDE,
                           confidence_threshold=self.THRESHOLD, batch_size=4,
-                          backend="engine",
                           sanitize=SanitizePolicy.for_scene(),
                           journal=journal, **kwargs)
 

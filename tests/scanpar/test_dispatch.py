@@ -58,8 +58,7 @@ def make_tasks(scene, shared, model_hash):
         ShardTask(shard_index=s.index, start=s.start, stop=s.stop,
                   shm=shared.spec(), model_hash=model_hash,
                   scene_size=scene.size, window=WINDOW, stride=STRIDE,
-                  batch_size=BATCH, backend="eager",
-                  confidence_threshold=0.3)
+                  batch_size=BATCH, confidence_threshold=0.3)
         for s in partition_origins(len(origins), 2, BATCH)
     ]
 
@@ -81,7 +80,7 @@ class TestMoreShardsThanWorkers:
 
     @pytest.mark.parametrize("supervision", [None, True])
     @pytest.mark.parametrize("journaled", [False, True])
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("backend", ["engine"])
     def test_four_shards_on_two_workers(self, model, scene, tmp_path,
                                         backend, journaled, supervision):
         def run(n_workers, **kwargs):
@@ -114,7 +113,7 @@ class TestMoreShardsThanWorkers:
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerError, match="every worker died"):
                 scan(FaultyDetector(model, plan), scene, n_workers=4,
-                     pool=pool, backend="eager")
+                     pool=pool)
             assert pool.stats["workers_revived"] == 2
             assert_pool_whole(pool)
 

@@ -1,15 +1,22 @@
 """Parallel sharded scanning reproduces the sequential scan exactly."""
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.faults import corrupt_scene
 from repro.geo import WatershedConfig, build_scene
+from repro.nas.space import config_from_sample
 from repro.robust import ScanJournal
+from repro.scanpar import SharedArray, ShardTask, WorkerPool, run_shard
 
 WINDOW = 100
 SCENE_SIZE = 200
@@ -55,8 +62,8 @@ class TestParity:
     def test_one_worker_is_the_sequential_scan(self, model, scene):
         assert_identical(scan(model, scene, n_workers=1), scan(model, scene))
 
-    @pytest.mark.slow  # 3 strides x 2 backends x 3 worker counts
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.slow  # 3 strides x 3 worker counts
+    @pytest.mark.parametrize("backend", ["engine"])
     @pytest.mark.parametrize("stride", [25, 50, 100])
     def test_sweep_matches_sequential(self, model, scene, backend, stride):
         sequential = scan(model, scene, stride=stride, backend=backend)
@@ -67,16 +74,12 @@ class TestParity:
             assert_identical(parallel, sequential)
 
     def test_spawn_start_method_matches_fork(self, model, scene):
-        from repro.scanpar import WorkerPool
-
         sequential = scan(model, scene)
         with WorkerPool(2, start_method="spawn") as pool:
             spawned = scan(model, scene, n_workers=2, pool=pool)
         assert_identical(spawned, sequential)
 
     def test_cold_private_pool_matches_warm_shared_pool(self, model, scene):
-        from repro.scanpar import WorkerPool
-
         sequential = scan(model, scene)
         pooled = scan(model, scene, n_workers=2)  # shared persistent pool
         with WorkerPool(2) as pool:               # private, cold
@@ -85,13 +88,11 @@ class TestParity:
         assert_identical(cold, sequential)
 
     @pytest.mark.slow  # spawn pays an interpreter boot per worker
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("backend", ["engine"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pooled_backend_start_method_matrix(self, model, scene,
                                                 backend, start_method):
         import multiprocessing as mp
-
-        from repro.scanpar import WorkerPool
 
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable")
@@ -118,8 +119,7 @@ class TestEdgeWindows:
                                            stream_threshold=600, seed=5))
 
     def test_pooled_scan_equals_the_inline_one(self, deployed, ragged):
-        kwargs = dict(backend="engine", batch_size=20,
-                      confidence_threshold=0.0)
+        kwargs = dict(batch_size=20, confidence_threshold=0.0)
         inline = scan(deployed, ragged, **kwargs)
         pooled = scan(deployed, ragged, n_workers=2, **kwargs)
         assert len(inline) > 0
@@ -148,38 +148,26 @@ class TestEdgeWindows:
                 compiled._scan[2]) == bound
 
 
-class TestSlabFallback:
-    """A shard that cannot use its result slab returns inline — counted
-    and warned, never silent (ROADMAP "Loud fallbacks")."""
+class TestResultSlab:
+    """A batched shard returns through a float32 slab, the engine's
+    output dtype; a slab of another dtype is refused, never cast into."""
 
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
-    def test_clean_scans_fire_none(self, model, scene, backend,
-                                   recwarn):
-        from repro.scanpar import WorkerPool
-
-        with WorkerPool(2) as pool:
-            scan(model, scene, backend=backend, n_workers=2, pool=pool)
-            assert pool.stats["slab_fallbacks"] == 0
-        assert not [w for w in recwarn if "slab" in str(w.message)]
-
-    def test_wrong_slab_dtype_fires_once_and_stays_identical(
-            self, model, scene, monkeypatch):
-        import numpy as np
-
-        from repro.scanpar import WorkerPool, parallel
-
-        sequential = scan(model, scene, backend="engine")
-        # float32 engine results into float64 slabs
-        monkeypatch.setitem(parallel._RESULT_DTYPES, "engine", np.float64)
-        with WorkerPool(2) as pool:
-            with pytest.warns(RuntimeWarning, match="inline") as caught:
-                forced = scan(model, scene, backend="engine", n_workers=2,
-                              pool=pool)
-            assert pool.stats["slab_fallbacks"] == 2    # one per shard
-        assert len(caught) == 1
-        assert "float32" in str(caught[0].message) \
-            and "float64" in str(caught[0].message)
-        assert_identical(forced, sequential)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_a_slab_of_another_dtype_raises_naming_both(self, model, scene,
+                                                        dtype):
+        origins = scan_origins(scene.size, WINDOW, 50)
+        with SharedArray(scene.image) as shared, \
+                SharedArray.allocate((len(origins), 5), dtype) as slab:
+            task = ShardTask(shard_index=0, start=0, stop=len(origins),
+                             shm=shared.spec(), model_hash="m",
+                             scene_size=scene.size, window=WINDOW, stride=50,
+                             batch_size=4, confidence_threshold=0.3,
+                             result=slab.spec())
+            with pytest.raises(TypeError) as raised:
+                run_shard(task, {"m": model})
+            assert not slab.array().any()       # nothing was cast in
+        message = str(raised.value)
+        assert np.dtype(dtype).name in message and "float32" in message
 
 
 class TestInlineShard:
@@ -188,7 +176,7 @@ class TestInlineShard:
     warning when the caller had asked for workers."""
 
     @pytest.mark.parametrize("backend, robust", [
-        ("eager", False), ("engine", False), ("engine", True)])
+        ("engine", False), ("engine", True)])
     def test_one_worker_touches_no_shm_and_no_pool(self, model, scene,
                                                    tmp_path, monkeypatch,
                                                    backend, robust):
@@ -288,7 +276,7 @@ class TestRobustParallel:
             rec.index for rec in records
         )
 
-    @pytest.mark.parametrize("backend", ["eager", "engine"])
+    @pytest.mark.parametrize("backend", ["engine"])
     @pytest.mark.parametrize("writer", [1, 2])
     def test_every_crash_point_resumes_identically(self, model, corrupted,
                                                    tmp_path, backend, writer):
@@ -344,3 +332,69 @@ class TestRobustParallel:
                        n_workers=2)
         assert list(resumed) == list(full)
         assert resumed.coverage.tiles_resumed > 0
+
+
+# -- engine fuzz, worker-count axis ------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_pool():
+    with WorkerPool(2) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene():
+    return build_scene(WatershedConfig(size=160, road_spacing=64,
+                                       stream_threshold=600, seed=9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(first_kernel=st.sampled_from((1, 3, 5, 7, 9)),
+       spp_first_level=st.integers(1, 5),
+       fc_width=st.sampled_from((8, 16, 24)),
+       window=st.integers(32, 44),
+       stride=st.sampled_from((8, 12, 16, 20, 24)),
+       steps=st.integers(2, 4),
+       remainder=st.sampled_from((0, 1, 3, 7)),
+       batch=st.sampled_from((2, 3, 5)),
+       journaled=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_pooled_scan_is_the_inline_scan_property(
+        fuzz_pool, fuzz_scene, first_kernel, spp_first_level, fc_width,
+        window, stride, steps, remainder, batch, journaled, seed):
+    """Random search-space samples x scan geometries (scene sizes the
+    stride does not divide among them) x batch x journaling: two pool
+    workers return the inline scan's detections, coverage and journal
+    records."""
+    config = replace(
+        config_from_sample({"first_kernel": first_kernel,
+                            "spp_first_level": spp_first_level,
+                            "fc_width": fc_width}),
+        convs=(ConvSpec(8, first_kernel, 1), ConvSpec(16, 3, 1)),
+        pools=(PoolSpec(2, 2), PoolSpec(2, 2)))
+    model = SPPNetDetector(config, seed=seed).eval()
+    size = window + steps * stride + remainder
+    scene = replace(fuzz_scene,
+                    config=replace(fuzz_scene.config, size=size),
+                    image=np.ascontiguousarray(
+                        fuzz_scene.image[:, :size, :size]))
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(n_workers, **kwargs):
+            if journaled:
+                kwargs["journal"] = Path(tmp) / f"w{n_workers}.jsonl"
+            return scan_scene(model, scene, window=window, stride=stride,
+                              confidence_threshold=0.0, batch_size=batch,
+                              n_workers=n_workers, **kwargs)
+
+        inline = run(1)
+        runs = fuzz_pool.stats["runs"]
+        pooled = run(2, pool=fuzz_pool)
+        assert fuzz_pool.stats["runs"] == runs + 1     # it did shard
+        if journaled:
+            lines = [sorted((Path(tmp) / f"w{n}.jsonl").read_text()
+                            .splitlines()) for n in (1, 2)]
+            assert lines[0] == lines[1]
+    assert_identical(pooled, inline)
+    assert inline.coverage.tiles_total == len(
+        scan_origins(size, window, stride))

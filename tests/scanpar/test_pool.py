@@ -12,6 +12,7 @@ import pytest
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
+from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
     SharedArray,
@@ -56,7 +57,7 @@ def scan(model, scene, **kwargs):
     return scan_scene(model, scene, **kwargs)
 
 
-def make_tasks(scene, shared, model_hash, backend="engine"):
+def make_tasks(scene, shared, model_hash):
     origins = scan_origins(scene.size, WINDOW, STRIDE)
     shards = partition_origins(len(origins), 2, BATCH)
     assert len(shards) >= 2
@@ -64,40 +65,24 @@ def make_tasks(scene, shared, model_hash, backend="engine"):
         ShardTask(shard_index=s.index, start=s.start, stop=s.stop,
                   shm=shared.spec(), model_hash=model_hash,
                   scene_size=scene.size, window=WINDOW, stride=STRIDE,
-                  batch_size=BATCH, backend=backend,
-                  confidence_threshold=0.3)
+                  batch_size=BATCH, confidence_threshold=0.3)
         for s in shards
     ]
 
 
 class ExplodingModel:
-    """Picklable model stand-in that fails on any inference attempt."""
+    """Picklable model stand-in the engine cannot compile."""
 
     def eval(self):
         return self
 
-    def __call__(self, *args, **kwargs):
-        raise RuntimeError("boom")
 
-
-class HangingModel:
-    """Picklable model stand-in that wedges its worker forever."""
-
-    def eval(self):
-        return self
-
-    def __call__(self, *args, **kwargs):
-        time.sleep(3600)
-
-
-class SelfKillingModel:
-    """Picklable model stand-in that SIGKILLs its worker mid-shard."""
-
-    def eval(self):
-        return self
-
-    def __call__(self, *args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
+def faulty(model, tmp_path, kind):
+    """``model`` whose first two engine calls fleet-wide do ``kind``:
+    "hang" wedges the calling worker, "kill" SIGKILLs it, so each of
+    two workers takes one."""
+    return FaultyDetector(model, WorkerFaultPlan(
+        faults={0: kind, 1: kind}, fuse_dir=str(tmp_path / "fuses")))
 
 
 class TestPoolReuse:
@@ -175,17 +160,15 @@ class TestPipeProtocol:
 
         monkeypatch.setattr(mp_connection.Connection, "send",
                             recording_send)
-        sequential = scan(model, scene, n_workers=1, backend="engine")
+        sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool:
-            pooled = scan(model, scene, n_workers=2, pool=pool,
-                          backend="engine")
+            pooled = scan(model, scene, n_workers=2, pool=pool)
             # a replacement worker compiles from scratch, with no
             # parent decisions to adopt
             victim = pool._workers[0].proc
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
-            revived = scan(model, scene, n_workers=2, pool=pool,
-                           backend="engine")
+            revived = scan(model, scene, n_workers=2, pool=pool)
             assert pool.stats["workers_revived"] == 1
         assert {"model", "shard"} <= set(sent)
         assert set(sent) <= {"model", "shard", "ping", "stop"}
@@ -212,9 +195,6 @@ class TestScheduleSync:
             assert sequential.reason is None and sequential.chunk_heights
             for payload in pool.run(tasks):
                 assert payload["window_plan"] == sequential.to_json()
-            eager = pool.run(make_tasks(scene, shared,
-                                        pool.ensure_model(model), "eager"))
-            assert all(p["window_plan"] is None for p in eager)
 
 
 class TestAdaptivePolicy:
@@ -273,7 +253,7 @@ class TestStartMethod:
 class TestFailurePaths:
     def test_uncached_model_error_names_shard(self, scene):
         with WorkerPool(1) as pool, SharedArray(scene.image) as shared:
-            tasks = make_tasks(scene, shared, "0" * 40, backend="eager")
+            tasks = make_tasks(scene, shared, "0" * 40)
             with pytest.raises(WorkerError, match=r"shard 0 \(origins"):
                 pool.run(tasks[:1])
             # the failure must not poison the pool
@@ -284,7 +264,7 @@ class TestFailurePaths:
             pytest.skip("no /dev/shm to observe")
         before = set(os.listdir("/dev/shm"))
         with WorkerPool(2) as pool:
-            with pytest.raises(WorkerError, match="boom|Error"):
+            with pytest.raises(WorkerError, match="input_shape is required"):
                 scan(ExplodingModel(), scene, n_workers=2, pool=pool)
         after = set(os.listdir("/dev/shm"))
         leaked = {name for name in after - before if name.startswith("psm_")}
@@ -309,10 +289,11 @@ class TestFailurePaths:
 class TestDispatchDeadline:
     """Satellite fix: ``run`` must never block forever on a wedged worker."""
 
-    def test_hung_workers_are_killed_and_revived(self, model, scene):
+    def test_hung_workers_are_killed_and_revived(self, model, scene,
+                                                 tmp_path):
         with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
-            hang_hash = pool.ensure_model(HangingModel())
-            tasks = make_tasks(scene, shared, hang_hash, backend="eager")
+            hang_hash = pool.ensure_model(faulty(model, tmp_path, "hang"))
+            tasks = make_tasks(scene, shared, hang_hash)
             t0 = time.monotonic()
             with pytest.raises(WorkerError,
                                match=r"missed the 1\.0s dispatch deadline"):
@@ -321,18 +302,19 @@ class TestDispatchDeadline:
             assert pool.stats["workers_killed"] == 2
             # the pool came back with fresh workers and stays usable
             model_hash = pool.ensure_model(model)
-            payloads = pool.run(make_tasks(scene, shared, model_hash,
-                                           backend="eager"))
+            payloads = pool.run(make_tasks(scene, shared, model_hash))
             assert len(payloads) == len(tasks)
 
-    def test_sigkill_mid_shard_raises_and_pool_recovers(self, model, scene):
+    def test_sigkill_mid_shard_raises_and_pool_recovers(self, model, scene,
+                                                        tmp_path):
         # satellite 3: worker death mid-shard (not merely hung) must
         # surface as WorkerError, revive on the next run, and re-warm
         # the replacement's model cache
         sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerError, match="died"):
-                scan(SelfKillingModel(), scene, n_workers=2, pool=pool)
+                scan(faulty(model, tmp_path, "kill"), scene, n_workers=2,
+                     pool=pool)
             sends_before = pool.stats["model_sends"]
             result = scan(model, scene, n_workers=2, pool=pool)
             assert pool.stats["workers_revived"] >= 1
@@ -340,13 +322,15 @@ class TestDispatchDeadline:
             assert pool.stats["model_sends"] > sends_before
         assert list(result) == list(sequential)
 
-    def test_sigkill_mid_shard_leaks_no_shm_slabs(self, scene):
+    def test_sigkill_mid_shard_leaks_no_shm_slabs(self, model, scene,
+                                                  tmp_path):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to observe")
         before = set(os.listdir("/dev/shm"))
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerError, match="died"):
-                scan(SelfKillingModel(), scene, n_workers=2, pool=pool)
+                scan(faulty(model, tmp_path, "kill"), scene, n_workers=2,
+                     pool=pool)
         after = set(os.listdir("/dev/shm"))
         leaked = {name for name in after - before if name.startswith("psm_")}
         assert leaked == set()

@@ -71,8 +71,8 @@ class TestScanMethod:
 
         before = service.metrics.snapshot()
         served = scan(service.scan_scene, "served.jsonl")
-        local = scan(lambda *a, **k: scan_scene(model, *a, backend="engine",
-                                                **k), "local.jsonl")
+        local = scan(lambda *a, **k: scan_scene(model, *a, **k),
+                     "local.jsonl")
         after = service.metrics.snapshot()
         assert list(served) == list(local)
         assert served.coverage == local.coverage
@@ -93,7 +93,7 @@ class TestScanMethod:
         assert again.coverage.tiles_resumed == first.coverage.tiles_total
 
     def test_bulk_path_matches_local_scan(self, model, scene):
-        local = scan_scene(model, scene, backend="engine", **KWARGS)
+        local = scan_scene(model, scene, **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
             served = service.scan_scene(scene, n_workers=2, **KWARGS)
@@ -112,11 +112,11 @@ class TestScanMethod:
         The scan pauses after its first micro-batch until the chip is
         answered (at most ``WAIT``), so the order is the test's, not the
         scheduler's."""
-        from repro.detect import scan as scan_module
+        from repro.engine import CompiledModel
 
         kwargs = dict(window=64, stride=32, batch_size=4)
-        reference = scan_scene(model, scene, backend="engine", **kwargs)
-        real, under_way, answered = (scan_module.predict_windows,
+        reference = scan_scene(model, scene, **kwargs)
+        real, under_way, answered = (CompiledModel.predict_windows,
                                      threading.Event(), threading.Event())
 
         def paused(*args, **kw):
@@ -126,7 +126,7 @@ class TestScanMethod:
                     under_way.set()
                     answered.wait(WAIT)
 
-        monkeypatch.setattr(scan_module, "predict_windows", paused)
+        monkeypatch.setattr(CompiledModel, "predict_windows", paused)
         order, scans = [], []
         chip = scene.image[:, :64, 64:128].copy()
         with InferenceService(model, BatchPolicy(max_batch=8),
@@ -160,7 +160,7 @@ class TestScanPool:
             assert default_start_method() == "spawn"
 
     def test_startup_pool_is_warm_and_closed_on_shutdown(self, model, scene):
-        local = scan_scene(model, scene, backend="engine", **KWARGS)
+        local = scan_scene(model, scene, **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8),
                               scan_workers=2) as service:
             pool = service._scan_pool
@@ -175,7 +175,7 @@ class TestScanPool:
         assert service._scan_pool is None
 
     def test_lazy_pool_created_once_and_closed(self, model, scene):
-        local = scan_scene(model, scene, backend="engine", **KWARGS)
+        local = scan_scene(model, scene, **KWARGS)
         with InferenceService(model, BatchPolicy(max_batch=8)) as service:
             assert service._scan_pool is None
             first = service.scan_scene(scene, n_workers=2, **KWARGS)

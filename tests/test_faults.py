@@ -229,53 +229,113 @@ class FaultTargetModel:
         return batch * 2
 
 
+@pytest.fixture(scope="module")
+def detector_model():
+    from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+    from repro.detect import SPPNetDetector
+
+    arch = SPPNetConfig(convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
+                        spp_levels=(2, 1), fc_sizes=(16,), name="faulty")
+    return SPPNetDetector(arch, seed=0).eval()
+
+
+CHIPS = np.random.default_rng(0).random((2, 4, 32, 32)).astype(np.float32)
+
+
 class TestFaultyDetector:
+    """The fault point sits in front of the engine calls a scan makes;
+    ``parent_pid=0`` simulates running inside a worker process."""
+
     def plan(self, tmp_path, faults, **kwargs):
         from repro.faults import WorkerFaultPlan
 
         return WorkerFaultPlan(faults=faults,
                                fuse_dir=str(tmp_path / "fuses"), **kwargs)
 
-    def test_parent_process_never_faults(self, tmp_path):
+    def test_parent_process_never_faults(self, tmp_path, detector_model):
+        from repro.engine import compiled_for
         from repro.faults import FaultyDetector
 
         plan = self.plan(tmp_path, {n: "error" for n in range(5)})
-        detector = FaultyDetector(FaultTargetModel(), plan)
-        for _ in range(5):
-            assert detector(3) == 6        # delegates verbatim, no fuse
+        detector = FaultyDetector(detector_model, plan)
+        bare = compiled_for(detector_model).predict(CHIPS)
+        for _ in range(5):                 # delegates verbatim, no fuse
+            got = compiled_for(detector).predict(CHIPS)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, bare))
         assert plan.fired() == 0
 
-    def test_error_fault_fires_exactly_once(self, tmp_path):
+    def test_error_fault_fires_exactly_once(self, tmp_path, detector_model):
+        from repro.engine import compiled_for
         from repro.faults import FaultyDetector
 
         plan = self.plan(tmp_path, {0: "error"})
-        # parent_pid=0 simulates running inside a worker process
-        detector = FaultyDetector(FaultTargetModel(), plan, parent_pid=0)
+        detector = FaultyDetector(detector_model, plan, parent_pid=0)
         with pytest.raises(InjectedFault, match="ordinal 0"):
-            detector(3)
-        assert detector(3) == 6            # ordinal 1 is clean
+            compiled_for(detector).predict(CHIPS)
+        with pytest.raises(InjectedFault, match="eager re-run"):
+            detector(CHIPS)                # and the eager re-run, once
+        got = compiled_for(detector).predict(CHIPS)   # ordinal 1 is clean
+        bare = compiled_for(detector_model).predict(CHIPS)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, bare))
         assert plan.fired() == 1
 
-    def test_ordinals_are_claimed_once_across_instances(self, tmp_path):
+    def test_an_error_is_never_answered_by_the_guards_fallback(
+            self, tmp_path, detector_model):
+        from repro.faults import FaultyDetector
+        from repro.robust import GuardedEngine
+
+        plan = self.plan(tmp_path, {0: "error"})
+        guard = GuardedEngine(FaultyDetector(detector_model, plan,
+                                             parent_pid=0))
+        with pytest.warns(RuntimeWarning, match="engine_error"), \
+                pytest.raises(InjectedFault, match="eager re-run"):
+            guard.predict_batch(CHIPS[:1])
+        conf, _, answered = guard.predict_batch(CHIPS[:1])
+        assert answered == "engine" and conf.shape == (1,)
+
+    def test_one_ordinal_per_micro_batch(self, tmp_path, detector_model):
+        from repro.detect import scan_origins
+        from repro.engine import compiled_for
+        from repro.faults import FaultyDetector
+
+        plan = self.plan(tmp_path, {3: "error"})
+        detector = FaultyDetector(detector_model, plan, parent_pid=0)
+        image = np.random.default_rng(1).random((4, 96, 96)).astype(
+            np.float32)
+        origins = scan_origins(96, 32, 16)         # 25 windows
+        batches = compiled_for(detector).predict_windows(
+            image, origins, 32, batch_size=4, span=(2, 14))
+        assert [len(conf) for conf, _ in batches] == [4, 4, 4]
+        # ordinals 0-2 claimed, the fault at 3 not reached
+        assert len(list((tmp_path / "fuses").iterdir())) == 3
+        assert plan.fired() == 0
+        with pytest.raises(InjectedFault, match="ordinal 3"):
+            next(iter(compiled_for(detector).predict_windows(
+                image, origins, 32, batch_size=4)))
+
+    def test_ordinals_are_claimed_once_across_instances(self, tmp_path,
+                                                        detector_model):
+        from repro.engine import compiled_for
         from repro.faults import FaultyDetector
 
         plan = self.plan(tmp_path, {0: "error"})
-        first = FaultyDetector(FaultTargetModel(), plan, parent_pid=0)
-        second = FaultyDetector(FaultTargetModel(), plan, parent_pid=0)
+        first = FaultyDetector(detector_model, plan, parent_pid=0)
+        second = FaultyDetector(detector_model, plan, parent_pid=0)
         with pytest.raises(InjectedFault):
-            first(3)
+            compiled_for(first).predict(CHIPS)
         # a "redispatched" second instance sees the fuse already burned
-        assert second(3) == 6
+        assert compiled_for(second).predict(CHIPS)[0].shape == (2,)
 
-    def test_slow_fault_delays_then_answers(self, tmp_path):
+    def test_slow_fault_delays_then_answers(self, tmp_path, detector_model):
         import time as _time
 
+        from repro.engine import compiled_for
         from repro.faults import FaultyDetector
 
         plan = self.plan(tmp_path, {0: "slow"}, slow_s=0.05)
-        detector = FaultyDetector(FaultTargetModel(), plan, parent_pid=0)
+        detector = FaultyDetector(detector_model, plan, parent_pid=0)
         t0 = _time.monotonic()
-        assert detector(3) == 6
+        assert compiled_for(detector).predict(CHIPS)[0].shape == (2,)
         assert _time.monotonic() - t0 >= 0.05
 
     def test_pickle_roundtrip_preserves_plan(self, tmp_path):
