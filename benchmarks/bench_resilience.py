@@ -2,7 +2,7 @@
 
 Two scenarios, both with deterministic injected faults (``repro.faults``):
 
-1. **NAS sweep under 20% trial failures** — a ``ParallelExperiment``
+1. **NAS sweep under 20% trial failures** — an ``Experiment(workers=4)``
    whose evaluator fails 20% of calls must still complete every trial
    (retry + quarantine) and pick the same winner as the fault-free sweep
    with the same seed.  This is the CI gate.
@@ -32,8 +32,8 @@ from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.faults import FaultyEngine, Flaky, InjectedFault
 from repro.nas import (
+    Experiment,
     FunctionalEvaluator,
-    ParallelExperiment,
     RetryPolicy,
     sppnet_search_space,
 )
@@ -52,7 +52,7 @@ def objective(sample) -> float:
 
 def run_nas_scenario(max_trials: int = 16, rate: float = 0.2,
                      seed: int = 4) -> dict:
-    clean = ParallelExperiment(
+    clean = Experiment(
         sppnet_search_space(), FunctionalEvaluator(objective),
         max_trials=max_trials, workers=4, seed=seed)
     clean.run()
@@ -60,7 +60,7 @@ def run_nas_scenario(max_trials: int = 16, rate: float = 0.2,
     # 6 attempts: P(a trial exhausting them at rate 0.2) ~ 6e-5
     flaky = Flaky(objective, rate=rate, seed=17)
     start = time.perf_counter()
-    faulty = ParallelExperiment(
+    faulty = Experiment(
         sppnet_search_space(), FunctionalEvaluator(flaky),
         max_trials=max_trials, workers=4, seed=seed,
         retry_policy=RetryPolicy(max_attempts=6, backoff_s=0.001,

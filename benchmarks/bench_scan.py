@@ -333,7 +333,7 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
         "pool": {
             "start_method": method,
             "spawn_ms": pool.spawn_ms if pool is not None else None,
-            "spawn_cost_ms_estimate": spawn_cost_ms(method),
+            "spawn_cost_ms_prior": spawn_cost_ms(method),
             "stats": dict(pool.stats) if pool is not None else None,
         },
         "configs": rows,

@@ -4,10 +4,12 @@ The scan stack below this package is already crash-*safe* (journals,
 resume, byte-identical parallel merge); this package makes it
 crash-*surviving* at two levels:
 
-* :mod:`~repro.fleet.supervise` — shard-level: per-shard deadlines,
+* :class:`ShardSupervisor` — shard-level: per-shard deadlines,
   hung/dead worker kill-and-revive with redispatch, poison-shard
   quarantine with inline fallback, all without breaking the
-  deterministic-merge byte-identity contract;
+  deterministic-merge byte-identity contract.  It and its
+  :class:`SupervisionPolicy` / :class:`SupervisionReport` live beside
+  the pool's one dispatch loop in :mod:`repro.scanpar.pool`;
 * :mod:`~repro.fleet.jobs` — scene-level: a durable JSONL job queue
   with leases, heartbeats, exponential-backoff retries
   (:class:`~repro.nas.retry.RetryPolicy`), and a dead-letter state;
@@ -17,9 +19,9 @@ crash-*surviving* at two levels:
 See ``docs/fleet.md``.
 """
 
+from ..scanpar.pool import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from .jobs import DEAD, DONE, LEASED, PENDING, JobQueue, JobQueueError, ScanJob
 from .orchestrator import ScanFleet
-from .supervise import ShardSupervisor, SupervisionPolicy, SupervisionReport
 
 __all__ = [
     "SupervisionPolicy",

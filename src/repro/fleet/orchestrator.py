@@ -13,7 +13,7 @@ crash-safe sweep over many scenes:
   durability lives in the scene's :class:`~repro.robust.ScanJournal`,
   not in the queue;
 * shard dispatch runs under the **supervisor**
-  (:class:`~repro.fleet.supervise.ShardSupervisor`) whenever the fleet
+  (:class:`~repro.scanpar.pool.ShardSupervisor`) whenever the fleet
   scans in parallel, so hung or dying pool workers cost redispatches,
   not jobs.
 

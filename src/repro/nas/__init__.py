@@ -1,4 +1,9 @@
-"""repro.nas — NNI/Retiarii-style neural architecture search toolkit."""
+"""repro.nas — NNI/Retiarii-style neural architecture search toolkit.
+
+One trial loop, :class:`Experiment`, runs every sweep: its ``workers``
+field sets how many trials a synchronous batch evaluates concurrently,
+and :meth:`Experiment.resume` continues a journaled sweep at any width.
+"""
 
 from .constrained import (
     CandidateProfile,
@@ -15,7 +20,6 @@ from .evaluator import (
 )
 from .experiment import Experiment, TrialRecord, run_trial_with_retries
 from .journal import TrialJournal
-from .parallel import ParallelExperiment
 from .pareto import dominates, front_table, knee_point, pareto_front
 from .retry import RetryPolicy
 from .space import ModelSpace, ValueChoice, config_from_sample, sppnet_search_space
@@ -53,5 +57,4 @@ __all__ = [
     "pareto_front",
     "knee_point",
     "front_table",
-    "ParallelExperiment",
 ]

@@ -4,18 +4,31 @@ Runs strategy-proposed architectures through an evaluator, records every
 trial, and aggregates results — "the tuning workflow organized by
 aggregating and comparing tuning results" the paper credits NNI with.
 
+Trial concurrency is a setting of this loop, not a second experiment
+class: ``workers`` is the width of a synchronous batch.  The loop proposes up
+to ``workers`` samples from the seeded strategy RNG, evaluates them
+(inline at one worker, on a thread pool otherwise; NumPy's BLAS
+releases the GIL inside the GEMMs that dominate trial training), and
+records them in proposal order.  The proposal stream therefore does not
+depend on ``workers``; strategies that adapt to history see it only at
+batch boundaries — the standard synchronous-batch NAS semantics.
+
 Fault tolerance: an evaluator exception no longer kills the sweep.  Each
 trial gets ``RetryPolicy.max_attempts`` tries with exponential backoff +
 jitter; a trial that exhausts them is *quarantined* as a failed
 :class:`TrialRecord` (``status="failed"``, NaN value) that ``best()`` and
-the constrained-selection path skip.  With a ``journal`` configured,
-every finished trial is appended to a crash-safe JSONL file and
-:meth:`Experiment.resume` continues a killed sweep from it.
+the constrained-selection path skip.  Retries run inside the worker, so
+one failing trial neither kills its batch nor loses its siblings'
+results.  With a ``journal`` configured, every finished trial is appended
+to a crash-safe JSONL file and :meth:`Experiment.resume` continues a
+killed sweep from it.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -71,9 +84,8 @@ def run_trial_with_retries(
 ) -> TrialRecord:
     """Evaluate one sample under the retry policy; never raises.
 
-    Shared by the sequential and parallel drivers so both quarantine
-    identically.  Only ``Exception`` is absorbed — ``KeyboardInterrupt``
-    and friends still propagate.
+    The body of every :class:`Experiment` worker.  Only ``Exception`` is
+    absorbed — ``KeyboardInterrupt`` and friends still propagate.
     """
     attempts = 0
     while True:
@@ -125,14 +137,19 @@ class Experiment:
     evaluator : trial evaluator (typically :class:`FunctionalEvaluator`).
     strategy : exploration strategy; defaults to the paper's random search.
     max_trials : trial budget (quarantined failures count against it).
-    seed : seeds the strategy RNG (and retry-jitter RNG).
-    deduplicate : skip proposals already evaluated (retrying up to
-        ``dedup_patience`` times before accepting a duplicate).
+    seed : seeds the strategy RNG; trial ``i`` draws its retry jitter
+        from ``(seed, 0x5E11, i)``.
+    deduplicate : re-draw a proposal already in the sweep up to
+        ``dedup_patience`` times; a duplicate that survives them is still
+        evaluated, and the sweep stops early only once every point of the
+        space has been evaluated.
     retry_policy : per-trial retry/backoff knobs; ``RetryPolicy.none()``
         quarantines on the first failure.
     journal : path or :class:`~repro.nas.journal.TrialJournal`; when set,
         every finished trial is appended (JSONL) so the sweep can be
         resumed after a crash.
+    workers : trials evaluated concurrently, one synchronous batch at a
+        time; 1 runs each trial on the calling thread.
     """
 
     space: ModelSpace
@@ -145,6 +162,11 @@ class Experiment:
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     journal: "TrialJournal | str | Path | None" = None
     trials: list[TrialRecord] = field(default_factory=list)
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @classmethod
     def resume(cls, journal: "TrialJournal | str | Path", space: ModelSpace,
@@ -156,8 +178,8 @@ class Experiment:
         a history-independent strategy (random/grid) and the same seed the
         proposal stream replays from the start and already-journaled
         samples are skipped, yielding the identical trial sequence an
-        uninterrupted run would have produced.  ``dedup_patience`` is
-        raised to cover the replayed prefix.
+        uninterrupted run would have produced, at any ``workers``.
+        ``dedup_patience`` is raised to cover the replayed prefix.
         """
         store = _as_journal(journal)
         trials = store.load()
@@ -165,32 +187,56 @@ class Experiment:
         return cls(space=space, evaluator=evaluator, journal=store,
                    trials=trials, **kwargs)
 
+    def _propose(self, rng: np.random.Generator, seen: set) -> Mapping | None:
+        """The next sample under the dedup rule, added to ``seen``; None
+        once the space is exhausted."""
+        sample = self.strategy.propose(self.space, self.trials, rng)
+        if self.deduplicate:
+            retries = 0
+            while ModelSpace.encode(sample) in seen and retries < self.dedup_patience:
+                sample = self.strategy.propose(self.space, self.trials, rng)
+                retries += 1
+            if ModelSpace.encode(sample) in seen and len(seen) >= self.space.size:
+                return None
+        self.space.validate(sample)
+        seen.add(ModelSpace.encode(sample))
+        return sample
+
     def run(self) -> list[TrialRecord]:
-        """Execute the trial loop and return all records."""
+        """Execute the trial loop, ``workers`` trials per batch, and
+        return all records."""
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
         rng = np.random.default_rng(self.seed)
-        backoff_rng = np.random.default_rng((self.seed, 0x5E11))
         journal = _as_journal(self.journal)
         seen = {ModelSpace.encode(t.sample) for t in self.trials}
-        while len(self.trials) < self.max_trials:
-            sample = self.strategy.propose(self.space, self.trials, rng)
-            if self.deduplicate:
-                retries = 0
-                while ModelSpace.encode(sample) in seen and retries < self.dedup_patience:
-                    sample = self.strategy.propose(self.space, self.trials, rng)
-                    retries += 1
-                if ModelSpace.encode(sample) in seen and len(seen) >= self.space.size:
-                    break  # space exhausted
-            self.space.validate(sample)
-            record = run_trial_with_retries(
-                self.evaluator, sample, trial_id=len(self.trials),
+
+        def trial(trial_id: int, sample: Mapping) -> TrialRecord:
+            # a Generator per trial: worker threads must not share one
+            backoff_rng = np.random.default_rng((self.seed, 0x5E11, trial_id))
+            return run_trial_with_retries(
+                self.evaluator, sample, trial_id=trial_id,
                 policy=self.retry_policy, backoff_rng=backoff_rng,
             )
-            self.trials.append(record)
-            seen.add(ModelSpace.encode(sample))
-            if journal is not None:
-                journal.append(record)
+
+        pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else nullcontext()
+        with pool as executor:
+            evaluate = map if executor is None else executor.map
+            while len(self.trials) < self.max_trials:
+                want = min(self.workers, self.max_trials - len(self.trials))
+                batch = []
+                for _ in range(want):
+                    sample = self._propose(rng, seen)
+                    if sample is None:
+                        break
+                    batch.append(sample)
+                base = len(self.trials)
+                for record in evaluate(trial, range(base, base + len(batch)), batch):
+                    self.trials.append(record)
+                    if journal is not None:
+                        journal.append(record)
+                if len(batch) < want:
+                    break  # space exhausted
         return self.trials
 
     # -- aggregation ------------------------------------------------------

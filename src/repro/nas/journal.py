@@ -2,10 +2,11 @@
 
 Every finished trial (successful or quarantined) is appended as one JSON
 line and flushed to disk, so a sweep killed at trial k has lost nothing —
-``load()`` rebuilds the trial DB and ``Experiment.resume`` /
-``ParallelExperiment.resume`` continue from it.  The format is
-self-describing (one ``TrialRecord`` per line) and append-only: a resume
-appends to the same file, never rewrites it.
+``load()`` rebuilds the trial DB and ``Experiment.resume`` continues from
+it, at any ``workers``: records are appended in proposal order, so the
+line order does not depend on which worker finished first.  The format
+is self-describing (one ``TrialRecord`` per line) and append-only: a
+resume appends to the same file, never rewrites it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class TrialJournal:
         append_jsonl(self.path, [self.to_json(record)])
 
     def load(self) -> list[TrialRecord]:
-        """All journaled records, in the order they completed.
+        """All journaled records, in trial order.
 
         The append a kill interrupted (a torn last line) is dropped and
         truncated from the file, so the sweep resumes and re-runs that

@@ -27,7 +27,7 @@
 
 ``n_workers="auto"`` makes the parallelism adaptive
 (:func:`resolve_n_workers`): the worker count derives from the visible
-CPU affinity, the scan's micro-batch count, and a measured spawn-cost
+CPU affinity, the scan's micro-batch count, and a static spawn-cost
 threshold — on a one-core box (or a scene too small to amortize a cold
 spawn) the scan runs inline.  Where it shards it can lose: on a 2-core
 box ``benchmarks/e2e``'s ``scan_pool`` reads 5.5-5.8 ms/tile against
@@ -61,7 +61,7 @@ from .shm import SharedArray
 from .worker import ShardTask
 
 __all__ = ["run_shards", "default_start_method", "resolve_n_workers",
-           "cpu_affinity_count", "spawn_cost_ms", "record_spawn_cost"]
+           "cpu_affinity_count", "spawn_cost_ms"]
 
 
 def default_start_method() -> str:
@@ -98,33 +98,15 @@ MIN_BATCHES_PER_WORKER = 2
 #: pools; deliberately low so the policy only inlines clear losses
 COLD_SPAWN_TILES_PER_MS = 0.5
 
-#: prior spawn cost per worker before any pool has measured one
-_DEFAULT_SPAWN_MS = {"fork": 60.0, "forkserver": 300.0, "spawn": 800.0}
-
-_MEASURED_SPAWN_MS: dict[str, float] = {}
-_SPAWN_MS_LOCK = threading.Lock()
-
-
-def record_spawn_cost(start_method: str, per_worker_ms: float) -> None:
-    """Fold one measured per-worker spawn time into the policy's
-    estimate (exponential moving average; called by every
-    :class:`~repro.scanpar.pool.WorkerPool` spawn)."""
-    with _SPAWN_MS_LOCK:
-        prior = _MEASURED_SPAWN_MS.get(start_method)
-        _MEASURED_SPAWN_MS[start_method] = (
-            per_worker_ms if prior is None
-            else 0.5 * prior + 0.5 * per_worker_ms
-        )
+#: conservative spawn cost per worker, by start method
+_SPAWN_MS = {"fork": 60.0, "forkserver": 300.0, "spawn": 800.0}
 
 
 def spawn_cost_ms(start_method: str | None = None) -> float:
-    """Per-worker spawn cost estimate: measured when any pool has
-    spawned with this start method, a conservative prior otherwise."""
-    method = start_method or default_start_method()
-    with _SPAWN_MS_LOCK:
-        measured = _MEASURED_SPAWN_MS.get(method)
-    return measured if measured is not None \
-        else _DEFAULT_SPAWN_MS.get(method, 800.0)
+    """Per-worker spawn cost the cold-pool break-even assumes: a static
+    prior per start method, never a measurement, so the ``"auto"``
+    verdict is a pure function of its inputs."""
+    return _SPAWN_MS.get(start_method or default_start_method(), 800.0)
 
 
 def cpu_affinity_count() -> int:
@@ -158,9 +140,9 @@ def resolve_n_workers(
        stops one-core CI boxes from regressing by construction;
     3. with no warm pool to reuse (``pool_warm=False``), the scene must
        be large enough to pay for spawning: at least
-       ``spawn_cost_ms * budget * COLD_SPAWN_TILES_PER_MS`` tiles,
-       where the spawn cost is *measured* from previous pool spawns
-       (:func:`record_spawn_cost`) when available.
+       ``spawn_cost_ms * budget * COLD_SPAWN_TILES_PER_MS`` tiles, with
+       the start method's static prior as the spawn cost
+       (:func:`spawn_cost_ms`).
 
     ``cpus`` and ``pool_warm`` are injectable for tests; they default to
     the live affinity count and the shared pool's existence.

@@ -314,13 +314,9 @@ class WorkerPool:
                     f"within {_SPAWN_HANDSHAKE_TIMEOUT_S:.0f}s"
                 )
             worker.conn.recv()
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        self.spawn_ms += elapsed_ms
+        self.spawn_ms += (time.perf_counter() - start) * 1e3
         self.stats["workers_spawned"] += n
         self._workers.extend(fresh)
-        from .parallel import record_spawn_cost
-
-        record_spawn_cost(self.start_method, elapsed_ms / max(n, 1))
 
     def _replace_locked(self, worker: _Worker) -> _Worker:
         """Swap ``worker`` for a freshly spawned one in the same slot

@@ -140,16 +140,18 @@ class ServiceMetrics:
         self._breaker_transitions: TallyCounter[str] = TallyCounter()
         self._lock = threading.Lock()
 
-    def record_supervision(self, report) -> None:
-        """Fold one scan's :class:`~repro.fleet.SupervisionReport` into
-        the fleet counters (no-op for unsupervised scans)."""
+    def record_supervision(self, report: dict | None) -> None:
+        """Fold one scan's supervision report, in
+        :meth:`SupervisionReport.to_json() <repro.fleet.SupervisionReport.to_json>`
+        form (what a fleet job summary carries), into the fleet counters
+        (no-op for unsupervised scans)."""
         if report is None:
             return
-        self.scan_redispatches.inc(report.redispatches)
-        self.scan_workers_killed.inc(report.deadline_kills)
-        self.scan_worker_deaths.inc(report.worker_deaths)
-        self.scan_poison_shards.inc(len(report.poison_shards))
-        self.scan_inline_shards.inc(len(report.inline_shards))
+        self.scan_redispatches.inc(report["redispatches"])
+        self.scan_workers_killed.inc(report["deadline_kills"])
+        self.scan_worker_deaths.inc(report["worker_deaths"])
+        self.scan_poison_shards.inc(len(report["poison_shards"]))
+        self.scan_inline_shards.inc(len(report["inline_shards"]))
 
     # -- circuit breaker telemetry --------------------------------------
     def record_breaker_transition(self, old: str, new: str) -> None:

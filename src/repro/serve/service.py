@@ -425,7 +425,9 @@ class InferenceService:
             raise
         self.metrics.scans.inc()
         self.metrics.scan_tiles.inc(result.coverage.tiles_total)
-        self.metrics.record_supervision(getattr(result, "supervision", None))
+        report = getattr(result, "supervision", None)
+        self.metrics.record_supervision(
+            None if report is None else report.to_json())
         return result
 
     def scan_many(self, jobs, *, workdir, n_workers: int | str = "auto",
@@ -458,15 +460,7 @@ class InferenceService:
         for job in summary["results"].values():
             self.metrics.scans.inc()
             self.metrics.scan_tiles.inc(job.get("tiles_total", 0))
-            sup = job.get("supervision")
-            if sup:
-                self.metrics.scan_redispatches.inc(sup["redispatches"])
-                self.metrics.scan_workers_killed.inc(sup["deadline_kills"])
-                self.metrics.scan_worker_deaths.inc(sup["worker_deaths"])
-                self.metrics.scan_poison_shards.inc(
-                    len(sup["poison_shards"]))
-                self.metrics.scan_inline_shards.inc(
-                    len(sup["inline_shards"]))
+            self.metrics.record_supervision(job.get("supervision"))
         return summary
 
     def shutdown(self, drain: bool = True, timeout_s: float | None = None) -> None:

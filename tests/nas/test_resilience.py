@@ -10,7 +10,6 @@ from repro.nas import (
     Experiment,
     FunctionalEvaluator,
     ModelSpace,
-    ParallelExperiment,
     RetryPolicy,
     TrialJournal,
     ValueChoice,
@@ -135,13 +134,13 @@ class TestExperimentQuarantine:
 
 class TestParallelQuarantine:
     def test_flaky_parallel_sweep_matches_fault_free_winner(self):
-        clean = ParallelExperiment(
+        clean = Experiment(
             sppnet_search_space(), FunctionalEvaluator(objective),
             max_trials=12, workers=4, seed=4)
         clean.run()
 
         flaky = Flaky(objective, rate=0.2, seed=23)
-        faulty = ParallelExperiment(
+        faulty = Experiment(
             sppnet_search_space(), FunctionalEvaluator(flaky),
             max_trials=12, workers=4, seed=4,
             retry_policy=RetryPolicy(max_attempts=6, backoff_s=0.001),
@@ -158,9 +157,9 @@ class TestParallelQuarantine:
         space = ModelSpace([ValueChoice("a", (1, 2, 3, 4))])
         fn = FatalOn(lambda s: s["a"] / 10, {repr({"a": 2})},
                      key=lambda s: repr(dict(s)))
-        exp = ParallelExperiment(space, FunctionalEvaluator(fn),
-                                 max_trials=4, workers=4, seed=0,
-                                 retry_policy=RetryPolicy.none())
+        exp = Experiment(space, FunctionalEvaluator(fn),
+                         max_trials=4, workers=4, seed=0,
+                         retry_policy=RetryPolicy.none())
         exp.run()
         assert len(exp.trials) == 4
         assert len(exp.succeeded()) == 3
@@ -177,8 +176,8 @@ class TestParallelQuarantine:
             time.sleep(0.25 if sample["a"] == 1 else 0.0)
             return float(sample["a"])
 
-        exp = ParallelExperiment(space, FunctionalEvaluator(uneven),
-                                 max_trials=4, workers=4, seed=0)
+        exp = Experiment(space, FunctionalEvaluator(uneven),
+                         max_trials=4, workers=4, seed=0)
         exp.run()
         by_a = {t.sample["a"]: t for t in exp.trials}
         assert by_a[1].duration_s >= 0.2
@@ -235,18 +234,18 @@ class TestJournalResume:
         assert len(TrialJournal(path).load()) == 10
 
     def test_parallel_resume_matches_uninterrupted(self, tmp_path):
-        full = ParallelExperiment(
+        full = Experiment(
             sppnet_search_space(), FunctionalEvaluator(objective),
             max_trials=9, workers=3, seed=7)
         full.run()
 
         path = tmp_path / "trials.jsonl"
-        partial = ParallelExperiment(
+        partial = Experiment(
             sppnet_search_space(), FunctionalEvaluator(objective),
             max_trials=5, workers=3, seed=7, journal=path)
         partial.run()
 
-        resumed = ParallelExperiment.resume(
+        resumed = Experiment.resume(
             path, sppnet_search_space(), FunctionalEvaluator(objective),
             max_trials=9, workers=3, seed=7)
         resumed.run()
@@ -254,20 +253,18 @@ class TestJournalResume:
         assert [t.sample for t in resumed.trials] == [t.sample for t in full.trials]
         assert resumed.best().sample == full.best().sample
 
-    @pytest.mark.parametrize("cls, extra", [
-        (Experiment, {}), (ParallelExperiment, {"workers": 3})])
-    def test_torn_tail_resumes_at_every_byte_offset(self, tmp_path, cls,
-                                                    extra):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_torn_tail_resumes_at_every_byte_offset(self, tmp_path, workers):
         """A sweep killed mid-append leaves its last line cut anywhere.
         Wherever the cut falls, resume repairs the tail, re-runs no
         journaled trial and finds the fault-free winner."""
-        kwargs = dict(seed=5, **extra)
-        full = cls(sppnet_search_space(), FunctionalEvaluator(objective),
-                   max_trials=8, **kwargs)
+        kwargs = dict(seed=5, workers=workers)
+        full = Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                          max_trials=8, **kwargs)
         full.run()
         whole = tmp_path / "whole.jsonl"
-        cls(sppnet_search_space(), FunctionalEvaluator(objective),
-            max_trials=5, journal=whole, **kwargs).run()
+        Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                   max_trials=5, journal=whole, **kwargs).run()
         data = whole.read_bytes()
         last = data.rstrip(b"\n").rfind(b"\n") + 1   # start of line 5
         for cut in range(last, len(data)):
@@ -279,9 +276,9 @@ class TestJournalResume:
                 evaluated.append(dict(sample))
                 return objective(sample)
 
-            resumed = cls.resume(path, sppnet_search_space(),
-                                 FunctionalEvaluator(counting),
-                                 max_trials=8, **kwargs)
+            resumed = Experiment.resume(path, sppnet_search_space(),
+                                        FunctionalEvaluator(counting),
+                                        max_trials=8, **kwargs)
             # only a cut after the closing brace keeps the fifth trial
             restored = [dict(t.sample) for t in resumed.trials]
             assert len(restored) == (5 if cut == len(data) - 1 else 4)

@@ -23,7 +23,6 @@ from repro.scanpar import (
     resolve_n_workers,
     serialized_model,
 )
-from repro.scanpar.parallel import _MEASURED_SPAWN_MS
 from repro.scanpar.sharding import partition_origins
 
 WINDOW = 64
@@ -218,14 +217,29 @@ class TestAdaptivePolicy:
         # 30 origins / batch 20 = 2 batches -> budget 1 -> sequential
         assert self.resolve(cpus=8, n_origins=30) == 1
 
-    def test_cold_pool_needs_breakeven_scene(self, monkeypatch):
-        monkeypatch.setitem(_MEASURED_SPAWN_MS, "spawn", 1000.0)
+    def test_cold_pool_needs_breakeven_scene(self):
         kwargs = dict(cpus=2, start_method="spawn", pool_warm=False)
-        # break-even = 1000 ms * 2 workers * 0.5 tiles/ms = 1000 tiles
+        # break-even = 800 ms * 2 workers * 0.5 tiles/ms = 800 tiles
         assert self.resolve(n_origins=500, **kwargs) == 1
         assert self.resolve(n_origins=5000, **kwargs) == 2
         # a warm pool has already sunk the spawn cost
         assert self.resolve(n_origins=500, cpus=2, pool_warm=True) == 2
+
+    def test_spawning_a_pool_leaves_the_verdict_unchanged(self):
+        """The cold-pool break-even reads a static prior, not a stopwatch:
+        a pool spawning (and timing itself) moves no "auto" verdict."""
+        def verdicts(method):
+            # batch 1 on two cores: the budget is 2 and the break-even is
+            # the spawn cost in tiles, so any change to it flips a verdict
+            return [self.resolve(n_origins=n, batch_size=1, cpus=2,
+                                 start_method=method, pool_warm=False)
+                    for n in range(4, 4000)]
+
+        method = default_start_method()
+        before = verdicts(method)
+        with WorkerPool(1, start_method=method) as pool:
+            assert pool.spawn_ms > 0
+        assert verdicts(method) == before
 
     def test_int_passthrough_and_validation(self):
         assert resolve_n_workers(3, n_origins=10, batch_size=20) == 3

@@ -64,7 +64,7 @@ class TestSupervisionMetrics:
             workers_replaced=3, redispatches=3,
             poison_shards=[1], inline_shards=[1],
         )
-        metrics.record_supervision(report)
+        metrics.record_supervision(report.to_json())
         snap = metrics.snapshot()
         assert snap["scan_redispatches"] == 3
         assert snap["scan_workers_killed"] == 1
