@@ -16,7 +16,7 @@ detector and demonstrates the serving features end to end:
 
 Usage::
 
-    python examples/serving.py [--scene-size N] [--window N] [--workers N]
+    python examples/serving.py [--scene-size N] [--window N] [--stride N]
 """
 
 import argparse
@@ -37,7 +37,6 @@ def main() -> None:
     parser.add_argument("--scene-size", type=int, default=192)
     parser.add_argument("--window", type=int, default=64)
     parser.add_argument("--stride", type=int, default=48)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     print("== 1. Batching policy from the Figure 6 efficiency curve ==")
@@ -57,7 +56,7 @@ def main() -> None:
     model = SPPNetDetector(arch, seed=0)
     scene = build_scene(WatershedConfig(size=args.scene_size, seed=5))
 
-    with InferenceService(model, policy, num_workers=args.workers) as service:
+    with InferenceService(model, policy) as service:
         print("\n== 2. Scene scan through the service ==")
         detections = service.scan_scene(scene, window=args.window,
                                         stride=args.stride,

@@ -177,7 +177,8 @@ class FaultyEngine:
       the service's own retries and breaker exist for.  Set it at any
       time to start or end an outage.
     * ``delay_s``: every compiled call stalls this long first, keeping
-      the service's workers busy (backpressure, deadline, shutdown).
+      the service's model thread busy (backpressure, deadline,
+      shutdown).
     """
 
     def __init__(self, model, failures: int = 0, delay_s: float = 0.0) -> None:

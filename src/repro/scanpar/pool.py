@@ -20,8 +20,8 @@ module is that amortization:
   scans — the service bulk path — stop re-serializing the same weights.
 * :func:`get_pool` hands out one shared pool per start method, reused
   by every ``scan_scene(n_workers=)`` call that is not handed a
-  ``pool=`` of its own (``serve.InferenceService.scan_scene`` hands it
-  a private one tied to the service's startup/shutdown lifecycle).
+  ``pool=`` of its own: plain scans, fleet sweeps and
+  ``serve.InferenceService`` bulk scans alike.
 
 Dispatch is one loop, :meth:`WorkerPool._dispatch`, the only code that
 waits on worker pipes and process sentinels.  It never oversubscribes:

@@ -1,4 +1,4 @@
-"""Circuit breaker for the inference-service model workers.
+"""Circuit breaker for the inference-service model thread.
 
 Classic three-state breaker (Nygard's *Release It!* pattern):
 

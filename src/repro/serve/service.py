@@ -5,24 +5,23 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
 
 * callers :meth:`~InferenceService.submit` single chips and receive
   ``concurrent.futures.Future`` objects;
-* worker threads run them through the compiled engine behind its guard
-  (:class:`repro.robust.GuardedEngine`) in *open* micro-batches
+* one model thread runs them through the compiled engine behind its
+  guard (:class:`repro.robust.GuardedEngine`) in *open* micro-batches
   (:class:`~repro.serve.batching.BatchPolicy`).  The engine runs its
-  conv trunk one chip at a time and only the head over the batch, so a
-  worker that is free to run a batch starts the oldest request's trunk
-  at once, admits queued requests of that chip shape between trunk runs,
-  and closes the batch (queue empty, or ``max_batch`` admitted) only
-  when the head runs.  A batch is cut from the queue only by a worker
-  that is free to run it, so whatever arrives while every worker is busy
-  joins the next batch;
+  conv trunk one chip at a time and only the head over the batch, so
+  the thread starts the oldest request's trunk at once, admits queued
+  requests of that chip shape between trunk runs, and closes the batch
+  (queue empty, or ``max_batch`` admitted) only when the head runs.  A
+  batch is cut from the queue only when the thread is free to run it,
+  so whatever arrives while it is busy joins the next batch;
 * an LRU cache keyed by chip content hash answers repeat tiles without
   touching the model;
 * a bounded queue applies backpressure (:class:`QueueFullError`),
   per-request deadlines expire stale work (:class:`RequestTimeoutError`),
   and :meth:`~InferenceService.shutdown` drains in-flight requests before
-  the threads exit;
+  the thread exits;
 * a circuit breaker (:class:`~repro.serve.breaker.CircuitBreaker`) guards
-  the model workers against the one failure the guard cannot absorb, its
+  the model thread against the one failure the guard cannot absorb, its
   eager fallback raising: failed batches are retried, consecutive
   failures trip the breaker, and while it is open the service runs in
   *degraded mode* — cache hits are still served, uncached requests fail
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -136,12 +136,8 @@ class InferenceService:
     max_queue   : bounded-queue capacity; submits beyond it raise
                   :class:`QueueFullError`
     cache_size  : LRU entries (0 disables caching)
-    num_workers : model-execution threads; each cuts its own
-                  micro-batch from the queue when it is free to run one.
-                  The engine serializes execution internally, so the
-                  default of one is the deployed setting
     breaker     : :class:`~repro.serve.breaker.BreakerPolicy` for the
-                  model-worker circuit breaker (None = defaults)
+                  model-thread circuit breaker (None = defaults)
     max_batch_retries : immediate re-runs of a failed micro-batch before
                   its futures fail and the breaker counts the failure
     backend     : ``"engine"``, its only value: the model is compiled at
@@ -162,21 +158,17 @@ class InferenceService:
                   policy's checks; ``False`` disables validation.
                   Rejections raise :class:`InvalidInputError` and count
                   in ``metrics.invalid_inputs``.
-    scan_workers: bulk-scan worker processes.  ``None`` (default)
-                  creates the service's scan pool lazily on the first
-                  ``scan_scene(n_workers=...)`` bulk call; an int (or
-                  ``"auto"``) spawns and warms the persistent
-                  :class:`repro.scanpar.WorkerPool` at service startup
-                  so even the first bulk scan runs on warm workers.
-                  The pool lives until :meth:`shutdown` (closed after
-                  the request queue drains).  A startup pool is created
-                  *before* the service threads exist, so it may still
-                  use cheap ``fork``; a lazily created pool starts its
-                  workers via ``spawn`` (the service's running threads
-                  make ``fork`` unsafe), a one-time cost at creation.
+
+    Every model call runs on one thread, ``serve-worker``: the engine
+    runs one call at a time under its lock, so a second thread would
+    only wait for it.  Bulk scans (:meth:`scan_scene` with
+    ``n_workers > 1``, :meth:`scan_many`) run on the process's shared
+    :func:`repro.scanpar.get_pool` pool, like every other scan; that
+    pool outlives the service (:func:`repro.scanpar.shutdown_pools`,
+    registered ``atexit``, closes it).
 
     Use as a context manager or call :meth:`shutdown` explicitly —
-    the workers are non-daemon threads.
+    the model thread is not a daemon.
     """
 
     def __init__(
@@ -186,18 +178,14 @@ class InferenceService:
         *,
         max_queue: int = 1024,
         cache_size: int = 512,
-        num_workers: int = 1,
         breaker: BreakerPolicy | None = None,
         max_batch_retries: int = 1,
         backend: str = "engine",
         engine=None,
         validate=True,
-        scan_workers: int | str | None = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if max_batch_retries < 0:
             raise ValueError("max_batch_retries must be >= 0")
         if backend != "engine":
@@ -233,21 +221,15 @@ class InferenceService:
         # the trunk and every head: no request binds inline
         try:
             warmup_ms = engine.warmup(range(1, self.policy.max_batch + 1))
-        except Exception:
+        except Exception as exc:
             # a broken engine surfaces through the guarded per-batch
-            # fallback, not as a startup crash
+            # fallback, not as a startup crash, but never silently
+            warnings.warn(
+                f"engine warm-up failed ({type(exc).__name__}: {exc}); "
+                "serving without pre-built programs", RuntimeWarning,
+                stacklevel=2)
             warmup_ms = 0.0
         self.metrics.warmup_ms.set(warmup_ms)
-
-        # bulk-scan worker pool: created here (pre-thread, fork-safe)
-        # when scan_workers is given, else lazily at the first bulk
-        # scan; closed by shutdown() after the request queue drains
-        self._scan_pool = None
-        self._scan_pool_lock = threading.Lock()
-        if scan_workers is not None:
-            self._scan_pool = self._create_scan_pool(scan_workers)
-            if self._scan_pool is not None:
-                self._scan_pool.ensure_model(self.model)
 
         self._queue: deque[_Pending] = deque()
         # O(1) batching bookkeeping: same-shape counts decide what an
@@ -259,19 +241,9 @@ class InferenceService:
         self._cond = threading.Condition()
         self._stopping = False
         self._draining = True
-        # One slot per running model call.  A worker takes one only when
-        # something is queued and *before* cutting its batch (never while
-        # idle), so requests stay in the queue — where max_queue bounds
-        # them — until a model call can start, and a cut batch never
-        # waits behind busy workers.
-        self._inflight = threading.Semaphore(num_workers)
-        self._workers = [
-            threading.Thread(target=self._work_loop,
-                             name=f"serve-worker-{i}")
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._worker = threading.Thread(target=self._work_loop,
+                                        name="serve-worker")
+        self._worker.start()
 
     # ------------------------------------------------------------------
     # client surface
@@ -327,10 +299,10 @@ class InferenceService:
 
         if degraded:
             # cache-only mode: fail fast instead of queueing work the
-            # tripped workers would only reject later
+            # tripped model thread would only reject later
             self.metrics.degraded_rejected.inc()
             raise DegradedServiceError(
-                "circuit breaker open: model workers unavailable and "
+                "circuit breaker open: model unavailable and "
                 "result not cached"
             )
 
@@ -358,68 +330,32 @@ class InferenceService:
         """Submit a stack of chips; returns one future per chip."""
         return [self.submit(chip, timeout_s=timeout_s) for chip in chips]
 
-    def _create_scan_pool(self, scan_workers: int | str):
-        """Build the service-owned scan pool, or ``None`` if pointless.
-
-        ``"auto"`` sizes the pool to the CPU affinity mask and skips
-        pool creation entirely on single-core boxes (the adaptive
-        policy would inline those scans anyway); an explicit int is
-        honoured as requested.
-        """
-        from ..scanpar import WorkerPool, cpu_affinity_count
-
-        if scan_workers == "auto":
-            n = cpu_affinity_count()
-            if n < 2:
-                return None
-        else:
-            n = int(scan_workers)
-            if n < 1:
-                raise ValueError("scan_workers must be >= 1 or 'auto'")
-            if n == 1:
-                return None
-        return WorkerPool(n)
-
-    def _ensure_scan_pool(self, n_workers: int | str):
-        """Lazily create (once) and return the service's scan pool."""
-        with self._scan_pool_lock:
-            if self._scan_pool is None and not self._stopping:
-                pool = self._create_scan_pool(n_workers)
-                if pool is not None:
-                    pool.ensure_model(self.model)
-                self._scan_pool = pool
-            return self._scan_pool
-
-    def scan_scene(self, scene, *, n_workers: int | str = 1, **scan_kwargs):
+    def scan_scene(self, scene, **scan_kwargs):
         """Scan a whole scene with this service's model: one
         :func:`repro.detect.scan_scene` call on the engine, so the
         result equals ``scan_scene(model, scene, ...)``
         bit for bit, coverage included.
 
-        ``scan_kwargs`` are that function's (``sanitize`` / ``journal``
-        / ``resume``, ``timeout_s``, ``supervision``, ...).  With
-        ``n_workers=1`` the scan runs on the calling thread through the
-        compiled program the request workers use; it takes the engine
-        lock once per micro-batch, so live requests interleave with it
-        instead of queueing behind its windows.  ``n_workers > 1`` (or
-        ``"auto"``) shards it over the service-owned persistent worker
-        pool.  Scans bypass the request queue and cache; they tally
-        ``metrics.scans`` / ``metrics.scan_tiles``, a missed
-        ``timeout_s`` (:class:`~repro.detect.scan.ScanDeadlineError`)
-        counts in ``metrics.scan_deadline_expired``, and a supervised
-        bulk scan's recovery counts land in the ``scan_*`` fleet
-        metrics.
+        ``scan_kwargs`` are that function's (``n_workers``, ``sanitize``
+        / ``journal`` / ``resume``, ``timeout_s``, ``supervision``,
+        ...).  With ``n_workers=1`` (the default) the scan runs on the
+        calling thread through the compiled program the model thread
+        uses; it takes the engine lock once per micro-batch, so live
+        requests interleave with it instead of queueing behind its
+        windows.  ``n_workers > 1`` (or ``"auto"`` when it shards) runs
+        it on the shared pool every scan uses
+        (:func:`repro.scanpar.get_pool`).  Scans bypass the request
+        queue and cache; they tally ``metrics.scans`` /
+        ``metrics.scan_tiles``, a missed ``timeout_s``
+        (:class:`~repro.detect.scan.ScanDeadlineError`) counts in
+        ``metrics.scan_deadline_expired``, and a supervised bulk scan's
+        recovery counts land in the ``scan_*`` fleet metrics.
         """
         from ..detect.scan import ScanDeadlineError
         from ..detect.scan import scan_scene as scan
 
-        bulk = n_workers == "auto" or (
-            isinstance(n_workers, int) and n_workers > 1
-        )
-        pool = self._ensure_scan_pool(n_workers) if bulk else None
         try:
-            result = scan(self.model, scene, n_workers=n_workers, pool=pool,
-                          **scan_kwargs)
+            result = scan(self.model, scene, **scan_kwargs)
         except ScanDeadlineError:
             self.metrics.scan_deadline_expired.inc()
             raise
@@ -475,12 +411,7 @@ class InferenceService:
             self._stopping = True
             self._draining = drain
             self._cond.notify_all()
-        for worker in self._workers:
-            worker.join(timeout=timeout_s)
-        with self._scan_pool_lock:
-            if self._scan_pool is not None:
-                self._scan_pool.close()
-                self._scan_pool = None
+        self._worker.join(timeout=timeout_s)
 
     @property
     def queue_depth(self) -> int:
@@ -488,56 +419,37 @@ class InferenceService:
             return len(self._queue)
 
     # ------------------------------------------------------------------
-    # workers
+    # the model thread
     # ------------------------------------------------------------------
     def _work_loop(self) -> None:
-        while True:
-            opening = self._next_opening()
-            if opening is None:
-                break
-            self._run_batch(opening)  # releases the inflight slot
-
-    def _wait_queued_locked(self) -> bool:
-        """Wait (``_cond`` held) until a request is queued and may run;
-        False when the worker should exit instead.  Expired requests
-        are timed out here, so a timeout never needs its own timer
-        thread (submit and shutdown notify)."""
-        while True:
-            self._expire_locked()
-            if self._queue:
-                return self._draining or not self._stopping
-            if self._stopping:
-                return False
-            self._cond.wait()
+        while (opening := self._next_opening()) is not None:
+            self._run_batch(opening)
 
     def _next_opening(self) -> _Pending | None:
-        """Block until this worker may open a micro-batch, then pop its
-        opening request: the oldest queued one.
+        """Wait until a request is queued, then pop the oldest one: the
+        opening request of the next micro-batch.
 
-        Returns it with an ``_inflight`` slot held for its batch, or
-        None when the worker should exit.  The slot is taken *before*
-        the pop and the pop takes whatever is oldest at that moment
-        (late-bound), so no request is ever held out of the queue while
-        every model call is busy.
+        Called only when the model thread is free, so the cut is
+        late-bound: nothing is held out of the queue while the model is
+        busy.  Expired requests are timed out while waiting, so a
+        timeout never needs its own timer thread (submit and shutdown
+        notify).  Returns None when the thread should exit instead,
+        after failing whatever is still queued.
         """
-        while True:
-            with self._cond:
-                if not self._wait_queued_locked():
-                    # non-draining shutdown, or nothing left to drain
-                    leftovers = list(self._queue)
-                    self._queue.clear()
-                    self._shape_counts.clear()
-                    self._deadline_count = 0
-                    self.metrics.queue_depth.set(0)
-                    break
-            if not self._inflight.acquire(timeout=0.05):
-                continue
-            with self._cond:
+        with self._cond:
+            while True:
                 self._expire_locked()
                 if self._queue and (self._draining or not self._stopping):
                     return self._pop_locked(self._queue[0].chip.shape)
-            # another worker took it, it expired, or the service aborted
-            self._inflight.release()
+                if self._stopping:
+                    break
+                self._cond.wait()
+            # non-draining shutdown, or nothing left to drain
+            leftovers = list(self._queue)
+            self._queue.clear()
+            self._shape_counts.clear()
+            self._deadline_count = 0
+            self.metrics.queue_depth.set(0)
         for pending in leftovers:
             pending.future.set_exception(
                 ServiceStoppedError("service shut down before dispatch")
@@ -585,8 +497,8 @@ class InferenceService:
             self.metrics.queue_depth.set(len(self._queue))
 
     def _timed_out(self, pending: _Pending, now: float) -> bool:
-        """Fail ``pending`` if its deadline passed while it waited for
-        the model (queued, or popped and behind busy workers)."""
+        """Fail ``pending`` if its deadline passed while it waited to
+        join an open batch."""
         if not pending.expired(now):
             return False
         self.metrics.timeouts.inc()
@@ -607,7 +519,7 @@ class InferenceService:
 
     def _run_batch(self, opening: _Pending) -> None:
         """Run the open micro-batch ``opening`` starts on this thread and
-        answer its futures; releases the ``_inflight`` slot held for it.
+        answer its futures.
 
         The guarded engine pulls the batch's chips one at a time, each
         just before that chip's trunk runs: first the opening request,
@@ -618,86 +530,79 @@ class InferenceService:
         (``max_batch``).  A retry re-runs the same open batch: its
         admitted members first, then whatever it may still admit.
         """
-        try:
-            started = time.monotonic()
-            # a request can out-wait its deadline behind busy workers,
-            # so expire again at the moment work actually starts
-            if self._timed_out(opening, started):
-                return
-            if not self.breaker.allow():
-                # tripped while this request was queued: cache-only
-                self._serve_degraded(opening)
-                return
-            batch = [opening]
+        started = time.monotonic()
+        if not self.breaker.allow():
+            # tripped while this request was queued: cache-only
+            self._serve_degraded(opening)
+            return
+        batch = [opening]
 
-            def admitted():
-                # runs inside the engine, with the engine lock held:
-                # never blocks, and nothing that holds _cond calls the
-                # engine (lock order engine -> _cond)
-                nonlocal closed_by
-                yield from [p.chip for p in batch]
-                shape = opening.chip.shape
-                while True:
-                    with self._cond:
-                        if self._stopping and not self._draining:
-                            # the rest of the queue is being failed
-                            closed_by = "draining"
-                            return
-                        pending = self._admit_locked(shape)
-                    if pending is None:
-                        closed_by = "queue_empty"
-                        return
-                    batch.append(pending)
-                    yield pending.chip
-
-            attempts = 0
+        def admitted():
+            # runs inside the engine, with the engine lock held:
+            # never blocks, and nothing that holds _cond calls the
+            # engine (lock order engine -> _cond)
+            nonlocal closed_by
+            yield from [p.chip for p in batch]
+            shape = opening.chip.shape
             while True:
-                attempts += 1
-                closed_by = "max_batch"     # unless the pull ends first
-                try:
-                    confidences, boxes, backend = self.engine.predict_stream(
-                        admitted(), self.policy.max_batch)
-                    self.breaker.record_success()
-                    break
-                except BaseException as exc:
-                    self.metrics.worker_failures.inc()
-                    retryable = (isinstance(exc, Exception)
-                                 and attempts <= self.max_batch_retries)
-                    if not retryable:  # propagate to every waiting caller
-                        self.breaker.record_failure()
-                        for pending in batch:
-                            if not pending.future.done():
-                                pending.future.set_exception(exc)
+                with self._cond:
+                    if self._stopping and not self._draining:
+                        # the rest of the queue is being failed
+                        closed_by = "draining"
                         return
-                    self.metrics.worker_retries.inc()
-            now = time.monotonic()
-            self.metrics.observe_batch(len(batch), (now - started) * 1e3,
-                                       closed_by)
-            for pending, conf, box in zip(batch, confidences, boxes):
-                result = DetectionResult(
-                    float(conf), box.copy(), cached=False,
-                    batch_size=len(batch), backend=backend,
-                )
-                self.cache.put(pending.key, result)
-                self.metrics.record_backend(backend)
-                self.metrics.completed.inc()
-                self.metrics.latency_ms.observe((now - pending.enqueued_at) * 1e3)
-                pending.future.set_result(result)
-        finally:
-            self._inflight.release()
+                    pending = self._admit_locked(shape)
+                if pending is None:
+                    closed_by = "queue_empty"
+                    return
+                batch.append(pending)
+                yield pending.chip
+
+        attempts = 0
+        while True:
+            attempts += 1
+            closed_by = "max_batch"     # unless the pull ends first
+            try:
+                confidences, boxes, backend = self.engine.predict_stream(
+                    admitted(), self.policy.max_batch)
+                self.breaker.record_success()
+                break
+            except BaseException as exc:
+                self.metrics.worker_failures.inc()
+                retryable = (isinstance(exc, Exception)
+                             and attempts <= self.max_batch_retries)
+                if not retryable:  # propagate to every waiting caller
+                    self.breaker.record_failure()
+                    for pending in batch:
+                        if not pending.future.done():
+                            pending.future.set_exception(exc)
+                    return
+                self.metrics.worker_retries.inc()
+        now = time.monotonic()
+        self.metrics.observe_batch(len(batch), (now - started) * 1e3,
+                                   closed_by)
+        for pending, conf, box in zip(batch, confidences, boxes):
+            result = DetectionResult(
+                float(conf), box.copy(), cached=False,
+                batch_size=len(batch), backend=backend,
+            )
+            self.cache.put(pending.key, result)
+            self.metrics.record_backend(backend)
+            self.metrics.completed.inc()
+            self.metrics.latency_ms.observe((now - pending.enqueued_at) * 1e3)
+            pending.future.set_result(result)
 
     def _serve_degraded(self, pending: _Pending) -> None:
         """Cache-only answer for a request the open breaker refused.
 
         A request whose chip was cached since it queued is still served
         (marked degraded); otherwise it fails with
-        :class:`DegradedServiceError` rather than touching the workers.
+        :class:`DegradedServiceError` rather than touching the model.
         """
         hit = self.cache.get(pending.key) if self.cache.capacity else None
         if hit is None:
             self.metrics.degraded_rejected.inc()
             pending.future.set_exception(DegradedServiceError(
-                "circuit breaker open: model workers unavailable and "
+                "circuit breaker open: model unavailable and "
                 "result not cached"
             ))
             return

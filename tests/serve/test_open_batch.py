@@ -256,15 +256,20 @@ class TestLateBoundCut:
         assert sizes == [1] + [5] * 5
         assert snap["batch_close_reasons"] == {"queue_empty": 2}
 
-    def test_idle_workers_hold_no_model_slot(self, model):
-        with InferenceService(model, num_workers=2) as service:
+    def test_a_service_runs_one_model_thread(self, model):
+        def model_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("serve-worker")]
+
+        before = model_threads()
+        with InferenceService(model) as service:
             service.submit(chips(1)[0]).result(timeout=WAIT)
-            time.sleep(0.05)
-            held = [service._inflight.acquire(blocking=False)
-                    for _ in range(3)]
-            for _ in range(sum(held)):
-                service._inflight.release()
-        assert held == [True, True, False]
+            running = model_threads()
+        assert [t.name for t in running if t not in before] == [
+            "serve-worker"]
+        assert model_threads() == before
+        with pytest.raises(TypeError, match="num_workers"):
+            InferenceService(model, num_workers=2).shutdown()
 
 
 class TestShutdownAndBackpressure:
@@ -323,14 +328,14 @@ class TestShutdownAndBackpressure:
 class TestStress:
     @pytest.mark.parametrize("engine", ["engine", "custom"])
     def test_every_request_is_answered_exactly_once(self, model, engine):
-        """More workers and submitters than cores, a short switch
-        interval: each request gets its own chip's answer, the batch
-        histogram accounts for every request, and the queue's O(1)
-        bookkeeping ends at zero.  ``engine`` is the service's own
-        guarded engine on one worker; ``custom`` an injected one
-        (``engine=``) shared by four."""
+        """More submitters than cores, a short switch interval: each
+        request gets its own chip's answer, the batch histogram accounts
+        for every request, and the queue's O(1) bookkeeping ends at
+        zero.  ``engine`` is the service's own guarded engine;
+        ``custom`` an injected one (``engine=``), run on the same one
+        model thread."""
         kwargs = ({} if engine == "engine" else
-                  {"engine": FaultyEngine(model).guarded(), "num_workers": 4})
+                  {"engine": FaultyEngine(model).guarded()})
         per_client, clients = 40, 6
         total = per_client * clients
         stack = chips(total, seed=7)

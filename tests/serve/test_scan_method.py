@@ -1,6 +1,7 @@
 """InferenceService.scan_scene: one ``repro.detect.scan_scene`` call on
-the service's engine, inline or over the service-owned pool."""
+the service's engine, inline or over the process's shared pool."""
 
+import multiprocessing as mp
 import threading
 from dataclasses import replace
 
@@ -20,6 +21,10 @@ ARCH = SPPNetConfig(
 # batch 4, so the 9-origin scene makes two shards under n_workers=2: at
 # the default 20 the scan inlines (and says so with a RuntimeWarning)
 KWARGS = dict(window=64, stride=64, confidence_threshold=0.3, batch_size=4)
+# a fleet job scans at scan_scene's defaults (window 100, stride 50,
+# batch 20): 300 px makes 25 windows, two shards at n_workers=2
+FLEET_SCENE = WatershedConfig(size=300, road_spacing=64,
+                              stream_threshold=600, seed=5)
 WAIT = 10.0
 
 
@@ -48,8 +53,7 @@ def damaged(scene):
 
 @pytest.fixture(scope="module")
 def service(model):
-    """One service for the equivalence matrix, so its lazily created
-    scan pool is spawned once."""
+    """One service for the equivalence matrix."""
     with InferenceService(model, BatchPolicy(max_batch=8)) as svc:
         yield svc
 
@@ -149,46 +153,72 @@ class TestScanMethod:
 
 
 class TestScanPool:
-    """The service-owned persistent pool and thread-safe start methods."""
+    """Bulk service scans run on the process's one shared pool, and the
+    thread-safe start method."""
 
     def test_scan_from_threaded_service_prefers_spawn(self, model):
-        # regression: the batcher/worker threads make fork unsafe, so a
+        # regression: the service's model thread makes fork unsafe, so a
         # scan issued while the service runs must pick spawn
         from repro.scanpar import default_start_method
 
         with InferenceService(model, BatchPolicy(max_batch=8)):
             assert default_start_method() == "spawn"
 
-    def test_startup_pool_is_warm_and_closed_on_shutdown(self, model, scene):
-        local = scan_scene(model, scene, **KWARGS)
-        with InferenceService(model, BatchPolicy(max_batch=8),
-                              scan_workers=2) as service:
-            pool = service._scan_pool
-            assert pool is not None and pool.n_workers == 2
-            # the model was delivered at startup, before any scan
-            assert pool.stats["model_sends"] == 2
-            served = service.scan_scene(scene, n_workers=2, **KWARGS)
-            assert list(served) == list(local)
-            assert pool.stats["runs"] == 1
-            assert pool.stats["model_sends"] == 2  # no re-send
-        assert pool.closed
-        assert service._scan_pool is None
+    def test_service_fleet_and_plain_scans_share_one_pool(self, model, scene,
+                                                           tmp_path):
+        """A service bulk scan, a fleet sweep through the service and a
+        plain pooled scan all run on the one ``get_pool`` pool: two
+        workers spawned across the three, the same pids throughout, and
+        the pool outlives the service."""
+        from repro.scanpar import shutdown_pools, warm_pool
 
-    def test_lazy_pool_created_once_and_closed(self, model, scene):
+        shutdown_pools()                # start from no shared pool
         local = scan_scene(model, scene, **KWARGS)
+        before = {p.pid for p in mp.active_children()}
+
+        def children():
+            return {p.pid for p in mp.active_children()} - before
+
         with InferenceService(model, BatchPolicy(max_batch=8)) as service:
-            assert service._scan_pool is None
-            first = service.scan_scene(scene, n_workers=2, **KWARGS)
-            pool = service._scan_pool
-            assert pool is not None
-            second = service.scan_scene(scene, n_workers=2, **KWARGS)
-            assert service._scan_pool is pool
-            assert pool.stats["workers_spawned"] == 2
-            assert pool.stats["runs"] == 2
-        assert pool.closed
-        assert list(first) == list(second) == list(local)
+            served = service.scan_scene(scene, n_workers=2, **KWARGS)
+            first = children()
+            summary = service.scan_many({"wide": FLEET_SCENE},
+                                        workdir=tmp_path, n_workers=2)
+            plain = scan_scene(model, scene, n_workers=2, **KWARGS)
+            spawned = children()
+            pool = warm_pool()
+        assert len(spawned) == 2 and spawned == first
+        pids = pool.worker_pids()
+        assert set(pids) == spawned
+        assert pool.stats["workers_spawned"] == 2
+        assert pool.stats["runs"] == 3
+        assert summary["counts"]["done"] == 1
+        assert not pool.closed          # closed by shutdown_pools / atexit
+        again = scan_scene(model, scene, n_workers=2, pool=pool, **KWARGS)
+        assert pool.worker_pids() == pids
+        assert list(served) == list(plain) == list(again) == list(local)
 
-    def test_scan_workers_validation(self, model):
-        with pytest.raises(ValueError, match="scan_workers"):
+    def test_auto_spawns_nothing_when_it_inlines(self, model, scene):
+        from repro.scanpar import cpu_affinity_count, resolve_n_workers
+
+        if cpu_affinity_count() < 2:
+            pytest.skip("'auto' never pools on one CPU")
+        kwargs = dict(window=64, stride=64, confidence_threshold=0.3)
+        n_origins = len(scan_origins(scene.size, 64, 64))
+        assert resolve_n_workers("auto", n_origins=n_origins,
+                                 batch_size=20) == 1
+        local = scan_scene(model, scene, **kwargs)
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
+            before = {p.pid for p in mp.active_children()}
+            served = service.scan_scene(scene, n_workers="auto", **kwargs)
+            after = {p.pid for p in mp.active_children()}
+        assert after == before
+        assert list(served) == list(local)
+
+    def test_n_workers_validation(self, model, scene):
+        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
+            with pytest.raises(ValueError, match="n_workers"):
+                service.scan_scene(scene, n_workers=0, **KWARGS)
+        with pytest.raises(TypeError, match="scan_workers"):
             InferenceService(model, BatchPolicy(max_batch=8),
-                             scan_workers=0)
+                             scan_workers=2).shutdown()

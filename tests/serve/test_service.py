@@ -3,17 +3,19 @@ shutdown semantics.
 
 Uses a deliberately tiny SPP-Net so each micro-batch costs ~1 ms, and a
 stalling engine double (``repro.faults.FaultyEngine``) where the tests
-need the worker pool to stay busy.
+need the model thread to stay busy.
 """
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
+from repro.engine import compiled_for
 from repro.faults import FaultyEngine
 from repro.robust import GuardedEngine
 from repro.serve import (
@@ -89,6 +91,21 @@ class TestBatchingCore:
             warmup_ms = service.metrics.snapshot()["warmup_ms"]
         assert warmup_ms > 0.0
 
+    def test_a_failed_warmup_warns_and_the_service_still_serves(self, model):
+        compiled = compiled_for(model)
+
+        def broken(*args):
+            raise RuntimeError("injected warm-up failure")
+
+        guard = GuardedEngine(model, compiled=SimpleNamespace(
+            predict_stream=compiled.predict_stream, warmup=broken))
+        with pytest.warns(RuntimeWarning, match="injected warm-up failure"):
+            with InferenceService(model, BatchPolicy(max_batch=4),
+                                  engine=guard) as svc:
+                result = svc.submit(chips(1)[0]).result(timeout=10)
+                warmup_ms = svc.metrics.snapshot()["warmup_ms"]
+        assert warmup_ms == 0.0 and result.backend == "engine"
+
     @pytest.mark.parametrize("backend", ["eager", "custom"])
     def test_only_the_engine_backend_is_accepted(self, model, backend):
         with pytest.raises(ValueError, match="engine only"):
@@ -121,9 +138,8 @@ class TestTimeout:
         """A deadline shorter than the batch ahead of it fails the future
         with RequestTimeoutError instead of serving stale work."""
         with InferenceService(model, BatchPolicy(max_batch=1),
-                              engine=stalled(model, 0.3),
-                              num_workers=1) as svc:
-            # occupy the single worker, then queue a request that expires
+                              engine=stalled(model, 0.3)) as svc:
+            # occupy the model thread, then queue a request that expires
             # while it waits behind the slow batch
             blocker = svc.submit(chips(1, seed=1)[0])
             doomed = svc.submit(chips(1, seed=2)[0], timeout_s=0.05)
@@ -143,11 +159,10 @@ class TestTimeout:
 
 class TestBackpressure:
     def test_full_queue_rejects_submit(self, model):
-        """With the single worker pinned and the queue bounded, excess
+        """With the model thread pinned and the queue bounded, excess
         submissions fail fast with QueueFullError."""
         svc = InferenceService(model, BatchPolicy(max_batch=1),
-                               engine=stalled(model, 0.5),
-                               max_queue=2, num_workers=1)
+                               engine=stalled(model, 0.5), max_queue=2)
         try:
             accepted = []
             with pytest.raises(QueueFullError):
@@ -185,9 +200,9 @@ class TestShutdown:
     def test_abort_fails_undispatched_requests(self, model):
         """drain=False fails queued work instead of running it."""
         svc = InferenceService(model, BatchPolicy(max_batch=1),
-                               engine=stalled(model, 0.3), num_workers=1)
+                               engine=stalled(model, 0.3))
         futures = svc.submit_many(chips(6))
-        time.sleep(0.05)  # let the first batch reach the worker
+        time.sleep(0.05)  # let the first batch reach the model thread
         svc.shutdown(drain=False)
         outcomes = []
         for f in futures:
