@@ -15,8 +15,10 @@ merge.  This benchmark is that promise as an executable gate:
   :class:`~repro.faults.FaultyDetector` whose
   :class:`~repro.faults.WorkerFaultPlan` scripts faults on ≥30% of the
   expected worker engine calls (a mix of hung workers, SIGKILLs
-  mid-shard, and slow calls), plus one scene's journal pre-seeded as a
-  torn crash artifact (:func:`~repro.faults.tear_trailing_line`);
+  mid-shard, and slow calls), restarting what a killed sweep left: a
+  process that submitted every scene, started one, and died, and that
+  scene's journal torn mid-record
+  (:func:`~repro.faults.tear_trailing_line`);
 * **gate** — the chaos sweep must complete every job (no dead
   letters), quarantine nothing, leak no shared-memory segments, never
   stall a hung worker much past its shard deadline, and — the core
@@ -38,6 +40,8 @@ Also collectable by pytest (``pytest benchmarks/bench_fleet.py``).
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -71,6 +75,21 @@ ARCH = SPPNetConfig(
 
 SCAN_KWARGS = dict(window=WINDOW, stride=STRIDE, batch_size=BATCH_SIZE,
                    confidence_threshold=CONFIDENCE)
+
+#: a sweep process killed mid-job: it submits every scene, starts the
+#: first and dies without a word, leaving that job started in the queue
+KILLED_SWEEP = """
+import os, sys
+from bench_fleet import SCAN_KWARGS, scene_configs
+from repro.fleet import ScanFleet
+
+queue, workdir, n_scenes = sys.argv[1:]
+fleet = ScanFleet(queue, None, workdir=workdir)
+for job_id, config in scene_configs(int(n_scenes)).items():
+    fleet.submit_scene(job_id, config, **SCAN_KWARGS)
+print(fleet.queue.claim().job_id, flush=True)
+os._exit(0)
+"""
 
 
 def scene_configs(n_scenes: int) -> dict[str, WatershedConfig]:
@@ -139,6 +158,23 @@ def run_sweep(model, scenes: dict, configs: dict, workdir: Path) -> dict:
     return summary
 
 
+def kill_a_sweep(workdir: Path, n_scenes: int) -> str:
+    """Run :data:`KILLED_SWEEP` on ``workdir``'s queue in a child
+    process; returns the job it started."""
+    import repro
+
+    path = [str(Path(__file__).resolve().parent),
+            str(Path(repro.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    child = subprocess.run(
+        [sys.executable, "-c", KILLED_SWEEP, str(workdir / "queue.jsonl"),
+         str(workdir), str(n_scenes)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    return child.stdout.strip()
+
+
 def replay_detections(model, scenes: dict, configs: dict,
                       workdir: Path) -> dict[str, list]:
     """Re-derive each scene's detections from its completed journal.
@@ -177,10 +213,13 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
     # ---- chaos sweep ---------------------------------------------------
     chaos_dir = workroot / "chaos"
     chaos_dir.mkdir(parents=True, exist_ok=True)
-    # pre-seed one scene with a torn journal (the SIGKILL-mid-append
-    # crash artifact): the sweep must repair, resume, and rescan only
-    # the torn tile
-    torn_job = next(iter(configs))
+    # start from a killed sweep's crash pair: the queue holds every
+    # scene with the first one started, and that scene's journal is torn
+    # mid-record (the SIGKILL-mid-append artifact).  The sweep must
+    # reclaim the job at once, repair, resume, and rescan only the torn
+    # tile
+    torn_job = kill_a_sweep(chaos_dir, n_scenes)
+    assert torn_job == next(iter(configs))
     torn_journal = chaos_dir / f"{torn_job}.journal.jsonl"
     shutil.copyfile(clean_dir / f"{torn_job}.journal.jsonl", torn_journal)
     torn_bytes = tear_trailing_line(torn_journal)
@@ -208,7 +247,7 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
                  for job_id in configs}
     quarantined = sum(r["tiles_quarantined"]
                       for r in chaos["results"].values())
-    torn_resumed = chaos["results"][torn_job]["tiles_resumed"]
+    torn_result = chaos["results"][torn_job]
 
     return {
         "benchmark": "fleet",
@@ -227,7 +266,8 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
             "fired": plan.fired(),
         },
         "torn_journal": {"job": torn_job, "bytes_torn": torn_bytes,
-                         "tiles_resumed": torn_resumed},
+                         "tiles_resumed": torn_result["tiles_resumed"],
+                         "attempt": torn_result["attempt"]},
         "clean_sweep": {
             "elapsed_s": clean["elapsed_s"],
             "counts": clean["counts"],
@@ -321,7 +361,8 @@ def main() -> None:
           f"overshoot={sup['max_overshoot_s']:.3f}s")
     torn = payload["torn_journal"]
     print(f"torn journal: {torn['job']} lost {torn['bytes_torn']}B, "
-          f"resumed {torn['tiles_resumed']} tiles")
+          f"resumed {torn['tiles_resumed']} tiles at attempt "
+          f"{torn['attempt']}")
     identical = payload["identical_by_scene"]
     print(f"identity    : "
           f"{json.dumps({k: bool(v) for k, v in identical.items()})}")

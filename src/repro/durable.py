@@ -30,18 +30,19 @@ def append_jsonl(path: str | Path, objects, *, truncate: bool = False) -> None:
         os.fsync(fh.fileno())
 
 
-def load_jsonl_repaired(path: str | Path, *, repair: bool = True) -> list[dict]:
+def load_jsonl_repaired(path: str | Path, *,
+                        error: type[Exception]) -> list[dict]:
     """Parse a JSONL file, tolerating — and repairing — a torn final write.
 
     A process killed mid-append leaves one of two crash artifacts at the
     end of the file: a partial line that is not valid JSON, or a valid
-    line missing its terminating newline.  Both are repaired in place
-    (``repair=True``): the torn partial line is truncated away, the
-    unterminated valid line gets its newline — so a later append can
-    never concatenate onto damaged bytes and turn a recoverable crash
-    artifact into mid-file corruption.  A malformed line *followed by
-    more data* is genuine corruption (no crash produces it) and raises
-    :class:`~repro.robust.journal.ScanJournalError`.
+    line missing its terminating newline.  Both are repaired in place:
+    the torn partial line is truncated away, the unterminated valid line
+    gets its newline — so a later append can never concatenate onto
+    damaged bytes and turn a recoverable crash artifact into mid-file
+    corruption.  A malformed line *followed by more data* is genuine
+    corruption (no crash produces it) and raises ``error``, the class
+    the calling log reports its corruption as.
     """
     path = Path(path)
     if not path.exists():
@@ -64,14 +65,7 @@ def load_jsonl_repaired(path: str | Path, *, repair: bool = True) -> list[dict]:
                 record = json.loads(chunk.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 if terminated:
-                    # every log reports corruption as the scan journal's
-                    # error; imported here because that module sits above
-                    # this one
-                    from .robust.journal import ScanJournalError
-
-                    raise ScanJournalError(
-                        f"{path}: corrupt journal line {line_no}"
-                    ) from None
+                    raise error(f"{path}: corrupt line {line_no}") from None
                 break  # torn trailing write from a crash — recoverable
             records.append(record)
             if terminated:
@@ -81,15 +75,14 @@ def load_jsonl_repaired(path: str | Path, *, repair: bool = True) -> list[dict]:
         elif terminated:      # blank line: harmless, keep it as intact bytes
             good_end = nl + 1
         pos = end + 1
-    if repair:
-        if tail_valid_unterminated:
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        elif good_end < n:
-            with open(path, "r+b") as fh:
-                fh.truncate(good_end)
-                fh.flush()
-                os.fsync(fh.fileno())
+    if tail_valid_unterminated:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+    elif good_end < n:
+        with open(path, "r+b") as fh:
+            fh.truncate(good_end)
+            fh.flush()
+            os.fsync(fh.fileno())
     return records

@@ -10,9 +10,10 @@ crash-*surviving* at two levels:
   deterministic-merge byte-identity contract.  It and its
   :class:`SupervisionPolicy` / :class:`SupervisionReport` live beside
   the pool's one dispatch loop in :mod:`repro.scanpar.pool`;
-* :mod:`~repro.fleet.jobs` — scene-level: a durable JSONL job queue
-  with leases, heartbeats, exponential-backoff retries
-  (:class:`~repro.nas.retry.RetryPolicy`), and a dead-letter state;
+* :mod:`~repro.fleet.jobs` — scene-level: a durable JSONL job queue,
+  owned by one process at a time, with exponential-backoff retries
+  (:class:`~repro.nas.retry.RetryPolicy`), a dead-letter state, and
+  crash recovery by replay (an interrupted job reopens pending);
 * :mod:`~repro.fleet.orchestrator` — the sweep: claim a scene, scan it
   journaled-and-resumable under supervision, complete or retry.
 
@@ -20,7 +21,7 @@ See ``docs/fleet.md``.
 """
 
 from ..scanpar.pool import ShardSupervisor, SupervisionPolicy, SupervisionReport
-from .jobs import DEAD, DONE, LEASED, PENDING, JobQueue, JobQueueError, ScanJob
+from .jobs import DEAD, DONE, PENDING, RUNNING, JobQueue, JobQueueError, ScanJob
 from .orchestrator import ScanFleet
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "JobQueueError",
     "ScanJob",
     "PENDING",
-    "LEASED",
+    "RUNNING",
     "DONE",
     "DEAD",
     "ScanFleet",

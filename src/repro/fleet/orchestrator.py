@@ -4,9 +4,9 @@
 crash-safe sweep over many scenes:
 
 * the **job queue** (:class:`~repro.fleet.jobs.JobQueue`) durably owns
-  which scenes exist, who is scanning them, and how many attempts each
-  has burned — submit once, then any number of fleet processes can
-  claim, crash, and retry without double-scanning or losing a scene;
+  which scenes exist, which one is running, and how many attempts each
+  has burned — one process drains it at a time, and a process killed
+  mid-sweep is restarted by opening a new fleet on the same file;
 * each claimed scene scans through :func:`repro.detect.scan_scene` in
   robust journaled mode with ``resume=True``, so a retried job picks up
   at the exact tile its predecessor's crash left off — the per-tile
@@ -17,15 +17,13 @@ crash-safe sweep over many scenes:
   scans in parallel, so hung or dying pool workers cost redispatches,
   not jobs.
 
-A heartbeat thread extends the job lease while the scan runs; if the
-lease is lost anyway (the queue decided this process was dead), the
-result is discarded rather than double-reported — whoever reclaimed the
-job owns it now.
+The fleet starts no thread of its own, so a sweep picks the start
+method, ``"auto"`` verdict and shared pool of a plain scan from the same
+process.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -33,7 +31,7 @@ from pathlib import Path
 from ..detect.scan import scan_scene
 from ..geo.scene import Scene, build_scene
 from ..geo.synthesis import WatershedConfig
-from .jobs import JobQueue, JobQueueError, ScanJob
+from .jobs import DEAD, JobQueue, ScanJob
 
 __all__ = ["ScanFleet"]
 
@@ -44,49 +42,14 @@ _SCAN_KEYS = frozenset({
     "batch_size", "timeout_s",
 })
 
+#: seconds between claims while every pending job waits out a backoff
+_POLL_S = 0.05
+
 
 def _default_scene_provider(payload: dict) -> Scene:
     """Rebuild a scene from its job payload (deterministic in the
     config seed, so every retry scans identical pixels)."""
     return build_scene(WatershedConfig(**payload["scene"]))
-
-
-class _Heartbeat:
-    """Background lease-extension while one job scans.
-
-    ``lost`` flips when the queue refuses a heartbeat — the lease
-    expired and may have been reclaimed — after which the owning fleet
-    must discard its result instead of completing the job.
-    """
-
-    def __init__(self, queue: JobQueue, job: ScanJob,
-                 interval_s: float) -> None:
-        self._queue = queue
-        self._job = job
-        self._interval_s = interval_s
-        self._stop = threading.Event()
-        self.lost = False
-        self._thread = threading.Thread(
-            target=self._beat, name=f"fleet-heartbeat-{job.job_id}",
-            daemon=True,
-        )
-
-    def _beat(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                self._queue.heartbeat(self._job.job_id,
-                                      self._job.lease_owner)
-            except JobQueueError:
-                self.lost = True
-                return
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
 
 
 class ScanFleet:
@@ -95,8 +58,8 @@ class ScanFleet:
     Parameters
     ----------
     queue          : the durable job queue — or a path, in which case a
-                     :class:`JobQueue` with default retry/lease settings
-                     is opened there.
+                     :class:`JobQueue` with the default retry policy is
+                     opened there.
     model          : the detector every job scans with.
     workdir        : directory for per-scene scan journals
                      (``<workdir>/<job_id>.journal.jsonl``).
@@ -108,17 +71,13 @@ class ScanFleet:
                      the scene from the payload's ``WatershedConfig``
                      dict.  Tests and benches inject prebuilt (or
                      deliberately damaged) scenes here.
-    owner          : lease owner name; defaults to ``fleet-<pid>``.
     """
 
     def __init__(self, queue: JobQueue | str | Path, model, *,
                  workdir: str | Path,
                  n_workers: int | str = "auto",
                  supervision=None,
-                 scene_provider=None,
-                 owner: str | None = None) -> None:
-        import os
-
+                 scene_provider=None) -> None:
         self.queue = queue if isinstance(queue, JobQueue) \
             else JobQueue(queue)
         self.model = model
@@ -127,7 +86,6 @@ class ScanFleet:
         self.n_workers = n_workers
         self.supervision = supervision
         self.scene_provider = scene_provider or _default_scene_provider
-        self.owner = owner or f"fleet-{os.getpid()}"
 
     # -- submission --------------------------------------------------------
 
@@ -182,69 +140,44 @@ class ScanFleet:
         """Claim and run a single job.
 
         Returns ``(job_id, outcome, summary)`` where outcome is
-        ``"done"``, ``"failed"`` (will retry), ``"dead"``
-        (dead-lettered), or ``"lease_lost"`` — or None when nothing was
-        claimable.  Scan exceptions are converted into queue state, not
-        raised: one broken scene must not take down the sweep.
+        ``"done"``, ``"failed"`` (will retry) or ``"dead"``
+        (dead-lettered) — or None when nothing was claimable.  Scan
+        exceptions are converted into queue state, not raised: one
+        broken scene must not take down the sweep.
         """
-        job = self.queue.claim(self.owner)
+        job = self.queue.claim()
         if job is None:
             return None
-        interval = self.queue.lease_ttl_s / 3.0
-        with _Heartbeat(self.queue, job, interval) as heartbeat:
-            try:
-                summary = self._scan_job(job)
-            except Exception as exc:
-                if heartbeat.lost:
-                    return job.job_id, "lease_lost", None
-                status = self.queue.fail(
-                    job.job_id, self.owner,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                return (job.job_id,
-                        "dead" if status == "dead" else "failed",
-                        None)
-        if heartbeat.lost:
-            # someone else owns the job now; the journal keeps our tiles
-            return job.job_id, "lease_lost", None
-        self.queue.complete(job.job_id, self.owner, result=summary)
+        try:
+            summary = self._scan_job(job)
+        except Exception as exc:
+            status = self.queue.fail(job.job_id,
+                                     f"{type(exc).__name__}: {exc}")
+            return job.job_id, "dead" if status == DEAD else "failed", None
+        self.queue.complete(job.job_id, result=summary)
         return job.job_id, "done", summary
 
-    def run(self, *, max_jobs: int | None = None,
-            idle_wait_s: float = 0.05,
-            max_idle_s: float = 30.0) -> dict:
-        """Drain the queue; returns a sweep summary.
+    def run(self) -> dict:
+        """Drain the queue (every job done or dead); returns a sweep
+        summary.
 
-        Stops when the queue is drained (every job done or dead),
-        ``max_jobs`` jobs have been run, or nothing has been claimable
-        for ``max_idle_s`` (jobs leased by *other* owners, or retry
-        backoffs far in the future).
+        A queue that is not drained but has nothing to claim is waiting
+        out a retry backoff, which ``RetryPolicy.max_backoff_s`` bounds,
+        so the sweep polls until the backoff elapses.
         """
         outcomes: dict[str, list[str]] = {}
         results: dict[str, dict] = {}
-        ran = 0
-        idle_since: float | None = None
         while not self.queue.drained():
-            if max_jobs is not None and ran >= max_jobs:
-                break
             step = self.run_one()
             if step is None:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif now - idle_since >= max_idle_s:
-                    break
-                time.sleep(idle_wait_s)
+                time.sleep(_POLL_S)
                 continue
-            idle_since = None
-            ran += 1
             job_id, outcome, summary = step
             outcomes.setdefault(job_id, []).append(outcome)
             if summary is not None:
                 results[job_id] = summary
         return {
-            "owner": self.owner,
-            "jobs_run": ran,
+            "jobs_run": sum(map(len, outcomes.values())),
             "counts": self.queue.counts(),
             "dead_letters": self.queue.dead_letters(),
             "outcomes": outcomes,

@@ -41,10 +41,11 @@ class TrialJournal:
 
         The append a kill interrupted (a torn last line) is dropped and
         truncated from the file, so the sweep resumes and re-runs that
-        one trial (:func:`repro.durable.load_jsonl_repaired`).
+        one trial (:func:`repro.durable.load_jsonl_repaired`); a corrupt
+        line mid-file raises ``RuntimeError``.
         """
-        return [self.from_json(payload)
-                for payload in load_jsonl_repaired(self.path)]
+        return [self.from_json(payload) for payload
+                in load_jsonl_repaired(self.path, error=RuntimeError)]
 
     @staticmethod
     def to_json(record: TrialRecord) -> dict:

@@ -161,7 +161,7 @@ class ScanJournal:
         paths treat as a fresh scan; a torn line anywhere else is
         corruption and raises.
         """
-        parsed = load_jsonl_repaired(self.path)
+        parsed = load_jsonl_repaired(self.path, error=ScanJournalError)
         if not parsed:
             return {}, []
         if parsed[0].get("kind") != _HEADER_KIND:

@@ -374,12 +374,13 @@ class InferenceService:
         fleet's scene provider understands).  Builds a
         :class:`repro.fleet.ScanFleet` over a job queue at
         ``queue_path`` (default ``<workdir>/queue.jsonl``), submits
-        every job (idempotently — resubmitting a sweep that crashed
-        resumes it), drains the queue with this service's model on the
-        engine, and returns the sweep summary.  Per-scene crash
-        recovery, retries, and dead-lettering follow the fleet semantics
-        in ``docs/fleet.md``; supervision recovery counts fold into the
-        ``scan_*`` fleet metrics.
+        every job (idempotently — calling it again on the queue of a
+        sweep whose process was killed resumes that sweep), drains the
+        queue with this service's model on the engine, and returns the
+        sweep summary.  One process owns a queue file at a time.
+        Per-scene crash recovery, retries, and dead-lettering follow
+        the fleet semantics in ``docs/fleet.md``; supervision recovery
+        counts fold into the ``scan_*`` fleet metrics.
         """
         from pathlib import Path
 

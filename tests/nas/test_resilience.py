@@ -207,6 +207,20 @@ class TestJournalResume:
             else:
                 assert np.isnan(restored.value)
 
+    def test_corrupt_line_mid_file_raises(self, tmp_path):
+        """A malformed line followed by more lines is corruption, not a
+        crash artifact; the trial journal raises its own error for it,
+        not the scan journal's."""
+        path = tmp_path / "trials.jsonl"
+        Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                   max_trials=3, seed=0, journal=path).run()
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = '{"trial_id": 1, "sam\n'
+        path.write_text("".join(lines))
+        with pytest.raises(RuntimeError, match="corrupt line 2") as raised:
+            TrialJournal(path).load()
+        assert raised.type is RuntimeError
+
     def test_resumed_sweep_identical_to_uninterrupted(self, tmp_path):
         """Kill after k trials, resume from the journal: same trial DB."""
         full = Experiment(sppnet_search_space(), FunctionalEvaluator(objective),

@@ -30,6 +30,18 @@ class TestExtend:
         assert records == []
 
 
+class TestLoad:
+    def test_corrupt_line_mid_file_raises_scan_journal_error(self, tmp_path):
+        journal = ScanJournal(tmp_path / "scan.jsonl")
+        journal.start(META)
+        journal.extend([rec(0), rec(1)])
+        lines = journal.path.read_text().splitlines(keepends=True)
+        lines[1] = '{"kind": "tile", "ind\n'
+        journal.path.write_text("".join(lines))
+        with pytest.raises(ScanJournalError, match="corrupt line 2"):
+            journal.load()
+
+
 class TestShardPaths:
     def test_shard_path_is_sibling_with_suffix(self, tmp_path):
         journal = ScanJournal(tmp_path / "scan.jsonl")

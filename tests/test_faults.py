@@ -378,7 +378,7 @@ class TestTearTrailingLine:
         assert removed > 0
         assert not path.read_bytes().endswith(b"\n")
         # the repair path drops exactly the torn record
-        assert load_jsonl_repaired(path) == records[:3]
+        assert load_jsonl_repaired(path, error=ValueError) == records[:3]
 
     def test_keep_fraction_validation(self, tmp_path):
         from repro.faults import tear_trailing_line
