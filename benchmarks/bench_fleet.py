@@ -224,14 +224,14 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
     shutil.copyfile(clean_dir / f"{torn_job}.journal.jsonl", torn_journal)
     torn_bytes = tear_trailing_line(torn_journal)
 
-    # expected worker engine calls: one per tile actually scanned in a
-    # worker (robust shards run each tile alone through the guard).  The
-    # torn scene's single missing tile rescans *inline* (one remaining
-    # tile is below the 2-shard parallel floor), so only the untouched
-    # scenes are
-    # guaranteed worker calls — faults beyond this floor might never
+    # expected worker engine calls: one per micro-batch scanned in a
+    # worker (a robust shard runs each micro-batch as one guarded stack,
+    # and shard bounds are multiples of the batch size).  The torn
+    # scene's single missing tile rescans *inline* (one remaining tile
+    # is below the 2-shard parallel floor), so only the untouched scenes
+    # are guaranteed worker calls — faults beyond this floor might never
     # fire, and the fired() gate would flake.
-    expected_calls = tiles_per_scene * (n_scenes - 1)
+    expected_calls = -(-tiles_per_scene // BATCH_SIZE) * (n_scenes - 1)
     plan = build_fault_plan(expected_calls, workroot / "fuses")
     faulty = FaultyDetector(model, plan)
 

@@ -21,13 +21,13 @@ Production scenes are not pristine: tiles arrive with NaN pixels, nodata
 holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
 ``sanitize=`` and/or ``journal=`` swaps the batched stage for the
 *robust* one — every tile is validated/repaired/quarantined behind a
-per-tile fault boundary, outcomes stream to an append-only JSONL scan
-journal, and ``resume=True`` replays a crashed scan's journaled tiles
-verbatim so the finished result is identical to an uninterrupted run.
-The journal commits once per ``batch_size`` finished tiles — one fsync
-per micro-batch, flushed on the way out of a deadline or a crash, so a
-hard kill loses at most ``batch_size - 1`` finished tiles (plus the one
-in flight) and a resume re-runs exactly those.
+per-tile fault boundary, the survivors of each micro-batch run as one
+stack whose rows are bitwise each tile's batch-1 answer, outcomes stream
+to an append-only JSONL scan journal, and ``resume=True`` replays a
+crashed scan's journaled tiles verbatim so the finished result is
+identical to an uninterrupted run.  The journal commits once per
+micro-batch — one fsync per ``batch_size`` tiles — so a hard kill loses
+at most the micro-batch in flight and a resume re-runs exactly it.
 
 There is one pipeline (``docs/scanning.md``): :func:`scan_scene` plans
 the scan, :func:`scan_span` runs a span of its tiles through either
@@ -63,7 +63,7 @@ __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
 class ScanDeadlineError(TimeoutError):
     """A scan's wall-clock deadline expired before it finished.
 
-    Raised inline before a batch or tile would start late, and by the
+    Raised inline before a micro-batch would start late, and by the
     pool's supervised dispatch loop (``repro.scanpar.pool``) when a
     run-level deadline — typically a per-request deadline propagated
     from ``serve.InferenceService.scan_scene(timeout_s=...)`` — passes
@@ -261,14 +261,14 @@ def scan_scene(
       what overlapping windows share once per scene), its only value.
     * ``sanitize`` (a :class:`~repro.robust.SanitizePolicy`) and/or
       ``journal`` (a path or :class:`~repro.robust.ScanJournal`) select
-      the *robust* stage: each tile is sanitized, run alone behind its
+      the *robust* stage: each tile is sanitized and runs behind its
       own fault boundary (a poisoned tile is quarantined, never fatal)
-      and journaled, one durable commit per ``batch_size`` finished
-      tiles (a hard kill loses at most ``batch_size - 1`` of them; a
-      deadline or an exception flushes first); ``resume=True`` replays
-      a crashed scan's journaled tiles verbatim, so the result equals
-      the uninterrupted one.  Without them tiles run in micro-batches
-      of ``batch_size``.
+      in micro-batches of ``batch_size`` whose rows are bitwise each
+      tile's answer alone, journaled with one durable commit per
+      micro-batch (a hard kill loses at most the one in flight);
+      ``resume=True`` replays a crashed scan's journaled tiles
+      verbatim, so the result equals the uninterrupted one.  Without
+      them tiles run in micro-batches of ``batch_size``.
     * ``n_workers``: 1 runs the scan in this process; more (or
       ``"auto"``, which picks from CPU affinity and scene size and may
       pick 1) shards it over a persistent warm
@@ -406,15 +406,13 @@ def scan_span(
 
     Without a ``policy`` tiles run in micro-batches pulled from
     ``CompiledModel.predict_windows`` and the payload is ``{"confidences",
-    "boxes"}`` (raw model outputs, in origin order).  With one, every
-    tile not in ``skip`` (already journaled) goes sanitize ->
-    ``GuardedEngine.predict_batch`` on its own, in index order; finished
-    records are written with one ``journal.extend`` (one fsync) per
-    ``batch_size`` of them, and the payload is ``{"records",
-    "fallbacks"}``.  ``deadline_at`` (monotonic) is checked before each
-    batch or tile runs and raises :class:`ScanDeadlineError`; the
-    records finished by then, or by any other exception out of the
-    loop, are flushed before it propagates.
+    "boxes"}`` (raw model outputs, in origin order).  With one, the
+    tiles not in ``skip`` (already journaled) run in index order, in
+    micro-batches of ``batch_size`` (:func:`_run_group`), each finished
+    micro-batch written with one ``journal.extend`` (one fsync); the
+    payload is ``{"records", "fallbacks"}``.  ``deadline_at``
+    (monotonic) is checked before each micro-batch runs and raises
+    :class:`ScanDeadlineError` with every finished one on disk.
     """
     start, stop = span
 
@@ -442,8 +440,6 @@ def scan_span(
                 "boxes": np.concatenate([box for _, box in parts])}
 
     from ..robust.guard import GuardedEngine
-    from ..robust.journal import TileRecord
-    from ..robust.sanitize import sanitize_chip
 
     guarded = GuardedEngine(model)
     todo = [index for index in range(start, stop) if index not in skip]
@@ -461,41 +457,85 @@ def scan_span(
             journal.extend(group)
 
     try:
-        for index in todo:
+        for at in range(0, len(todo), batch_size):
             check_deadline(len(records), len(todo))
-            r0, c0 = origins[index]
-            tile = np.asarray(
-                image[:, r0:r0 + window, c0:c0 + window], dtype=np.float32
-            )
-            result = sanitize_chip(tile, policy)
-            if result.status == "quarantined":
-                record = TileRecord(index, (r0, c0), "quarantined",
-                                    reason=result.report.summary())
-            else:
-                record = _run_tile(guarded, result, index, (r0, c0),
-                                   window, confidence_threshold)
-            records.append(record)
-            if len(records) - committed == batch_size:
-                commit()
+            records += _run_group(guarded, image, origins,
+                                  todo[at:at + batch_size], window, policy,
+                                  confidence_threshold)
+            commit()
     finally:
-        # a deadline or a crash out of the loop still leaves every
-        # finished tile on disk
+        # an interrupt between a micro-batch's records and its commit
+        # still leaves the micro-batch on disk
         commit()
     return {"records": records, "fallbacks": guarded.fallback_by_reason}
 
 
+def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
+               group: list[int], window: int, policy,
+               confidence_threshold: float) -> list[TileRecord]:
+    """One micro-batch of the robust stage: every tile of ``group``
+    sanitized in index order, the tiles not quarantined stacked into one
+    ``guarded.predict_batch`` call, each row decoded alone.  A head runs
+    whole 4-row blocks (``engine.compiled.HEAD_ROWS``), so a row is the
+    bytes the tile's own ``predict_batch(chip[None])`` gives.  The fault
+    boundary stays per tile: if the call raises (the guard's eager
+    re-run failed too), each tile re-runs alone through
+    :func:`_run_tile`, so poison stays in its tile."""
+    from ..robust.journal import TileRecord
+    from ..robust.sanitize import sanitize_chip
+
+    sanitized = []
+    for index in group:
+        r0, c0 = origins[index]
+        tile = np.asarray(image[:, r0:r0 + window, c0:c0 + window],
+                          dtype=np.float32)
+        sanitized.append((index, (r0, c0), sanitize_chip(tile, policy)))
+    live = [result.chip for _, _, result in sanitized
+            if result.status != "quarantined"]
+    rows = None
+    if live:
+        try:
+            conf, box, _ = guarded.predict_batch(np.stack(live))
+        except Exception:
+            pass        # the fault boundary narrows to each tile below
+        else:
+            rows = zip(conf, box)
+    records = []
+    for index, origin, result in sanitized:
+        if result.status == "quarantined":
+            records.append(TileRecord(index, origin, "quarantined",
+                                      reason=result.report.summary()))
+        elif rows is None:
+            records.append(_run_tile(guarded, result, index, origin, window,
+                                     confidence_threshold))
+        else:
+            records.append(_tile_record(result, index, origin, *next(rows),
+                                        window, confidence_threshold))
+    return records
+
+
 def _run_tile(guarded, result, index: int, origin: tuple[int, int],
-              window: int, confidence_threshold: float):
+              window: int, confidence_threshold: float) -> TileRecord:
     """Model execution for one sanitized tile, with its fault boundary."""
     from ..robust.journal import TileRecord
 
-    r0, c0 = origin
-    reason = "; ".join(result.repairs) if result.repairs else None
     try:
         conf, box, _ = guarded.predict_batch(result.chip[None])
     except Exception as exc:  # the fault boundary: poison stays in the tile
         return TileRecord(index, origin, "quarantined",
                           reason=f"model failure: {exc!r}")
+    return _tile_record(result, index, origin, conf, box, window,
+                        confidence_threshold)
+
+
+def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
+                 window: int, confidence_threshold: float) -> TileRecord:
+    """Decode one tile's model row into its record; a non-finite row
+    quarantines the tile alone."""
+    from ..robust.journal import TileRecord
+
+    r0, c0 = origin
+    reason = "; ".join(result.repairs) if result.repairs else None
     conf0 = float(np.asarray(conf).reshape(-1)[0])
     box0 = np.asarray(box, dtype=np.float64).reshape(-1)
     if not (math.isfinite(conf0) and np.isfinite(box0).all()):

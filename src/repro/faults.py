@@ -383,8 +383,8 @@ class WorkerFaultPlan:
 
     ``faults`` maps a *global* engine-call ordinal (0-based, counted
     across every worker process that shares ``fuse_dir``; one per
-    micro-batch of a batched shard, one per tile of a robust one) to a
-    fault kind:
+    micro-batch of a batched or a robust shard, and one per tile a
+    failed robust micro-batch re-runs) to a fault kind:
 
     - ``"hang"``  : sleep ``hang_s`` (the wedged-but-alive worker; the
       supervisor's deadline kill is the only way out),
@@ -438,12 +438,14 @@ class FaultyDetector:
     ``repro.engine.compiled_for`` runs the wrapped model's program
     behind this wrapper's fault point (:meth:`engine_program`), which
     claims one ordinal per micro-batch of ``predict_windows`` and one
-    per ``predict`` call (a robust tile).  A non-faulting call delegates
-    verbatim, so a scan through a ``FaultyDetector`` that recovers from
-    every fault must produce byte-identical detections to the bare
-    model — the fleet chaos gate's core assertion.  An ``"error"`` also
-    fails ``GuardedEngine``'s eager re-run of the call, so it fails a
-    batched shard or quarantines a robust tile, never answered by eager.
+    per ``predict`` call (a robust micro-batch, or one tile of a failed
+    one re-run alone).  A non-faulting call delegates verbatim, so a
+    scan through a ``FaultyDetector`` that recovers from every fault
+    must produce byte-identical detections to the bare model — the
+    fleet chaos gate's core assertion.  An ``"error"`` also fails
+    ``GuardedEngine``'s eager re-run of the call, so it fails a batched
+    shard, makes a robust micro-batch re-run tile by tile, or
+    quarantines a robust tile re-run alone, never answered by eager.
 
     The parent pid is captured at construction: calls in that process
     never fault (and never consume ordinals), so the supervisor's

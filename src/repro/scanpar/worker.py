@@ -73,14 +73,16 @@ def _warm_engine(model, image_shape: tuple[int, ...], window: int,
     grid (``warmup_windows`` binds it with the plan, so no shard's first
     edge window binds inside its timed scan) — and a head per
     micro-batch size (full batches and the span's ragged last one); a
-    robust span runs one tile at a time, the per-tile programs at
-    batch 1."""
+    robust span stacks whatever of a group the sanitizer passes, so it
+    warms the window shape's trunk and a head for every group size up
+    to ``batch_size`` (one per whole 4-row block)."""
     from ..engine import compiled_for
 
     model.eval()
     compiled = compiled_for(model)
     if robust:
-        return compiled.warmup([1], (image_shape[0], window, window))
+        return compiled.warmup(range(1, min(batch_size, n_origins) + 1),
+                               (image_shape[0], window, window))
     sizes = {size for size in (min(batch_size, n_origins),
                                n_origins % batch_size) if size}
     return compiled.warmup_windows(image_shape, window, origins,

@@ -13,7 +13,7 @@ from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect.predict import predict
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel, Step, compile as engine_compile
-from repro.engine.compiled import _Program
+from repro.engine.compiled import HEAD_ROWS, _Program, _head_rows
 from repro.engine.fusion import split_trunk_head
 from repro.nas.space import config_from_sample
 from repro.tensor import Linear, ReLU, Sequential, Tensor, no_grad
@@ -70,12 +70,14 @@ class TestSplitRule:
 
 def full_batch(compiled: CompiledModel, x: np.ndarray) -> list[np.ndarray]:
     """Every step bound at the full batch in one arena: one im2col GEMM
-    per conv over all ``n`` samples."""
-    prog = _Program(compiled.steps, compiled.outputs, len(x), compiled.dtype,
-                    compiled._packed)
+    per conv over all ``n`` samples, at the rows the engine binds a head
+    for ``n`` (whole ``HEAD_ROWS`` blocks, the pad rows zeroed)."""
+    prog = _Program(compiled.steps, compiled.outputs, _head_rows(len(x)),
+                    compiled.dtype, compiled._packed)
     prog.feed(x)
+    prog.zero_rows(len(x))
     prog.execute()
-    return prog.extract()
+    return prog.extract(len(x))
 
 
 @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
@@ -174,7 +176,8 @@ def test_all_linear_module_runs_as_one_head():
     with no_grad():
         expected = mlp(Tensor(x)).data
     np.testing.assert_allclose(compiled(x), expected, atol=1e-5, rtol=1e-4)
-    assert not compiled._trunks and set(compiled._heads) == {(5, 12)}
+    # 5 rows run in a head bound at two whole 4-row blocks
+    assert not compiled._trunks and set(compiled._heads) == {(8, 12)}
     assert compiled.schedule_for(5) is None
     assert compiled.planned_peak_bytes(5) == compiled.memory_plan(5).peak_bytes
 
@@ -185,7 +188,8 @@ def test_ragged_last_batch_through_predict():
     x = np.random.default_rng(4).standard_normal(
         (7, 4, 32, 32)).astype(np.float32)
     conf, boxes = compiled.predict(x, batch_size=3)
-    assert set(compiled._heads) == {(3, 4, 32, 32), (1, 4, 32, 32)}
+    # the batches of 3 and the ragged 1 both run in one 4-row head
+    assert set(compiled._heads) == {(HEAD_ROWS, 4, 32, 32)}
     assert len(compiled._trunks) == 1
     ref_conf, ref_boxes = predict(model, x, batch_size=3)
     np.testing.assert_allclose(conf, ref_conf, atol=1e-5, rtol=1e-4)
@@ -209,15 +213,17 @@ def test_batch_size_below_one_is_rejected(batch_size):
 def closed_loop(compiled: CompiledModel, x: np.ndarray) -> list[np.ndarray]:
     """The depth-first pass as it ran when the batch was known up
     front: each sample's boundary rows written straight into the head
-    bound at ``len(x)``.  Kept here as the reference for the lazy loop."""
+    bound for ``len(x)``, its pad rows zeroed, and the real rows sliced
+    out.  Kept here as the reference for the lazy loop."""
     trunk, head = compiled._programs_for(len(x), tuple(x.shape[1:]))
     for i in range(len(x)):
         trunk.feed(x[i:i + 1])
         trunk.execute()
         for name in trunk.outputs:
             np.copyto(head.views[name][i:i + 1], trunk.views[name])
+    head.zero_rows(len(x))
     head.execute()
-    return head.extract()
+    return head.extract(len(x))
 
 
 @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))

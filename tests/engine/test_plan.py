@@ -139,15 +139,15 @@ class TestRealModelPlan:
         assert plan.check()
         assert plan.reuse_factor > 1.0
         # what the process holds: the one-sample trunk's arena plus the
-        # head's at batch 2
+        # arena of the head batch 2 runs in, bound at one 4-row block
         trunk, head = compiled._programs_for(2, (4, 32, 32))
-        assert (trunk.plan.batch, head.plan.batch, plan.batch) == (1, 2, 2)
+        assert (trunk.plan.batch, head.plan.batch, plan.batch) == (1, 4, 4)
         assert compiled.planned_peak_bytes(batch=2) == plan.peak_bytes \
             == trunk.plan.peak_bytes + head.plan.peak_bytes
         # the boundary tensor lives in both arenas, in different slots
         handed = plan.lifetimes["spp_concat1"]
         gathered = plan.lifetimes["spp_concat1:gathered"]
-        assert gathered.nbytes == 2 * handed.nbytes
+        assert gathered.nbytes == 4 * handed.nbytes
         assert gathered.slot >= len(trunk.plan.slot_sizes) > handed.slot
 
     def test_arena_does_not_grow_with_the_batch(self):

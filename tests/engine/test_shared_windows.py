@@ -604,8 +604,9 @@ class TestSpans:
         compiled = engine_compile(self.model, (4, 40, 40))
         compiled.warmup_windows(self.image.shape, 40, self.origins, [7])
         scan = compiled._scan[2]
+        # batch 7 runs in the head bound at two 4-row blocks
         bound = [*scan.prefixes.values(), scan.suffix,
-                 compiled._heads[(7, 4, 40, 40)]]
+                 compiled._heads[(8, 4, 40, 40)]]
         assert {id(p.plan) for p in bound} <= {id(p) for p in checked}
         # the windows path needs no per-window trunk
         assert not compiled._trunks

@@ -1,4 +1,5 @@
-"""Engine warmup: one trunk per input shape, one head per batch size."""
+"""Engine warmup: one trunk per input shape, one head per whole block of
+``HEAD_ROWS`` rows that a batch size rounds up to."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.engine import compile as engine_compile, compiled_for
+from repro.engine.compiled import HEAD_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def compiled():
 
 
 def bound(compiled) -> tuple[set, set]:
-    """(shapes with a trunk, (batch,) + shape keys with a head)."""
+    """(shapes with a trunk, (rows,) + shape keys with a head)."""
     return set(compiled._trunks), set(compiled._heads)
 
 
@@ -29,8 +31,10 @@ class TestWarmup:
         elapsed = compiled.warmup([1, 4, 8])
         assert elapsed >= 0.0
         trunks, heads = bound(compiled)
-        assert trunks == {compiled.input_shape}  # one trunk, three heads
-        assert {(b,) + compiled.input_shape for b in (1, 4, 8)} <= heads
+        assert trunks == {compiled.input_shape}
+        # one trunk; batches 1 and 4 share the one-block head
+        assert {(b,) + compiled.input_shape for b in (4, 8)} <= heads
+        assert (1,) + compiled.input_shape not in heads
 
     def test_warm_batch_runs_without_recompiling(self, compiled):
         compiled.warmup([3])
@@ -52,7 +56,7 @@ class TestWarmup:
         shape = (compiled.input_shape[0], 40, 40)
         compiled.warmup([2], sample_shape=shape)
         trunks, heads = bound(compiled)
-        assert shape in trunks and (2,) + shape in heads
+        assert shape in trunks and (HEAD_ROWS,) + shape in heads
 
     def test_rejects_nonpositive_batch(self, compiled):
         with pytest.raises(ValueError, match="batch"):
@@ -71,18 +75,18 @@ class TestWarmup:
         trunks, heads = bound(guarded.compiled)
         shape = guarded.compiled.input_shape
         assert trunks == {shape}
-        assert heads == {(1,) + shape, (2,) + shape}
+        assert heads == {(HEAD_ROWS,) + shape}
 
     def test_one_trunk_serves_every_batch_size(self):
         """The deployment model warmed the way scans and the serving
-        batcher do: one trunk, and an arena that does not grow with the
-        batch."""
+        batcher do: one trunk, a head per 4-row block (4, 8, 20), and an
+        arena that does not grow with the batch."""
         model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
         compiled = engine_compile(model)
         compiled.warmup(range(1, 9))
         compiled.warmup([20])
         trunks, heads = bound(compiled)
-        assert len(trunks) == 1 and len(heads) == 9
+        assert len(trunks) == 1 and {key[0] for key in heads} == {4, 8, 20}
         assert compiled.planned_peak_bytes(20) < 16 * 2**20
         assert (compiled.planned_peak_bytes(20)
                 - compiled.planned_peak_bytes(1)) < 2**20

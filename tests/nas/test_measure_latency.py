@@ -31,7 +31,8 @@ def test_bad_arguments_raise():
 
 def test_engine_programs_are_bound_before_the_first_timed_pass(monkeypatch):
     """With ``warmup=0`` the first ``predict`` is a timed pass: it must
-    find the trunk and this batch's head already bound."""
+    find the trunk and the head that runs this batch (bound at one 4-row
+    block) already bound."""
     bound_at_predict = []
     real_predict = CompiledModel.predict
 
@@ -43,4 +44,4 @@ def test_engine_programs_are_bound_before_the_first_timed_pass(monkeypatch):
     measure_latency_ms(CONFIG, input_size=32, batch=3, repeats=2, warmup=0,
                        backend="engine")
     assert len(bound_at_predict) == 2
-    assert bound_at_predict[0] == ({(4, 32, 32)}, {(3, 4, 32, 32)})
+    assert bound_at_predict[0] == ({(4, 32, 32)}, {(4, 4, 32, 32)})

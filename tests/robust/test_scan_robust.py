@@ -123,9 +123,10 @@ class TestRobustScan:
 
     def test_model_crash_is_contained_to_the_tile(self, scene, model,
                                                   monkeypatch):
-        """A guarded engine call that blows up on one tile (its eager
-        fallback too) quarantines that tile and the scan still
-        completes."""
+        """A guarded engine call that blows up on a stack holding a
+        poisoned tile (its eager fallback too) fails the micro-batch,
+        whose tiles re-run alone: the poisoned ones are quarantined and
+        the scan still completes."""
         poisoned = FatalOn(GuardedEngine.predict_batch, poisoned={True},
                            key=lambda guard, stack, *_: bool(np.any(
                                stack[:, :, :8, :8] > 0.999)))
@@ -139,28 +140,33 @@ class TestRobustScan:
         result = scan_scene(model, bad_scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
                             sanitize=SanitizePolicy.for_scene())
-        assert poisoned.faults >= 1
-        assert result.coverage.tiles_quarantined == poisoned.faults
+        # one micro-batch of all 9 tiles faulted, then each poisoned tile
+        quarantined = result.coverage.tiles_quarantined
+        assert quarantined >= 1 and poisoned.faults == 1 + quarantined
         assert result.coverage.tiles_scanned \
-            == result.coverage.tiles_total - poisoned.faults
+            == result.coverage.tiles_total - quarantined
 
     def test_non_finite_model_output_quarantines_tile(self, scene, model,
-                                                      monkeypatch):
-        calls = {"n": 0}
+                                                      monkeypatch, tmp_path):
+        """A non-finite row of a micro-batch's answer quarantines that
+        row's tile alone."""
         real = GuardedEngine.predict_batch
 
-        def nan_on_third(guard, stack, batch_size=None):
-            calls["n"] += 1
+        def nan_in_third_row(guard, stack, batch_size=None):
             conf, boxes, answered = real(guard, stack, batch_size)
-            if calls["n"] == 3:
-                conf = np.full_like(conf, np.nan)
+            conf = conf.copy()
+            conf[2] = np.nan
             return conf, boxes, answered
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", nan_on_third)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", nan_in_third_row)
+        path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
-                            sanitize=SanitizePolicy.for_scene())
+                            sanitize=SanitizePolicy.for_scene(), journal=path)
         assert result.coverage.tiles_quarantined == 1
+        _, records = ScanJournal(path).load()
+        assert [(rec.index, rec.reason) for rec in records
+                if rec.status == "quarantined"] == [(2, "non_finite_output")]
         for d in result:
             assert d.is_finite()
 
@@ -313,10 +319,11 @@ class TestJournalFaults:
         r, c = poison_origin
         key_tile = scene.image[:, r:r + WINDOW, c:c + WINDOW]
 
+        poison = key_tile[0, 0, 0].tobytes()
         poisoned = FatalOn(
-            GuardedEngine.predict_batch,
-            poisoned={key_tile[0, 0, 0].tobytes()},
-            key=lambda guard, stack, *_: stack[0, 0, 0, 0].tobytes(),
+            GuardedEngine.predict_batch, poisoned={True},
+            key=lambda guard, stack, *_: any(
+                chip[0, 0, 0].tobytes() == poison for chip in stack),
             exc=InjectedFault,
         )
         monkeypatch.setattr(GuardedEngine, "predict_batch",
@@ -334,17 +341,64 @@ class TestJournalFaults:
         assert all("InjectedFault" in (rec.reason or "")
                    for rec in quarantined)
 
+        def boom(*a, **kw):
+            raise AssertionError("a journaled quarantine is not retried")
+
+        monkeypatch.setattr(GuardedEngine, "predict_batch", boom)
+        resumed = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
+                             confidence_threshold=0.6,
+                             sanitize=SanitizePolicy.for_scene(),
+                             journal=path, resume=True)
+        assert resumed.coverage == replace(
+            result.coverage, tiles_resumed=len(records))
+
+    def test_a_micro_batch_that_raises_quarantines_only_its_poisoned_tile(
+            self, scene, model, tmp_path, monkeypatch):
+        """The fault boundary is per tile: the micro-batch holding the
+        poisoned tile fails (engine and eager), its tiles re-run one
+        call each, and every record but the poisoned tile's is the
+        bytes a clean scan journals."""
+        kw = dict(window=WINDOW, stride=STRIDE, confidence_threshold=0.0,
+                  batch_size=4, sanitize=SanitizePolicy.for_scene())
+        clean = tmp_path / "clean.jsonl"
+        scan_scene(model, scene, journal=clean, **kw)
+
+        r, c = scan_origins(scene.size, WINDOW, STRIDE)[5]
+        poison = scene.image[:, r:r + WINDOW, c:c + WINDOW][0, 0, 0].tobytes()
+        real, stacks = GuardedEngine.predict_batch, []
+
+        def predict_batch(guard, stack, batch_size=None):
+            stacks.append(len(stack))
+            if any(chip[0, 0, 0].tobytes() == poison for chip in stack):
+                raise InjectedFault("poisoned tile")
+            return real(guard, stack, batch_size)
+
+        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        path = tmp_path / "scan.jsonl"
+        result = scan_scene(model, scene, journal=path, **kw)
+        # tiles 0-3, then 4-7 failing and re-run alone, then tile 8
+        assert stacks == [4, 4, 1, 1, 1, 1, 1]
+        assert result.coverage.tiles_quarantined == 1
+        got = path.read_text().splitlines()
+        want = clean.read_text().splitlines()
+        (bad,) = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+        assert json.loads(got[bad])["index"] == 5
+        assert "InjectedFault" in json.loads(got[bad])["reason"]
+        assert len(got) == len(want) == 10
+
 
 class TestGroupCommit:
-    """The journal commits once per ``batch_size`` finished tiles, and a
-    scan that ends early still leaves every finished tile on disk."""
+    """The journal commits once per micro-batch of ``batch_size`` tiles
+    (one model call each), and a scan that ends early still leaves every
+    finished micro-batch on disk."""
 
     KW = dict(window=WINDOW, stride=STRIDE, confidence_threshold=0.6,
               batch_size=4, sanitize=SanitizePolicy.for_scene())
 
     @pytest.fixture()
     def ticking(self, monkeypatch):
-        """A scan clock that advances one second per model call."""
+        """A scan clock that advances one second per model call (one
+        per micro-batch)."""
         import repro.detect.scan as scan_mod
 
         clock = SimpleNamespace(now=0.0, calls=0)
@@ -365,27 +419,28 @@ class TestGroupCommit:
         full = scan_scene(model, scene, journal=tmp_path / "full.jsonl",
                           **self.KW)
         path = tmp_path / "cut.jsonl"
-        with pytest.raises(ScanDeadlineError, match="after 6 of 9 tiles"):
-            # 4 tiles committed by count, 2 more waiting in the buffer
-            scan_scene(model, scene, journal=path, timeout_s=5.5, **self.KW)
+        with pytest.raises(ScanDeadlineError, match="after 8 of 9 tiles"):
+            # two micro-batches committed; the third is due past 1.5 s
+            scan_scene(model, scene, journal=path, timeout_s=1.5, **self.KW)
         _, records = ScanJournal(path).load()
-        assert [rec.index for rec in records] == list(range(6))
+        assert [rec.index for rec in records] == list(range(8))
 
         ticking.calls = 0
         resumed = scan_scene(model, scene, journal=path, resume=True,
                              **self.KW)
-        assert ticking.calls == 3           # none of the six re-ran
-        assert resumed.coverage.tiles_resumed == 6
+        assert ticking.calls == 1           # none of the eight re-ran
+        assert resumed.coverage.tiles_resumed == 8
         assert list(resumed) == list(full)
         assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     def test_a_crash_out_of_the_loop_flushes_the_buffer(
             self, scene, model, tmp_path, monkeypatch):
+        """A crash mid-scan loses the micro-batch in flight only."""
         real, calls = GuardedEngine.predict_batch, []
 
         def predict_batch(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 7:
+            if len(calls) == 2:
                 raise KeyboardInterrupt     # not the tile's to contain
             return real(*args, **kwargs)
 
@@ -393,8 +448,9 @@ class TestGroupCommit:
         path = tmp_path / "scan.jsonl"
         with pytest.raises(KeyboardInterrupt):
             scan_scene(model, scene, journal=path, **self.KW)
+        assert len(calls) == 2      # not re-run tile by tile either
         _, records = ScanJournal(path).load()
-        assert [rec.index for rec in records] == list(range(6))
+        assert [rec.index for rec in records] == list(range(4))
 
     def test_a_commit_that_fails_is_not_written_again(
             self, scene, model, tmp_path, monkeypatch):

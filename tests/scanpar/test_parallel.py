@@ -141,7 +141,8 @@ class TestEdgeWindows:
         bound = (set(compiled._trunks), set(compiled._heads),
                  compiled._scan[2])
         assert bound[0] == {(4, WINDOW, WINDOW)}
-        assert {key[0] for key in bound[1]} == {20, 1}
+        # the full batch and the ragged 1 (bound at one 4-row block)
+        assert {key[0] for key in bound[1]} == {20, 4}
         list(compiled.predict_windows(ragged.image, origins, WINDOW,
                                       batch_size=20, span=(60, 121)))
         assert (set(compiled._trunks), set(compiled._heads),
