@@ -1,35 +1,10 @@
-"""Extension benchmarks: multi-GPU scheduling and scheduling-cost trade-off."""
+"""Extension benchmarks: scheduling-cost trade-off, Pareto front and input-size sweep."""
 
 import pytest
 
-from repro.experiments import run_ablation_multigpu, run_ablation_scheduling_cost
-from repro.graph import build_inception_graph
-from repro.ios import multigpu_schedule
+from repro.experiments import run_ablation_scheduling_cost
 
 from conftest import emit
-
-
-@pytest.mark.table
-@pytest.mark.parametrize("devices", [1, 2, 4])
-def test_multigpu_placement(benchmark, devices):
-    """Time: HIOS-style placement across N simulated GPUs."""
-    graph = build_inception_graph(branches=4, depth=2)
-    schedule = benchmark.pedantic(
-        lambda: multigpu_schedule(graph, 1, num_devices=devices),
-        rounds=1, iterations=1,
-    )
-    assert schedule.latency_us > 0
-
-
-@pytest.mark.table
-def test_multigpu_regenerate(benchmark):
-    result = benchmark.pedantic(run_ablation_multigpu, rounds=1, iterations=1)
-    emit(result)
-    by = {r[0]: r for r in result.rows}
-    assert float(by["inception(4x2)"][2]) < float(by["inception(4x2)"][1])
-    assert float(by["SPP-Net #2 (linear)"][2]) == pytest.approx(
-        float(by["SPP-Net #2 (linear)"][1])
-    )
 
 
 @pytest.mark.table
@@ -40,19 +15,6 @@ def test_scheduling_cost_regenerate(benchmark):
     by = {r[0]: r for r in result.rows}
     assert float(by["rammer-style"][1]) < float(by["ios-dp"][1])      # cheaper
     assert float(by["ios-dp"][2]) <= float(by["rammer-style"][2])     # better
-
-
-@pytest.mark.figure
-def test_energy_sweep_regenerate(benchmark):
-    from repro.experiments import run_energy_sweep
-
-    result = benchmark.pedantic(
-        lambda: run_energy_sweep(batch_sizes=(1, 4, 16, 64)),
-        rounds=1, iterations=1,
-    )
-    emit(result)
-    energy = [float(r[1]) for r in result.rows]
-    assert energy == sorted(energy, reverse=True)
 
 
 @pytest.mark.figure

@@ -16,14 +16,12 @@ builder (:mod:`repro.graph.builder`) can share it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 __all__ = [
     "ConvSpec",
     "PoolSpec",
     "SPPNetConfig",
-    "parse_grammar",
     "TABLE1_MODELS",
     "TABLE1_PAPER_AP",
     "TABLE2_PAPER_LATENCY_MS",
@@ -152,49 +150,6 @@ class SPPNetConfig:
 
     def with_name(self, name: str) -> "SPPNetConfig":
         return replace(self, name=name)
-
-
-_TOKEN = re.compile(r"(C|P|SPP|F)_\{([0-9,\s]+)\}")
-
-
-def parse_grammar(text: str, in_channels: int = 4, name: str = "SPP-Net") -> SPPNetConfig:
-    """Parse a Table 1 grammar string into an :class:`SPPNetConfig`.
-
-    Accepts e.g.
-    ``"C_{64,3,1}-P_{2,2}-C_{128,3,1}-P_{2,2}-C_{256,3,1}-P_{2,2}-SPP_{4,2,1}-F_{1024}"``.
-    """
-    convs: list[ConvSpec] = []
-    pools: list[PoolSpec] = []
-    spp: tuple[int, ...] | None = None
-    fcs: list[int] = []
-    matches = list(_TOKEN.finditer(text))
-    if not matches:
-        raise ValueError(f"no grammar tokens found in {text!r}")
-    for m in matches:
-        kind, args_text = m.group(1), m.group(2)
-        args = tuple(int(a) for a in args_text.replace(" ", "").split(","))
-        if kind == "C":
-            if len(args) != 3:
-                raise ValueError(f"C expects 3 args, got {args}")
-            convs.append(ConvSpec(filters=args[0], kernel=args[1], stride=args[2]))
-        elif kind == "P":
-            if len(args) != 2:
-                raise ValueError(f"P expects 2 args, got {args}")
-            pools.append(PoolSpec(kernel=args[0], stride=args[1]))
-        elif kind == "SPP":
-            spp = args
-        elif kind == "F":
-            fcs.extend(args)
-    if spp is None:
-        raise ValueError("grammar must contain an SPP layer")
-    return SPPNetConfig(
-        convs=tuple(convs),
-        pools=tuple(pools),
-        spp_levels=spp,
-        fc_sizes=tuple(fcs),
-        in_channels=in_channels,
-        name=name,
-    )
 
 
 def _table1(first_kernel: int, spp_first: int, fc: int, name: str) -> SPPNetConfig:

@@ -19,7 +19,7 @@ from .scan import (
     scan_origins,
     scan_scene,
 )
-from .sppnet import SPPNetDetector, build_detector
+from .sppnet import SPPNetDetector
 from .train import EpochStats, TrainConfig, TrainResult, train_detector
 from .validate import (
     CrossValidationResult,
@@ -30,7 +30,6 @@ from .validate import (
 
 __all__ = [
     "SPPNetDetector",
-    "build_detector",
     "iou_cxcywh",
     "precision_recall",
     "average_precision",

@@ -28,7 +28,7 @@ from ..tensor import (
 )
 from ..tensor import functional as F
 
-__all__ = ["SPPNetDetector", "build_detector"]
+__all__ = ["SPPNetDetector"]
 
 
 class SPPNetDetector(Module):
@@ -89,8 +89,3 @@ class SPPNetDetector(Module):
         class_logits, _ = self.forward(x)
         probs = F.softmax(class_logits, axis=1)
         return probs.data[:, 1].copy()
-
-
-def build_detector(config: SPPNetConfig, seed: int = 0) -> SPPNetDetector:
-    """Factory kept for symmetry with :func:`repro.graph.build_sppnet_graph`."""
-    return SPPNetDetector(config, seed=seed)

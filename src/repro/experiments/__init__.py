@@ -1,7 +1,6 @@
 """repro.experiments — per-table/figure regenerators and the CLI."""
 
 from .ablations import (
-    run_ablation_multigpu,
     run_ablation_scheduler,
     run_ablation_scheduling_cost,
     run_ablation_spp,
@@ -14,7 +13,6 @@ from .figures import (
     run_fig6,
     run_fig7,
     run_fig8,
-    run_energy_sweep,
     run_input_size_sweep,
     run_pareto_front,
     select_optimal_batch,
@@ -36,12 +34,10 @@ __all__ = [
     "run_constrained_selection",
     "select_optimal_batch",
     "run_input_size_sweep",
-    "run_energy_sweep",
     "run_pareto_front",
     "BaselineSettings",
     "run_baseline_comparison",
     "run_ablation_scheduler",
-    "run_ablation_multigpu",
     "run_ablation_scheduling_cost",
     "run_ablation_spp",
     "run_ablation_strategy",

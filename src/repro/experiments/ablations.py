@@ -31,8 +31,7 @@ from ..nas import (
 from .results import ExperimentResult
 
 __all__ = ["run_ablation_scheduler", "run_ablation_spp", "run_ablation_strategy",
-           "run_ablation_multigpu", "run_ablation_scheduling_cost",
-           "surrogate_accuracy"]
+           "run_ablation_scheduling_cost", "surrogate_accuracy"]
 
 
 def run_ablation_scheduler(batch: int = 1,
@@ -116,46 +115,6 @@ def surrogate_accuracy(sample: dict) -> float:
     score += 0.004 * (spp - 1) / 4
     score -= 0.004 * abs(np.log2(fc / 2048))
     return float(score)
-
-
-def run_ablation_multigpu(batch: int = 1,
-                          device: DeviceSpec | None = None) -> ExperimentResult:
-    """Extension: HIOS-style multi-GPU scheduling (the paper's future work)."""
-    from ..ios import multigpu_schedule
-
-    workloads = {
-        "SPP-Net #2 (linear)": build_sppnet_graph(TABLE1_MODELS["SPP-Net #2"]),
-        "inception(4x2)": build_inception_graph(branches=4, depth=2),
-        "inception(6x1)": build_inception_graph(branches=6, depth=1,
-                                                name="inception-6x1"),
-    }
-    rows: list[list] = []
-    for name, graph in workloads.items():
-        latencies = {}
-        transfers = {}
-        for k in (1, 2, 4):
-            sched = multigpu_schedule(graph, batch, num_devices=k, device=device)
-            latencies[k] = sched.latency_us
-            transfers[k] = sched.transfer_us
-        rows.append([
-            name,
-            f"{latencies[1]:.1f}",
-            f"{latencies[2]:.1f}",
-            f"{latencies[4]:.1f}",
-            f"{latencies[1] / latencies[2]:.2f}x",
-            f"{transfers[2]:.1f}",
-        ])
-    return ExperimentResult(
-        experiment_id="ablation-multigpu",
-        title=f"Multi-GPU inter-operator scheduling at batch {batch} "
-              "(analytic HIOS-style extension, us)",
-        headers=["Workload", "1 GPU", "2 GPUs", "4 GPUs", "2-GPU speedup",
-                 "2-GPU transfer (us)"],
-        rows=rows,
-        notes="Inter-GPU parallelism pays on wide branched blocks and is "
-              "neutral on the (mostly linear) SPP-Net, matching the HIOS "
-              "motivation the paper cites as future work.",
-    )
 
 
 def run_ablation_scheduling_cost(batch: int = 1,

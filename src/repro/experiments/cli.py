@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .ablations import (
-    run_ablation_multigpu,
     run_ablation_scheduler,
     run_ablation_scheduling_cost,
     run_ablation_spp,
@@ -30,7 +29,6 @@ from .figures import (
     run_fig7,
     run_fig8,
     run_input_size_sweep,
-    run_energy_sweep,
     run_pareto_front,
 )
 from .results import ExperimentResult
@@ -88,10 +86,8 @@ EXPERIMENTS = {
     "ablation-scheduler": lambda args: run_ablation_scheduler(),
     "ablation-spp": lambda args: run_ablation_spp(),
     "ablation-strategy": lambda args: run_ablation_strategy(),
-    "ablation-multigpu": lambda args: run_ablation_multigpu(),
     "ablation-scheduling-cost": lambda args: run_ablation_scheduling_cost(),
     "input-size-sweep": lambda args: run_input_size_sweep(),
-    "energy-sweep": lambda args: run_energy_sweep(),
     "pareto-front": lambda args: run_pareto_front(),
     "baseline-comparison": lambda args: run_baseline_comparison(
         BaselineSettings.fast() if args.fast else None, verbose=args.verbose),

@@ -17,8 +17,7 @@ from .results import ExperimentResult
 from .tables import DEFAULT_BATCH_SIZES
 
 __all__ = ["run_fig6", "run_fig7", "run_fig8", "run_constrained_selection",
-           "select_optimal_batch", "run_input_size_sweep", "run_energy_sweep",
-           "run_pareto_front"]
+           "select_optimal_batch", "run_input_size_sweep", "run_pareto_front"]
 
 
 def select_optimal_batch(efficiencies: dict[int, float],
@@ -167,44 +166,6 @@ def run_input_size_sweep(
               "the SPP output (and thus the FC head) stays constant — the "
               "§5.1 motivation for accuracy-constrained efficiency "
               "optimization on large-scene inference.",
-    )
-
-
-def run_energy_sweep(
-    batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES,
-    device: DeviceSpec | None = None,
-    model: SPPNetConfig | None = None,
-) -> ExperimentResult:
-    """Extension: energy per inferred image vs batch size.
-
-    The efficiency argument of §5 in joules: batching amortizes both the
-    time *and* the energy of underutilized kernels, so energy per image
-    improves with batch even faster than latency per image.
-    """
-    from ..gpusim import EnergyModel, GraphExecutor
-
-    config = model or TABLE1_MODELS["SPP-Net #2"]
-    graph = build_sppnet_graph(config)
-    executor = GraphExecutor(graph, device=device)
-    energy = EnergyModel(executor.device)
-    rows: list[list] = []
-    for batch in batch_sizes:
-        result = executor.run(dp_schedule(graph, batch, device), batch)
-        report = energy.report(result)
-        rows.append([
-            batch,
-            f"{report.mj_per_image:.2f}",
-            f"{report.average_power_w:.0f}",
-            f"{result.efficiency_us_per_image:.1f}",
-        ])
-    return ExperimentResult(
-        experiment_id="energy-sweep",
-        title=f"Energy per image vs batch size for {config.name} "
-              "(simulated A5500, 230 W board / 22 W idle)",
-        headers=["Batch", "Energy (mJ/img)", "Avg power (W)", "Latency (us/img)"],
-        rows=rows,
-        notes="Joules per image fall ~4x from batch 1 to 64 — the "
-              "sustainability reading of Figure 6's efficiency argument.",
     )
 
 

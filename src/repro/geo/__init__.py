@@ -12,7 +12,6 @@ from .chips import ChipDataset, build_dataset, extract_chip
 from .crossings import Crossing, find_crossings
 from .landcover import LandClass, LandcoverMap, classify_landcover
 from .orthophoto import BANDS, REFLECTANCE, render_orthophoto
-from .raster import GeoRaster, GeoTransform, crossings_to_geojson
 from .roads import imprint_embankments, road_mask
 from .scene import Scene, build_scene
 from .synthesis import WatershedConfig, synthesize_dem
@@ -40,7 +39,4 @@ __all__ = [
     "rotate90",
     "radiometric_jitter",
     "augment_dataset",
-    "GeoTransform",
-    "GeoRaster",
-    "crossings_to_geojson",
 ]

@@ -7,7 +7,6 @@ accounting, and a traced CUDA-API facade that the Nsight-like profiler in
 
 from .consistency import TraceInconsistency, check_trace_consistency
 from .device import RTX_A5500, DeviceSpec
-from .energy import EnergyModel, EnergyReport
 from .executor import (
     GraphExecutor,
     RunResult,
@@ -39,8 +38,6 @@ __all__ = [
     "ScheduleError",
     "sequential_stages",
     "validate_stages",
-    "EnergyModel",
-    "EnergyReport",
     "TraceInconsistency",
     "check_trace_consistency",
 ]

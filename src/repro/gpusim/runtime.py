@@ -40,8 +40,7 @@ class KernelEvent:
 
     ``utilization`` is the fraction of device throughput the kernel
     actually used (its full-device work time over its runtime) — 1.0 for
-    saturating kernels, small for occupancy-limited ones.  Consumed by
-    the energy model.
+    saturating kernels, small for occupancy-limited ones.
     """
 
     kernel: str

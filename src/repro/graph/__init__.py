@@ -1,6 +1,6 @@
 """repro.graph — computation-graph IR, builder, and static analysis."""
 
-from .analysis import OpCost, activation_bytes, graph_bytes, graph_flops, op_cost, weight_bytes
+from .analysis import OpCost, activation_bytes, op_cost, weight_bytes
 from .builder import build_inception_graph, build_sppnet_graph
 from .ir import Graph, GraphError, Operator, OpType
 
@@ -13,8 +13,6 @@ __all__ = [
     "build_inception_graph",
     "OpCost",
     "op_cost",
-    "graph_flops",
-    "graph_bytes",
     "weight_bytes",
     "activation_bytes",
 ]

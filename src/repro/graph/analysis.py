@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .ir import Graph, Operator, OpType
 
-__all__ = ["OpCost", "op_cost", "graph_flops", "graph_bytes", "weight_bytes", "activation_bytes"]
+__all__ = ["OpCost", "op_cost", "weight_bytes", "activation_bytes"]
 
 _DTYPE_BYTES = 4  # fp32 inference throughout, matching the paper's setup
 
@@ -104,16 +104,6 @@ def op_cost(graph: Graph, op: Operator, batch: int) -> OpCost:
         return OpCost(float(b * out), io_bytes, b * out)
 
     raise ValueError(f"no cost model for op type {op.op_type}")  # pragma: no cover
-
-
-def graph_flops(graph: Graph, batch: int) -> float:
-    """Total FLOPs of one forward execution."""
-    return sum(op_cost(graph, op, batch).flops for op in graph.nodes())
-
-
-def graph_bytes(graph: Graph, batch: int) -> float:
-    """Total DRAM traffic of one forward execution."""
-    return sum(op_cost(graph, op, batch).dram_bytes for op in graph.nodes())
 
 
 def weight_bytes(graph: Graph) -> float:

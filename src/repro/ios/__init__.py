@@ -10,12 +10,6 @@ from .aot import (
 from .baselines import greedy_schedule, sequential_schedule, single_stage_schedule
 from .cost import measure_latency, measure_schedule, schedule_overheads
 from .dp import DPScheduler, count_downsets, dp_schedule
-from .multigpu import (
-    GroupPlacement,
-    MultiGpuSchedule,
-    MultiGpuStagePlan,
-    multigpu_schedule,
-)
 from .optimizer import OptimizationResult, compare_strategies, optimize_schedule
 from .schedule import Group, Schedule, Stage, groups_from_ops
 
@@ -40,8 +34,4 @@ __all__ = [
     "nimble_style_schedule",
     "SchedulerCostRow",
     "scheduling_cost_comparison",
-    "GroupPlacement",
-    "MultiGpuStagePlan",
-    "MultiGpuSchedule",
-    "multigpu_schedule",
 ]

@@ -20,7 +20,7 @@ from .evaluator import (
 )
 from .experiment import Experiment, TrialRecord, run_trial_with_retries
 from .journal import TrialJournal
-from .pareto import dominates, front_table, knee_point, pareto_front
+from .pareto import dominates, knee_point, pareto_front
 from .retry import RetryPolicy
 from .space import ModelSpace, ValueChoice, config_from_sample, sppnet_search_space
 from .strategy import (
@@ -56,5 +56,4 @@ __all__ = [
     "dominates",
     "pareto_front",
     "knee_point",
-    "front_table",
 ]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .constrained import CandidateProfile
 
-__all__ = ["pareto_front", "dominates", "knee_point", "front_table"]
+__all__ = ["pareto_front", "dominates", "knee_point"]
 
 
 def dominates(a: CandidateProfile, b: CandidateProfile) -> bool:
@@ -59,18 +59,3 @@ def knee_point(front: Sequence[CandidateProfile]) -> CandidateProfile:
         return a + e
 
     return max(front, key=score)
-
-
-def front_table(profiles: Sequence[CandidateProfile]) -> str:
-    """Render all candidates, marking front membership and the knee."""
-    front = pareto_front(profiles)
-    front_names = {p.config.name for p in front}
-    knee = knee_point(front).config.name if front else None
-    lines = [f"{'model':32s} {'accuracy':>9} {'efficiency':>11}  status"]
-    for p in sorted(profiles, key=lambda p: -p.efficiency):
-        status = "pareto" if p.config.name in front_names else "dominated"
-        if p.config.name == knee:
-            status += " (knee)"
-        lines.append(f"{p.config.name:32s} {p.accuracy:9.4f} "
-                     f"{p.efficiency:11.1f}  {status}")
-    return "\n".join(lines)

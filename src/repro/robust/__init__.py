@@ -20,7 +20,6 @@ from .guard import (
     FALLBACK_ENGINE_ERROR,
     FALLBACK_NON_FINITE,
     FALLBACK_SHAPE,
-    EngineGuardError,
     GuardedEngine,
 )
 from .journal import ScanJournal, ScanJournalError, TileRecord, load_jsonl_repaired
@@ -47,7 +46,6 @@ __all__ = [
     "TileRecord",
     "load_jsonl_repaired",
     "GuardedEngine",
-    "EngineGuardError",
     "FALLBACK_NON_FINITE",
     "FALLBACK_SHAPE",
     "FALLBACK_ENGINE_ERROR",

@@ -37,7 +37,6 @@ from ..serve.breaker import OPEN, BreakerPolicy, CircuitBreaker
 
 __all__ = [
     "GuardedEngine",
-    "EngineGuardError",
     "FALLBACK_NON_FINITE",
     "FALLBACK_SHAPE",
     "FALLBACK_ENGINE_ERROR",
@@ -48,10 +47,6 @@ FALLBACK_NON_FINITE = "non_finite"
 FALLBACK_SHAPE = "shape_mismatch"
 FALLBACK_ENGINE_ERROR = "engine_error"
 FALLBACK_BREAKER_OPEN = "breaker_open"
-
-
-class EngineGuardError(RuntimeError):
-    """An engine output violated the traced program's contract."""
 
 
 def _check_outputs(confidences: np.ndarray, boxes: np.ndarray,

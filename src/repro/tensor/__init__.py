@@ -1,7 +1,7 @@
 """repro.tensor — from-scratch deep learning substrate (PyTorch stand-in).
 
 Reverse-mode autograd over NumPy, vectorized conv/pool/SPP kernels,
-``torch.nn``-style modules, SGD/Adam optimizers, losses, gradient
+``torch.nn``-style modules, the paper's SGD optimizer, losses, gradient
 checking, and checkpointing.  See DESIGN.md §2 for the substitution
 rationale.
 """
@@ -11,7 +11,6 @@ from .gradcheck import gradcheck, numerical_gradient
 from .modules import (
     AdaptiveMaxPool2d,
     BatchNorm2d,
-    AvgPool2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -23,7 +22,6 @@ from .modules import (
     Sequential,
     Sigmoid,
     SpatialPyramidPooling,
-    Tanh,
     default_module_rng,
     seed_module_rng,
 )
@@ -54,13 +52,11 @@ __all__ = [
     "Parameter",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveMaxPool2d",
     "SpatialPyramidPooling",
     "Linear",
     "ReLU",
     "Sigmoid",
-    "Tanh",
     "Dropout",
     "Flatten",
     "Sequential",

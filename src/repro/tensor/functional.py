@@ -20,7 +20,6 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 __all__ = [
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "adaptive_max_pool2d",
     "spatial_pyramid_pool",
     "linear",
@@ -165,32 +164,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             dx.ravel()[flat_idx.ravel()] = grad.ravel()
         else:
             np.add.at(dx, (nn, cc, rows, cols_), grad)
-        x._accumulate(dx)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling (NCHW)."""
-    x = as_tensor(x)
-    stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
-    ho = pool_output_size(h, kernel, stride)
-    wo = pool_output_size(w, kernel, stride)
-    win = _windows(x.data, kernel, kernel, stride)
-    out_data = win.mean(axis=(-2, -1))
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        g = grad * scale
-        for i in range(kernel):
-            hi = i + stride * ho
-            for j in range(kernel):
-                wi = j + stride * wo
-                dx[:, :, i:hi:stride, j:wi:stride] += g
         x._accumulate(dx)
 
     return Tensor._make(out_data, (x,), backward)

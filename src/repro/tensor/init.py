@@ -1,10 +1,10 @@
-"""Weight initializers (Kaiming / Xavier) for the tensor substrate."""
+"""Kaiming-uniform weight initialization for the tensor substrate."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "fan_in_out"]
+__all__ = ["kaiming_uniform", "fan_in_out"]
 
 
 def fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -22,19 +22,4 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,
     """He-uniform initialization suited to ReLU networks."""
     fan_in, _ = fan_in_out(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator,
-                   gain: float = np.sqrt(2.0)) -> np.ndarray:
-    """He-normal initialization suited to ReLU networks."""
-    fan_in, _ = fan_in_out(shape)
-    return rng.normal(0.0, gain / np.sqrt(fan_in), size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialization for linear/tanh layers."""
-    fan_in, fan_out = fan_in_out(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)

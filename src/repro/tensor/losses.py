@@ -17,7 +17,6 @@ __all__ = [
     "cross_entropy",
     "binary_cross_entropy_with_logits",
     "smooth_l1",
-    "mse_loss",
     "detection_loss",
 ]
 
@@ -78,13 +77,6 @@ def smooth_l1(pred: Tensor, target: np.ndarray, beta: float = 1.0) -> Tensor:
     quadratic = (diff * diff) * (0.5 / beta)
     lin = absdiff - 0.5 * beta
     return (quadratic * Tensor(quadratic_mask) + lin * Tensor(1.0 - quadratic_mask)).mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error."""
-    pred = as_tensor(pred)
-    diff = pred - Tensor(np.asarray(target, dtype=float))
-    return (diff * diff).mean()
 
 
 def detection_loss(

@@ -24,13 +24,11 @@ __all__ = [
     "Parameter",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveMaxPool2d",
     "SpatialPyramidPooling",
     "Linear",
     "ReLU",
     "Sigmoid",
-    "Tanh",
     "Dropout",
     "Flatten",
     "Sequential",
@@ -241,18 +239,6 @@ class MaxPool2d(Module):
         return f"kernel_size={self.kernel_size}, stride={self.stride}"
 
 
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = kernel_size if stride is None else stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class AdaptiveMaxPool2d(Module):
     """Adaptive max pooling to a fixed square output grid."""
 
@@ -374,11 +360,6 @@ class ReLU(Module):
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Dropout(Module):

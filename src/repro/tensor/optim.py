@@ -1,10 +1,9 @@
-"""Optimizers and learning-rate schedules for the tensor substrate.
+"""The optimizer of the paper's training loop.
 
 The paper trains all candidates with SGD (lr 0.005, weight decay 5e-4,
 momentum 0.9, batch 20); :class:`SGD` implements exactly the PyTorch
 semantics of that configuration (decoupled L2 added to the gradient,
-classic momentum buffer).  :class:`Adam` is provided for the extension
-experiments.
+classic momentum buffer).
 """
 
 from __future__ import annotations
@@ -15,29 +14,10 @@ import numpy as np
 
 from .modules import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR"]
+__all__ = ["SGD"]
 
 
-class Optimizer:
-    """Base optimizer: holds a parameter list and a shared learning rate."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float) -> None:
-        self.params: list[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
+class SGD:
     """Stochastic gradient descent with momentum and L2 weight decay.
 
     Update rule (PyTorch convention)::
@@ -49,12 +29,21 @@ class SGD(Optimizer):
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.005,
                  momentum: float = 0.9, weight_decay: float = 0.0005) -> None:
-        super().__init__(params, lr)
+        self.params: list[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._buffers: list[np.ndarray | None] = [None] * len(self.params)
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -69,69 +58,3 @@ class SGD(Optimizer):
                 self._buffers[i] = buf
                 g = buf
             p.data -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015); used by extension experiments."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * g * g
-            m_hat = self._m[i] / b1t
-            v_hat = self._v[i] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimizer's lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine-annealed learning rate over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch = min(self.epoch + 1, self.t_max)
-        cos = (1 + np.cos(np.pi * self.epoch / self.t_max)) / 2
-        self.optimizer.lr = self.eta_min + (self.base_lr - self.eta_min) * cos

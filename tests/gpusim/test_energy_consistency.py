@@ -1,13 +1,11 @@
-"""Energy model and trace-consistency checking."""
+"""Simulator trace data and trace-consistency checking."""
 
 import pytest
 
 from repro.arch import TABLE1_MODELS
 from repro.graph import build_inception_graph, build_sppnet_graph
 from repro.gpusim import (
-    EnergyModel,
     GraphExecutor,
-    RTX_A5500,
     TraceInconsistency,
     check_trace_consistency,
     sequential_stages,
@@ -25,32 +23,7 @@ def executor(graph):
     return GraphExecutor(graph)
 
 
-class TestEnergyModel:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            EnergyModel(RTX_A5500, board_w=10.0, idle_w=20.0)
-        with pytest.raises(ValueError):
-            EnergyModel(RTX_A5500, idle_w=-1.0)
-
-    def test_energy_positive_and_decomposed(self, executor, graph):
-        result = executor.run(dp_schedule(graph, 4), 4)
-        report = EnergyModel(RTX_A5500).report(result)
-        assert report.idle_energy_mj > 0
-        assert report.dynamic_energy_mj > 0
-        assert report.total_mj == pytest.approx(
-            report.idle_energy_mj + report.dynamic_energy_mj
-        )
-
-    def test_energy_per_image_amortizes_with_batch(self, executor, graph):
-        model = EnergyModel(RTX_A5500)
-        e1 = model.report(executor.run(dp_schedule(graph, 1), 1)).mj_per_image
-        e32 = model.report(executor.run(dp_schedule(graph, 32), 32)).mj_per_image
-        assert e32 < e1 / 2
-
-    def test_average_power_bounded_by_board(self, executor, graph):
-        report = EnergyModel(RTX_A5500).report(executor.run(dp_schedule(graph, 8), 8))
-        assert 0 < report.average_power_w <= 230.0 + 1e-9
-
+class TestTraceConsistency:
     def test_kernel_utilization_recorded(self, executor, graph):
         result = executor.run(sequential_stages(graph), 1)
         utils = [e.utilization for e in result.trace.kernels]
@@ -58,8 +31,6 @@ class TestEnergyModel:
         # occupancy-limited batch-1 kernels exist alongside saturating ones
         assert min(utils) < 0.9
 
-
-class TestTraceConsistency:
     def test_dp_schedule_trace_consistent(self, executor, graph):
         for batch in (1, 64):
             sched = dp_schedule(graph, batch)

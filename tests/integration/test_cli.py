@@ -32,5 +32,7 @@ class TestCli:
             main(["not-an-experiment"])
 
     def test_fast_flag_accepted(self, capsys):
-        assert main(["ablation-multigpu", "--fast"]) == 0
-        assert "GPU" in capsys.readouterr().out
+        assert main(["ablation-spp", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert "SPP-layer ablation" in out
+        assert "single pool 1 (GAP)" in out

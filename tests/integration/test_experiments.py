@@ -170,15 +170,6 @@ class TestAblations:
 
 
 class TestExtensionExperiments:
-    def test_energy_sweep_amortizes(self):
-        from repro.experiments import run_energy_sweep
-
-        result = run_energy_sweep(batch_sizes=(1, 8, 64))
-        energy = [float(r[1]) for r in result.rows]
-        assert energy[0] > 2 * energy[-1]
-        power = [float(r[2]) for r in result.rows]
-        assert all(0 < p <= 230 for p in power)
-
     def test_pareto_front_consistent_with_fig5(self):
         from repro.experiments import run_pareto_front
 

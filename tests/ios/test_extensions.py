@@ -1,4 +1,4 @@
-"""Multi-GPU scheduling and ahead-of-time baselines (extensions)."""
+"""Ahead-of-time scheduling baselines (§8.3 extension)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.gpusim import validate_stages
 from repro.ios import (
     dp_schedule,
     measure_latency,
-    multigpu_schedule,
     nimble_style_schedule,
     rammer_style_schedule,
     scheduling_cost_comparison,
@@ -23,49 +22,6 @@ def inception():
 @pytest.fixture(scope="module")
 def sppnet():
     return build_sppnet_graph(TABLE1_MODELS["SPP-Net #2"])
-
-
-class TestMultiGpu:
-    def test_two_gpus_beat_one_on_branched_graph(self, inception):
-        one = multigpu_schedule(inception, 1, num_devices=1)
-        two = multigpu_schedule(inception, 1, num_devices=2)
-        assert two.latency_us < one.latency_us
-        assert two.transfer_us > 0
-
-    def test_scaling_saturates_at_branch_count(self, inception):
-        l4 = multigpu_schedule(inception, 1, num_devices=4).latency_us
-        l8 = multigpu_schedule(inception, 1, num_devices=8).latency_us
-        assert l8 == pytest.approx(l4, rel=0.05)  # only 4 branches exist
-
-    def test_linear_chain_gains_nothing(self, sppnet):
-        one = multigpu_schedule(sppnet, 1, num_devices=1)
-        two = multigpu_schedule(sppnet, 1, num_devices=2)
-        assert two.latency_us >= one.latency_us - 1e-9
-
-    def test_single_device_pays_no_transfers(self, inception):
-        assert multigpu_schedule(inception, 1, num_devices=1).transfer_us == 0.0
-
-    def test_every_op_placed_exactly_once(self, inception):
-        sched = multigpu_schedule(inception, 1, num_devices=2)
-        placed = [name for stage in sched.stages
-                  for p in stage.placements for name in p.ops]
-        expected = [op.name for op in inception.compute_nodes()]
-        assert sorted(placed) == sorted(expected)
-
-    def test_device_of_lookup(self, inception):
-        sched = multigpu_schedule(inception, 1, num_devices=2)
-        devices = {sched.device_of(f"b{b}_conv0") for b in range(4)}
-        assert devices == {0, 1}
-        with pytest.raises(KeyError):
-            sched.device_of("nope")
-
-    def test_describe_mentions_gpus(self, inception):
-        text = multigpu_schedule(inception, 1, num_devices=2).describe()
-        assert "gpu0" in text and "gpu1" in text
-
-    def test_validation(self, inception):
-        with pytest.raises(ValueError):
-            multigpu_schedule(inception, 1, num_devices=0)
 
 
 class TestAheadOfTime:

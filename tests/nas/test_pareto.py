@@ -9,7 +9,6 @@ from repro.nas import (
     CandidateProfile,
     constrained_selection,
     dominates,
-    front_table,
     knee_point,
     pareto_front,
 )
@@ -64,11 +63,6 @@ class TestFront:
     def test_knee_requires_front(self):
         with pytest.raises(ValueError):
             knee_point([])
-
-    def test_table_marks_status(self):
-        profiles = [profile("good", 0.95, 100), profile("bad", 0.90, 50)]
-        text = front_table(profiles)
-        assert "pareto" in text and "dominated" in text and "knee" in text
 
     @given(st.lists(st.tuples(st.floats(0.5, 1.0), st.floats(10, 1000)),
                     min_size=1, max_size=12))

@@ -92,14 +92,6 @@ class TestPooling:
         out.backward(np.ones_like(out.data))
         assert np.count_nonzero(x.grad) == out.data.size
 
-    def test_avg_pool_values(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
-        assert np.allclose(F.avg_pool2d(x, 2).data, np.ones((1, 1, 2, 2)))
-
-    def test_avg_pool_gradcheck(self):
-        x = rt(2, 2, 6, 6)
-        assert gradcheck(lambda t: F.avg_pool2d(t, 2, 2), [x])
-
     def test_strided_overlapping_pool_gradcheck(self):
         x = rt(1, 2, 7, 7)
         assert gradcheck(lambda t: F.max_pool2d(t, 3, 2), [x])

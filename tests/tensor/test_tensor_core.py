@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, unbroadcast
+from repro.tensor import Tensor, as_tensor, gradcheck, is_grad_enabled, no_grad, unbroadcast
 
 
 def t(data, grad=True):
@@ -167,6 +167,25 @@ class TestReductionsAndShape:
     def test_flatten_start_dim(self):
         x = Tensor.zeros(2, 3, 4)
         assert x.flatten(start_dim=1).shape == (2, 12)
+
+
+class TestGradcheck:
+    """Finite differences against the analytic backward of the shape and
+    selection ops; the output is weighted so every gradient entry differs."""
+
+    @pytest.mark.parametrize("op,shapes", [
+        (lambda x: x[np.array([0, 0, 2]), 1:], [(4, 3)]),
+        (lambda x: x.pad2d((1, 2)), [(1, 2, 3, 3)]),
+        (lambda a, b: Tensor.concat([a, b], axis=1), [(2, 3), (2, 1)]),
+        (lambda a, b: Tensor.stack([a, b], axis=1), [(2, 3), (2, 3)]),
+        (lambda x: x.max(axis=1), [(3, 4)]),
+        (lambda x: x.clip(-0.5, 0.5), [(3, 4)]),
+    ], ids=["getitem", "pad2d", "concat", "stack", "max", "clip"])
+    def test_matches_finite_differences(self, op, shapes):
+        rng = np.random.default_rng(0)
+        inputs = [t(rng.standard_normal(shape)) for shape in shapes]
+        weight = Tensor(rng.standard_normal(op(*inputs).shape))
+        assert gradcheck(lambda *xs: op(*xs) * weight, inputs)
 
 
 class TestUnaryOps:

@@ -1,4 +1,4 @@
-"""Architecture grammar (Table 1) parsing and derived quantities."""
+"""Architecture grammar (Table 1) rendering and derived quantities."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.arch import (
     ConvSpec,
     PoolSpec,
     SPPNetConfig,
-    parse_grammar,
 )
 
 
@@ -66,28 +65,10 @@ class TestDerived:
 
 
 class TestGrammar:
-    def test_render_roundtrip(self):
-        for cfg in TABLE1_MODELS.values():
-            text = cfg.grammar()
-            parsed = parse_grammar(text, name=cfg.name)
-            assert parsed.convs == cfg.convs
-            assert parsed.pools == cfg.pools
-            assert parsed.spp_levels == cfg.spp_levels
-            assert parsed.fc_sizes == cfg.fc_sizes
-
     def test_parse_paper_string(self):
         text = ("C_{64,3,1} - P_{2,2} - C_{128,3,1} - P_{2,2} - "
                 "C_{256,3,1} - P_{2,2} - SPP_{4,2,1} - F_{1024}")
-        cfg = parse_grammar(text)
-        assert cfg == TABLE1_MODELS["Original SPP-Net"].with_name(cfg.name)
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_grammar("garbage")
-        with pytest.raises(ValueError):
-            parse_grammar("C_{64,3,1} - P_{2,2}")  # missing SPP
-        with pytest.raises(ValueError):
-            parse_grammar("C_{64,3} - SPP_{2,1}")  # C arity
+        assert TABLE1_MODELS["Original SPP-Net"].grammar() == text
 
 
 class TestPaperConstants:
