@@ -17,7 +17,10 @@ the eager ``predict`` path on exactly that shape, recording:
   trunk one sample at a time and only the FC head at the full batch, so
   a tile must not cost more at batch 20 than at batch 1 — the gate that
   keeps a batch-sized trunk from coming back;
-* the memory planner's arena statistics.
+* the memory planner's arena statistics;
+* ``head_ms_by_rows`` (info, not gated): the NAS winner's FC head pass
+  at 4, 8 and 20 rows, the row counts heads run at — the measurement
+  behind the linear kernel's ``(out, in)`` weight layout.
 
 Emits ``BENCH_engine.json`` with a machine-readable ``gates`` section
 (see ``gates.py``) that ``check_regression.py`` tracks run over run.
@@ -66,6 +69,7 @@ MEMOPS_SHARE_CEILING = 0.15
 POOLING_SHARE_CEILING = 0.10
 
 SWEEP_BATCHES = (1, 4, 8, 20)
+HEAD_PASS_ROWS = (4, 8, 20)
 
 ARCH = SPPNetConfig(name="engine-bench")  # Table 1 default trunk
 NAS_WINNER = TABLE1_MODELS["SPP-Net #3"]
@@ -190,6 +194,31 @@ def batch_sweep(rounds: int) -> dict:
     }
 
 
+def head_ms_by_rows(rounds: int) -> dict[str, float]:
+    """ms per pass of the NAS winner's head bound at each of
+    ``HEAD_PASS_ROWS``: feed the gathered rows, run its linear layers.
+    Row counts interleaved per round, median over the rounds after one
+    discarded warm-up round."""
+    compiled = engine_compile(SPPNetDetector(NAS_WINNER, seed=0).eval())
+    rng = np.random.default_rng(5)
+    heads = {}
+    for rows in HEAD_PASS_ROWS:
+        head = compiled._head_for(rows, CHIP_SHAPE)
+        (view,) = head._inputs
+        heads[rows] = head, np.maximum(
+            rng.standard_normal(view.shape), 0.0).astype(view.dtype)
+
+    def one_pass(head, rows) -> None:
+        head.feed(rows)     # a head's first linear writes over its input
+        head.execute()
+
+    samples = stats.discard_warmup(
+        [{rows: timed_ms(lambda: one_pass(*heads[rows]))
+          for rows in HEAD_PASS_ROWS} for _ in range(1 + rounds)], 1)
+    return {str(rows): stats.median([s[rows] for s in samples])
+            for rows in HEAD_PASS_ROWS}
+
+
 def run_benchmark(repeats: int = 10) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
@@ -230,6 +259,7 @@ def run_benchmark(repeats: int = 10) -> dict:
         "layer_table": layer_table(rounds=max(5, repeats // 2)),
         "kernel_categories": profile["categories"],
         "category_shares": shares,
+        "head_ms_by_rows": head_ms_by_rows(rounds=max(10, 2 * repeats)),
         "absolute": {
             "fingerprint": host.fingerprint(),
             "machine": host.machine_info(),
@@ -323,6 +353,9 @@ def main() -> None:
     for name, row in payload["kernel_categories"].items():
         print(f"  {name:<12s} {row['ms'] / args.repeats:6.2f} ms  "
               f"{100 * row['share']:5.1f}%")
+    print(f"  {NAS_WINNER.name} head pass (ms): " + ", ".join(
+        f"{rows} rows {ms:.2f}"
+        for rows, ms in payload["head_ms_by_rows"].items()))
     sweep = payload["absolute"]["batch_sweep"]
     print(f"  batch sweep (ms/tile, median of {sweep['rounds']} rounds "
           f"[95% interval]) on {payload['absolute']['fingerprint']}")

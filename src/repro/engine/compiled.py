@@ -240,10 +240,11 @@ class _Program:
             pack = packed[step.attrs["weights"]]
             relu = bool(step.attrs["relu"])
             w_pack, bias = pack["pack"], pack["bias"]
+            stage = self._scratch(step, n, dtype).reshape(-1, n)
 
             def fn(acc=None, in2d=ins[0], w_pack=w_pack, bias=bias,
-                   out2d=out, relu=relu):
-                linear(in2d, w_pack, bias, out2d, relu)
+                   out2d=out, relu=relu, stage=stage):
+                linear(in2d, w_pack, bias, out2d, relu, stage)
             return fn
 
         if kind in ("maxpool", "maxpool_flatten"):

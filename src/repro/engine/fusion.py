@@ -57,8 +57,9 @@ class Step:
     attrs     : static kernel attributes (kernel/stride/relu/...).
     covers    : IR node names this step implements, in order.
     scratch_elems : per-sample elements of step-local scratch (im2col
-                columns, pooled staging buffer) the memory planner must
-                reserve for the duration of this step.
+                columns, pooled staging buffer, a linear's GEMM stage)
+                the memory planner must reserve for the duration of
+                this step.
     """
 
     kind: str
@@ -190,6 +191,8 @@ def fuse_graph(graph: Graph, outputs: tuple[str, ...]) -> list[Step]:
                 attrs={"in_features": int(op.attr("in_features")),
                        "relu": relu is not None, "weights": op.name},
                 covers=covers,
+                # the (out, rows) GEMM stage of kernels.linear
+                scratch_elems=_elems(op.out_shape),
             ))
             continue
 

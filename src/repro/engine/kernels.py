@@ -99,8 +99,15 @@ def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
 
 
 def pack_linear_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``(out, in)`` -> contiguous ``(in, out)`` GEMM operand."""
-    return np.ascontiguousarray(weight.T, dtype=dtype)
+    """``(out, in)`` -> a fresh contiguous ``(out, in)`` copy.
+
+    The module's own layout, which :func:`linear` multiplies from the
+    left, so packing is a plain cast-and-copy rather than a strided
+    transpose (63 MB on SPP-Net #3).  Always a copy, never a view, so
+    that edits to a float32 model after compile do not reach the
+    snapshot.
+    """
+    return np.array(weight, dtype=dtype, order="C", copy=True)
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int,
@@ -197,11 +204,23 @@ def shifted_views(x: np.ndarray, k: int, stride: int,
 # -- compute kernels -----------------------------------------------------
 
 def linear(in2d: np.ndarray, w_pack: np.ndarray, bias: np.ndarray | None,
-           out2d: np.ndarray, relu: bool) -> None:
-    """Fused affine(+relu): ``out = max(x @ W_pack + b, 0)``."""
-    np.dot(in2d, w_pack, out=out2d)
+           out2d: np.ndarray, relu: bool, stage: np.ndarray) -> None:
+    """Fused affine(+relu): ``out = max(x @ W.T + b, 0)``.
+
+    ``W @ x.T`` lands in ``stage`` (``(out, rows)``), then ``stage.T + b``
+    in the row-major ``out2d`` the next layers read (fed the
+    feature-major stage itself, they compute other bits).  Bitwise
+    ``x @ W.T`` with ``W.T`` packed contiguous, in 0.55-0.65x its time
+    on the Table-1 heads at 4-20 rows (docs/engine.md, "FC
+    orientation").  Every input is read before ``out2d`` is written, so
+    ``out2d`` may share memory with ``in2d`` (the planner's late write),
+    never with ``stage``.
+    """
+    np.dot(w_pack, in2d.T, out=stage)
     if bias is not None:
-        np.add(out2d, bias, out=out2d)
+        np.add(stage.T, bias, out=out2d)
+    else:
+        np.copyto(out2d, stage.T)
     if relu:
         np.maximum(out2d, 0.0, out=out2d)
 

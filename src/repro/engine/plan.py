@@ -18,6 +18,13 @@ Allocation ordering guarantees correctness for in-place-free execution:
 a step's output slot (and scratch) is reserved *before* its input slots
 are released, so a kernel never reads and writes the same memory.
 
+One exception, the *late write*: a ``linear`` step's GEMM reads all of
+its input and writes only the step's stage (its scratch); the output is
+written afterwards, from the stage (:func:`.kernels.linear`).  So its
+output may take the slot of an input that dies at that step: the stage
+is reserved first, then the dying inputs are released, then the output
+slot is taken.
+
 The invariant is checked, not just intended: :meth:`MemoryPlan.check`
 re-derives it from the finished plan, and every bound program asserts
 it.
@@ -25,7 +32,8 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from .fusion import Step
 
@@ -57,6 +65,8 @@ class MemoryPlan:
     slot_sizes  : final byte size of each arena slot.
     peak_bytes  : arena footprint = ``sum(slot_sizes)``.
     naive_bytes : footprint with no reuse (every tensor held at once).
+    late_writes : output of each late-write step -> the inputs it reads
+                  before writing (the one sharing :meth:`check` allows).
     """
 
     batch: int
@@ -65,6 +75,7 @@ class MemoryPlan:
     slot_sizes: tuple[int, ...]
     peak_bytes: int
     naive_bytes: int
+    late_writes: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def reuse_factor(self) -> float:
@@ -75,9 +86,12 @@ class MemoryPlan:
         """The arena invariant, verified instead of trusted.
 
         Every lifetime fits its slot and no two lifetimes that overlap
-        in time share a slot.  Raises ``AssertionError`` naming the
-        offenders and returns ``True``, so callers write
-        ``assert plan.check()`` and pay nothing under ``-O``.
+        in time share a slot, except a late write: a ``linear`` output
+        that starts in the slot of one of its inputs that dies at that
+        very step.  Raises
+        ``AssertionError`` naming the offenders and returns ``True``, so
+        callers write ``assert plan.check()`` and pay nothing under
+        ``-O``.
         """
         by_slot: dict[int, list[Lifetime]] = {}
         for lt in self.lifetimes.values():
@@ -89,7 +103,9 @@ class MemoryPlan:
         for slot, lts in by_slot.items():
             lts.sort(key=lambda lt: lt.birth)
             for a, b in zip(lts, lts[1:]):
-                if a.death >= b.birth:
+                late = (a.death == b.birth
+                        and a.name in self.late_writes.get(b.name, ()))
+                if a.death >= b.birth and not late:
                     raise AssertionError(
                         f"slot {slot}: {a.name} [{a.birth},{a.death}] "
                         f"overlaps {b.name} [{b.birth},{b.death}]")
@@ -105,12 +121,18 @@ class MemoryPlan:
         """
         steps = 1 + max(lt.death for lt in self.lifetimes.values())
         slots = len(self.slot_sizes)
+
+        def key(name: str) -> str:
+            return f"{name}:gathered" if name in self.lifetimes else name
+
         lifetimes = dict(self.lifetimes)
         for name, lt in other.lifetimes.items():
-            key = f"{name}:gathered" if name in lifetimes else name
-            lifetimes[key] = replace(
-                lt, name=key, birth=lt.birth + steps,
+            lifetimes[key(name)] = replace(
+                lt, name=key(name), birth=lt.birth + steps,
                 death=lt.death + steps, slot=lt.slot + slots)
+        late_writes = dict(self.late_writes)
+        for name, inputs in other.late_writes.items():
+            late_writes[key(name)] = tuple(map(key, inputs))
         return MemoryPlan(
             batch=other.batch,
             itemsize=self.itemsize,
@@ -118,6 +140,7 @@ class MemoryPlan:
             slot_sizes=self.slot_sizes + other.slot_sizes,
             peak_bytes=self.peak_bytes + other.peak_bytes,
             naive_bytes=self.naive_bytes + other.naive_bytes,
+            late_writes=late_writes,
         )
 
 
@@ -164,25 +187,36 @@ def plan_memory(steps: list[Step], outputs: tuple[str, ...], batch: int,
     arena = _Arena()
     lifetimes: dict[str, Lifetime] = {}
     slot_of: dict[str, int] = {}
+    late_writes: dict[str, tuple[str, ...]] = {}
     naive = 0
+
+    def release_dying_inputs(i: int, step: Step) -> None:
+        for name in step.inputs:
+            if death[name] == i:
+                arena.release(slot_of[name])
 
     for i, step in enumerate(steps):
         out_bytes = batch * step.out_elems * itemsize
-        naive += out_bytes
+        s_bytes = batch * step.scratch_elems * itemsize
+        naive += out_bytes + s_bytes  # eager allocates scratch per op
+        # a late write reserves its stage before its inputs go
+        late = step.kind == "linear" and s_bytes > 0
+        if late:
+            late_writes[step.name] = step.inputs
+            s_slot = arena.acquire(s_bytes)
+            release_dying_inputs(i, step)
         slot = arena.acquire(out_bytes)
         slot_of[step.name] = slot
         lifetimes[step.name] = Lifetime(step.name, i, death[step.name],
                                         out_bytes, slot)
-        if step.scratch_elems:
-            s_bytes = batch * step.scratch_elems * itemsize
-            naive += s_bytes  # the eager path allocates these fresh per op
-            s_slot = arena.acquire(s_bytes)
+        if s_bytes:
+            if not late:
+                s_slot = arena.acquire(s_bytes)
             lifetimes[f"{step.name}:scratch"] = Lifetime(
                 f"{step.name}:scratch", i, i, s_bytes, s_slot)
             arena.release(s_slot)
-        for name in step.inputs:
-            if death[name] == i:
-                arena.release(slot_of[name])
+        if not late:
+            release_dying_inputs(i, step)
         if death[step.name] == i and step.name not in outputs:
             arena.release(slot)
 
@@ -193,5 +227,6 @@ def plan_memory(steps: list[Step], outputs: tuple[str, ...], batch: int,
         slot_sizes=tuple(arena.sizes),
         peak_bytes=sum(arena.sizes),
         naive_bytes=naive,
+        late_writes=late_writes,
     )
 

@@ -151,3 +151,18 @@ class TestBackendSelection:
         before = compiled(images)[0].copy()
         model.cls_head.weight.data += 1.0
         np.testing.assert_array_equal(compiled(images)[0], before)
+
+    def test_float32_snapshot_ignores_later_weight_edits(self):
+        """A float32 model's FC weights need no cast, so only an
+        explicit copy keeps the pack from aliasing them."""
+        model = SPPNetDetector(small_config(), seed=10)
+        for param in model.parameters():
+            param.data = param.data.astype(np.float32)
+        images = chips(2)
+        compiled = engine_compile(model, (4, 32, 32))
+        before = [out.copy() for out in compiled(images)]
+        for name, param in model.named_parameters():
+            if name.endswith("weight") and param.data.ndim == 2:
+                param.data += 1.0       # in place: the same buffer
+        for out, ref in zip(compiled(images), before):
+            np.testing.assert_array_equal(out, ref)

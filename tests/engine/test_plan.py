@@ -51,6 +51,13 @@ class TestChain:
             plan_memory(steps, (out,), batch=0)
 
 
+def moved(plan, name, **changes):
+    """``plan`` with one lifetime edited."""
+    lifetimes = dict(plan.lifetimes)
+    lifetimes[name] = replace(lifetimes[name], **changes)
+    return replace(plan, lifetimes=lifetimes)
+
+
 class TestCheck:
     """``MemoryPlan.check`` must reject what the planner never emits."""
 
@@ -58,21 +65,72 @@ class TestCheck:
         steps, out = chain(100, 100, 100, 100)
         return plan_memory(steps, (out,), batch=1)
 
-    def moved(self, plan, name, **changes):
-        lifetimes = dict(plan.lifetimes)
-        lifetimes[name] = replace(lifetimes[name], **changes)
-        return replace(plan, lifetimes=lifetimes)
-
     def test_overlapping_lifetimes_in_one_slot(self):
+        """A relu output in the slot of its input, which dies at that
+        step: the sharing a linear's late write may make, on a step
+        that writes as it reads."""
         plan = self.plan()
-        clash = self.moved(plan, "t0", slot=plan.lifetimes["input"].slot)
-        with pytest.raises(AssertionError, match="overlaps"):
+        assert plan.lifetimes["input"].death == plan.lifetimes["t0"].birth
+        clash = moved(plan, "t0", slot=plan.lifetimes["input"].slot)
+        with pytest.raises(AssertionError,
+                           match=r"input \[0,1\] overlaps t0 \[1,2\]"):
             clash.check()
 
     def test_lifetime_larger_than_its_slot(self):
         plan = self.plan()
         with pytest.raises(AssertionError, match="holds"):
-            self.moved(plan, "t1", nbytes=10**6).check()
+            moved(plan, "t1", nbytes=10**6).check()
+
+
+class TestLateWrite:
+    """A ``linear`` step reads its input into its stage before writing
+    its output, so the output may take the slot of an input that dies at
+    the step; nothing else may share a slot at a step boundary."""
+
+    def plan(self, reader="relu"):
+        # input -> fc1 -> fc2, and a ``reader`` of input after fc1 when
+        # one is given (input then lives past fc1)
+        steps = [step("input", (), 300, kind="input"),
+                 step("fc1", ("input",), 200, kind="linear", scratch=200)]
+        if reader:
+            steps.append(step("late", ("input",), 10, kind=reader))
+        steps.append(step("fc2", ("fc1",), 100, kind="linear", scratch=100))
+        outputs = ("fc2", "late") if reader else ("fc2",)
+        return plan_memory(steps, outputs, batch=1)
+
+    def test_lifetimes_are_step_indices(self):
+        plan = self.plan(reader=None)
+        spans = {name: (lt.birth, lt.death)
+                 for name, lt in plan.lifetimes.items()}
+        assert spans == {"input": (0, 1), "fc1": (1, 2),
+                         "fc1:scratch": (1, 1), "fc2": (2, 2),
+                         "fc2:scratch": (2, 2)}
+
+    def test_output_takes_the_slot_of_its_dying_input(self):
+        plan = self.plan(reader=None)
+        assert plan.check()
+        lt = plan.lifetimes
+        assert lt["fc1"].slot == lt["input"].slot
+        assert lt["fc1:scratch"].slot not in (lt["input"].slot,
+                                              lt["fc1"].slot)
+        assert plan.late_writes == {"fc1": ("input",), "fc2": ("fc1",)}
+
+    def test_stage_never_shares_with_input_or_output(self):
+        plan = self.plan(reader=None)
+        lt = plan.lifetimes
+        for name in ("input", "fc1"):
+            with pytest.raises(AssertionError, match="overlaps"):
+                moved(plan, "fc1:scratch", slot=lt[name].slot).check()
+
+    def test_input_living_past_the_step_is_not_shared(self):
+        plan = self.plan()
+        assert plan.check()
+        lt = plan.lifetimes
+        assert lt["input"].death == 2 and lt["fc1"].slot != lt["input"].slot
+        clash = moved(plan, "fc1", slot=lt["input"].slot)
+        with pytest.raises(AssertionError,
+                           match=r"input \[0,2\] overlaps fc1 \[1,3\]"):
+            clash.check()
 
 
 class TestPinningAndScratch:
@@ -149,6 +207,17 @@ class TestRealModelPlan:
         gathered = plan.lifetimes["spp_concat1:gathered"]
         assert gathered.nbytes == 4 * handed.nbytes
         assert gathered.slot >= len(trunk.plan.slot_sizes) > handed.slot
+
+    def test_head_linear_writes_over_the_gathered_rows(self):
+        model = SPPNetDetector(self.config(), seed=0)
+        compiled = CompiledModel(model, (4, 32, 32))
+        _, head = compiled._programs_for(2, (4, 32, 32))
+        lt = head.plan.lifetimes
+        assert lt["relu3"].slot == lt["spp_concat1"].slot
+        # the late write survives renaming into the process-wide plan
+        plan = compiled.memory_plan(batch=2)
+        assert plan.late_writes["relu3"] == ("spp_concat1:gathered",)
+        assert plan.check()
 
     def test_arena_does_not_grow_with_the_batch(self):
         model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0)

@@ -106,10 +106,21 @@ def test_pad_rows_are_zeroed_before_the_head_runs():
     x = np.random.default_rng(0).standard_normal(
         (3, 4, 32, 32)).astype(np.float32)
     compiled.predict(x, batch_size=3)       # rows 0-2 filled
+    # read the rows as the head's first kernel gets them: that kernel's
+    # output may then take their slot
+    head = compiled._heads[(HEAD_ROWS, 4, 32, 32)]
+    (rows,) = head._inputs
+    seen = []
+    category, name, first = head._fns[0]
+
+    def spy(acc=None):
+        seen.append(rows.copy())
+        first(acc)
+    head._fns[0] = (category, name, spy)
     conf, box = compiled.predict(x[:1], batch_size=1)
     assert conf.shape == (1,) and box.shape == (1, 4)
-    (rows,) = compiled._heads[(HEAD_ROWS, 4, 32, 32)]._inputs
-    assert rows[0].any() and not rows[1:].any()
+    (fed,) = seen
+    assert fed[0].any() and not fed[1:].any()
 
 
 def test_a_head_across_the_small_matrix_switch_depends_on_its_batch():
