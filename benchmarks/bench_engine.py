@@ -20,7 +20,11 @@ the eager ``predict`` path on exactly that shape, recording:
 * the memory planner's arena statistics;
 * ``head_ms_by_rows`` (info, not gated): the NAS winner's FC head pass
   at 4, 8 and 20 rows, the row counts heads run at — the measurement
-  behind the linear kernel's ``(out, in)`` weight layout.
+  behind the linear kernel's ``(out, in)`` weight layout;
+* ``read_extent`` and ``trunk_ms_full_vs_read`` (info, not gated): the
+  top-left pixels of the 100 px chip each Table-1 model's outputs read,
+  and the NAS winner's one-sample trunk bound at the whole chip against
+  the trunk the engine binds, at that extent.
 
 Emits ``BENCH_engine.json`` with a machine-readable ``gates`` section
 (see ``gates.py``) that ``check_regression.py`` tracks run over run.
@@ -41,6 +45,7 @@ from repro.arch import SPPNetConfig, TABLE1_MODELS
 from repro.detect import SPPNetDetector, predict
 from repro.engine import CONV_VARIANTS, conv_variant
 from repro.engine import compile as engine_compile
+from repro.engine.compiled import _Program
 from repro.engine.kernels import (
     bind_conv,
     conv_out_hw,
@@ -219,6 +224,32 @@ def head_ms_by_rows(rounds: int) -> dict[str, float]:
             for rows in HEAD_PASS_ROWS}
 
 
+def trunk_ms_full_vs_read(rounds: int) -> dict[str, float]:
+    """ms per run of the NAS winner's one-sample trunk bound at the
+    whole 100 px chip and at its read extent (what the engine binds),
+    fed the same chip: the two interleaved per round, medians over the
+    rounds after one discarded warm-up round, and the median of the
+    per-round ratios."""
+    compiled = engine_compile(SPPNetDetector(NAS_WINNER, seed=0).eval())
+    steps, boundary, _ = compiled._split_for(CHIP_SHAPE)
+    trunks = {"full": _Program(steps, boundary, 1, compiled.dtype,
+                               compiled._packed),
+              "read": compiled._trunk_for(CHIP_SHAPE)}
+    chip = make_chips(1, seed=3)
+
+    def one_run(trunk) -> None:
+        trunk.feed(chip)
+        trunk.execute()
+
+    samples = stats.discard_warmup(
+        [{side: timed_ms(lambda: one_run(trunk))
+          for side, trunk in trunks.items()} for _ in range(1 + rounds)], 1)
+    return {"full_ms": stats.median([s["full"] for s in samples]),
+            "read_ms": stats.median([s["read"] for s in samples]),
+            "read_over_full": stats.median(
+                [s["read"] / s["full"] for s in samples])}
+
+
 def run_benchmark(repeats: int = 10) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
@@ -260,6 +291,12 @@ def run_benchmark(repeats: int = 10) -> dict:
         "kernel_categories": profile["categories"],
         "category_shares": shares,
         "head_ms_by_rows": head_ms_by_rows(rounds=max(10, 2 * repeats)),
+        "read_extent": {
+            name: list(engine_compile(SPPNetDetector(config, seed=0).eval())
+                       .read_extent(CHIP_SHAPE))
+            for name, config in TABLE1_MODELS.items()},
+        "trunk_ms_full_vs_read": trunk_ms_full_vs_read(
+            rounds=max(10, 2 * repeats)),
         "absolute": {
             "fingerprint": host.fingerprint(),
             "machine": host.machine_info(),
@@ -356,6 +393,13 @@ def main() -> None:
     print(f"  {NAS_WINNER.name} head pass (ms): " + ", ".join(
         f"{rows} rows {ms:.2f}"
         for rows, ms in payload["head_ms_by_rows"].items()))
+    print("  read extent of the 100 px chip: " + ", ".join(
+        f"{name} {h}x{w}" + (f" ({reason})" if reason else "")
+        for name, (h, w, reason) in payload["read_extent"].items()))
+    trunk = payload["trunk_ms_full_vs_read"]
+    print(f"  {NAS_WINNER.name} one-sample trunk (ms): 100 px "
+          f"{trunk['full_ms']:.2f}, read extent {trunk['read_ms']:.2f} "
+          f"({trunk['read_over_full']:.2f}x)")
     sweep = payload["absolute"]["batch_sweep"]
     print(f"  batch sweep (ms/tile, median of {sweep['rounds']} rounds "
           f"[95% interval]) on {payload['absolute']['fingerprint']}")

@@ -22,10 +22,11 @@ float32 (``dtype=float64`` is the eager-equivalence reference for
 tests).
 
 Execution is depth-first (:func:`.fusion.split_trunk_head`): the steps
-before the first fully-connected layer are bound once per input shape
-at one sample and looped over the batch, so their working set stays
-cache-sized whatever the batch; only the fully-connected head runs at
-the full batch.
+before the first fully-connected layer are bound at one sample and
+looped over the batch, so their working set stays cache-sized whatever
+the batch; only the fully-connected head runs at the full batch.  Both
+are bound at a chip shape's read extent (:func:`.fusion.read_extent`),
+the top-left pixels its outputs read: 94 x 94 of a 100 px chip.
 
 A scene scan hands the engine *windows of one raster*
 (:meth:`CompiledModel.predict_windows`): the unpadded leading convs

@@ -11,9 +11,13 @@ shuffling (activations stay NHWC between convolutions).
 Execution is depth-first.  The fused steps are split
 (:func:`.fusion.split_trunk_head`) into a *trunk* — everything before
 the first fully-connected layer — and a *head*.  The trunk is bound
-once per input shape ``(C, H, W)`` **at one sample** and looped over the
-batch, each sample's boundary tensor landing in row *i* of the head's
-``(n, F)`` input; the head, bound once per whole number of
+**at one sample** and looped over the batch, each sample's boundary
+tensor landing in row *i* of the head's ``(n, F)`` input.  Both are
+bound at a sample shape's *read extent*
+(:func:`.fusion.read_extent`): the top-left pixels its outputs depend
+on, 94 of a 100 px chip's 100 rows and columns on SPP-Net #3, so the
+trunk skips the rows and columns nothing reads and chip shapes with one
+extent share their programs.  The head, bound once per whole number of
 :data:`HEAD_ROWS`-row blocks with the rows past ``n`` zeroed, then runs
 over the whole batch, so a row's bits depend on its sample alone, not
 on its batch-mates or the batch size.  The loop pulls its samples
@@ -54,7 +58,14 @@ from itertools import islice
 
 import numpy as np
 
-from .fusion import SharedSplit, Step, chain_at, fuse_graph, split_trunk_head
+from .fusion import (
+    SharedSplit,
+    Step,
+    chain_at,
+    fuse_graph,
+    read_extent,
+    split_trunk_head,
+)
 from .kernels import (
     adaptive_bins,
     adaptive_pool_nhwc,
@@ -74,7 +85,7 @@ from .kernels import (
 )
 from .plan import MemoryPlan, plan_memory
 from .trace import Traced, trace
-from .windows import WindowPlan, plan_windows
+from .windows import NO_TRUNK, WindowPlan, plan_windows
 
 __all__ = ["CompiledModel", "compile", "compiled_for"]
 
@@ -344,10 +355,13 @@ class _Program:
     # -- execution -------------------------------------------------------
     def feed(self, x: np.ndarray, row: int = 0) -> None:
         """Copy raw NCHW / ``(N, F)`` samples into the program's input,
-        from ``row`` on (all of it when ``x`` is the whole batch)."""
+        from ``row`` on (all of it when ``x`` is the whole batch).  A
+        spatial input takes the top-left ``(H, W)`` it is bound at: a
+        trunk bound at its read extent is fed whole chips."""
         (view,) = self._inputs
-        np.copyto(view[row:row + len(x)],
-                  x.transpose(0, 2, 3, 1) if view.ndim == 4 else x)
+        if view.ndim == 4:
+            x = x[:, :, :view.shape[1], :view.shape[2]].transpose(0, 2, 3, 1)
+        np.copyto(view[row:row + len(x)], x)
 
     def execute(self) -> None:
         for _, _, fn in self._fns:
@@ -562,9 +576,11 @@ class CompiledModel:
         self._step_cache: dict[tuple[int, ...], list[Step]] = {
             self.input_shape: self.steps
         }
-        #: sample shape -> its one-sample trunk (no entry: all head)
+        #: (C, H, W) sample shape -> its read extent ``(h, w, reason)``
+        self._extents: dict[tuple[int, ...], tuple] = {}
+        #: bound shape -> the one-sample trunk (no entry: all head)
         self._trunks: dict[tuple[int, ...], _Program] = {}
-        #: (rows,) + sample shape -> the head bound at that many rows, a
+        #: (rows,) + bound shape -> the head bound at that many rows, a
         #: whole number of HEAD_ROWS blocks
         self._heads: dict[tuple[int, ...], _Program] = {}
         #: sample shape -> split_trunk_head of its steps
@@ -619,26 +635,50 @@ class CompiledModel:
                 self._steps_for(sample_shape), self.outputs)
         return split
 
+    def _extent_of(self, sample_shape: tuple[int, ...]
+                   ) -> tuple[int, int, str | None]:
+        """:meth:`read_extent` of a ``(C, H, W)`` shape, cached."""
+        extent = self._extents.get(sample_shape)
+        if extent is None:
+            trunk, boundary, _ = self._split_for(sample_shape)
+            extent = self._extents[sample_shape] = (
+                read_extent(trunk, boundary) if trunk
+                else (*sample_shape[1:], NO_TRUNK))
+        return extent
+
+    def _bound_shape(self, sample_shape: tuple[int, ...]
+                     ) -> tuple[int, ...]:
+        """The shape the programs that run ``sample_shape`` are bound
+        at: ``(C, h, w)`` at its read extent (a flat shape as it is)."""
+        if len(sample_shape) != 3:
+            return sample_shape
+        h, w, _ = self._extent_of(sample_shape)
+        return (sample_shape[0], h, w)
+
     def _head_for(self, batch: int, sample_shape: tuple[int, ...]
                   ) -> _Program:
         """The head that runs ``batch`` samples of ``sample_shape``,
-        bound at :data:`HEAD_ROWS`-row blocks (``_head_rows(batch)``)."""
+        bound at :data:`HEAD_ROWS`-row blocks (``_head_rows(batch)``)
+        and keyed by the shape's read extent."""
         rows = _head_rows(batch)
-        key = (rows,) + sample_shape
+        shape = self._bound_shape(sample_shape)
+        key = (rows,) + shape
         head = self._heads.get(key)
         if head is None:
             head = self._heads[key] = _Program(
-                self._split_for(sample_shape)[2], self.outputs, rows,
+                self._split_for(shape)[2], self.outputs, rows,
                 self.dtype, self._packed)
         return head
 
     def _trunk_for(self, sample_shape: tuple[int, ...]) -> _Program | None:
-        """The shape's one-sample trunk (``None``: all head)."""
-        trunk = self._trunks.get(sample_shape)
+        """The one-sample trunk that runs ``sample_shape``, bound and
+        keyed at the shape's read extent (``None``: all head)."""
+        shape = self._bound_shape(sample_shape)
+        trunk = self._trunks.get(shape)
         if trunk is None:
-            trunk_steps, boundary, _ = self._split_for(sample_shape)
+            trunk_steps, boundary, _ = self._split_for(shape)
             if trunk_steps:
-                trunk = self._trunks[sample_shape] = _Program(
+                trunk = self._trunks[shape] = _Program(
                     trunk_steps, boundary, 1, self.dtype, self._packed)
         return trunk
 
@@ -646,7 +686,9 @@ class CompiledModel:
                       ) -> tuple[_Program | None, _Program]:
         """The ``(trunk, head)`` pair that executes ``(batch, shape)``.
 
-        The trunk is bound at one sample on the shape's first use and
+        Both are bound at the shape's read extent, so chip shapes with
+        one extent (94 and 100 px on SPP-Net #3) run one pair.  The
+        trunk is bound at one sample on the extent's first use and
         shared by every batch size; the head is per whole number of
         :data:`HEAD_ROWS`-row blocks.  The trunk is ``None`` for a model
         that is all head.
@@ -811,15 +853,18 @@ class CompiledModel:
         shape = (image.shape[0], int(window), int(window))
         with self._lock:
             _, scan = self._window_scan(image.shape, window, origins)
-        stack = None if scan is not None else np.empty(
-            (batch_size,) + shape, dtype=np.float32)
+            if scan is None:
+                # stack only the pixels the trunk reads
+                _, h, w = self._bound_shape(shape)
+                stack = np.empty((batch_size, shape[0], h, w),
+                                 dtype=np.float32)
         owner = object()
         for at in range(0, len(todo), batch_size):
             batch = todo[at:at + batch_size]
             with self._lock:
                 if scan is None:
                     for i, (r0, c0) in enumerate(batch):
-                        stack[i] = image[:, r0:r0 + window, c0:c0 + window]
+                        stack[i] = image[:, r0:r0 + h, c0:c0 + w]
                     logits, box = self._forward(stack, len(batch),
                                                 _Program.execute)
                 else:
@@ -831,7 +876,8 @@ class CompiledModel:
     def warmup(self, batch_sizes, sample_shape: tuple[int, ...] | None = None
                ) -> float:
         """Pre-build the shape's trunk and the head each of
-        ``batch_sizes`` runs in (one per whole :data:`HEAD_ROWS` block).
+        ``batch_sizes`` runs in (one per whole :data:`HEAD_ROWS` block),
+        both at the shape's :meth:`read_extent`.
 
         Binding a program — memory planning, arena allocation, view and
         closure construction — is the one non-amortized cost of the
@@ -869,11 +915,26 @@ class CompiledModel:
         return (time.perf_counter() - start) * 1e3
 
     # -- introspection ---------------------------------------------------
+    def read_extent(self, sample_shape: tuple[int, ...] | None = None
+                    ) -> tuple[int, int, str | None]:
+        """The top-left ``(h, w)`` of a ``(C, H, W)`` sample that the
+        outputs read, and ``None`` — or the whole ``(H, W)`` and the
+        fixed reason every pixel is read (:func:`.fusion.read_extent`;
+        ``windows.NO_TRUNK`` for a model with no trunk).  Every program
+        that runs samples of this shape is bound at ``(C, h, w)``: the
+        rows past it feed no output, so no kernel computes them."""
+        shape = tuple(int(d) for d in (sample_shape or self.input_shape))
+        if len(shape) != 3:
+            raise ValueError(f"expected a (C, H, W) sample shape, got {shape}")
+        with self._lock:
+            return self._extent_of(shape)
+
     def memory_plan(self, batch: int = 1,
                     sample_shape: tuple[int, ...] | None = None) -> MemoryPlan:
         """The arena assignment held while executing ``batch`` samples:
-        the one-sample trunk's arena followed by the arena of the head
-        that runs ``batch`` (bound at ``batch`` rounded up to whole
+        the one-sample trunk's arena, bound at the shape's
+        :meth:`read_extent`, followed by the arena of the head that runs
+        ``batch`` (bound at ``batch`` rounded up to whole
         :data:`HEAD_ROWS` blocks; scratch already re-sized for the
         selected kernel variants)."""
         trunk, head = self._bound(batch, sample_shape)
@@ -898,8 +959,8 @@ class CompiledModel:
                        sample_shape: tuple[int, ...] | None = None
                        ) -> dict[str, str]:
         """The conv kernel bound per conv step of the programs that run
-        ``(batch, shape)`` (:func:`~.kernels.conv_variant` of each
-        layer)."""
+        ``(batch, shape)`` — the trunk at the shape's :meth:`read_extent`
+        — (:func:`~.kernels.conv_variant` of each layer)."""
         trunk, head = self._bound(batch, sample_shape)
         return {**(trunk.kernel_choices if trunk else {}),
                 **head.kernel_choices}

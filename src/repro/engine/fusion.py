@@ -36,7 +36,7 @@ from ..graph.ir import Graph, OpType
 from .kernels import conv_out_hw, conv_scratch_elems
 
 __all__ = ["Step", "FusionError", "fuse_graph", "split_trunk_head",
-           "SharedSplit", "split_shared_prefix", "chain_at"]
+           "SharedSplit", "split_shared_prefix", "chain_at", "read_extent"]
 
 
 class FusionError(ValueError):
@@ -384,20 +384,126 @@ def split_shared_prefix(trunk: Sequence[Step], boundary: Sequence[str],
     return SharedSplit(tuple(prefix), tuple(suffix + rest), cs, cut)
 
 
-def chain_at(prefix: Sequence[Step], shape: tuple[int, int, int]
+def chain_at(steps: Sequence[Step], shape: tuple[int, int, int]
              ) -> list[Step]:
-    """A shared prefix (``input`` plus unpadded conv steps) re-shaped
-    for an input of ``shape = (C, H, W)``: the same kernels over a
-    scene chunk instead of one window."""
-    _, h, w = shape
-    out = [replace(prefix[0], out_shape=tuple(shape))]
-    for step in prefix[1:]:
-        f = int(step.attrs["out_channels"])
-        h, w = conv_out_hw(h, w, int(step.attrs["kernel"]),
-                           int(step.attrs["stride"]), 0)
-        attrs = step.attrs
-        if step.kind == "conv_pool":
-            attrs = {**attrs, "conv_out": (f, h, w)}
-            h, w = h // 2, w // 2
-        out.append(replace(step, out_shape=(f, h, w), attrs=attrs))
+    """Trunk steps, ``input`` first, re-shaped for an input of ``shape =
+    (C, H, W)``: the same kernels over a scene chunk (a shared prefix)
+    or over a window's read extent (:func:`read_extent`)."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    out = []
+    for step in steps:
+        kind, attrs, scratch = step.kind, step.attrs, step.scratch_elems
+        src = shapes.get(step.inputs[0]) if step.inputs else None
+        if kind == "input":
+            new = tuple(shape)
+        elif kind in ("conv", "conv_pool"):
+            f = int(attrs["out_channels"])
+            h, w = conv_out_hw(src[1], src[2], int(attrs["kernel"]),
+                               int(attrs["stride"]), int(attrs["padding"]))
+            if kind == "conv_pool":
+                attrs = {**attrs, "conv_out": (f, h, w)}
+                h, w = h // 2, w // 2
+            new = (f, h, w)
+        elif kind in ("maxpool", "maxpool_flatten", "adaptive_pool",
+                      "adaptive_pool_flatten"):
+            if kind.startswith("maxpool"):
+                h, w = conv_out_hw(src[1], src[2], int(attrs["kernel"]),
+                                   int(attrs["stride"]), 0)
+            else:
+                h = w = int(attrs["output_size"])
+            new = (src[0], h, w)
+            if kind.endswith("_flatten"):
+                # the pooled staging buffer before the reorder
+                scratch = _elems(new)
+                new = (scratch,)
+        elif kind == "flatten":
+            new = (_elems(src),)
+        elif kind == "concat":
+            parts = [shapes[name] for name in step.inputs]
+            new = (sum(part[0] for part in parts),) + parts[0][1:]
+        else:   # elementwise: relu, sigmoid, softmax, identity
+            new = src
+        shapes[step.name] = new
+        out.append(replace(step, out_shape=new, attrs=attrs,
+                           scratch_elems=scratch))
     return out
+
+
+#: the decline reasons of :func:`read_extent`
+PADDED_STEP = "trunk has a padded step"
+EXTENT_CHANGES_SHAPE = "binding at the read extent changes a shape it reads"
+
+
+def _whole(shape: tuple[int, ...]) -> tuple[int, int] | None:
+    """All of a tensor's ``(H, W)``; ``None`` for a flat tensor."""
+    return (int(shape[1]), int(shape[2])) if len(shape) == 3 else None
+
+
+def _read_by(step: Step, demand: tuple[int, int] | None,
+             in_shape: tuple[int, ...]) -> tuple[int, int] | None:
+    """The top-left ``(H, W)`` of ``step``'s input that the top-left
+    ``demand`` of its output reads (``None`` for a flat input)."""
+    if len(in_shape) != 3:
+        return None
+    kind = step.kind
+    if kind in ("conv", "conv_pool", "maxpool", "maxpool_flatten"):
+        k, s = int(step.attrs["kernel"]), int(step.attrs["stride"])
+        if demand is None:      # flattened: every pooled element
+            demand = conv_out_hw(in_shape[1], in_shape[2], k, s, 0)
+        # a fused 2x2/s2 pool's output element reads two conv rows
+        per = 2 if kind == "conv_pool" else 1
+        return ((per * demand[0] - 1) * s + k, (per * demand[1] - 1) * s + k)
+    if demand is not None and kind in ("relu", "sigmoid", "softmax",
+                                       "identity", "concat"):
+        return demand
+    # adaptive pools, flatten and anything else read their whole input
+    return _whole(in_shape)
+
+
+def read_extent(trunk: Sequence[Step], boundary: Sequence[str]
+                ) -> tuple[int, int, str | None]:
+    """The top-left ``(h, w)`` of the trunk's input that every boundary
+    element reads, and ``None`` — or the whole input and the fixed
+    reason the trunk must read all of it.
+
+    Walks the steps backward from the boundary tensors, each demanded
+    whole: a conv or max pool's top-left ``d`` output elements read
+    ``(d - 1) * s + k`` input elements per axis, a fused ``conv_pool``'s
+    ``(2d - 1) * s + k``; adaptive / SPP pools and flatten read their
+    whole input; ReLU, concat and the other elementwise steps pass the
+    demand through, and a tensor with several consumers takes the
+    largest.  An unpadded, floor-mode trunk bound at ``(C, h, w)``
+    computes every element the boundary reads from the same pixels with
+    the same arithmetic, and only drops the GEMM rows nothing reads.
+    Declines with a padded step (its border moves with the input
+    extent), or when the trunk re-shaped at the extent (:func:`chain_at`)
+    would give a boundary tensor, or a tensor read whole (the map an SPP
+    pools), another shape, or leave a tensor short of its demand.
+
+    Pure: the answer depends on the steps alone.
+    """
+    steps = list(trunk)
+    channels, height, width = steps[0].out_shape
+    if any(int(step.attrs.get("padding", 0)) for step in steps):
+        return height, width, PADDED_STEP
+    shapes = {step.name: step.out_shape for step in steps}
+    demand = {name: _whole(shapes[name]) for name in boundary}
+    for step in reversed(steps[1:]):
+        out = demand.get(step.name, _whole(step.out_shape))
+        for name in step.inputs:
+            need = _read_by(step, out, shapes[name])
+            if need is not None:
+                have = demand.get(name) or need
+                demand[name] = (max(have[0], need[0]), max(have[1], need[1]))
+    h, w = demand.get(steps[0].name) or (height, width)
+    h, w = min(h, height), min(w, width)
+    at = {step.name: step.out_shape
+          for step in chain_at(steps, (channels, h, w))}
+    for name, need in demand.items():
+        if name in boundary or need in (None, _whole(shapes[name])):
+            kept = at[name] == shapes[name]
+        else:
+            kept = at[name][1] >= need[0] and at[name][2] >= need[1]
+        if not kept:
+            return height, width, EXTENT_CHANGES_SHAPE
+    return h, w, None

@@ -40,7 +40,13 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-from .fusion import SharedSplit, Step, chain_at, split_shared_prefix
+from .fusion import (
+    SharedSplit,
+    Step,
+    chain_at,
+    read_extent,
+    split_shared_prefix,
+)
 from .kernels import pooled_extent
 
 __all__ = ["WindowPlan", "origin_lattice", "plan_windows",
@@ -92,7 +98,9 @@ class WindowPlan:
     macs_shared / macs_per_window : multiply-adds of the shared layers
                    as this plan runs them (every chunk of the scene,
                    plus once per edge window) / as the per-window path
-                   does (once per window, all ``n_windows``)
+                   does (once per window, all ``n_windows``); a window's
+                   own trunk runs at its read extent
+                   (:func:`~.fusion.read_extent`)
     prefix_arena_bytes / carry_bytes : what the shared execution holds
                    (the largest prefix program's arena; the rolling
                    buffer of prefix output rows, ``carry_rows`` and one
@@ -228,9 +236,11 @@ def _plan_on(lattice: int, trunk: Sequence[Step], boundary: Sequence[str],
     macs = [_macs(chain_at(prefix, (channels, px, width))) for px in heights]
     edge = sum(1 for r, c in origins
                if r % split.stride or c % split.stride)
-    # the same layers in the window's own trunk (a cut conv is fused
-    # with its pool there, and skips the rows the pool never reads)
-    per_window = _macs(trunk[:len(prefix)])
+    # the same layers in the window's own trunk, as it runs them: at its
+    # read extent, a cut conv fused with its pool (and skipping the rows
+    # the pool never reads)
+    h, w, _ = read_extent(trunk, boundary)
+    per_window = _macs(chain_at(trunk[:len(prefix)], (channels, h, w)))
     plan = replace(
         base, shared=tuple(s.name for s in prefix[1:]), cut=split.cut,
         stride=split.stride, edge_windows=edge, chunk_rows=rows,

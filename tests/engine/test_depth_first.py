@@ -138,6 +138,18 @@ def test_model_space_property(first_kernel, spp_first_level, fc_width, size,
         assert bitwise(rows[i:i + 1], headless(x[i:i + 1]))
 
     compiled = engine_compile(model, shape)
+    # the trunk bound at the read extent gives the boundary bytes of the
+    # same steps bound at the whole sample
+    steps, boundary, _ = compiled._split_for(shape)
+    whole = _Program(steps, boundary, 1, compiled.dtype, compiled._packed)
+    read = compiled._trunk_for(shape)
+    for i in range(batch):
+        for prog in (whole, read):
+            prog.feed(x[i:i + 1])
+            prog.execute()
+        assert all(whole.views[name].tobytes() == read.views[name].tobytes()
+                   for name in boundary), i
+
     out = compiled(x)
     # two fresh compiles run the same kernels over the same bytes
     assert bitwise(out, engine_compile(model, shape)(x))
@@ -188,8 +200,10 @@ def test_ragged_last_batch_through_predict():
     x = np.random.default_rng(4).standard_normal(
         (7, 4, 32, 32)).astype(np.float32)
     conf, boxes = compiled.predict(x, batch_size=3)
-    # the batches of 3 and the ragged 1 both run in one 4-row head
-    assert set(compiled._heads) == {(HEAD_ROWS, 4, 32, 32)}
+    # the batches of 3 and the ragged 1 both run in one 4-row head,
+    # bound at the read extent
+    h, w, _ = compiled.read_extent((4, 32, 32))
+    assert set(compiled._heads) == {(HEAD_ROWS, 4, h, w)}
     assert len(compiled._trunks) == 1
     ref_conf, ref_boxes = predict(model, x, batch_size=3)
     np.testing.assert_allclose(conf, ref_conf, atol=1e-5, rtol=1e-4)

@@ -108,7 +108,8 @@ def test_pad_rows_are_zeroed_before_the_head_runs():
     compiled.predict(x, batch_size=3)       # rows 0-2 filled
     # read the rows as the head's first kernel gets them: that kernel's
     # output may then take their slot
-    head = compiled._heads[(HEAD_ROWS, 4, 32, 32)]
+    h, w, _ = compiled.read_extent((4, 32, 32))
+    head = compiled._heads[(HEAD_ROWS, 4, h, w)]
     (rows,) = head._inputs
     seen = []
     category, name, first = head._fns[0]

@@ -214,8 +214,9 @@ class TestWindowPlan:
         assert (plan.chunk_rows, plan.chunk_heights, plan.crop) == (
             7, (20, 12), 47)
         # conv1 + conv2 multiply-adds per tile in the window's own
-        # trunk: 9604 and 2116 GEMM rows (conv2's pool reads 46 x 46)
-        assert plan.macs_per_window // plan.n_windows == 178_136_064
+        # trunk, bound at its 94 px read extent: 8464 and 1936 GEMM rows
+        # (92 x 92 and 44 x 44; 9604 and 2116 over the whole 100 px)
+        assert plan.macs_per_window // plan.n_windows == 162_238_464
         assert plan.to_json()["shared"] == ("pool1", "conv2")
 
     def test_memory_is_depth_first(self, table1):
@@ -287,7 +288,7 @@ class TestWindowPlan:
         origins = scan_origins(577, 100, 50)
         compiled.warmup_windows((4, 577, 577), 100, origins, [20, 1])
         scan = compiled._scan[2]
-        assert scan.trunk is compiled._trunks[(4, 100, 100)]
+        assert scan.trunk is compiled._trunks[(4, 94, 94)]
         bound = (dict(compiled._trunks), dict(compiled._heads), scan)
         image = raster(577, seed=1)
         list(compiled.predict_windows(image, origins, 100, batch_size=20))
@@ -605,8 +606,9 @@ class TestSpans:
         compiled.warmup_windows(self.image.shape, 40, self.origins, [7])
         scan = compiled._scan[2]
         # batch 7 runs in the head bound at two 4-row blocks
+        h, w, _ = compiled.read_extent((4, 40, 40))
         bound = [*scan.prefixes.values(), scan.suffix,
-                 compiled._heads[(8, 4, 40, 40)]]
+                 compiled._heads[(8, 4, h, w)]]
         assert {id(p.plan) for p in bound} <= {id(p) for p in checked}
         # the windows path needs no per-window trunk
         assert not compiled._trunks

@@ -140,7 +140,9 @@ class TestEdgeWindows:
                                     origins).edge_windows == 21
         bound = (set(compiled._trunks), set(compiled._heads),
                  compiled._scan[2])
-        assert bound[0] == {(4, WINDOW, WINDOW)}
+        # the one trunk, bound at the window's read extent
+        h, w, _ = compiled.read_extent((4, WINDOW, WINDOW))
+        assert bound[0] == {(4, h, w)}
         # the full batch and the ragged 1 (bound at one 4-row block)
         assert {key[0] for key in bound[1]} == {20, 4}
         list(compiled.predict_windows(ragged.image, origins, WINDOW,
