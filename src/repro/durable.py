@@ -2,10 +2,12 @@
 
 The NAS trial journal (:mod:`repro.nas.journal`), the scan journal
 (:mod:`repro.robust.journal`) and the fleet job queue
-(:mod:`repro.fleet.jobs`) are append-only files of one JSON object per
-line.  They share one crash contract, and these two functions are it:
-an append is on disk before the call returns, and a load repairs the
-one artifact a kill mid-append can leave, a torn last line.
+(:mod:`repro.fleet.jobs`) are each a :class:`Log`: a header line, then
+one JSON record per line.  They share one crash contract, and this
+module is it: an append is on disk before the call returns, a load
+repairs the one artifact a kill mid-append can leave, a torn last line,
+and a file whose header is not this run's is refused.  Every write,
+fsync and truncate of those files happens here.
 """
 
 from __future__ import annotations
@@ -14,20 +16,63 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["append_jsonl", "load_jsonl_repaired"]
+__all__ = ["Log", "load_jsonl_repaired"]
 
 
-def append_jsonl(path: str | Path, objects, *, truncate: bool = False) -> None:
-    """Write ``objects`` as JSON lines and force them to disk: one
-    open / write / flush / fsync / close per call, so there is no
-    long-lived handle to leak when the process is killed and a kill
-    between calls loses nothing.  ``truncate=True`` begins the file
-    afresh instead of appending."""
-    text = "".join(json.dumps(obj, allow_nan=False) + "\n" for obj in objects)
-    with open(path, "w" if truncate else "a", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+class Log:
+    """One durable JSONL log: ``header`` on line 1, then the records.
+
+    ``header`` is what this run's file must say (its ``kind`` names the
+    log); ``error`` is the caller's exception class for a corrupt line
+    or a foreign header.
+    """
+
+    def __init__(self, path: str | Path, header: dict, *,
+                 error: type[Exception]) -> None:
+        self.path = Path(path)
+        self.header = json.loads(json.dumps(header))   # as it reads back
+        self.error = error
+
+    def start(self) -> None:
+        """Truncate the file to the header line."""
+        self._write([self.header], "w")
+
+    def append(self, records) -> None:
+        """Append ``records``: on disk, with one fsync, on return."""
+        self._write(records, "a")
+
+    def _write(self, objects, mode: str) -> None:
+        # one open / write / fsync / close: no handle to leak on a kill
+        text = "".join(json.dumps(obj, allow_nan=False) + "\n"
+                       for obj in objects)
+        with open(self.path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def replay(self) -> tuple[dict, list[dict]]:
+        """``(first line, the records after it)``, header unchecked;
+        ``({}, [])`` when the file holds no intact line."""
+        lines = load_jsonl_repaired(self.path, error=self.error)
+        return (lines[0], lines[1:]) if lines else ({}, [])
+
+    def open(self) -> list[dict]:
+        """This run's records.  A file with no intact line is started;
+        a header unlike this run's raises ``error`` naming each
+        differing key."""
+        found, records = self.replay()
+        if not found:
+            self.start()
+            return []
+        diff = [k for k in {**found, **self.header}
+                if found.get(k) != self.header.get(k)]
+        if diff:
+            lead = (f"not a {self.header['kind'].replace('_', ' ')} file"
+                    if "kind" in diff else "written by a different run")
+            raise self.error(f"{self.path}: {lead} (" + ", ".join(
+                f"{k}: file {found.get(k)!r}, this run {self.header.get(k)!r}"
+                for k in diff) + ")")
+        return records
 
 
 def load_jsonl_repaired(path: str | Path, *,

@@ -1,9 +1,8 @@
 """Durable multi-scene job queue: retries, dead-letter, crash replay.
 
 One fleet sweep scans many scenes; each scene is one job.  The queue is
-a single append-only JSONL event log (same crash contract as
-:class:`~repro.robust.ScanJournal`, including torn-tail repair through
-:func:`~repro.durable.load_jsonl_repaired`): every state
+a single append-only JSONL event log, a :class:`~repro.durable.Log`
+(the crash contract and header check of every durable log): every state
 transition is one fsynced line, and opening the file replays the events
 into the current state.  Nothing is ever rewritten, so a process killed
 mid-transition loses at most the line in flight — and a torn line is
@@ -41,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..durable import append_jsonl, load_jsonl_repaired
+from ..durable import Log
 from ..nas.retry import RetryPolicy
 
 __all__ = ["JobQueue", "ScanJob", "JobQueueError",
@@ -69,20 +68,17 @@ class ScanJob:
     attempts: int                 # attempts *started*, this claim included
 
 
+@dataclass
 class _JobState:
     """Mutable replay state of one job (internal)."""
 
-    __slots__ = ("job_id", "payload", "status", "attempts", "not_before",
-                 "error", "result")
-
-    def __init__(self, job_id: str, payload: dict) -> None:
-        self.job_id = job_id
-        self.payload = payload
-        self.status = PENDING
-        self.attempts = 0
-        self.not_before = 0.0
-        self.error: str | None = None
-        self.result: dict | None = None
+    job_id: str
+    payload: dict
+    status: str = PENDING
+    attempts: int = 0
+    not_before: float = 0.0
+    error: str | None = None
+    result: dict | None = None
 
 
 class JobQueue:
@@ -110,24 +106,15 @@ class JobQueue:
         self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
         self._jobs: dict[str, _JobState] = {}
+        self._log = Log(self.path, {"kind": _HEADER_KIND,
+                                    "version": _QUEUE_VERSION},
+                        error=JobQueueError)
         self._replay()
 
     # -- durability --------------------------------------------------------
 
     def _replay(self) -> None:
-        events = load_jsonl_repaired(self.path, error=JobQueueError)
-        if not events:
-            append_jsonl(self.path, [{"kind": _HEADER_KIND,
-                                      "version": _QUEUE_VERSION}])
-            return
-        head = events[0]
-        if head.get("kind") != _HEADER_KIND:
-            raise JobQueueError(f"{self.path}: not a fleet queue file")
-        if head.get("version") != _QUEUE_VERSION:
-            raise JobQueueError(
-                f"{self.path}: unsupported queue version {head.get('version')}"
-            )
-        for event in events[1:]:
+        for event in self._log.open():
             self._apply(event)
         for state in self._jobs.values():
             if state.status == RUNNING:     # its process died mid-attempt
@@ -166,7 +153,7 @@ class JobQueue:
     def _record(self, event: dict) -> None:
         """Apply + append: memory first (validation), disk second."""
         self._apply(event)
-        append_jsonl(self.path, [event])
+        self._log.append([event])
 
     # -- producer side -----------------------------------------------------
 

@@ -119,14 +119,6 @@ def run_trial_with_retries(
             )
 
 
-def _as_journal(journal) -> "TrialJournal | None":
-    from .journal import TrialJournal
-
-    if journal is None or isinstance(journal, TrialJournal):
-        return journal
-    return TrialJournal(journal)
-
-
 @dataclass
 class Experiment:
     """Multi-trial search experiment.
@@ -146,8 +138,9 @@ class Experiment:
     retry_policy : per-trial retry/backoff knobs; ``RetryPolicy.none()``
         quarantines on the first failure.
     journal : path or :class:`~repro.nas.journal.TrialJournal`; when set,
-        every finished trial is appended (JSONL) so the sweep can be
-        resumed after a crash.
+        every finished trial is appended (JSONL, after a header naming
+        the space, strategy and seed) so the sweep can be resumed after
+        a crash.
     workers : trials evaluated concurrently, one synchronous batch at a
         time; 1 runs each trial on the calling thread.
     """
@@ -179,13 +172,23 @@ class Experiment:
         proposal stream replays from the start and already-journaled
         samples are skipped, yielding the identical trial sequence an
         uninterrupted run would have produced, at any ``workers``.
-        ``dedup_patience`` is raised to cover the replayed prefix.
+        ``dedup_patience`` is raised to cover the replayed prefix.  A
+        journal another sweep wrote (another space, strategy or seed)
+        raises ``RuntimeError``.
         """
-        store = _as_journal(journal)
-        trials = store.load()
-        kwargs.setdefault("dedup_patience", max(50, 2 * len(trials) + 50))
-        return cls(space=space, evaluator=evaluator, journal=store,
-                   trials=trials, **kwargs)
+        exp = cls(space=space, evaluator=evaluator, journal=journal, **kwargs)
+        exp.trials = exp._open_journal()
+        if "dedup_patience" not in kwargs:
+            exp.dedup_patience = max(50, 2 * len(exp.trials) + 50)
+        return exp
+
+    def _open_journal(self) -> list[TrialRecord]:
+        """Bind the journal to this sweep and return the trials it holds."""
+        from .journal import TrialJournal
+
+        if not isinstance(self.journal, TrialJournal):
+            self.journal = TrialJournal(self.journal)
+        return self.journal.open(self.space, self.strategy, self.seed)
 
     def _propose(self, rng: np.random.Generator, seen: set) -> Mapping | None:
         """The next sample under the dedup rule, added to ``seen``; None
@@ -208,7 +211,9 @@ class Experiment:
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
         rng = np.random.default_rng(self.seed)
-        journal = _as_journal(self.journal)
+        if self.journal is not None:
+            self._open_journal()
+        journal = self.journal
         seen = {ModelSpace.encode(t.sample) for t in self.trials}
 
         def trial(trial_id: int, sample: Mapping) -> TrialRecord:

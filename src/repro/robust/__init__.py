@@ -22,7 +22,7 @@ from .guard import (
     FALLBACK_SHAPE,
     GuardedEngine,
 )
-from .journal import ScanJournal, ScanJournalError, TileRecord, load_jsonl_repaired
+from .journal import ScanJournal, ScanJournalError, TileRecord
 from .sanitize import (
     ChipIssue,
     ChipReport,
@@ -44,7 +44,6 @@ __all__ = [
     "ScanJournal",
     "ScanJournalError",
     "TileRecord",
-    "load_jsonl_repaired",
     "GuardedEngine",
     "FALLBACK_NON_FINITE",
     "FALLBACK_SHAPE",

@@ -8,20 +8,20 @@ micro-batch at a time (:meth:`ScanJournal.extend`: one fsync for
 most the ``batch_size - 1`` tiles waiting for their commit — a resumed
 scan replays the journaled tiles verbatim and only runs the model on
 the remainder.  Line 1 is a header describing the scan (window, stride,
-threshold, scene size, backend); resuming against a journal whose header
+threshold, scene size, backend), written and checked by
+:class:`~repro.durable.Log`; resuming against a journal whose header
 disagrees with the requested scan raises instead of silently mixing two
 different scans' detections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..durable import append_jsonl, load_jsonl_repaired
+from ..durable import Log
 
-__all__ = ["TileRecord", "ScanJournal", "ScanJournalError",
-           "load_jsonl_repaired"]
+__all__ = ["TileRecord", "ScanJournal", "ScanJournalError"]
 
 _HEADER_KIND = "scan_header"
 _TILE_KIND = "tile"
@@ -48,14 +48,7 @@ class TileRecord:
         default=())
 
     def to_json(self) -> dict:
-        return {
-            "kind": _TILE_KIND,
-            "index": self.index,
-            "origin": list(self.origin),
-            "status": self.status,
-            "reason": self.reason,
-            "detections": [list(d) for d in self.detections],
-        }
+        return {"kind": _TILE_KIND, **asdict(self)}
 
     @staticmethod
     def from_json(payload: dict) -> "TileRecord":
@@ -70,43 +63,31 @@ class TileRecord:
 
 
 class ScanJournal:
-    """Crash-safe JSONL log of per-tile scan outcomes."""
+    """Crash-safe JSONL log of per-tile scan outcomes: a
+    :class:`~repro.durable.Log` whose header is the scan's meta."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def exists(self) -> bool:
-        return self.path.exists()
+        self._file = _log(self.path, {})   # appends and unchecked reads
 
     def start(self, meta: dict) -> None:
         """Begin a fresh journal (truncates any previous file)."""
-        append_jsonl(self.path, [{"kind": _HEADER_KIND, **meta}],
-                     truncate=True)
+        _log(self.path, meta).start()
 
     def append(self, record: TileRecord) -> None:
-        """Write one tile record and force it to disk before returning:
-        open/append/fsync/close, like the trial journal, so a kill after
-        it returns cannot lose the record.
-
-        ``scan_scene`` does not pay this per tile: its robust stage
-        commits finished records ``batch_size`` at a time through
-        :meth:`extend` (and flushes the remainder when a deadline or an
-        exception ends the scan early), so a hard kill loses at most
-        ``batch_size - 1`` finished tiles, which a resume re-runs.
-        """
-        append_jsonl(self.path, [record.to_json()])
+        """Write one tile record, on disk when it returns.  ``scan_scene``
+        commits ``batch_size`` records at a time through :meth:`extend`
+        instead, so a hard kill loses at most ``batch_size - 1`` finished
+        tiles, which a resume re-runs."""
+        self.extend([record])
 
     def extend(self, records: list[TileRecord]) -> None:
-        """Append many records with one open/fsync, all on disk before
-        it returns.
-
-        The bulk form of :meth:`append`: a scan's group commit (one per
-        micro-batch of finished tiles), and shard merges, whose records
-        already survived a crash once in a shard journal.
-        """
+        """Append many records with one fsync, all on disk before it
+        returns: a scan's group commit (one per micro-batch of finished
+        tiles), and shard merges."""
         if records:
-            append_jsonl(self.path, [rec.to_json() for rec in records])
+            self._file.append([rec.to_json() for rec in records])
 
     # -- sharded scans ---------------------------------------------------
     def shard_path(self, index: int) -> Path:
@@ -124,83 +105,54 @@ class ScanJournal:
         A parallel scan's workers each journal their shard separately;
         this folds every shard record whose tile index is not already
         here into the main journal (one durable append per shard, in
-        shard order), then unlinks the shard file.  Called after a
-        completed parallel scan — and before any resume, so tiles a
-        *crashed* parallel scan finished are never re-run.  Returns the
+        shard order), then unlinks the shard file, and returns the
         number of records absorbed.  A shard journal whose header
         disagrees with ``meta`` raises rather than mixing scans.
         """
         shards = self.shard_paths()
-        if not shards:
-            return 0
-        _, existing = self.load()
+        return len(self._absorb(meta, shards, self.load()[1])) if shards else 0
+
+    def _absorb(self, meta: dict, shards: list[Path],
+                existing: list[TileRecord]) -> list[TileRecord]:
         seen = {rec.index for rec in existing}
-        absorbed = 0
+        absorbed: list[TileRecord] = []
         for path in shards:
-            shard_meta, records = ScanJournal(path).load()
-            if shard_meta and shard_meta != meta:
-                raise ScanJournalError(
-                    f"{path}: shard journal belongs to a different scan"
-                )
-            fresh = [rec for rec in records if rec.index not in seen]
+            fresh = [rec for rec in _tiles(_log(path, meta).open())
+                     if rec.index not in seen]
             self.extend(fresh)
             seen.update(rec.index for rec in fresh)
-            absorbed += len(fresh)
+            absorbed += fresh
             path.unlink()
         return absorbed
 
     def load(self) -> tuple[dict, list[TileRecord]]:
-        """(header meta, tile records in completion order).
-
-        A trailing torn line (the write the crash interrupted) is
-        dropped *and truncated from the file* — leaving it in place
-        would let the next append concatenate onto the damaged bytes
-        and turn a recoverable crash artifact into mid-file corruption
-        (see :func:`load_jsonl_repaired`).  A journal reduced to a torn
-        header alone loads as empty (``({}, [])``), which the resume
-        paths treat as a fresh scan; a torn line anywhere else is
-        corruption and raises.
-        """
-        parsed = load_jsonl_repaired(self.path, error=ScanJournalError)
-        if not parsed:
-            return {}, []
-        if parsed[0].get("kind") != _HEADER_KIND:
-            raise ScanJournalError(f"{self.path}: missing scan header")
-        meta = {k: v for k, v in parsed[0].items() if k != "kind"}
-        records = [TileRecord.from_json(p) for p in parsed[1:]
-                   if p.get("kind") == _TILE_KIND]
-        return meta, records
+        """(header meta as the file has it, tile records in completion
+        order).  A torn last line is dropped and truncated from the file
+        (:func:`~repro.durable.load_jsonl_repaired`), so a journal
+        reduced to a torn header loads as ``({}, [])``; a corrupt line
+        anywhere else raises."""
+        header, lines = self._file.replay()
+        return {k: v for k, v in header.items() if k != "kind"}, _tiles(lines)
 
     def resume_or_start(self, meta: dict) -> "dict[int, TileRecord]":
         """Resume this journal against ``meta``, or begin it fresh.
 
-        Returns the already-journaled tile records keyed by index.  A
-        journal that does not exist — or whose header write itself was
-        torn by a crash (it loads as empty) — starts fresh.  Per-shard
-        journals a crashed parallel scan left behind are absorbed first,
-        so no finished tile ever re-runs; a header that disagrees with
-        ``meta`` still raises.  One shared entry point for the
-        sequential, parallel, and fleet resume paths.
+        Returns the journaled tile records keyed by index, from one read
+        of the file.  A missing journal, or one whose header write a
+        crash tore, starts fresh; a header that disagrees with ``meta``
+        raises.  Shard journals a crashed parallel scan left behind are
+        absorbed, so no finished tile re-runs.  The one entry point of
+        the sequential, parallel and fleet resume paths.
         """
-        if self.exists():
-            header, _ = self.load()
-            if header:
-                self.check_meta(meta)
-                self.absorb_shards(meta)
-                _, replayed = self.load()
-                return {rec.index: rec for rec in replayed}
-        self.start(meta)
-        return {}
+        records = _tiles(_log(self.path, meta).open())
+        records += self._absorb(meta, self.shard_paths(), records)
+        return {rec.index: rec for rec in records}
 
-    def check_meta(self, meta: dict) -> None:
-        """Raise unless the journal's header matches ``meta`` exactly."""
-        existing, _ = self.load()
-        if existing != meta:
-            diffs = sorted(set(existing) | set(meta))
-            detail = ", ".join(
-                f"{k}: journal={existing.get(k)!r} scan={meta.get(k)!r}"
-                for k in diffs if existing.get(k) != meta.get(k)
-            )
-            raise ScanJournalError(
-                f"{self.path}: journal belongs to a different scan ({detail})"
-            )
+
+def _log(path: Path, meta: dict) -> Log:
+    return Log(path, {"kind": _HEADER_KIND, **meta}, error=ScanJournalError)
+
+
+def _tiles(lines: list[dict]) -> list[TileRecord]:
+    return [TileRecord.from_json(p) for p in lines
+            if p.get("kind") == _TILE_KIND]

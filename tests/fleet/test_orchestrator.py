@@ -1,36 +1,12 @@
 """ScanFleet: durable multi-scene sweeps, retries, dead-letter, resume."""
 
-import json
-import os
-import subprocess
-import sys
-import types
-from dataclasses import asdict
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.detect import scan_scene
-from repro.faults import tear_trailing_line
 from repro.fleet import DEAD, DONE, PENDING, JobQueue, ScanFleet
 from repro.nas.retry import RetryPolicy
 
 from .conftest import SCENE_CONFIG
-
-#: a sweep process killed mid-job: submit, claim, die without a word
-KILLED_SWEEP = """
-import json, os, sys
-from repro.fleet import ScanFleet
-from repro.geo import WatershedConfig
-
-queue, workdir, config, scan = sys.argv[1:]
-fleet = ScanFleet(queue, None, workdir=workdir)
-fleet.submit_scene("j1", WatershedConfig(**json.loads(config)),
-                   **json.loads(scan))
-assert fleet.queue.claim().job_id == "j1"
-os._exit(0)
-"""
 
 SCAN_KWARGS = dict(window=64, stride=32, batch_size=8,
                    confidence_threshold=0.3)
@@ -150,48 +126,6 @@ class TestResume:
         after = second.run()["results"]["j1"]
         assert after["tiles_resumed"] == after["tiles_total"]
         assert after["detections"] == before["detections"]
-
-
-class TestRestart:
-    def test_killed_sweep_restarts_at_once(self, tmp_path, model, scene,
-                                           monkeypatch):
-        """A sweep killed mid-job leaves a started job and a torn
-        journal; a fresh fleet on the same queue reclaims the job at
-        once, spends its second attempt, and resumes the journal."""
-        queue_path = tmp_path / "queue.jsonl"
-        workdir = tmp_path / "work"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(repro.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-c", KILLED_SWEEP, str(queue_path),
-             str(workdir), json.dumps(asdict(SCENE_CONFIG)),
-             json.dumps(SCAN_KWARGS)],
-            env=env, check=True, timeout=120,
-        )
-        fleet = make_fleet(tmp_path, model, scene,
-                           queue=JobQueue(queue_path))
-        direct = scan_scene(model, scene,
-                            journal=str(fleet.journal_path("j1")),
-                            **SCAN_KWARGS)
-        assert tear_trailing_line(fleet.journal_path("j1")) > 0
-
-        def no_sleep(seconds):
-            raise AssertionError("the interrupted job was not claimable")
-
-        monkeypatch.setattr("repro.fleet.orchestrator.time",
-                            types.SimpleNamespace(sleep=no_sleep))
-        summary = fleet.run()
-        assert summary["outcomes"] == {"j1": ["done"]}
-        assert fleet.queue.drained()
-        result = summary["results"]["j1"]
-        assert result["attempt"] == 2
-        assert result["tiles_resumed"] == result["tiles_total"] - 1
-        replay = scan_scene(model, scene,
-                            journal=str(fleet.journal_path("j1")),
-                            resume=True, **SCAN_KWARGS)
-        assert result["detections"] == len(direct)
-        assert list(replay) == list(direct)
 
 
 class TestOnePool:

@@ -1,6 +1,8 @@
 """Trial retries, quarantine, journaling, and checkpoint/resume."""
 
+import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.faults import FatalOn, Flaky, InjectedFault
 from repro.nas import (
     Experiment,
     FunctionalEvaluator,
+    GridSearchStrategy,
     ModelSpace,
     RetryPolicy,
     TrialJournal,
@@ -311,3 +314,116 @@ class TestJournalResume:
         assert exp.trials == []
         exp.run()
         assert len(exp.trials) == 3
+
+
+#: three trials of ``sppnet_search_space()`` / random / seed 5, as a
+#: trial journal was written before it had a header line
+HEADERLESS_JOURNAL = (
+    '{"trial_id": 0, "sample": {"first_kernel": 7, "spp_first_level": 5, '
+    '"fc_width": 128}, "value": 0.065625, "metrics": {}, "duration_s": '
+    '8.3564999954433e-05, "status": "ok", "error": null, "attempts": 1}\n'
+    '{"trial_id": 1, "sample": {"first_kernel": 9, "spp_first_level": 3, '
+    '"fc_width": 1024}, "value": 0.155, "metrics": {}, "duration_s": '
+    '5.1286000029904244e-05, "status": "ok", "error": null, "attempts": 1}\n'
+    '{"trial_id": 2, "sample": {"first_kernel": 7, "spp_first_level": 2, '
+    '"fc_width": 8192}, "value": 1.02, "metrics": {}, "duration_s": '
+    '2.8292000024521258e-05, "status": "ok", "error": null, "attempts": 1}\n'
+)
+
+
+class TestJournalHeader:
+    """A trial journal names its sweep on line 1, and a resume into
+    another sweep is refused instead of replaying foreign trials."""
+
+    def write_sweep(self, path, **kwargs):
+        Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                   max_trials=4, seed=5, journal=path, **kwargs).run()
+
+    def test_journal_is_a_header_then_the_trials(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        self.write_sweep(path)
+        first, *trials = [json.loads(line) for line in
+                          path.read_text().splitlines()]
+        assert first == {
+            "kind": "trial_journal", "version": 1,
+            "space": [[c.name, list(c.candidates)]
+                      for c in sppnet_search_space().choices],
+            "strategy": "random", "seed": 5}
+        assert [t["trial_id"] for t in trials] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("key, change", [
+        ("space", dict(space=ModelSpace([ValueChoice("fc_width", (128,))]))),
+        ("strategy", dict(strategy=GridSearchStrategy())),
+        ("seed", dict(seed=99)),
+    ])
+    def test_resume_into_another_sweep_raises_naming_the_key(
+            self, tmp_path, key, change):
+        path = tmp_path / "trials.jsonl"
+        self.write_sweep(path)
+        before = path.read_bytes()
+        kwargs = dict(space=sppnet_search_space(), seed=5, max_trials=8)
+        kwargs.update(change)
+        space = kwargs.pop("space")
+        with pytest.raises(RuntimeError, match=f"different run.*{key}: file"
+                           ) as raised:
+            Experiment.resume(path, space, FunctionalEvaluator(objective),
+                              **kwargs)
+        assert str(path) in str(raised.value)
+        assert path.read_bytes() == before
+
+    def test_a_refused_journal_stays_refused(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        self.write_sweep(path)
+        journal = TrialJournal(path)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="seed: file 5, this run 9"):
+                Experiment.resume(journal, sppnet_search_space(),
+                                  FunctionalEvaluator(objective), seed=9)
+
+    def test_budget_and_workers_may_change_across_a_resume(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        self.write_sweep(path)
+        resumed = Experiment.resume(path, sppnet_search_space(),
+                                    FunctionalEvaluator(objective),
+                                    seed=5, max_trials=6, workers=2,
+                                    retry_policy=RetryPolicy.none())
+        assert len(resumed.run()) == 6
+
+    def test_other_logs_are_refused_with_the_trial_journal_error(
+            self, tmp_path):
+        from repro.fleet import JobQueue
+        from repro.robust import ScanJournal
+
+        scan = ScanJournal(tmp_path / "scan.jsonl")
+        scan.start({"scene_size": 100, "window": 50, "stride": 25})
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        queue.submit("a", {"scene": {}})
+        for path in (scan.path, queue.path):
+            with pytest.raises(RuntimeError,
+                               match="not a trial journal file") as raised:
+                Experiment.resume(path, sppnet_search_space(),
+                                  FunctionalEvaluator(objective), seed=5)
+            assert raised.type is RuntimeError
+
+    def test_headerless_journal_resumes_with_one_warning(self, tmp_path):
+        full = Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                          max_trials=8, seed=5)
+        full.run()
+        path = tmp_path / "trials.jsonl"
+        path.write_text(HEADERLESS_JOURNAL)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resumed = Experiment.resume(path, sppnet_search_space(),
+                                        FunctionalEvaluator(objective),
+                                        max_trials=8, seed=5)
+            assert len(resumed.trials) == 3
+            resumed.run()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [
+            f"{path}: trial journal has no header, so the search space, "
+            "strategy and seed it was written with could not be checked"]
+        assert [t.sample for t in resumed.trials] \
+            == [t.sample for t in full.trials]
+        # appended to, never rewritten: still header-less
+        assert path.read_text().startswith(HEADERLESS_JOURNAL)
+        assert len(TrialJournal(path).load()) == 8

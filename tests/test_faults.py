@@ -369,7 +369,7 @@ class TestTearTrailingLine:
         import json
 
         from repro.faults import tear_trailing_line
-        from repro.robust.journal import load_jsonl_repaired
+        from repro.durable import load_jsonl_repaired
 
         path = tmp_path / "log.jsonl"
         records = [{"tile": n, "conf": 0.5} for n in range(4)]
