@@ -68,6 +68,7 @@ import os
 import time
 
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
+from repro.blas import blas_info
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.engine import compiled_for
@@ -342,6 +343,9 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
         "absolute": {
             "fingerprint": host.fingerprint(),
             "machine": host.machine_info(),
+            # the BLAS the ratios ran under: its threads share the cores
+            # with the pool's workers
+            "blas": blas_info(),
             "stride_table": strides,
             "pool": {
                 "scene_size": scene_size,

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..blas import blas_info
 from ..geo.crossings import Crossing
 from ..geo.scene import Scene
 from .sppnet import SPPNetDetector
@@ -203,13 +204,13 @@ def _detections_from_outputs(
 
 def _scan_meta(scene_size: int, bands: int, window: int, stride: int,
                confidence_threshold: float) -> dict:
-    """Journal header describing one scan configuration.
-
-    Deliberately excludes ``n_workers`` and ``batch_size``: a journal
-    written by a parallel scan must resume under a sequential one (and
-    vice versa), so only parameters that change the *result* participate
-    in the header identity check.  ``"backend"`` stays: a journal an
-    eager scan wrote has other float bits and must not resume.
+    """Journal header describing one scan configuration: only what
+    changes the *result*, so a journal a parallel scan wrote resumes
+    under a sequential one (``n_workers`` and ``batch_size`` are left
+    out).  ``"backend"`` stays, since eager bits differ, and ``"blas"``
+    comes last: :func:`repro.blas.blas_info`'s library, version, kernel
+    and thread count each move output bits, so a resume under another
+    count, or of a journal written before the key existed, is refused.
     """
     return {
         "scene_size": int(scene_size),
@@ -218,6 +219,7 @@ def _scan_meta(scene_size: int, bands: int, window: int, stride: int,
         "stride": int(stride),
         "confidence_threshold": float(confidence_threshold),
         "backend": "engine",
+        "blas": {k: v for k, v in blas_info().items() if k != "why"},
     }
 
 

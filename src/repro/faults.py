@@ -5,10 +5,9 @@ a test that injects a 20% failure rate injects *the same* failures on
 every run:
 
 * **Call-level wrappers** that make a callable misbehave on purpose —
-  flaky (seeded random failures), fail-first (deterministic transient
-  outage), fatal-on (a poisoned subset of inputs), and slow (added
-  latency) — plus :class:`FaultyEngine`, the same outage and stall
-  scripted into both halves of a guarded engine for the serving layer.
+  flaky (seeded random failures), fail-first (a transient outage) and
+  fatal-on (poisoned inputs) — plus :class:`FaultyEngine`, the same
+  outage and stall scripted into both halves of a guarded engine.
 * **Data-level corruption injectors** that degrade (C, H, W) imagery the
   way production NAIP tiles actually degrade — NaN pepper, nodata holes,
   dropped bands, saturation stripes, truncated edge tiles — plus
@@ -44,7 +43,6 @@ __all__ = [
     "Flaky",
     "FailFirst",
     "FatalOn",
-    "Slow",
     "FaultyEngine",
     "Corruption",
     "NaNPepper",
@@ -144,20 +142,6 @@ class FatalOn:
             with self._lock:
                 self.faults += 1
             raise self.exc("injected fatal fault (poisoned input)")
-        return self.fn(*args, **kwargs)
-
-
-class Slow:
-    """Add a fixed delay before delegating (deadline/timeout tests)."""
-
-    def __init__(self, fn: Callable, delay_s: float) -> None:
-        if delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-        self.fn = fn
-        self.delay_s = delay_s
-
-    def __call__(self, *args, **kwargs):
-        time.sleep(self.delay_s)
         return self.fn(*args, **kwargs)
 
 

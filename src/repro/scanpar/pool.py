@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from weakref import WeakKeyDictionary
 
+from ..blas import blas_info, set_blas_threads
 from .sharding import describe_shard
 from .worker import run_shard
 
@@ -192,7 +193,8 @@ def _pool_worker_main(conn) -> None:
     The model cache maps content hash -> deserialized model; keeping the
     same model *object* alive across scans is what keeps
     ``compiled_for``'s per-instance program cache (and therefore the
-    warmed engine) hot between scans.
+    warmed engine) hot between scans.  A shard runs at the BLAS thread
+    count the parent sent with it, so its bits are the inline scan's.
     """
     models: dict[str, object] = {}
     while True:
@@ -210,8 +212,10 @@ def _pool_worker_main(conn) -> None:
             if model_hash not in models:
                 models[model_hash] = pickle.loads(data)
         elif kind == "shard":
-            task = message[1]
+            _, task, threads = message
             try:
+                if threads is not None:
+                    set_blas_threads(threads)
                 payload = run_shard(task, model_cache=models)
             except BaseException as exc:
                 conn.send(("error", task.shard_index,
@@ -465,6 +469,7 @@ class WorkerPool:
         exhausted: list[tuple] = []
         expired: list[tuple] = []
         attempts = {task.shard_index: 0 for task in tasks}
+        threads = blas_info()["threads"]      # each shard runs at ours
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
@@ -535,7 +540,7 @@ class WorkerPool:
                 while queue and idle:
                     worker, task = idle.popleft(), queue.popleft()
                     try:
-                        worker.conn.send(("shard", task))
+                        worker.conn.send(("shard", task, threads))
                     except (BrokenPipeError, OSError):
                         queue.appendleft(task)
                         report.worker_deaths += 1

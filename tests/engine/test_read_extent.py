@@ -3,16 +3,9 @@ its decline reasons, its tightness, and bit equality of the trunk bound
 at the extent with the trunk bound at the whole chip (docs/engine.md,
 "Pixels nobody reads")."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro
 from repro.arch import TABLE1_MODELS
 from repro.detect import SPPNetDetector
 from repro.engine import Step, compile as engine_compile, fusion
@@ -177,49 +170,29 @@ class TestOneProgram:
         assert all(np.isfinite(part).all() for part in dirty)
 
 
-# Per Table-1 model, the trunk bound at the read extent against the same
-# trunk steps bound at the whole 100 px chip, fed the same chips: the
-# boundary tensors' bytes.  Prints the (model, chip) pairs that differ.
-TRUNK_CHECK = """
-import json
-import numpy as np
-from repro.arch import TABLE1_MODELS
-from repro.detect import SPPNetDetector
-from repro.engine import compile as engine_compile
-from repro.engine.compiled import _Program
-
-differ = {}
-x = np.random.default_rng(11).standard_normal(
-    (6, 4, 100, 100)).astype(np.float32)
-for name in sorted(TABLE1_MODELS):
-    compiled = engine_compile(SPPNetDetector(TABLE1_MODELS[name], seed=0))
-    steps, boundary, _ = compiled._split_for((4, 100, 100))
-    full = _Program(steps, boundary, 1, compiled.dtype, compiled._packed)
-    read = compiled._trunk_for((4, 100, 100))
-    assert read._inputs[0].shape[1] < 100        # bound at the extent
-    bad = []
-    for i in range(len(x)):
-        for prog in (full, read):
-            prog.feed(x[i:i + 1])
-            prog.execute()
-        bad += [i for tensor in boundary
-                if full.views[tensor].tobytes() != read.views[tensor].tobytes()]
-    differ[name] = bad
-print(json.dumps(differ))
-"""
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_read_extent_trunk_is_the_whole_trunk_bit_for_bit(threads):
-    """Bits are compared within one thread count, never across."""
-    src = str(Path(repro.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", TRUNK_CHECK], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=600).stdout
-    differ = json.loads(out)
+def test_read_extent_trunk_is_the_whole_trunk_bit_for_bit(table1,
+                                                          blas_threads):
+    """Per Table-1 model, the trunk bound at the read extent against the
+    same trunk steps bound at the whole 100 px chip, fed the same chips:
+    the boundary tensors' bytes.  Bits are compared within one thread
+    count, never across."""
+    differ = {}
+    x = np.random.default_rng(11).standard_normal(
+        (6, 4, 100, 100)).astype(np.float32)
+    for name in sorted(table1):
+        compiled = table1[name]
+        steps, boundary, _ = compiled._split_for((4, 100, 100))
+        full = _Program(steps, boundary, 1, compiled.dtype, compiled._packed)
+        read = compiled._trunk_for((4, 100, 100))
+        assert read._inputs[0].shape[1] < 100        # bound at the extent
+        bad = []
+        for i in range(len(x)):
+            for prog in (full, read):
+                prog.feed(x[i:i + 1])
+                prog.execute()
+            bad += [i for tensor in boundary
+                    if full.views[tensor].tobytes() != read.views[tensor].tobytes()]
+        differ[name] = bad
     assert differ == {name: [] for name in TABLE1_MODELS}
 
 

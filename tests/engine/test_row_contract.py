@@ -5,96 +5,65 @@ does not depend on its batch").  The contract is stated per program
 shape: it holds for the Table-1 models, and fails where a head linear
 crosses OpenBLAS's small-matrix switch between two bound row counts."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro
-from repro.detect import SPPNetDetector
+from repro.arch import TABLE1_MODELS
+from repro.detect import SPPNetDetector, scan_origins
 from repro.engine import compile as engine_compile
 from repro.engine.compiled import HEAD_ROWS
 from repro.nas.space import config_from_sample
 
-# Every row of ``predict`` at batch 1-20 and of ``predict_stream``
-# closed early (the iterator ends before the limit, 1-3 rows past a
-# block) of each Table-1 model, and of the deployment model's
-# ``predict_windows`` over 600 and 577 px rasters (stride 50; 121
-# windows, the last batch ragged, and at 577 px 21 edge windows off the
-# shared grid), against the sample's own batch-1 ``predict``.  Prints
-# the rows that differ.
-ROW_CHECK = """
-import json
-import numpy as np
-from repro.arch import TABLE1_MODELS
-from repro.detect import SPPNetDetector, scan_origins
-from repro.engine import compile as engine_compile
 
 def same(a, b):
     return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
 
-differ = {}
-for name in sorted(TABLE1_MODELS):
-    compiled = engine_compile(SPPNetDetector(TABLE1_MODELS[name], seed=0))
-    x = np.random.default_rng(3).standard_normal(
-        (20,) + compiled.input_shape).astype(np.float32)
-    alone = [compiled.predict(x[i:i + 1], batch_size=1) for i in range(20)]
-    bad = []
-    runs = [("predict", n, compiled.predict(x[:n], batch_size=n))
-            for n in range(1, 21)]
-    runs += [("stream", n, compiled.predict_stream(iter(x[:n]), 20))
-             for n in (1, 2, 3, 5, 6, 7, 10, 19)]
-    for form, n, (conf, box) in runs:
-        bad += [[form, n, i] for i in range(n)
-                if not same((conf[i:i + 1], box[i:i + 1]), alone[i])]
-    differ[name] = bad
-    if name != "SPP-Net #3":
-        continue
-    for size in (600, 577):
-        image = np.random.default_rng(size).random(
-            (4, size, size)).astype(np.float32)
-        origins = scan_origins(size, 100, 50)
-        parts = list(compiled.predict_windows(image, origins, 100))
-        conf = np.concatenate([c for c, _ in parts])
-        box = np.concatenate([b for _, b in parts])
-        for i, (r, c) in enumerate(origins):
-            tile = image[None, :, r:r + 100, c:c + 100]
-            if not same((conf[i:i + 1], box[i:i + 1]),
-                        compiled.predict(tile, batch_size=1)):
-                bad.append([f"windows{size}", len(origins), i])
-print(json.dumps(differ))
-"""
-
 
 @pytest.fixture(scope="module")
-def row_checks():
-    """``ROW_CHECK`` started at once in two fresh processes, one at 1
-    and one at 2 OpenBLAS threads."""
-    src = str(Path(repro.__file__).parents[1])
-    procs = {}
-    for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        procs[threads] = subprocess.Popen(
-            [sys.executable, "-c", ROW_CHECK], env=env, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    yield procs
-    for proc in procs.values():
-        proc.kill()
-        proc.communicate()
+def table1():
+    """Compiling does no BLAS arithmetic, so one compile serves both
+    thread counts."""
+    return {name: engine_compile(SPPNetDetector(config, seed=0))
+            for name, config in TABLE1_MODELS.items()}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_table1_rows_do_not_depend_on_their_batch(row_checks, threads):
-    """Bits are compared within one thread count, never across."""
-    out, err = row_checks[threads].communicate(timeout=600)
-    assert row_checks[threads].returncode == 0, err
-    differ = json.loads(out)
+def test_table1_rows_do_not_depend_on_their_batch(table1, blas_threads):
+    """Every row of ``predict`` at batch 1-20 and of ``predict_stream``
+    closed early (the iterator ends before the limit, 1-3 rows past a
+    block) of each Table-1 model, and of the deployment model's
+    ``predict_windows`` over 600 and 577 px rasters (stride 50; 121
+    windows, the last batch ragged, and at 577 px 21 edge windows off
+    the shared grid), against the sample's own batch-1 ``predict``.
+    Bits are compared within one thread count, never across."""
+    differ = {}
+    for name in sorted(table1):
+        compiled = table1[name]
+        x = np.random.default_rng(3).standard_normal(
+            (20,) + compiled.input_shape).astype(np.float32)
+        alone = [compiled.predict(x[i:i + 1], batch_size=1) for i in range(20)]
+        bad = []
+        runs = [("predict", n, compiled.predict(x[:n], batch_size=n))
+                for n in range(1, 21)]
+        runs += [("stream", n, compiled.predict_stream(iter(x[:n]), 20))
+                 for n in (1, 2, 3, 5, 6, 7, 10, 19)]
+        for form, n, (conf, box) in runs:
+            bad += [[form, n, i] for i in range(n)
+                    if not same((conf[i:i + 1], box[i:i + 1]), alone[i])]
+        differ[name] = bad
+        if name != "SPP-Net #3":
+            continue
+        for size in (600, 577):
+            image = np.random.default_rng(size).random(
+                (4, size, size)).astype(np.float32)
+            origins = scan_origins(size, 100, 50)
+            parts = list(compiled.predict_windows(image, origins, 100))
+            conf = np.concatenate([c for c, _ in parts])
+            box = np.concatenate([b for _, b in parts])
+            for i, (r, c) in enumerate(origins):
+                tile = image[None, :, r:r + 100, c:c + 100]
+                if not same((conf[i:i + 1], box[i:i + 1]),
+                            compiled.predict(tile, batch_size=1)):
+                    bad.append([f"windows{size}", len(origins), i])
     assert len(differ) == 4
     assert differ == {name: [] for name in differ}
 

@@ -13,7 +13,6 @@ from repro.faults import (
     NaNPepper,
     NodataHoles,
     SaturateStripe,
-    Slow,
     TruncateTile,
     corrupt_scene,
 )
@@ -78,16 +77,6 @@ class TestFatalOn:
         with pytest.raises(InjectedFault):
             fn(3)  # retries never help
         assert fn.faults == 2
-
-
-class TestSlow:
-    def test_delegates_after_delay(self):
-        fn = Slow(lambda x: x + 1, delay_s=0.01)
-        assert fn(1) == 2
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Slow(lambda: None, delay_s=-1.0)
 
 
 def chip(seed=0, shape=(4, 24, 24)):
