@@ -12,6 +12,7 @@ from .rcnn import FasterRCNNLite, RCNNConfig, evaluate_rcnn, train_rcnn
 from .scan import (
     ScanCoverage,
     ScanDetections,
+    ScanSpec,
     SceneDetection,
     SceneDetectionScores,
     evaluate_scene_detections,
@@ -45,6 +46,7 @@ __all__ = [
     "SceneDetectionScores",
     "ScanCoverage",
     "ScanDetections",
+    "ScanSpec",
     "non_max_suppression",
     "scan_origins",
     "scan_scene",

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..geo.chips import ChipDataset
 from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
 from .metrics import DetectionScores, score_detections
 from .sppnet import SPPNetDetector
+
+if TYPE_CHECKING:
+    from ..geo.chips import ChipDataset
 
 __all__ = ["predict", "evaluate_detector"]
 

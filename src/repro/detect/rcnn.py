@@ -20,10 +20,10 @@ objectness BCE on anchors + CE/smooth-L1 on RoIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..geo.chips import ChipDataset
 from ..tensor import (
     Conv2d,
     Linear,
@@ -38,6 +38,9 @@ from ..tensor import (
 )
 from ..tensor import functional as F
 from .metrics import DetectionScores, iou_cxcywh, score_detections
+
+if TYPE_CHECKING:
+    from ..geo.chips import ChipDataset
 
 __all__ = ["RCNNConfig", "FasterRCNNLite", "train_rcnn", "evaluate_rcnn"]
 

@@ -40,24 +40,25 @@ merge.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..blas import blas_info
-from ..geo.crossings import Crossing
-from ..geo.scene import Scene
 from .sppnet import SPPNetDetector
 
 if TYPE_CHECKING:
+    from ..geo.crossings import Crossing
+    from ..geo.scene import Scene
     from ..robust.journal import ScanJournal, TileRecord
     from ..robust.sanitize import SanitizePolicy
 
 __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
-           "ScanDetections", "ScanDeadlineError", "scan_origins",
+           "ScanDetections", "ScanDeadlineError", "ScanSpec", "scan_origins",
            "non_max_suppression", "scan_scene", "evaluate_scene_detections"]
 
 
@@ -132,6 +133,57 @@ def scan_origins(size: int, window: int, stride: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
+class ScanSpec:
+    """The five values that define a scan's result, checked once: an
+    invalid one raises :class:`ValueError` naming its field."""
+
+    window: int = 100
+    stride: int = 50
+    confidence_threshold: float = 0.7
+    nms_radius: float = 20.0
+    batch_size: int = 20
+
+    def __post_init__(self) -> None:
+        for name in ("window", "stride", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be >= 1 (an int), got {value!r}")
+        for name, need in (("confidence_threshold", "finite"),
+                           ("nms_radius", "positive and finite")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or name == "nms_radius" and value <= 0):
+                raise ValueError(f"{name} must be {need}, got {value!r}")
+
+    @classmethod
+    def from_json(cls, payload: dict) -> ScanSpec:
+        """A spec from a job payload's dict: a missing key takes its
+        default, an unknown one is refused."""
+        allowed = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(allowed))
+        if unknown:
+            raise ValueError(f"unsupported scan parameters {unknown}; allowed: {allowed}")
+        return cls(**payload)
+
+    def origins(self, size: int) -> list[tuple[int, int]]:
+        return scan_origins(size, self.window, self.stride)
+
+    def journal_header(self, scene_size: int, bands: int) -> dict:
+        """The scan journal's header: what moves a journaled record's
+        bits, so a journal resumes under any ``n_workers``, ``batch_size``
+        or ``nms_radius`` but not under another ``backend`` or BLAS."""
+        return {
+            "scene_size": int(scene_size),
+            "bands": int(bands),
+            "window": int(self.window),
+            "stride": int(self.stride),
+            "confidence_threshold": float(self.confidence_threshold),
+            "backend": "engine",
+            "blas": {k: v for k, v in blas_info().items() if k != "why"},
+        }
+
+
+@dataclass(frozen=True)
 class ScanCoverage:
     """How much of a scene a (robust) scan actually saw.
 
@@ -177,8 +229,7 @@ def _detections_from_outputs(
     origins: list[tuple[int, int]],
     confidences: np.ndarray,
     boxes: np.ndarray,
-    window: int,
-    confidence_threshold: float,
+    spec: ScanSpec,
 ) -> list[SceneDetection]:
     """Threshold + scene-coordinate mapping of raw model outputs.
 
@@ -187,9 +238,10 @@ def _detections_from_outputs(
     exact code, so thresholding and coordinate math cannot drift between
     the two paths.
     """
+    window = spec.window
     detections: list[SceneDetection] = []
     for (r0, c0), conf, box in zip(origins, confidences, boxes):
-        if not conf >= confidence_threshold:  # also skips NaN confidence
+        if not conf >= spec.confidence_threshold:  # also skips NaN confidence
             continue
         cx, cy, w, h = box
         detections.append(SceneDetection(
@@ -202,33 +254,18 @@ def _detections_from_outputs(
     return detections
 
 
-def _scan_meta(scene_size: int, bands: int, window: int, stride: int,
-               confidence_threshold: float) -> dict:
-    """Journal header describing one scan configuration: only what
-    changes the *result*, so a journal a parallel scan wrote resumes
-    under a sequential one (``n_workers`` and ``batch_size`` are left
-    out).  ``"backend"`` stays, since eager bits differ, and ``"blas"``
-    comes last: :func:`repro.blas.blas_info`'s library, version, kernel
-    and thread count each move output bits, so a resume under another
-    count, or of a journal written before the key existed, is refused.
-    """
-    return {
-        "scene_size": int(scene_size),
-        "bands": int(bands),
-        "window": int(window),
-        "stride": int(stride),
-        "confidence_threshold": float(confidence_threshold),
-        "backend": "engine",
-        "blas": {k: v for k, v in blas_info().items() if k != "why"},
-    }
-
-
 def _require_engine(backend: str, what: str) -> None:
     """``backend=`` keeps one legal value while the frozen benchmark
     harness still passes it."""
     if backend != "engine":
         raise ValueError(f"backend={backend!r}: {what} runs on the compiled "
                          "engine only; the keyword goes with ROADMAP item 1")
+
+
+def _check_timeout(timeout_s) -> None:
+    """A deadline bounds the wall clock, not the result: no spec field."""
+    if timeout_s is not None and not (isinstance(timeout_s, numbers.Real) and timeout_s > 0):
+        raise ValueError(f"timeout_s must be positive or None, got {timeout_s!r}")
 
 
 def scan_scene(
@@ -255,7 +292,8 @@ def scan_scene(
     mapped back to scene coordinates before NMS.  The confidence
     threshold defaults to 0.7 like the related-work faster-R-CNN
     baseline.  The result is a :class:`ScanDetections`: a list that also
-    carries the scan's :class:`ScanCoverage`.
+    carries the scan's :class:`ScanCoverage`.  The first five keywords
+    make its :class:`ScanSpec`, checked before any tile runs.
 
     What a caller chooses (``docs/scanning.md``, "One pipeline"):
 
@@ -283,19 +321,17 @@ def scan_scene(
       its report is attached as ``.supervision``.
     """
     _require_engine(backend, "scan_scene")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive or None")
+    spec = ScanSpec(window, stride, confidence_threshold, nms_radius, batch_size)
+    _check_timeout(timeout_s)
     if n_workers != "auto" and (isinstance(n_workers, str) or n_workers < 1):
         raise ValueError(
             f"n_workers must be an int >= 1 or 'auto', got {n_workers!r}")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     if resume and journal is None:
         raise ValueError("resume=True requires a journal")
     deadline_at = (time.monotonic() + timeout_s
                    if timeout_s is not None else None)
     image = scene.image
-    origins = scan_origins(scene.size, window, stride)
+    origins = spec.origins(scene.size)
 
     shards: list = []
     if n_workers != 1:
@@ -313,8 +349,6 @@ def scan_scene(
                     f"two batch-aligned shards: scanning inline",
                     RuntimeWarning, stacklevel=2)
 
-    meta = _scan_meta(scene.size, image.shape[0], window, stride,
-                      confidence_threshold)
     policy, jr, done = sanitize, None, {}
     if sanitize is not None or journal is not None:
         from ..robust.journal import ScanJournal
@@ -323,39 +357,38 @@ def scan_scene(
         if policy is None:
             policy = SanitizePolicy.for_scene(bands=image.shape[0])
         if journal is not None:
+            header = spec.journal_header(scene.size, image.shape[0])
             jr = (journal if isinstance(journal, ScanJournal)
                   else ScanJournal(journal))
             if resume:
-                done = jr.resume_or_start(meta)
+                done = jr.resume_or_start(header)
             else:
-                jr.start(meta)
+                jr.start(header)
 
     # what every span of this scan runs with, wherever it runs
-    stage = dict(batch_size=batch_size, policy=policy, skip=frozenset(done),
-                 journal=jr, deadline_at=deadline_at)
+    stage = dict(policy=policy, skip=frozenset(done), journal=jr,
+                 deadline_at=deadline_at)
     report = None
     if not shards:
-        payloads = [scan_span(
-            model, image, origins, (0, len(origins)), window=window,
-            confidence_threshold=confidence_threshold, **stage)]
+        payloads = [scan_span(model, image, origins, (0, len(origins)), spec,
+                              **stage)]
     else:
         from ..scanpar.parallel import run_shards
 
-        payloads, report = run_shards(model, image, shards, meta,
+        payloads, report = run_shards(model, image, shards, spec,
                                       pool=pool, supervision=supervision,
                                       **stage)
         if jr is not None:
             # fold every shard journal into the one resumable main
             # journal, then drop the shard files
-            jr.absorb_shards(meta)
+            jr.absorb_shards(header)
 
     # shard order == origin order: concatenation restores the sequence
     # the inline scan feeds to threshold + NMS
     if policy is None:
         detections = _detections_from_outputs(
             origins, np.concatenate([p["confidences"] for p in payloads]),
-            np.concatenate([p["boxes"] for p in payloads]),
-            window, confidence_threshold)
+            np.concatenate([p["boxes"] for p in payloads]), spec)
         coverage = ScanCoverage(tiles_total=len(origins),
                                 tiles_scanned=len(origins))
     else:
@@ -377,8 +410,8 @@ def scan_scene(
             engine_fallbacks=sum(sum(p["fallbacks"].values())
                                  for p in payloads),
         )
-    result = ScanDetections(non_max_suppression(detections, radius=nms_radius),
-                            coverage)
+    result = ScanDetections(
+        non_max_suppression(detections, radius=spec.nms_radius), coverage)
     if report is not None:
         result.supervision = report
     return result
@@ -389,17 +422,15 @@ def scan_span(
     image: np.ndarray,
     origins: list[tuple[int, int]],
     span: tuple[int, int],
+    spec: ScanSpec,
     *,
-    window: int,
-    batch_size: int,
-    confidence_threshold: float,
     policy: "SanitizePolicy | None" = None,
     skip: frozenset = frozenset(),
     journal: "ScanJournal | None" = None,
     deadline_at: float | None = None,
 ) -> dict:
-    """The tile pipeline: run ``origins[start:stop]`` of a scan over
-    ``image`` and return the span's payload.
+    """The tile pipeline: run ``origins[start:stop]`` of a ``spec`` scan
+    over ``image`` and return the span's payload.
 
     :func:`scan_scene` calls it once over the whole scan (inline) or
     once per shard inside pool workers (``scanpar.worker.run_shard``):
@@ -410,7 +441,7 @@ def scan_span(
     ``CompiledModel.predict_windows`` and the payload is ``{"confidences",
     "boxes"}`` (raw model outputs, in origin order).  With one, the
     tiles not in ``skip`` (already journaled) run in index order, in
-    micro-batches of ``batch_size`` (:func:`_run_group`), each finished
+    micro-batches of ``spec.batch_size`` (:func:`_run_group`), each finished
     micro-batch written with one ``journal.extend`` (one fsync); the
     payload is ``{"records", "fallbacks"}``.  ``deadline_at``
     (monotonic) is checked before each micro-batch runs and raises
@@ -430,7 +461,7 @@ def scan_span(
 
         model.eval()
         batches = compiled_for(model).predict_windows(
-            image, origins, window, batch_size=batch_size, span=span)
+            image, origins, spec.window, batch_size=spec.batch_size, span=span)
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         scanned = 0
         while scanned < stop - start:
@@ -459,11 +490,10 @@ def scan_span(
             journal.extend(group)
 
     try:
-        for at in range(0, len(todo), batch_size):
+        for at in range(0, len(todo), spec.batch_size):
             check_deadline(len(records), len(todo))
             records += _run_group(guarded, image, origins,
-                                  todo[at:at + batch_size], window, policy,
-                                  confidence_threshold)
+                                  todo[at:at + spec.batch_size], spec, policy)
             commit()
     finally:
         # an interrupt between a micro-batch's records and its commit
@@ -473,23 +503,22 @@ def scan_span(
 
 
 def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
-               group: list[int], window: int, policy,
-               confidence_threshold: float) -> list[TileRecord]:
+               group: list[int], spec: ScanSpec, policy) -> list[TileRecord]:
     """One micro-batch of the robust stage: every tile of ``group``
     sanitized in index order, the tiles not quarantined stacked into one
     ``guarded.predict_batch`` call, each row decoded alone.  A head runs
     whole 4-row blocks (``engine.compiled.HEAD_ROWS``), so a row is the
     bytes the tile's own ``predict_batch(chip[None])`` gives.  The fault
     boundary stays per tile: if the call raises (the guard's eager
-    re-run failed too), each tile re-runs alone through
-    :func:`_run_tile`, so poison stays in its tile."""
+    re-run failed too), each tile re-runs alone, so poison stays in its
+    tile."""
     from ..robust.journal import TileRecord
     from ..robust.sanitize import sanitize_chip
 
     sanitized = []
     for index in group:
         r0, c0 = origins[index]
-        tile = np.asarray(image[:, r0:r0 + window, c0:c0 + window],
+        tile = np.asarray(image[:, r0:r0 + spec.window, c0:c0 + spec.window],
                           dtype=np.float32)
         sanitized.append((index, (r0, c0), sanitize_chip(tile, policy)))
     live = [result.chip for _, _, result in sanitized
@@ -507,31 +536,21 @@ def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
         if result.status == "quarantined":
             records.append(TileRecord(index, origin, "quarantined",
                                       reason=result.report.summary()))
-        elif rows is None:
-            records.append(_run_tile(guarded, result, index, origin, window,
-                                     confidence_threshold))
+        elif rows is not None:
+            records.append(_tile_record(result, index, origin, *next(rows), spec))
         else:
-            records.append(_tile_record(result, index, origin, *next(rows),
-                                        window, confidence_threshold))
+            try:
+                conf, box, _ = guarded.predict_batch(result.chip[None])
+            except Exception as exc:  # the fault boundary: poison stays in the tile
+                records.append(TileRecord(index, origin, "quarantined",
+                                          reason=f"model failure: {exc!r}"))
+            else:
+                records.append(_tile_record(result, index, origin, conf, box, spec))
     return records
 
 
-def _run_tile(guarded, result, index: int, origin: tuple[int, int],
-              window: int, confidence_threshold: float) -> TileRecord:
-    """Model execution for one sanitized tile, with its fault boundary."""
-    from ..robust.journal import TileRecord
-
-    try:
-        conf, box, _ = guarded.predict_batch(result.chip[None])
-    except Exception as exc:  # the fault boundary: poison stays in the tile
-        return TileRecord(index, origin, "quarantined",
-                          reason=f"model failure: {exc!r}")
-    return _tile_record(result, index, origin, conf, box, window,
-                        confidence_threshold)
-
-
 def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
-                 window: int, confidence_threshold: float) -> TileRecord:
+                 spec: ScanSpec) -> TileRecord:
     """Decode one tile's model row into its record; a non-finite row
     quarantines the tile alone."""
     from ..robust.journal import TileRecord
@@ -544,10 +563,10 @@ def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
         return TileRecord(index, origin, "quarantined",
                           reason="non_finite_output")
     detections: tuple = ()
-    if conf0 >= confidence_threshold:
+    if conf0 >= spec.confidence_threshold:
         cx, cy, w, h = (float(v) for v in box0[:4])
-        detections = ((r0 + cy * window, c0 + cx * window,
-                       h * window, w * window, conf0),)
+        detections = ((r0 + cy * spec.window, c0 + cx * spec.window,
+                       h * spec.window, w * spec.window, conf0),)
     return TileRecord(index, origin, result.status, reason=reason,
                       detections=detections)
 

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..arch import SPPNetConfig
-from ..geo.chips import ChipDataset
 from ..tensor import Tensor, losses, set_default_dtype
 from ..tensor.optim import SGD
 from .metrics import DetectionScores
 from .predict import evaluate_detector
 from .sppnet import SPPNetDetector
+
+if TYPE_CHECKING:
+    from ..geo.chips import ChipDataset
 
 __all__ = ["TrainConfig", "EpochStats", "TrainResult", "train_detector"]
 

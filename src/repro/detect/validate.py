@@ -9,13 +9,16 @@ quantifies that variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..arch import SPPNetConfig
-from ..geo.chips import ChipDataset
 from .metrics import DetectionScores
 from .train import TrainConfig, train_detector
+
+if TYPE_CHECKING:
+    from ..geo.chips import ChipDataset
 
 __all__ = ["FoldResult", "CrossValidationResult", "kfold_indices", "kfold_evaluate"]
 

@@ -28,19 +28,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from ..detect.scan import scan_scene
+from ..detect.scan import ScanSpec, _check_timeout, scan_scene
 from ..geo.scene import Scene, build_scene
 from ..geo.synthesis import WatershedConfig
 from .jobs import DEAD, JobQueue, ScanJob
 
 __all__ = ["ScanFleet"]
-
-#: scan_scene kwargs a job payload may carry (whitelist: payloads come
-#: from a durable file, not from code)
-_SCAN_KEYS = frozenset({
-    "window", "stride", "confidence_threshold", "nms_radius",
-    "batch_size", "timeout_s",
-})
 
 #: seconds between claims while every pending job waits out a backoff
 _POLL_S = 0.05
@@ -94,15 +87,11 @@ class ScanFleet:
                      **scan_kwargs) -> bool:
         """Register one scene job; returns False if already queued.
 
-        ``scan_kwargs`` whitelists the :func:`scan_scene` parameters a
-        payload may pin (window, stride, timeout_s, ...).
+        ``scan_kwargs`` pins :class:`~repro.detect.ScanSpec` fields and
+        ``timeout_s``; a bad one raises before the queue is written.
         """
-        unknown = set(scan_kwargs) - _SCAN_KEYS
-        if unknown:
-            raise ValueError(
-                f"unsupported scan parameters {sorted(unknown)}; "
-                f"allowed: {sorted(_SCAN_KEYS)}"
-            )
+        ScanSpec.from_json({k: v for k, v in scan_kwargs.items() if k != "timeout_s"})
+        _check_timeout(scan_kwargs.get("timeout_s"))
         payload = {"scene": asdict(config or WatershedConfig()),
                    "scan": scan_kwargs}
         return self.queue.submit(job_id, payload)

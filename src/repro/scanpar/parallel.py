@@ -172,9 +172,8 @@ def run_shards(
     model,
     image: np.ndarray,
     shards: list,
-    meta: dict,
+    spec,
     *,
-    batch_size: int,
     policy=None,
     skip: frozenset = frozenset(),
     journal=None,
@@ -185,9 +184,8 @@ def run_shards(
     """Run a scan's ``shards`` on pool workers; returns
     ``(span payloads in shard order, SupervisionReport or None)``.
 
-    ``meta`` is the scan's identity header (``detect.scan._scan_meta``:
-    scene size, window, stride, threshold); with ``batch_size``,
-    ``policy`` and ``skip`` it is everything a worker needs to call
+    ``spec`` (a :class:`~repro.detect.ScanSpec`), ``policy`` and ``skip``
+    are everything a worker needs to call
     :func:`repro.detect.scan.scan_span` on its span.  ``pool`` defaults
     to the shared persistent pool.  A robust shard (``policy`` set)
     journals to ``journal.shard_path(index)``; a batched one returns
@@ -223,14 +221,14 @@ def run_shards(
             ShardTask(
                 shard_index=shard.index, start=shard.start, stop=shard.stop,
                 shm=shared.spec(), model_hash=model_hash,
-                scene_size=meta["scene_size"], window=meta["window"],
-                stride=meta["stride"], batch_size=batch_size,
-                confidence_threshold=meta["confidence_threshold"],
+                scene_size=image.shape[-1], window=spec.window,
+                stride=spec.stride, batch_size=spec.batch_size,
+                confidence_threshold=spec.confidence_threshold,
                 result=slab.spec() if slab is not None else None,
                 policy=policy,
                 journal_path=(str(journal.shard_path(shard.index))
                               if journal is not None else None),
-                journal_meta=meta, skip=skip,
+                skip=skip,
             )
             for shard, slab in zip_longest(shards, slabs)
         ]

@@ -33,7 +33,8 @@ __all__ = ["ShardTask", "run_shard"]
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker needs, picklable and raster-free."""
+    """Everything one worker needs, picklable and raster-free; its scan
+    fields are a :class:`~repro.detect.ScanSpec` on the wire."""
 
     shard_index: int
     start: int                    # origin-list index range [start, stop)
@@ -50,7 +51,6 @@ class ShardTask:
     #                                   result slab (batched shards)
     policy: object | None = None          # SanitizePolicy: a robust shard
     journal_path: str | None = None       # shard journal (robust only)
-    journal_meta: dict | None = None
     skip: frozenset = field(default_factory=frozenset)  # resumed indices
 
     def __post_init__(self) -> None:
@@ -59,9 +59,8 @@ class ShardTask:
         _require_engine(self.backend, "a scan shard")
 
 
-def _warm_engine(model, image_shape: tuple[int, ...], window: int,
-                 n_origins: int, batch_size: int, origins,
-                 robust: bool) -> float:
+def _warm_engine(model, image_shape: tuple[int, ...], spec,
+                 n_origins: int, origins, robust: bool) -> float:
     """Pre-build the engine programs a span of ``n_origins`` origins
     will execute; returns the warmup milliseconds (compile paid once
     per worker process — and, with a persistent pool, once per model
@@ -81,11 +80,11 @@ def _warm_engine(model, image_shape: tuple[int, ...], window: int,
     model.eval()
     compiled = compiled_for(model)
     if robust:
-        return compiled.warmup(range(1, min(batch_size, n_origins) + 1),
-                               (image_shape[0], window, window))
-    sizes = {size for size in (min(batch_size, n_origins),
-                               n_origins % batch_size) if size}
-    return compiled.warmup_windows(image_shape, window, origins,
+        return compiled.warmup(range(1, min(spec.batch_size, n_origins) + 1),
+                               (image_shape[0], spec.window, spec.window))
+    sizes = {size for size in (min(spec.batch_size, n_origins),
+                               n_origins % spec.batch_size) if size}
+    return compiled.warmup_windows(image_shape, spec.window, origins,
                                    sorted(sizes))
 
 
@@ -97,40 +96,38 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
     runs the shard in its own process.  The same model object (and so
     the same warmed ``compiled_for`` programs) survives across scans.
     """
-    from ..detect.scan import scan_origins, scan_span
+    from ..detect.scan import ScanSpec, scan_span
     from ..engine import compiled_for
 
+    spec = ScanSpec(task.window, task.stride, task.confidence_threshold,
+                    batch_size=task.batch_size)
     model = (model_cache or {}).get(task.model_hash)
     if model is None:
         raise RuntimeError(
             f"model {task.model_hash!r} is not in this worker's cache; "
             f"call pool.ensure_model() before pool.run()"
         )
-    origins = scan_origins(task.scene_size, task.window, task.stride)
+    origins = spec.origins(task.scene_size)
     robust = task.policy is not None
     with attach_array(task.shm) as shared:
         image = shared.array
-        warmup_ms = _warm_engine(
-            model, image.shape, task.window, task.stop - task.start,
-            task.batch_size, origins, robust)
+        warmup_ms = _warm_engine(model, image.shape, spec,
+                                 task.stop - task.start, origins, robust)
         journal = None
         if task.journal_path is not None:
             from ..robust.journal import ScanJournal
 
             journal = ScanJournal(task.journal_path)
-            journal.start(task.journal_meta)
-        payload = scan_span(
-            model, image, origins, (task.start, task.stop),
-            window=task.window, batch_size=task.batch_size,
-            confidence_threshold=task.confidence_threshold,
-            policy=task.policy, skip=task.skip, journal=journal)
+            journal.start(spec.journal_header(task.scene_size, image.shape[0]))
+        payload = scan_span(model, image, origins, (task.start, task.stop), spec,
+                            policy=task.policy, skip=task.skip, journal=journal)
         payload.update(shard=task.shard_index, warmup_ms=warmup_ms,
                        model_cached=True)
         if robust:
             return payload
         # how the engine ran this shard's windows
         payload.update(window_plan=compiled_for(model).window_plan(
-            image.shape, task.window, origins).to_json(),
+            image.shape, spec.window, origins).to_json(),
             via_slab=task.result is not None)
         if task.result is not None:
             confidences = payload.pop("confidences")

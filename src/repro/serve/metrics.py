@@ -13,8 +13,6 @@ from collections import Counter as TallyCounter
 
 import numpy as np
 
-from ..profiling.report import rule
-
 __all__ = ["Counter", "Gauge", "Histogram", "ServiceMetrics", "format_service_report"]
 
 
@@ -274,6 +272,7 @@ class ServiceMetrics:
 
 def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
     """Render service telemetry in the ``repro.profiling`` table style."""
+    rule = "-" * 78             # repro.profiling.report.rule()
     snap = metrics.snapshot()
     lat = snap["latency_ms"]
     lines = [
@@ -283,18 +282,18 @@ def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
         "Request Statistics:",
         f"{'Submitted':>10}  {'Completed':>10}  {'Rejected':>9}  "
         f"{'Timeouts':>9}  {'Queue peak':>10}",
-        rule(),
+        rule,
         f"{snap['submitted']:10d}  {snap['completed']:10d}  {snap['rejected']:9d}  "
         f"{snap['timeouts']:9d}  {snap['queue_depth_peak']:10.0f}",
         "",
         "Latency Statistics (ms):",
         f"{'p50':>9}  {'p95':>9}  {'p99':>9}  {'mean':>9}",
-        rule(),
+        rule,
         f"{lat['p50']:9.3f}  {lat['p95']:9.3f}  {lat['p99']:9.3f}  {lat['mean']:9.3f}",
         "",
         "Batch Statistics:",
         f"{'Batch size':>10}  {'Dispatches':>10}",
-        rule(),
+        rule,
     ]
     for size, count in metrics.batch_size_histogram.items():
         lines.append(f"{size:10d}  {count:10d}")
@@ -306,21 +305,21 @@ def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
         "",
         "Cache Statistics:",
         f"{'Hits':>9}  {'Misses':>9}  {'Hit rate':>9}",
-        rule(),
+        rule,
         f"{snap['cache_hits']:9d}  {snap['cache_misses']:9d}  "
         f"{100 * snap['cache_hit_rate']:8.1f}%",
         "",
         "Resilience Statistics:",
         f"{'Failures':>9}  {'Retries':>9}  {'Degraded':>9}  "
         f"{'Deg.rej':>9}  {'Breaker':>9}",
-        rule(),
+        rule,
         f"{snap['worker_failures']:9d}  {snap['worker_retries']:9d}  "
         f"{snap['degraded_served']:9d}  {snap['degraded_rejected']:9d}  "
         f"{snap['breaker_state']:>9}",
         "",
         "Robustness Statistics:",
         f"{'Invalid':>9}  {'Fallbacks':>9}",
-        rule(),
+        rule,
         f"{snap['invalid_inputs']:9d}  "
         f"{sum(snap['fallback_by_reason'].values()):9d}",
     ]

@@ -139,6 +139,66 @@ class TestScanOrigins:
             scan_origins(64, 32, 0)
 
 
+class TestScanSpec:
+    """``ScanSpec`` owns the five values that define a scan's result:
+    their defaults, their checks, the origins and the journal header."""
+
+    def test_defaults_are_scan_scenes(self):
+        import inspect
+        from dataclasses import asdict
+
+        from repro.detect import ScanSpec
+
+        params = inspect.signature(scan_scene).parameters
+        assert asdict(ScanSpec()) == {
+            name: params[name].default for name in asdict(ScanSpec())}
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 0), ("window", -5), ("window", 100.5), ("window", True),
+        ("window", "100"), ("stride", 0), ("batch_size", 0),
+        ("batch_size", 1.0), ("confidence_threshold", float("nan")),
+        ("confidence_threshold", "0.5"), ("nms_radius", 0),
+        ("nms_radius", float("nan")), ("nms_radius", -3.0)])
+    def test_an_invalid_value_raises_naming_its_field(self, field, value):
+        from repro.detect import ScanSpec
+
+        with pytest.raises(ValueError, match=field):
+            ScanSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            ScanSpec.from_json({field: value})
+
+    def test_from_json_takes_defaults_and_refuses_unknown_keys(self):
+        from repro.detect import ScanSpec
+
+        assert ScanSpec.from_json({}) == ScanSpec()
+        assert ScanSpec.from_json({"window": 64, "stride": 32}) \
+            == ScanSpec(window=64, stride=32)
+        with pytest.raises(ValueError, match=r"unsupported scan parameters "
+                                             r"\['n_workers'\]"):
+            ScanSpec.from_json({"window": 64, "n_workers": 2})
+
+    def test_origins_are_scan_origins(self):
+        from repro.detect import ScanSpec
+
+        spec = ScanSpec(window=30, stride=25)
+        assert spec.origins(100) == scan_origins(100, 30, 25)
+        with pytest.raises(ValueError, match="exceeds scene size"):
+            ScanSpec().origins(64)
+
+    def test_journal_header_keeps_its_keys_and_their_order(self):
+        from repro.blas import blas_info
+        from repro.detect import ScanSpec
+
+        header = ScanSpec(window=64, stride=32, confidence_threshold=0.3,
+                          nms_radius=5.0, batch_size=4).journal_header(200, 4)
+        assert list(header) == ["scene_size", "bands", "window", "stride",
+                                "confidence_threshold", "backend", "blas"]
+        assert header["blas"] == {k: v for k, v in blas_info().items()
+                                  if k != "why"}
+        assert (header["window"], header["stride"],
+                header["confidence_threshold"]) == (64, 32, 0.3)
+
+
 class TestScanScene:
     @pytest.fixture(scope="class")
     def scene(self):
@@ -227,13 +287,14 @@ class TestBatchSeam:
         against the eager oracle."""
         import numpy as np
 
-        from repro.detect import predict
+        from repro.detect import ScanSpec, predict
         from repro.detect.scan import scan_span
         from repro.scanpar import TileSource
 
-        origins = scan_origins(scene.size, 64, 32)
-        payload = scan_span(model, scene.image, origins, (6, 20), window=64,
-                            batch_size=6, confidence_threshold=0.5)
+        spec = ScanSpec(window=64, stride=32, confidence_threshold=0.5,
+                        batch_size=6)
+        origins = spec.origins(scene.size)
+        payload = scan_span(model, scene.image, origins, (6, 20), spec)
         parts = [predict(model, stack, batch_size=len(stack), backend=oracle)
                  for _, stack in TileSource(scene.image, 64, 6).batches(
                      origins[6:20])]
@@ -251,15 +312,17 @@ class TestBatchSeam:
             self, model, scene):
         import numpy as np
 
-        from repro.detect import predict
+        from dataclasses import asdict
+
+        from repro.detect import ScanSpec, predict
         from repro.detect.scan import _detections_from_outputs
         from repro.engine import compiled_for
         from repro.scanpar import TileSource
 
-        kwargs = dict(window=64, stride=32, confidence_threshold=0.3,
-                      batch_size=6)
-        scanned = scan_scene(model, scene, **kwargs)
-        origins = scan_origins(scene.size, 64, 32)
+        spec = ScanSpec(window=64, stride=32, confidence_threshold=0.3,
+                        batch_size=6)
+        scanned = scan_scene(model, scene, **asdict(spec))
+        origins = spec.origins(scene.size)
         plan = compiled_for(model).window_plan(scene.image.shape, 64, origins)
         assert plan.reason is None and plan.shared == ("pool1", "pool2")
         parts = [predict(model, stack, batch_size=len(stack),
@@ -268,7 +331,7 @@ class TestBatchSeam:
                      origins)]
         per_window = non_max_suppression(_detections_from_outputs(
             origins, np.concatenate([c for c, _ in parts]),
-            np.concatenate([b for _, b in parts]), 64, 0.3))
+            np.concatenate([b for _, b in parts]), spec))
         assert list(scanned) == per_window
 
     @pytest.mark.parametrize("backend", ["engine"])

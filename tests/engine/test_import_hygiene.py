@@ -1,13 +1,18 @@
-"""Inference imports no scipy: scene synthesis (``repro.geo``,
+"""Inference imports only what it runs.  Scene synthesis (``repro.geo``,
 ``repro.hydro``) needs ``scipy.ndimage`` and imports it inside the
-functions that call it, so a process that only loads, compiles and scans
-— a pool worker, a service, a resumed scan — never pays the 0.4 s."""
+functions that call it, and the detectors name ``repro.geo`` types only
+in annotations, so a process that only loads, compiles and scans — a
+pool worker, a service, a resumed scan — never pays the 0.4 s of scipy
+nor loads the data substrate, the GPU simulator or the profiler."""
 
 import subprocess
 import sys
 
 SCRIPT = """
 import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import repro.detect
 import repro.engine
@@ -18,7 +23,7 @@ assert "scipy" not in sys.modules, "import pulled in scipy"
 
 import numpy as np
 from repro.arch import TABLE1_MODELS
-from repro.detect import SPPNetDetector, scan_origins
+from repro.detect import SPPNetDetector, scan_origins, scan_scene
 
 model = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
 compiled = repro.engine.compile(model)
@@ -27,7 +32,15 @@ raster = np.random.default_rng(0).standard_normal(
 origins = scan_origins(227, 100, 50)
 assert compiled.window_plan(raster.shape, 100, origins).edge_windows == 7
 list(compiled.predict_windows(raster, origins, 100, batch_size=5))
+scene = SimpleNamespace(image=raster, size=227)     # no repro.geo Scene
+scan_scene(model, scene, batch_size=5)
+with tempfile.TemporaryDirectory() as tmp:
+    scan_scene(model, scene, batch_size=5, journal=Path(tmp) / "scan.jsonl")
 assert "scipy" not in sys.modules, "compiling or scanning pulled in scipy"
+loaded = sorted({name.split(".")[1] for name in sys.modules
+                 if name.startswith("repro.")})
+unused = {"geo", "hydro", "gpusim", "profiling"}.intersection(loaded)
+assert not unused, f"importing, compiling or scanning loaded {sorted(unused)}"
 print("ok")
 """
 

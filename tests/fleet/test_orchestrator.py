@@ -53,6 +53,56 @@ class TestSweep:
         with pytest.raises(ValueError, match="unsupported scan parameters"):
             fleet.submit_scene("j1", SCENE_CONFIG, n_workers=4)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(stride=0), "stride"), (dict(window="100"), "window"),
+        (dict(nms_radius=-1), "nms_radius"),
+        (dict(confidence_threshold=float("nan")), "confidence_threshold"),
+        (dict(stride=0, window="100", nms_radius=-1), "window"),
+        (dict(n_workers=4), "unsupported scan parameters"),
+        (dict(timeout_s=0), "timeout_s"),
+        (dict(timeout_s=float("nan")), "timeout_s")])
+    def test_submit_refuses_an_invalid_spec_before_writing(
+            self, tmp_path, model, scene, kwargs, field):
+        """A bad value is refused by name at submit, before the queue
+        file is touched, instead of dead-lettering the job at run."""
+        fleet = make_fleet(tmp_path, model, scene)
+        fleet.submit_scene("j0", SCENE_CONFIG, **SCAN_KWARGS)
+        before = fleet.queue.path.read_bytes()
+        with pytest.raises(ValueError, match=field):
+            fleet.submit_scene("j1", SCENE_CONFIG, **kwargs)
+        assert fleet.queue.path.read_bytes() == before
+
+    def test_a_parent_format_queue_file_runs(self, tmp_path, model, scene):
+        """A queue file an earlier release wrote (this literal text: the
+        payload's ``"scan"`` dict holds ``window``, ``stride`` and
+        ``timeout_s``) is what ``submit_scene`` writes today, and it runs
+        to the direct scan's result."""
+        literal = (
+            '{"kind": "fleet_queue", "version": 2}\n'
+            '{"kind": "job", "job_id": "j1", "payload": {"scene": '
+            '{"size": 200, "relief_m": 6.0, "gradient_m": 10.0, "beta": 2.2, '
+            '"road_spacing": 64, "road_width": 3, "embankment_m": 1.6, '
+            '"stream_threshold": 600, "seed": 5}, "scan": {"window": 64, '
+            '"stride": 32, "timeout_s": 30.0}}}\n')
+        fresh = make_fleet(tmp_path, model, scene,
+                           queue=JobQueue(tmp_path / "fresh.jsonl"))
+        fresh.submit_scene("j1", SCENE_CONFIG, window=64, stride=32,
+                           timeout_s=30.0)
+        assert fresh.queue.path.read_text() == literal
+        path = tmp_path / "parent.jsonl"
+        path.write_text(literal)
+        fleet = ScanFleet(JobQueue(path), model, workdir=tmp_path / "w",
+                          n_workers=1)
+        summary = fleet.run()
+        direct = scan_scene(model, scene, window=64, stride=32,
+                            journal=str(tmp_path / "direct.jsonl"))
+        assert summary["outcomes"] == {"j1": ["done"]}
+        assert summary["results"]["j1"]["detections"] == len(direct)
+        assert summary["results"]["j1"]["tiles_total"] \
+            == direct.coverage.tiles_total
+        assert fleet.journal_path("j1").read_bytes() \
+            == (tmp_path / "direct.jsonl").read_bytes()
+
     def test_default_provider_rebuilds_scene_from_payload(
             self, tmp_path, model, scene):
         # no injected provider: the payload's WatershedConfig rebuilds

@@ -7,37 +7,33 @@ merge is worse than no recovery at all.
 
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
-from repro.detect.scan import ScanDeadlineError, scan_origins, scan_scene
+from repro.detect.scan import ScanDeadlineError, ScanSpec, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.fleet import ShardSupervisor, SupervisionPolicy
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.sharding import partition_origins
 
-WINDOW = 64
-STRIDE = 32
-BATCH = 8
+SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 
 
 def scan(model, scene, **kwargs):
-    kwargs.setdefault("window", WINDOW)
-    kwargs.setdefault("stride", STRIDE)
-    kwargs.setdefault("confidence_threshold", 0.3)
-    kwargs.setdefault("batch_size", BATCH)
-    return scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **{**asdict(SPEC), **kwargs})
 
 
 def make_tasks(scene, shared, model_hash):
-    origins = scan_origins(scene.size, WINDOW, STRIDE)
-    shards = partition_origins(len(origins), 2, BATCH)
+    origins = SPEC.origins(scene.size)
+    shards = partition_origins(len(origins), 2, SPEC.batch_size)
     assert len(shards) >= 2
     return [
         ShardTask(shard_index=s.index, start=s.start, stop=s.stop,
                   shm=shared.spec(), model_hash=model_hash,
-                  scene_size=scene.size, window=WINDOW, stride=STRIDE,
-                  batch_size=BATCH, confidence_threshold=0.3)
+                  scene_size=scene.size, window=SPEC.window,
+                  stride=SPEC.stride, batch_size=SPEC.batch_size,
+                  confidence_threshold=SPEC.confidence_threshold)
         for s in shards
     ]
 

@@ -176,11 +176,12 @@ class TestRobustScan:
 
     @pytest.mark.parametrize("stage", ["plain", "sanitize", "journal"])
     @pytest.mark.parametrize("backend", ["engine"])
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
     def test_batch_size_below_one_rejected_before_any_work(
             self, scene, model, tmp_path, batch_size, backend, stage):
         """A robust scan at ``batch_size < 1`` would run and never
-        commit: no group of finished tiles ever reaches the size."""
+        commit: no group of finished tiles ever reaches the size.  A
+        batch size that is not an int is refused the same way."""
         path = tmp_path / "scan.jsonl"
         kwargs = {"plain": {},
                   "sanitize": {"sanitize": SanitizePolicy.for_scene()},
@@ -188,6 +189,33 @@ class TestRobustScan:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                        batch_size=batch_size, backend=backend, **kwargs)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("stage", ["plain", "sanitize", "journal"])
+    @pytest.mark.parametrize("field, value", [
+        ("nms_radius", 0), ("nms_radius", -1.0), ("nms_radius", float("inf")),
+        ("confidence_threshold", float("nan")),
+        ("confidence_threshold", float("-inf")),
+        ("window", 0), ("window", -5), ("window", 100.5), ("window", True),
+        ("stride", 0), ("stride", "32")])
+    def test_an_invalid_spec_is_rejected_before_any_tile_runs(
+            self, scene, model, tmp_path, monkeypatch, field, value, stage):
+        """Every ``ScanSpec`` value is checked before a tile runs or a
+        journal is created, and the error names the field."""
+        from repro.engine import CompiledModel
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a tile ran before the spec was checked")
+
+        monkeypatch.setattr(CompiledModel, "predict_windows", ran)
+        monkeypatch.setattr(GuardedEngine, "predict_batch", ran)
+        path = tmp_path / "scan.jsonl"
+        kwargs = {"plain": {},
+                  "sanitize": {"sanitize": SanitizePolicy.for_scene()},
+                  "journal": {"journal": path}}[stage]
+        kwargs = {"window": WINDOW, "stride": STRIDE, **kwargs, field: value}
+        with pytest.raises(ValueError, match=field):
+            scan_scene(model, scene, **kwargs)
         assert not path.exists()
 
     def test_coverage_flows_into_scores(self, scene, model):
@@ -269,6 +297,27 @@ class TestJournalResume:
         path.write_text(eager + "\n" + "".join(records[:3]))
         with pytest.raises(ScanJournalError, match="backend"):
             self.scan(model, scene, path, resume=True)
+
+    def test_a_parent_format_header_resumes(self, scene, model, tmp_path):
+        """The header keeps its keys and their order, so a journal an
+        earlier release wrote (this literal line, with this machine's
+        BLAS) resumes to the uninterrupted scan."""
+        from repro.blas import blas_info
+
+        blas = json.dumps({k: v for k, v in blas_info().items() if k != "why"})
+        header = ('{"kind": "scan_header", "scene_size": 192, "bands": 4, '
+                  '"window": 64, "stride": 64, "confidence_threshold": 0.6, '
+                  '"backend": "engine", "blas": ' + blas + '}')
+        full_path = tmp_path / "full.jsonl"
+        full = self.scan(model, scene, full_path)
+        lines = full_path.read_text().splitlines()
+        assert lines[0] == header
+        path = tmp_path / "parent.jsonl"
+        path.write_text("\n".join([header, *lines[1:4]]) + "\n")
+        resumed = self.scan(model, scene, path, resume=True)
+        assert list(resumed) == list(full)
+        assert resumed.coverage.tiles_resumed == 3
+        assert path.read_text().splitlines() == lines
 
     def test_torn_final_line_is_dropped(self, scene, model, tmp_path):
         path = tmp_path / "scan.jsonl"

@@ -8,13 +8,13 @@ worker fault against each form.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
-from repro.detect.scan import scan_origins
+from repro.detect import ScanSpec, SPPNetDetector, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.fleet import ShardSupervisor, SupervisionPolicy
 from repro.geo import WatershedConfig, build_scene
@@ -22,9 +22,7 @@ from repro.robust import ScanJournal
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.sharding import partition_origins
 
-WINDOW = 64
-STRIDE = 32
-BATCH = 8
+SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +43,18 @@ def model():
 
 
 def scan(model, scene, **kwargs):
-    kwargs.setdefault("window", WINDOW)
-    kwargs.setdefault("stride", STRIDE)
-    kwargs.setdefault("confidence_threshold", 0.3)
-    kwargs.setdefault("batch_size", BATCH)
-    return scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **{**asdict(SPEC), **kwargs})
 
 
 def make_tasks(scene, shared, model_hash):
-    origins = scan_origins(scene.size, WINDOW, STRIDE)
+    origins = SPEC.origins(scene.size)
     return [
         ShardTask(shard_index=s.index, start=s.start, stop=s.stop,
                   shm=shared.spec(), model_hash=model_hash,
-                  scene_size=scene.size, window=WINDOW, stride=STRIDE,
-                  batch_size=BATCH, confidence_threshold=0.3)
-        for s in partition_origins(len(origins), 2, BATCH)
+                  scene_size=scene.size, window=SPEC.window,
+                  stride=SPEC.stride, batch_size=SPEC.batch_size,
+                  confidence_threshold=SPEC.confidence_threshold)
+        for s in partition_origins(len(origins), 2, SPEC.batch_size)
     ]
 
 

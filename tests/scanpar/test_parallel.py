@@ -1,7 +1,7 @@
 """Parallel sharded scanning reproduces the sequential scan exactly."""
 
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
+from repro.detect import ScanSpec, SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.faults import corrupt_scene
 from repro.geo import WatershedConfig, build_scene
@@ -39,14 +39,14 @@ def model():
     return detector
 
 
+#: small batches so this 9-origin scene still splits into >= 2
+#: micro-batch-aligned shards (one-shard scans inline to sequential)
+SPEC = ScanSpec(window=WINDOW, stride=50, confidence_threshold=0.3,
+                batch_size=4)
+
+
 def scan(model, scene, **kwargs):
-    kwargs.setdefault("window", WINDOW)
-    kwargs.setdefault("stride", 50)
-    kwargs.setdefault("confidence_threshold", 0.3)
-    # small batches so this 9-origin scene still splits into >= 2
-    # micro-batch-aligned shards (one-shard scans inline to sequential)
-    kwargs.setdefault("batch_size", 4)
-    return scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **{**asdict(SPEC), **kwargs})
 
 
 def assert_identical(parallel, sequential):
@@ -131,9 +131,10 @@ class TestEdgeWindows:
 
         # a model no scan has bound anything for, as in a fresh worker
         deployed = SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0)
-        origins = scan_origins(ragged.size, WINDOW, 50)
+        spec = replace(SPEC, batch_size=20)
+        origins = spec.origins(ragged.size)
         # the second of two shards: 61 origins, the edge row among them
-        _warm_engine(deployed, ragged.image.shape, WINDOW, 61, 20, origins,
+        _warm_engine(deployed, ragged.image.shape, spec, 61, origins,
                      robust=False)
         compiled = compiled_for(deployed)
         assert compiled.window_plan(ragged.image.shape, WINDOW,
@@ -158,19 +159,45 @@ class TestResultSlab:
     @pytest.mark.parametrize("dtype", [np.float64, np.float16])
     def test_a_slab_of_another_dtype_raises_naming_both(self, model, scene,
                                                         dtype):
-        origins = scan_origins(scene.size, WINDOW, 50)
+        origins = SPEC.origins(scene.size)
         with SharedArray(scene.image) as shared, \
                 SharedArray.allocate((len(origins), 5), dtype) as slab:
             task = ShardTask(shard_index=0, start=0, stop=len(origins),
                              shm=shared.spec(), model_hash="m",
-                             scene_size=scene.size, window=WINDOW, stride=50,
-                             batch_size=4, confidence_threshold=0.3,
+                             scene_size=scene.size, window=SPEC.window,
+                             stride=SPEC.stride, batch_size=SPEC.batch_size,
+                             confidence_threshold=SPEC.confidence_threshold,
                              result=slab.spec())
             with pytest.raises(TypeError) as raised:
                 run_shard(task, {"m": model})
             assert not slab.array().any()       # nothing was cast in
         message = str(raised.value)
         assert np.dtype(dtype).name in message and "float32" in message
+
+
+class TestShardSpec:
+    """A ``ShardTask``'s scan fields are a ``ScanSpec`` on the wire:
+    ``run_shard`` refuses an invalid one by name before it looks up the
+    model, attaches the raster or opens its shard journal."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 0), ("window", 100.5), ("stride", -1),
+        ("batch_size", True), ("confidence_threshold", float("nan"))])
+    def test_an_invalid_task_is_refused_before_any_work(self, tmp_path,
+                                                        field, value):
+        from repro.robust import SanitizePolicy
+
+        journal = tmp_path / "scan.jsonl.shard000"
+        wire = dict(window=SPEC.window, stride=SPEC.stride,
+                    batch_size=SPEC.batch_size,
+                    confidence_threshold=SPEC.confidence_threshold)
+        task = ShardTask(shard_index=0, start=0, stop=4, shm={},
+                         scene_size=SCENE_SIZE, model_hash="m",
+                         policy=SanitizePolicy.for_scene(),
+                         journal_path=str(journal), **{**wire, field: value})
+        with pytest.raises(ValueError, match=field):
+            run_shard(task, {})
+        assert not journal.exists()
 
 
 class TestInlineShard:
@@ -254,7 +281,7 @@ class TestValidation:
 class TestRobustParallel:
     @pytest.fixture()
     def corrupted(self, scene):
-        origins = scan_origins(scene.size, WINDOW, 50)
+        origins = SPEC.origins(scene.size)
         image, applied = corrupt_scene(scene.image, origins, WINDOW,
                                        fraction=0.3, seed=7)
         assert applied

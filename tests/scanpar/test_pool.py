@@ -5,13 +5,13 @@ import os
 import signal
 import threading
 import time
+from dataclasses import asdict
 from multiprocessing import connection as mp_connection
 
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
-from repro.detect.scan import scan_origins
+from repro.detect import ScanSpec, SPPNetDetector, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
@@ -25,9 +25,7 @@ from repro.scanpar import (
 )
 from repro.scanpar.sharding import partition_origins
 
-WINDOW = 64
-STRIDE = 32
-BATCH = 8
+SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 SCENE_SIZE = 200
 
 
@@ -49,22 +47,19 @@ def model():
 
 
 def scan(model, scene, **kwargs):
-    kwargs.setdefault("window", WINDOW)
-    kwargs.setdefault("stride", STRIDE)
-    kwargs.setdefault("confidence_threshold", 0.3)
-    kwargs.setdefault("batch_size", BATCH)
-    return scan_scene(model, scene, **kwargs)
+    return scan_scene(model, scene, **{**asdict(SPEC), **kwargs})
 
 
 def make_tasks(scene, shared, model_hash):
-    origins = scan_origins(scene.size, WINDOW, STRIDE)
-    shards = partition_origins(len(origins), 2, BATCH)
+    origins = SPEC.origins(scene.size)
+    shards = partition_origins(len(origins), 2, SPEC.batch_size)
     assert len(shards) >= 2
     return [
         ShardTask(shard_index=s.index, start=s.start, stop=s.stop,
                   shm=shared.spec(), model_hash=model_hash,
-                  scene_size=scene.size, window=WINDOW, stride=STRIDE,
-                  batch_size=BATCH, confidence_threshold=0.3)
+                  scene_size=scene.size, window=SPEC.window,
+                  stride=SPEC.stride, batch_size=SPEC.batch_size,
+                  confidence_threshold=SPEC.confidence_threshold)
         for s in shards
     ]
 
@@ -186,11 +181,11 @@ class TestScheduleSync:
         sequential scan binds."""
         from repro.engine import compiled_for
 
-        origins = scan_origins(scene.size, WINDOW, STRIDE)
+        origins = SPEC.origins(scene.size)
         with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
             tasks = make_tasks(scene, shared, pool.ensure_model(model))
             sequential = compiled_for(model).window_plan(
-                scene.image.shape, WINDOW, origins)
+                scene.image.shape, SPEC.window, origins)
             assert sequential.reason is None and sequential.chunk_heights
             for payload in pool.run(tasks):
                 assert payload["window_plan"] == sequential.to_json()
