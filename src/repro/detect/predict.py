@@ -33,7 +33,9 @@ def predict(
     tolerance, several times faster per chip.  The compiled program
     snapshots the weights on first use per model instance, so it is
     meant for trained models at deployment time; the default eager
-    backend always reads the live parameters.
+    backend always reads the live parameters and runs in their dtype
+    (float32 for an ``SPPNetDetector``): the images are cast to it, so
+    no op makes a float64 copy of the weights.
     """
     if images.ndim != 4:
         raise ValueError(f"expected (N, C, H, W) images, got shape {images.shape}")
@@ -44,11 +46,12 @@ def predict(
         from ..engine import compiled_for
 
         return compiled_for(model).predict(images, batch_size=batch_size)
+    dtype = next(model.parameters()).dtype
     confidences: list[np.ndarray] = []
     boxes: list[np.ndarray] = []
     with no_grad():
         for start in range(0, len(images), batch_size):
-            batch = Tensor(images[start:start + batch_size])
+            batch = Tensor(images[start:start + batch_size], dtype=dtype)
             class_logits, box_pred = model(batch)
             probs = F.softmax(class_logits, axis=1)
             confidences.append(probs.data[:, 1].copy())

@@ -9,6 +9,12 @@ regression (the "classification and bounding box regression" of §4.2).
 Thanks to SPP, the same weights accept any input size >= the
 architecture's minimum (``SPPNetConfig.min_input_size``), which the
 variable-input tests exercise.
+
+The weights are float32, the precision the paper profiles and the
+engine runs, whatever ``Tensor.DEFAULT_DTYPE`` is: each layer fills its float32 parameters straight
+from the seed's float64 draws (:func:`repro.tensor.init.kaiming_uniform`),
+so the values are the float64 build's rounded to float32 and no float64
+copy of the weights is ever held.
 """
 
 from __future__ import annotations
@@ -41,17 +47,19 @@ class SPPNetDetector(Module):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(seed)
+        dtype = np.float32
 
         trunk_layers: list[Module] = []
         channels = config.in_channels
         for conv, pool in zip(config.convs, config.pools):
             trunk_layers.append(
-                Conv2d(channels, conv.filters, conv.kernel, stride=conv.stride, rng=rng)
+                Conv2d(channels, conv.filters, conv.kernel, stride=conv.stride,
+                       rng=rng, dtype=dtype)
             )
             if config.use_batchnorm:
                 from ..tensor import BatchNorm2d
 
-                trunk_layers.append(BatchNorm2d(conv.filters))
+                trunk_layers.append(BatchNorm2d(conv.filters, dtype=dtype))
             trunk_layers.append(ReLU())
             trunk_layers.append(MaxPool2d(pool.kernel, pool.stride))
             channels = conv.filters
@@ -61,12 +69,12 @@ class SPPNetDetector(Module):
         fc_layers: list[Module] = []
         in_features = config.spp_features
         for width in config.fc_sizes:
-            fc_layers.append(Linear(in_features, width, rng=rng))
+            fc_layers.append(Linear(in_features, width, rng=rng, dtype=dtype))
             fc_layers.append(ReLU())
             in_features = width
         self.fc = Sequential(*fc_layers)
-        self.cls_head = Linear(in_features, 2, rng=rng)
-        self.box_head = Linear(in_features, 4, rng=rng)
+        self.cls_head = Linear(in_features, 2, rng=rng, dtype=dtype)
+        self.box_head = Linear(in_features, 4, rng=rng, dtype=dtype)
 
     def features(self, x: Tensor) -> Tensor:
         """Fixed-length SPP feature vector for any input spatial size."""

@@ -18,8 +18,8 @@ layer's geometry (:func:`.kernels.conv_variant`): memory-tiled implicit
 GEMM for shallow (gather-bound) layers, plain im2col otherwise — so
 every process and pool worker binds the same kernels without
 measuring or messaging anything.  The engine runs one precision,
-float32 (``dtype=float64`` is the eager-equivalence reference for
-tests).
+float32, the dtype of the detector's weights (``dtype=float64`` is
+the tests' reference for a float64 eager forward).
 
 Execution is depth-first (:func:`.fusion.split_trunk_head`): the steps
 before the first fully-connected layer are bound at one sample and

@@ -1034,8 +1034,8 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
     their own programs on first use.
 
     ``dtype`` selects the arena precision: ``float32`` (default) is the
-    deployment configuration; ``float64`` reproduces eager numerics
-    bit-for-bit and exists for equivalence testing.
+    deployment configuration; ``float64`` matches a float64 eager
+    forward to ~1e-14 and exists for equivalence testing.
     """
     if input_shape is None:
         config = getattr(model, "config", None)

@@ -103,8 +103,9 @@ def pack_linear_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
     The module's own layout, which :func:`linear` multiplies from the
     left, so packing is a plain cast-and-copy rather than a strided
-    transpose (63 MB on SPP-Net #3).  Always a copy, never a view, so
-    that edits to a float32 model after compile do not reach the
+    transpose (63 MB on SPP-Net #3).  Always a copy, never a view: the
+    detector's weights are float32 like the pack, so a bare cast would
+    alias them and edits to the model after compile would reach the
     snapshot.
     """
     return np.array(weight, dtype=dtype, order="C", copy=True)

@@ -45,6 +45,16 @@ def _default_scene_provider(payload: dict) -> Scene:
     return build_scene(WatershedConfig(**payload["scene"]))
 
 
+def _scan_args(scan: dict) -> tuple[ScanSpec, float | None]:
+    """A job's ``"scan"`` payload as ``(spec, timeout_s)``; a bad value
+    raises ``ValueError`` before anything is queued or built."""
+    scan = dict(scan)
+    timeout_s = scan.pop("timeout_s", None)
+    spec = ScanSpec.from_json(scan)
+    _check_timeout(timeout_s)
+    return spec, timeout_s
+
+
 class ScanFleet:
     """Run a durable multi-scene scan sweep against one model.
 
@@ -90,8 +100,7 @@ class ScanFleet:
         ``scan_kwargs`` pins :class:`~repro.detect.ScanSpec` fields and
         ``timeout_s``; a bad one raises before the queue is written.
         """
-        ScanSpec.from_json({k: v for k, v in scan_kwargs.items() if k != "timeout_s"})
-        _check_timeout(scan_kwargs.get("timeout_s"))
+        _scan_args(scan_kwargs)
         payload = {"scene": asdict(config or WatershedConfig()),
                    "scan": scan_kwargs}
         return self.queue.submit(job_id, payload)
@@ -102,15 +111,21 @@ class ScanFleet:
     # -- execution ---------------------------------------------------------
 
     def _scan_job(self, job: ScanJob) -> dict:
-        """Scan one claimed job; returns the job's result summary."""
+        """Scan one claimed job; returns the job's result summary.
+
+        The payload's scan values are checked before its scene is built,
+        so a job with a bad spec fails without generating pixels.
+        """
+        spec, timeout_s = _scan_args(job.payload.get("scan", {}))
         scene = self.scene_provider(job.payload)
         result = scan_scene(
             self.model, scene,
             journal=str(self.journal_path(job.job_id)),
             resume=True,
             n_workers=self.n_workers,
+            timeout_s=timeout_s,
             supervision=self.supervision,
-            **job.payload.get("scan", {}),
+            **asdict(spec),
         )
         summary = {
             "detections": len(result),

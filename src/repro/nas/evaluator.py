@@ -68,7 +68,9 @@ def measure_latency_ms(
     ``repeats`` timed forward passes over a fixed random batch, and
     returns the median per-pass time in milliseconds.  Latency is
     weight-agnostic, so untrained parameters measure the same program a
-    trained checkpoint would.
+    trained checkpoint would.  The eager backend runs in the
+    detector's float32 weights (float64 before the detector built
+    float32; see docs/resilience.md on resuming older latency sweeps).
 
     ``backend="engine"`` times the compiled inference engine
     (:mod:`repro.engine`) instead of the eager autograd path, so a

@@ -266,14 +266,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    shifted = x - x.data.max(axis=axis, keepdims=True)
     e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    shifted = x - x.data.max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 

@@ -39,8 +39,14 @@ __all__ = [
 class Parameter(Tensor):
     """A Tensor that is registered as a learnable parameter of a Module."""
 
-    def __init__(self, data, name: str | None = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data, name: str | None = None, dtype=None) -> None:
+        super().__init__(data, requires_grad=True, name=name, dtype=dtype)
+
+
+def _factory_dtype(dtype) -> np.dtype:
+    """A layer's ``dtype=`` (torch's factory keyword): ``None`` is the
+    default dtype at construction time."""
+    return np.dtype(Tensor.DEFAULT_DTYPE if dtype is None else dtype)
 
 
 # Process-wide seeded stream for layers constructed without an explicit
@@ -203,17 +209,20 @@ class Conv2d(Module):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: np.random.Generator | None = None, dtype=None) -> None:
         super().__init__()
         rng = rng if rng is not None else default_module_rng()
+        dtype = _factory_dtype(dtype)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(init.kaiming_uniform(shape, rng), name="weight")
-        self.bias = Parameter(np.zeros(out_channels), name="bias") if bias else None
+        self.weight = Parameter(init.kaiming_uniform(shape, rng, dtype=dtype),
+                                name="weight", dtype=dtype)
+        self.bias = Parameter(np.zeros(out_channels, dtype), name="bias",
+                              dtype=dtype) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -283,21 +292,23 @@ class BatchNorm2d(Module):
 
     Training mode normalizes with batch statistics (gradients flow
     through mean and variance via the autograd tape) and maintains
-    exponential running statistics; eval mode normalizes with the stored
-    running statistics.  Provided for the NAS extension experiments — the
+    exponential running statistics (float64 buffers whatever ``dtype``
+    is); eval mode normalizes with the stored running statistics cast to
+    the weights' dtype.  Provided for the NAS extension experiments — the
     paper's Table 1 architectures do not use it.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1) -> None:
+                 momentum: float = 0.1, dtype=None) -> None:
         super().__init__()
         if num_features < 1:
             raise ValueError("num_features must be >= 1")
+        dtype = _factory_dtype(dtype)
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features), name="weight")
-        self.bias = Parameter(np.zeros(num_features), name="bias")
+        self.weight = Parameter(np.ones(num_features, dtype), name="weight", dtype=dtype)
+        self.bias = Parameter(np.zeros(num_features, dtype), name="bias", dtype=dtype)
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
@@ -321,8 +332,8 @@ class BatchNorm2d(Module):
             self._set_buffer("running_var",
                              (1 - m) * self.running_var + m * unbiased)
         else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
+            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1), dtype=self.weight.dtype)
+            var = Tensor(self.running_var.reshape(1, -1, 1, 1), dtype=self.weight.dtype)
             with_stats = (x - mean) / (var + self.eps) ** 0.5
         w = self.weight.reshape(1, self.num_features, 1, 1)
         b = self.bias.reshape(1, self.num_features, 1, 1)
@@ -336,14 +347,17 @@ class Linear(Module):
     """Affine layer ``y = x W^T + b``."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: np.random.Generator | None = None, dtype=None) -> None:
         super().__init__()
         rng = rng if rng is not None else default_module_rng()
+        dtype = _factory_dtype(dtype)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng),
-                                name="weight")
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
+        self.weight = Parameter(
+            init.kaiming_uniform((out_features, in_features), rng, dtype=dtype),
+            name="weight", dtype=dtype)
+        self.bias = Parameter(np.zeros(out_features, dtype), name="bias",
+                              dtype=dtype) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)

@@ -16,8 +16,13 @@ Design notes
 * Gradients are plain ``np.ndarray`` objects (not Tensors): this
   reproduction never needs higher-order derivatives, and first-order-only
   keeps the hot paths vectorized and allocation-light.
-* Data is kept in ``float64`` by default for robust gradient checking;
-  training code may opt into ``float32`` for speed via ``Tensor.DEFAULT_DTYPE``.
+* A tensor built from data takes ``Tensor.DEFAULT_DTYPE`` (``float64``,
+  for robust gradient checking) unless it is given a ``dtype``; training
+  code may switch the default to ``float32`` with :func:`set_default_dtype`.
+* An op's result takes its tensor operands' promoted dtype, and a
+  non-tensor operand (a Python scalar, an array) takes the tensor
+  operand's dtype, as in torch.  So a float32 model fed float32 inputs
+  runs in float32 whatever the default is.
 """
 
 from __future__ import annotations
@@ -98,10 +103,11 @@ class Tensor:
         name: str | None = None,
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], None] | None = None,
+        dtype=None,
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=self.DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=self.DEFAULT_DTYPE if dtype is None else dtype)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
@@ -154,7 +160,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but detached from the tape."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data, requires_grad=False, dtype=self.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -175,12 +181,16 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create a result tensor, recording the tape edge when enabled."""
+        """Create a result tensor, recording the tape edge when enabled.
+
+        The result takes the promoted dtype of its operands.
+        """
+        dtype = np.result_type(*(p.data.dtype for p in parents))
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         if not requires:
-            return Tensor(data)
-        out = Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
-        return out
+            return Tensor(data, dtype=dtype)
+        return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                      _backward=backward, dtype=dtype)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -227,7 +237,7 @@ class Tensor:
     # elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -248,13 +258,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-_operand(other, self))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return _operand(other, self) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -268,7 +278,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -282,7 +292,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return _operand(other, self) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -296,7 +306,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -544,12 +554,23 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _operand(value, like: Tensor) -> Tensor:
+    """``value`` as the other operand of ``like``'s binary op: a tensor
+    as it is, anything else in ``like``'s dtype, so a scalar never
+    promotes a float32 tensor."""
+    return value if isinstance(value, Tensor) else Tensor(value, dtype=like.dtype)
+
+
 def set_default_dtype(dtype) -> type:
     """Set the dtype newly-created tensors use; returns the previous one.
 
-    ``float64`` (the default) is what gradient checking needs; training
-    harnesses switch to ``float32`` for ~2x faster GEMMs, matching the
-    fp32 inference the paper profiles.
+    It is process-wide and read when a tensor or a layer without an
+    explicit ``dtype=`` is built.  ``float64`` (the default) is what
+    gradient checking needs; the training loops switch to ``float32``
+    around a run, so their inputs and loss tensors match the detector's
+    weights.  It does not set a model's dtype: ``SPPNetDetector`` builds
+    float32 weights under any default, and eager inference runs in the
+    weights' dtype (``repro.detect.predict``).
     """
     previous = Tensor.DEFAULT_DTYPE
     dtype = np.dtype(dtype).type

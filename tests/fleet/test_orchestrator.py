@@ -137,6 +137,30 @@ class TestFailures:
             summary["dead_letters"]["bad"]
         assert queue.drained()
 
+    @pytest.mark.parametrize("scan, field", [
+        ('{"stride": 0}', "stride"), ('{"timeout_s": 0}', "timeout_s"),
+        ('{"n_workers": 4}', "unsupported scan parameters")])
+    def test_a_bad_spec_line_never_builds_its_scene(self, tmp_path, model,
+                                                    scene, scan, field):
+        """A queue line ``submit_scene`` would refuse (written by hand, or
+        before submit checked specs) fails on every attempt without one
+        call to the scene provider."""
+        calls = []
+        path = tmp_path / "queue.jsonl"
+        path.write_text(
+            '{"kind": "fleet_queue", "version": 2}\n'
+            '{"kind": "job", "job_id": "bad", "payload": {"scene": {}, '
+            f'"scan": {scan}}}}}\n')
+        queue = JobQueue(path, retry=RetryPolicy(max_attempts=3, backoff_s=0.0,
+                                                 jitter=0.0))
+        fleet = make_fleet(tmp_path, model, scene, queue=queue,
+                           scene_provider=lambda payload: calls.append(1) or scene)
+        summary = fleet.run()
+        assert summary["outcomes"]["bad"] == ["failed", "failed", "dead"]
+        assert summary["dead_letters"]["bad"].startswith("ValueError: ")
+        assert field in summary["dead_letters"]["bad"]
+        assert calls == []
+
     def test_one_broken_scene_does_not_block_the_sweep(self, tmp_path,
                                                        model, scene):
         def provider(payload):
