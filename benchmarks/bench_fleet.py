@@ -53,7 +53,7 @@ from repro.detect.scan import scan_origins
 from repro.faults import FaultyDetector, WorkerFaultPlan, tear_trailing_line
 from repro.fleet import JobQueue, ScanFleet, SupervisionPolicy
 from repro.geo import WatershedConfig, build_scene
-from repro.nas.retry import RetryPolicy
+from repro.retry import RetryPolicy
 
 from gates import bench_arg_parser, check, evaluate, finish
 

@@ -19,6 +19,8 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
+from .retry import Permanent
+
 __all__ = ["BlasError", "blas_info", "set_blas_threads"]
 
 #: ``(prefix, suffix)`` of OpenBLAS's exported names: numpy's bundled
@@ -31,7 +33,7 @@ _FUNCTIONS = {"get_config": ([], ctypes.c_char_p),
               "set_num_threads": ([ctypes.c_int], None)}
 
 
-class BlasError(RuntimeError):
+class BlasError(RuntimeError, Permanent):
     """The BLAS thread count cannot be set in this process."""
 
 

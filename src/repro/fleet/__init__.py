@@ -12,7 +12,7 @@ crash-*surviving* at two levels:
   the pool's one dispatch loop in :mod:`repro.scanpar.pool`;
 * :mod:`~repro.fleet.jobs` — scene-level: a durable JSONL job queue,
   owned by one process at a time, with exponential-backoff retries
-  (:class:`~repro.nas.retry.RetryPolicy`), a dead-letter state, and
+  (:class:`~repro.retry.RetryPolicy`), a dead-letter state, and
   crash recovery by replay (an interrupted job reopens pending);
 * :mod:`~repro.fleet.orchestrator` — the sweep: claim a scene, scan it
   journaled-and-resumable under supervision, complete or retry.

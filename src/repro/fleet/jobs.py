@@ -16,10 +16,10 @@ open, and from then on its memory is the truth.  Semantics:
 * :meth:`JobQueue.claim` starts the next runnable job (``RUNNING``) and
   spends one attempt;
 * :meth:`JobQueue.fail` schedules a retry with the exponential backoff
-  of :class:`~repro.nas.retry.RetryPolicy` (``not_before`` gates the
-  next claim) until the policy's ``max_attempts`` is spent, after which
-  the job moves to the **dead-letter** state — visible in
-  :meth:`dead_letters`, never silently dropped, never retried;
+  of :class:`~repro.retry.RetryPolicy` (``not_before`` gates the next
+  claim); once ``max_attempts`` is spent, or at once for an error
+  :func:`~repro.retry.retryable` refuses, the job is **dead-lettered**
+  — visible in :meth:`dead_letters`, never silently dropped or retried;
 * :meth:`JobQueue.complete` finishes a job and records its result
   summary.
 
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ..durable import Log
-from ..nas.retry import RetryPolicy
+from ..retry import Permanent, RetryPolicy, retryable
 
 __all__ = ["JobQueue", "ScanJob", "JobQueueError",
            "PENDING", "RUNNING", "DONE", "DEAD"]
@@ -55,7 +55,7 @@ DONE = "done"
 DEAD = "dead"
 
 
-class JobQueueError(RuntimeError):
+class JobQueueError(RuntimeError, Permanent):
     """Corrupt queue file, or an event that violates job state."""
 
 
@@ -222,17 +222,19 @@ class JobQueue:
             self._record({"kind": "done", "job_id": job_id,
                           "result": result})
 
-    def fail(self, job_id: str, error: str) -> str:
-        """Record a failed attempt; returns the job's new status.
+    def fail(self, job_id: str, exc: BaseException) -> str:
+        """Record an attempt that raised ``exc``; returns the new status.
 
-        Under the retry budget the job returns to pending with an
-        exponential-backoff ``not_before`` gate; at the budget it moves
-        to the dead-letter state for operator inspection.
+        A retryable error under the retry budget returns the job to
+        pending with an exponential-backoff ``not_before`` gate; at the
+        budget, or on an error no retry can change, it moves to the
+        dead-letter state for operator inspection.
         """
+        error = f"{type(exc).__name__}: {exc}"
         now = self._clock()
         with self._lock:
             state = self._running(job_id)
-            if state.attempts >= self.retry.max_attempts:
+            if state.attempts >= self.retry.max_attempts or not retryable(exc):
                 self._record({"kind": "dead", "job_id": job_id,
                               "error": error})
                 return DEAD

@@ -145,9 +145,9 @@ class ScanFleet:
 
         Returns ``(job_id, outcome, summary)`` where outcome is
         ``"done"``, ``"failed"`` (will retry) or ``"dead"``
-        (dead-lettered) — or None when nothing was claimable.  Scan
-        exceptions are converted into queue state, not raised: one
-        broken scene must not take down the sweep.
+        (dead-lettered, :meth:`JobQueue.fail`) — or None when nothing
+        was claimable.  Scan exceptions are converted into queue state,
+        not raised: one broken scene must not take down the sweep.
         """
         job = self.queue.claim()
         if job is None:
@@ -155,8 +155,7 @@ class ScanFleet:
         try:
             summary = self._scan_job(job)
         except Exception as exc:
-            status = self.queue.fail(job.job_id,
-                                     f"{type(exc).__name__}: {exc}")
+            status = self.queue.fail(job.job_id, exc)
             return job.job_id, "dead" if status == DEAD else "failed", None
         self.queue.complete(job.job_id, result=summary)
         return job.job_id, "done", summary

@@ -5,6 +5,7 @@ field sets how many trials a synchronous batch evaluates concurrently,
 and :meth:`Experiment.resume` continues a journaled sweep at any width.
 """
 
+from ..retry import RetryPolicy
 from .constrained import (
     CandidateProfile,
     benchmark_candidates,
@@ -21,7 +22,6 @@ from .evaluator import (
 from .experiment import Experiment, TrialRecord, run_trial_with_retries
 from .journal import TrialJournal
 from .pareto import dominates, knee_point, pareto_front
-from .retry import RetryPolicy
 from .space import ModelSpace, ValueChoice, config_from_sample, sppnet_search_space
 from .strategy import (
     GreedyBanditStrategy,

@@ -15,7 +15,8 @@ batch boundaries — the standard synchronous-batch NAS semantics.
 
 Fault tolerance: an evaluator exception no longer kills the sweep.  Each
 trial gets ``RetryPolicy.max_attempts`` tries with exponential backoff +
-jitter; a trial that exhausts them is *quarantined* as a failed
+jitter; a trial that exhausts them, or raises an error no retry can
+change (:func:`repro.retry.retryable`), is *quarantined* as a failed
 :class:`TrialRecord` (``status="failed"``, NaN value) that ``best()`` and
 the constrained-selection path skip.  Retries run inside the worker, so
 one failing trial neither kills its batch nor loses its siblings'
@@ -35,8 +36,8 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ..retry import RetryPolicy, retryable
 from .evaluator import EvaluationResult, FunctionalEvaluator
-from .retry import RetryPolicy
 from .space import ModelSpace
 from .strategy import ExplorationStrategy, RandomStrategy
 
@@ -51,7 +52,7 @@ class TrialRecord:
     """One evaluated architecture.
 
     status is ``"ok"`` for a successful evaluation or ``"failed"`` for a
-    quarantined trial (all retry attempts exhausted; ``value`` is NaN and
+    quarantined trial (retries exhausted or refused; ``value`` is NaN and
     ``error`` holds the last exception).  ``attempts`` counts evaluator
     calls including retries; ``duration_s`` is the wall-clock time of the
     final attempt only (backoff sleeps excluded), measured per trial even
@@ -85,7 +86,8 @@ def run_trial_with_retries(
     """Evaluate one sample under the retry policy; never raises.
 
     The body of every :class:`Experiment` worker.  Only ``Exception`` is
-    absorbed — ``KeyboardInterrupt`` and friends still propagate.
+    absorbed — ``KeyboardInterrupt`` and friends still propagate — and
+    one that :func:`~repro.retry.retryable` refuses is not retried.
     """
     attempts = 0
     while True:
@@ -95,28 +97,16 @@ def run_trial_with_retries(
             result: EvaluationResult = evaluator.evaluate(sample)
         except Exception as exc:
             duration = time.perf_counter() - start
-            if attempts >= policy.max_attempts:
-                return TrialRecord(
-                    trial_id=trial_id,
-                    sample=dict(sample),
-                    value=float("nan"),
-                    metrics={},
-                    duration_s=duration,
-                    status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=attempts,
-                )
-            time.sleep(policy.delay(attempts, backoff_rng))
-        else:
-            return TrialRecord(
-                trial_id=trial_id,
-                sample=dict(sample),
-                value=result.value,
-                metrics={k: v for k, v in result.items() if k != "value"},
-                duration_s=time.perf_counter() - start,
-                status="ok",
-                attempts=attempts,
-            )
+            if attempts < policy.max_attempts and retryable(exc):
+                time.sleep(policy.delay(attempts, backoff_rng))
+                continue
+            return TrialRecord(trial_id, dict(sample), float("nan"), {},
+                               duration, status="failed",
+                               error=f"{type(exc).__name__}: {exc}",
+                               attempts=attempts)
+        metrics = {k: v for k, v in result.items() if k != "value"}
+        return TrialRecord(trial_id, dict(sample), result.value, metrics,
+                           time.perf_counter() - start, attempts=attempts)
 
 
 @dataclass
@@ -135,7 +125,7 @@ class Experiment:
         ``dedup_patience`` times; a duplicate that survives them is still
         evaluated, and the sweep stops early only once every point of the
         space has been evaluated.
-    retry_policy : per-trial retry/backoff knobs; ``RetryPolicy.none()``
+    retry_policy : per-trial retry/backoff knobs; ``max_attempts=1``
         quarantines on the first failure.
     journal : path or :class:`~repro.nas.journal.TrialJournal`; when set,
         every finished trial is appended (JSONL, after a header naming
@@ -218,11 +208,9 @@ class Experiment:
 
         def trial(trial_id: int, sample: Mapping) -> TrialRecord:
             # a Generator per trial: worker threads must not share one
-            backoff_rng = np.random.default_rng((self.seed, 0x5E11, trial_id))
             return run_trial_with_retries(
-                self.evaluator, sample, trial_id=trial_id,
-                policy=self.retry_policy, backoff_rng=backoff_rng,
-            )
+                self.evaluator, sample, trial_id, self.retry_policy,
+                np.random.default_rng((self.seed, 0x5E11, trial_id)))
 
         pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else nullcontext()
         with pool as executor:
@@ -249,7 +237,7 @@ class Experiment:
         return [t for t in self.trials if t.ok]
 
     def failed(self) -> list[TrialRecord]:
-        """Quarantined trials (all retry attempts exhausted)."""
+        """Quarantined trials (retries exhausted or refused)."""
         return [t for t in self.trials if not t.ok]
 
     def best(self) -> TrialRecord:

@@ -1,9 +1,9 @@
-"""Trial retry policy: exponential backoff with seeded jitter.
+"""Retry: which errors a retry can change, and how long to back off.
 
-One evaluator exception should cost one retry delay, not the whole
-sweep.  ``RetryPolicy`` decides how many attempts a trial gets and how
-long to back off between them; jitter decorrelates concurrent retries so
-parallel workers do not hammer a shared resource in lockstep.
+Every retry loop asks :func:`retryable` before it spends another
+attempt, so an error that fails the same way every time fails once
+(docs/resilience.md, "Which errors are retried").  This module imports
+nothing from ``repro``, so any error class can mark itself.
 """
 
 from __future__ import annotations
@@ -12,15 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RetryPolicy"]
+__all__ = ["Permanent", "RetryPolicy", "retryable"]
+
+
+class Permanent:
+    """Marker base of an error no retry can change; ``ValueError`` and
+    ``TypeError`` are permanent without it."""
+
+
+def retryable(exc: BaseException) -> bool:
+    """Whether running the same work again may succeed: ``exc`` is an
+    ``Exception`` but not a ``ValueError``, ``TypeError`` or
+    :class:`Permanent`."""
+    return (isinstance(exc, Exception)
+            and not isinstance(exc, (ValueError, TypeError, Permanent)))
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs of the trial retry loop.
+    """Knobs of a backing-off retry loop (the job queue, the trial loop).
 
-    max_attempts : total tries per trial (1 = no retries); a trial that
-                   fails all attempts is quarantined as a failed record.
+    max_attempts : total tries per unit of work (1 = no retries).
     backoff_s    : delay before the first retry.
     multiplier   : backoff growth factor per further retry.
     jitter       : uniform jitter fraction added to each delay
@@ -52,8 +64,3 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             base *= 1.0 + float(rng.uniform(0.0, self.jitter))
         return min(base, self.max_backoff_s)
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """Fail-fast policy: a single attempt, quarantine on first error."""
-        return cls(max_attempts=1, backoff_s=0.0)

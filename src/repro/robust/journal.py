@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..durable import Log
+from ..retry import Permanent
 
 __all__ = ["TileRecord", "ScanJournal", "ScanJournalError"]
 
@@ -27,7 +28,7 @@ _HEADER_KIND = "scan_header"
 _TILE_KIND = "tile"
 
 
-class ScanJournalError(RuntimeError):
+class ScanJournalError(RuntimeError, Permanent):
     """Corrupt journal, or a resume against a mismatched scan."""
 
 

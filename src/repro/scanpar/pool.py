@@ -1,12 +1,8 @@
 """Persistent warm worker pool for sharded scene scanning.
 
-PR 5's scanner paid the full parallelism tax on every call: process
-spawn, a fresh ``ctx.Pool``, per-worker model unpickling, per-shard
-engine warmup, and pickled ndarray results — enough overhead that the
-committed ``BENCH_scan`` baseline recorded the parallel scan *losing*
-to sequential.  Following IOS (Ding et al., 2020), scheduling overheads
-must be amortized across invocations to realize a parallel win; this
-module is that amortization:
+Process spawn, model unpickling and engine warmup cost more than a
+shard scans, so, following IOS (Ding et al., 2020), this module
+amortizes them across scans:
 
 * :class:`WorkerPool` keeps worker processes alive across scans.  A
   worker is spawned once (cost measured and fed back into the adaptive
@@ -28,10 +24,13 @@ waits on worker pipes and process sentinels.  It never oversubscribes:
 one shard is in flight per worker and the rest queue in the parent.  A
 shard fails when it raises, when its worker dies, or when it misses its
 per-shard deadline, and a failed shard goes to another worker until it
-has failed ``max_attempts`` times.  Past the run deadline the loop
-salvages buffered replies, kills and replaces the stragglers, and hands
-back what expired.  Its two forms differ only in what they do with
-shards that are exhausted or expired:
+has failed ``max_attempts`` times; a shard whose error no retry can
+change (:func:`repro.retry.retryable`) is given up on at once.  Past
+the run deadline the loop salvages buffered replies, kills and replaces
+the stragglers, and hands back what expired.  Its two forms differ only
+in what they do with shards that are exhausted or expired (both raise
+:class:`ShardError`, a permanent :class:`WorkerError`, for a permanent
+one):
 
 * :meth:`WorkerPool.run` — one attempt, no per-shard deadline: every
   lost shard is named in one :class:`WorkerError`;
@@ -55,30 +54,35 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field
 from multiprocessing import connection as mp_connection
 from weakref import WeakKeyDictionary
 
 from ..blas import blas_info, set_blas_threads
+from ..retry import Permanent, retryable
 from .sharding import describe_shard
 from .worker import run_shard
 
-__all__ = ["WorkerPool", "WorkerError", "serialized_model", "get_pool",
-           "warm_pool", "shutdown_pools", "DEFAULT_DISPATCH_TIMEOUT_S",
-           "SupervisionPolicy", "SupervisionReport", "ShardSupervisor"]
+__all__ = ["WorkerPool", "WorkerError", "ShardError", "serialized_model",
+           "get_pool", "warm_pool", "shutdown_pools",
+           "DEFAULT_DISPATCH_TIMEOUT_S", "SupervisionPolicy",
+           "SupervisionReport", "ShardSupervisor"]
 
 _SPAWN_HANDSHAKE_TIMEOUT_S = 120.0
 
-#: default run deadline of :meth:`WorkerPool.run`.  PR 7 shipped ``run``
-#: waiting with ``timeout=None`` — one wedged worker (alive but hung)
-#: stalled the parent forever.  Generous enough that no legitimate shard
-#: on any supported scene size approaches it; ``run(timeout_s=None)``
-#: restores the unbounded wait for callers who really want it.
+#: default run deadline of :meth:`WorkerPool.run`, so a wedged worker
+#: cannot stall the parent forever; no legitimate shard approaches it.
+#: ``run(timeout_s=None)`` waits without bound.
 DEFAULT_DISPATCH_TIMEOUT_S = 300.0
 
 
 class WorkerError(RuntimeError):
     """A shard failed inside a pool worker (shard context attached)."""
+
+
+class ShardError(WorkerError, Permanent):
+    """A shard raised an error no retry can change."""
 
 
 @dataclass(frozen=True)
@@ -142,18 +146,9 @@ class SupervisionReport:
                 and self.redispatches == 0 and not self.poison_shards)
 
     def to_json(self) -> dict:
-        return {
-            "shards_total": self.shards_total,
-            "deadline_kills": self.deadline_kills,
-            "worker_deaths": self.worker_deaths,
-            "workers_replaced": self.workers_replaced,
-            "redispatches": self.redispatches,
-            "salvaged_replies": self.salvaged_replies,
-            "poison_shards": list(self.poison_shards),
-            "inline_shards": list(self.inline_shards),
-            "attempts": {str(k): v for k, v in sorted(self.attempts.items())},
-            "max_overshoot_s": self.max_overshoot_s,
-        }
+        out = asdict(self)
+        out["attempts"] = {str(k): v for k, v in sorted(self.attempts.items())}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,7 @@ def _pool_worker_main(conn) -> None:
             except BaseException as exc:
                 conn.send(("error", task.shard_index,
                            f"{type(exc).__name__}: {exc}",
-                           traceback.format_exc()))
+                           traceback.format_exc(), retryable(exc)))
             else:
                 conn.send(("ok", task.shard_index, payload))
     conn.close()
@@ -373,10 +368,8 @@ class WorkerPool:
                 return
             self._closed = True
             for worker in self._workers:
-                try:
+                with suppress(OSError):
                     worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
             for worker in self._workers:
                 worker.proc.join(timeout=join_timeout_s)
                 if worker.proc.is_alive():
@@ -428,7 +421,8 @@ class WorkerPool:
         shard that raises, whose worker dies, or that is unanswered when
         ``timeout_s`` runs out (its wedged worker is killed and revived)
         is lost, and the run raises one :class:`WorkerError` naming every
-        lost shard's index and origin range.  The other shards still
+        lost shard's index and origin range (a :class:`ShardError` when
+        one of them raised a permanent error).  The other shards still
         finish and the pool stays usable; a dead worker's replacement
         receives the model at the next :meth:`ensure_model`.
         """
@@ -436,11 +430,12 @@ class WorkerPool:
                        if timeout_s is not None else None)
         results, lost, expired, _ = self._dispatch(tasks, _TRUSTING,
                                                    deadline_at)
-        failures = [f"{_task_context(task)} {why}" for task, why in lost]
+        failures = [f"{_task_context(task)} {why}" for task, why, _ in lost]
         failures += [f"{_task_context(task)} missed the {timeout_s:.1f}s "
                      f"dispatch deadline {where}" for task, where in expired]
         if failures:
-            raise WorkerError("; ".join(failures))
+            error = WorkerError if all(t for *_, t in lost) else ShardError
+            raise error("; ".join(failures))
         return [results[task.shard_index] for task in tasks]
 
     def _dispatch(self, tasks: list, policy: SupervisionPolicy,
@@ -452,17 +447,17 @@ class WorkerPool:
         the process sentinel, after salvaging a buffered reply) or when
         it outlives ``policy.shard_deadline_s`` (its wedged worker is
         killed); it goes back in the queue until it has failed
-        ``policy.max_attempts`` times.  A dead or killed worker is
-        replaced in its slot: with ``model`` the replacement is warmed
-        and rejoins the run, without it the replacement waits for the
-        next :meth:`ensure_model`.  Past ``deadline_at`` the loop
-        salvages buffered replies, kills and replaces the stragglers,
-        and everything unanswered expires.
+        ``policy.max_attempts`` times or its worker reports a permanent
+        error.  A dead or killed worker is replaced in its slot: with
+        ``model`` the replacement is warmed and rejoins the run, without
+        it the replacement waits for the next :meth:`ensure_model`.
+        Past ``deadline_at`` the loop salvages buffered replies, kills
+        and replaces the stragglers, and everything unanswered expires.
 
         Returns ``(payloads by shard index, exhausted, expired,
-        report)``: ``exhausted`` pairs each given-up task with why its
-        last attempt failed, ``expired`` with where it stood when the
-        run deadline passed.
+        report)``: ``exhausted`` holds ``(task, why, retryable)`` per
+        given-up task, ``expired`` pairs a task with where it stood
+        when the run deadline passed.
         """
         report = SupervisionReport(shards_total=len(tasks))
         results: dict[int, dict] = {}
@@ -490,13 +485,13 @@ class WorkerPool:
                     self._warm_locked([fresh], model)
                     idle.append(fresh)
 
-            def failed(task, why: str) -> None:
-                if attempts[task.shard_index] < policy.max_attempts:
+            def failed(task, why: str, transient: bool = True) -> None:
+                if transient and attempts[task.shard_index] < policy.max_attempts:
                     report.redispatches += 1
                     queue.append(task)
                 else:
                     report.poison_shards.append(task.shard_index)
-                    exhausted.append((task, why))
+                    exhausted.append((task, why, transient))
 
             def died(worker: _Worker, task) -> None:
                 report.worker_deaths += 1
@@ -524,7 +519,7 @@ class WorkerPool:
                     results[task.shard_index] = reply[2]
                 else:
                     failed(task, f"failed in worker pid={worker.pid}: "
-                                 f"{reply[2]}\n{reply[3]}")
+                                 f"{reply[2]}\n{reply[3]}", reply[4])
 
             while queue or in_flight:
                 if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -551,7 +546,7 @@ class WorkerPool:
                            if policy.shard_deadline_s is not None else None)
                     in_flight[worker.conn] = (worker, task, due)
                 if not in_flight:     # every worker died, none came back warm
-                    exhausted += [(task, "lost: every worker died")
+                    exhausted += [(task, "lost: every worker died", True)
                                   for task in queue]
                     break
                 now = time.monotonic()
@@ -620,10 +615,15 @@ class ShardSupervisor:
         Worker failures never raise — they redispatch — except a shard
         whose *inline* fallback also fails, which raises
         :class:`WorkerError` (at that point the failure is the model's,
-        not a worker's).
+        not a worker's), and a shard whose worker reported a permanent
+        error, which raises :class:`ShardError` with no inline run.
         """
         results, poisoned, expired, report = self.pool._dispatch(
             tasks, self.policy, deadline_at, self.model)
+        permanent = [f"{_task_context(task)} {why}"
+                     for task, why, transient in poisoned if not transient]
+        if permanent:
+            raise ShardError("; ".join(permanent))
         if expired:
             from ..detect.scan import ScanDeadlineError
 
@@ -635,15 +635,13 @@ class ShardSupervisor:
         # poison shards: inline sequential execution in the parent —
         # same task, same slab, same journal path, so the merge cannot
         # tell recovery happened
-        for task, _ in poisoned:
+        for task, _, _ in poisoned:
             report.inline_shards.append(task.shard_index)
-            cache = ({task.model_hash: self.model}
-                     if task.model_hash is not None else None)
             try:
-                results[task.shard_index] = run_shard(task,
-                                                      model_cache=cache)
+                results[task.shard_index] = run_shard(
+                    task, model_cache={task.model_hash: self.model})
             except Exception as exc:
-                raise WorkerError(
+                raise (WorkerError if retryable(exc) else ShardError)(
                     f"{_task_context(task)} failed on "
                     f"{report.attempts[task.shard_index]} workers and "
                     f"again inline: {type(exc).__name__}: {exc}") from exc

@@ -22,7 +22,8 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
   the thread exits;
 * a circuit breaker (:class:`~repro.serve.breaker.CircuitBreaker`) guards
   the model thread against the one failure the guard cannot absorb, its
-  eager fallback raising: failed batches are retried, consecutive
+  eager fallback raising: a failed batch is retried if
+  :func:`repro.retry.retryable` allows, consecutive
   failures trip the breaker, and while it is open the service runs in
   *degraded mode* — cache hits are still served, uncached requests fail
   fast with :class:`DegradedServiceError` until a half-open probe
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..detect.sppnet import SPPNetDetector
+from ..retry import retryable
 from .batching import BatchPolicy
 from .breaker import OPEN, BreakerPolicy, CircuitBreaker
 from .cache import LRUCache, chip_key
@@ -569,9 +571,8 @@ class InferenceService:
                 break
             except BaseException as exc:
                 self.metrics.worker_failures.inc()
-                retryable = (isinstance(exc, Exception)
-                             and attempts <= self.max_batch_retries)
-                if not retryable:  # propagate to every waiting caller
+                if attempts > self.max_batch_retries or not retryable(exc):
+                    # propagate to every waiting caller
                     self.breaker.record_failure()
                     for pending in batch:
                         if not pending.future.done():

@@ -3,7 +3,9 @@
 functions that call it, and the detectors name ``repro.geo`` types only
 in annotations, so a process that only loads, compiles and scans — a
 pool worker, a service, a resumed scan — never pays the 0.4 s of scipy
-nor loads the data substrate, the GPU simulator or the profiler."""
+nor loads the data substrate, the GPU simulator or the profiler.  A
+fleet sweep takes its retry policy from ``repro.retry``, so it loads
+none of the search, simulation and scheduling packages either."""
 
 import subprocess
 import sys
@@ -48,5 +50,24 @@ print("ok")
 def test_importing_compiling_and_scanning_leave_scipy_out():
     done = subprocess.run([sys.executable, "-c", SCRIPT],
                           capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+FLEET_SCRIPT = """
+import sys
+
+import repro.fleet
+loaded = {name.split(".")[1] for name in sys.modules
+          if name.startswith("repro.")}
+unused = {"nas", "gpusim", "ios", "graph"}.intersection(loaded)
+assert not unused, f"importing repro.fleet loaded {sorted(unused)}"
+print("ok")
+"""
+
+
+def test_importing_the_fleet_leaves_search_and_simulation_out():
+    done = subprocess.run([sys.executable, "-c", FLEET_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"

@@ -22,7 +22,7 @@ from hypothesis.stateful import (
 
 from repro.faults import tear_trailing_line
 from repro.fleet import DEAD, DONE, PENDING, RUNNING, JobQueue, JobQueueError
-from repro.nas.retry import RetryPolicy
+from repro.retry import RetryPolicy
 
 PAYLOAD = {"scene": {"size": 64}, "scan": {}}
 RETRY = RetryPolicy(max_attempts=3, backoff_s=10.0, multiplier=2.0,
@@ -92,7 +92,7 @@ class TestLifecycle:
         with pytest.raises(JobQueueError, match="not running"):
             queue.complete("a")
         with pytest.raises(JobQueueError, match="not running"):
-            queue.fail("a", "boom")
+            queue.fail("a", OSError("boom"))
         queue.claim()
         queue.complete("a")
         with pytest.raises(JobQueueError, match="not running"):
@@ -120,7 +120,7 @@ class TestRetries:
         queue = make_queue(tmp_path, clock)
         queue.submit("a", PAYLOAD)
         queue.claim()
-        assert queue.fail("a", "boom") == PENDING
+        assert queue.fail("a", OSError("boom")) == PENDING
         assert queue.claim() is None            # not_before = now + 10
         clock.now += 10.0
         job = queue.claim()
@@ -130,10 +130,10 @@ class TestRetries:
         queue = make_queue(tmp_path, clock)
         queue.submit("a", PAYLOAD)
         queue.claim()
-        queue.fail("a", "boom")
+        queue.fail("a", OSError("boom"))
         clock.now += 10.0
         queue.claim()
-        queue.fail("a", "boom again")
+        queue.fail("a", OSError("boom again"))
         clock.now += 10.0                       # second delay is 20 s
         assert queue.claim() is None
         clock.now += 10.0
@@ -145,13 +145,29 @@ class TestRetries:
                                              jitter=0.0))
         queue.submit("a", PAYLOAD)
         queue.claim()
-        assert queue.fail("a", "first") == PENDING
+        assert queue.fail("a", OSError("first")) == PENDING
         queue.claim()
-        assert queue.fail("a", "second") == DEAD
+        assert queue.fail("a", OSError("second")) == DEAD
         assert queue.status("a") == DEAD
-        assert queue.dead_letters() == {"a": "second"}
+        assert queue.dead_letters() == {"a": "OSError: second"}
         assert queue.claim() is None
         assert queue.drained()
+
+    def test_a_permanent_error_dead_letters_at_once(self, tmp_path, clock):
+        """A ``ValueError`` cannot change on retry: the first attempt
+        writes the ``dead`` event every queue file already knows."""
+        queue = make_queue(tmp_path, clock)
+        queue.submit("a", PAYLOAD)
+        queue.claim()
+        assert queue.fail("a", ValueError("stride must be positive")) == DEAD
+        kinds = [json.loads(line)["kind"] for line in
+                 (tmp_path / "queue.jsonl").read_text().splitlines()]
+        assert kinds == ["fleet_queue", "job", "start", "dead"]
+        reopened = make_queue(tmp_path, clock)
+        assert reopened.status("a") == DEAD
+        assert reopened.attempts("a") == 1
+        assert reopened.dead_letters() == {
+            "a": "ValueError: stride must be positive"}
 
     def test_interrupted_attempts_spend_the_budget(self, tmp_path, clock):
         """A job whose final attempt was interrupted by a crash is
@@ -176,7 +192,7 @@ class TestDurability:
         queue.claim()
         queue.complete("a", result={"detections": 2})
         queue.claim()
-        queue.fail("b", "boom")
+        queue.fail("b", OSError("boom"))
         reopened = make_queue(tmp_path, clock)
         assert reopened.job_ids() == ["a", "b", "c"]
         assert reopened.status("a") == DONE
@@ -282,12 +298,13 @@ class QueueModel(RuleBasedStateMachine):
         self.jobs[job_id][0] = DONE
 
     @precondition(lambda self: self._running())
-    @rule(data=st.data())
-    def fail(self, data):
+    @rule(data=st.data(), permanent=st.booleans())
+    def fail(self, data, permanent):
         job_id = data.draw(st.sampled_from(self._running()))
         job = self.jobs[job_id]
-        status = self.queue.fail(job_id, "boom")
-        if job[1] >= MODEL_RETRY.max_attempts:
+        exc = ValueError("bad payload") if permanent else OSError("boom")
+        status = self.queue.fail(job_id, exc)
+        if permanent or job[1] >= MODEL_RETRY.max_attempts:
             assert status == DEAD
             job[0] = DEAD
             self.dead.add(job_id)
@@ -303,7 +320,7 @@ class QueueModel(RuleBasedStateMachine):
         with pytest.raises(JobQueueError):
             self.queue.complete(job_id)
         with pytest.raises(JobQueueError):
-            self.queue.fail(job_id, "boom")
+            self.queue.fail(job_id, OSError("boom"))
 
     @rule(dt=st.sampled_from((0.5, 10.0, 25.0, 100.0)))
     def advance(self, dt):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.detect import scan_scene
 from repro.fleet import DEAD, DONE, PENDING, JobQueue, ScanFleet
-from repro.nas.retry import RetryPolicy
+from repro.retry import RetryPolicy
 
 from .conftest import SCENE_CONFIG
 
@@ -143,8 +143,9 @@ class TestFailures:
     def test_a_bad_spec_line_never_builds_its_scene(self, tmp_path, model,
                                                     scene, scan, field):
         """A queue line ``submit_scene`` would refuse (written by hand, or
-        before submit checked specs) fails on every attempt without one
-        call to the scene provider."""
+        before submit checked specs) is dead-lettered at its first
+        attempt, a ``ValueError`` no retry can change, without one call
+        to the scene provider."""
         calls = []
         path = tmp_path / "queue.jsonl"
         path.write_text(
@@ -156,7 +157,7 @@ class TestFailures:
         fleet = make_fleet(tmp_path, model, scene, queue=queue,
                            scene_provider=lambda payload: calls.append(1) or scene)
         summary = fleet.run()
-        assert summary["outcomes"]["bad"] == ["failed", "failed", "dead"]
+        assert summary["outcomes"]["bad"] == ["dead"]
         assert summary["dead_letters"]["bad"].startswith("ValueError: ")
         assert field in summary["dead_letters"]["bad"]
         assert calls == []

@@ -39,11 +39,16 @@ def make_tasks(scene, shared, model_hash):
 
 
 class ExplodingModel:
-    """Picklable model stand-in that fails everywhere, parent included:
-    the engine cannot compile it."""
+    """Picklable model stand-in whose engine program raises everywhere,
+    parent included: a ``RuntimeError``, so the inline run happens (an
+    engine that cannot compile raises a permanent ``ValueError``, which
+    never runs inline)."""
 
     def eval(self):
         return self
+
+    def engine_program(self):
+        raise RuntimeError("engine unavailable")
 
 
 class TestPolicy:

@@ -43,9 +43,6 @@ class TestRetryPolicy:
         assert all(0.1 <= d <= 0.15 for d in delays)
         assert len(set(delays)) > 1
 
-    def test_none_is_single_attempt(self):
-        assert RetryPolicy.none().max_attempts == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
@@ -112,7 +109,7 @@ class TestExperimentQuarantine:
 
         fn = FatalOn(lambda s: s["a"] / 10, poisoned, key=lambda s: repr(dict(s)))
         exp = Experiment(space, FunctionalEvaluator(fn), max_trials=5, seed=0,
-                         retry_policy=RetryPolicy.none())
+                         retry_policy=RetryPolicy(max_attempts=1))
         exp.run()
 
         assert len(exp.trials) == 5
@@ -129,7 +126,7 @@ class TestExperimentQuarantine:
             raise RuntimeError("dead evaluator")
 
         exp = Experiment(space, FunctionalEvaluator(boom), max_trials=2, seed=0,
-                         retry_policy=RetryPolicy.none())
+                         retry_policy=RetryPolicy(max_attempts=1))
         exp.run()
         with pytest.raises(RuntimeError, match="quarantined"):
             exp.best()
@@ -162,7 +159,7 @@ class TestParallelQuarantine:
                      key=lambda s: repr(dict(s)))
         exp = Experiment(space, FunctionalEvaluator(fn),
                          max_trials=4, workers=4, seed=0,
-                         retry_policy=RetryPolicy.none())
+                         retry_policy=RetryPolicy(max_attempts=1))
         exp.run()
         assert len(exp.trials) == 4
         assert len(exp.succeeded()) == 3
@@ -195,7 +192,8 @@ class TestJournalResume:
         fn = FatalOn(lambda s: s["a"] / 10, {repr({"a": 2})},
                      key=lambda s: repr(dict(s)))
         exp = Experiment(space, FunctionalEvaluator(fn), max_trials=3, seed=0,
-                         retry_policy=RetryPolicy.none(), journal=journal)
+                         retry_policy=RetryPolicy(max_attempts=1),
+                         journal=journal)
         exp.run()
 
         loaded = journal.load()
@@ -386,7 +384,7 @@ class TestJournalHeader:
         resumed = Experiment.resume(path, sppnet_search_space(),
                                     FunctionalEvaluator(objective),
                                     seed=5, max_trials=6, workers=2,
-                                    retry_policy=RetryPolicy.none())
+                                    retry_policy=RetryPolicy(max_attempts=1))
         assert len(resumed.run()) == 6
 
     def test_other_logs_are_refused_with_the_trial_journal_error(

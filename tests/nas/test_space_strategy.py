@@ -202,7 +202,8 @@ class TestExperiment:
 
         exp = Experiment(sppnet_search_space(),
                          FunctionalEvaluator(lambda s: {"oops": 1.0}),
-                         max_trials=1, seed=0, retry_policy=RetryPolicy.none())
+                         max_trials=1, seed=0,
+                         retry_policy=RetryPolicy(max_attempts=1))
         exp.run()  # the broken evaluator no longer kills the sweep
         assert len(exp.trials) == 1
         assert not exp.trials[0].ok
