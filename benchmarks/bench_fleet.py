@@ -141,7 +141,7 @@ def run_sweep(model, scenes: dict, configs: dict, workdir: Path) -> dict:
     summary["elapsed_s"] = time.perf_counter() - start
     totals = {"deadline_kills": 0, "worker_deaths": 0,
               "workers_replaced": 0, "redispatches": 0,
-              "poison_shards": 0, "inline_shards": 0,
+              "poison_shards": 0,
               "max_overshoot_s": 0.0}
     for result in summary["results"].values():
         sup = result.get("supervision")
@@ -151,7 +151,6 @@ def run_sweep(model, scenes: dict, configs: dict, workdir: Path) -> dict:
                     "redispatches"):
             totals[key] += sup[key]
         totals["poison_shards"] += len(sup["poison_shards"])
-        totals["inline_shards"] += len(sup["inline_shards"])
         totals["max_overshoot_s"] = max(totals["max_overshoot_s"],
                                         sup["max_overshoot_s"])
     summary["supervision_totals"] = totals

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments table2
     python -m repro.experiments table1 --fast
-    python -m repro.experiments all --fast --out results/
+    python -m repro.experiments all --fast --out /tmp/results/
 
 Each command prints the measured table next to the paper's values and can
 persist JSON under ``--out``.

@@ -44,7 +44,7 @@ class FunctionalEvaluator:
         out = self.fn(sample)
         if isinstance(out, Mapping):
             if "value" not in out:
-                raise KeyError("evaluator mapping result must contain 'value'")
+                raise ValueError("evaluator mapping result must contain 'value'")
             metrics = dict(out)
             value = float(metrics.pop("value"))
             return EvaluationResult(value, **metrics)

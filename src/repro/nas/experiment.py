@@ -130,7 +130,8 @@ class Experiment:
     journal : path or :class:`~repro.nas.journal.TrialJournal`; when set,
         every finished trial is appended (JSONL, after a header naming
         the space, strategy and seed) so the sweep can be resumed after
-        a crash.
+        a crash.  A fresh sweep starts the file; only :meth:`resume`
+        continues one.
     workers : trials evaluated concurrently, one synchronous batch at a
         time; 1 runs each trial on the calling thread.
     """
@@ -174,11 +175,14 @@ class Experiment:
 
     def _open_journal(self) -> list[TrialRecord]:
         """Bind the journal to this sweep and return the trials it holds."""
+        return self._trial_journal().open(self.space, self.strategy, self.seed)
+
+    def _trial_journal(self) -> "TrialJournal":
         from .journal import TrialJournal
 
         if not isinstance(self.journal, TrialJournal):
             self.journal = TrialJournal(self.journal)
-        return self.journal.open(self.space, self.strategy, self.seed)
+        return self.journal
 
     def _propose(self, rng: np.random.Generator, seen: set) -> Mapping | None:
         """The next sample under the dedup rule, added to ``seen``; None
@@ -202,7 +206,10 @@ class Experiment:
             raise ValueError("max_trials must be >= 1")
         rng = np.random.default_rng(self.seed)
         if self.journal is not None:
-            self._open_journal()
+            if self.trials:          # resumed, or run before: continue it
+                self._open_journal()
+            else:                    # a fresh sweep starts its journal
+                self._trial_journal().start(self.space, self.strategy, self.seed)
         journal = self.journal
         seen = {ModelSpace.encode(t.sample) for t in self.trials}
 

@@ -44,10 +44,7 @@ class TrialJournal:
         check or warn twice.
         """
         if self._sweep != (space, strategy, seed):
-            log = Log(self.path, {
-                "kind": _KIND, "version": _VERSION,
-                "space": [[c.name, list(c.candidates)] for c in space.choices],
-                "strategy": strategy.name, "seed": seed}, error=RuntimeError)
+            log = self._sweep_log(space, strategy, seed)
             if "trial_id" in log.replay()[0]:
                 warnings.warn(
                     f"{self.path}: trial journal has no header, so the "
@@ -57,6 +54,19 @@ class TrialJournal:
                 log.open()
             self._log, self._sweep = log, (space, strategy, seed)
         return self.load()
+
+    def start(self, space, strategy, seed) -> None:
+        """Begin a fresh journal for a sweep (truncates any previous
+        file to the sweep's header)."""
+        log = self._sweep_log(space, strategy, seed)
+        log.start()
+        self._log, self._sweep = log, (space, strategy, seed)
+
+    def _sweep_log(self, space, strategy, seed) -> Log:
+        return Log(self.path, {
+            "kind": _KIND, "version": _VERSION,
+            "space": [[c.name, list(c.candidates)] for c in space.choices],
+            "strategy": strategy.name, "seed": seed}, error=RuntimeError)
 
     def append(self, record: TrialRecord) -> None:
         """Write one record, on disk (one fsync) before it returns."""

@@ -135,7 +135,6 @@ class SupervisionReport:
     redispatches: int = 0            # shard retries on another worker
     salvaged_replies: int = 0        # answers drained after death/deadline
     poison_shards: list[int] = field(default_factory=list)
-    inline_shards: list[int] = field(default_factory=list)
     attempts: dict[int, int] = field(default_factory=dict)
     max_overshoot_s: float = 0.0
 
@@ -636,7 +635,6 @@ class ShardSupervisor:
         # same task, same slab, same journal path, so the merge cannot
         # tell recovery happened
         for task, _, _ in poisoned:
-            report.inline_shards.append(task.shard_index)
             try:
                 results[task.shard_index] = run_shard(
                     task, model_cache={task.model_hash: self.model})

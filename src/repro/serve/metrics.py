@@ -124,7 +124,6 @@ class ServiceMetrics:
         self.scan_workers_killed = Counter()
         self.scan_worker_deaths = Counter()
         self.scan_poison_shards = Counter()
-        self.scan_inline_shards = Counter()
         self.scan_deadline_expired = Counter()
         self.queue_depth = Gauge()
         self.warmup_ms = Gauge()
@@ -149,7 +148,6 @@ class ServiceMetrics:
         self.scan_workers_killed.inc(report["deadline_kills"])
         self.scan_worker_deaths.inc(report["worker_deaths"])
         self.scan_poison_shards.inc(len(report["poison_shards"]))
-        self.scan_inline_shards.inc(len(report["inline_shards"]))
 
     # -- circuit breaker telemetry --------------------------------------
     def record_breaker_transition(self, old: str, new: str) -> None:
@@ -247,7 +245,6 @@ class ServiceMetrics:
             "scan_workers_killed": self.scan_workers_killed.value,
             "scan_worker_deaths": self.scan_worker_deaths.value,
             "scan_poison_shards": self.scan_poison_shards.value,
-            "scan_inline_shards": self.scan_inline_shards.value,
             "scan_deadline_expired": self.scan_deadline_expired.value,
             "warmup_ms": self.warmup_ms.value,
             "fallback_by_reason": self.fallback_by_reason,

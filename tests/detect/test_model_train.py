@@ -95,7 +95,7 @@ class TestTraining:
         train, test = data
         result = train_detector(TINY, train, test,
                                 TrainConfig(epochs=6, batch_size=8, seed=0))
-        assert result.history[-1].mean_loss < result.history[0].mean_loss
+        assert 0 < result.history[-1].mean_loss < result.history[0].mean_loss
         assert result.test_scores is not None
         assert result.test_scores.accuracy > 0.7
 

@@ -188,7 +188,6 @@ class TestFaultRecovery:
                           supervision=policy)
         report = result.supervision
         assert list(result) == list(sequential)
-        assert sorted(report.poison_shards) == sorted(report.inline_shards)
         assert len(report.poison_shards) >= 1
         assert all(n == 2 for n in report.attempts.values())
 

@@ -305,6 +305,19 @@ class TestJournalResume:
             assert resumed.best().sample == full.best().sample
             assert len(TrialJournal(path).load()) == 8
 
+    def test_a_fresh_sweep_starts_its_journal(self, tmp_path):
+        """Without resume, a sweep over an existing journal starts it
+        afresh instead of appending a second copy of the sweep."""
+        path = tmp_path / "trials.jsonl"
+        for _ in range(2):
+            Experiment(sppnet_search_space(), FunctionalEvaluator(objective),
+                       max_trials=3, seed=0, journal=path).run()
+        assert [t.trial_id for t in TrialJournal(path).load()] == [0, 1, 2]
+        resumed = Experiment.resume(path, sppnet_search_space(),
+                                    FunctionalEvaluator(objective),
+                                    max_trials=5, seed=0)
+        assert [t.trial_id for t in resumed.run()] == [0, 1, 2, 3, 4]
+
     def test_resume_from_missing_journal_starts_fresh(self, tmp_path):
         exp = Experiment.resume(
             tmp_path / "new.jsonl", sppnet_search_space(),

@@ -207,7 +207,7 @@ class TestExperiment:
         exp.run()  # the broken evaluator no longer kills the sweep
         assert len(exp.trials) == 1
         assert not exp.trials[0].ok
-        assert "KeyError" in exp.trials[0].error
+        assert "ValueError" in exp.trials[0].error
         with pytest.raises(RuntimeError):
             exp.best()
 

@@ -35,8 +35,9 @@ class TestAggregation:
     def test_api_shares_sum_to_one(self, report_b1):
         assert sum(s.share for s in report_b1.api) == pytest.approx(1.0)
 
-    def test_kernel_shares_sum_to_one(self, report_b1):
-        assert sum(s.share for s in report_b1.kernels) == pytest.approx(1.0)
+    def test_kernel_shares_sum_to_one(self, report_b1, report_b64):
+        for report in (report_b1, report_b64):
+            assert sum(s.share for s in report.kernels) == pytest.approx(1.0)
 
     def test_api_sorted_descending(self, report_b1):
         times = [s.total_us for s in report_b1.api]

@@ -62,7 +62,7 @@ class TestSupervisionMetrics:
         report = SupervisionReport(
             shards_total=4, deadline_kills=1, worker_deaths=2,
             workers_replaced=3, redispatches=3,
-            poison_shards=[1], inline_shards=[1],
+            poison_shards=[1],
         )
         metrics.record_supervision(report.to_json())
         snap = metrics.snapshot()
@@ -70,7 +70,6 @@ class TestSupervisionMetrics:
         assert snap["scan_workers_killed"] == 1
         assert snap["scan_worker_deaths"] == 2
         assert snap["scan_poison_shards"] == 1
-        assert snap["scan_inline_shards"] == 1
         assert snap["scan_deadline_expired"] == 0
 
     def test_record_supervision_none_is_noop(self):

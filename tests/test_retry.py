@@ -99,11 +99,13 @@ def fleet_runs(exc, tmp_path):
     return {"runs": len(calls)}
 
 
-def trial_runs(exc, monkeypatch):
+def trial_runs(exc, monkeypatch, returns=None):
     calls, sleeps = [], []
 
     def evaluate(sample):
         calls.append(1)
+        if returns is not None:
+            return returns
         raise exc("evaluator fault")
 
     monkeypatch.setattr("repro.nas.experiment.time.sleep", sleeps.append)
@@ -161,6 +163,12 @@ TABLE = {
     # InferenceService's default max_batch_retries is 1
     "service": ({"runs": 1}, {"runs": 2}),
 }
+
+
+def test_a_trial_result_without_a_value_is_permanent(monkeypatch):
+    """The evaluator's own bug: every attempt returns the same mapping."""
+    runs = trial_runs(ValueError, monkeypatch, returns={"accuracy": 0.9})
+    assert runs == TABLE["trial"][0]
 
 
 @pytest.mark.parametrize("kind", ["permanent", "transient"])
