@@ -21,8 +21,8 @@ fingerprint; they are a trajectory, never compared across machines.
 Two rows are not ratios and are not gated, both under a closed loop of 8
 requests in flight (the shape of ``benchmarks/e2e``'s ``chip_serve``):
 the service alone (ms/chip, realized batch sizes and why each batch
-closed), and the request latency while ``service.scan_scene`` scans a
-600 px scene on another thread (``scan_interleave``).
+closed), and the request latency while ``scan_scene`` scans a 600 px
+scene with the service's model on another thread (``scan_interleave``).
 
 Usage::
 
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.arch import TABLE1_MODELS
-from repro.detect import SPPNetDetector, scan_origins
+from repro.detect import SPPNetDetector, scan_origins, scan_scene
 from repro.engine import compiled_for
 from repro.geo import WatershedConfig, build_scene
 from repro.serve import BatchPolicy, InferenceService, policy_from_fig6
@@ -204,14 +204,14 @@ def engine_closed_loop(model, num_chips: int, passes: int = 3) -> dict:
 
 
 def scan_interleave(service, scene, min_requests: int = 1100) -> dict:
-    """The ungated row for requests during a scan: ``service.scan_scene``
-    runs on another thread while this one keeps ``IN_FLIGHT`` distinct
-    chip requests out until it returns, scan after scan, until
-    ``min_requests`` have been answered (enough to publish a p99).  Pass
-    a service without a cache (``cache_size=0``), so repeated scans of
-    ``scene`` cost the same."""
+    """The ungated row for requests during a scan:
+    ``scan_scene(service.model, scene)`` runs on another thread while
+    this one keeps ``IN_FLIGHT`` distinct chip requests out until it
+    returns, scan after scan, until ``min_requests`` have been answered
+    (enough to publish a p99).  Pass a service without a cache
+    (``cache_size=0``), so repeated scans of ``scene`` cost the same."""
     kwargs = dict(window=harness.WINDOW, stride=harness.STRIDE)
-    service.scan_scene(scene, **kwargs)     # warm the scan's programs
+    scan_scene(service.model, scene, **kwargs)  # warm the scan's programs
     latencies, scan_s = [], []
     while len(latencies) < min_requests:
         chips = make_chips(2000, seed=10 + len(scan_s))
@@ -219,7 +219,7 @@ def scan_interleave(service, scene, min_requests: int = 1100) -> dict:
 
         def scan():
             start = time.perf_counter()
-            service.scan_scene(scene, **kwargs)
+            scan_scene(service.model, scene, **kwargs)
             scan_s.append(time.perf_counter() - start)
             done.set()
 

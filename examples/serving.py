@@ -5,9 +5,9 @@ detector and demonstrates the serving features end to end:
 
 1. tune the batcher from the Figure 6 batch-efficiency artifact
    (``results/fig6.json``) when available;
-2. scan a synthetic watershed scene through the service — one
-   ``scan_scene`` on the service's compiled engine, sharing feature maps
-   between overlapping windows;
+2. scan a synthetic watershed scene with the service's model — a
+   plain ``scan_scene``, on the compiled program the service runs,
+   sharing feature maps between overlapping windows;
 3. send chips of that scene as requests, twice, to show open
    micro-batches and repeat chips answered by the content-hash LRU
    cache;
@@ -22,7 +22,7 @@ Usage::
 import argparse
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_origins
+from repro.detect import SPPNetDetector, scan_origins, scan_scene
 from repro.geo import WatershedConfig, build_scene
 from repro.serve import (
     BatchPolicy,
@@ -57,12 +57,11 @@ def main() -> None:
     scene = build_scene(WatershedConfig(size=args.scene_size, seed=5))
 
     with InferenceService(model, policy) as service:
-        print("\n== 2. Scene scan through the service ==")
-        detections = service.scan_scene(scene, window=args.window,
-                                        stride=args.stride,
-                                        confidence_threshold=0.5)
-        print(f"   {service.metrics.scan_tiles.value} windows scanned, "
-              f"{len(detections)} detections after NMS")
+        print("\n== 2. Scene scan with the service's model ==")
+        result = scan_scene(service.model, scene, window=args.window,
+                            stride=args.stride, confidence_threshold=0.5)
+        print(f"   {result.coverage.tiles_total} windows scanned, "
+              f"{len(result)} detections after NMS")
 
         print("\n== 3. Chip requests, then the same chips again ==")
         chips = [scene.image[:, r:r + args.window, c:c + args.window]

@@ -67,11 +67,10 @@ class ScanDeadlineError(TimeoutError):
 
     Raised inline before a micro-batch would start late, and by the
     pool's supervised dispatch loop (``repro.scanpar.pool``) when a
-    run-level deadline — typically a per-request deadline propagated
-    from ``serve.InferenceService.scan_scene(timeout_s=...)`` — passes
-    with shards still in flight.  Journaled scans lose nothing: the tiles
-    finished before the deadline are on disk and a later
-    ``resume=True`` scan picks up from them.
+    run-level deadline (``scan_scene(timeout_s=...)``, or a fleet job's
+    ``"timeout_s"``) passes with shards still in flight.  Journaled
+    scans lose nothing: the tiles finished before the deadline are on
+    disk and a later ``resume=True`` scan picks up from them.
     """
 
 
@@ -264,7 +263,9 @@ def _require_engine(backend: str, what: str) -> None:
 
 def _check_timeout(timeout_s) -> None:
     """A deadline bounds the wall clock, not the result: no spec field."""
-    if timeout_s is not None and not (isinstance(timeout_s, numbers.Real) and timeout_s > 0):
+    if timeout_s is not None and (isinstance(timeout_s, bool)
+                                  or not isinstance(timeout_s, numbers.Real)
+                                  or not timeout_s > 0):
         raise ValueError(f"timeout_s must be positive or None, got {timeout_s!r}")
 
 

@@ -27,7 +27,7 @@ from .nas import (
 )
 from .profiling import ProfileReport, profile_session
 
-__all__ = ["PipelineConfig", "PipelineResult", "run_pipeline", "serve_winner"]
+__all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class PipelineConfig:
     accuracy_threshold: float = 0.5
     batch: int = 1
     profile_iterations: int = 100
-    serve_requests: int = 0  # >0: smoke the winner through InferenceService
     trial_attempts: int = 3  # retries + quarantine for flaky trial training
     journal_path: str | None = None  # JSONL trial journal (crash resume)
     resume: bool = False  # continue the sweep recorded in journal_path
@@ -60,7 +59,6 @@ class PipelineResult:
     winner_model: object | None = None
     schedule_result: OptimizationResult | None = None
     profile: ProfileReport | None = None
-    serve_metrics: dict | None = None
 
 
 def run_pipeline(config: PipelineConfig | None = None,
@@ -131,27 +129,5 @@ def run_pipeline(config: PipelineConfig | None = None,
         graph, result.schedule_result.optimized, config.batch, device,
         iterations=config.profile_iterations, warmup=2,
     )
-    if config.serve_requests > 0 and result.winner_model is not None:
-        result.serve_metrics = serve_winner(
-            result.winner_model, test_set, config.serve_requests
-        )
     return result
 
-
-def serve_winner(model, dataset: ChipDataset, num_requests: int) -> dict:
-    """Smoke the trained winner through the dynamic-batching service.
-
-    Submits ``num_requests`` test chips (cycling the dataset, so repeats
-    exercise the LRU cache) and returns the service metrics snapshot —
-    the deployment-readiness check the Figure 5 flow stops short of.
-    """
-    from .serve import InferenceService
-
-    with InferenceService(model) as service:
-        futures = [
-            service.submit(dataset.images[i % len(dataset)])
-            for i in range(num_requests)
-        ]
-        for future in futures:
-            future.result()
-        return service.metrics.snapshot()

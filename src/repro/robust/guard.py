@@ -202,17 +202,3 @@ class GuardedEngine:
 
         return self._guarded(
             lambda: self.compiled.predict_stream(remembered(), limit), taken)
-
-    def predict(self, images: np.ndarray, batch_size: int = 20
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Drop-in for :func:`repro.detect.predict`: the fault boundary
-        is per micro-batch, so one poisoned batch falls back alone."""
-        confidences: list[np.ndarray] = []
-        boxes: list[np.ndarray] = []
-        for start in range(0, len(images), batch_size):
-            conf, box, _ = self.predict_batch(
-                images[start:start + batch_size], batch_size=batch_size
-            )
-            confidences.append(np.asarray(conf))
-            boxes.append(np.asarray(box))
-        return np.concatenate(confidences), np.concatenate(boxes)

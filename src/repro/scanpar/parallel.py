@@ -72,8 +72,8 @@ def default_start_method() -> str:
     modules — no re-import cost), but forking a process that already
     runs threads is a known deadlock source: the child inherits locks
     frozen in whatever state the other threads held at fork time.  A
-    scan issued from inside ``serve.InferenceService`` (its worker
-    threads) is exactly that situation, so once
+    scan issued while a ``serve.InferenceService`` runs (its model
+    thread) is exactly that situation, so once
     ``threading.active_count() > 1`` this prefers ``spawn`` — the
     persistent :class:`~repro.scanpar.pool.WorkerPool` makes spawn's
     interpreter-boot cost a one-time hit rather than a per-scan tax.

@@ -13,11 +13,10 @@ amortizes them across scans:
   respawns, nor re-unpickles, nor recompiles anything.
 * :func:`serialized_model` caches ``pickle.dumps(model)`` (and its
   SHA-1 content hash) per model instance on the parent side, so repeat
-  scans — the service bulk path — stop re-serializing the same weights.
+  scans of one model stop re-serializing the same weights.
 * :func:`get_pool` hands out one shared pool per start method, reused
   by every ``scan_scene(n_workers=)`` call that is not handed a
-  ``pool=`` of its own: plain scans, fleet sweeps and
-  ``serve.InferenceService`` bulk scans alike.
+  ``pool=`` of its own: plain scans and fleet sweeps alike.
 
 Dispatch is one loop, :meth:`WorkerPool._dispatch`, the only code that
 waits on worker pipes and process sentinels.  It never oversubscribes:

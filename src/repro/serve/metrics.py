@@ -117,14 +117,6 @@ class ServiceMetrics:
         self.degraded_served = Counter()
         self.degraded_rejected = Counter()
         self.invalid_inputs = Counter()
-        self.scans = Counter()
-        self.scan_tiles = Counter()
-        # fleet supervision telemetry (supervised bulk scans only)
-        self.scan_redispatches = Counter()
-        self.scan_workers_killed = Counter()
-        self.scan_worker_deaths = Counter()
-        self.scan_poison_shards = Counter()
-        self.scan_deadline_expired = Counter()
         self.queue_depth = Gauge()
         self.warmup_ms = Gauge()
         self.latency_ms = Histogram()
@@ -136,18 +128,6 @@ class ServiceMetrics:
         self._breaker_state = "closed"
         self._breaker_transitions: TallyCounter[str] = TallyCounter()
         self._lock = threading.Lock()
-
-    def record_supervision(self, report: dict | None) -> None:
-        """Fold one scan's supervision report, in
-        :meth:`SupervisionReport.to_json() <repro.fleet.SupervisionReport.to_json>`
-        form (what a fleet job summary carries), into the fleet counters
-        (no-op for unsupervised scans)."""
-        if report is None:
-            return
-        self.scan_redispatches.inc(report["redispatches"])
-        self.scan_workers_killed.inc(report["deadline_kills"])
-        self.scan_worker_deaths.inc(report["worker_deaths"])
-        self.scan_poison_shards.inc(len(report["poison_shards"]))
 
     # -- circuit breaker telemetry --------------------------------------
     def record_breaker_transition(self, old: str, new: str) -> None:
@@ -239,13 +219,6 @@ class ServiceMetrics:
             "degraded_served": self.degraded_served.value,
             "degraded_rejected": self.degraded_rejected.value,
             "invalid_inputs": self.invalid_inputs.value,
-            "scans": self.scans.value,
-            "scan_tiles": self.scan_tiles.value,
-            "scan_redispatches": self.scan_redispatches.value,
-            "scan_workers_killed": self.scan_workers_killed.value,
-            "scan_worker_deaths": self.scan_worker_deaths.value,
-            "scan_poison_shards": self.scan_poison_shards.value,
-            "scan_deadline_expired": self.scan_deadline_expired.value,
             "warmup_ms": self.warmup_ms.value,
             "fallback_by_reason": self.fallback_by_reason,
             "breaker_state": self.breaker_state,

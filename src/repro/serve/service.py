@@ -156,18 +156,18 @@ class InferenceService:
     validate    : admission control for :meth:`submit`.  ``True``
                   (default) rejects chips with non-finite pixels
                   (:meth:`~repro.robust.SanitizePolicy.for_serving`);
-                  a :class:`~repro.robust.SanitizePolicy` applies that
-                  policy's checks; ``False`` disables validation.
-                  Rejections raise :class:`InvalidInputError` and count
-                  in ``metrics.invalid_inputs``.
+                  ``False`` disables validation.  Rejections raise
+                  :class:`InvalidInputError` and count in
+                  ``metrics.invalid_inputs``.
 
     Every model call runs on one thread, ``serve-worker``: the engine
     runs one call at a time under its lock, so a second thread would
-    only wait for it.  Bulk scans (:meth:`scan_scene` with
-    ``n_workers > 1``, :meth:`scan_many`) run on the process's shared
-    :func:`repro.scanpar.get_pool` pool, like every other scan; that
-    pool outlives the service (:func:`repro.scanpar.shutdown_pools`,
-    registered ``atexit``, closes it).
+    only wait for it.  The service answers chips; a scene is scanned
+    with :func:`repro.detect.scan_scene` (or a
+    :class:`repro.fleet.ScanFleet`) on ``service.model``.  Such a scan
+    shares the service's compiled program and takes the engine lock
+    once per micro-batch, so requests are answered between its
+    micro-batches instead of queueing behind the whole scan.
 
     Use as a context manager or call :meth:`shutdown` explicitly —
     the model thread is not a daemon.
@@ -184,12 +184,14 @@ class InferenceService:
         max_batch_retries: int = 1,
         backend: str = "engine",
         engine=None,
-        validate=True,
+        validate: bool = True,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if max_batch_retries < 0:
             raise ValueError("max_batch_retries must be >= 0")
+        if not isinstance(validate, bool):
+            raise TypeError(f"validate must be True or False, got {validate!r}")
         if backend != "engine":
             raise ValueError(
                 f"backend={backend!r}: InferenceService serves through its "
@@ -206,12 +208,10 @@ class InferenceService:
             breaker, on_transition=self.metrics.record_breaker_transition
         )
         self._validate_policy = None
-        if validate is True:
+        if validate:
             from ..robust.sanitize import SanitizePolicy
 
             self._validate_policy = SanitizePolicy.for_serving()
-        elif validate:  # a SanitizePolicy
-            self._validate_policy = validate
         if engine is None:
             from ..robust.guard import GuardedEngine
 
@@ -331,76 +331,6 @@ class InferenceService:
                     timeout_s: float | None = None) -> list[Future[DetectionResult]]:
         """Submit a stack of chips; returns one future per chip."""
         return [self.submit(chip, timeout_s=timeout_s) for chip in chips]
-
-    def scan_scene(self, scene, **scan_kwargs):
-        """Scan a whole scene with this service's model: one
-        :func:`repro.detect.scan_scene` call on the engine, so the
-        result equals ``scan_scene(model, scene, ...)``
-        bit for bit, coverage included.
-
-        ``scan_kwargs`` are that function's (``n_workers``, ``sanitize``
-        / ``journal`` / ``resume``, ``timeout_s``, ``supervision``,
-        ...).  With ``n_workers=1`` (the default) the scan runs on the
-        calling thread through the compiled program the model thread
-        uses; it takes the engine lock once per micro-batch, so live
-        requests interleave with it instead of queueing behind its
-        windows.  ``n_workers > 1`` (or ``"auto"`` when it shards) runs
-        it on the shared pool every scan uses
-        (:func:`repro.scanpar.get_pool`).  Scans bypass the request
-        queue and cache; they tally ``metrics.scans`` /
-        ``metrics.scan_tiles``, a missed ``timeout_s``
-        (:class:`~repro.detect.scan.ScanDeadlineError`) counts in
-        ``metrics.scan_deadline_expired``, and a supervised bulk scan's
-        recovery counts land in the ``scan_*`` fleet metrics.
-        """
-        from ..detect.scan import ScanDeadlineError
-        from ..detect.scan import scan_scene as scan
-
-        try:
-            result = scan(self.model, scene, **scan_kwargs)
-        except ScanDeadlineError:
-            self.metrics.scan_deadline_expired.inc()
-            raise
-        self.metrics.scans.inc()
-        self.metrics.scan_tiles.inc(result.coverage.tiles_total)
-        report = getattr(result, "supervision", None)
-        self.metrics.record_supervision(
-            None if report is None else report.to_json())
-        return result
-
-    def scan_many(self, jobs, *, workdir, n_workers: int | str = "auto",
-                  supervision=None, queue_path=None, **fleet_kwargs):
-        """Scan a batch of scenes as a durable fleet sweep.
-
-        ``jobs`` maps job id -> ``WatershedConfig`` (or a payload the
-        fleet's scene provider understands).  Builds a
-        :class:`repro.fleet.ScanFleet` over a job queue at
-        ``queue_path`` (default ``<workdir>/queue.jsonl``), submits
-        every job (idempotently — calling it again on the queue of a
-        sweep whose process was killed resumes that sweep), drains the
-        queue with this service's model on the engine, and returns the
-        sweep summary.  One process owns a queue file at a time.
-        Per-scene crash recovery, retries, and dead-lettering follow
-        the fleet semantics in ``docs/fleet.md``; supervision recovery
-        counts fold into the ``scan_*`` fleet metrics.
-        """
-        from pathlib import Path
-
-        from ..fleet import JobQueue, ScanFleet
-
-        workdir = Path(workdir)
-        queue = JobQueue(queue_path or workdir / "queue.jsonl")
-        fleet = ScanFleet(queue, self.model, workdir=workdir,
-                          n_workers=n_workers, supervision=supervision,
-                          **fleet_kwargs)
-        for job_id, config in jobs.items():
-            fleet.submit_scene(job_id, config)
-        summary = fleet.run()
-        for job in summary["results"].values():
-            self.metrics.scans.inc()
-            self.metrics.scan_tiles.inc(job.get("tiles_total", 0))
-            self.metrics.record_supervision(job.get("supervision"))
-        return summary
 
     def shutdown(self, drain: bool = True, timeout_s: float | None = None) -> None:
         """Stop the service.

@@ -232,30 +232,6 @@ class TestScanScene:
         with pytest.raises(ValueError):
             scan_scene(SPPNetDetector(arch), scene, window=1000)
 
-    def test_service_path_matches_local_predict(self, scene):
-        """service.scan_scene(scene) is the engine scan: the same
-        detections and coverage, bit for bit, and counted as one scan of
-        every window."""
-        from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-        from repro.detect import SPPNetDetector
-        from repro.serve import BatchPolicy, InferenceService
-
-        arch = SPPNetConfig(
-            convs=(ConvSpec(8, 3, 1), ConvSpec(16, 3, 1)),
-            pools=(PoolSpec(2, 2), PoolSpec(2, 2)),
-            spp_levels=(2, 1), fc_sizes=(32,), name="scan-serve",
-        )
-        model = SPPNetDetector(arch, seed=0)
-        kwargs = dict(window=64, stride=48, confidence_threshold=0.5)
-        local = scan_scene(model, scene, **kwargs)
-        with InferenceService(model, BatchPolicy(max_batch=8)) as service:
-            served = service.scan_scene(scene, **kwargs)
-            snap = service.metrics.snapshot()
-        assert list(served) == list(local)
-        assert served.coverage == local.coverage
-        assert snap["scans"] == 1
-        assert snap["scan_tiles"] == len(scan_origins(scene.size, 64, 48))
-
 
 class TestBatchSeam:
     """``scan_span``'s batched stage: micro-batches pulled from

@@ -59,7 +59,8 @@ class TestSweep:
         (dict(confidence_threshold=float("nan")), "confidence_threshold"),
         (dict(stride=0, window="100", nms_radius=-1), "window"),
         (dict(n_workers=4), "unsupported scan parameters"),
-        (dict(timeout_s=0), "timeout_s"),
+        (dict(timeout_s=0), "timeout_s"), (dict(timeout_s=0.0), "timeout_s"),
+        (dict(timeout_s=True), "timeout_s"),
         (dict(timeout_s=float("nan")), "timeout_s")])
     def test_submit_refuses_an_invalid_spec_before_writing(
             self, tmp_path, model, scene, kwargs, field):

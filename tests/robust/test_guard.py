@@ -132,7 +132,10 @@ class TestGuardedEngine:
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
         stack = chips(n=6)
         with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
-            conf, boxes = guard.predict(stack, batch_size=2)
+            runs = [guard.predict_batch(stack[s:s + 2], batch_size=2)
+                    for s in range(0, len(stack), 2)]
+        conf = np.concatenate([run[0] for run in runs])
+        boxes = np.concatenate([run[1] for run in runs])
         e_conf, e_boxes = predict(model, stack, batch_size=2)
         np.testing.assert_allclose(conf, e_conf, atol=1e-4)
         np.testing.assert_allclose(boxes, e_boxes, atol=1e-4)

@@ -197,11 +197,13 @@ class TestRobustScan:
         ("confidence_threshold", float("nan")),
         ("confidence_threshold", float("-inf")),
         ("window", 0), ("window", -5), ("window", 100.5), ("window", True),
-        ("stride", 0), ("stride", "32")])
+        ("stride", 0), ("stride", "32"), ("timeout_s", 0.0),
+        ("timeout_s", True)])
     def test_an_invalid_spec_is_rejected_before_any_tile_runs(
             self, scene, model, tmp_path, monkeypatch, field, value, stage):
-        """Every ``ScanSpec`` value is checked before a tile runs or a
-        journal is created, and the error names the field."""
+        """Every ``ScanSpec`` value, and ``timeout_s`` (a bool is no
+        deadline), is checked before a tile runs or a journal is
+        created, and the error names the field."""
         from repro.engine import CompiledModel
 
         def ran(*args, **kwargs):

@@ -236,6 +236,17 @@ class TestAdaptivePolicy:
             assert pool.spawn_ms > 0
         assert verdicts(method) == before
 
+    def test_auto_spawns_nothing_when_it_inlines(self, model, scene):
+        kwargs = dict(batch_size=20)
+        n_origins = len(SPEC.origins(scene.size))
+        assert resolve_n_workers("auto", n_origins=n_origins,
+                                 batch_size=20) == 1
+        inline = scan(model, scene, **kwargs)
+        before = {p.pid for p in mp.active_children()}
+        auto = scan(model, scene, n_workers="auto", **kwargs)
+        assert {p.pid for p in mp.active_children()} == before
+        assert list(auto) == list(inline)
+
     def test_int_passthrough_and_validation(self):
         assert resolve_n_workers(3, n_origins=10, batch_size=20) == 3
         with pytest.raises(ValueError, match="n_workers"):

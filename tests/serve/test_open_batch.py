@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, predict
-from repro.engine import compiled_for
+from repro.detect import SPPNetDetector, predict, scan_scene
+from repro.engine import CompiledModel, compiled_for
 from repro.faults import FaultyEngine
+from repro.geo import WatershedConfig, build_scene
 from repro.robust import GuardedEngine
 from repro.serve import (
     BatchPolicy,
@@ -342,7 +343,10 @@ class TestStress:
         per_client, clients = 40, 6
         total = per_client * clients
         stack = chips(total, seed=7)
-        want = GuardedEngine(model).predict(stack)[0]
+        guard = GuardedEngine(model)
+        want = np.concatenate([guard.predict_batch(stack[s:s + 20],
+                                                   batch_size=20)[0]
+                               for s in range(0, total, 20)])
         got = np.full(total, np.nan)
         errors = []
         interval = sys.getswitchinterval()
@@ -376,3 +380,49 @@ class TestStress:
         np.testing.assert_array_equal(got, want)
         assert sum(size * n for size, n in hist.items()) == total
         assert max(hist) <= 5
+
+
+class TestConcurrentScan:
+    def test_a_request_is_not_starved_by_a_running_scan(self, model,
+                                                        monkeypatch):
+        """A chip submitted while a plain ``scan_scene(model, ...)`` runs
+        on another thread is answered before the scan returns.  The scan
+        runs on the service's compiled program and takes its lock per
+        micro-batch (7 of them here), so the chip's batch runs between
+        two of them instead of queueing behind the whole scan.  The scan
+        pauses after its first micro-batch until the chip is answered (at
+        most ``WAIT``), so the order is the test's, not the scheduler's."""
+        scene = build_scene(WatershedConfig(size=192, road_spacing=64,
+                                            stream_threshold=600, seed=5))
+        kwargs = dict(window=64, stride=32, batch_size=4)
+        reference = scan_scene(model, scene, **kwargs)
+        real, under_way, answered = (CompiledModel.predict_windows,
+                                     threading.Event(), threading.Event())
+
+        def paused(*args, **kw):
+            for batch in real(*args, **kw):
+                yield batch
+                if not under_way.is_set():
+                    under_way.set()
+                    answered.wait(WAIT)
+
+        monkeypatch.setattr(CompiledModel, "predict_windows", paused)
+        order, scans = [], []
+        chip = scene.image[:, :64, 64:128].copy()
+        with InferenceService(model, BatchPolicy(max_batch=8),
+                              cache_size=0) as service:
+            def scan():
+                scans.append(scan_scene(model, scene, **kwargs))
+                order.append("scan")
+
+            scanner = threading.Thread(target=scan)
+            scanner.start()
+            under_way.wait(WAIT)
+            future = service.submit(chip)
+            future.add_done_callback(
+                lambda _: (order.append("chip"), answered.set()))
+            future.result(timeout=2 * WAIT)
+            scanner.join(2 * WAIT)
+            assert not scanner.is_alive()
+        assert order == ["chip", "scan"]
+        assert list(scans[0]) == list(reference)

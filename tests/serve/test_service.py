@@ -21,6 +21,7 @@ from repro.robust import GuardedEngine
 from repro.serve import (
     BatchPolicy,
     InferenceService,
+    InvalidInputError,
     QueueFullError,
     RequestTimeoutError,
     ServiceStoppedError,
@@ -238,3 +239,34 @@ class TestShutdown:
                 t.join()
         assert not errors
         assert len(results) == 24
+
+
+class TestAdmission:
+    def test_a_non_finite_chip_is_refused_at_submit(self, model):
+        chip = chips(1)[0]
+        chip[0, 0, 0] = np.nan
+        with InferenceService(model) as svc:
+            with pytest.raises(InvalidInputError, match="validation"):
+                svc.submit(chip)
+            assert svc.metrics.invalid_inputs.value == 1
+        # unchecked, the chip reaches the engine and the guard falls back
+        with InferenceService(model, validate=False) as svc:
+            with pytest.warns(RuntimeWarning, match="non_finite"):
+                svc.submit(chip).result(timeout=30)
+            assert svc.metrics.invalid_inputs.value == 0
+
+    def test_validate_is_a_bool(self, model):
+        from repro.robust import SanitizePolicy
+
+        with pytest.raises(TypeError, match="validate"):
+            InferenceService(model, validate=SanitizePolicy.for_serving())
+
+
+class TestStartMethod:
+    def test_scan_from_threaded_service_prefers_spawn(self, model):
+        # regression: the service's model thread makes fork unsafe, so a
+        # scan issued while the service runs must pick spawn
+        from repro.scanpar import default_start_method
+
+        with InferenceService(model, BatchPolicy(max_batch=8)):
+            assert default_start_method() == "spawn"
