@@ -54,6 +54,7 @@ from repro.faults import FaultyDetector, WorkerFaultPlan, tear_trailing_line
 from repro.fleet import JobQueue, ScanFleet, SupervisionPolicy
 from repro.geo import WatershedConfig, build_scene
 from repro.retry import RetryPolicy
+from repro.scanpar import WorkerPool
 
 from gates import bench_arg_parser, check, evaluate, finish
 
@@ -118,20 +119,14 @@ def build_fault_plan(n_calls: int, fuse_dir: Path) -> WorkerFaultPlan:
     )
 
 
-def run_sweep(model, scenes: dict, configs: dict, workdir: Path) -> dict:
-    """One supervised fleet sweep over every scene; returns its summary
+def run_sweep(model, scenes: dict, configs: dict, workdir: Path,
+              pool: WorkerPool) -> dict:
+    """One fleet sweep over every scene on ``pool``; returns its summary
     plus wall time and aggregated supervision counters."""
     queue = JobQueue(workdir / "queue.jsonl",
                      retry=RetryPolicy(max_attempts=3, backoff_s=0.05))
-    # max_attempts generously exceeds the plan's failing faults (each
-    # fires once), so no shard can exhaust its budget and fall back to
-    # inline parent execution — every injected fault is guaranteed to
-    # cost a *worker-level* recovery, which is what this gate measures
     fleet = ScanFleet(
-        queue, model, workdir=workdir, n_workers=N_WORKERS,
-        supervision=SupervisionPolicy(shard_deadline_s=SHARD_DEADLINE_S,
-                                      max_attempts=8,
-                                      probe_interval_s=0.25),
+        queue, model, workdir=workdir, n_workers=N_WORKERS, pool=pool,
         scene_provider=lambda payload: scenes[payload["scene"]["seed"]],
     )
     for job_id, config in configs.items():
@@ -201,12 +196,25 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
     configs = scene_configs(n_scenes)
+
+    # max_attempts generously exceeds the plan's failing faults (each
+    # fires once), so no shard can exhaust its budget and fall back to
+    # inline parent execution — every injected fault is guaranteed to
+    # cost a *worker-level* recovery, which is what this gate measures
+    with WorkerPool(N_WORKERS, supervision=SupervisionPolicy(
+            shard_deadline_s=SHARD_DEADLINE_S, max_attempts=8)) as pool:
+        return _sweeps(model, configs, workroot, pool)
+
+
+def _sweeps(model, configs: dict, workroot: Path, pool: WorkerPool) -> dict:
+    """The fault-free and the chaos sweep on ``pool``, and the payload."""
+    n_scenes = len(configs)
     scenes = {cfg.seed: build_scene(cfg) for cfg in configs.values()}
     tiles_per_scene = len(scan_origins(SCENE_SIZE, WINDOW, STRIDE))
 
     # ---- fault-free reference sweep -----------------------------------
     clean_dir = workroot / "clean"
-    clean = run_sweep(model, scenes, configs, clean_dir)
+    clean = run_sweep(model, scenes, configs, clean_dir, pool)
     clean_replays = replay_detections(model, scenes, configs, clean_dir)
 
     # ---- chaos sweep ---------------------------------------------------
@@ -236,7 +244,7 @@ def run_benchmark(n_scenes: int = N_SCENES, root: Path | None = None) -> dict:
 
     shm_before = set(os.listdir("/dev/shm")) \
         if os.path.isdir("/dev/shm") else set()
-    chaos = run_sweep(faulty, scenes, configs, chaos_dir)
+    chaos = run_sweep(faulty, scenes, configs, chaos_dir, pool)
     shm_after = set(os.listdir("/dev/shm")) \
         if os.path.isdir("/dev/shm") else set()
     leaked = {n for n in shm_after - shm_before if n.startswith("psm_")}

@@ -66,7 +66,7 @@ class ScanDeadlineError(TimeoutError):
     """A scan's wall-clock deadline expired before it finished.
 
     Raised inline before a micro-batch would start late, and by the
-    pool's supervised dispatch loop (``repro.scanpar.pool``) when a
+    pool's dispatch loop (``repro.scanpar.WorkerPool.run``) when a
     run-level deadline (``scan_scene(timeout_s=...)``, or a fleet job's
     ``"timeout_s"``) passes with shards still in flight.  Journaled
     scans lose nothing: the tiles finished before the deadline are on
@@ -284,7 +284,6 @@ def scan_scene(
     n_workers: int | str = 1,
     pool=None,
     timeout_s: float | None = None,
-    supervision=None,
 ) -> ScanDetections:
     """Detect crossings across a whole scene.
 
@@ -314,12 +313,12 @@ def scan_scene(
       ``"auto"``, which picks from CPU affinity and scene size and may
       pick 1) shards it over a persistent warm
       :class:`~repro.scanpar.WorkerPool` (``pool``, default the shared
-      one), byte-identical to ``n_workers=1``.
+      one), byte-identical to ``n_workers=1``.  The pool's
+      :class:`~repro.scanpar.SupervisionPolicy` recovers hung, dead and
+      poisoned workers (``docs/fleet.md``), and a pooled scan carries
+      the dispatch's report as ``.supervision``.
     * ``timeout_s`` bounds the wall clock: past it the scan raises
       :class:`ScanDeadlineError` (journaled tiles stay resumable).
-      ``supervision`` (a ``repro.fleet.SupervisionPolicy`` or ``True``)
-      recovers hung, dead and poisoned pool workers (``docs/fleet.md``);
-      its report is attached as ``.supervision``.
     """
     _require_engine(backend, "scan_scene")
     spec = ScanSpec(window, stride, confidence_threshold, nms_radius, batch_size)
@@ -369,16 +368,14 @@ def scan_scene(
     # what every span of this scan runs with, wherever it runs
     stage = dict(policy=policy, skip=frozenset(done), journal=jr,
                  deadline_at=deadline_at)
-    report = None
     if not shards:
         payloads = [scan_span(model, image, origins, (0, len(origins)), spec,
                               **stage)]
     else:
         from ..scanpar.parallel import run_shards
 
-        payloads, report = run_shards(model, image, shards, spec,
-                                      pool=pool, supervision=supervision,
-                                      **stage)
+        payloads = run_shards(model, image, shards, spec, pool=pool,
+                              **stage)
         if jr is not None:
             # fold every shard journal into the one resumable main
             # journal, then drop the shard files
@@ -413,8 +410,8 @@ def scan_scene(
         )
     result = ScanDetections(
         non_max_suppression(detections, radius=spec.nms_radius), coverage)
-    if report is not None:
-        result.supervision = report
+    if shards:
+        result.supervision = payloads.supervision
     return result
 
 

@@ -375,7 +375,7 @@ class WorkerFaultPlan:
     failed robust micro-batch re-runs) to a fault kind:
 
     - ``"hang"``  : sleep ``hang_s`` (the wedged-but-alive worker; the
-      supervisor's deadline kill is the only way out),
+      pool's deadline kill is the only way out),
     - ``"kill"``  : ``SIGKILL`` the calling process mid-shard,
     - ``"slow"``  : sleep ``slow_s`` then answer normally,
     - ``"error"`` : raise :class:`InjectedFault`.
@@ -436,7 +436,7 @@ class FaultyDetector:
     quarantines a robust tile re-run alone, never answered by eager.
 
     The parent pid is captured at construction: calls in that process
-    never fault (and never consume ordinals), so the supervisor's
+    never fault (and never consume ordinals), so the pool's
     inline poison-shard fallback and any parent-side reference scan run
     clean by construction.
     """

@@ -12,10 +12,9 @@ crash-safe sweep over many scenes:
   at the exact tile its predecessor's crash left off — the per-tile
   durability lives in the scene's :class:`~repro.robust.ScanJournal`,
   not in the queue;
-* shard dispatch runs under the **supervisor**
-  (:class:`~repro.scanpar.pool.ShardSupervisor`) whenever the fleet
-  scans in parallel, so hung or dying pool workers cost redispatches,
-  not jobs.
+* a parallel scan's shards run on the pool's one dispatch loop under
+  its :class:`~repro.scanpar.SupervisionPolicy`, so hung or dying pool
+  workers cost redispatches, not jobs.
 
 The fleet starts no thread of its own, so a sweep picks the start
 method, ``"auto"`` verdict and shared pool of a plain scan from the same
@@ -68,8 +67,9 @@ class ScanFleet:
                      (``<workdir>/<job_id>.journal.jsonl``).
     n_workers      : forwarded to :func:`~repro.detect.scan_scene` per
                      job (``"auto"`` adapts; 1 scans sequentially).
-    supervision    : ``repro.fleet.SupervisionPolicy`` (or ``True``)
-                     for supervised shard dispatch on parallel scans.
+    pool           : the :class:`~repro.scanpar.WorkerPool` parallel
+                     scans run on (its policy supervises their shards);
+                     defaults to the shared pool.
     scene_provider : ``payload -> Scene`` hook; defaults to rebuilding
                      the scene from the payload's ``WatershedConfig``
                      dict.  Tests and benches inject prebuilt (or
@@ -79,7 +79,7 @@ class ScanFleet:
     def __init__(self, queue: JobQueue | str | Path, model, *,
                  workdir: str | Path,
                  n_workers: int | str = "auto",
-                 supervision=None,
+                 pool=None,
                  scene_provider=None) -> None:
         self.queue = queue if isinstance(queue, JobQueue) \
             else JobQueue(queue)
@@ -87,7 +87,7 @@ class ScanFleet:
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.n_workers = n_workers
-        self.supervision = supervision
+        self.pool = pool
         self.scene_provider = scene_provider or _default_scene_provider
 
     # -- submission --------------------------------------------------------
@@ -123,8 +123,8 @@ class ScanFleet:
             journal=str(self.journal_path(job.job_id)),
             resume=True,
             n_workers=self.n_workers,
+            pool=self.pool,
             timeout_s=timeout_s,
-            supervision=self.supervision,
             **asdict(spec),
         )
         summary = {

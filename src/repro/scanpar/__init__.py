@@ -12,9 +12,9 @@ that scan both memory-bounded and multi-core:
 * :class:`WorkerPool` — persistent warm worker processes reused across
   scans, caching deserialized models (and their warmed compiled-engine
   programs) by content hash, with the one dispatch loop over their
-  pipes: one shard in flight per worker, run trusting
-  (:meth:`WorkerPool.run`) or under a supervision policy
-  (``repro.fleet.ShardSupervisor``);
+  pipes (:meth:`WorkerPool.run`): one shard in flight per worker, under
+  the pool's :class:`SupervisionPolicy` (per-shard deadlines,
+  redispatch, poison shards inline);
 * :func:`run_shards` — the dispatch ``repro.detect.scan_scene`` hands
   two or more shards to: engine-warm pooled workers each running the
   scan's one tile pipeline on their span, shared-memory result return;
@@ -33,6 +33,8 @@ from .parallel import (
     spawn_cost_ms,
 )
 from .pool import (
+    SupervisionPolicy,
+    SupervisionReport,
     WorkerError,
     WorkerPool,
     get_pool,
@@ -55,6 +57,8 @@ __all__ = [
     "ShardTask",
     "run_shard",
     "WorkerPool",
+    "SupervisionPolicy",
+    "SupervisionReport",
     "WorkerError",
     "get_pool",
     "warm_pool",

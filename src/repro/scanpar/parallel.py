@@ -27,11 +27,11 @@
 
 ``n_workers="auto"`` makes the parallelism adaptive
 (:func:`resolve_n_workers`): the worker count derives from the visible
-CPU affinity, the scan's micro-batch count, and a static spawn-cost
-threshold — on a one-core box (or a scene too small to amortize a cold
-spawn) the scan runs inline.  Where it shards it can lose: on a 2-core
-box ``benchmarks/e2e``'s ``scan_pool`` reads 5.5-5.8 ms/tile against
-4.04 sequential (ROADMAP item 6).
+CPU affinity over the BLAS thread count each worker runs at, the scan's
+micro-batch count, and a static spawn-cost threshold — on a box whose
+cores the BLAS threads already fill (or a scene too small to amortize a
+cold spawn) the scan runs inline.  An explicit count can still lose
+to the inline scan (ROADMAP item 6).
 
 Robust shards (``sanitize=``/``journal=``) journal per-shard JSONL files
 that ``scan_scene`` absorbs into the single main journal
@@ -50,13 +50,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .pool import (
-    ShardSupervisor,
-    SupervisionPolicy,
-    WorkerPool,
-    get_pool,
-    warm_pool,
-)
+from ..blas import blas_info
+from .pool import ShardPayloads, WorkerPool, get_pool, warm_pool
 from .shm import SharedArray
 from .worker import ShardTask
 
@@ -132,10 +127,12 @@ def resolve_n_workers(
 
     The auto policy, in order:
 
-    1. the budget is ``min(visible CPUs, micro-batches // 2)`` — never
-       more workers than cores (oversubscription only adds context
-       switching) and at least :data:`MIN_BATCHES_PER_WORKER` batches
-       each (thinner shards cannot amortize dispatch);
+    1. the budget is ``min(visible CPUs // BLAS threads, micro-batches
+       // 2)`` — every worker runs at the parent's BLAS thread count (so
+       its bits are the inline scan's), so never more worker threads
+       than cores (oversubscription only adds context switching), and
+       at least :data:`MIN_BATCHES_PER_WORKER` batches each (thinner
+       shards cannot amortize dispatch);
     2. a budget below 2 inlines to the sequential scan — this is what
        stops one-core CI boxes from regressing by construction;
     3. with no warm pool to reuse (``pool_warm=False``), the scene must
@@ -145,7 +142,9 @@ def resolve_n_workers(
        (:func:`spawn_cost_ms`).
 
     ``cpus`` and ``pool_warm`` are injectable for tests; they default to
-    the live affinity count and the shared pool's existence.
+    the live affinity count and the shared pool's existence.  The BLAS
+    thread count is the process's own (:func:`repro.blas.blas_info`;
+    one when it cannot be read).
     """
     if n_workers != "auto":
         n = int(n_workers)
@@ -155,7 +154,8 @@ def resolve_n_workers(
     if cpus is None:
         cpus = cpu_affinity_count()
     n_batches = -(-n_origins // batch_size) if n_origins else 0  # ceil
-    budget = min(cpus, n_batches // MIN_BATCHES_PER_WORKER)
+    budget = min(cpus // (blas_info()["threads"] or 1),
+                 n_batches // MIN_BATCHES_PER_WORKER)
     if budget < 2:
         return 1
     if pool_warm is None:
@@ -178,11 +178,11 @@ def run_shards(
     skip: frozenset = frozenset(),
     journal=None,
     pool: WorkerPool | None = None,
-    supervision=None,
     deadline_at: float | None = None,
-) -> tuple[list[dict], object | None]:
-    """Run a scan's ``shards`` on pool workers; returns
-    ``(span payloads in shard order, SupervisionReport or None)``.
+) -> ShardPayloads:
+    """Run a scan's ``shards`` on pool workers; returns the span
+    payloads in shard order, carrying the dispatch's
+    :class:`~repro.scanpar.pool.SupervisionReport` as ``.supervision``.
 
     ``spec`` (a :class:`~repro.detect.ScanSpec`), ``policy`` and ``skip``
     are everything a worker needs to call
@@ -193,11 +193,8 @@ def run_shards(
     back into its payload here so the caller's merge sees one payload
     form.
 
-    Dispatch is the pool's one loop: ``pool.run`` (one attempt, a lost
-    shard raises) unless ``supervision`` (a
-    :class:`~repro.scanpar.pool.SupervisionPolicy`, or ``True`` for the
-    defaults) or a ``deadline_at`` is given, which run it as a
-    :class:`~repro.scanpar.pool.ShardSupervisor` — per-shard deadlines,
+    Dispatch is :meth:`WorkerPool.run` under the pool's
+    :class:`~repro.scanpar.pool.SupervisionPolicy`: per-shard deadlines,
     hung/dead worker kill-and-revive with redispatch, poison shards
     degraded to inline execution, and
     :class:`~repro.detect.scan.ScanDeadlineError` past ``deadline_at``.
@@ -232,16 +229,9 @@ def run_shards(
             )
             for shard, slab in zip_longest(shards, slabs)
         ]
-        report = None
-        if supervision or deadline_at is not None:
-            defaults = not isinstance(supervision, SupervisionPolicy)
-            payloads, report = ShardSupervisor(
-                pool, model, None if defaults else supervision,
-            ).run(tasks, deadline_at=deadline_at)
-        else:
-            payloads = pool.run(tasks)
+        payloads = pool.run(tasks, deadline_at=deadline_at)
         for slab, payload in zip(slabs, payloads):
             out = slab.array()
             payload["confidences"] = out[:, 0].copy()
             payload["boxes"] = out[:, 1:5].copy()
-    return payloads, report
+    return payloads

@@ -18,24 +18,19 @@ amortizes them across scans:
   by every ``scan_scene(n_workers=)`` call that is not handed a
   ``pool=`` of its own: plain scans and fleet sweeps alike.
 
-Dispatch is one loop, :meth:`WorkerPool._dispatch`, the only code that
-waits on worker pipes and process sentinels.  It never oversubscribes:
-one shard is in flight per worker and the rest queue in the parent.  A
-shard fails when it raises, when its worker dies, or when it misses its
-per-shard deadline, and a failed shard goes to another worker until it
-has failed ``max_attempts`` times; a shard whose error no retry can
-change (:func:`repro.retry.retryable`) is given up on at once.  Past
-the run deadline the loop salvages buffered replies, kills and replaces
-the stragglers, and hands back what expired.  Its two forms differ only
-in what they do with shards that are exhausted or expired (both raise
-:class:`ShardError`, a permanent :class:`WorkerError`, for a permanent
-one):
-
-* :meth:`WorkerPool.run` — one attempt, no per-shard deadline: every
-  lost shard is named in one :class:`WorkerError`;
-* :class:`ShardSupervisor` — a :class:`SupervisionPolicy`: exhausted
-  (poison) shards run inline in the parent, and an expired run raises
-  :class:`~repro.detect.scan.ScanDeadlineError`.
+Dispatch is one loop, :meth:`WorkerPool.run` over
+:meth:`WorkerPool._dispatch`, the only code that waits on worker pipes
+and process sentinels, under the pool's :class:`SupervisionPolicy`.  It
+never oversubscribes: one shard is in flight per worker and the rest
+queue in the parent.  A shard fails when it raises, when its worker
+dies, or when it misses its per-shard deadline; a failed shard goes to
+another worker (a dead or killed one is replaced and re-warmed) until
+it has failed ``max_attempts`` times, then runs inline in the parent.
+A shard whose error no retry can change (:func:`repro.retry.retryable`)
+is given up on at once and raises :class:`ShardError`.  Past the run
+deadline the loop salvages buffered replies, kills and replaces the
+stragglers, and the run raises
+:class:`~repro.detect.scan.ScanDeadlineError`.
 
 Like ``repro.engine.compiled_for``, the per-worker model cache
 snapshots weights at first send: training a model afterwards requires a
@@ -56,7 +51,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from multiprocessing import connection as mp_connection
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from ..blas import blas_info, set_blas_threads
 from ..retry import Permanent, retryable
@@ -64,16 +59,10 @@ from .sharding import describe_shard
 from .worker import run_shard
 
 __all__ = ["WorkerPool", "WorkerError", "ShardError", "serialized_model",
-           "get_pool", "warm_pool", "shutdown_pools",
-           "DEFAULT_DISPATCH_TIMEOUT_S", "SupervisionPolicy",
-           "SupervisionReport", "ShardSupervisor"]
+           "get_pool", "warm_pool", "shutdown_pools", "SupervisionPolicy",
+           "SupervisionReport", "ShardPayloads"]
 
 _SPAWN_HANDSHAKE_TIMEOUT_S = 120.0
-
-#: default run deadline of :meth:`WorkerPool.run`, so a wedged worker
-#: cannot stall the parent forever; no legitimate shard approaches it.
-#: ``run(timeout_s=None)`` waits without bound.
-DEFAULT_DISPATCH_TIMEOUT_S = 300.0
 
 
 class WorkerError(RuntimeError):
@@ -86,35 +75,24 @@ class ShardError(WorkerError, Permanent):
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs for one supervised dispatch.
+    """How a :class:`WorkerPool` dispatches shards.
 
     shard_deadline_s : seconds an in-flight shard may run before its
-                       worker is presumed hung (killed + revived,
+                       worker is presumed hung (killed + replaced,
                        shard redispatched); ``None`` disables per-shard
                        deadlines (deaths are still recovered).
-    max_attempts     : times a shard may fail before it is
+    max_attempts     : times a shard may fail on workers before it is
                        quarantined as poison and runs inline.
-    probe_interval_s : upper bound on how long the dispatch loop sleeps
-                       between liveness checks — the wait also wakes on
-                       replies and worker-death sentinels, so this only
-                       bounds staleness, not latency.
     """
 
     shard_deadline_s: float | None = 120.0
     max_attempts: int = 3
-    probe_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError("shard_deadline_s must be positive or None")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
-
-
-#: :meth:`WorkerPool.run`'s policy: trust the workers
-_TRUSTING = SupervisionPolicy(shard_deadline_s=None, max_attempts=1)
 
 
 @dataclass
@@ -124,7 +102,7 @@ class SupervisionReport:
     ``max_overshoot_s`` is the worst gap between a shard's deadline and
     the moment its hung worker was actually killed — the chaos gate
     bounds it, because it is exactly the "hung worker stalls dispatch"
-    failure the supervisor exists to prevent.
+    failure supervision exists to prevent.
     """
 
     shards_total: int = 0
@@ -147,6 +125,16 @@ class SupervisionReport:
         out = asdict(self)
         out["attempts"] = {str(k): v for k, v in sorted(self.attempts.items())}
         return out
+
+
+class ShardPayloads(list):
+    """:meth:`WorkerPool.run`'s return: the shard payloads in task order
+    (a plain list to every list-consuming caller) that also carries the
+    dispatch's :class:`SupervisionReport` as ``.supervision``."""
+
+    def __init__(self, payloads, supervision: SupervisionReport) -> None:
+        super().__init__(payloads)
+        self.supervision = supervision
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +237,9 @@ class WorkerPool:
     start_method : multiprocessing start method; defaults to
                    :func:`~repro.scanpar.default_start_method` (which
                    prefers ``spawn`` once the caller runs threads)
+    supervision  : the :class:`SupervisionPolicy` every :meth:`run`
+                   dispatches under (per-shard deadline, attempts
+                   before a shard runs inline)
 
     Thread-safe: dispatch and :meth:`ensure_model` serialize on an
     internal lock, so a service thread and a CLI scan can share one
@@ -257,13 +248,21 @@ class WorkerPool:
     context manager) for an orderly shutdown.
     """
 
-    def __init__(self, n_workers: int, *,
-                 start_method: str | None = None) -> None:
+    def __init__(self, n_workers: int, *, start_method: str | None = None,
+                 supervision: SupervisionPolicy = SupervisionPolicy()) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if not isinstance(supervision, SupervisionPolicy):
+            raise TypeError(f"supervision must be a SupervisionPolicy, "
+                            f"got {supervision!r}")
         from .parallel import default_start_method
 
         self.start_method = start_method or default_start_method()
+        self.supervision = supervision
+        # the models ensure_model delivered, by content hash: a run
+        # re-warms a replacement worker and runs a poison shard inline
+        # with them, and never keeps one alive
+        self._models: WeakValueDictionary[str, object] = WeakValueDictionary()
         self._ctx = mp.get_context(self.start_method)
         self._lock = threading.RLock()
         self._closed = False
@@ -318,9 +317,8 @@ class WorkerPool:
     def _replace_locked(self, worker: _Worker) -> _Worker:
         """Swap ``worker`` for a freshly spawned one in the same slot
         (killing it first if it is still alive).  The replacement's
-        model cache is empty, so its sent-set resets and
-        :meth:`ensure_model` re-sends — and ``compiled_for`` re-warms —
-        on the next scan."""
+        model cache is empty, so its sent-set resets and the caller
+        re-sends (and its ``compiled_for`` re-warms) what it needs."""
         i = self._workers.index(worker)
         if worker.proc.is_alive():
             worker.proc.kill()
@@ -333,7 +331,8 @@ class WorkerPool:
 
     def _revive_locked(self) -> None:
         """Replace workers that died (their model caches are gone, so
-        their sent-sets reset and :meth:`ensure_model` re-sends)."""
+        their sent-sets reset and the next :meth:`ensure_model` or
+        :meth:`run` re-sends)."""
         for worker in list(self._workers):
             if not worker.proc.is_alive():
                 self._replace_locked(worker)
@@ -387,10 +386,13 @@ class WorkerPool:
     def ensure_model(self, model) -> str:
         """Deliver ``model`` to every worker that does not hold it yet.
 
-        Returns the model's content hash (the workers' cache key).
+        Returns the model's content hash (the workers' cache key, which
+        a :class:`~repro.scanpar.ShardTask` names as ``model_hash``).
         Bytes travel over each worker's pipe at most once; repeat scans
-        of the same model send nothing.  Nothing else about a compile
-        travels: every process computes the same
+        of the same model send nothing.  The pool keeps the model weakly
+        under that hash: :meth:`run` re-warms a replacement worker and
+        runs a poison shard inline with it.  Nothing else about a
+        compile travels: every process computes the same
         ``engine.conv_variant`` of the layer geometry and the same
         window plan of the scan geometry.
         """
@@ -398,7 +400,9 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("pool is closed")
             self._revive_locked()
-            return self._warm_locked(self._workers, model)
+            model_hash = self._warm_locked(self._workers, model)
+            self._models[model_hash] = model
+            return model_hash
 
     def _warm_locked(self, workers, model) -> str:
         """Send ``model``'s bytes to each of ``workers`` not holding it."""
@@ -410,64 +414,88 @@ class WorkerPool:
                 self.stats["model_sends"] += 1
         return model_hash
 
-    def run(self, tasks: list,
-            timeout_s: float | None = DEFAULT_DISPATCH_TIMEOUT_S) -> list[dict]:
-        """Run shard tasks on the pool, trusting the workers; results
-        return in task order.
+    def run(self, tasks: list, *,
+            deadline_at: float | None = None) -> ShardPayloads:
+        """Run shard tasks to completion under the pool's
+        :class:`SupervisionPolicy`; the payloads return in task order,
+        carrying the dispatch's :class:`SupervisionReport` as
+        ``.supervision``.
 
-        The dispatch loop at one attempt and no per-shard deadline: a
-        shard that raises, whose worker dies, or that is unanswered when
-        ``timeout_s`` runs out (its wedged worker is killed and revived)
-        is lost, and the run raises one :class:`WorkerError` naming every
-        lost shard's index and origin range (a :class:`ShardError` when
-        one of them raised a permanent error).  The other shards still
-        finish and the pool stays usable; a dead worker's replacement
-        receives the model at the next :meth:`ensure_model`.
+        Each task's model must have come through :meth:`ensure_model`.
+        A worker failure does not raise: the shard goes to another
+        worker, and once it has failed ``max_attempts`` times it runs
+        inline in this process, against the model :meth:`ensure_model`
+        delivered (same task, same slab, same journal path, so the merge
+        cannot tell recovery happened).  A shard raises
+        :class:`WorkerError` when its inline run fails too, and
+        :class:`ShardError` after one worker run, with no inline run,
+        when its worker reported a permanent error.  ``deadline_at`` is
+        an absolute ``time.monotonic()`` instant; past it the run raises
+        :class:`~repro.detect.scan.ScanDeadlineError`, and the pool stays
+        usable.
         """
-        deadline_at = (time.monotonic() + timeout_s
-                       if timeout_s is not None else None)
-        results, lost, expired, _ = self._dispatch(tasks, _TRUSTING,
-                                                   deadline_at)
-        failures = [f"{_task_context(task)} {why}" for task, why, _ in lost]
-        failures += [f"{_task_context(task)} missed the {timeout_s:.1f}s "
-                     f"dispatch deadline {where}" for task, where in expired]
-        if failures:
-            error = WorkerError if all(t for *_, t in lost) else ShardError
-            raise error("; ".join(failures))
-        return [results[task.shard_index] for task in tasks]
+        results, poisoned, expired, report = self._dispatch(tasks, deadline_at)
+        permanent = [f"{_task_context(task)} {why}"
+                     for task, why, transient in poisoned if not transient]
+        if permanent:
+            raise ShardError("; ".join(permanent))
+        if expired:
+            from ..detect.scan import ScanDeadlineError
 
-    def _dispatch(self, tasks: list, policy: SupervisionPolicy,
-                  deadline_at: float | None, model=None):
+            missing = sorted({t.shard_index for t in tasks} - set(results))
+            raise ScanDeadlineError(
+                f"scan deadline expired with {len(missing)} of "
+                f"{len(tasks)} shards unfinished (missing shards "
+                f"{missing}); journaled tiles are resumable")
+        for task, _, _ in poisoned:
+            try:
+                results[task.shard_index] = run_shard(task,
+                                                      model_cache=self._models)
+            except Exception as exc:
+                raise (WorkerError if retryable(exc) else ShardError)(
+                    f"{_task_context(task)} failed on "
+                    f"{report.attempts[task.shard_index]} workers and "
+                    f"again inline: {type(exc).__name__}: {exc}") from exc
+        return ShardPayloads([results[task.shard_index] for task in tasks],
+                             report)
+
+    def _dispatch(self, tasks: list, deadline_at: float | None):
         """The dispatch loop: one shard in flight per worker, the rest
-        queued here, until every shard is answered, exhausted or expired.
+        queued here, until every shard is answered or exhausted, or the
+        run deadline passes.
 
         A shard fails when it raises, when its worker dies (seen through
         the process sentinel, after salvaging a buffered reply) or when
-        it outlives ``policy.shard_deadline_s`` (its wedged worker is
-        killed); it goes back in the queue until it has failed
-        ``policy.max_attempts`` times or its worker reports a permanent
-        error.  A dead or killed worker is replaced in its slot: with
-        ``model`` the replacement is warmed and rejoins the run, without
-        it the replacement waits for the next :meth:`ensure_model`.
-        Past ``deadline_at`` the loop salvages buffered replies, kills
-        and replaces the stragglers, and everything unanswered expires.
+        it outlives the policy's ``shard_deadline_s`` (its wedged worker
+        is killed); it goes back in the queue until it has failed
+        ``max_attempts`` times or its worker reports a permanent error.
+        A dead or killed worker is replaced in its slot, warmed with the
+        run's models and rejoins the run.  The wait wakes on a reply, a
+        worker-death sentinel, the earliest shard deadline and the run
+        deadline, and blocks when none of them is pending.  Past
+        ``deadline_at`` the loop salvages buffered replies, kills and
+        replaces the stragglers, and stops.
 
         Returns ``(payloads by shard index, exhausted, expired,
         report)``: ``exhausted`` holds ``(task, why, retryable)`` per
-        given-up task, ``expired`` pairs a task with where it stood
-        when the run deadline passed.
+        given-up task, ``expired`` says whether the run deadline passed
+        with shards unanswered.
         """
+        policy = self.supervision
         report = SupervisionReport(shards_total=len(tasks))
         results: dict[int, dict] = {}
         exhausted: list[tuple] = []
-        expired: list[tuple] = []
+        expired = False
         attempts = {task.shard_index: 0 for task in tasks}
         threads = blas_info()["threads"]      # each shard runs at ours
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
+            # held for the run, so a replacement can be warmed with them
+            models = {h: m for h in {task.model_hash for task in tasks}
+                      if (m := self._models.get(h)) is not None}
             self._revive_locked()
-            if model is not None:
+            for model in models.values():
                 self._warm_locked(self._workers, model)
             self.stats["runs"] += 1
             self.stats["tasks"] += len(tasks)
@@ -479,9 +507,9 @@ class WorkerPool:
                 self.stats[counter] += 1
                 report.workers_replaced += 1
                 fresh = self._replace_locked(worker)
-                if model is not None:
+                for model in models.values():
                     self._warm_locked([fresh], model)
-                    idle.append(fresh)
+                idle.append(fresh)
 
             def failed(task, why: str, transient: bool = True) -> None:
                 if transient and attempts[task.shard_index] < policy.max_attempts:
@@ -524,11 +552,8 @@ class WorkerPool:
                     for conn in [c for c in in_flight if c.poll(0)]:
                         consume(conn, salvaged=True)
                     for conn in list(in_flight):
-                        worker, task, _ = kill(conn)
-                        expired.append((task, f"in worker pid={worker.pid} "
-                                              f"(worker killed and revived)"))
-                    expired += [(task, "before a worker was free")
-                                for task in queue]
+                        kill(conn)
+                    expired = True
                     break
                 while queue and idle:
                     worker, task = idle.popleft(), queue.popleft()
@@ -543,20 +568,16 @@ class WorkerPool:
                     due = (time.monotonic() + policy.shard_deadline_s
                            if policy.shard_deadline_s is not None else None)
                     in_flight[worker.conn] = (worker, task, due)
-                if not in_flight:     # every worker died, none came back warm
-                    exhausted += [(task, "lost: every worker died", True)
-                                  for task in queue]
-                    break
-                now = time.monotonic()
-                waits = [policy.probe_interval_s]
-                waits += [due - now for _, _, due in in_flight.values()
-                          if due is not None]
+                dues = [due for _, _, due in in_flight.values()
+                        if due is not None]
                 if deadline_at is not None:
-                    waits.append(deadline_at - now)
+                    dues.append(deadline_at)
+                timeout = (max(0.0, min(dues) - time.monotonic())
+                           if dues else None)
                 sentinels = {worker.proc.sentinel: conn
                              for conn, (worker, _, _) in in_flight.items()}
                 for obj in mp_connection.wait([*in_flight, *sentinels],
-                                              timeout=max(0.0, min(waits))):
+                                              timeout=timeout):
                     conn = sentinels.get(obj, obj)
                     if conn not in in_flight:
                         continue
@@ -587,64 +608,6 @@ def _task_context(task) -> str:
     return describe_shard(task.shard_index, task.start, task.stop)
 
 
-class ShardSupervisor:
-    """Supervised shard dispatch: the pool's dispatch loop under a
-    :class:`SupervisionPolicy`.
-
-    Holds the model object itself (not just its hash) for two reasons:
-    replacement workers have empty caches and need the bytes re-sent,
-    and poison shards run inline in the parent against this instance.
-    """
-
-    def __init__(self, pool: WorkerPool, model,
-                 policy: SupervisionPolicy | None = None) -> None:
-        self.pool = pool
-        self.model = model
-        self.policy = policy or SupervisionPolicy()
-
-    def run(self, tasks: list, *,
-            deadline_at: float | None = None,
-            ) -> tuple[list[dict], SupervisionReport]:
-        """Run shard tasks to completion under supervision.
-
-        Returns ``(payloads in task order, report)``.  ``deadline_at``
-        is an absolute ``time.monotonic()`` instant; past it the run
-        aborts with :class:`~repro.detect.scan.ScanDeadlineError`.
-        Worker failures never raise — they redispatch — except a shard
-        whose *inline* fallback also fails, which raises
-        :class:`WorkerError` (at that point the failure is the model's,
-        not a worker's), and a shard whose worker reported a permanent
-        error, which raises :class:`ShardError` with no inline run.
-        """
-        results, poisoned, expired, report = self.pool._dispatch(
-            tasks, self.policy, deadline_at, self.model)
-        permanent = [f"{_task_context(task)} {why}"
-                     for task, why, transient in poisoned if not transient]
-        if permanent:
-            raise ShardError("; ".join(permanent))
-        if expired:
-            from ..detect.scan import ScanDeadlineError
-
-            missing = sorted({t.shard_index for t in tasks} - set(results))
-            raise ScanDeadlineError(
-                f"scan deadline expired with {len(missing)} of "
-                f"{len(tasks)} shards unfinished (missing shards "
-                f"{missing}); journaled tiles are resumable")
-        # poison shards: inline sequential execution in the parent —
-        # same task, same slab, same journal path, so the merge cannot
-        # tell recovery happened
-        for task, _, _ in poisoned:
-            try:
-                results[task.shard_index] = run_shard(
-                    task, model_cache={task.model_hash: self.model})
-            except Exception as exc:
-                raise (WorkerError if retryable(exc) else ShardError)(
-                    f"{_task_context(task)} failed on "
-                    f"{report.attempts[task.shard_index]} workers and "
-                    f"again inline: {type(exc).__name__}: {exc}") from exc
-        return [results[task.shard_index] for task in tasks], report
-
-
 # ---------------------------------------------------------------------------
 # shared default pools (one per start method) — what makes the *second*
 # scan_scene(n_workers=...) call warm
@@ -656,8 +619,11 @@ _POOLS_LOCK = threading.Lock()
 
 def get_pool(n_workers: int, start_method: str | None = None) -> WorkerPool:
     """The shared persistent pool for ``start_method``, grown to at
-    least ``n_workers``.  Created on first use; survives across scans
-    until :func:`shutdown_pools` (registered ``atexit``)."""
+    least ``n_workers``, under the default :class:`SupervisionPolicy`.
+    Created on first use; survives across scans until
+    :func:`shutdown_pools` (registered ``atexit``).  A caller that needs
+    another policy builds its own :class:`WorkerPool` and passes it to
+    the scan as ``pool=``."""
     from .parallel import default_start_method
 
     method = start_method or default_start_method()

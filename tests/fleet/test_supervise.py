@@ -1,4 +1,5 @@
-"""ShardSupervisor: deadlines, revival, redispatch, poison quarantine.
+"""The pool's supervision: deadlines, revival, redispatch, poison
+quarantine, under the ``SupervisionPolicy`` a ``WorkerPool`` holds.
 
 Every recovery test asserts the core contract — detections byte-identical
 to the fault-free sequential scan — because recovery that changes the
@@ -13,7 +14,7 @@ import pytest
 
 from repro.detect.scan import ScanDeadlineError, ScanSpec, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
-from repro.fleet import ShardSupervisor, SupervisionPolicy
+from repro.fleet import SupervisionPolicy
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.sharding import partition_origins
 
@@ -57,17 +58,16 @@ class TestPolicy:
             SupervisionPolicy(shard_deadline_s=0.0)
         with pytest.raises(ValueError, match="max_attempts"):
             SupervisionPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="probe_interval_s"):
-            SupervisionPolicy(probe_interval_s=0.0)
         assert SupervisionPolicy(shard_deadline_s=None).shard_deadline_s is None
+        with pytest.raises(TypeError, match="SupervisionPolicy"):
+            WorkerPool(1, supervision=True)
 
 
 class TestCleanRuns:
     def test_supervised_scan_matches_sequential(self, model, scene):
         sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool:
-            result = scan(model, scene, n_workers=2, pool=pool,
-                          supervision=True)
+            result = scan(model, scene, n_workers=2, pool=pool)
         report = result.supervision
         assert list(result) == list(sequential)
         assert result.coverage == sequential.coverage
@@ -75,15 +75,9 @@ class TestCleanRuns:
         assert report.shards_total >= 2
         assert all(n == 1 for n in report.attempts.values())
 
-    def test_unsupervised_scan_carries_no_report(self, model, scene):
-        with WorkerPool(2) as pool:
-            result = scan(model, scene, n_workers=2, pool=pool)
-        assert getattr(result, "supervision", None) is None
-
     def test_report_json_roundtrip(self, model, scene):
         with WorkerPool(2) as pool:
-            result = scan(model, scene, n_workers=2, pool=pool,
-                          supervision=SupervisionPolicy())
+            result = scan(model, scene, n_workers=2, pool=pool)
         snap = result.supervision.to_json()
         assert snap["shards_total"] == result.supervision.shards_total
         assert snap["deadline_kills"] == 0
@@ -99,12 +93,10 @@ class TestFaultRecovery:
         plan = WorkerFaultPlan(faults={0: "hang"},
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
-        policy = SupervisionPolicy(shard_deadline_s=1.5,
-                                   probe_interval_s=0.25)
+        policy = SupervisionPolicy(shard_deadline_s=1.5)
         t0 = time.monotonic()
-        with WorkerPool(2) as pool:
-            result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=policy)
+        with WorkerPool(2, supervision=policy) as pool:
+            result = scan(faulty, scene, n_workers=2, pool=pool)
         elapsed = time.monotonic() - t0
         report = result.supervision
         assert list(result) == list(sequential)
@@ -113,7 +105,7 @@ class TestFaultRecovery:
         assert report.workers_replaced >= 1
         assert not report.clean
         # the hung worker must never stall dispatch much past its
-        # deadline: kill latency is bounded by the probe interval
+        # deadline: the dispatch wait wakes at the earliest shard deadline
         assert report.max_overshoot_s <= 1.0
         assert elapsed < 30.0
         assert plan.fired() == 1
@@ -128,14 +120,12 @@ class TestFaultRecovery:
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
         with WorkerPool(2) as pool:
-            result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=True)
+            result = scan(faulty, scene, n_workers=2, pool=pool)
             report = result.supervision
             # re-warm: 2 initial model sends + 1 to the replacement
             assert pool.stats["model_sends"] == 3
             # the revived pool keeps working on a clean follow-up scan
-            again = scan(faulty, scene, n_workers=2, pool=pool,
-                         supervision=True)
+            again = scan(faulty, scene, n_workers=2, pool=pool)
         after = set(os.listdir("/dev/shm"))
         leaked = {n for n in after - before if n.startswith("psm_")}
         assert leaked == set()
@@ -152,8 +142,7 @@ class TestFaultRecovery:
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
         with WorkerPool(2) as pool:
-            result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=True)
+            result = scan(faulty, scene, n_workers=2, pool=pool)
         report = result.supervision
         assert list(result) == list(sequential)
         assert report.redispatches >= 1
@@ -168,9 +157,8 @@ class TestFaultRecovery:
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
         policy = SupervisionPolicy(shard_deadline_s=30.0)
-        with WorkerPool(2) as pool:
-            result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=policy)
+        with WorkerPool(2, supervision=policy) as pool:
+            result = scan(faulty, scene, n_workers=2, pool=pool)
         assert list(result) == list(sequential)
         assert result.supervision.clean
 
@@ -183,9 +171,8 @@ class TestFaultRecovery:
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
         policy = SupervisionPolicy(max_attempts=2)
-        with WorkerPool(2) as pool:
-            result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=policy)
+        with WorkerPool(2, supervision=policy) as pool:
+            result = scan(faulty, scene, n_workers=2, pool=pool)
         report = result.supervision
         assert list(result) == list(sequential)
         assert len(report.poison_shards) >= 1
@@ -193,25 +180,24 @@ class TestFaultRecovery:
 
     def test_inline_failure_raises_worker_error(self, scene):
         policy = SupervisionPolicy(max_attempts=1)
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, supervision=policy) as pool:
             with pytest.raises(WorkerError, match="again inline"):
-                scan(ExplodingModel(), scene, n_workers=2, pool=pool,
-                     supervision=policy)
+                scan(ExplodingModel(), scene, n_workers=2, pool=pool)
 
 
 class TestDeadlines:
     def test_expired_deadline_aborts_and_pool_survives(self, model, scene):
-        with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
+        policy = SupervisionPolicy(shard_deadline_s=None)
+        with WorkerPool(2, supervision=policy) as pool, \
+                SharedArray(scene.image) as shared:
             model_hash = pool.ensure_model(model)
             tasks = make_tasks(scene, shared, model_hash)
-            supervisor = ShardSupervisor(
-                pool, model, SupervisionPolicy(shard_deadline_s=None))
             with pytest.raises(ScanDeadlineError, match="shards unfinished"):
-                supervisor.run(tasks, deadline_at=time.monotonic() - 1.0)
+                pool.run(tasks, deadline_at=time.monotonic() - 1.0)
             # abort cleared the stragglers: the pool can scan again
-            payloads, report = supervisor.run(make_tasks(scene, shared,
-                                                         model_hash))
+            payloads = pool.run(make_tasks(scene, shared, model_hash))
             assert len(payloads) == len(tasks)
+            assert payloads.supervision.clean
         sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool2:
             result = scan(model, scene, n_workers=2, pool=pool2)
@@ -221,13 +207,12 @@ class TestDeadlines:
         plan = WorkerFaultPlan(faults={0: "hang", 1: "hang"},
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
-        policy = SupervisionPolicy(shard_deadline_s=None,
-                                   probe_interval_s=0.1)
+        policy = SupervisionPolicy(shard_deadline_s=None)
         t0 = time.monotonic()
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, supervision=policy) as pool:
             with pytest.raises(ScanDeadlineError):
                 scan(faulty, scene, n_workers=2, pool=pool,
-                     supervision=policy, timeout_s=0.8)
+                     timeout_s=0.8)
         assert time.monotonic() - t0 < 15.0
 
     def test_deadline_abort_is_resumable(self, model, scene, tmp_path):
@@ -236,18 +221,16 @@ class TestDeadlines:
         plan = WorkerFaultPlan(faults={0: "hang", 1: "hang"},
                                fuse_dir=str(tmp_path / "fuses"))
         faulty = FaultyDetector(model, plan)
-        policy = SupervisionPolicy(shard_deadline_s=None,
-                                   probe_interval_s=0.1)
+        policy = SupervisionPolicy(shard_deadline_s=None)
         journal = tmp_path / "scan.journal.jsonl"
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, supervision=policy) as pool:
             with pytest.raises(ScanDeadlineError):
                 scan(faulty, scene, n_workers=2, pool=pool,
                      journal=str(journal), resume=True,
-                     supervision=policy, timeout_s=0.8)
+                     timeout_s=0.8)
             # both hang fuses burned in attempt one: the resume is clean
             resumed = scan(faulty, scene, n_workers=2, pool=pool,
-                           journal=str(journal), resume=True,
-                           supervision=policy)
+                           journal=str(journal), resume=True)
         reference = scan(faulty, scene, n_workers=1,
                          journal=str(tmp_path / "ref.journal.jsonl"))
         assert list(resumed) == list(reference)

@@ -59,6 +59,10 @@ class FaultyCompiled:
     def predict_stream(self, chips, limit):
         return self.predict(np.stack(list(islice(chips, limit))), limit)
 
+    def warmup(self, batch_sizes, sample_shape=None):
+        """Nothing to bind: the double's programs are the eager model."""
+        return 0.0
+
 
 class TestGuardedEngine:
     def test_healthy_engine_matches_eager(self, model):

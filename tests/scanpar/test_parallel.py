@@ -66,11 +66,15 @@ class TestParity:
     @pytest.mark.parametrize("backend", ["engine"])
     @pytest.mark.parametrize("stride", [25, 50, 100])
     def test_sweep_matches_sequential(self, model, scene, backend, stride):
-        sequential = scan(model, scene, stride=stride, backend=backend)
-        assert len(scan_origins(scene.size, WINDOW, stride)) > 1
+        n_origins = len(scan_origins(scene.size, WINDOW, stride))
+        # at least two micro-batches, so every n_workers > 1 shards
+        kwargs = dict(stride=stride, backend=backend,
+                      batch_size=min(SPEC.batch_size, n_origins // 2))
+        sequential = scan(model, scene, **kwargs)
         for n_workers in (1, 2, 4):
-            parallel = scan(model, scene, stride=stride, backend=backend,
-                            n_workers=n_workers)
+            parallel = scan(model, scene, n_workers=n_workers, **kwargs)
+            if n_workers > 1:
+                assert parallel.supervision.shards_total >= 2
             assert_identical(parallel, sequential)
 
     def test_spawn_start_method_matches_fork(self, model, scene):

@@ -17,7 +17,7 @@ from repro.blas import BlasError
 from repro.detect import ScanSpec, SPPNetDetector
 from repro.detect.scan import ScanDeadlineError
 from repro.faults import InjectedFault
-from repro.fleet import JobQueue, JobQueueError, ScanFleet, ShardSupervisor, SupervisionPolicy
+from repro.fleet import JobQueue, JobQueueError, ScanFleet, SupervisionPolicy
 from repro.geo.synthesis import WatershedConfig
 from repro.nas import FunctionalEvaluator, RetryPolicy, run_trial_with_retries
 from repro.retry import retryable
@@ -117,22 +117,20 @@ def trial_runs(exc, monkeypatch, returns=None):
     return {"runs": len(calls), "sleeps": len(sleeps)}
 
 
-def shard_runs(exc, tmp_path, supervised):
+def shard_runs(exc, tmp_path):
     log = tmp_path / "attempts.log"
     detector = FailingDetector(exc, log)
     image = np.zeros((4, 128, 128), np.float32)
     policy = SupervisionPolicy(max_attempts=BUDGET, shard_deadline_s=None)
-    with WorkerPool(2) as pool, SharedArray(image) as shared:
+    with WorkerPool(2, supervision=policy) as pool, \
+            SharedArray(image) as shared:
         task = ShardTask(shard_index=0, start=0, stop=len(SPEC.origins(128)),
                          shm=shared.spec(), model_hash=pool.ensure_model(detector),
                          scene_size=128, window=SPEC.window, stride=SPEC.stride,
                          batch_size=SPEC.batch_size,
                          confidence_threshold=SPEC.confidence_threshold)
         with pytest.raises(WorkerError, match="shard 0") as raised:
-            if supervised:
-                ShardSupervisor(pool, detector, policy).run([task])
-            else:
-                pool.run([task])
+            pool.run([task])
     assert exc.__name__ in str(raised.value)
     assert retryable(raised.value) == retryable(exc())
     pids = log.read_text().split()
@@ -158,8 +156,6 @@ TABLE = {
     "fleet": ({"runs": 1}, {"runs": BUDGET}),
     "trial": ({"runs": 1, "sleeps": 0}, {"runs": BUDGET, "sleeps": BUDGET - 1}),
     "shard": ({"runs": 1, "inline": 0}, {"runs": BUDGET, "inline": 1}),
-    # WorkerPool.run: one attempt either way; the error says which
-    "pool": ({"runs": 1, "inline": 0}, {"runs": 1, "inline": 0}),
     # InferenceService's default max_batch_retries is 1
     "service": ({"runs": 1}, {"runs": 2}),
 }
@@ -178,8 +174,7 @@ def test_runs_per_loop(loop, kind, model, tmp_path, monkeypatch):
     runs = {
         "fleet": lambda: fleet_runs(exc, tmp_path),
         "trial": lambda: trial_runs(exc, monkeypatch),
-        "shard": lambda: shard_runs(exc, tmp_path, supervised=True),
-        "pool": lambda: shard_runs(exc, tmp_path, supervised=False),
+        "shard": lambda: shard_runs(exc, tmp_path),
         "service": lambda: service_runs(exc, model),
     }[loop]()
     assert runs == TABLE[loop][kind == "transient"]
