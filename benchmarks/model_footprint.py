@@ -1,11 +1,14 @@
 """Peak-RSS footprint of one detector's life in a fresh process.
 
 For each Table-1 model, a child process reads its own peak resident set
-(Linux's ``VmHWM``) at three points:
+(Linux's ``VmHWM``) around each stage of its life:
 
 * ``build_mb``: the rise while ``SPPNetDetector(config, seed=0)`` builds;
 * ``engine_peak_mb``: the process's whole peak after ``compiled_for``
   and ``warmup([20, 1])`` on 100 px chips;
+* ``compile_mb``: the rise across that compile and warm-up, the bytes
+  the engine adds to a built model (its FC packs are the module's own
+  arrays, so little beyond conv packs and arenas);
 * ``eager_mb``: the rise while eager ``predict`` runs 10 chips one at
   a time, the batch the guard's robust re-run uses.  (At batch 10 the
   im2col matrices dominate: 51 MB for SPP-Net #3's second conv.)
@@ -47,7 +50,7 @@ def _peak_mb() -> float:
 
 
 def probe(name: str) -> dict:
-    """The three footprint numbers of ``name``, read in this process."""
+    """The footprint numbers of ``name``, read in this process."""
     import numpy as np
 
     from repro.arch import TABLE1_MODELS
@@ -68,6 +71,7 @@ def probe(name: str) -> dict:
         "weight_mb": round(sum(p.data.nbytes for p in model.parameters()) / 2**20, 1),
         "build_mb": round(built - before, 1),
         "engine_peak_mb": round(warmed, 1),
+        "compile_mb": round(warmed - built, 1),
         "eager_mb": round(_peak_mb() - warmed, 1),
     }
 
@@ -101,11 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         names = list(TABLE1_MODELS)
     rows = [measure(name) for name in names]
     if args.markdown:
-        print("| model | weights MB | build MB | engine peak MB | eager MB |")
-        print("|---|---:|---:|---:|---:|")
+        print("| model | weights MB | build MB | compile MB | engine peak MB | eager MB |")
+        print("|---|---:|---:|---:|---:|---:|")
         for r in rows:
             print(f"| {r['model']} | {r['weight_mb']} | {r['build_mb']} | "
-                  f"{r['engine_peak_mb']} | {r['eager_mb']} |")
+                  f"{r['compile_mb']} | {r['engine_peak_mb']} | {r['eager_mb']} |")
     else:
         print(json.dumps(rows, indent=1))
     return 0

@@ -30,7 +30,10 @@ which streams its weights per call, gains from batching — so the trunk
 stays cache-resident, one trunk serves every batch size, and a tile's
 trunk result cannot depend on its batch-mates.  Weights are packed once
 at compile time and shared by every program (trace node names are
-structural, hence stable across input sizes).
+structural, hence stable across input sizes).  A fully-connected layer's
+float32 weight and bias are not copied at all: the pack *is* the
+module's array, frozen read-only, so a process holds one copy of the FC
+and an in-place edit of the module after compile raises.
 
 A scan's input is not independent chips but *windows of one raster*
 (:meth:`CompiledModel.predict_windows`), and where windows overlap
@@ -591,7 +594,11 @@ class CompiledModel:
 
     # -- compile-time ----------------------------------------------------
     def _pack(self, traced: Traced) -> dict[str, dict]:
-        """Snapshot weights into GEMM-ready layouts (taken once)."""
+        """Snapshot weights into GEMM-ready layouts (taken once): conv
+        weights as re-laid-out copies, Linear weights and biases through
+        :func:`.kernels.pack_linear_weight`, which shares and freezes
+        the module's arrays where it can.  Rebinding ``param.data``
+        (``load_state_dict``, ``SGD.step``) leaves the snapshot as is."""
         packed: dict[str, dict] = {}
         for name, params in traced.params.items():
             weight = params["weight"]
@@ -605,7 +612,7 @@ class CompiledModel:
                 packed[name] = {
                     "pack": pack_linear_weight(weight, self.dtype),
                     "bias": None if bias is None else
-                    np.ascontiguousarray(bias, dtype=self.dtype)}
+                    pack_linear_weight(bias, self.dtype)}
         return packed
 
     def _steps_for(self, sample_shape: tuple[int, ...]) -> list[Step]:
@@ -1057,9 +1064,11 @@ def compiled_for(model) -> CompiledModel:
     (``scan_scene``, ``GuardedEngine``, ``predict(backend="engine")``,
     the NAS latency evaluator).
 
-    The compiled program snapshots weights at first use; training the
-    model afterwards requires a fresh :func:`compile` (or a new model
-    object) to pick up the new parameters.
+    The compiled program snapshots weights at first use, sharing the
+    module's float32 FC arrays read-only; training the model afterwards
+    (``SGD.step`` copies a frozen parameter before its update) requires
+    a fresh :func:`compile` (or a new model object) to pick up the new
+    parameters.
 
     A wrapper that is not a traceable module hands over its program
     from an ``engine_program()`` method (``repro.faults.FaultyDetector``).

@@ -95,20 +95,24 @@ def pack_conv_weight(weight: np.ndarray, bias: np.ndarray | None,
     rows = weight.transpose(2, 3, 1, 0).reshape(-1, weight.shape[0])
     if bias is not None:
         rows = np.vstack([rows, bias[None, :]])
-    return np.ascontiguousarray(rows, dtype=dtype)
+    return np.array(rows, dtype=dtype, order="C")
 
 
-def pack_linear_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``(out, in)`` -> a fresh contiguous ``(out, in)`` copy.
+def pack_linear_weight(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """A Linear weight ``(out, in)`` or bias ``(out,)``, shared or copied.
 
-    The module's own layout, which :func:`linear` multiplies from the
-    left, so packing is a plain cast-and-copy rather than a strided
-    transpose (63 MB on SPP-Net #3).  Always a copy, never a view: the
-    detector's weights are float32 like the pack, so a bare cast would
-    alias them and edits to the model after compile would reach the
-    snapshot.
+    :func:`linear` multiplies the module's own layout from the left, so
+    an array that already has ``dtype``, is C-contiguous and owns its
+    data (``base is None``) is used as it is and frozen
+    (``writeable = False``): one copy of the FC per process (60 MB on
+    SPP-Net #3), and an in-place edit of the module after compile raises
+    instead of reaching the snapshot.  Any other array (a cast, a view)
+    becomes a fresh contiguous copy and the module stays writable.
     """
-    return np.array(weight, dtype=dtype, order="C", copy=True)
+    if array.dtype == dtype and array.flags.c_contiguous and array.base is None:
+        array.flags.writeable = False
+        return array
+    return np.array(array, dtype=dtype, order="C")
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int,

@@ -57,4 +57,6 @@ class SGD:
                 buf = g.copy() if buf is None else self.momentum * buf + g
                 self._buffers[i] = buf
                 g = buf
+            if not p.data.flags.writeable:
+                p.data = p.data.copy()  # shared read-only with an engine
             p.data -= self.lr * g

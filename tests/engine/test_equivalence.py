@@ -12,7 +12,7 @@ from repro.detect.predict import predict
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel, compile as engine_compile, compiled_for
 from repro.engine.kernels import sigmoid_into
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Linear, Tensor, no_grad
 
 ATOL = 1e-5
 
@@ -145,24 +145,47 @@ class TestBackendSelection:
             predict(model, chips(1), backend="tpu")
 
     def test_engine_snapshot_ignores_later_weight_edits(self):
+        """The FC weight is the module's own array, frozen: an in-place
+        edit raises instead of reaching the pack."""
         model = SPPNetDetector(small_config(), seed=10)
-        images = chips(2)
-        compiled = engine_compile(model, (4, 32, 32))
-        before = compiled(images)[0].copy()
-        model.cls_head.weight.data += 1.0
-        np.testing.assert_array_equal(compiled(images)[0], before)
-
-    def test_float32_snapshot_ignores_later_weight_edits(self):
-        """A float32 model's FC weights need no cast, so only an
-        explicit copy keeps the pack from aliasing them."""
-        model = SPPNetDetector(small_config(), seed=10)
-        for param in model.parameters():
-            param.data = param.data.astype(np.float32)
         images = chips(2)
         compiled = engine_compile(model, (4, 32, 32))
         before = [out.copy() for out in compiled(images)]
-        for name, param in model.named_parameters():
-            if name.endswith("weight") and param.data.ndim == 2:
-                param.data += 1.0       # in place: the same buffer
+        with pytest.raises(ValueError, match="read-only"):
+            model.cls_head.weight.data += 1.0
         for out, ref in zip(compiled(images), before):
-            np.testing.assert_array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes()
+
+    def test_float32_snapshot_ignores_later_weight_edits(self):
+        """Rebinding every parameter (what ``load_state_dict`` does)
+        leaves the pack, and so every engine output bit, as it was."""
+        model = SPPNetDetector(small_config(), seed=10)
+        images = chips(2)
+        compiled = engine_compile(model, (4, 32, 32))
+        before = [out.copy() for out in compiled(images)]
+        for param in model.parameters():
+            param.data = param.data + 1.0
+        for out, ref in zip(compiled(images), before):
+            assert out.tobytes() == ref.tobytes()
+
+    def test_bias_edits_after_compile_do_not_reach_the_engine(self):
+        """Every 1-D parameter edited in place after compile: a Linear
+        bias is shared with the pack, so its edit raises; a conv bias
+        lives on in a re-laid-out copy, so its edit lands in the module
+        alone.  Either way no output bit moves."""
+        model = SPPNetDetector(small_config(), seed=10)
+        images = chips(2)
+        compiled = engine_compile(model, (4, 32, 32))
+        before = [out.copy() for out in compiled(images)]
+        linear_biases = {id(m.bias) for m in model.modules()
+                         if isinstance(m, Linear)}
+        biases = [p for p in model.parameters() if p.data.ndim == 1]
+        assert linear_biases < {id(p) for p in biases}
+        for param in biases:
+            if id(param) in linear_biases:
+                with pytest.raises(ValueError, match="read-only"):
+                    param.data += 1.0
+            else:
+                param.data += 1.0
+        for out, ref in zip(compiled(images), before):
+            assert out.tobytes() == ref.tobytes()

@@ -4,7 +4,8 @@
 (Linux's ``VmHWM``) around SPP-Net #3's build, engine warm-up and an eager
 predict.  A float64 copy of the weights anywhere (a float64 build cast
 afterwards, or eager ops promoting the FC to float64) adds ~120 MB to
-one of the three and fails its bound.
+one of the three and fails its bound, and an engine that packs its own
+float32 copy of the FC adds ~60 MB to the compile.
 """
 
 import sys
@@ -37,6 +38,11 @@ def test_building_the_model_holds_no_float64_draw(footprint):
 
 def test_warmed_engine_process_peak(footprint):
     assert footprint["engine_peak_mb"] <= 190
+
+
+def test_compile_shares_the_fc_with_the_module(footprint):
+    # conv packs and arenas read ~3 MB; a packed FC copy would add 60
+    assert footprint["compile_mb"] <= 20
 
 
 def test_eager_predict_makes_no_float64_weight_copy(footprint):
