@@ -26,9 +26,10 @@ merge.  This benchmark is that promise as an executable gate:
   byte-identical to the fault-free sweep's, scene for scene.
 
 Fault kinds are restricted to hang/kill/slow: in robust journaled
-scans a model *exception* is by design a quarantined tile (a different
-contract, gated by ``bench_robustness.py``), while process-level
-faults must cost recoveries, not tiles.
+scans a model *exception* that no retry can change is by design a
+quarantined tile (a different contract, gated by
+``bench_robustness.py``), while process-level faults must cost
+recoveries, not tiles.
 
 Usage::
 

@@ -7,10 +7,9 @@ Two scenarios, both with deterministic injected faults (``repro.faults``):
    (retry + quarantine) and pick the same winner as the fault-free sweep
    with the same seed.  This is the CI gate.
 2. **Serving through a worker outage** — an ``InferenceService`` whose
-   guarded engine fails hard (the compiled program *and* its eager
-   fallback, ``repro.faults.FaultyEngine``) must trip the circuit
-   breaker, keep answering cached chips in degraded mode, and recover
-   via the half-open probe.
+   compiled engine fails hard (``repro.faults.FaultyEngine``) must trip
+   the circuit breaker, keep answering cached chips in degraded mode,
+   and recover via the half-open probe.
 
 Emits ``BENCH_resilience.json`` so fault-tolerance telemetry is recorded
 run over run.
@@ -86,8 +85,6 @@ def run_serve_scenario() -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     rng = np.random.default_rng(0)
     chips = rng.normal(size=(8, 4, 24, 24)).astype(np.float32)
-    # both halves of the guard fail during the outage: the compiled
-    # engine and the eager fallback that would otherwise absorb it
     faulty = FaultyEngine(model)
     breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=0.05)
     outage_failures = 0

@@ -1,4 +1,4 @@
-"""Robustness gate: corrupted scenes scan, resumes replay, engine falls back.
+"""Robustness gate: corrupted scenes scan, resumes replay, engine faults are loud.
 
 Four scenarios, all with deterministic injected damage (``repro.faults``):
 
@@ -10,10 +10,11 @@ Four scenarios, all with deterministic injected damage (``repro.faults``):
 2. **Interrupted scan resume** — a journalled scan truncated after k
    tiles and resumed must reproduce the uninterrupted run byte for byte:
    identical detections, identical journal file.
-3. **Engine fault fallback** — an :class:`~repro.robust.GuardedEngine`
-   whose compiled program emits garbage must transparently re-execute on
-   eager with matching outputs, visible in the service metrics snapshot's
-   ``fallback_by_reason``.
+3. **An engine fault fails loudly** — a service whose compiled program
+   emits garbage for its first two batches fails those requests with
+   :class:`~repro.robust.EngineError`, tallied by reason in the metrics
+   snapshot's ``fallback_by_reason``, and answers the later requests
+   with the engine's own bytes.
 4. **Robust-stage overhead** — the deployed model and scan geometry
    (``benchmarks/e2e/harness.py``: SPP-Net #3, 100 px windows at stride
    50, engine backend) over the corrupted scene, ``sanitize=`` +
@@ -42,7 +43,6 @@ import os
 import tempfile
 import time
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -55,13 +55,13 @@ from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import (
     SPPNetDetector,
     evaluate_scene_detections,
-    predict,
     scan_origins,
     scan_scene,
 )
+from repro.engine import compiled_for
 from repro.faults import corrupt_scene
 from repro.geo import WatershedConfig, build_scene
-from repro.robust import GuardedEngine, SanitizePolicy, ScanJournal
+from repro.robust import EngineError, GuardedEngine, SanitizePolicy, ScanJournal
 from repro.serve import BatchPolicy, InferenceService
 
 ARCH = SPPNetConfig(
@@ -212,47 +212,51 @@ def run_overhead_scenario(scene_size: int = 320, fraction: float = 0.2,
 
 
 class _FaultyCompiled:
-    """Compiled program that emits NaN for its first ``fail_first`` calls."""
+    """The compiled program, emitting NaN for its first ``fail_first``
+    calls."""
 
     def __init__(self, model, fail_first: int) -> None:
-        self.model = model
+        self.compiled = compiled_for(model)
         self.fail_first = fail_first
         self.calls = 0
 
-    def predict(self, stack, batch_size=20):
-        self.calls += 1
-        n = len(stack)
-        if self.calls <= self.fail_first:
-            return np.full(n, np.nan), np.full((n, 4), np.nan)
-        return predict(self.model, stack, batch_size=batch_size)
-
     def predict_stream(self, chips, limit):
-        return self.predict(np.stack(list(islice(chips, limit))), limit)
+        self.calls += 1
+        conf, boxes = self.compiled.predict_stream(chips, limit)
+        if self.calls <= self.fail_first:
+            return np.full_like(conf, np.nan), np.full_like(boxes, np.nan)
+        return conf, boxes
+
+    def warmup(self, batch_sizes, sample_shape=None):
+        return self.compiled.warmup(batch_sizes, sample_shape)
 
 
-def run_fallback_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
+def run_engine_fault_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
     rng = np.random.default_rng(0)
     chips = rng.random((n_chips, 4, 24, 24)).astype(np.float32)
-    eager_conf, _ = predict(model, chips, batch_size=1)
+    engine_conf, _ = compiled_for(model).predict(chips, batch_size=1)
 
     guard = GuardedEngine(model, compiled=_FaultyCompiled(model, fail_first))
     with InferenceService(model, BatchPolicy(max_batch=1),
                           cache_size=0, engine=guard) as service:
-        results = [service.submit(c).result(timeout=30) for c in chips]
+        futures = [service.submit(c) for c in chips]
+        errors = [f.exception(timeout=30) for f in futures]
         snapshot = service.metrics.snapshot()
 
-    matches = bool(np.allclose(
-        [r.confidence for r in results], eager_conf, atol=1e-4))
+    raised = [isinstance(e, EngineError) for e in errors]
+    answered = [f.result().confidence for f, e in zip(futures, errors)
+                if e is None]
     return {
         "chips": n_chips,
         "engine_faults_injected": fail_first,
         "fallback_by_reason": snapshot["fallback_by_reason"],
-        "completed_by_backend": snapshot["completed_by_backend"],
-        "fallback_outputs_match_eager": matches,
-        "all_outputs_finite": bool(np.isfinite(
-            [r.confidence for r in results]).all()),
+        "requests_raising_engine_error": sum(raised),
+        "faulted_requests_raise": raised == [True] * fail_first + [False] * (
+            n_chips - fail_first),
+        "later_requests_are_engine_answers": answered == [
+            float(c) for c in engine_conf[fail_first:]],
     }
 
 
@@ -261,7 +265,7 @@ def run_benchmark(scene_size: int = 320, fraction: float = 0.2) -> dict:
         "benchmark": "robustness",
         "scan": run_scan_scenario(scene_size=scene_size, fraction=fraction),
         "resume": run_resume_scenario(),
-        "fallback": run_fallback_scenario(),
+        "engine_fault": run_engine_fault_scenario(),
         # what check_regression.py keeps in the baseline: absolute
         # numbers and the ratio behind them, next to the machine
         "absolute": {
@@ -276,7 +280,7 @@ def run_benchmark(scene_size: int = 320, fraction: float = 0.2) -> dict:
 def payload_checks(payload: dict) -> list:
     scan = payload["scan"]
     resume = payload["resume"]
-    fallback = payload["fallback"]
+    fault = payload["engine_fault"]
     overhead = payload["absolute"]["overhead"]
     return [
         check("scan_tiles_corrupted", scan["tiles_corrupted"], ">=", 1,
@@ -288,10 +292,10 @@ def payload_checks(payload: dict) -> list:
               resume["detections_identical"], "bool"),
         check("resume_journal_byte_identical",
               resume["journal_byte_identical"], "bool"),
-        check("fallback_outputs_match_eager",
-              fallback["fallback_outputs_match_eager"], "bool"),
-        check("fallback_all_outputs_finite",
-              fallback["all_outputs_finite"], "bool"),
+        check("engine_fault_requests_raise",
+              fault["faulted_requests_raise"], "bool"),
+        check("engine_answers_after_faults",
+              fault["later_requests_are_engine_answers"], "bool"),
         # a ratio of two wall-clock timings over a handful of rounds:
         # carried in the tracker's table (ROADMAP item 4 reads it), with
         # no threshold and no drift comparison to flake on a loaded runner
@@ -321,15 +325,15 @@ def test_interrupted_scan_resumes_byte_identically():
     assert payload["journal_byte_identical"]
 
 
-def test_engine_faults_fall_back_to_eager():
-    """Acceptance: injected engine garbage re-executes on eager with
-    matching outputs, tallied in ``ServiceMetrics.fallback_by_reason``."""
-    payload = run_fallback_scenario()
-    assert payload["fallback_by_reason"].get("non_finite") == 2
-    assert payload["completed_by_backend"].get("eager") == 2
-    assert payload["completed_by_backend"].get("engine") == 4
-    assert payload["fallback_outputs_match_eager"]
-    assert payload["all_outputs_finite"]
+def test_an_engine_fault_fails_loudly():
+    """Acceptance: injected engine garbage fails its requests with
+    ``EngineError``, tallied in ``ServiceMetrics.fallback_by_reason``;
+    the later requests are the engine's own answers."""
+    payload = run_engine_fault_scenario()
+    assert payload["fallback_by_reason"] == {"non_finite": 2}
+    assert payload["requests_raising_engine_error"] == 2
+    assert payload["faulted_requests_raise"]
+    assert payload["later_requests_are_engine_answers"]
 
 
 def main() -> None:
@@ -345,7 +349,7 @@ def main() -> None:
 
     scan = payload["scan"]
     resume = payload["resume"]
-    fallback = payload["fallback"]
+    fault = payload["engine_fault"]
     cov = scan["coverage"]
     print(f"scan     : {scan['tiles_corrupted']} corrupted tiles "
           f"({', '.join(scan['injectors_applied'])}); "
@@ -357,9 +361,10 @@ def main() -> None:
           f"/{resume['tiles_total']} tiles; "
           f"detections identical={resume['detections_identical']}, "
           f"journal bytes identical={resume['journal_byte_identical']}")
-    print(f"fallback : {fallback['fallback_by_reason']} -> "
-          f"served {fallback['completed_by_backend']}, "
-          f"outputs match eager={fallback['fallback_outputs_match_eager']}")
+    print(f"fault    : {fault['requests_raising_engine_error']} of "
+          f"{fault['chips']} requests raised EngineError "
+          f"{fault['fallback_by_reason']}; later requests engine "
+          f"answers={fault['later_requests_are_engine_answers']}")
     overhead = payload["absolute"]["overhead"]
     ratio = overhead["robust_over_batched_ms_per_tile"]
     print(f"overhead : {overhead['model']}, {overhead['n_tiles']} tiles "

@@ -15,7 +15,7 @@ profiling  Nsight-Systems-style profiler over the simulated runtime
 hydro      DEM conditioning, D8 flow routing, crossing-aware breaching
 serve      dynamic-batching inference service over a trained detector
 engine     compiled inference engine (traced, fused, planned, fast kernels)
-robust     degraded-input sanitization, guarded fallback, scan journaling
+robust     degraded-input sanitization, engine output guard, scan journaling
 scanpar    parallel sharded scene scanning (shared-memory zero-copy tiling)
 """
 

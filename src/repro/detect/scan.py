@@ -188,6 +188,8 @@ class ScanCoverage:
 
     tiles_scanned counts tiles that produced a model answer (clean or
     repaired); quarantined tiles were skipped by design, never silently.
+    engine_fallbacks counts the engine faults the robust stage's guard
+    raised (the name is the frozen benchmark harness's, ROADMAP item 1).
     """
 
     tiles_total: int
@@ -441,7 +443,8 @@ def scan_span(
     tiles not in ``skip`` (already journaled) run in index order, in
     micro-batches of ``spec.batch_size`` (:func:`_run_group`), each finished
     micro-batch written with one ``journal.extend`` (one fsync); the
-    payload is ``{"records", "fallbacks"}``.  ``deadline_at``
+    payload is ``{"records", "fallbacks"}``, the second the guard's
+    engine faults by reason.  ``deadline_at``
     (monotonic) is checked before each micro-batch runs and raises
     :class:`ScanDeadlineError` with every finished one on disk.
     """
@@ -507,9 +510,15 @@ def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
     ``guarded.predict_batch`` call, each row decoded alone.  A head runs
     whole 4-row blocks (``engine.compiled.HEAD_ROWS``), so a row is the
     bytes the tile's own ``predict_batch(chip[None])`` gives.  The fault
-    boundary stays per tile: if the call raises (the guard's eager
-    re-run failed too), each tile re-runs alone, so poison stays in its
-    tile."""
+    boundary stays per tile: if the call raises (the engine's own error,
+    or the guard's :class:`~repro.robust.EngineError` for a non-finite
+    or wrong-shape answer), each tile re-runs alone on the engine, and a
+    tile whose own call raises an error no retry can change
+    (:func:`repro.retry.retryable`) is quarantined with the error as its
+    reason, so poison stays in its tile.  A retryable error propagates
+    and is journaled nowhere: the shard's or the job's retry runs the
+    tile again."""
+    from ..retry import retryable
     from ..robust.journal import TileRecord
     from ..robust.sanitize import sanitize_chip
 
@@ -540,6 +549,8 @@ def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
             try:
                 conf, box, _ = guarded.predict_batch(result.chip[None])
             except Exception as exc:  # the fault boundary: poison stays in the tile
+                if retryable(exc):
+                    raise       # transient: the shard's or job's retry runs it
                 records.append(TileRecord(index, origin, "quarantined",
                                           reason=f"model failure: {exc!r}"))
             else:
@@ -549,17 +560,14 @@ def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
 
 def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
                  spec: ScanSpec) -> TileRecord:
-    """Decode one tile's model row into its record; a non-finite row
-    quarantines the tile alone."""
+    """Decode one tile's model row (finite: the guard checked it) into
+    its record."""
     from ..robust.journal import TileRecord
 
     r0, c0 = origin
     reason = "; ".join(result.repairs) if result.repairs else None
     conf0 = float(np.asarray(conf).reshape(-1)[0])
     box0 = np.asarray(box, dtype=np.float64).reshape(-1)
-    if not (math.isfinite(conf0) and np.isfinite(box0).all()):
-        return TileRecord(index, origin, "quarantined",
-                          reason="non_finite_output")
     detections: tuple = ()
     if conf0 >= spec.confidence_threshold:
         cx, cy, w, h = (float(v) for v in box0[:4])

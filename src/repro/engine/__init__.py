@@ -10,8 +10,9 @@ times faster than the eager autograd path while producing equivalent
 outputs (``docs/engine.md`` walks through each stage).
 
 ``repro.serve.InferenceService`` and ``repro.detect.scan_scene`` run on
-it only (behind ``repro.robust.GuardedEngine`` where eager is the
-fallback); eager stays the tests' oracle (``repro.detect.predict``).
+it only (behind ``repro.robust.GuardedEngine``, which checks every
+answer and raises on a faulty one); eager stays the training path and
+the tests' oracle (``repro.detect.predict``).
 
 Convolutions bind one of two kernels, chosen by a pure function of the
 layer's geometry (:func:`.kernels.conv_variant`): memory-tiled implicit

@@ -102,14 +102,19 @@ def pack_linear_weight(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """A Linear weight ``(out, in)`` or bias ``(out,)``, shared or copied.
 
     :func:`linear` multiplies the module's own layout from the left, so
-    an array that already has ``dtype``, is C-contiguous and owns its
-    data (``base is None``) is used as it is and frozen
-    (``writeable = False``): one copy of the FC per process (60 MB on
-    SPP-Net #3), and an in-place edit of the module after compile raises
-    instead of reaching the snapshot.  Any other array (a cast, a view)
+    an array that already has ``dtype``, is C-contiguous and is the only
+    array over its data is used as it is and frozen (``writeable =
+    False``): one copy of the FC per process (60 MB on SPP-Net #3), and
+    an in-place edit of the module after compile raises instead of
+    reaching the snapshot.  The only array over its data either owns it
+    (``base is None``) or, unpickled at pickle protocol 4 (a pool
+    worker's model, ``scanpar.pool.serialized_model``), sits on a
+    ``bytes`` of exactly its size.  Any other array (a cast, a view)
     becomes a fresh contiguous copy and the module stays writable.
     """
-    if array.dtype == dtype and array.flags.c_contiguous and array.base is None:
+    base = array.base
+    alone = base is None or (type(base) is bytes and len(base) == array.nbytes)
+    if array.dtype == dtype and array.flags.c_contiguous and alone:
         array.flags.writeable = False
         return array
     return np.array(array, dtype=dtype, order="C")

@@ -7,7 +7,8 @@ every run:
 * **Call-level wrappers** that make a callable misbehave on purpose —
   flaky (seeded random failures), fail-first (a transient outage) and
   fatal-on (poisoned inputs) — plus :class:`FaultyEngine`, the same
-  outage and stall scripted into both halves of a guarded engine.
+  outage and stall scripted into the compiled program behind a
+  guarded engine.
 * **Data-level corruption injectors** that degrade (C, H, W) imagery the
   way production NAIP tiles actually degrade — NaN pepper, nodata holes,
   dropped bands, saturation stripes, truncated edge tiles — plus
@@ -38,8 +39,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .retry import Permanent
+
 __all__ = [
     "InjectedFault",
+    "PoisonedInput",
     "Flaky",
     "FailFirst",
     "FatalOn",
@@ -61,6 +65,11 @@ __all__ = [
 class InjectedFault(RuntimeError):
     """The failure raised by every fault wrapper (so tests can tell an
     injected fault from a genuine bug)."""
+
+
+class PoisonedInput(InjectedFault, Permanent):
+    """:class:`FatalOn`'s failure: the same input fails every time, so
+    :func:`repro.retry.retryable` refuses it."""
 
 
 class Flaky:
@@ -125,11 +134,12 @@ class FatalOn:
 
     ``key`` maps the call arguments to a hashable key (default: ``repr``
     of the first positional argument).  Retries never help — this is the
-    quarantine path's fault model.
+    quarantine path's fault model, and the default ``exc``
+    (:class:`PoisonedInput`) is :class:`~repro.retry.Permanent`.
     """
 
     def __init__(self, fn: Callable, poisoned: set, key: Callable | None = None,
-                 exc: type[Exception] = InjectedFault) -> None:
+                 exc: type[Exception] = PoisonedInput) -> None:
         self.fn = fn
         self.poisoned = set(poisoned)
         self.key = key if key is not None else (lambda *a, **k: repr(a[0]))
@@ -146,20 +156,18 @@ class FatalOn:
 
 
 class FaultyEngine:
-    """Both halves of a :class:`repro.robust.GuardedEngine` behind one
-    fault script, for the serving layer's tests and benchmarks.
+    """The compiled program of a :class:`repro.robust.GuardedEngine`
+    behind one fault script, for the serving layer's tests and
+    benchmarks.
 
-    Stands in for the compiled program (``predict_stream``) *and* for
-    the eager model the guard falls back to (``__call__``), delegating
-    to the real ones; :meth:`guarded` builds the guard to hand to
+    Stands in for the compiled program (``predict_stream``), delegating
+    to the real one; :meth:`guarded` builds the guard to hand to
     ``InferenceService(engine=...)``.
 
-    * ``failures``: the next this-many batches fail whole.  While it is
-      positive every compiled call raises :class:`InjectedFault`, and so
-      does every eager fallback, each counting it down by one: a batch
-      fails only when the guard's fallback does, which is the failure
-      the service's own retries and breaker exist for.  Set it at any
-      time to start or end an outage.
+    * ``failures``: the next this-many compiled calls raise
+      :class:`InjectedFault`, each counting it down by one: the failure
+      the service's retries and breaker exist for.  Set it at any time
+      to start or end an outage.
     * ``delay_s``: every compiled call stalls this long first, keeping
       the service's model thread busy (backpressure, deadline,
       shutdown).
@@ -170,42 +178,28 @@ class FaultyEngine:
             raise ValueError("failures and delay_s must be >= 0")
         from .engine import compiled_for
 
-        self.model = model.eval()
-        self.compiled = compiled_for(model)
+        self.compiled = compiled_for(model.eval())
         self.failures = failures
         self.delay_s = delay_s
         self._lock = threading.Lock()
 
-    def guarded(self, breaker=None):
-        """A ``GuardedEngine`` whose compiled program and eager model are
-        both this double."""
+    def guarded(self):
+        """A ``GuardedEngine`` whose compiled program is this double."""
         from .robust.guard import GuardedEngine
 
-        return GuardedEngine(self, breaker=breaker, compiled=self)
+        return GuardedEngine(self, compiled=self)
 
     def predict_stream(self, chips, limit: int):
         time.sleep(self.delay_s)
-        if self.failures > 0:
+        with self._lock:
+            fail = self.failures > 0
+            self.failures -= fail
+        if fail:
             raise InjectedFault("injected engine fault")
         return self.compiled.predict_stream(chips, limit)
 
     def warmup(self, batch_sizes, sample_shape=None) -> float:
         return self.compiled.warmup(batch_sizes, sample_shape)
-
-    def eval(self):
-        return self
-
-    def parameters(self):
-        # eager predict runs in the weights' dtype and reads it here
-        return self.model.parameters()
-
-    def __call__(self, x):
-        with self._lock:
-            fail = self.failures > 0
-            self.failures -= fail
-        if fail:
-            raise InjectedFault("injected eager fault")
-        return self.model(x)
 
 
 # ----------------------------------------------------------------------
@@ -430,10 +424,11 @@ class FaultyDetector:
     one re-run alone).  A non-faulting call delegates verbatim, so a
     scan through a ``FaultyDetector`` that recovers from every fault
     must produce byte-identical detections to the bare model — the
-    fleet chaos gate's core assertion.  An ``"error"`` also fails
-    ``GuardedEngine``'s eager re-run of the call, so it fails a batched
-    shard, makes a robust micro-batch re-run tile by tile, or
-    quarantines a robust tile re-run alone, never answered by eager.
+    fleet chaos gate's core assertion.  An ``"error"`` fails a batched
+    shard, makes a robust micro-batch re-run tile by tile on the engine,
+    or, on a robust tile re-run alone, fails the shard: an
+    :class:`InjectedFault` is transient, so it is retried, not
+    quarantined.
 
     The parent pid is captured at construction: calls in that process
     never fault (and never consume ordinals), so the pool's
@@ -445,7 +440,6 @@ class FaultyDetector:
     plan: WorkerFaultPlan
     parent_pid: int = field(default_factory=os.getpid)
     _next_ordinal: int = field(default=0, compare=False)
-    _failed: bool = field(default=False, compare=False)
 
     def _claim_ordinal(self) -> int:
         """Atomically claim the next unclaimed global call ordinal."""
@@ -463,7 +457,6 @@ class FaultyDetector:
             return n
 
     def _maybe_fault(self) -> None:
-        self._failed = False
         if os.getpid() == self.parent_pid:
             return
         ordinal = self._claim_ordinal()
@@ -477,7 +470,6 @@ class FaultyDetector:
         elif kind == "slow":
             time.sleep(self.plan.slow_s)
         elif kind == "error":
-            self._failed = True
             raise InjectedFault(
                 f"injected worker fault at call ordinal {ordinal}"
             )
@@ -489,9 +481,6 @@ class FaultyDetector:
         return _FaultyProgram(compiled_for(self.model), self)
 
     def __call__(self, *args, **kwargs):
-        if self._failed:    # the guard re-running the call that just failed
-            self._failed = False
-            raise InjectedFault("injected worker fault, eager re-run")
         return self.model(*args, **kwargs)
 
     def eval(self):

@@ -8,18 +8,18 @@ inference path standing on such inputs:
   chips and scene rasters under a :class:`SanitizePolicy`;
 * :mod:`~repro.robust.journal` — append-only JSONL scan journal backing
   ``scan_scene``'s per-tile quarantine and crash-resume;
-* :mod:`~repro.robust.guard` — :class:`GuardedEngine`, the validated
-  engine→eager fallback every served batch and every robust scan tile
-  runs through.
+* :mod:`~repro.robust.guard` — :class:`GuardedEngine`, the output
+  check every served batch and every robust scan tile runs through: a
+  faulty engine answer raises :class:`EngineError`.
 
 See ``docs/robustness.md``.
 """
 
 from .guard import (
-    FALLBACK_BREAKER_OPEN,
-    FALLBACK_ENGINE_ERROR,
-    FALLBACK_NON_FINITE,
-    FALLBACK_SHAPE,
+    FAULT_ENGINE_ERROR,
+    FAULT_NON_FINITE,
+    FAULT_SHAPE,
+    EngineError,
     GuardedEngine,
 )
 from .journal import ScanJournal, ScanJournalError, TileRecord
@@ -45,8 +45,8 @@ __all__ = [
     "ScanJournalError",
     "TileRecord",
     "GuardedEngine",
-    "FALLBACK_NON_FINITE",
-    "FALLBACK_SHAPE",
-    "FALLBACK_ENGINE_ERROR",
-    "FALLBACK_BREAKER_OPEN",
+    "EngineError",
+    "FAULT_NON_FINITE",
+    "FAULT_SHAPE",
+    "FAULT_ENGINE_ERROR",
 ]

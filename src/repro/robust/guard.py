@@ -1,113 +1,117 @@
-"""Guarded engine execution: validate compiled outputs, fall back to eager.
+"""Guarded engine execution: the compiled engine answers or fails loudly.
 
-The compiled engine (:mod:`repro.engine`) is several times faster than
-the eager autograd path, but it is also the component with the most
-machinery to go wrong — packed weights, recycled arena slots, fused
-kernels.  :class:`GuardedEngine` wraps it with a numerical safety net:
-every engine batch is checked for non-finite values and for shape
-agreement with the traced program's contract, and on any violation (or
-an outright exception) the *same* batch transparently re-executes on the
-eager backend, so the caller always gets a valid answer.  A batch is
-either a stack (:meth:`GuardedEngine.predict_batch`) or *open*
+The compiled engine (:mod:`repro.engine`) is the one inference runtime
+of the deployed path, and also the component with the most machinery
+to go wrong — packed weights, recycled arena slots, fused kernels.
+:class:`GuardedEngine` checks every answer it gives: confidences of
+shape ``(n,)`` and boxes of shape ``(n, 4)`` for the ``n`` chips the
+call actually consumed, every value finite.  A batch is either a stack
+(:meth:`GuardedEngine.predict_batch`) or *open*
 (:meth:`GuardedEngine.predict_stream`: chips pulled from an iterator
-while the batch runs, as the serving layer feeds it); "the same batch"
-is then the chips pulled so far.
+while the batch runs, as the serving layer feeds it).
 
-Repeated engine faults trip a :class:`~repro.serve.breaker.CircuitBreaker`
-scoped to the engine: while it is open every batch goes straight to
-eager (no doomed engine attempt per batch), and the breaker's usual
-half-open probe lets the engine earn its way back.  Every fallback is
-tallied by reason — ``repro.serve.InferenceService`` feeds the tally
-into ``ServiceMetrics.fallback_by_reason`` — and the first of each
-reason on an engine emits a ``RuntimeWarning`` naming it, so no
-engine->eager degradation is silent.
+An answer that fails the check raises :class:`EngineError`, which is
+:class:`~repro.retry.Permanent`: the same chips give the same bits, so
+no retry can change it.  A row is computed from its own chip alone, so
+a non-finite answer names its rows (:attr:`EngineError.rows`) and
+carries the answer, whose other rows are valid: one chip whose finite
+pixels overflow the network fails alone.  An exception from the engine
+itself propagates unchanged, and :func:`repro.retry.retryable` judges
+it by its type.  Every fault is tallied by reason
+(:attr:`GuardedEngine.fallback_by_reason`, :func:`fault_reason`).
+Eager autograd is not a runtime here: it trains the models and is the
+tests' oracle (``repro.detect.predict(backend="eager")``).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import Counter
-from itertools import islice
-from typing import Callable
 
 import numpy as np
 
-from ..serve.breaker import OPEN, BreakerPolicy, CircuitBreaker
+from ..retry import Permanent
 
 __all__ = [
+    "EngineError",
     "GuardedEngine",
-    "FALLBACK_NON_FINITE",
-    "FALLBACK_SHAPE",
-    "FALLBACK_ENGINE_ERROR",
-    "FALLBACK_BREAKER_OPEN",
+    "fault_reason",
+    "FAULT_NON_FINITE",
+    "FAULT_SHAPE",
+    "FAULT_ENGINE_ERROR",
 ]
 
-FALLBACK_NON_FINITE = "non_finite"
-FALLBACK_SHAPE = "shape_mismatch"
-FALLBACK_ENGINE_ERROR = "engine_error"
-FALLBACK_BREAKER_OPEN = "breaker_open"
+FAULT_NON_FINITE = "non_finite"
+FAULT_SHAPE = "shape_mismatch"
+FAULT_ENGINE_ERROR = "engine_error"
+
+
+class EngineError(RuntimeError, Permanent):
+    """The compiled engine answered with outputs that fail the guard's
+    check; ``reason`` is :data:`FAULT_NON_FINITE` or :data:`FAULT_SHAPE`.
+
+    A non-finite answer also names the batch positions of its
+    non-finite ``rows`` and keeps the ``answer`` (confidences, boxes),
+    whose other rows are valid; a wrong-shape answer has neither.
+    """
+
+    def __init__(self, reason: str, rows: tuple[int, ...] = (),
+                 answer: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.rows = rows
+        self.answer = answer
+
+
+def fault_reason(exc: BaseException) -> str:
+    """The tally key of an engine fault: an :class:`EngineError`'s
+    reason, else :data:`FAULT_ENGINE_ERROR`."""
+    return exc.reason if isinstance(exc, EngineError) else FAULT_ENGINE_ERROR
 
 
 def _check_outputs(confidences: np.ndarray, boxes: np.ndarray,
-                   n: int) -> str | None:
-    """Return a fallback reason when (confidences, boxes) is invalid for
-    an n-chip batch, else None."""
+                   n: int) -> EngineError | None:
+    """Return the fault when (confidences, boxes) is invalid for an
+    n-chip batch, else None."""
     confidences = np.asarray(confidences)
     boxes = np.asarray(boxes)
     if confidences.shape != (n,) or boxes.shape != (n, 4):
-        return FALLBACK_SHAPE
-    if not (np.isfinite(confidences).all() and np.isfinite(boxes).all()):
-        return FALLBACK_NON_FINITE
+        return EngineError(FAULT_SHAPE)
+    finite = np.isfinite(confidences) & np.isfinite(boxes).all(axis=1)
+    if not finite.all():
+        return EngineError(FAULT_NON_FINITE,
+                           rows=tuple(np.flatnonzero(~finite).tolist()),
+                           answer=(confidences, boxes))
     return None
 
 
 class GuardedEngine:
-    """Engine-first, eager-on-violation detector execution.
+    """The compiled engine behind an output check.
 
     Parameters
     ----------
-    model       : the detector; both backends run this same instance
-    breaker     : engine-scoped breaker policy.  Defaults to tripping
-                  after 3 engine faults and re-probing after 60 s —
-                  "toward eager-only": a persistently broken engine
-                  stops being attempted, a transiently broken one gets
-                  periodic chances to recover.
-    on_fallback : callback fired with the reason string every time a
-                  batch is answered by eager instead of the engine
-    compiled    : pre-built compiled model (tests inject faulty ones);
-                  default compiles via :func:`repro.engine.compiled_for`
+    model    : the detector to compile (unused when ``compiled`` is given)
+    compiled : pre-built compiled model (tests inject faulty ones);
+               default compiles via :func:`repro.engine.compiled_for`
     """
 
-    def __init__(self, model, breaker: BreakerPolicy | None = None,
-                 on_fallback: Callable[[str], None] | None = None,
-                 compiled=None) -> None:
-        self.model = model
-        self._listeners: list[Callable[[str], None]] = []
-        if on_fallback is not None:
-            self._listeners.append(on_fallback)
-        self.breaker = CircuitBreaker(
-            breaker if breaker is not None
-            else BreakerPolicy(failure_threshold=3, reset_timeout_s=60.0)
-        )
+    def __init__(self, model, compiled=None) -> None:
         if compiled is None:
             from ..engine import compiled_for
 
             model.eval()
             compiled = compiled_for(model)
         self.compiled = compiled
-        self._fallbacks: Counter[str] = Counter()
+        self._faults: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     @property
     def fallback_by_reason(self) -> dict[str, int]:
+        """Engine faults so far, by reason: every one was raised.  The
+        name is the frozen benchmark harness's (ROADMAP item 1)."""
         with self._lock:
-            return dict(sorted(self._fallbacks.items()))
-
-    @property
-    def engine_available(self) -> bool:
-        """False while the engine breaker is open (eager-only mode)."""
-        return self.breaker.state != OPEN
+            return dict(sorted(self._faults.items()))
 
     def warmup(self, batch_sizes,
                sample_shape: tuple[int, ...] | None = None) -> float:
@@ -115,90 +119,52 @@ class GuardedEngine:
         (see :meth:`repro.engine.CompiledModel.warmup`); returns ms."""
         return self.compiled.warmup(batch_sizes, sample_shape)
 
-    def add_fallback_listener(self, callback: Callable[[str], None]) -> None:
-        """Also notify ``callback`` on every fallback (the service chains
-        its metrics registry onto an injected engine this way)."""
-        self._listeners.append(callback)
+    def _checked(self, run, pulled) -> tuple[np.ndarray, np.ndarray]:
+        """The guard's one contract.  ``run()`` is the engine call and
+        ``pulled()`` the number of chips it consumed, asked once ``run``
+        returned.  A valid answer is returned as is; a fault is tallied
+        and raised."""
+        try:
+            conf, boxes = run()
+        except Exception as exc:
+            self._tally(fault_reason(exc))
+            raise
+        fault = _check_outputs(conf, boxes, pulled())
+        if fault is not None:
+            self._tally(fault.reason)
+            raise fault
+        return conf, boxes
 
-    def _fallback(self, reason: str) -> None:
+    def _tally(self, reason: str) -> None:
         with self._lock:
-            self._fallbacks[reason] += 1
-            first = self._fallbacks[reason] == 1
-        if first:
-            # loud once per reason; the tally counts every one
-            warnings.warn(
-                f"GuardedEngine fell back to eager ({reason}); further "
-                f"{reason!r} fallbacks of this engine are only counted "
-                "(fallback_by_reason)", RuntimeWarning, stacklevel=4)
-        for listener in self._listeners:
-            listener(reason)
-
-    def _eager(self, stack: np.ndarray,
-               batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        from ..detect.predict import predict
-
-        return predict(self.model, stack, batch_size=batch_size)
-
-    def _guarded(self, run, taken, batch_size: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, str]:
-        """The guard's one contract.  ``run()`` is the engine call;
-        ``taken()`` is the chips it consumed, asked only after ``run``
-        returned or raised (and instead of it while the breaker is
-        open).  A valid engine answer is returned as is; anything else
-        counts one fallback and re-runs ``taken()`` as one eager stack.
-        """
-        if self.breaker.allow():
-            try:
-                conf, boxes = run()
-            except Exception:
-                reason = FALLBACK_ENGINE_ERROR
-            else:
-                reason = _check_outputs(conf, boxes, len(taken()))
-                if reason is None:
-                    self.breaker.record_success()
-                    return conf, boxes, "engine"
-            self.breaker.record_failure()
-        else:
-            reason = FALLBACK_BREAKER_OPEN
-        self._fallback(reason)
-        stack = np.stack(taken())
-        conf, boxes = self._eager(stack, batch_size or len(stack))
-        return conf, boxes, "eager"
+            self._faults[reason] += 1
 
     def predict_batch(self, stack: np.ndarray, batch_size: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray, str]:
         """Run one (N, C, H, W) batch; returns (confidences, boxes,
-        backend-that-answered)."""
+        ``"engine"``).  The constant third value stays while the frozen
+        benchmark harness unpacks three (ROADMAP item 1)."""
         batch_size = batch_size if batch_size is not None else len(stack)
-        return self._guarded(
+        conf, boxes = self._checked(
             lambda: self.compiled.predict(stack, batch_size=batch_size),
-            lambda: stack, batch_size)
+            lambda: len(stack))
+        return conf, boxes, "engine"
 
     def predict_stream(self, chips, limit: int
-                       ) -> tuple[np.ndarray, np.ndarray, str]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`predict_batch` over one *open* micro-batch (see
         :meth:`repro.engine.CompiledModel.predict_stream`): the engine
         pulls (C, H, W) chips from the iterator ``chips`` between trunk
-        runs, at most ``limit`` of them, and the answer covers exactly
-        the chips pulled.  Every pulled chip is remembered, so an
-        engine exception or an invalid output re-runs *those* chips on
-        eager under the same reasons and breaker accounting as a closed
-        batch.  When nothing was pulled — the breaker is open, or the
-        engine failed before its first pull — eager answers whatever
-        ``chips`` offers now, up to ``limit``.
-        """
-        source = islice(chips, limit)
-        pulled: list[np.ndarray] = []
+        runs, at most ``limit`` of them, and the answer must cover
+        exactly the chips pulled."""
+        pulled = 0
 
-        def remembered():
-            for chip in source:
-                pulled.append(chip)
+        def counted():
+            nonlocal pulled
+            for chip in chips:
+                pulled += 1
                 yield chip
 
-        def taken() -> list[np.ndarray]:
-            if not pulled:
-                pulled.extend(source)
-            return pulled
-
-        return self._guarded(
-            lambda: self.compiled.predict_stream(remembered(), limit), taken)
+        return self._checked(
+            lambda: self.compiled.predict_stream(counted(), limit),
+            lambda: pulled)

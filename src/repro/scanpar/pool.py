@@ -158,7 +158,12 @@ def serialized_model(model) -> tuple[bytes, str]:
     with _MODEL_BYTES_LOCK:
         entry = _MODEL_BYTES.get(model)
         if entry is None:
-            data = pickle.dumps(model)
+            # protocol 4 unpickles each large array onto a ``bytes`` of
+            # its own size, which the engine shares as the array's only
+            # owner (``engine.kernels.pack_linear_weight``); protocol 5,
+            # the default from Python 3.14, stacks it on other arrays,
+            # and every worker would pack a second copy of the FC
+            data = pickle.dumps(model, protocol=4)
             entry = (data, hashlib.sha1(data).hexdigest())
             _MODEL_BYTES[model] = entry
         return entry

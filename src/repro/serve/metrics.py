@@ -123,8 +123,7 @@ class ServiceMetrics:
         self.batch_latency_ms = Histogram()
         self._batch_sizes: TallyCounter[int] = TallyCounter()
         self._close_reasons: TallyCounter[str] = TallyCounter()
-        self._backend_results: TallyCounter[str] = TallyCounter()
-        self._fallbacks: TallyCounter[str] = TallyCounter()
+        self._engine_faults: TallyCounter[str] = TallyCounter()
         self._breaker_state = "closed"
         self._breaker_transitions: TallyCounter[str] = TallyCounter()
         self._lock = threading.Lock()
@@ -145,28 +144,19 @@ class ServiceMetrics:
         with self._lock:
             return dict(sorted(self._breaker_transitions.items()))
 
-    def record_backend(self, backend: str) -> None:
-        """Tally one completed inference result per backend that
-        answered it: ``engine``, or ``eager`` when the guard fell back."""
+    def record_engine_fault(self, reason: str) -> None:
+        """Tally one failed engine run of a micro-batch by its guard
+        reason (:mod:`repro.robust.guard`: non-finite output, shape
+        mismatch, engine error)."""
         with self._lock:
-            self._backend_results[backend] += 1
-
-    @property
-    def completed_by_backend(self) -> dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._backend_results.items()))
-
-    def record_fallback(self, reason: str) -> None:
-        """Tally one engine→eager fallback by its guard reason
-        (non-finite output, shape mismatch, engine error, breaker open),
-        fed by the service's :class:`repro.robust.GuardedEngine`."""
-        with self._lock:
-            self._fallbacks[reason] += 1
+            self._engine_faults[reason] += 1
 
     @property
     def fallback_by_reason(self) -> dict[str, int]:
+        """Engine faults by reason; the name is the frozen benchmark
+        harness's (ROADMAP item 1)."""
         with self._lock:
-            return dict(sorted(self._fallbacks.items()))
+            return dict(sorted(self._engine_faults.items()))
 
     def observe_batch(self, size: int, latency_ms: float,
                       closed_by: str | None = None) -> None:
@@ -230,7 +220,6 @@ class ServiceMetrics:
             },
             "mean_batch_size": self.mean_batch_size(),
             "batch_close_reasons": self.batch_close_reasons,
-            "completed_by_backend": self.completed_by_backend,
             "latency_ms": {
                 "p50": self.latency_ms.quantile(0.50),
                 "p95": self.latency_ms.quantile(0.95),
@@ -288,11 +277,11 @@ def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
         f"{snap['breaker_state']:>9}",
         "",
         "Robustness Statistics:",
-        f"{'Invalid':>9}  {'Fallbacks':>9}",
+        f"{'Invalid':>9}  {'Eng.fault':>9}",
         rule,
         f"{snap['invalid_inputs']:9d}  "
         f"{sum(snap['fallback_by_reason'].values()):9d}",
     ]
     for reason, count in snap["fallback_by_reason"].items():
-        lines.append(f"  engine->eager [{reason}]: {count}")
+        lines.append(f"  engine fault [{reason}]: {count}")
     return "\n".join(lines)

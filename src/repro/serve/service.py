@@ -21,13 +21,14 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
   and :meth:`~InferenceService.shutdown` drains in-flight requests before
   the thread exits;
 * a circuit breaker (:class:`~repro.serve.breaker.CircuitBreaker`) guards
-  the model thread against the one failure the guard cannot absorb, its
-  eager fallback raising: a failed batch is retried if
-  :func:`repro.retry.retryable` allows, consecutive
-  failures trip the breaker, and while it is open the service runs in
-  *degraded mode* — cache hits are still served, uncached requests fail
-  fast with :class:`DegradedServiceError` until a half-open probe
-  succeeds.
+  the model thread against engine faults: a batch whose engine call
+  raises, or whose answer fails the guard's check
+  (:class:`repro.robust.EngineError`), is retried if
+  :func:`repro.retry.retryable` allows, a non-finite row fails its own
+  chip alone, consecutive batches with no chip answered trip the
+  breaker, and while it is open the service runs in *degraded
+  mode* — cache hits are still served, uncached requests fail fast with
+  :class:`DegradedServiceError` until a half-open probe succeeds.
 
 Telemetry lives in a :class:`~repro.serve.metrics.ServiceMetrics`
 registry rendered through the ``repro.profiling`` report conventions.
@@ -46,6 +47,7 @@ import numpy as np
 
 from ..detect.sppnet import SPPNetDetector
 from ..retry import retryable
+from ..robust.guard import EngineError, GuardedEngine, fault_reason
 from .batching import BatchPolicy
 from .breaker import OPEN, BreakerPolicy, CircuitBreaker
 from .cache import LRUCache, chip_key
@@ -97,16 +99,12 @@ class DetectionResult:
     box        : normalized (cx, cy, w, h) in chip coordinates
     cached     : True when served from the LRU cache
     batch_size : size of the micro-batch this request rode in (0 if cached)
-    backend    : what answered: ``"engine"``, or ``"eager"`` when the
-                 guard fell back; a cached result reports the backend of
-                 the run that filled the cache
     """
 
     confidence: float
     box: np.ndarray
     cached: bool = False
     batch_size: int = 0
-    backend: str = "engine"
 
 
 class _Pending:
@@ -141,15 +139,19 @@ class InferenceService:
     breaker     : :class:`~repro.serve.breaker.BreakerPolicy` for the
                   model-thread circuit breaker (None = defaults)
     max_batch_retries : immediate re-runs of a failed micro-batch before
-                  its futures fail and the breaker counts the failure
+                  its futures fail and the breaker counts the failure; an
+                  error :func:`repro.retry.retryable` refuses (an
+                  :class:`~repro.robust.EngineError`) fails it at once
     backend     : ``"engine"``, its only value: the model is compiled at
                   service start (:func:`repro.engine.compiled_for`) and
                   every batch runs through the *guarded* compiled program
                   (:class:`repro.robust.GuardedEngine`), whose outputs are
-                  checked for non-finite values and shape mismatches and
-                  re-executed on eager on a violation (tallied in the
-                  metrics snapshot's ``fallback_by_reason``).  Any other
-                  value raises ``ValueError``
+                  checked for non-finite values and shape mismatches; a
+                  violation fails the batch with
+                  :class:`~repro.robust.EngineError`, and every engine
+                  fault is tallied in the metrics snapshot's
+                  ``fallback_by_reason``.  Any other value raises
+                  ``ValueError``
     engine      : a pre-built :class:`~repro.robust.GuardedEngine` to
                   serve with; lets tests inject faulty compiled programs
                   and deployments share one compile across services
@@ -195,9 +197,8 @@ class InferenceService:
         if backend != "engine":
             raise ValueError(
                 f"backend={backend!r}: InferenceService serves through its "
-                "guarded compiled engine only (eager is the guard's "
-                "fallback); 'engine' is the one accepted value, and the "
-                "keyword goes with ROADMAP item 1")
+                "guarded compiled engine only; 'engine' is the one "
+                "accepted value, and the keyword goes with ROADMAP item 1")
         self.model = model
         self.policy = policy if policy is not None else BatchPolicy()
         self.max_queue = max_queue
@@ -213,19 +214,15 @@ class InferenceService:
 
             self._validate_policy = SanitizePolicy.for_serving()
         if engine is None:
-            from ..robust.guard import GuardedEngine
-
-            model.eval()
             engine = GuardedEngine(model)
-        engine.add_fallback_listener(self.metrics.record_fallback)
         self.engine = engine
         # an open batch closes at any size up to max_batch, so pre-build
         # the trunk and every head: no request binds inline
         try:
             warmup_ms = engine.warmup(range(1, self.policy.max_batch + 1))
         except Exception as exc:
-            # a broken engine surfaces through the guarded per-batch
-            # fallback, not as a startup crash, but never silently
+            # a broken engine surfaces as failed batches, not as a
+            # startup crash, but never silently
             warnings.warn(
                 f"engine warm-up failed ({type(exc).__name__}: {exc}); "
                 "serving without pre-built programs", RuntimeWarning,
@@ -293,9 +290,7 @@ class InferenceService:
                 self.metrics.latency_ms.observe(0.0)
                 future: Future[DetectionResult] = Future()
                 future.set_result(
-                    DetectionResult(hit.confidence, hit.box, cached=True,
-                                    backend=hit.backend)
-                )
+                    DetectionResult(hit.confidence, hit.box, cached=True))
                 return future
             self.metrics.cache_misses.inc()
 
@@ -461,7 +456,11 @@ class InferenceService:
         until none waits (``queue_empty``), a non-draining shutdown
         began (``draining``) or ``max_batch`` chips are in
         (``max_batch``).  A retry re-runs the same open batch: its
-        admitted members first, then whatever it may still admit.
+        admitted members first, then whatever it may still admit.  An
+        answer with non-finite rows for some of its chips (a chip whose
+        finite pixels overflow the network) fails only those chips'
+        futures, with the guard's :class:`~repro.robust.EngineError`;
+        the breaker counts a failure only when no chip was answered.
         """
         started = time.monotonic()
         if not self.breaker.allow():
@@ -491,16 +490,26 @@ class InferenceService:
                 yield pending.chip
 
         attempts = 0
+        fault = None        # an EngineError whose rows fail alone
         while True:
             attempts += 1
             closed_by = "max_batch"     # unless the pull ends first
             try:
-                confidences, boxes, backend = self.engine.predict_stream(
+                confidences, boxes = self.engine.predict_stream(
                     admitted(), self.policy.max_batch)
                 self.breaker.record_success()
                 break
             except BaseException as exc:
                 self.metrics.worker_failures.inc()
+                self.metrics.record_engine_fault(fault_reason(exc))
+                if (isinstance(exc, EngineError)
+                        and 0 < len(exc.rows) < len(batch)):
+                    # a row is its own chip's: the fault stays in the
+                    # chips it names, and the engine answered the rest
+                    fault = exc
+                    confidences, boxes = exc.answer
+                    self.breaker.record_success()
+                    break
                 if attempts > self.max_batch_retries or not retryable(exc):
                     # propagate to every waiting caller
                     self.breaker.record_failure()
@@ -512,13 +521,14 @@ class InferenceService:
         now = time.monotonic()
         self.metrics.observe_batch(len(batch), (now - started) * 1e3,
                                    closed_by)
-        for pending, conf, box in zip(batch, confidences, boxes):
-            result = DetectionResult(
-                float(conf), box.copy(), cached=False,
-                batch_size=len(batch), backend=backend,
-            )
+        for row, (pending, conf, box) in enumerate(
+                zip(batch, confidences, boxes)):
+            if fault is not None and row in fault.rows:
+                pending.future.set_exception(fault)
+                continue
+            result = DetectionResult(float(conf), box.copy(), cached=False,
+                                     batch_size=len(batch))
             self.cache.put(pending.key, result)
-            self.metrics.record_backend(backend)
             self.metrics.completed.inc()
             self.metrics.latency_ms.observe((now - pending.enqueued_at) * 1e3)
             pending.future.set_result(result)
@@ -544,6 +554,4 @@ class InferenceService:
             (time.monotonic() - pending.enqueued_at) * 1e3
         )
         pending.future.set_result(
-            DetectionResult(hit.confidence, hit.box, cached=True,
-                            backend=hit.backend)
-        )
+            DetectionResult(hit.confidence, hit.box, cached=True))

@@ -71,3 +71,22 @@ def test_importing_the_fleet_leaves_search_and_simulation_out():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+ROBUST_SCRIPT = """
+import sys
+
+import repro.robust
+loaded = sorted(name for name in sys.modules if name.startswith("repro.serve"))
+assert not loaded, f"importing repro.robust loaded {loaded}"
+print("ok")
+"""
+
+
+def test_importing_the_guard_leaves_the_service_out():
+    """The guard answers or raises; the service's breaker is the
+    service's, so ``repro.robust`` loads nothing of ``repro.serve``."""
+    done = subprocess.run([sys.executable, "-c", ROBUST_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

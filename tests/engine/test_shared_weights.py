@@ -3,6 +3,7 @@ module's own float32 arrays, frozen read-only, and everything else it
 packs is a copy that leaves the module writable."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.engine import compile as engine_compile, compiled_for
+from repro.scanpar import serialized_model
 from repro.tensor import Linear, Tensor, losses
 from repro.tensor.optim import SGD
 
@@ -37,6 +39,20 @@ def linear_packs(model, compiled):
 def test_table1_linear_packs_are_the_module_arrays(name):
     model = SPPNetDetector(TABLE1_MODELS[name], seed=0).eval()
     for param, pack in linear_packs(model, compiled_for(model)):
+        assert np.shares_memory(param, pack)
+        assert not param.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(TABLE1_MODELS))
+def test_an_unpickled_model_shares_its_linear_arrays(name):
+    """A pool worker's model arrives pickled: each large array sits on
+    a ``bytes`` of its own size, and the engine shares it all the same."""
+    data, _ = serialized_model(SPPNetDetector(TABLE1_MODELS[name],
+                                              seed=0).eval())
+    model = pickle.loads(data)
+    packs = linear_packs(model, compiled_for(model))
+    assert type(packs[0][0].base) is bytes      # the first FC weight
+    for param, pack in packs:
         assert np.shares_memory(param, pack)
         assert not param.flags.writeable
 

@@ -1,4 +1,5 @@
-"""Guarded engine→eager fallback: output checks, breaker, serve wiring."""
+"""The guarded engine answers or fails loudly: output checks, the fault
+tally, and serve wiring."""
 
 from itertools import islice
 
@@ -9,15 +10,15 @@ from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.detect.predict import predict
 from repro.engine import compiled_for
+from repro.retry import retryable
 from repro.robust import (
-    FALLBACK_BREAKER_OPEN,
-    FALLBACK_ENGINE_ERROR,
-    FALLBACK_NON_FINITE,
-    FALLBACK_SHAPE,
+    FAULT_ENGINE_ERROR,
+    FAULT_NON_FINITE,
+    FAULT_SHAPE,
+    EngineError,
     GuardedEngine,
 )
 from repro.serve import BatchPolicy, InferenceService
-from repro.serve.breaker import BreakerPolicy
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +38,11 @@ def chips(n=4, seed=0):
 
 
 class FaultyCompiled:
-    """Compiled stand-in that misbehaves for the first `fail_first` calls."""
+    """The real compiled model, misbehaving on its first `fail_first`
+    calls."""
 
     def __init__(self, model, fail_first=1, mode="nan"):
-        self.model = model
+        self.compiled = compiled_for(model)
         self.fail_first = fail_first
         self.mode = mode
         self.calls = 0
@@ -54,14 +56,13 @@ class FaultyCompiled:
             if self.mode == "shape":
                 return np.zeros(n + 1), np.zeros((n + 1, 4))
             raise RuntimeError("injected engine crash")
-        return predict(self.model, stack, batch_size=batch_size)
+        return self.compiled.predict(stack, batch_size=batch_size)
 
     def predict_stream(self, chips, limit):
         return self.predict(np.stack(list(islice(chips, limit))), limit)
 
     def warmup(self, batch_sizes, sample_shape=None):
-        """Nothing to bind: the double's programs are the eager model."""
-        return 0.0
+        return self.compiled.warmup(batch_sizes, sample_shape)
 
 
 class TestGuardedEngine:
@@ -76,95 +77,121 @@ class TestGuardedEngine:
         assert guard.fallback_by_reason == {}
 
     @pytest.mark.parametrize("mode,reason", [
-        ("nan", FALLBACK_NON_FINITE),
-        ("shape", FALLBACK_SHAPE),
-        ("raise", FALLBACK_ENGINE_ERROR),
+        ("nan", FAULT_NON_FINITE),
+        ("shape", FAULT_SHAPE),
+        ("raise", FAULT_ENGINE_ERROR),
     ])
-    def test_violation_falls_back_with_matching_answer(self, model, mode,
-                                                       reason):
+    def test_violation_raises_and_is_tallied(self, model, mode, reason):
+        """A bad answer raises a permanent ``EngineError``; the engine's
+        own exception propagates unchanged.  Either is tallied, and the
+        next batch runs on the engine again."""
+        faulty = FaultyCompiled(model, fail_first=1, mode=mode)
+        guard = GuardedEngine(model, compiled=faulty)
+        stack = chips()
+        if mode == "raise":
+            with pytest.raises(RuntimeError, match="injected") as raised:
+                guard.predict_batch(stack)
+            assert type(raised.value) is RuntimeError
+            assert retryable(raised.value)
+        else:
+            with pytest.raises(EngineError) as raised:
+                guard.predict_batch(stack)
+            assert raised.value.reason == reason
+            assert not retryable(raised.value)
+        assert guard.fallback_by_reason == {reason: 1}
+        conf, boxes, backend = guard.predict_batch(stack)
+        assert backend == "engine" and faulty.calls == 2
+        want = compiled_for(model).predict(stack, batch_size=len(stack))
+        assert conf.tobytes() == want[0].tobytes()
+        assert boxes.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("mode,reason", [
+        ("nan", FAULT_NON_FINITE), ("raise", FAULT_ENGINE_ERROR)])
+    def test_an_open_batch_fault_is_loud_too(self, model, mode, reason):
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode=mode))
-        stack = chips()
-        with pytest.warns(RuntimeWarning, match=reason):
-            conf, boxes, backend = guard.predict_batch(stack)
-        assert backend == "eager"
+        with pytest.raises(EngineError if mode == "nan" else RuntimeError):
+            guard.predict_stream(iter(chips()), 8)
         assert guard.fallback_by_reason == {reason: 1}
-        e_conf, e_boxes = predict(model, stack, batch_size=len(stack))
-        np.testing.assert_array_equal(conf, e_conf)
-        np.testing.assert_array_equal(boxes, e_boxes)
-        # engine recovered: the next batch is served by the engine again
-        _, _, backend2 = guard.predict_batch(stack)
-        assert backend2 == "engine"
 
-    def test_repeated_faults_trip_breaker_toward_eager_only(self, model):
-        faulty = FaultyCompiled(model, fail_first=100, mode="nan")
-        guard = GuardedEngine(
-            model, compiled=faulty,
-            breaker=BreakerPolicy(failure_threshold=3, reset_timeout_s=60.0))
+    def test_a_non_finite_error_names_its_rows_and_keeps_the_answer(
+            self, model):
+        """A chip whose finite pixels overflow float32 gives a non-finite
+        row of its own; the error names that row, and the answer it
+        keeps holds every other row's engine bytes."""
         stack = chips()
-        with pytest.warns(RuntimeWarning) as warned:
-            for _ in range(3):
-                guard.predict_batch(stack)
-            assert not guard.engine_available
-            engine_calls = faulty.calls
-            _, _, backend = guard.predict_batch(stack)
-        assert backend == "eager"
-        assert faulty.calls == engine_calls  # no doomed engine attempt
-        tally = guard.fallback_by_reason
-        assert tally[FALLBACK_NON_FINITE] == 3
-        assert tally[FALLBACK_BREAKER_OPEN] == 1
-        # loud once per reason, counted every time
-        messages = [str(w.message) for w in warned]
-        assert len(messages) == 2
-        assert FALLBACK_NON_FINITE in messages[0]
-        assert FALLBACK_BREAKER_OPEN in messages[1]
+        stack[1] *= 1e38
+        with pytest.raises(EngineError) as raised:
+            GuardedEngine(model).predict_batch(stack)
+        fault = raised.value
+        assert fault.reason == FAULT_NON_FINITE and fault.rows == (1,)
+        conf, boxes = fault.answer
+        clean = stack[[0, 2, 3]]
+        want = compiled_for(model).predict(clean, batch_size=len(clean))
+        assert conf[[0, 2, 3]].tobytes() == want[0].tobytes()
+        assert boxes[[0, 2, 3]].tobytes() == want[1].tobytes()
 
-    def test_fallback_listeners_fire(self, model):
-        seen = []
-        guard = GuardedEngine(
-            model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"),
-            on_fallback=seen.append)
-        guard.add_fallback_listener(seen.append)
-        with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
-            guard.predict_batch(chips())
-        assert seen == [FALLBACK_NON_FINITE, FALLBACK_NON_FINITE]
+    def test_an_open_batch_answer_covers_the_chips_pulled(self, model):
+        """The shape check counts the chips the engine pulled, not the
+        limit: an answer one row short of them is a fault."""
+        compiled = compiled_for(model)
+
+        class OneShort:
+            def predict_stream(self, chips, limit):
+                conf, boxes = compiled.predict_stream(chips, limit)
+                return conf[:-1], boxes[:-1]
+
+        guard = GuardedEngine(model, compiled=OneShort())
+        with pytest.raises(EngineError, match=FAULT_SHAPE):
+            guard.predict_stream(iter(chips(3)), 8)
+        conf, boxes = GuardedEngine(model).predict_stream(iter(chips(3)), 8)
+        assert conf.shape == (3,) and boxes.shape == (3, 4)
 
     def test_predict_loop_isolates_micro_batches(self, model):
-        """Only the poisoned micro-batch falls back; the rest stay on
-        the engine, and the concatenated output equals eager."""
+        """Only the poisoned micro-batch raises; the rest are engine
+        answers."""
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
         stack = chips(n=6)
-        with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
-            runs = [guard.predict_batch(stack[s:s + 2], batch_size=2)
-                    for s in range(0, len(stack), 2)]
-        conf = np.concatenate([run[0] for run in runs])
-        boxes = np.concatenate([run[1] for run in runs])
+        answered = {}
+        for s in range(0, len(stack), 2):
+            try:
+                answered[s] = guard.predict_batch(stack[s:s + 2],
+                                                  batch_size=2)
+            except EngineError:
+                pass
+        assert sorted(answered) == [2, 4]
         e_conf, e_boxes = predict(model, stack, batch_size=2)
-        np.testing.assert_allclose(conf, e_conf, atol=1e-4)
-        np.testing.assert_allclose(boxes, e_boxes, atol=1e-4)
-        assert sum(guard.fallback_by_reason.values()) == 1
+        for s, (conf, boxes, _) in answered.items():
+            np.testing.assert_allclose(conf, e_conf[s:s + 2], atol=1e-4)
+            np.testing.assert_allclose(boxes, e_boxes[s:s + 2], atol=1e-4)
+        assert guard.fallback_by_reason == {FAULT_NON_FINITE: 1}
 
 
 class TestServeIntegration:
     def test_injected_faulty_engine_surfaces_in_metrics(self, model):
+        """A non-finite answer fails its batch once (no retry can change
+        it), tallied by reason; the later requests are engine answers."""
         guard = GuardedEngine(
             model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
         with InferenceService(model, BatchPolicy(max_batch=1),
-                              cache_size=0, engine=guard) as svc:
-            stack = chips(n=3)
-            with pytest.warns(RuntimeWarning, match=FALLBACK_NON_FINITE):
-                results = [svc.submit(c).result(timeout=10) for c in stack]
-        backends = [r.backend for r in results]
-        assert backends[0] == "eager" and backends[1:] == ["engine", "engine"]
+                              cache_size=0, engine=guard,
+                              max_batch_retries=3) as svc:
+            futures = [svc.submit(c) for c in chips(n=3)]
+            with pytest.raises(EngineError, match=FAULT_NON_FINITE):
+                futures[0].result(timeout=10)
+            results = [f.result(timeout=10) for f in futures[1:]]
+        assert all(r.batch_size == 1 for r in results)
         snap = svc.metrics.snapshot()
-        assert snap["fallback_by_reason"] == {FALLBACK_NON_FINITE: 1}
-        assert snap["completed_by_backend"] == {"eager": 1, "engine": 2}
+        assert snap["fallback_by_reason"] == {FAULT_NON_FINITE: 1}
+        assert snap["worker_failures"] == 1 and snap["worker_retries"] == 0
+        assert snap["completed"] == 2
+        assert guard.fallback_by_reason == {FAULT_NON_FINITE: 1}
 
     def test_engine_backend_defaults_to_guarded(self, model):
         with InferenceService(model, BatchPolicy(max_batch=1),
                               cache_size=0) as svc:
             assert isinstance(svc.engine, GuardedEngine)
             result = svc.submit(chips(n=1)[0]).result(timeout=10)
-        assert result.backend == "engine"
+        assert 0.0 <= result.confidence <= 1.0
         assert svc.metrics.snapshot()["fallback_by_reason"] == {}

@@ -18,7 +18,8 @@ from repro.detect import (
     scan_scene,
 )
 from repro.detect.scan import ScanDeadlineError
-from repro.faults import FatalOn, InjectedFault, corrupt_scene
+from repro.engine import CompiledModel
+from repro.faults import FatalOn, InjectedFault, PoisonedInput, corrupt_scene
 from repro.geo import WatershedConfig, build_scene
 from repro.robust import (
     GuardedEngine,
@@ -124,9 +125,9 @@ class TestRobustScan:
     def test_model_crash_is_contained_to_the_tile(self, scene, model,
                                                   monkeypatch):
         """A guarded engine call that blows up on a stack holding a
-        poisoned tile (its eager fallback too) fails the micro-batch,
-        whose tiles re-run alone: the poisoned ones are quarantined and
-        the scan still completes."""
+        poisoned tile fails the micro-batch, whose tiles re-run alone:
+        the poisoned ones are quarantined and the scan still
+        completes."""
         poisoned = FatalOn(GuardedEngine.predict_batch, poisoned={True},
                            key=lambda guard, stack, *_: bool(np.any(
                                stack[:, :, :8, :8] > 0.999)))
@@ -148,25 +149,32 @@ class TestRobustScan:
 
     def test_non_finite_model_output_quarantines_tile(self, scene, model,
                                                       monkeypatch, tmp_path):
-        """A non-finite row of a micro-batch's answer quarantines that
-        row's tile alone."""
-        real = GuardedEngine.predict_batch
+        """A non-finite engine row for tile 2 fails its micro-batch's
+        check; the tiles re-run alone on the engine and only tile 2 is
+        quarantined, with the guard's reason."""
+        r, c = scan_origins(scene.size, WINDOW, STRIDE)[2]
+        tile = np.asarray(scene.image[:, r:r + WINDOW, c:c + WINDOW],
+                          dtype=np.float32)
+        real = CompiledModel.predict
 
-        def nan_in_third_row(guard, stack, batch_size=None):
-            conf, boxes, answered = real(guard, stack, batch_size)
+        def nan_for_tile_2(compiled, stack, batch_size=20):
+            conf, boxes = real(compiled, stack, batch_size=batch_size)
             conf = conf.copy()
-            conf[2] = np.nan
-            return conf, boxes, answered
+            conf[[np.array_equal(chip, tile) for chip in stack]] = np.nan
+            return conf, boxes
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", nan_in_third_row)
+        monkeypatch.setattr(CompiledModel, "predict", nan_for_tile_2)
         path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
                             sanitize=SanitizePolicy.for_scene(), journal=path)
         assert result.coverage.tiles_quarantined == 1
+        # the micro-batch's check, then tile 2's own call
+        assert result.coverage.engine_fallbacks == 2
         _, records = ScanJournal(path).load()
         assert [(rec.index, rec.reason) for rec in records
-                if rec.status == "quarantined"] == [(2, "non_finite_output")]
+                if rec.status == "quarantined"] == [
+                    (2, "model failure: EngineError('non_finite')")]
         for d in result:
             assert d.is_finite()
 
@@ -375,7 +383,6 @@ class TestJournalFaults:
             GuardedEngine.predict_batch, poisoned={True},
             key=lambda guard, stack, *_: any(
                 chip[0, 0, 0].tobytes() == poison for chip in stack),
-            exc=InjectedFault,
         )
         monkeypatch.setattr(GuardedEngine, "predict_batch",
                             lambda guard, stack, batch_size=None:
@@ -389,7 +396,7 @@ class TestJournalFaults:
         _, records = ScanJournal(path).load()
         quarantined = [rec for rec in records if rec.status == "quarantined"]
         assert any(rec.origin == poison_origin for rec in quarantined)
-        assert all("InjectedFault" in (rec.reason or "")
+        assert all("PoisonedInput" in (rec.reason or "")
                    for rec in quarantined)
 
         def boom(*a, **kw):
@@ -406,9 +413,9 @@ class TestJournalFaults:
     def test_a_micro_batch_that_raises_quarantines_only_its_poisoned_tile(
             self, scene, model, tmp_path, monkeypatch):
         """The fault boundary is per tile: the micro-batch holding the
-        poisoned tile fails (engine and eager), its tiles re-run one
-        call each, and every record but the poisoned tile's is the
-        bytes a clean scan journals."""
+        poisoned tile fails, its tiles re-run one engine call each, and
+        every record but the poisoned tile's is the bytes a clean scan
+        journals."""
         kw = dict(window=WINDOW, stride=STRIDE, confidence_threshold=0.0,
                   batch_size=4, sanitize=SanitizePolicy.for_scene())
         clean = tmp_path / "clean.jsonl"
@@ -421,7 +428,7 @@ class TestJournalFaults:
         def predict_batch(guard, stack, batch_size=None):
             stacks.append(len(stack))
             if any(chip[0, 0, 0].tobytes() == poison for chip in stack):
-                raise InjectedFault("poisoned tile")
+                raise PoisonedInput("poisoned tile")
             return real(guard, stack, batch_size)
 
         monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
@@ -434,8 +441,40 @@ class TestJournalFaults:
         want = clean.read_text().splitlines()
         (bad,) = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
         assert json.loads(got[bad])["index"] == 5
-        assert "InjectedFault" in json.loads(got[bad])["reason"]
+        assert "PoisonedInput" in json.loads(got[bad])["reason"]
         assert len(got) == len(want) == 10
+
+    def test_a_transient_tile_error_propagates_and_is_not_journaled(
+            self, scene, model, tmp_path, monkeypatch):
+        """A tile whose own call raises an error a retry may change (an
+        ``InjectedFault``) is not quarantined: the error leaves the scan,
+        the tile is on no journal line, and a resume answers it with the
+        bytes a clean scan journals."""
+        kw = dict(window=WINDOW, stride=STRIDE, confidence_threshold=0.0,
+                  batch_size=4, sanitize=SanitizePolicy.for_scene())
+        clean = tmp_path / "clean.jsonl"
+        scan_scene(model, scene, journal=clean, **kw)
+
+        r, c = scan_origins(scene.size, WINDOW, STRIDE)[5]
+        poison = scene.image[:, r:r + WINDOW, c:c + WINDOW][0, 0, 0].tobytes()
+        real = GuardedEngine.predict_batch
+
+        def predict_batch(guard, stack, batch_size=None):
+            if any(chip[0, 0, 0].tobytes() == poison for chip in stack):
+                raise InjectedFault("transient")
+            return real(guard, stack, batch_size)
+
+        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        path = tmp_path / "scan.jsonl"
+        with pytest.raises(InjectedFault, match="transient"):
+            scan_scene(model, scene, journal=path, **kw)
+        _, records = ScanJournal(path).load()
+        assert [rec.index for rec in records] == [0, 1, 2, 3]
+
+        monkeypatch.setattr(GuardedEngine, "predict_batch", real)
+        resumed = scan_scene(model, scene, journal=path, resume=True, **kw)
+        assert resumed.coverage.tiles_quarantined == 0
+        assert path.read_text() == clean.read_text()
 
 
 class TestGroupCommit:

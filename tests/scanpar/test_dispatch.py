@@ -120,8 +120,8 @@ COUNTER = {
 
 
 # a robust shard absorbs an engine error itself (its micro-batch re-runs
-# tile by tile, and the coverage counts the fallback), so only a plain
-# shard fails on one
+# tile by tile on the engine, and the coverage counts the engine fault),
+# so only a plain shard fails on one
 @pytest.mark.parametrize("fault, stage", [
     ("error", "plain"), ("kill", "plain"), ("kill", "journaled"),
     ("hang", "plain"), ("hang", "journaled")])

@@ -8,8 +8,8 @@ import pytest
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.engine import compiled_for
-from repro.faults import FailFirst, FaultyEngine, InjectedFault
-from repro.robust import GuardedEngine
+from repro.faults import FaultyEngine, InjectedFault
+from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -116,10 +116,11 @@ class TestCircuitBreaker:
 
 
 class TestServiceResilience:
-    """The service's own retries and breaker answer the one failure its
-    guarded engine cannot absorb: the eager fallback raising too.  The
-    double (``repro.faults.FaultyEngine``) fails both halves of the
-    guard for a scripted number of batches."""
+    """The service's own retries and breaker answer engine faults: an
+    engine error is retried while :func:`repro.retry.retryable` allows,
+    and consecutive failed batches trip the breaker.  The double
+    (``repro.faults.FaultyEngine``) fails the compiled call for a
+    scripted number of batches."""
 
     def policy(self):
         return BatchPolicy(max_batch=4)
@@ -128,12 +129,12 @@ class TestServiceResilience:
         faulty = FaultyEngine(model, failures=1)
         with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=2) as service:
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                result = service.submit(chips(1)[0]).result(timeout=5)
+            result = service.submit(chips(1)[0]).result(timeout=5)
             assert 0.0 <= result.confidence <= 1.0
             snap = service.metrics.snapshot()
         assert snap["worker_failures"] == 1
         assert snap["worker_retries"] == 1
+        assert snap["fallback_by_reason"] == {"engine_error": 1}
         assert snap["breaker_state"] == "closed"
 
     def test_exhausted_retries_fail_the_batch_futures(self, model):
@@ -142,10 +143,9 @@ class TestServiceResilience:
                               max_batch_retries=1,
                               breaker=BreakerPolicy(failure_threshold=50)
                               ) as service:
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                future = service.submit(chips(1)[0])
-                with pytest.raises(InjectedFault):
-                    future.result(timeout=5)
+            future = service.submit(chips(1)[0])
+            with pytest.raises(InjectedFault):
+                future.result(timeout=5)
             snap = service.metrics.snapshot()
         assert snap["worker_failures"] >= 2  # initial + retry
         assert snap["worker_retries"] == 1
@@ -160,10 +160,9 @@ class TestServiceResilience:
             service.submit(warm).result(timeout=5)  # cache the warm chip
 
             faulty.failures = 10**6  # outage begins
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                for chip in batch[1:3]:
-                    with pytest.raises(InjectedFault):
-                        service.submit(chip).result(timeout=5)
+            for chip in batch[1:3]:
+                with pytest.raises(InjectedFault):
+                    service.submit(chip).result(timeout=5)
             snap = service.metrics.snapshot()
             assert snap["breaker_state"] == "open"
 
@@ -177,40 +176,34 @@ class TestServiceResilience:
         assert snap["degraded_rejected"] == 1
         assert snap["breaker_transitions"].get("closed->open") == 1
 
-    def test_a_failing_eager_fallback_is_what_trips_the_service_breaker(
-            self, model):
-        """Why the service keeps a fault layer over its guard.  An engine
-        fault alone is absorbed: the guard answers on eager and the
-        service never sees a failure.  When the eager fallback raises
-        too, the failure reaches the service: its breaker trips and it
-        serves cached chips only."""
+    def test_an_engine_fault_alone_trips_the_service_breaker(self, model):
+        """No second runtime answers for a faulty engine: a non-finite
+        answer fails its batch at once (``EngineError`` is permanent),
+        two in a row trip the breaker, and the service then serves
+        cached chips only."""
         batch = chips(5)
         compiled = compiled_for(model)
-        compiled_only = GuardedEngine(model, compiled=SimpleNamespace(
-            predict_stream=FailFirst(compiled.predict_stream, 10**6),
-            warmup=compiled.warmup))
-        with InferenceService(model, self.policy(), engine=compiled_only,
-                              max_batch_retries=0) as service:
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                results = [service.submit(c).result(timeout=5)
-                           for c in batch[:2]]
-            snap = service.metrics.snapshot()
-        assert [r.backend for r in results] == ["eager", "eager"]
-        assert snap["worker_failures"] == 0
-        assert snap["breaker_state"] == "closed"
 
-        faulty = FaultyEngine(model)
-        guard = faulty.guarded()
+        def non_finite(chips, limit):
+            conf, boxes = compiled.predict_stream(chips, limit)
+            return np.full_like(conf, np.nan), boxes
+
+        faulty = SimpleNamespace(predict_stream=compiled.predict_stream,
+                                 warmup=compiled.warmup)
+        guard = GuardedEngine(model, compiled=faulty)
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0)
         with InferenceService(model, self.policy(), engine=guard,
-                              max_batch_retries=0, breaker=breaker) as service:
+                              max_batch_retries=3, breaker=breaker) as service:
             service.submit(batch[0]).result(timeout=5)  # healthy, cached
-            faulty.failures = 2     # the guard's engine and eager both fail
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                for chip in batch[1:3]:
-                    with pytest.raises(InjectedFault, match="eager"):
-                        service.submit(chip).result(timeout=5)
-            assert guard.fallback_by_reason == {"engine_error": 2}
+            faulty.predict_stream = non_finite
+            for chip in batch[1:3]:
+                with pytest.raises(EngineError, match="non_finite"):
+                    service.submit(chip).result(timeout=5)
+            snap = service.metrics.snapshot()
+            assert guard.fallback_by_reason == {"non_finite": 2}
+            assert snap["fallback_by_reason"] == {"non_finite": 2}
+            assert snap["worker_failures"] == 2
+            assert snap["worker_retries"] == 0
             assert service.metrics.breaker_state == "open"
             assert service.submit(batch[0]).result(timeout=5).cached
             with pytest.raises(DegradedServiceError):
@@ -222,10 +215,9 @@ class TestServiceResilience:
         with InferenceService(model, self.policy(), engine=faulty.guarded(),
                               max_batch_retries=0, breaker=breaker) as service:
             batch = chips(4)
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                for chip in batch[:2]:
-                    with pytest.raises(InjectedFault):
-                        service.submit(chip).result(timeout=5)
+            for chip in batch[:2]:
+                with pytest.raises(InjectedFault):
+                    service.submit(chip).result(timeout=5)
             assert service.metrics.breaker_state == "open"
 
             import time

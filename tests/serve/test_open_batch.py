@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, predict, scan_scene
+from repro.detect import SPPNetDetector, scan_scene
 from repro.engine import CompiledModel, compiled_for
 from repro.faults import FaultyEngine
 from repro.geo import WatershedConfig, build_scene
-from repro.robust import GuardedEngine
+from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     BatchPolicy,
     InferenceService,
@@ -116,7 +116,6 @@ class TestOpenBatch:
         assert snap["batch_size_histogram"] == {"6": 1}
         assert snap["batch_close_reasons"] == {"queue_empty": 1}
         assert [r.batch_size for r in results] == [6] * 6
-        assert {r.backend for r in results} == {"engine"}
         # bit for bit: a row does not depend on the batch it ran in
         conf, boxes, _ = GuardedEngine(model).predict_batch(batch)
         np.testing.assert_array_equal([r.confidence for r in results], conf)
@@ -146,7 +145,7 @@ class TestOpenBatch:
             start = time.monotonic()
             result = service.submit(chips(1)[0]).result(timeout=WAIT)
             elapsed = time.monotonic() - start
-        assert result.batch_size == 1 and result.backend == "engine"
+        assert result.batch_size == 1
         assert elapsed < 0.25
 
     def test_only_same_shaped_requests_are_admitted(self, model):
@@ -182,33 +181,60 @@ class TestOpenBatch:
         assert snap["timeouts"] == 1 and snap["completed"] == 3
         assert snap["batch_size_histogram"] == {"3": 1}
 
-    def test_engine_failure_mid_batch_falls_back_for_the_pulled_chips(
-            self, model):
+    def test_engine_failure_mid_batch_fails_the_pulled_chips(self, model):
+        """An engine error after three pulls fails those three with the
+        engine's own exception (no retry here); the two never pulled
+        ride the next batch, answered by the engine."""
         batch = chips(5)
         service, double = gated_service(model, BatchPolicy(max_batch=8),
-                                        raise_after=3)
+                                        raise_after=3, max_batch_retries=0)
         with service:
             futures = [open_first_batch(service, double, batch[0])]
             futures += service.submit_many(batch[1:])
-            with pytest.warns(RuntimeWarning, match="engine_error"):
-                double.gate.set()
-                results = [f.result(timeout=WAIT) for f in futures]
+            double.gate.set()
+            for future in futures[:3]:
+                with pytest.raises(RuntimeError, match="injected engine"):
+                    future.result(timeout=WAIT)
+            results = [f.result(timeout=WAIT) for f in futures[3:]]
             snap = service.metrics.snapshot()
-        assert [(r.backend, r.batch_size) for r in results] == (
-            [("eager", 3)] * 3 + [("engine", 2)] * 2)
+        assert [r.batch_size for r in results] == [2, 2]
         assert snap["fallback_by_reason"] == {"engine_error": 1}
-        assert snap["worker_failures"] == 0
-        # the three pulled chips answered by eager as one stack, the
-        # rest by the engine: each its own backend's bytes
-        eager, _ = predict(model, batch[:3], batch_size=3)
+        assert snap["worker_failures"] == 1
         conf, _, _ = GuardedEngine(model).predict_batch(batch)
         np.testing.assert_array_equal([r.confidence for r in results],
-                                      [*eager, *conf[3:]])
+                                      conf[3:])
+
+    def test_a_chip_that_overflows_the_network_fails_alone(self, model):
+        """Admission passes a chip of finite pixels, but pixels near
+        1e38 overflow float32 into a non-finite row.  Only that request
+        fails, with the guard's ``EngineError`` and no retry; its
+        batch-mates get the engine's bytes, and the breaker counts no
+        failure."""
+        batch = chips(4)
+        batch[1] *= 1e38
+        with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
+                              max_queue=8) as service:
+            with service._cond:     # all four queued before the cut
+                futures = service.submit_many(batch)
+            with pytest.raises(EngineError, match="non_finite"):
+                futures[1].result(timeout=WAIT)
+            results = [futures[i].result(timeout=WAIT) for i in (0, 2, 3)]
+            failures = service.breaker._consecutive_failures
+            snap = service.metrics.snapshot()
+        assert [r.batch_size for r in results] == [4, 4, 4]
+        clean = batch[[0, 2, 3]]
+        conf, boxes = compiled_for(model).predict(clean,
+                                                  batch_size=len(clean))
+        assert np.array([r.confidence for r in results],
+                        np.float32).tobytes() == conf.tobytes()
+        assert np.stack([r.box for r in results]).tobytes() == boxes.tobytes()
+        assert failures == 0 and snap["breaker_state"] == "closed"
+        assert snap["completed"] == 3 and snap["worker_retries"] == 0
+        assert snap["fallback_by_reason"] == {"non_finite": 1}
 
     def test_retry_reruns_the_admitted_members(self, model):
-        """The guard itself failing (engine and eager both) is the
-        service's retry: it re-opens the same batch, and every admitted
-        member is in the re-run."""
+        """An engine error is the service's retry: it re-opens the same
+        batch, and every admitted member is in the re-run."""
         batch = chips(3)
         guard = GuardedEngine(model)
         stream, pulled = guard.predict_stream, []
@@ -291,7 +317,7 @@ class TestShutdownAndBackpressure:
         double.gate.set()
         stopper.join(WAIT)
         assert not stopper.is_alive()
-        assert all(f.result(timeout=0).backend == "engine" for f in futures)
+        assert not any(f.result(timeout=0).cached for f in futures)
         assert service.metrics.completed.value == 5
 
     def test_abort_fails_only_requests_never_admitted(self, model):

@@ -17,7 +17,7 @@ from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.engine import compiled_for
 from repro.faults import FaultyEngine
-from repro.robust import GuardedEngine
+from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     BatchPolicy,
     InferenceService,
@@ -60,7 +60,6 @@ class TestBatchingCore:
         for i, res in enumerate(results):
             assert res.confidence == float(conf[i])
             np.testing.assert_array_equal(res.box, boxes[i])
-        assert {res.backend for res in results} == {"engine"}
 
     def test_requests_are_coalesced(self, model):
         """A burst larger than max_batch dispatches in micro-batches, not
@@ -105,7 +104,7 @@ class TestBatchingCore:
                                   engine=guard) as svc:
                 result = svc.submit(chips(1)[0]).result(timeout=10)
                 warmup_ms = svc.metrics.snapshot()["warmup_ms"]
-        assert warmup_ms == 0.0 and result.backend == "engine"
+        assert warmup_ms == 0.0 and result.batch_size == 1
 
     @pytest.mark.parametrize("backend", ["eager", "custom"])
     def test_only_the_engine_backend_is_accepted(self, model, backend):
@@ -249,9 +248,10 @@ class TestAdmission:
             with pytest.raises(InvalidInputError, match="validation"):
                 svc.submit(chip)
             assert svc.metrics.invalid_inputs.value == 1
-        # unchecked, the chip reaches the engine and the guard falls back
+        # unchecked, the chip reaches the engine and its answer fails
+        # the guard's check
         with InferenceService(model, validate=False) as svc:
-            with pytest.warns(RuntimeWarning, match="non_finite"):
+            with pytest.raises(EngineError, match="non_finite"):
                 svc.submit(chip).result(timeout=30)
             assert svc.metrics.invalid_inputs.value == 0
 

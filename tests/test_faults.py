@@ -261,26 +261,27 @@ class TestFaultyDetector:
         detector = FaultyDetector(detector_model, plan, parent_pid=0)
         with pytest.raises(InjectedFault, match="ordinal 0"):
             compiled_for(detector).predict(CHIPS)
-        with pytest.raises(InjectedFault, match="eager re-run"):
-            detector(CHIPS)                # and the eager re-run, once
         got = compiled_for(detector).predict(CHIPS)   # ordinal 1 is clean
         bare = compiled_for(detector_model).predict(CHIPS)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, bare))
         assert plan.fired() == 1
 
-    def test_an_error_is_never_answered_by_the_guards_fallback(
+    def test_an_error_propagates_through_the_guard(
             self, tmp_path, detector_model):
+        """The guard re-raises the engine's own error unchanged and
+        tallies it; the next call claims the next, clean ordinal."""
         from repro.faults import FaultyDetector
         from repro.robust import GuardedEngine
 
         plan = self.plan(tmp_path, {0: "error"})
         guard = GuardedEngine(FaultyDetector(detector_model, plan,
                                              parent_pid=0))
-        with pytest.warns(RuntimeWarning, match="engine_error"), \
-                pytest.raises(InjectedFault, match="eager re-run"):
+        with pytest.raises(InjectedFault, match="ordinal 0"):
             guard.predict_batch(CHIPS[:1])
+        assert guard.fallback_by_reason == {"engine_error": 1}
         conf, _, answered = guard.predict_batch(CHIPS[:1])
         assert answered == "engine" and conf.shape == (1,)
+        assert plan.fired() == 1
 
     def test_one_ordinal_per_micro_batch(self, tmp_path, detector_model):
         from repro.detect import scan_origins

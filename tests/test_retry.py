@@ -4,10 +4,13 @@ whether another attempt can help.
 The table below pins, for each loop, how many times failing work runs
 when its error is permanent (a ``ValueError``: one run, and no inline
 shard run) and when it is transient (an ``InjectedFault``: the loop's
-whole budget).
+whole budget).  The ``guard`` row is the service over the real
+``GuardedEngine``: a non-finite answer (``EngineError``) is permanent,
+the compiled call's own ``RuntimeError`` transient.
 """
 
 import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from repro.fleet import JobQueue, JobQueueError, ScanFleet, SupervisionPolicy
 from repro.geo.synthesis import WatershedConfig
 from repro.nas import FunctionalEvaluator, RetryPolicy, run_trial_with_retries
 from repro.retry import retryable
-from repro.robust import ScanJournalError
+from repro.robust import EngineError, GuardedEngine, ScanJournalError
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.pool import ShardError
 from repro.serve import InferenceService
@@ -33,7 +36,7 @@ SPEC = ScanSpec(window=64, stride=32, batch_size=8)
 
 def test_the_taxonomy():
     permanent = [ValueError(), TypeError(), ScanJournalError(), JobQueueError(),
-                 BlasError(), ShardError()]
+                 BlasError(), ShardError(), EngineError("non_finite")]
     transient = [OSError(), TimeoutError(), ScanDeadlineError(), WorkerError(),
                  InjectedFault(), MemoryError(), RuntimeError()]
     assert not any(map(retryable, permanent))
@@ -47,9 +50,6 @@ class RaisingEngine:
     def __init__(self, exc):
         self.exc = exc
         self.calls = 0
-
-    def add_fallback_listener(self, listener):
-        pass
 
     def warmup(self, batch_sizes, sample_shape=None):
         return 0.0
@@ -138,17 +138,48 @@ def shard_runs(exc, tmp_path):
     return {"runs": len(pids) - inline, "inline": inline}
 
 
-def service_runs(exc, model):
-    engine = RaisingEngine(exc)
+class FaultyCompiled:
+    """A compiled-program stand-in behind the real ``GuardedEngine``:
+    every open batch answers non-finite (``permanent``) or raises a
+    ``RuntimeError``."""
+
+    def __init__(self, permanent):
+        self.permanent = permanent
+        self.calls = 0
+
+    def warmup(self, batch_sizes, sample_shape=None):
+        return 0.0
+
+    def predict_stream(self, chips, limit):
+        self.calls += 1
+        n = len(list(islice(chips, limit)))
+        if self.permanent:
+            return np.full(n, np.nan), np.zeros((n, 4))
+        raise RuntimeError("engine fault")
+
+
+def service_runs(exc, model, engine=None):
+    engine = engine if engine is not None else RaisingEngine(exc)
     with InferenceService(model, engine=engine) as service:
         chip = np.random.default_rng(0).random((4, 32, 32), np.float32)
         future = service.submit(chip)
         assert isinstance(future.exception(timeout=30), exc)
         failures = service.breaker._consecutive_failures
-        retries = service.metrics.snapshot()["worker_retries"]
+        snap = service.metrics.snapshot()
     assert failures == 1                # one failed batch, however many runs
-    assert retries == engine.calls - 1
-    return {"runs": engine.calls}
+    assert snap["worker_retries"] == snap["worker_failures"] - 1
+    return {"runs": snap["worker_failures"]}
+
+
+def guard_runs(permanent, model):
+    compiled = FaultyCompiled(permanent)
+    guard = GuardedEngine(model, compiled=compiled)
+    runs = service_runs(EngineError if permanent else RuntimeError, model,
+                        engine=guard)
+    reason = "non_finite" if permanent else "engine_error"
+    assert guard.fallback_by_reason == {reason: compiled.calls}
+    assert runs["runs"] == compiled.calls
+    return runs
 
 
 # loop -> (permanent counts, transient counts)
@@ -158,6 +189,7 @@ TABLE = {
     "shard": ({"runs": 1, "inline": 0}, {"runs": BUDGET, "inline": 1}),
     # InferenceService's default max_batch_retries is 1
     "service": ({"runs": 1}, {"runs": 2}),
+    "guard": ({"runs": 1}, {"runs": 2}),
 }
 
 
@@ -176,5 +208,6 @@ def test_runs_per_loop(loop, kind, model, tmp_path, monkeypatch):
         "trial": lambda: trial_runs(exc, monkeypatch),
         "shard": lambda: shard_runs(exc, tmp_path),
         "service": lambda: service_runs(exc, model),
+        "guard": lambda: guard_runs(kind == "permanent", model),
     }[loop]()
     assert runs == TABLE[loop][kind == "transient"]
