@@ -59,9 +59,9 @@ from repro.detect import (
     scan_scene,
 )
 from repro.engine import compiled_for
-from repro.faults import corrupt_scene
+from repro.faults import FaultyEngine, corrupt_scene
 from repro.geo import WatershedConfig, build_scene
-from repro.robust import EngineError, GuardedEngine, SanitizePolicy, ScanJournal
+from repro.robust import EngineError, SanitizePolicy, ScanJournal
 from repro.serve import BatchPolicy, InferenceService
 
 ARCH = SPPNetConfig(
@@ -211,26 +211,6 @@ def run_overhead_scenario(scene_size: int = 320, fraction: float = 0.2,
     }
 
 
-class _FaultyCompiled:
-    """The compiled program, emitting NaN for its first ``fail_first``
-    calls."""
-
-    def __init__(self, model, fail_first: int) -> None:
-        self.compiled = compiled_for(model)
-        self.fail_first = fail_first
-        self.calls = 0
-
-    def predict_stream(self, chips, limit):
-        self.calls += 1
-        conf, boxes = self.compiled.predict_stream(chips, limit)
-        if self.calls <= self.fail_first:
-            return np.full_like(conf, np.nan), np.full_like(boxes, np.nan)
-        return conf, boxes
-
-    def warmup(self, batch_sizes, sample_shape=None):
-        return self.compiled.warmup(batch_sizes, sample_shape)
-
-
 def run_engine_fault_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
     model = SPPNetDetector(ARCH, seed=0)
     model.eval()
@@ -238,7 +218,7 @@ def run_engine_fault_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
     chips = rng.random((n_chips, 4, 24, 24)).astype(np.float32)
     engine_conf, _ = compiled_for(model).predict(chips, batch_size=1)
 
-    guard = GuardedEngine(model, compiled=_FaultyCompiled(model, fail_first))
+    guard = FaultyEngine(model, failures=fail_first, kind="nan").guarded()
     with InferenceService(model, BatchPolicy(max_batch=1),
                           cache_size=0, engine=guard) as service:
         futures = [service.submit(c) for c in chips]

@@ -329,6 +329,10 @@ def run_benchmark(scene_size: int = SCENE_SIZE,
         "n_tiles": n_tiles,
         "cpu_count": cpu_count(),
         "n_workers_auto": auto_n,
+        # which branch the auto row ran: a pooled result carries the
+        # dispatch's report, an inline one (auto_vs_sequential_engine
+        # then compares the sequential scan with itself) does not
+        "auto_pooled": hasattr(results["auto-engine"], "supervision"),
         "n_workers_forced": forced,
         "parallel_overhead_ms": overhead_ms,
         "pool": {
@@ -477,7 +481,8 @@ def main() -> None:
               f"{ratio['interval95'][1]:.2f}]  {how}")
     print(f"scene {payload['scene_size']}px, {payload['n_tiles']} tiles, "
           f"{payload['cpu_count']} cpu(s), auto -> "
-          f"{payload['n_workers_auto']} worker(s), forced "
+          f"{payload['n_workers_auto']} worker(s) "
+          f"({'pooled' if payload['auto_pooled'] else 'inline'}), forced "
           f"{payload['n_workers_forced']}")
     for row in payload["configs"]:
         parity = "ok" if row["matches_sequential"] else "MISMATCH"

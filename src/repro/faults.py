@@ -7,8 +7,8 @@ every run:
 * **Call-level wrappers** that make a callable misbehave on purpose —
   flaky (seeded random failures), fail-first (a transient outage) and
   fatal-on (poisoned inputs) — plus :class:`FaultyEngine`, the same
-  outage and stall scripted into the compiled program behind a
-  guarded engine.
+  outage and stall, and the NaN or wrong-shape answer, scripted into
+  the compiled program behind a guarded engine.
 * **Data-level corruption injectors** that degrade (C, H, W) imagery the
   way production NAIP tiles actually degrade — NaN pepper, nodata holes,
   dropped bands, saturation stripes, truncated edge tiles — plus
@@ -157,30 +157,43 @@ class FatalOn:
 
 class FaultyEngine:
     """The compiled program of a :class:`repro.robust.GuardedEngine`
-    behind one fault script, for the serving layer's tests and
-    benchmarks.
+    behind one fault script, for the serving and guard tests and the
+    resilience and robustness benchmarks.
 
-    Stands in for the compiled program (``predict_stream``), delegating
-    to the real one; :meth:`guarded` builds the guard to hand to
-    ``InferenceService(engine=...)``.
+    Stands in for the compiled program (``predict`` and
+    ``predict_stream``), delegating to the real one; :meth:`guarded`
+    builds the guard to hand to ``InferenceService(engine=...)``.
 
-    * ``failures``: the next this-many compiled calls raise
-      :class:`InjectedFault`, each counting it down by one: the failure
-      the service's retries and breaker exist for.  Set it at any time
-      to start or end an outage.
+    * ``failures``: the next this-many compiled calls fault, each
+      counting it down by one.  Set it at any time to start or end an
+      outage.
+    * ``kind``: what a faulting call does.  ``"raise"`` raises
+      :class:`InjectedFault` before the real call (the transient failure
+      the service's retries and breaker exist for); ``"nan"`` answers
+      NaN and ``"shape"`` one row too many, after the real call has
+      pulled its chips (the answers the guard refuses).
     * ``delay_s``: every compiled call stalls this long first, keeping
       the service's model thread busy (backpressure, deadline,
       shutdown).
+
+    ``calls`` counts the compiled calls made through the double.
     """
 
-    def __init__(self, model, failures: int = 0, delay_s: float = 0.0) -> None:
+    KINDS = ("raise", "nan", "shape")
+
+    def __init__(self, model, failures: int = 0, delay_s: float = 0.0,
+                 kind: str = "raise") -> None:
         if failures < 0 or delay_s < 0:
             raise ValueError("failures and delay_s must be >= 0")
+        if kind not in self.KINDS:
+            raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         from .engine import compiled_for
 
         self.compiled = compiled_for(model.eval())
         self.failures = failures
         self.delay_s = delay_s
+        self.kind = kind
+        self.calls = 0
         self._lock = threading.Lock()
 
     def guarded(self):
@@ -189,14 +202,27 @@ class FaultyEngine:
 
         return GuardedEngine(self, compiled=self)
 
-    def predict_stream(self, chips, limit: int):
+    def _call(self, run):
         time.sleep(self.delay_s)
         with self._lock:
+            self.calls += 1
             fail = self.failures > 0
             self.failures -= fail
-        if fail:
+        if fail and self.kind == "raise":
             raise InjectedFault("injected engine fault")
-        return self.compiled.predict_stream(chips, limit)
+        conf, boxes = run()
+        if not fail:
+            return conf, boxes
+        if self.kind == "nan":
+            return np.full_like(conf, np.nan), np.full_like(boxes, np.nan)
+        n = len(conf) + 1
+        return np.zeros(n, conf.dtype), np.zeros((n, 4), boxes.dtype)
+
+    def predict(self, stack, batch_size: int = 20):
+        return self._call(lambda: self.compiled.predict(stack, batch_size))
+
+    def predict_stream(self, chips, limit: int):
+        return self._call(lambda: self.compiled.predict_stream(chips, limit))
 
     def warmup(self, batch_sizes, sample_shape=None) -> float:
         return self.compiled.warmup(batch_sizes, sample_shape)

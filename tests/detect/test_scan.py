@@ -11,7 +11,7 @@ from repro.detect import (
     scan_origins,
     scan_scene,
 )
-from repro.geo import Crossing, WatershedConfig, build_scene
+from repro.geo import Crossing
 
 
 def det(r, c, conf, size=12.0):
@@ -201,9 +201,8 @@ class TestScanSpec:
 
 class TestScanScene:
     @pytest.fixture(scope="class")
-    def scene(self):
-        return build_scene(WatershedConfig(size=192, road_spacing=64,
-                                           stream_threshold=600, seed=5))
+    def scene(self, watershed):
+        return watershed(192)
 
     def test_untrained_model_runs_and_respects_threshold(self, scene):
         from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
@@ -221,16 +220,9 @@ class TestScanScene:
             assert d.confidence >= 0.99
             assert 0 <= d.row < scene.size and 0 <= d.col < scene.size
 
-    def test_window_validation(self, scene):
-        from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-        from repro.detect import SPPNetDetector
-
-        arch = SPPNetConfig(
-            convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-            spp_levels=(1,), fc_sizes=(16,), name="tiny",
-        )
+    def test_window_validation(self, scene, small_detector):
         with pytest.raises(ValueError):
-            scan_scene(SPPNetDetector(arch), scene, window=1000)
+            scan_scene(small_detector, scene, window=1000)
 
 
 class TestBatchSeam:
@@ -239,9 +231,8 @@ class TestBatchSeam:
     scan and every pool shard run."""
 
     @pytest.fixture(scope="class")
-    def scene(self):
-        return build_scene(WatershedConfig(size=192, road_spacing=64,
-                                           stream_threshold=600, seed=5))
+    def scene(self, watershed):
+        return watershed(192)
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -339,34 +330,24 @@ class TestOneBackend:
     benchmark harness that still passes it."""
 
     @pytest.fixture(scope="class")
-    def scene(self):
-        return build_scene(WatershedConfig(size=128, road_spacing=64,
-                                           stream_threshold=600, seed=5))
+    def scene(self, watershed):
+        return watershed(128)
 
-    def test_the_keyword_spelled_out_is_the_default_scan(self, scene):
-        from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-        from repro.detect import SPPNetDetector
-
-        arch = SPPNetConfig(convs=(ConvSpec(8, 3, 1),),
-                            pools=(PoolSpec(2, 2),), spp_levels=(2, 1),
-                            fc_sizes=(16,), name="one-backend")
-        model = SPPNetDetector(arch, seed=0)
+    def test_the_keyword_spelled_out_is_the_default_scan(self, scene,
+                                                          small_detector):
         kwargs = dict(window=64, stride=32, confidence_threshold=0.0)
-        default = scan_scene(model, scene, **kwargs)
-        spelled = scan_scene(model, scene, backend="engine", **kwargs)
+        default = scan_scene(small_detector, scene, **kwargs)
+        spelled = scan_scene(small_detector, scene, backend="engine",
+                             **kwargs)
         assert len(default) > 0 and list(spelled) == list(default)
 
     @pytest.mark.parametrize("backend", ["eager", "custom"])
-    def test_any_other_backend_names_roadmap_item_1(self, scene, backend):
-        from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-        from repro.detect import SPPNetDetector
+    def test_any_other_backend_names_roadmap_item_1(self, scene,
+                                                    small_detector, backend):
         from repro.scanpar import ShardTask
 
-        arch = SPPNetConfig(convs=(ConvSpec(8, 3, 1),),
-                            pools=(PoolSpec(2, 2),), spp_levels=(1,),
-                            fc_sizes=(16,), name="one-backend")
         with pytest.raises(ValueError, match="ROADMAP item 1"):
-            scan_scene(SPPNetDetector(arch), scene, backend=backend)
+            scan_scene(small_detector, scene, backend=backend)
         with pytest.raises(ValueError, match="ROADMAP item 1"):
             ShardTask(shard_index=0, start=0, stop=1, shm={}, scene_size=128,
                       window=64, stride=32, batch_size=4,

@@ -8,19 +8,13 @@ import pytest
 
 from repro.arch import TABLE1_MODELS
 from repro.detect import SPPNetDetector
-from repro.engine import Step, compile as engine_compile, fusion
+from repro.engine import Step, compile as engine_compile, compiled_for, fusion
 from repro.engine.compiled import _Program
 from repro.tensor import Conv2d, MaxPool2d, ReLU, Sequential
 
 #: the read extent of each Table-1 model on the paper's 100 px chip
 EXTENTS = {"Original SPP-Net": 94, "SPP-Net #1": 96, "SPP-Net #2": 94,
            "SPP-Net #3": 94}
-
-
-@pytest.fixture(scope="module")
-def table1():
-    return {name: engine_compile(SPPNetDetector(config, seed=0).eval())
-            for name, config in TABLE1_MODELS.items()}
 
 
 def chips(n, seed=0, shape=(4, 100, 100)):
@@ -42,7 +36,7 @@ def conv_stack():
 class TestRule:
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_table1_extents_at_100_px(self, table1, name):
-        compiled = table1[name]
+        compiled = compiled_for(table1[name])
         side = EXTENTS[name]
         assert compiled.read_extent() == (side, side, None)
         trunk, boundary, _ = compiled._split_for((4, 100, 100))
@@ -89,7 +83,7 @@ class TestRule:
         assert fusion.read_extent(steps[:3], ("q",)) == (17, 17, None)
 
     def test_rows_and_columns_are_separate(self, table1):
-        compiled = table1["SPP-Net #3"]
+        compiled = compiled_for(table1["SPP-Net #3"])
         assert compiled.read_extent((4, 100, 120)) == (94, 118, None)
 
     def test_a_spatial_boundary_is_read_whole(self):
@@ -100,7 +94,7 @@ class TestRule:
 
     def test_a_flat_shape_has_no_extent(self, table1):
         with pytest.raises(ValueError, match=r"\(C, H, W\)"):
-            table1["SPP-Net #3"].read_extent((7680,))
+            compiled_for(table1["SPP-Net #3"]).read_extent((7680,))
 
 
 class TestTight:
@@ -112,7 +106,7 @@ class TestTight:
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_one_pixel_less_changes_the_map_the_spp_reads(self, table1,
                                                           name):
-        compiled = table1[name]
+        compiled = compiled_for(table1[name])
         side = EXTENTS[name]
 
         def spp_input(shape):
@@ -149,7 +143,7 @@ class TestOneProgram:
 
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_outputs_equal_those_of_the_top_left_crop(self, table1, name):
-        compiled = table1[name]
+        compiled = compiled_for(table1[name])
         side = EXTENTS[name]
         x = chips(5, seed=2)
         for n in (1, 5):
@@ -159,7 +153,7 @@ class TestOneProgram:
 
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_nan_in_the_unread_strip_changes_nothing(self, table1, name):
-        compiled = table1[name]
+        compiled = compiled_for(table1[name])
         side = EXTENTS[name]
         x = chips(4, seed=3)
         clean = compiled.predict(x, batch_size=4)
@@ -179,8 +173,8 @@ def test_read_extent_trunk_is_the_whole_trunk_bit_for_bit(table1,
     differ = {}
     x = np.random.default_rng(11).standard_normal(
         (6, 4, 100, 100)).astype(np.float32)
-    for name in sorted(table1):
-        compiled = table1[name]
+    for name in sorted(TABLE1_MODELS):
+        compiled = compiled_for(table1[name])
         steps, boundary, _ = compiled._split_for((4, 100, 100))
         full = _Program(steps, boundary, 1, compiled.dtype, compiled._packed)
         read = compiled._trunk_for((4, 100, 100))
@@ -197,7 +191,7 @@ def test_read_extent_trunk_is_the_whole_trunk_bit_for_bit(table1,
 
 
 def test_the_trunk_is_bound_at_the_extent(table1):
-    compiled = table1["SPP-Net #3"]
+    compiled = compiled_for(table1["SPP-Net #3"])
     trunk = compiled._trunk_for((4, 100, 100))
     assert isinstance(trunk, _Program)
     (fed,) = trunk._inputs

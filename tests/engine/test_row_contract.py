@@ -6,25 +6,16 @@ shape: it holds for the Table-1 models, and fails where a head linear
 crosses OpenBLAS's small-matrix switch between two bound row counts."""
 
 import numpy as np
-import pytest
 
 from repro.arch import TABLE1_MODELS
 from repro.detect import SPPNetDetector, scan_origins
-from repro.engine import compile as engine_compile
+from repro.engine import compile as engine_compile, compiled_for
 from repro.engine.compiled import HEAD_ROWS
 from repro.nas.space import config_from_sample
 
 
 def same(a, b):
     return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
-
-
-@pytest.fixture(scope="module")
-def table1():
-    """Compiling does no BLAS arithmetic, so one compile serves both
-    thread counts."""
-    return {name: engine_compile(SPPNetDetector(config, seed=0))
-            for name, config in TABLE1_MODELS.items()}
 
 
 def test_table1_rows_do_not_depend_on_their_batch(table1, blas_threads):
@@ -34,10 +25,11 @@ def test_table1_rows_do_not_depend_on_their_batch(table1, blas_threads):
     ``predict_windows`` over 600 and 577 px rasters (stride 50; 121
     windows, the last batch ragged, and at 577 px 21 edge windows off
     the shared grid), against the sample's own batch-1 ``predict``.
-    Bits are compared within one thread count, never across."""
+    Bits are compared within one thread count, never across; compiling
+    does no BLAS arithmetic, so one compile serves both counts."""
     differ = {}
-    for name in sorted(table1):
-        compiled = table1[name]
+    for name in sorted(TABLE1_MODELS):
+        compiled = compiled_for(table1[name])
         x = np.random.default_rng(3).standard_normal(
             (20,) + compiled.input_shape).astype(np.float32)
         alone = [compiled.predict(x[i:i + 1], batch_size=1) for i in range(20)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec
 from repro.detect.scan import scan_origins
 from repro.detect.sppnet import SPPNetDetector
-from repro.engine import Step, compile as engine_compile, fusion, windows
+from repro.engine import Step, compile as engine_compile, compiled_for, fusion, windows
 from repro.engine.fusion import chain_at, split_shared_prefix
 from repro.engine.plan import MemoryPlan
 from repro.engine.windows import origin_lattice, plan_windows
@@ -167,12 +167,6 @@ class TestSplitRule:
 
 # -- the explainable plan ----------------------------------------------------
 
-@pytest.fixture(scope="module")
-def table1():
-    return {name: engine_compile(SPPNetDetector(config, seed=0).eval())
-            for name, config in TABLE1_MODELS.items()}
-
-
 def plan_of(compiled, size, window, stride):
     return compiled.window_plan((4, size, size), window,
                                 scan_origins(size, window, stride))
@@ -189,7 +183,7 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_benchmark_geometry_shares_through_conv2(self, table1, name):
-        plan = plan_of(table1[name], *BENCH)
+        plan = plan_of(compiled_for(table1[name]), *BENCH)
         assert plan.reason is None
         assert plan.shared == ("pool1", "conv2") and plan.cut == "pool2"
         assert (plan.lattice, plan.stride) == (50, 2)
@@ -204,13 +198,13 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
     def test_lattice_20_shares_through_conv3(self, table1, name):
-        plan = plan_of(table1[name], 500, 120, 40)
+        plan = plan_of(compiled_for(table1[name]), 500, 120, 40)
         assert plan.reason is None
         assert plan.shared == ("pool1", "pool2", "conv3")
         assert (plan.cut, plan.lattice, plan.stride) == ("pool3", 20, 4)
 
     def test_reference_numbers_on_the_benchmark_model(self, table1):
-        plan = plan_of(table1["SPP-Net #3"], *BENCH)
+        plan = plan_of(compiled_for(table1["SPP-Net #3"]), *BENCH)
         assert (plan.chunk_rows, plan.chunk_heights, plan.crop) == (
             7, (20, 12), 47)
         # conv1 + conv2 multiply-adds per tile in the window's own
@@ -220,7 +214,7 @@ class TestWindowPlan:
         assert plan.to_json()["shared"] == ("pool1", "conv2")
 
     def test_memory_is_depth_first(self, table1):
-        compiled = table1["SPP-Net #3"]
+        compiled = compiled_for(table1["SPP-Net #3"])
         held = {}
         for height, width in [(600, 600), (1200, 600), (600, 1200)]:
             origins = [(r, c) for r in range(0, height - 99, 50)
@@ -241,7 +235,7 @@ class TestWindowPlan:
         still share through conv2 on the stride's lattice; the 21
         windows of the edge row and column are counted, run the
         per-window trunk, and binding the geometry is silent."""
-        compiled = table1["SPP-Net #3"]
+        compiled = compiled_for(table1["SPP-Net #3"])
         origins = scan_origins(577, 100, 50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -268,7 +262,7 @@ class TestWindowPlan:
         deeper prefix for whole trunks is not taken (600 px at stride
         48: conv3 shares on lattice 4 with no edge window, the whole
         trunk on 48 with 23)."""
-        compiled = table1["SPP-Net #3"]
+        compiled = compiled_for(table1["SPP-Net #3"])
         for size, stride, lattice, last, edge in [
                 (620, 50, 10, "conv2", 0), (596, 50, 2, "conv2", 0),
                 (613, 50, 50, "conv2", 23), (333, 50, 50, "conv2", 11),
@@ -281,8 +275,7 @@ class TestWindowPlan:
         corners = plan_of(compiled, 150, 100, 50)
         assert (corners.lattice, corners.edge_windows) == (50, 0)
 
-    def test_a_warmed_scan_with_edge_windows_binds_nothing_more(
-            self, table1):
+    def test_a_warmed_scan_with_edge_windows_binds_nothing_more(self):
         compiled = engine_compile(
             SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval())
         origins = scan_origins(577, 100, 50)
@@ -300,7 +293,7 @@ class TestWindowPlan:
         runs off the carry buffer and the suffix program starts at the
         pooled tensor: no crop is copied.  With no cut the suffix is
         fed the crop of the prefix's output."""
-        compiled = table1["SPP-Net #3"]
+        compiled = compiled_for(table1["SPP-Net #3"])
         for size, stride, cut, fed in [(600, 50, "pool2", (1, 23, 23, 128)),
                                        (600, 48, "pool3", (1, 10, 10, 256)),
                                        (580, 48, None, (1, 10, 10, 256))]:
@@ -315,7 +308,8 @@ class TestWindowPlan:
 
     def test_stride_at_or_past_the_window_is_not_less_work(self, table1):
         for stride in (100, 130):
-            plan = plan_of(table1["SPP-Net #3"], 600, 100, stride)
+            plan = plan_of(compiled_for(table1["SPP-Net #3"]), 600, 100,
+                           stride)
             assert plan.reason == windows.NOT_LESS_WORK
             assert plan.macs_shared >= plan.macs_per_window > 0
 
@@ -350,7 +344,8 @@ class TestWindowPlan:
     def test_no_decline_reason_fires_on_the_benchmark_geometry(
             self, table1, name):
         origins = scan_origins(600, 100, 50)
-        trunk, boundary, _ = table1[name]._split_for((4, 100, 100))
+        trunk, boundary, _ = compiled_for(table1[name])._split_for(
+            (4, 100, 100))
         plan, split = plan_windows(trunk, boundary, (4, 600, 600), 100,
                                    origins, 4)
         assert plan.reason is None and split is not None
@@ -375,16 +370,16 @@ class TestWindowPlan:
 # -- predict_windows == predict over the gathered stacks ---------------------
 
 @pytest.mark.parametrize("name", sorted(TABLE1_MODELS))
-def test_table1_models_bitwise_equal_at_every_geometry(name):
-    model = SPPNetDetector(TABLE1_MODELS[name], seed=0).eval()
-    compiled = engine_compile(model)
+def test_table1_models_bitwise_equal_at_every_geometry(table1,
+                                                       window_reference,
+                                                       name):
+    compiled = compiled_for(table1[name])
     for size, window, stride in GEOMETRIES:
-        image = raster(size, seed=size)
-        origins = scan_origins(size, window, stride)
-        assert same_bytes(shared(compiled, image, origins, window, 20),
-                          gathered(compiled, image, origins, window, 20)), \
-            (name, size, window, stride)
-        declined = compiled.window_plan(image.shape, window, origins).reason
+        ref = window_reference(name, size, window, stride)
+        assert same_bytes(shared(compiled, ref.image, ref.origins, window, 20),
+                          ref.outputs), (name, size, window, stride)
+        declined = compiled.window_plan(ref.image.shape, window,
+                                        ref.origins).reason
         assert (declined is not None) == (stride >= window)
 
 
@@ -396,32 +391,36 @@ SCENE_SIZES = (577, 580, 596, 600, 613)
 
 @pytest.mark.parametrize("stride", [48, 50])
 @pytest.mark.parametrize("size", SCENE_SIZES)
-def test_scene_sizes_off_the_stride_are_bitwise_equal(table1, size, stride):
-    compiled = table1["SPP-Net #3"]
-    image = raster(size, seed=size + stride)
-    origins = scan_origins(size, 100, stride)
-    plan = compiled.window_plan(image.shape, 100, origins)
+def test_scene_sizes_off_the_stride_are_bitwise_equal(
+        table1, window_reference, size, stride):
+    """The shared scan at batch 1, 7 and 20 against one reference: a
+    row of these models does not depend on its batch."""
+    compiled = compiled_for(table1["SPP-Net #3"])
+    ref = window_reference("SPP-Net #3", size, 100, stride)
+    plan = compiled.window_plan(ref.image.shape, 100, ref.origins)
     assert plan.reason is None and plan.shared[-1] != "conv1"
     for batch in (1, 7, 20):
-        assert same_bytes(shared(compiled, image, origins, 100, batch),
-                          gathered(compiled, image, origins, 100, batch)), \
-            (size, stride, batch)
+        assert same_bytes(shared(compiled, ref.image, ref.origins, 100, batch),
+                          ref.outputs), (size, stride, batch)
 
 
-def test_spans_of_edge_windows_are_bitwise_equal(table1):
+def test_spans_of_edge_windows_are_bitwise_equal(table1, window_reference):
     """577 px at stride 50 is 11 x 11 windows, the last of every row and
     the whole last row off the lattice.  A span that starts on the edge
     column, one that is the edge row alone and one of a single edge
-    window compute what ``predict`` computes over their stacks."""
-    compiled = table1["SPP-Net #3"]
-    image = raster(577, seed=9)
-    origins = scan_origins(577, 100, 50)
+    window compute what ``predict`` computes over their stacks: the
+    span's slice of the whole scan's reference."""
+    compiled = compiled_for(table1["SPP-Net #3"])
+    ref = window_reference("SPP-Net #3", 577, 100, 50)
+    origins = ref.origins
     assert origins[10] == (0, 477) and origins[110] == (477, 0)
     for start, stop in [(10, 40), (110, 121), (120, 121), (0, 10)]:
-        ours = shared(compiled, image, origins, 100, 10, span=(start, stop))
-        ref = gathered(compiled, image, origins[start:stop], 100, 10)
-        assert same_bytes(ours, ref), (start, stop)
-    assert compiled.window_plan(image.shape, 100, origins).edge_windows == 21
+        ours = shared(compiled, ref.image, origins, 100, 10,
+                      span=(start, stop))
+        assert same_bytes(ours, (ref.conf[start:stop],
+                                 ref.boxes[start:stop])), (start, stop)
+    assert compiled.window_plan(ref.image.shape, 100,
+                                origins).edge_windows == 21
 
 
 def check_geometry(model_kwargs, window, size, stride, batch, seed):

@@ -4,21 +4,16 @@
 import numpy as np
 import pytest
 
-from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS
 from repro.detect import SPPNetDetector
 from repro.engine import compile as engine_compile, compiled_for
 from repro.engine.compiled import HEAD_ROWS
 
 
 @pytest.fixture(scope="module")
-def compiled():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="warmup-test",
-    )
-    model = SPPNetDetector(arch, seed=0)
-    model.eval()
-    return compiled_for(model)
+def compiled(small_arch):
+    """A detector of its own: the tests assert on what it has bound."""
+    return compiled_for(SPPNetDetector(small_arch, seed=0).eval())
 
 
 def bound(compiled) -> tuple[set, set]:
@@ -62,15 +57,10 @@ class TestWarmup:
         with pytest.raises(ValueError, match="batch"):
             compiled.warmup([0])
 
-    def test_guarded_engine_delegates(self):
+    def test_guarded_engine_delegates(self, small_arch):
         from repro.robust import GuardedEngine
 
-        arch = SPPNetConfig(
-            convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-            spp_levels=(2, 1), fc_sizes=(32,), name="warmup-guard-test",
-        )
-        model = SPPNetDetector(arch, seed=0)
-        guarded = GuardedEngine(model)
+        guarded = GuardedEngine(SPPNetDetector(small_arch, seed=0))
         assert guarded.warmup([1, 2]) >= 0.0
         trunks, heads = bound(guarded.compiled)
         shape = guarded.compiled.input_shape

@@ -2,25 +2,12 @@
 
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
-from repro.geo import WatershedConfig, build_scene
 
-SCENE_CONFIG = WatershedConfig(size=200, road_spacing=64,
-                               stream_threshold=600, seed=5)
+@pytest.fixture(scope="package")
+def scene(watershed):
+    return watershed(200)
 
 
 @pytest.fixture(scope="package")
-def scene():
-    return build_scene(SCENE_CONFIG)
-
-
-@pytest.fixture(scope="package")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="fleet-test",
-    )
-    detector = SPPNetDetector(arch, seed=0)
-    detector.eval()
-    return detector
+def model(small_detector):
+    return small_detector

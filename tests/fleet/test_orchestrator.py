@@ -6,8 +6,6 @@ from repro.detect import scan_scene
 from repro.fleet import DEAD, DONE, PENDING, JobQueue, ScanFleet
 from repro.retry import RetryPolicy
 
-from .conftest import SCENE_CONFIG
-
 SCAN_KWARGS = dict(window=64, stride=32, batch_size=8,
                    confidence_threshold=0.3)
 
@@ -24,8 +22,8 @@ class TestSweep:
     def test_sweep_drains_and_matches_direct_scan(self, tmp_path, model,
                                                   scene):
         fleet = make_fleet(tmp_path, model, scene)
-        assert fleet.submit_scene("j1", SCENE_CONFIG, **SCAN_KWARGS)
-        assert fleet.submit_scene("j2", SCENE_CONFIG, **SCAN_KWARGS)
+        assert fleet.submit_scene("j1", scene.config, **SCAN_KWARGS)
+        assert fleet.submit_scene("j2", scene.config, **SCAN_KWARGS)
         summary = fleet.run()
         direct = scan_scene(model, scene,
                             journal=str(tmp_path / "direct.jsonl"),
@@ -51,7 +49,7 @@ class TestSweep:
                                                 scene):
         fleet = make_fleet(tmp_path, model, scene)
         with pytest.raises(ValueError, match="unsupported scan parameters"):
-            fleet.submit_scene("j1", SCENE_CONFIG, n_workers=4)
+            fleet.submit_scene("j1", scene.config, n_workers=4)
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(stride=0), "stride"), (dict(window="100"), "window"),
@@ -67,10 +65,10 @@ class TestSweep:
         """A bad value is refused by name at submit, before the queue
         file is touched, instead of dead-lettering the job at run."""
         fleet = make_fleet(tmp_path, model, scene)
-        fleet.submit_scene("j0", SCENE_CONFIG, **SCAN_KWARGS)
+        fleet.submit_scene("j0", scene.config, **SCAN_KWARGS)
         before = fleet.queue.path.read_bytes()
         with pytest.raises(ValueError, match=field):
-            fleet.submit_scene("j1", SCENE_CONFIG, **kwargs)
+            fleet.submit_scene("j1", scene.config, **kwargs)
         assert fleet.queue.path.read_bytes() == before
 
     def test_a_parent_format_queue_file_runs(self, tmp_path, model, scene):
@@ -87,7 +85,7 @@ class TestSweep:
             '"stride": 32, "timeout_s": 30.0}}}\n')
         fresh = make_fleet(tmp_path, model, scene,
                            queue=JobQueue(tmp_path / "fresh.jsonl"))
-        fresh.submit_scene("j1", SCENE_CONFIG, window=64, stride=32,
+        fresh.submit_scene("j1", scene.config, window=64, stride=32,
                            timeout_s=30.0)
         assert fresh.queue.path.read_text() == literal
         path = tmp_path / "parent.jsonl"
@@ -110,7 +108,7 @@ class TestSweep:
         # the exact pixels, so detections match the prebuilt scene's
         fleet = ScanFleet(JobQueue(tmp_path / "q2.jsonl"), model,
                           workdir=tmp_path / "work2", n_workers=1)
-        fleet.submit_scene("j1", SCENE_CONFIG, **SCAN_KWARGS)
+        fleet.submit_scene("j1", scene.config, **SCAN_KWARGS)
         summary = fleet.run()
         direct = scan_scene(model, scene,
                             journal=str(tmp_path / "direct2.jsonl"),
@@ -130,7 +128,7 @@ class TestFailures:
                                            jitter=0.0))
         fleet = make_fleet(tmp_path, model, scene, queue=queue,
                            scene_provider=broken_provider)
-        fleet.submit_scene("bad", SCENE_CONFIG, **SCAN_KWARGS)
+        fleet.submit_scene("bad", scene.config, **SCAN_KWARGS)
         summary = fleet.run()
         assert summary["outcomes"]["bad"] == ["failed", "dead"]
         assert summary["counts"][DEAD] == 1
@@ -175,9 +173,9 @@ class TestFailures:
                                            jitter=0.0))
         fleet = make_fleet(tmp_path, model, scene, queue=queue,
                            scene_provider=provider)
-        fleet.submit_scene("good", SCENE_CONFIG, **SCAN_KWARGS)
+        fleet.submit_scene("good", scene.config, **SCAN_KWARGS)
         from dataclasses import replace
-        fleet.submit_scene("bad", replace(SCENE_CONFIG, seed=999),
+        fleet.submit_scene("bad", replace(scene.config, seed=999),
                            **SCAN_KWARGS)
         summary = fleet.run()
         assert summary["counts"][DONE] == 1
@@ -192,13 +190,13 @@ class TestResume:
         # the same workdir through a fresh queue: the scan must resume
         # the finished journal instead of rescanning a single tile
         first = make_fleet(tmp_path, model, scene)
-        first.submit_scene("j1", SCENE_CONFIG, **SCAN_KWARGS)
+        first.submit_scene("j1", scene.config, **SCAN_KWARGS)
         before = first.run()["results"]["j1"]
         assert before["tiles_resumed"] == 0
 
         second = make_fleet(tmp_path, model, scene,
                             queue=JobQueue(tmp_path / "queue2.jsonl"))
-        second.submit_scene("j1", SCENE_CONFIG, **SCAN_KWARGS)
+        second.submit_scene("j1", scene.config, **SCAN_KWARGS)
         after = second.run()["results"]["j1"]
         assert after["tiles_resumed"] == after["tiles_total"]
         assert after["detections"] == before["detections"]
@@ -216,7 +214,7 @@ class TestOnePool:
         scan_scene(model, scene, n_workers=2,
                    **dict(SCAN_KWARGS, batch_size=4))
         fleet = make_fleet(tmp_path, model, scene, n_workers=2)
-        fleet.submit_scene("j1", SCENE_CONFIG, **SCAN_KWARGS)
+        fleet.submit_scene("j1", scene.config, **SCAN_KWARGS)
         assert fleet.run()["outcomes"] == {"j1": ["done"]}
         assert len(scanpar_pool._POOLS) == 1
         (pool,) = scanpar_pool._POOLS.values()

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.geo import (
     ChipDataset,
-    WatershedConfig,
     augment_dataset,
     build_dataset,
-    build_scene,
     extract_chip,
     flip_horizontal,
     flip_vertical,
@@ -21,12 +19,9 @@ from repro.geo import (
 settings.register_profile("geo", deadline=None, max_examples=30)
 settings.load_profile("geo")
 
-SMALL = WatershedConfig(size=192, road_spacing=64, stream_threshold=600, seed=5)
-
-
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(SMALL)
+def scene(watershed):
+    return watershed(192)
 
 
 @pytest.fixture(scope="module")

@@ -6,16 +6,13 @@ import pytest
 from repro.geo import (
     LandClass,
     REFLECTANCE,
-    WatershedConfig,
-    build_scene,
     classify_landcover,
 )
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=192, road_spacing=64,
-                                       stream_threshold=600, seed=5))
+def scene(watershed):
+    return watershed(192)
 
 
 class TestReflectanceTable:

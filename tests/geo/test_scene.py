@@ -15,37 +15,40 @@ from repro.geo import (
     synthesize_dem,
 )
 
-SMALL = WatershedConfig(size=192, road_spacing=64, stream_threshold=600, seed=5)
+@pytest.fixture(scope="module")
+def scene(watershed):
+    return watershed(192)
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(SMALL)
+def small(scene):
+    """The scene's ``WatershedConfig``, for the synthesis steps."""
+    return scene.config
 
 
 class TestDEM:
-    def test_shape_and_determinism(self):
-        a = synthesize_dem(SMALL)
-        b = synthesize_dem(SMALL)
+    def test_shape_and_determinism(self, small):
+        a = synthesize_dem(small)
+        b = synthesize_dem(small)
         assert a.shape == (192, 192)
         assert np.allclose(a, b)
 
-    def test_seed_changes_terrain(self):
+    def test_seed_changes_terrain(self, small):
         from dataclasses import replace
 
-        a = synthesize_dem(SMALL)
-        b = synthesize_dem(replace(SMALL, seed=6))
+        a = synthesize_dem(small)
+        b = synthesize_dem(replace(small, seed=6))
         assert not np.allclose(a, b)
 
-    def test_west_east_descent(self):
-        dem = synthesize_dem(SMALL)
+    def test_west_east_descent(self, small):
+        dem = synthesize_dem(small)
         west = dem[:, :20].mean()
         east = dem[:, -20:].mean()
-        assert west > east + 0.5 * SMALL.gradient_m * 0.5
+        assert west > east + 0.5 * small.gradient_m * 0.5
 
-    def test_relief_bounded(self):
-        dem = synthesize_dem(SMALL)
-        assert dem.max() - dem.min() < SMALL.relief_m + SMALL.gradient_m + 3
+    def test_relief_bounded(self, small):
+        dem = synthesize_dem(small)
+        assert dem.max() - dem.min() < small.relief_m + small.gradient_m + 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -55,13 +58,13 @@ class TestDEM:
 
 
 class TestRoads:
-    def test_mask_has_grid_roads(self):
-        roads = road_mask(SMALL)
+    def test_mask_has_grid_roads(self, small):
+        roads = road_mask(small)
         assert 0.01 < roads.mean() < 0.2
 
-    def test_embankments_raise_only_roads(self):
-        dem = synthesize_dem(SMALL)
-        roads = road_mask(SMALL)
+    def test_embankments_raise_only_roads(self, small):
+        dem = synthesize_dem(small)
+        roads = road_mask(small)
         raised = imprint_embankments(dem, roads, 1.5)
         assert np.allclose(raised[roads] - dem[roads], 1.5)
         far = ~roads
@@ -96,8 +99,8 @@ class TestCrossings:
         assert r1 - r0 == c.height and c1 - c0 == c.width
         assert c.center == (c.row, c.col)
 
-    def test_no_roads_no_crossings(self):
-        dem = synthesize_dem(SMALL)
+    def test_no_roads_no_crossings(self, small):
+        dem = synthesize_dem(small)
         crossings = find_crossings(dem, np.zeros_like(dem, dtype=bool),
                                    stream_threshold=600)
         assert crossings == []
@@ -153,7 +156,7 @@ class TestSceneAssembly:
         assert scene.dem.shape == scene.bare_dem.shape == scene.roads.shape
         assert (scene.dem >= scene.bare_dem - 1e-9).all()
 
-    def test_build_scene_overrides(self):
-        s = build_scene(SMALL, seed=9)
+    def test_build_scene_overrides(self, small):
+        s = build_scene(small, seed=9)
         assert s.config.seed == 9
-        assert s.config.size == SMALL.size
+        assert s.config.size == small.size

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import TrainConfig, evaluate_detector, train_detector
-from repro.geo import WatershedConfig, build_dataset, build_scene
+from repro.geo import build_dataset
 from repro.hydro import (
     assess_connectivity,
     breach_dem,
@@ -67,11 +67,11 @@ class TestDetectionOnRealChips:
 
 
 class TestHydroOnScene:
-    def test_breaching_at_true_crossings_improves_connectivity(self):
+    def test_breaching_at_true_crossings_improves_connectivity(self,
+                                                               watershed):
         """Figure 1 on a full synthetic scene: delineate on the embanked DEM,
         breach at ground-truth crossings, connectivity improves."""
-        scene = build_scene(WatershedConfig(size=192, road_spacing=64,
-                                            stream_threshold=600, seed=5))
+        scene = watershed(192)
         threshold = scene.config.stream_threshold
 
         def analyze(dem):

@@ -5,31 +5,25 @@ import math
 
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.engine import CompiledModel
 from repro.nas import measure_latency_ms
 
-CONFIG = SPPNetConfig(
-    convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-    spp_levels=(2, 1), fc_sizes=(32,), name="latency-test",
-)
-
-
 @pytest.mark.parametrize("backend", ["eager", "engine"])
-def test_latency_is_finite_and_positive(backend):
-    ms = measure_latency_ms(CONFIG, input_size=32, batch=2, repeats=3,
+def test_latency_is_finite_and_positive(small_arch, backend):
+    ms = measure_latency_ms(small_arch, input_size=32, batch=2, repeats=3,
                             backend=backend)
     assert math.isfinite(ms) and ms > 0.0
 
 
-def test_bad_arguments_raise():
+def test_bad_arguments_raise(small_arch):
     with pytest.raises(ValueError, match="repeats"):
-        measure_latency_ms(CONFIG, input_size=32, repeats=0)
+        measure_latency_ms(small_arch, input_size=32, repeats=0)
     with pytest.raises(ValueError, match="unknown backend"):
-        measure_latency_ms(CONFIG, input_size=32, backend="gpu")
+        measure_latency_ms(small_arch, input_size=32, backend="gpu")
 
 
-def test_engine_programs_are_bound_before_the_first_timed_pass(monkeypatch):
+def test_engine_programs_are_bound_before_the_first_timed_pass(small_arch,
+                                                               monkeypatch):
     """With ``warmup=0`` the first ``predict`` is a timed pass: it must
     find the trunk and the head that runs this batch (bound at one 4-row
     block) already bound."""
@@ -41,7 +35,7 @@ def test_engine_programs_are_bound_before_the_first_timed_pass(monkeypatch):
         return real_predict(self, images, batch_size)
 
     monkeypatch.setattr(CompiledModel, "predict", recording_predict)
-    measure_latency_ms(CONFIG, input_size=32, batch=3, repeats=2, warmup=0,
+    measure_latency_ms(small_arch, input_size=32, batch=3, repeats=2, warmup=0,
                        backend="engine")
     assert len(bound_at_predict) == 2
     assert bound_at_predict[0] == ({(4, 32, 32)}, {(4, 4, 32, 32)})

@@ -1,15 +1,12 @@
 """The guarded engine answers or fails loudly: output checks, the fault
 tally, and serve wiring."""
 
-from itertools import islice
-
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
 from repro.detect.predict import predict
 from repro.engine import compiled_for
+from repro.faults import FaultyEngine, InjectedFault
 from repro.retry import retryable
 from repro.robust import (
     FAULT_ENGINE_ERROR,
@@ -22,47 +19,13 @@ from repro.serve import BatchPolicy, InferenceService
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="guard-test",
-    )
-    m = SPPNetDetector(arch, seed=0)
-    m.eval()
-    return m
+def model(small_detector):
+    return small_detector
 
 
 def chips(n=4, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((n, 4, 24, 24)).astype(np.float32)
-
-
-class FaultyCompiled:
-    """The real compiled model, misbehaving on its first `fail_first`
-    calls."""
-
-    def __init__(self, model, fail_first=1, mode="nan"):
-        self.compiled = compiled_for(model)
-        self.fail_first = fail_first
-        self.mode = mode
-        self.calls = 0
-
-    def predict(self, stack, batch_size=20):
-        self.calls += 1
-        n = len(stack)
-        if self.calls <= self.fail_first:
-            if self.mode == "nan":
-                return np.full(n, np.nan), np.full((n, 4), np.nan)
-            if self.mode == "shape":
-                return np.zeros(n + 1), np.zeros((n + 1, 4))
-            raise RuntimeError("injected engine crash")
-        return self.compiled.predict(stack, batch_size=batch_size)
-
-    def predict_stream(self, chips, limit):
-        return self.predict(np.stack(list(islice(chips, limit))), limit)
-
-    def warmup(self, batch_sizes, sample_shape=None):
-        return self.compiled.warmup(batch_sizes, sample_shape)
 
 
 class TestGuardedEngine:
@@ -76,22 +39,22 @@ class TestGuardedEngine:
         np.testing.assert_allclose(boxes, e_boxes, atol=1e-4)
         assert guard.fallback_by_reason == {}
 
-    @pytest.mark.parametrize("mode,reason", [
+    @pytest.mark.parametrize("kind,reason", [
         ("nan", FAULT_NON_FINITE),
         ("shape", FAULT_SHAPE),
         ("raise", FAULT_ENGINE_ERROR),
     ])
-    def test_violation_raises_and_is_tallied(self, model, mode, reason):
+    def test_violation_raises_and_is_tallied(self, model, kind, reason):
         """A bad answer raises a permanent ``EngineError``; the engine's
         own exception propagates unchanged.  Either is tallied, and the
         next batch runs on the engine again."""
-        faulty = FaultyCompiled(model, fail_first=1, mode=mode)
-        guard = GuardedEngine(model, compiled=faulty)
+        faulty = FaultyEngine(model, failures=1, kind=kind)
+        guard = faulty.guarded()
         stack = chips()
-        if mode == "raise":
-            with pytest.raises(RuntimeError, match="injected") as raised:
+        if kind == "raise":
+            with pytest.raises(InjectedFault, match="injected") as raised:
                 guard.predict_batch(stack)
-            assert type(raised.value) is RuntimeError
+            assert type(raised.value) is InjectedFault
             assert retryable(raised.value)
         else:
             with pytest.raises(EngineError) as raised:
@@ -105,12 +68,15 @@ class TestGuardedEngine:
         assert conf.tobytes() == want[0].tobytes()
         assert boxes.tobytes() == want[1].tobytes()
 
-    @pytest.mark.parametrize("mode,reason", [
+    def test_the_double_refuses_an_unknown_fault_kind(self, model):
+        with pytest.raises(ValueError, match="kind"):
+            FaultyEngine(model, failures=1, kind="slow")
+
+    @pytest.mark.parametrize("kind,reason", [
         ("nan", FAULT_NON_FINITE), ("raise", FAULT_ENGINE_ERROR)])
-    def test_an_open_batch_fault_is_loud_too(self, model, mode, reason):
-        guard = GuardedEngine(
-            model, compiled=FaultyCompiled(model, fail_first=1, mode=mode))
-        with pytest.raises(EngineError if mode == "nan" else RuntimeError):
+    def test_an_open_batch_fault_is_loud_too(self, model, kind, reason):
+        guard = FaultyEngine(model, failures=1, kind=kind).guarded()
+        with pytest.raises(EngineError if kind == "nan" else InjectedFault):
             guard.predict_stream(iter(chips()), 8)
         assert guard.fallback_by_reason == {reason: 1}
 
@@ -150,8 +116,7 @@ class TestGuardedEngine:
     def test_predict_loop_isolates_micro_batches(self, model):
         """Only the poisoned micro-batch raises; the rest are engine
         answers."""
-        guard = GuardedEngine(
-            model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
+        guard = FaultyEngine(model, failures=1, kind="nan").guarded()
         stack = chips(n=6)
         answered = {}
         for s in range(0, len(stack), 2):
@@ -172,8 +137,7 @@ class TestServeIntegration:
     def test_injected_faulty_engine_surfaces_in_metrics(self, model):
         """A non-finite answer fails its batch once (no retry can change
         it), tallied by reason; the later requests are engine answers."""
-        guard = GuardedEngine(
-            model, compiled=FaultyCompiled(model, fail_first=1, mode="nan"))
+        guard = FaultyEngine(model, failures=1, kind="nan").guarded()
         with InferenceService(model, BatchPolicy(max_batch=1),
                               cache_size=0, engine=guard,
                               max_batch_retries=3) as svc:

@@ -7,11 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import (
     ScanCoverage,
     SceneDetection,
-    SPPNetDetector,
     evaluate_scene_detections,
     non_max_suppression,
     scan_origins,
@@ -20,7 +18,6 @@ from repro.detect import (
 from repro.detect.scan import ScanDeadlineError
 from repro.engine import CompiledModel
 from repro.faults import FatalOn, InjectedFault, PoisonedInput, corrupt_scene
-from repro.geo import WatershedConfig, build_scene
 from repro.robust import (
     GuardedEngine,
     SanitizePolicy,
@@ -35,18 +32,13 @@ STRIDE = 64
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=192, road_spacing=64,
-                                       stream_threshold=600, seed=5))
+def scene(watershed):
+    return watershed(192)
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="robust-scan-test",
-    )
-    return SPPNetDetector(arch, seed=0)
+def model(small_detector):
+    return small_detector
 
 
 def corrupted(scene, fraction=0.25, seed=7):

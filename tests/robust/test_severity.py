@@ -12,8 +12,6 @@ Two properties anchor the sanitizer's value:
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
 from repro.detect.predict import predict
 from repro.faults import DropBand, NaNPepper, NodataHoles
 from repro.robust import SanitizePolicy, sanitize_chip
@@ -23,12 +21,8 @@ TOLERANCE = 0.02  # allowed monotonicity inversion between adjacent rates
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="severity-test",
-    )
-    return SPPNetDetector(arch, seed=0)
+def model(small_detector):
+    return small_detector
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,8 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import ScanSpec, SPPNetDetector, scan_scene
+from repro.detect import ScanSpec, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
-from repro.geo import WatershedConfig, build_scene
 from repro.robust import ScanJournal
 from repro.scanpar import SupervisionPolicy, WorkerPool
 
@@ -22,20 +20,13 @@ SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=200, road_spacing=64,
-                                       stream_threshold=600, seed=5))
+def scene(watershed):
+    return watershed(200)
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="dispatch-test",
-    )
-    detector = SPPNetDetector(arch, seed=0)
-    detector.eval()
-    return detector
+def model(small_detector):
+    return small_detector
 
 
 def scan(model, scene, **kwargs):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
+from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec
 from repro.detect import ScanSpec, SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
 from repro.faults import corrupt_scene
@@ -23,20 +23,13 @@ SCENE_SIZE = 200
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=SCENE_SIZE, road_spacing=64,
-                                       stream_threshold=600, seed=5))
+def scene(watershed):
+    return watershed(SCENE_SIZE)
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="scanpar-test",
-    )
-    detector = SPPNetDetector(arch, seed=0)
-    detector.eval()
-    return detector
+def model(small_detector):
+    return small_detector
 
 
 #: small batches so this 9-origin scene still splits into >= 2
@@ -114,8 +107,8 @@ class TestEdgeWindows:
     trunk bound before its shard's clock starts."""
 
     @pytest.fixture(scope="class")
-    def deployed(self):
-        return SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+    def deployed(self, table1):
+        return table1["SPP-Net #3"]
 
     @pytest.fixture(scope="class")
     def ragged(self):
@@ -377,9 +370,8 @@ def fuzz_pool():
 
 
 @pytest.fixture(scope="module")
-def fuzz_scene():
-    return build_scene(WatershedConfig(size=160, road_spacing=64,
-                                       stream_threshold=600, seed=9))
+def fuzz_scene(watershed):
+    return watershed(160)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30,

@@ -10,11 +10,9 @@ from multiprocessing import connection as mp_connection
 
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.blas import BlasError, blas_info, set_blas_threads
-from repro.detect import ScanSpec, SPPNetDetector, scan_scene
+from repro.detect import ScanSpec, scan_scene
 from repro.faults import FaultyDetector, WorkerFaultPlan
-from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
     SharedArray,
     ShardTask,
@@ -32,20 +30,13 @@ SCENE_SIZE = 200
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=SCENE_SIZE, road_spacing=64,
-                                       stream_threshold=600, seed=5))
+def scene(watershed):
+    return watershed(SCENE_SIZE)
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="pool-test",
-    )
-    detector = SPPNetDetector(arch, seed=0)
-    detector.eval()
-    return detector
+def model(small_detector):
+    return small_detector
 
 
 def scan(model, scene, **kwargs):

@@ -5,8 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector
 from repro.engine import compiled_for
 from repro.faults import FaultyEngine, InjectedFault
 from repro.robust import EngineError, GuardedEngine
@@ -21,15 +19,9 @@ from repro.serve import (
     InferenceService,
 )
 
-ARCH = SPPNetConfig(
-    convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-    spp_levels=(2, 1), fc_sizes=(32,), name="breaker-test",
-)
-
-
 @pytest.fixture(scope="module")
-def model():
-    return SPPNetDetector(ARCH, seed=0)
+def model(small_detector):
+    return small_detector
 
 
 def chips(n, size=24, seed=0):

@@ -17,11 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
+from repro.detect import scan_scene
 from repro.engine import CompiledModel, compiled_for
 from repro.faults import FaultyEngine
-from repro.geo import WatershedConfig, build_scene
 from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     BatchPolicy,
@@ -32,16 +30,12 @@ from repro.serve import (
     format_service_report,
 )
 
-ARCH = SPPNetConfig(
-    convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-    spp_levels=(2, 1), fc_sizes=(32,), name="open-batch-test",
-)
 WAIT = 10.0     # every wait in this file is bounded by it
 
 
 @pytest.fixture(scope="module")
-def model():
-    return SPPNetDetector(ARCH, seed=0).eval()
+def model(small_detector):
+    return small_detector
 
 
 def chips(n, seed=0, size=24):
@@ -410,6 +404,7 @@ class TestStress:
 
 class TestConcurrentScan:
     def test_a_request_is_not_starved_by_a_running_scan(self, model,
+                                                        watershed,
                                                         monkeypatch):
         """A chip submitted while a plain ``scan_scene(model, ...)`` runs
         on another thread is answered before the scan returns.  The scan
@@ -418,8 +413,7 @@ class TestConcurrentScan:
         two of them instead of queueing behind the whole scan.  The scan
         pauses after its first micro-batch until the chip is answered (at
         most ``WAIT``), so the order is the test's, not the scheduler's."""
-        scene = build_scene(WatershedConfig(size=192, road_spacing=64,
-                                            stream_threshold=600, seed=5))
+        scene = watershed(192)
         kwargs = dict(window=64, stride=32, batch_size=4)
         reference = scan_scene(model, scene, **kwargs)
         real, under_way, answered = (CompiledModel.predict_windows,

@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.arch import TABLE1_MODELS, ConvSpec, PoolSpec, SPPNetConfig
 from repro.blas import blas_info, set_blas_threads
-from repro.detect import SPPNetDetector, scan_origins, scan_scene
+from repro.detect import scan_origins, scan_scene
 from repro.engine import compile as engine_compile
-from repro.geo import WatershedConfig, build_scene
 from repro.robust import ScanJournalError
 from repro.scanpar import get_pool, shutdown_pools
 
@@ -39,16 +37,8 @@ def blas_at(n):
 
 
 @pytest.fixture(scope="module")
-def scene():
-    return build_scene(WatershedConfig(size=200, road_spacing=64,
-                                       stream_threshold=600, seed=5))
-
-
-@pytest.fixture(scope="module")
-def small_model():
-    return SPPNetDetector(SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="blas-test"), seed=0).eval()
+def scene(watershed):
+    return watershed(200)
 
 
 class TestInfo:
@@ -121,22 +111,22 @@ class TestInfo:
 class TestJournal:
     KW = dict(window=100, stride=50, batch_size=4)
 
-    def test_a_resume_under_another_count_is_refused(self, small_model,
+    def test_a_resume_under_another_count_is_refused(self, small_detector,
                                                      scene, tmp_path):
         path = tmp_path / "scan.jsonl"
         with blas_at(2):
-            scan_scene(small_model, scene, journal=path, **self.KW)
+            scan_scene(small_detector, scene, journal=path, **self.KW)
         before = path.read_bytes()
         assert json.loads(before.splitlines()[0])["blas"]["threads"] == 2
         with blas_at(1), pytest.raises(ScanJournalError) as raised:
-            scan_scene(small_model, scene, journal=path, resume=True,
+            scan_scene(small_detector, scene, journal=path, resume=True,
                        **self.KW)
         message = str(raised.value)
         assert "blas: file {" in message and "'threads': 2" in message
         assert "'threads': 1" in message
         assert path.read_bytes() == before
 
-    def test_a_header_without_blas_is_refused(self, small_model, scene,
+    def test_a_header_without_blas_is_refused(self, small_detector, scene,
                                               tmp_path):
         """A journal written before the header named its BLAS: the six
         keys of the old header, and one tile."""
@@ -151,14 +141,14 @@ class TestJournal:
         with pytest.raises(ScanJournalError,
                            match=r"written by a different run \(blas: file "
                                  r"None, this run \{'library'"):
-            scan_scene(small_model, scene, journal=path, resume=True,
+            scan_scene(small_detector, scene, journal=path, resume=True,
                        **self.KW)
         assert path.read_bytes() == before
 
-    def test_the_header_names_the_blas_last(self, small_model, scene,
+    def test_the_header_names_the_blas_last(self, small_detector, scene,
                                             tmp_path):
         path = tmp_path / "scan.jsonl"
-        scan_scene(small_model, scene, journal=path, **self.KW)
+        scan_scene(small_detector, scene, journal=path, **self.KW)
         header = json.loads(path.read_text().splitlines()[0])
         assert list(header)[-1] == "blas"
         info = blas_info()
@@ -167,8 +157,8 @@ class TestJournal:
 
 
 @pytest.fixture(scope="module")
-def deployed():
-    return SPPNetDetector(TABLE1_MODELS["SPP-Net #3"], seed=0).eval()
+def deployed(table1):
+    return table1["SPP-Net #3"]
 
 
 @pytest.fixture(scope="module")

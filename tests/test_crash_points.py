@@ -27,36 +27,26 @@ from dataclasses import replace
 import pytest
 
 from repro import durable
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-from repro.detect import SPPNetDetector, scan_scene
+from repro.detect import scan_scene
 from repro.detect.scan import scan_origins
 from repro.faults import corrupt_scene
 from repro.fleet import DONE, PENDING, JobQueue, ScanFleet
-from repro.geo import WatershedConfig, build_scene
 from repro.nas import Experiment, FunctionalEvaluator, sppnet_search_space
 from repro.robust import ScanJournal
 
 BOUNDARIES = ("truncate-open", "write", "fsync", "repair-truncate", "unlink")
 KILLED = 86
-SCENE_CONFIG = WatershedConfig(size=200, road_spacing=64,
-                               stream_threshold=600, seed=5)
 SCAN = dict(window=100, stride=50, confidence_threshold=0.3)
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(
-        convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-        spp_levels=(2, 1), fc_sizes=(32,), name="crash-test",
-    )
-    detector = SPPNetDetector(arch, seed=0)
-    detector.eval()
-    return detector
+def model(small_detector):
+    return small_detector
 
 
 @pytest.fixture(scope="module")
-def scene():
-    scene = build_scene(SCENE_CONFIG)
+def scene(watershed):
+    scene = watershed(200)
     image, applied = corrupt_scene(
         scene.image, scan_origins(scene.size, SCAN["window"], SCAN["stride"]),
         SCAN["window"], fraction=0.3, seed=7)
@@ -239,15 +229,15 @@ def test_robust_scan_with_shard_absorb(tmp_path, model, scene):
                      "repair-truncate": 2, "unlink": 2}
 
 
-def test_fleet_sweep(tmp_path, model, monkeypatch):
+def test_fleet_sweep(tmp_path, model, watershed, monkeypatch):
     """A killed sweep restarts at once: an interrupted job reopens
     pending, claimable with no wait, and spends its second attempt.
     Per kill, the queue counts, the attempts and every job's journal
     bytes are compared; a journal's replay is a function of its bytes,
     so the detections are checked once, on the uninterrupted sweep."""
     jobs = ("j1", "j2", "j3")
-    config = replace(SCENE_CONFIG, size=150)
-    scene = build_scene(config)
+    scene = watershed(150)
+    config = scene.config
 
     def no_sleep(seconds):
         raise AssertionError("an interrupted job was not claimable")

@@ -219,13 +219,8 @@ class FaultTargetModel:
 
 
 @pytest.fixture(scope="module")
-def detector_model():
-    from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
-    from repro.detect import SPPNetDetector
-
-    arch = SPPNetConfig(convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-                        spp_levels=(2, 1), fc_sizes=(16,), name="faulty")
-    return SPPNetDetector(arch, seed=0).eval()
+def detector_model(small_detector):
+    return small_detector
 
 
 CHIPS = np.random.default_rng(0).random((2, 4, 32, 32)).astype(np.float32)

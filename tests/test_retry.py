@@ -15,9 +15,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.blas import BlasError
-from repro.detect import ScanSpec, SPPNetDetector
+from repro.detect import ScanSpec
 from repro.detect.scan import ScanDeadlineError
 from repro.faults import InjectedFault
 from repro.fleet import JobQueue, JobQueueError, ScanFleet, SupervisionPolicy
@@ -77,10 +76,8 @@ class FailingDetector:
 
 
 @pytest.fixture(scope="module")
-def model():
-    arch = SPPNetConfig(convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
-                        spp_levels=(2, 1), fc_sizes=(32,), name="retry-test")
-    return SPPNetDetector(arch, seed=0).eval()
+def model(small_detector):
+    return small_detector
 
 
 def fleet_runs(exc, tmp_path):
