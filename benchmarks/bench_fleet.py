@@ -11,14 +11,13 @@ merge.  This benchmark is that promise as an executable gate:
   ``N_SCENES`` synthetic watershed scenes under supervision with a
   bare model; its per-scene journals are the reference output and its
   :class:`~repro.fleet.SupervisionReport` must be clean;
-* **chaos sweep** — the same scenes through a
-  :class:`~repro.faults.FaultyDetector` whose
-  :class:`~repro.faults.WorkerFaultPlan` scripts faults on ≥30% of the
-  expected worker engine calls (a mix of hung workers, SIGKILLs
-  mid-shard, and slow calls), restarting what a killed sweep left: a
-  process that submitted every scene, started one, and died, and that
-  scene's journal torn mid-record
-  (:func:`~repro.faults.tear_trailing_line`);
+* **chaos sweep** — the same scenes through the test suite's engine
+  double (``tests.faults.FaultyEngine``) whose worker script faults
+  ≥30% of the expected worker engine calls (a mix of hung workers,
+  SIGKILLs mid-shard, and slow calls), restarting what a killed sweep
+  left: a process that submitted every scene, started one, and died,
+  and that scene's journal torn mid-record
+  (``tests.faults.tear_trailing_line``);
 * **gate** — the chaos sweep must complete every job (no dead
   letters), quarantine nothing, leak no shared-memory segments, never
   stall a hung worker much past its shard deadline, and — the core
@@ -51,13 +50,15 @@ import numpy as np
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector, scan_scene
 from repro.detect.scan import scan_origins
-from repro.faults import FaultyDetector, WorkerFaultPlan, tear_trailing_line
 from repro.fleet import JobQueue, ScanFleet, SupervisionPolicy
 from repro.geo import WatershedConfig, build_scene
 from repro.retry import RetryPolicy
 from repro.scanpar import WorkerPool
 
 from gates import bench_arg_parser, check, evaluate, finish
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.faults import WORKER_KINDS, FaultyEngine, tear_trailing_line
 
 N_SCENES = 3
 SCENE_SIZE = 200
@@ -102,8 +103,9 @@ def scene_configs(n_scenes: int) -> dict[str, WatershedConfig]:
     }
 
 
-def build_fault_plan(n_calls: int, fuse_dir: Path) -> WorkerFaultPlan:
-    """Script faults over ``FAULT_FRACTION`` of the expected calls.
+def build_faulty(model, n_calls: int, fuse_dir: Path) -> FaultyEngine:
+    """``model`` with faults over ``FAULT_FRACTION`` of the expected
+    worker calls.
 
     Hangs are the expensive fault (each costs a shard deadline), so the
     mix is weighted toward kills and slow calls; placement over the
@@ -114,8 +116,9 @@ def build_fault_plan(n_calls: int, fuse_dir: Path) -> WorkerFaultPlan:
     ordinals = rng.choice(n_calls, size=n_faults, replace=False)
     kinds = (["hang"] * 2 + ["kill"] * 4
              + ["slow"] * (n_faults - 6))[:n_faults]
-    return WorkerFaultPlan(
-        faults={int(o): k for o, k in zip(sorted(ordinals), kinds)},
+    return FaultyEngine(
+        model,
+        worker_faults={int(o): k for o, k in zip(sorted(ordinals), kinds)},
         fuse_dir=str(fuse_dir), hang_s=3600.0, slow_s=0.05,
     )
 
@@ -240,8 +243,8 @@ def _sweeps(model, configs: dict, workroot: Path, pool: WorkerPool) -> dict:
     # are guaranteed worker calls — faults beyond this floor might never
     # fire, and the fired() gate would flake.
     expected_calls = -(-tiles_per_scene // BATCH_SIZE) * (n_scenes - 1)
-    plan = build_fault_plan(expected_calls, workroot / "fuses")
-    faulty = FaultyDetector(model, plan)
+    faulty = build_faulty(model, expected_calls, workroot / "fuses")
+    kinds = list(faulty.worker_faults.values())
 
     shm_before = set(os.listdir("/dev/shm")) \
         if os.path.isdir("/dev/shm") else set()
@@ -268,10 +271,10 @@ def _sweeps(model, configs: dict, workroot: Path, pool: WorkerPool) -> dict:
         "fault_plan": {
             "fraction_requested": FAULT_FRACTION,
             "expected_calls": expected_calls,
-            "n_faults": len(plan.faults),
-            "fraction_injected": len(plan.faults) / expected_calls,
-            "counts": plan.counts(),
-            "fired": plan.fired(),
+            "n_faults": len(kinds),
+            "fraction_injected": len(kinds) / expected_calls,
+            "counts": {kind: kinds.count(kind) for kind in WORKER_KINDS},
+            "fired": faulty.fired(),
         },
         "torn_journal": {"job": torn_job, "bytes_torn": torn_bytes,
                          "tiles_resumed": torn_result["tiles_resumed"],

@@ -1,13 +1,13 @@
 """Resilience gate: faulty sweeps finish, degraded serving stays up.
 
-Two scenarios, both with deterministic injected faults (``repro.faults``):
+Two scenarios, both with deterministic injected faults (``tests.faults``):
 
 1. **NAS sweep under 20% trial failures** — an ``Experiment(workers=4)``
    whose evaluator fails 20% of calls must still complete every trial
    (retry + quarantine) and pick the same winner as the fault-free sweep
    with the same seed.  This is the CI gate.
 2. **Serving through a worker outage** — an ``InferenceService`` whose
-   compiled engine fails hard (``repro.faults.FaultyEngine``) must trip
+   compiled engine fails hard (``tests.faults.FaultyEngine``) must trip
    the circuit breaker, keep answering cached chips in degraded mode,
    and recover via the half-open probe.
 
@@ -21,7 +21,9 @@ Usage::
 Also collectable by pytest (``pytest benchmarks/bench_resilience.py``).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from gates import bench_arg_parser, check, finish
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
-from repro.faults import FaultyEngine, Flaky, InjectedFault
 from repro.nas import (
     Experiment,
     FunctionalEvaluator,
@@ -37,6 +38,9 @@ from repro.nas import (
     sppnet_search_space,
 )
 from repro.serve import BatchPolicy, BreakerPolicy, InferenceService
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.faults import FaultyEngine, Flaky, InjectedFault
 
 ARCH = SPPNetConfig(
     convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
@@ -90,9 +94,8 @@ def run_serve_scenario() -> dict:
     outage_failures = 0
     degraded_hit = degraded_miss = False
 
-    with InferenceService(model, BatchPolicy(max_batch=4),
-                          engine=faulty.guarded(), max_batch_retries=0,
-                          breaker=breaker) as service:
+    with InferenceService(faulty, BatchPolicy(max_batch=4),
+                          max_batch_retries=0, breaker=breaker) as service:
         service.submit(chips[0]).result(timeout=10)  # healthy + cached
 
         faulty.failures = 2  # outage: the next two batches fail

@@ -1,6 +1,8 @@
 """Robustness gate: corrupted scenes scan, resumes replay, engine faults are loud.
 
-Four scenarios, all with deterministic injected damage (``repro.faults``):
+Four scenarios, all with deterministic injected damage (``repro.faults``
+corrupts the imagery, and the test suite's ``tests.faults.FaultyEngine``
+the engine's answers):
 
 1. **Corrupted-scene scan** — a scene with ~20% of its tiles corrupted
    (NaN pepper, nodata holes, dropped bands, saturation, truncation)
@@ -40,6 +42,7 @@ Also collectable by pytest (``pytest benchmarks/bench_robustness.py``).
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -59,10 +62,13 @@ from repro.detect import (
     scan_scene,
 )
 from repro.engine import compiled_for
-from repro.faults import FaultyEngine, corrupt_scene
+from repro.faults import corrupt_scene
 from repro.geo import WatershedConfig, build_scene
 from repro.robust import EngineError, SanitizePolicy, ScanJournal
 from repro.serve import BatchPolicy, InferenceService
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.faults import FaultyEngine
 
 ARCH = SPPNetConfig(
     convs=(ConvSpec(8, 3, 1),), pools=(PoolSpec(2, 2),),
@@ -218,9 +224,9 @@ def run_engine_fault_scenario(n_chips: int = 6, fail_first: int = 2) -> dict:
     chips = rng.random((n_chips, 4, 24, 24)).astype(np.float32)
     engine_conf, _ = compiled_for(model).predict(chips, batch_size=1)
 
-    guard = FaultyEngine(model, failures=fail_first, kind="nan").guarded()
-    with InferenceService(model, BatchPolicy(max_batch=1),
-                          cache_size=0, engine=guard) as service:
+    faulty = FaultyEngine(model, failures=fail_first, kind="nan")
+    with InferenceService(faulty, BatchPolicy(max_batch=1),
+                          cache_size=0) as service:
         futures = [service.submit(c) for c in chips]
         errors = [f.exception(timeout=30) for f in futures]
         snapshot = service.metrics.snapshot()

@@ -1071,7 +1071,11 @@ def compiled_for(model) -> CompiledModel:
     parameters.
 
     A wrapper that is not a traceable module hands over its program
-    from an ``engine_program()`` method (``repro.faults.FaultyDetector``).
+    from an ``engine_program()`` method.  That hook is the only way to
+    put a stand-in engine behind the service, the guard, a scan or a
+    pool worker (the test suite's fault double, ``tests/faults.py``,
+    uses it); neither ``InferenceService`` nor ``GuardedEngine`` takes
+    a pre-built engine.
     """
     engine_program = getattr(model, "engine_program", None)
     if engine_program is not None:

@@ -89,20 +89,17 @@ def _check_outputs(confidences: np.ndarray, boxes: np.ndarray,
 class GuardedEngine:
     """The compiled engine behind an output check.
 
-    Parameters
-    ----------
-    model    : the detector to compile (unused when ``compiled`` is given)
-    compiled : pre-built compiled model (tests inject faulty ones);
-               default compiles via :func:`repro.engine.compiled_for`
+    ``model`` is compiled through :func:`repro.engine.compiled_for`,
+    which shares one compile per model instance (and takes a stand-in
+    program from a wrapper's ``engine_program()``, the one way a test
+    substitutes the engine).
     """
 
-    def __init__(self, model, compiled=None) -> None:
-        if compiled is None:
-            from ..engine import compiled_for
+    def __init__(self, model) -> None:
+        from ..engine import compiled_for
 
-            model.eval()
-            compiled = compiled_for(model)
-        self.compiled = compiled
+        model.eval()
+        self.compiled = compiled_for(model)
         self._faults: Counter[str] = Counter()
         self._lock = threading.Lock()
 

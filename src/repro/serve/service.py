@@ -130,6 +130,8 @@ class InferenceService:
     Parameters
     ----------
     model       : trained (or untrained) :class:`SPPNetDetector`
+                  (services on one model instance share its compile,
+                  :func:`repro.engine.compiled_for`)
     policy      : batching policy; defaults to ``BatchPolicy()``
                   (see :func:`~repro.serve.batching.policy_from_fig6`
                   to tune it from a Figure 6 artifact)
@@ -152,9 +154,6 @@ class InferenceService:
                   fault is tallied in the metrics snapshot's
                   ``fallback_by_reason``.  Any other value raises
                   ``ValueError``
-    engine      : a pre-built :class:`~repro.robust.GuardedEngine` to
-                  serve with; lets tests inject faulty compiled programs
-                  and deployments share one compile across services
     validate    : admission control for :meth:`submit`.  ``True``
                   (default) rejects chips with non-finite pixels
                   (:meth:`~repro.robust.SanitizePolicy.for_serving`);
@@ -185,7 +184,6 @@ class InferenceService:
         breaker: BreakerPolicy | None = None,
         max_batch_retries: int = 1,
         backend: str = "engine",
-        engine=None,
         validate: bool = True,
     ) -> None:
         if max_queue < 1:
@@ -213,13 +211,11 @@ class InferenceService:
             from ..robust.sanitize import SanitizePolicy
 
             self._validate_policy = SanitizePolicy.for_serving()
-        if engine is None:
-            engine = GuardedEngine(model)
-        self.engine = engine
+        self.engine = GuardedEngine(model)
         # an open batch closes at any size up to max_batch, so pre-build
         # the trunk and every head: no request binds inline
         try:
-            warmup_ms = engine.warmup(range(1, self.policy.max_batch + 1))
+            warmup_ms = self.engine.warmup(range(1, self.policy.max_batch + 1))
         except Exception as exc:
             # a broken engine surfaces as failed batches, not as a
             # startup crash, but never silently

@@ -20,9 +20,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.faults import tear_trailing_line
 from repro.fleet import DEAD, DONE, PENDING, RUNNING, JobQueue, JobQueueError
 from repro.retry import RetryPolicy
+from tests.faults import tear_trailing_line
 
 PAYLOAD = {"scene": {"size": 64}, "scan": {}}
 RETRY = RetryPolicy(max_attempts=3, backoff_s=10.0, multiplier=2.0,

@@ -13,10 +13,10 @@ from dataclasses import asdict
 import pytest
 
 from repro.detect.scan import ScanDeadlineError, ScanSpec, scan_scene
-from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.fleet import SupervisionPolicy
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.sharding import partition_origins
+from tests.faults import FaultyEngine
 
 SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 
@@ -90,9 +90,8 @@ class TestFaultRecovery:
     def test_hung_worker_is_killed_and_shard_redispatched(
             self, model, scene, tmp_path):
         sequential = scan(model, scene, n_workers=1)
-        plan = WorkerFaultPlan(faults={0: "hang"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "hang"},
+                              fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(shard_deadline_s=1.5)
         t0 = time.monotonic()
         with WorkerPool(2, supervision=policy) as pool:
@@ -108,7 +107,7 @@ class TestFaultRecovery:
         # deadline: the dispatch wait wakes at the earliest shard deadline
         assert report.max_overshoot_s <= 1.0
         assert elapsed < 30.0
-        assert plan.fired() == 1
+        assert faulty.fired() == 1
 
     def test_sigkilled_worker_is_replaced_without_leaks(
             self, model, scene, tmp_path):
@@ -116,9 +115,8 @@ class TestFaultRecovery:
             pytest.skip("no /dev/shm to observe")
         sequential = scan(model, scene, n_workers=1)
         before = set(os.listdir("/dev/shm"))
-        plan = WorkerFaultPlan(faults={0: "kill"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "kill"},
+                              fuse_dir=str(tmp_path / "fuses"))
         with WorkerPool(2) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool)
             report = result.supervision
@@ -138,9 +136,8 @@ class TestFaultRecovery:
     def test_erroring_shard_redispatches_and_recovers(
             self, model, scene, tmp_path):
         sequential = scan(model, scene, n_workers=1)
-        plan = WorkerFaultPlan(faults={0: "error"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "error"},
+                              fuse_dir=str(tmp_path / "fuses"))
         with WorkerPool(2) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool)
         report = result.supervision
@@ -153,9 +150,8 @@ class TestFaultRecovery:
 
     def test_slow_worker_needs_no_recovery(self, model, scene, tmp_path):
         sequential = scan(model, scene, n_workers=1)
-        plan = WorkerFaultPlan(faults={0: "slow"}, slow_s=0.2,
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "slow"}, slow_s=0.2,
+                              fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(shard_deadline_s=30.0)
         with WorkerPool(2, supervision=policy) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool)
@@ -166,10 +162,10 @@ class TestFaultRecovery:
         sequential = scan(model, scene, n_workers=1)
         # enough error fuses that every worker attempt fails: both
         # shards exhaust max_attempts and must run inline in the parent
-        # (where FaultyDetector never faults, by construction)
-        plan = WorkerFaultPlan(faults={n: "error" for n in range(12)},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        # (where a FaultyEngine's worker faults never fire)
+        faulty = FaultyEngine(
+            model, worker_faults={n: "error" for n in range(12)},
+            fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(max_attempts=2)
         with WorkerPool(2, supervision=policy) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool)
@@ -204,9 +200,8 @@ class TestDeadlines:
         assert list(result) == list(sequential)
 
     def test_hung_scan_hits_overall_deadline(self, model, scene, tmp_path):
-        plan = WorkerFaultPlan(faults={0: "hang", 1: "hang"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "hang", 1: "hang"},
+                              fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(shard_deadline_s=None)
         t0 = time.monotonic()
         with WorkerPool(2, supervision=policy) as pool:
@@ -218,9 +213,8 @@ class TestDeadlines:
     def test_deadline_abort_is_resumable(self, model, scene, tmp_path):
         """Crash-resume across a deadline abort: the journaled retry
         completes and matches a fault-free robust scan byte for byte."""
-        plan = WorkerFaultPlan(faults={0: "hang", 1: "hang"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        faulty = FaultyDetector(model, plan)
+        faulty = FaultyEngine(model, worker_faults={0: "hang", 1: "hang"},
+                              fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(shard_deadline_s=None)
         journal = tmp_path / "scan.journal.jsonl"
         with WorkerPool(2, supervision=policy) as pool:

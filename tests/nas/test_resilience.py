@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.faults import FatalOn, Flaky, InjectedFault
 from repro.nas import (
     Experiment,
     FunctionalEvaluator,
@@ -19,6 +18,7 @@ from repro.nas import (
     run_trial_with_retries,
     sppnet_search_space,
 )
+from tests.faults import FailFirst, FatalOn, Flaky, InjectedFault
 
 FAST_RETRIES = RetryPolicy(max_attempts=3, backoff_s=0.001, max_backoff_s=0.01)
 
@@ -52,8 +52,6 @@ class TestRetryPolicy:
 
 class TestRunTrialWithRetries:
     def test_flaky_succeeds_on_retry(self):
-        from repro.faults import FailFirst
-
         fn = FailFirst(objective, n=1)  # transient: first attempt fails
         record = run_trial_with_retries(
             FunctionalEvaluator(fn), {"fc_width": 4096, "spp_first_level": 2},

@@ -6,7 +6,6 @@ import pytest
 
 from repro.detect.predict import predict
 from repro.engine import compiled_for
-from repro.faults import FaultyEngine, InjectedFault
 from repro.retry import retryable
 from repro.robust import (
     FAULT_ENGINE_ERROR,
@@ -16,6 +15,7 @@ from repro.robust import (
     GuardedEngine,
 )
 from repro.serve import BatchPolicy, InferenceService
+from tests.faults import FaultyEngine, InjectedFault
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def chips(n=4, seed=0):
 
 class TestGuardedEngine:
     def test_healthy_engine_matches_eager(self, model):
-        guard = GuardedEngine(model, compiled=compiled_for(model))
+        guard = GuardedEngine(model)
         stack = chips()
         conf, boxes, backend = guard.predict_batch(stack)
         e_conf, e_boxes = predict(model, stack, batch_size=len(stack))
@@ -49,7 +49,7 @@ class TestGuardedEngine:
         own exception propagates unchanged.  Either is tallied, and the
         next batch runs on the engine again."""
         faulty = FaultyEngine(model, failures=1, kind=kind)
-        guard = faulty.guarded()
+        guard = GuardedEngine(faulty)
         stack = chips()
         if kind == "raise":
             with pytest.raises(InjectedFault, match="injected") as raised:
@@ -75,7 +75,7 @@ class TestGuardedEngine:
     @pytest.mark.parametrize("kind,reason", [
         ("nan", FAULT_NON_FINITE), ("raise", FAULT_ENGINE_ERROR)])
     def test_an_open_batch_fault_is_loud_too(self, model, kind, reason):
-        guard = FaultyEngine(model, failures=1, kind=kind).guarded()
+        guard = GuardedEngine(FaultyEngine(model, failures=1, kind=kind))
         with pytest.raises(EngineError if kind == "nan" else InjectedFault):
             guard.predict_stream(iter(chips()), 8)
         assert guard.fallback_by_reason == {reason: 1}
@@ -100,14 +100,7 @@ class TestGuardedEngine:
     def test_an_open_batch_answer_covers_the_chips_pulled(self, model):
         """The shape check counts the chips the engine pulled, not the
         limit: an answer one row short of them is a fault."""
-        compiled = compiled_for(model)
-
-        class OneShort:
-            def predict_stream(self, chips, limit):
-                conf, boxes = compiled.predict_stream(chips, limit)
-                return conf[:-1], boxes[:-1]
-
-        guard = GuardedEngine(model, compiled=OneShort())
+        guard = GuardedEngine(FaultyEngine(model, failures=1, kind="shape"))
         with pytest.raises(EngineError, match=FAULT_SHAPE):
             guard.predict_stream(iter(chips(3)), 8)
         conf, boxes = GuardedEngine(model).predict_stream(iter(chips(3)), 8)
@@ -116,7 +109,7 @@ class TestGuardedEngine:
     def test_predict_loop_isolates_micro_batches(self, model):
         """Only the poisoned micro-batch raises; the rest are engine
         answers."""
-        guard = FaultyEngine(model, failures=1, kind="nan").guarded()
+        guard = GuardedEngine(FaultyEngine(model, failures=1, kind="nan"))
         stack = chips(n=6)
         answered = {}
         for s in range(0, len(stack), 2):
@@ -137,10 +130,9 @@ class TestServeIntegration:
     def test_injected_faulty_engine_surfaces_in_metrics(self, model):
         """A non-finite answer fails its batch once (no retry can change
         it), tallied by reason; the later requests are engine answers."""
-        guard = FaultyEngine(model, failures=1, kind="nan").guarded()
-        with InferenceService(model, BatchPolicy(max_batch=1),
-                              cache_size=0, engine=guard,
-                              max_batch_retries=3) as svc:
+        faulty = FaultyEngine(model, failures=1, kind="nan")
+        with InferenceService(faulty, BatchPolicy(max_batch=1),
+                              cache_size=0, max_batch_retries=3) as svc:
             futures = [svc.submit(c) for c in chips(n=3)]
             with pytest.raises(EngineError, match=FAULT_NON_FINITE):
                 futures[0].result(timeout=10)
@@ -150,7 +142,7 @@ class TestServeIntegration:
         assert snap["fallback_by_reason"] == {FAULT_NON_FINITE: 1}
         assert snap["worker_failures"] == 1 and snap["worker_retries"] == 0
         assert snap["completed"] == 2
-        assert guard.fallback_by_reason == {FAULT_NON_FINITE: 1}
+        assert svc.engine.fallback_by_reason == {FAULT_NON_FINITE: 1}
 
     def test_engine_backend_defaults_to_guarded(self, model):
         with InferenceService(model, BatchPolicy(max_batch=1),

@@ -17,7 +17,7 @@ from repro.detect import (
 )
 from repro.detect.scan import ScanDeadlineError
 from repro.engine import CompiledModel
-from repro.faults import FatalOn, InjectedFault, PoisonedInput, corrupt_scene
+from repro.faults import corrupt_scene
 from repro.robust import (
     GuardedEngine,
     SanitizePolicy,
@@ -26,6 +26,7 @@ from repro.robust import (
     TileRecord,
     sanitize_chip,
 )
+from tests.faults import FatalOn, InjectedFault, PoisonedInput, tear_trailing_line
 
 WINDOW = 64
 STRIDE = 64
@@ -335,8 +336,6 @@ class TestJournalResume:
         record* (what SIGKILL during an unflushed append leaves) loses
         exactly that tile; a resume rescans it and converges to the
         uninterrupted scan byte for byte."""
-        from repro.faults import tear_trailing_line
-
         full_path = tmp_path / "full.jsonl"
         full = self.scan(model, scene, full_path)
         torn_path = tmp_path / "torn.jsonl"

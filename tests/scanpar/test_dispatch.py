@@ -12,9 +12,9 @@ from dataclasses import asdict
 import pytest
 
 from repro.detect import ScanSpec, scan_scene
-from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.robust import ScanJournal
 from repro.scanpar import SupervisionPolicy, WorkerPool
+from tests.faults import FaultyEngine
 
 SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 
@@ -80,23 +80,21 @@ class TestMoreShardsThanWorkers:
 class TestPoolCounters:
     def test_a_death_counts_as_revived_not_killed(self, model, scene,
                                                   tmp_path):
-        plan = WorkerFaultPlan(faults={0: "kill"},
-                               fuse_dir=str(tmp_path / "fuses"))
+        faulty = FaultyEngine(model, worker_faults={0: "kill"},
+                              fuse_dir=str(tmp_path / "fuses"))
         with WorkerPool(2) as pool:
-            result = scan(FaultyDetector(model, plan), scene, n_workers=2,
-                          pool=pool)
+            result = scan(faulty, scene, n_workers=2, pool=pool)
             report = result.supervision
             assert pool.stats["workers_killed"] == 0
             assert pool.stats["workers_revived"] == report.worker_deaths == 1
 
     def test_a_missed_deadline_counts_as_killed(self, model, scene,
                                                 tmp_path):
-        plan = WorkerFaultPlan(faults={0: "hang"},
-                               fuse_dir=str(tmp_path / "fuses"))
+        faulty = FaultyEngine(model, worker_faults={0: "hang"},
+                              fuse_dir=str(tmp_path / "fuses"))
         policy = SupervisionPolicy(shard_deadline_s=1.0)
         with WorkerPool(2, supervision=policy) as pool:
-            result = scan(FaultyDetector(model, plan), scene, n_workers=2,
-                          pool=pool)
+            result = scan(faulty, scene, n_workers=2, pool=pool)
             report = result.supervision
             assert pool.stats["workers_revived"] == 0
             assert pool.stats["workers_killed"] == report.deadline_kills == 1
@@ -127,13 +125,13 @@ def test_failure_table(model, scene, tmp_path, fault, stage):
             kwargs["journal"] = str(tmp_path / f"w{n_workers}.jsonl")
         return scan(model, scene, n_workers=n_workers, **kwargs)
 
-    plan = WorkerFaultPlan(faults={0: fault},
-                           fuse_dir=str(tmp_path / "fuses"))
+    faulty = FaultyEngine(model, worker_faults={0: fault},
+                          fuse_dir=str(tmp_path / "fuses"))
     inline = run(model, 1)
     policy = SupervisionPolicy(shard_deadline_s=1.0)
     with WorkerPool(2, supervision=policy) as pool:
-        pooled = run(FaultyDetector(model, plan), 2, pool=pool)
-        assert plan.fired() == 1
+        pooled = run(faulty, 2, pool=pool)
+        assert faulty.fired() == 1
         assert_pool_whole(pool)
     report = pooled.supervision
     assert report.shards_total == 2

@@ -12,7 +12,6 @@ import pytest
 
 from repro.blas import BlasError, blas_info, set_blas_threads
 from repro.detect import ScanSpec, scan_scene
-from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.scanpar import (
     SharedArray,
     ShardTask,
@@ -24,6 +23,7 @@ from repro.scanpar import (
     serialized_model,
 )
 from repro.scanpar.sharding import partition_origins
+from tests.faults import FaultyEngine
 
 SPEC = ScanSpec(window=64, stride=32, confidence_threshold=0.3, batch_size=8)
 SCENE_SIZE = 200
@@ -68,8 +68,8 @@ def faulty(model, tmp_path, kind):
     """``model`` whose first two engine calls fleet-wide do ``kind``:
     "hang" wedges the calling worker, "kill" SIGKILLs it, so each of
     two workers takes one."""
-    return FaultyDetector(model, WorkerFaultPlan(
-        faults={0: kind, 1: kind}, fuse_dir=str(tmp_path / "fuses")))
+    return FaultyEngine(model, worker_faults={0: kind, 1: kind},
+                        fuse_dir=str(tmp_path / "fuses"))
 
 
 class TestPoolReuse:

@@ -1,13 +1,9 @@
 """Circuit breaker: state machine, degraded cache-only serving, recovery."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from repro.engine import compiled_for
-from repro.faults import FaultyEngine, InjectedFault
-from repro.robust import EngineError, GuardedEngine
+from repro.robust import EngineError
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -18,6 +14,7 @@ from repro.serve import (
     DegradedServiceError,
     InferenceService,
 )
+from tests.faults import FaultyEngine, InjectedFault
 
 @pytest.fixture(scope="module")
 def model(small_detector):
@@ -111,7 +108,7 @@ class TestServiceResilience:
     """The service's own retries and breaker answer engine faults: an
     engine error is retried while :func:`repro.retry.retryable` allows,
     and consecutive failed batches trip the breaker.  The double
-    (``repro.faults.FaultyEngine``) fails the compiled call for a
+    (``tests.faults.FaultyEngine``) fails the compiled call for a
     scripted number of batches."""
 
     def policy(self):
@@ -119,7 +116,7 @@ class TestServiceResilience:
 
     def test_transient_batch_failure_is_retried(self, model):
         faulty = FaultyEngine(model, failures=1)
-        with InferenceService(model, self.policy(), engine=faulty.guarded(),
+        with InferenceService(faulty, self.policy(),
                               max_batch_retries=2) as service:
             result = service.submit(chips(1)[0]).result(timeout=5)
             assert 0.0 <= result.confidence <= 1.0
@@ -131,7 +128,7 @@ class TestServiceResilience:
 
     def test_exhausted_retries_fail_the_batch_futures(self, model):
         faulty = FaultyEngine(model, failures=10**6)
-        with InferenceService(model, self.policy(), engine=faulty.guarded(),
+        with InferenceService(faulty, self.policy(),
                               max_batch_retries=1,
                               breaker=BreakerPolicy(failure_threshold=50)
                               ) as service:
@@ -147,7 +144,7 @@ class TestServiceResilience:
         warm, cold = batch[0], batch[5]
         faulty = FaultyEngine(model)
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0)
-        with InferenceService(model, self.policy(), engine=faulty.guarded(),
+        with InferenceService(faulty, self.policy(),
                               max_batch_retries=0, breaker=breaker) as service:
             service.submit(warm).result(timeout=5)  # cache the warm chip
 
@@ -174,20 +171,13 @@ class TestServiceResilience:
         two in a row trip the breaker, and the service then serves
         cached chips only."""
         batch = chips(5)
-        compiled = compiled_for(model)
-
-        def non_finite(chips, limit):
-            conf, boxes = compiled.predict_stream(chips, limit)
-            return np.full_like(conf, np.nan), boxes
-
-        faulty = SimpleNamespace(predict_stream=compiled.predict_stream,
-                                 warmup=compiled.warmup)
-        guard = GuardedEngine(model, compiled=faulty)
+        faulty = FaultyEngine(model, kind="nan")
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0)
-        with InferenceService(model, self.policy(), engine=guard,
-                              max_batch_retries=3, breaker=breaker) as service:
+        with InferenceService(faulty, self.policy(), max_batch_retries=3,
+                              breaker=breaker) as service:
+            guard = service.engine
             service.submit(batch[0]).result(timeout=5)  # healthy, cached
-            faulty.predict_stream = non_finite
+            faulty.failures = 10**6
             for chip in batch[1:3]:
                 with pytest.raises(EngineError, match="non_finite"):
                     service.submit(chip).result(timeout=5)
@@ -204,7 +194,7 @@ class TestServiceResilience:
     def test_breaker_recovers_via_half_open_probe(self, model):
         faulty = FaultyEngine(model, failures=2)  # two failures, then healthy
         breaker = BreakerPolicy(failure_threshold=2, reset_timeout_s=0.05)
-        with InferenceService(model, self.policy(), engine=faulty.guarded(),
+        with InferenceService(faulty, self.policy(),
                               max_batch_retries=0, breaker=breaker) as service:
             batch = chips(4)
             for chip in batch[:2]:

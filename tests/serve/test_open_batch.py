@@ -2,9 +2,10 @@
 closes, and that the guard's, the deadline's and shutdown's contracts
 hold over a batch that is still admitting requests while it runs.
 
-The tests drive the service through a compiled double whose open form
-pulls one chip, parks on an ``Event`` and only then keeps pulling, so
-what is queued at every pull is decided by the test, not by timing.
+The tests drive the service through a gated model whose compiled
+program's open form pulls one chip, parks on an ``Event`` and only then
+keeps pulling, so what is queued at every pull is decided by the test,
+not by timing.
 """
 
 import json
@@ -12,14 +13,12 @@ import sys
 import threading
 import time
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.detect import scan_scene
 from repro.engine import CompiledModel, compiled_for
-from repro.faults import FaultyEngine
 from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     BatchPolicy,
@@ -29,6 +28,7 @@ from repro.serve import (
     ServiceStoppedError,
     format_service_report,
 )
+from tests.faults import FaultyEngine
 
 WAIT = 10.0     # every wait in this file is bounded by it
 
@@ -44,10 +44,11 @@ def chips(n, seed=0, size=24):
 
 
 class GatedCompiled:
-    """The real compiled model behind an open form that pulls one chip,
-    signals ``first_pulled``, waits for ``gate`` and then keeps pulling.
-    ``raise_after`` makes the first open call raise once that many chips
-    are pulled."""
+    """A model whose engine program (``compiled_for``'s
+    ``engine_program()`` hook) is the real compiled model behind an open
+    form that pulls one chip, signals ``first_pulled``, waits for
+    ``gate`` and then keeps pulling.  ``raise_after`` makes the first
+    open call raise once that many chips are pulled."""
 
     def __init__(self, model, raise_after=None):
         self.compiled = compiled_for(model)
@@ -55,6 +56,12 @@ class GatedCompiled:
         self.gate = threading.Event()
         self.raise_after = raise_after
         self.calls = 0
+
+    def eval(self):
+        return self
+
+    def engine_program(self):
+        return self
 
     def __getattr__(self, name):
         return getattr(self.compiled, name)
@@ -83,9 +90,7 @@ class GatedCompiled:
 def gated_service(model, policy, raise_after=None, **kwargs):
     """A cache-less service over a gated engine, and the double."""
     double = GatedCompiled(model, raise_after)
-    service = InferenceService(model, policy, cache_size=0,
-                               engine=GuardedEngine(model, compiled=double),
-                               **kwargs)
+    service = InferenceService(double, policy, cache_size=0, **kwargs)
     return service, double
 
 
@@ -230,8 +235,7 @@ class TestOpenBatch:
         """An engine error is the service's retry: it re-opens the same
         batch, and every admitted member is in the re-run."""
         batch = chips(3)
-        guard = GuardedEngine(model)
-        stream, pulled = guard.predict_stream, []
+        pulled = []
 
         def fails_once(source, limit):
             chips_in = list(islice(source, limit))
@@ -240,9 +244,10 @@ class TestOpenBatch:
                 raise RuntimeError("injected guard failure")
             return stream(iter(chips_in), limit)
 
-        guard.predict_stream = fails_once
         with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
-                              engine=guard, max_queue=8) as service:
+                              max_queue=8) as service:
+            stream = service.engine.predict_stream
+            service.engine.predict_stream = fails_once
             with service._cond:     # all three queued before the cut
                 futures = service.submit_many(batch)
             sizes = [f.result(timeout=WAIT).batch_size for f in futures]
@@ -257,20 +262,19 @@ class TestLateBoundCut:
         """Five requests arrive while the only worker is still busy with
         a batch that already closed: they wait in the queue and become
         one batch when the worker is free, not a trail of them."""
-        compiled = compiled_for(model)
         entered, release = threading.Event(), threading.Event()
 
         def held(source, limit):
-            out = compiled.predict_stream(source, limit)
+            out = stream(source, limit)
             if not entered.is_set():    # the first batch, closed and run
                 entered.set()
                 assert release.wait(WAIT)
             return out
 
-        guard = GuardedEngine(model, compiled=SimpleNamespace(
-            predict_stream=held, warmup=compiled.warmup))
-        with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
-                              engine=guard) as service:
+        with InferenceService(model, BatchPolicy(max_batch=8),
+                              cache_size=0) as service:
+            stream = service.engine.predict_stream
+            service.engine.predict_stream = held
             futures = [service.submit(chips(1)[0])]
             assert entered.wait(WAIT)
             futures += service.submit_many(chips(5, seed=1))
@@ -355,11 +359,11 @@ class TestStress:
         """More submitters than cores, a short switch interval: each
         request gets its own chip's answer, the batch histogram accounts
         for every request, and the queue's O(1) bookkeeping ends at
-        zero.  ``engine`` is the service's own guarded engine;
-        ``custom`` an injected one (``engine=``), run on the same one
-        model thread."""
-        kwargs = ({} if engine == "engine" else
-                  {"engine": FaultyEngine(model).guarded()})
+        zero.  ``engine`` serves the model; ``custom`` the model behind
+        a fault double with nothing scripted, whose program the service
+        reaches through ``compiled_for``'s hook, on the same one model
+        thread."""
+        served = model if engine == "engine" else FaultyEngine(model)
         per_client, clients = 40, 6
         total = per_client * clients
         stack = chips(total, seed=7)
@@ -372,8 +376,8 @@ class TestStress:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with InferenceService(model, BatchPolicy(max_batch=5),
-                                  cache_size=0, **kwargs) as service:
+            with InferenceService(served, BatchPolicy(max_batch=5),
+                                  cache_size=0) as service:
                 def client(k):
                     try:
                         rows = range(k * per_client, (k + 1) * per_client)

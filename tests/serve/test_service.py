@@ -1,20 +1,17 @@
 """Inference service behavior: batching, caching, backpressure, timeouts,
 shutdown semantics.
 
-Uses a deliberately tiny SPP-Net so each micro-batch costs ~1 ms, and a
-stalling engine double (``repro.faults.FaultyEngine``) where the tests
-need the model thread to stay busy.
+Uses a deliberately tiny SPP-Net so each micro-batch costs ~1 ms, and
+the model behind a stalling engine double (``tests.faults.FaultyEngine``)
+where the tests need the model thread to stay busy.
 """
 
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.engine import compiled_for
-from repro.faults import FaultyEngine
 from repro.robust import EngineError, GuardedEngine
 from repro.serve import (
     BatchPolicy,
@@ -24,15 +21,16 @@ from repro.serve import (
     RequestTimeoutError,
     ServiceStoppedError,
 )
+from tests.faults import FaultyEngine
 
 @pytest.fixture(scope="module")
 def model(small_detector):
     return small_detector
 
 
-def stalled(model, delay_s: float) -> GuardedEngine:
-    """A guarded engine whose every batch takes ``delay_s`` longer."""
-    return FaultyEngine(model, delay_s=delay_s).guarded()
+def stalled(model, delay_s: float) -> FaultyEngine:
+    """``model`` with every compiled batch ``delay_s`` longer."""
+    return FaultyEngine(model, delay_s=delay_s)
 
 
 def chips(n, size=24, seed=0):
@@ -84,16 +82,10 @@ class TestBatchingCore:
         assert warmup_ms > 0.0
 
     def test_a_failed_warmup_warns_and_the_service_still_serves(self, model):
-        compiled = compiled_for(model)
-
-        def broken(*args):
-            raise RuntimeError("injected warm-up failure")
-
-        guard = GuardedEngine(model, compiled=SimpleNamespace(
-            predict_stream=compiled.predict_stream, warmup=broken))
-        with pytest.warns(RuntimeWarning, match="injected warm-up failure"):
-            with InferenceService(model, BatchPolicy(max_batch=4),
-                                  engine=guard) as svc:
+        broken = FaultyEngine(model, failures=1, exc=RuntimeError,
+                              on=("warmup",))
+        with pytest.warns(RuntimeWarning, match="injected engine fault"):
+            with InferenceService(broken, BatchPolicy(max_batch=4)) as svc:
                 result = svc.submit(chips(1)[0]).result(timeout=10)
                 warmup_ms = svc.metrics.snapshot()["warmup_ms"]
         assert warmup_ms == 0.0 and result.batch_size == 1
@@ -129,8 +121,7 @@ class TestTimeout:
     def test_request_timeout_expires_queued_request(self, model):
         """A deadline shorter than the batch ahead of it fails the future
         with RequestTimeoutError instead of serving stale work."""
-        with InferenceService(model, BatchPolicy(max_batch=1),
-                              engine=stalled(model, 0.3)) as svc:
+        with InferenceService(stalled(model, 0.3), BatchPolicy(max_batch=1)) as svc:
             # occupy the model thread, then queue a request that expires
             # while it waits behind the slow batch
             blocker = svc.submit(chips(1, seed=1)[0])
@@ -141,8 +132,7 @@ class TestTimeout:
             assert svc.metrics.timeouts.value == 1
 
     def test_no_timeout_without_deadline(self, model):
-        with InferenceService(model, BatchPolicy(max_batch=1),
-                              engine=stalled(model, 0.1)) as svc:
+        with InferenceService(stalled(model, 0.1), BatchPolicy(max_batch=1)) as svc:
             futures = svc.submit_many(chips(3))
             for f in futures:
                 f.result(timeout=10)
@@ -153,8 +143,8 @@ class TestBackpressure:
     def test_full_queue_rejects_submit(self, model):
         """With the model thread pinned and the queue bounded, excess
         submissions fail fast with QueueFullError."""
-        svc = InferenceService(model, BatchPolicy(max_batch=1),
-                               engine=stalled(model, 0.5), max_queue=2)
+        svc = InferenceService(stalled(model, 0.5), BatchPolicy(max_batch=1),
+                               max_queue=2)
         try:
             accepted = []
             with pytest.raises(QueueFullError):
@@ -175,8 +165,7 @@ class TestBackpressure:
 class TestShutdown:
     def test_shutdown_drains_inflight_work(self, model):
         """Default shutdown completes every already-submitted request."""
-        svc = InferenceService(model, BatchPolicy(max_batch=4),
-                               engine=stalled(model, 0.05))
+        svc = InferenceService(stalled(model, 0.05), BatchPolicy(max_batch=4))
         futures = svc.submit_many(chips(10))
         svc.shutdown()  # drain=True
         results = [f.result(timeout=0) for f in futures]  # already resolved
@@ -191,8 +180,7 @@ class TestShutdown:
 
     def test_abort_fails_undispatched_requests(self, model):
         """drain=False fails queued work instead of running it."""
-        svc = InferenceService(model, BatchPolicy(max_batch=1),
-                               engine=stalled(model, 0.3))
+        svc = InferenceService(stalled(model, 0.3), BatchPolicy(max_batch=1))
         futures = svc.submit_many(chips(6))
         time.sleep(0.05)  # let the first batch reach the model thread
         svc.shutdown(drain=False)

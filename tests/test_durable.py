@@ -90,9 +90,6 @@ class TestLog:
             demo_log(path).open()
 
 
-#: ``(module, function)`` pairs allowed a durable write outside
-#: ``repro.durable``: the torn-write injector
-ALLOWED = {("faults.py", "tear_trailing_line")}
 MODE = re.compile(r"[rwxabt+]+")
 
 
@@ -134,8 +131,7 @@ def test_only_durable_writes_durably():
         if module == "durable.py":
             continue
         stray += [f"{module}:{where}: {what}"
-                  for where, what in _durable_writes(ast.parse(path.read_text()))
-                  if (module, where) not in ALLOWED]
+                  for where, what in _durable_writes(ast.parse(path.read_text()))]
     assert not stray, ("durable writes belong in repro.durable (Log): "
                        f"{stray}")
 

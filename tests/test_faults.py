@@ -1,20 +1,35 @@
-"""Deterministic fault-injection wrappers and corruption injectors."""
+"""Deterministic fault-injection wrappers, the engine double, and the
+corruption injectors."""
+
+import os
+import pickle
+import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from repro.detect import ScanSpec, scan_origins, scan_scene
+from repro.durable import load_jsonl_repaired
+from repro.engine import compiled_for
 from repro.faults import (
     NODATA,
     DropBand,
-    FailFirst,
-    FatalOn,
-    Flaky,
-    InjectedFault,
     NaNPepper,
     NodataHoles,
     SaturateStripe,
     TruncateTile,
     corrupt_scene,
+)
+from repro.robust import GuardedEngine
+from repro.scanpar import WorkerPool
+from tests.faults import (
+    FailFirst,
+    FatalOn,
+    FaultyEngine,
+    Flaky,
+    InjectedFault,
+    tear_trailing_line,
 )
 
 
@@ -178,28 +193,8 @@ class TestCorruptScene:
         assert (out == NODATA).any()
 
 
-class TestWorkerFaultPlan:
-    def test_unknown_kind_rejected(self, tmp_path):
-        from repro.faults import WorkerFaultPlan
-
-        with pytest.raises(ValueError, match="unknown fault kinds"):
-            WorkerFaultPlan(faults={0: "explode"},
-                            fuse_dir=str(tmp_path / "fuses"))
-
-    def test_counts_and_fired(self, tmp_path):
-        from repro.faults import WorkerFaultPlan
-
-        plan = WorkerFaultPlan(faults={0: "hang", 3: "kill", 5: "hang"},
-                               fuse_dir=str(tmp_path / "fuses"))
-        assert plan.counts() == {"error": 0, "hang": 2, "kill": 1, "slow": 0}
-        assert plan.fired() == 0
-        (tmp_path / "fuses" / "call-000003").write_text("123")
-        (tmp_path / "fuses" / "call-000004").write_text("123")  # not a fault
-        assert plan.fired() == 1
-
-
 class FaultTargetModel:
-    """Minimal picklable model for FaultyDetector delegation tests."""
+    """Minimal picklable model for the double's delegation tests."""
 
     hidden = "spp"
 
@@ -226,135 +221,137 @@ def detector_model(small_detector):
 CHIPS = np.random.default_rng(0).random((2, 4, 32, 32)).astype(np.float32)
 
 
-class TestFaultyDetector:
-    """The fault point sits in front of the engine calls a scan makes;
+class TestWorkerFaults:
+    """The worker script sits in front of the engine calls a scan makes;
     ``parent_pid=0`` simulates running inside a worker process."""
 
-    def plan(self, tmp_path, faults, **kwargs):
-        from repro.faults import WorkerFaultPlan
+    def faulty(self, model, tmp_path, faults, **kwargs):
+        return FaultyEngine(model, worker_faults=faults,
+                            fuse_dir=str(tmp_path / "fuses"), **kwargs)
 
-        return WorkerFaultPlan(faults=faults,
-                               fuse_dir=str(tmp_path / "fuses"), **kwargs)
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown fault kinds"):
+            self.faulty(FaultTargetModel(), tmp_path, {0: "explode"})
+
+    def test_fired(self, tmp_path):
+        faulty = self.faulty(FaultTargetModel(), tmp_path,
+                             {0: "hang", 3: "kill", 5: "hang"})
+        assert faulty.fired() == 0
+        (tmp_path / "fuses" / "call-000003").write_text("123")
+        (tmp_path / "fuses" / "call-000004").write_text("123")  # not a fault
+        assert faulty.fired() == 1
 
     def test_parent_process_never_faults(self, tmp_path, detector_model):
-        from repro.engine import compiled_for
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {n: "error" for n in range(5)})
-        detector = FaultyDetector(detector_model, plan)
+        faulty = self.faulty(detector_model, tmp_path,
+                             {n: "error" for n in range(5)})
         bare = compiled_for(detector_model).predict(CHIPS)
         for _ in range(5):                 # delegates verbatim, no fuse
-            got = compiled_for(detector).predict(CHIPS)
+            got = compiled_for(faulty).predict(CHIPS)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, bare))
-        assert plan.fired() == 0
+        assert faulty.fired() == 0
 
     def test_error_fault_fires_exactly_once(self, tmp_path, detector_model):
-        from repro.engine import compiled_for
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {0: "error"})
-        detector = FaultyDetector(detector_model, plan, parent_pid=0)
+        faulty = self.faulty(detector_model, tmp_path, {0: "error"},
+                             parent_pid=0)
         with pytest.raises(InjectedFault, match="ordinal 0"):
-            compiled_for(detector).predict(CHIPS)
-        got = compiled_for(detector).predict(CHIPS)   # ordinal 1 is clean
+            compiled_for(faulty).predict(CHIPS)
+        got = compiled_for(faulty).predict(CHIPS)   # ordinal 1 is clean
         bare = compiled_for(detector_model).predict(CHIPS)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, bare))
-        assert plan.fired() == 1
+        assert faulty.fired() == 1
 
     def test_an_error_propagates_through_the_guard(
             self, tmp_path, detector_model):
         """The guard re-raises the engine's own error unchanged and
         tallies it; the next call claims the next, clean ordinal."""
-        from repro.faults import FaultyDetector
-        from repro.robust import GuardedEngine
-
-        plan = self.plan(tmp_path, {0: "error"})
-        guard = GuardedEngine(FaultyDetector(detector_model, plan,
-                                             parent_pid=0))
+        faulty = self.faulty(detector_model, tmp_path, {0: "error"},
+                             parent_pid=0)
+        guard = GuardedEngine(faulty)
         with pytest.raises(InjectedFault, match="ordinal 0"):
             guard.predict_batch(CHIPS[:1])
         assert guard.fallback_by_reason == {"engine_error": 1}
         conf, _, answered = guard.predict_batch(CHIPS[:1])
         assert answered == "engine" and conf.shape == (1,)
-        assert plan.fired() == 1
+        assert faulty.fired() == 1
 
     def test_one_ordinal_per_micro_batch(self, tmp_path, detector_model):
-        from repro.detect import scan_origins
-        from repro.engine import compiled_for
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {3: "error"})
-        detector = FaultyDetector(detector_model, plan, parent_pid=0)
+        faulty = self.faulty(detector_model, tmp_path, {3: "error"},
+                             parent_pid=0)
         image = np.random.default_rng(1).random((4, 96, 96)).astype(
             np.float32)
         origins = scan_origins(96, 32, 16)         # 25 windows
-        batches = compiled_for(detector).predict_windows(
+        batches = compiled_for(faulty).predict_windows(
             image, origins, 32, batch_size=4, span=(2, 14))
         assert [len(conf) for conf, _ in batches] == [4, 4, 4]
         # ordinals 0-2 claimed, the fault at 3 not reached
         assert len(list((tmp_path / "fuses").iterdir())) == 3
-        assert plan.fired() == 0
+        assert faulty.fired() == 0
         with pytest.raises(InjectedFault, match="ordinal 3"):
-            next(iter(compiled_for(detector).predict_windows(
+            next(iter(compiled_for(faulty).predict_windows(
                 image, origins, 32, batch_size=4)))
 
     def test_ordinals_are_claimed_once_across_instances(self, tmp_path,
                                                         detector_model):
-        from repro.engine import compiled_for
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {0: "error"})
-        first = FaultyDetector(detector_model, plan, parent_pid=0)
-        second = FaultyDetector(detector_model, plan, parent_pid=0)
+        first = self.faulty(detector_model, tmp_path, {0: "error"},
+                            parent_pid=0)
+        second = self.faulty(detector_model, tmp_path, {0: "error"},
+                             parent_pid=0)
         with pytest.raises(InjectedFault):
             compiled_for(first).predict(CHIPS)
         # a "redispatched" second instance sees the fuse already burned
         assert compiled_for(second).predict(CHIPS)[0].shape == (2,)
 
     def test_slow_fault_delays_then_answers(self, tmp_path, detector_model):
-        import time as _time
+        faulty = self.faulty(detector_model, tmp_path, {0: "slow"},
+                             slow_s=0.05, parent_pid=0)
+        t0 = time.monotonic()
+        assert compiled_for(faulty).predict(CHIPS)[0].shape == (2,)
+        assert time.monotonic() - t0 >= 0.05
 
-        from repro.engine import compiled_for
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {0: "slow"}, slow_s=0.05)
-        detector = FaultyDetector(detector_model, plan, parent_pid=0)
-        t0 = _time.monotonic()
-        assert compiled_for(detector).predict(CHIPS)[0].shape == (2,)
-        assert _time.monotonic() - t0 >= 0.05
-
-    def test_pickle_roundtrip_preserves_plan(self, tmp_path):
-        import pickle
-
-        from repro.faults import FaultyDetector
-
-        plan = self.plan(tmp_path, {2: "kill"})
-        detector = FaultyDetector(FaultTargetModel(), plan)
-        clone = pickle.loads(pickle.dumps(detector))
-        assert clone.plan.faults == {2: "kill"}
-        assert clone.parent_pid == detector.parent_pid
+    def test_pickle_roundtrip_preserves_the_scripts(self, tmp_path):
+        faulty = self.faulty(FaultTargetModel(), tmp_path, {2: "kill"},
+                             failures=3, kind="nan")
+        clone = pickle.loads(pickle.dumps(faulty))
+        assert clone.worker_faults == {2: "kill"}
+        assert (clone.failures, clone.kind) == (3, "nan")
+        assert clone.parent_pid == faulty.parent_pid
         assert clone(4) == 8
 
     def test_delegation_and_eval_train(self, tmp_path):
-        from repro.faults import FaultyDetector
-
-        detector = FaultyDetector(FaultTargetModel(),
-                                  self.plan(tmp_path, {}))
-        assert detector.hidden == "spp"    # attribute falls through
-        assert detector.eval() is detector
-        assert detector.model.mode == "eval"
-        assert detector.train() is detector
-        assert detector.model.mode == "train"
+        faulty = FaultyEngine(FaultTargetModel())
+        assert faulty.hidden == "spp"    # attribute falls through
+        assert faulty.eval() is faulty
+        assert faulty.model.mode == "eval"
+        assert faulty.train() is faulty
+        assert faulty.model.mode == "train"
         with pytest.raises(AttributeError):
-            detector.does_not_exist
+            faulty.does_not_exist
+
+    def test_a_spawned_worker_unpickles_the_double_and_faults(
+            self, tmp_path, detector_model, watershed):
+        """A spawned worker imports this module by name to unpickle the
+        double; the scripted error fires there, once, never in this
+        process, and the pooled scan still equals the inline one."""
+        spec = ScanSpec(window=64, stride=32, confidence_threshold=0.3,
+                        batch_size=8)
+        scene = watershed(200)
+        faulty = self.faulty(detector_model, tmp_path, {0: "error"})
+        with WorkerPool(2, start_method="spawn") as pool:
+            pooled = scan_scene(faulty, scene, n_workers=2, pool=pool,
+                                **asdict(spec))
+            workers = set(pool.worker_pids())
+        assert pooled.supervision.redispatches >= 1
+        assert list(pooled) == list(scan_scene(detector_model, scene,
+                                               **asdict(spec)))
+        assert faulty.fired() == 1
+        owners = {int(p.read_text())
+                  for p in (tmp_path / "fuses").glob("call-*")}
+        assert owners and owners <= workers and os.getpid() not in owners
 
 
 class TestTearTrailingLine:
     def test_tears_mid_final_line(self, tmp_path):
         import json
-
-        from repro.faults import tear_trailing_line
-        from repro.durable import load_jsonl_repaired
 
         path = tmp_path / "log.jsonl"
         records = [{"tile": n, "conf": 0.5} for n in range(4)]
@@ -366,16 +363,12 @@ class TestTearTrailingLine:
         assert load_jsonl_repaired(path, error=ValueError) == records[:3]
 
     def test_keep_fraction_validation(self, tmp_path):
-        from repro.faults import tear_trailing_line
-
         path = tmp_path / "log.jsonl"
         path.write_text("{}\n")
         with pytest.raises(ValueError, match="keep_fraction"):
             tear_trailing_line(path, keep_fraction=1.0)
 
     def test_empty_file_is_a_noop(self, tmp_path):
-        from repro.faults import tear_trailing_line
-
         path = tmp_path / "log.jsonl"
         path.write_text("")
         assert tear_trailing_line(path) == 0

@@ -4,13 +4,13 @@ whether another attempt can help.
 The table below pins, for each loop, how many times failing work runs
 when its error is permanent (a ``ValueError``: one run, and no inline
 shard run) and when it is transient (an ``InjectedFault``: the loop's
-whole budget).  The ``guard`` row is the service over the real
-``GuardedEngine``: a non-finite answer (``EngineError``) is permanent,
-the compiled call's own ``RuntimeError`` transient.
+whole budget).  The ``service`` row's engine raises that error; in the
+``guard`` row a non-finite answer (``EngineError``, from the guard's
+check) is permanent and the compiled call's own ``RuntimeError``
+transient.  Both serve a ``tests.faults.FaultyEngine``.
 """
 
 import os
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,15 +18,15 @@ import pytest
 from repro.blas import BlasError
 from repro.detect import ScanSpec
 from repro.detect.scan import ScanDeadlineError
-from repro.faults import InjectedFault
 from repro.fleet import JobQueue, JobQueueError, ScanFleet, SupervisionPolicy
 from repro.geo.synthesis import WatershedConfig
 from repro.nas import FunctionalEvaluator, RetryPolicy, run_trial_with_retries
 from repro.retry import retryable
-from repro.robust import EngineError, GuardedEngine, ScanJournalError
+from repro.robust import EngineError, ScanJournalError
 from repro.scanpar import SharedArray, ShardTask, WorkerError, WorkerPool
 from repro.scanpar.pool import ShardError
 from repro.serve import InferenceService
+from tests.faults import FaultyEngine, InjectedFault
 
 BUDGET = 3
 RETRY = RetryPolicy(max_attempts=BUDGET, backoff_s=0.0, jitter=0.0)
@@ -41,21 +41,6 @@ def test_the_taxonomy():
     assert not any(map(retryable, permanent))
     assert all(map(retryable, transient))
     assert not retryable(KeyboardInterrupt())
-
-
-class RaisingEngine:
-    """A ``GuardedEngine`` stand-in whose every batch raises ``exc``."""
-
-    def __init__(self, exc):
-        self.exc = exc
-        self.calls = 0
-
-    def warmup(self, batch_sizes, sample_shape=None):
-        return 0.0
-
-    def predict_stream(self, chips, limit):
-        self.calls += 1
-        raise self.exc("engine fault")
 
 
 class FailingDetector:
@@ -135,29 +120,11 @@ def shard_runs(exc, tmp_path):
     return {"runs": len(pids) - inline, "inline": inline}
 
 
-class FaultyCompiled:
-    """A compiled-program stand-in behind the real ``GuardedEngine``:
-    every open batch answers non-finite (``permanent``) or raises a
-    ``RuntimeError``."""
-
-    def __init__(self, permanent):
-        self.permanent = permanent
-        self.calls = 0
-
-    def warmup(self, batch_sizes, sample_shape=None):
-        return 0.0
-
-    def predict_stream(self, chips, limit):
-        self.calls += 1
-        n = len(list(islice(chips, limit)))
-        if self.permanent:
-            return np.full(n, np.nan), np.zeros((n, 4))
-        raise RuntimeError("engine fault")
-
-
-def service_runs(exc, model, engine=None):
-    engine = engine if engine is not None else RaisingEngine(exc)
-    with InferenceService(model, engine=engine) as service:
+def service_runs(exc, faulty, reason="engine_error"):
+    """Serve one chip through ``faulty``, whose every batch fails with
+    ``exc``: the runs its batch took, each an engine call the guard
+    tallied under ``reason``."""
+    with InferenceService(faulty) as service:
         chip = np.random.default_rng(0).random((4, 32, 32), np.float32)
         future = service.submit(chip)
         assert isinstance(future.exception(timeout=30), exc)
@@ -165,18 +132,17 @@ def service_runs(exc, model, engine=None):
         snap = service.metrics.snapshot()
     assert failures == 1                # one failed batch, however many runs
     assert snap["worker_retries"] == snap["worker_failures"] - 1
-    return {"runs": snap["worker_failures"]}
+    assert service.engine.fallback_by_reason == {reason: faulty.calls}
+    assert snap["worker_failures"] == faulty.calls
+    return {"runs": faulty.calls}
 
 
 def guard_runs(permanent, model):
-    compiled = FaultyCompiled(permanent)
-    guard = GuardedEngine(model, compiled=compiled)
-    runs = service_runs(EngineError if permanent else RuntimeError, model,
-                        engine=guard)
-    reason = "non_finite" if permanent else "engine_error"
-    assert guard.fallback_by_reason == {reason: compiled.calls}
-    assert runs["runs"] == compiled.calls
-    return runs
+    faulty = FaultyEngine(model, failures=10**6,
+                          kind="nan" if permanent else "raise",
+                          exc=RuntimeError)
+    return service_runs(EngineError if permanent else RuntimeError, faulty,
+                        "non_finite" if permanent else "engine_error")
 
 
 # loop -> (permanent counts, transient counts)
@@ -204,7 +170,8 @@ def test_runs_per_loop(loop, kind, model, tmp_path, monkeypatch):
         "fleet": lambda: fleet_runs(exc, tmp_path),
         "trial": lambda: trial_runs(exc, monkeypatch),
         "shard": lambda: shard_runs(exc, tmp_path),
-        "service": lambda: service_runs(exc, model),
+        "service": lambda: service_runs(
+            exc, FaultyEngine(model, failures=10**6, exc=exc)),
         "guard": lambda: guard_runs(kind == "permanent", model),
     }[loop]()
     assert runs == TABLE[loop][kind == "transient"]
