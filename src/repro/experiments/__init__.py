@@ -7,7 +7,7 @@ from .ablations import (
     run_ablation_strategy,
     surrogate_accuracy,
 )
-from .baseline import BaselineSettings, run_baseline_comparison
+from .baseline import run_baseline_comparison
 from .figures import (
     run_constrained_selection,
     run_fig6,
@@ -35,7 +35,6 @@ __all__ = [
     "select_optimal_batch",
     "run_input_size_sweep",
     "run_pareto_front",
-    "BaselineSettings",
     "run_baseline_comparison",
     "run_ablation_scheduler",
     "run_ablation_scheduling_cost",

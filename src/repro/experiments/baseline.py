@@ -9,61 +9,27 @@ accuracy 0.882, mean box IoU 0.668).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..arch import TABLE1_MODELS
-from ..detect import (
-    RCNNConfig,
-    TrainConfig,
-    evaluate_detector,
-    evaluate_rcnn,
-    train_detector,
-    train_rcnn,
-)
-from ..geo import build_dataset
+from ..detect import RCNNConfig, evaluate_rcnn, train_rcnn
 from .results import ExperimentResult
+from .tables import Table1Settings
 
-__all__ = ["BaselineSettings", "run_baseline_comparison"]
-
-
-@dataclass(frozen=True)
-class BaselineSettings:
-    """Training budget for the comparison (defaults are benchmark-sized)."""
-
-    num_scenes: int = 2
-    chips_per_crossing: int = 4
-    seed: int = 3
-    sppnet_epochs: int = 12
-    rcnn_epochs: int = 12
-    iou_threshold: float = 0.35
-
-    @classmethod
-    def fast(cls) -> "BaselineSettings":
-        return cls(num_scenes=1, chips_per_crossing=2,
-                   sppnet_epochs=3, rcnn_epochs=3)
+__all__ = ["run_baseline_comparison"]
 
 
-def run_baseline_comparison(settings: BaselineSettings | None = None,
+def run_baseline_comparison(settings: Table1Settings | None = None,
                             verbose: bool = False) -> ExperimentResult:
-    """Train SPP-Net and FasterRCNNLite on the same split and compare."""
-    settings = settings or BaselineSettings()
-    dataset = build_dataset(num_scenes=settings.num_scenes,
-                            chips_per_crossing=settings.chips_per_crossing,
-                            seed=settings.seed)
-    train_set, test_set = dataset.split(0.8, seed=settings.seed)
-
-    spp_arch = TABLE1_MODELS["SPP-Net #2"]
-    spp = train_detector(
-        spp_arch, train_set, test_set,
-        TrainConfig(epochs=settings.sppnet_epochs, seed=1, verbose=verbose,
-                    box_weight=3.0),
-    )
-    spp_scores = evaluate_detector(spp.model, test_set,
-                                   iou_threshold=settings.iou_threshold)
+    """Train FasterRCNNLite on Table 1's split for Table 1's ``epochs``
+    and compare it with Table 1's SPP-Net #2, trained and scored by
+    Table 1's protocol, so that row is Table 1's #2 row."""
+    settings = settings or Table1Settings()
+    train_set, test_set = settings.split()
+    spp = settings.train(TABLE1_MODELS["SPP-Net #2"], train_set, verbose)
+    spp_scores, _ = settings.score(spp, test_set)
 
     rcnn_model = train_rcnn(
-        train_set, RCNNConfig(), epochs=settings.rcnn_epochs,
-        learning_rate=0.01, seed=1, verbose=verbose,
+        train_set, RCNNConfig(), epochs=settings.epochs,
+        learning_rate=0.01, seed=settings.train_seed, verbose=verbose,
     )
     rcnn_scores = evaluate_rcnn(rcnn_model, test_set,
                                 iou_threshold=settings.iou_threshold)
@@ -74,7 +40,7 @@ def run_baseline_comparison(settings: BaselineSettings | None = None,
             f"{100 * spp_scores.ap:.2f}%",
             f"{100 * spp_scores.accuracy:.1f}%",
             f"{spp_scores.mean_iou_tp:.3f}",
-            spp.model.num_parameters(),
+            spp.num_parameters(),
         ],
         [
             "FasterRCNNLite (related work)",
@@ -95,5 +61,7 @@ def run_baseline_comparison(settings: BaselineSettings | None = None,
             ["faster R-CNN (Li et al., §8.1)", "-", "88.2%", "0.668", "-"],
         ],
         notes="The related work reports classification accuracy and box "
-              "IoU rather than AP; both detectors here see identical data.",
+              "IoU rather than AP; both detectors here see Table 1's chips, "
+              "split and epochs, and the SPP-Net row is Table 1's #2 row.",
+        provenance=settings.provenance(),
     )

@@ -22,7 +22,7 @@ from .ablations import (
     run_ablation_spp,
     run_ablation_strategy,
 )
-from .baseline import BaselineSettings, run_baseline_comparison
+from .baseline import run_baseline_comparison
 from .figures import (
     run_constrained_selection,
     run_fig6,
@@ -37,9 +37,8 @@ from .tables import Table1Settings, run_table1, run_table2, run_table3
 __all__ = ["main", "EXPERIMENTS"]
 
 
-def _table1(args) -> ExperimentResult:
-    settings = Table1Settings.fast() if args.fast else Table1Settings()
-    return run_table1(settings, verbose=args.verbose)
+def _trained(args) -> Table1Settings:
+    return Table1Settings.fast() if args.fast else Table1Settings()
 
 
 def _pipeline(args) -> ExperimentResult:
@@ -76,7 +75,7 @@ def _pipeline(args) -> ExperimentResult:
 
 EXPERIMENTS = {
     "pipeline": _pipeline,
-    "table1": _table1,
+    "table1": lambda args: run_table1(_trained(args), verbose=args.verbose),
     "table2": lambda args: run_table2(),
     "table3": lambda args: run_table3(iterations=50 if args.fast else 200),
     "fig5": lambda args: run_constrained_selection(),
@@ -90,7 +89,7 @@ EXPERIMENTS = {
     "input-size-sweep": lambda args: run_input_size_sweep(),
     "pareto-front": lambda args: run_pareto_front(),
     "baseline-comparison": lambda args: run_baseline_comparison(
-        BaselineSettings.fast() if args.fast else None, verbose=args.verbose),
+        _trained(args), verbose=args.verbose),
 }
 
 

@@ -41,6 +41,8 @@ class ExperimentResult:
     rows : measured rows (list of cell lists).
     paper_reference : what the paper reported, as display rows (optional).
     notes : fidelity commentary recorded into EXPERIMENTS.md.
+    provenance : what a trained result's bits follow (the BLAS and the
+        seeded settings); ``None`` for the simulated ones.
     """
 
     experiment_id: str
@@ -49,6 +51,7 @@ class ExperimentResult:
     rows: list[list]
     paper_reference: list[list] = field(default_factory=list)
     notes: str = ""
+    provenance: dict | None = None
 
     def to_text(self) -> str:
         parts = [f"== {self.experiment_id}: {self.title} ==",
@@ -86,5 +89,7 @@ class ExperimentResult:
             "paper_reference": self.paper_reference,
             "notes": self.notes,
         }
+        if self.provenance is not None:
+            payload["provenance"] = self.provenance
         path.write_text(json.dumps(payload, indent=2, default=str))
         return path

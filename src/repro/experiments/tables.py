@@ -8,7 +8,8 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from ..arch import (
     TABLE1_MODELS,
@@ -16,8 +17,16 @@ from ..arch import (
     TABLE2_PAPER_LATENCY_MS,
     SPPNetConfig,
 )
-from ..detect import TrainConfig, evaluate_detector, train_detector
-from ..geo import build_dataset
+from ..blas import blas_info
+from ..detect import (
+    DetectionScores,
+    SPPNetDetector,
+    TrainConfig,
+    predict,
+    score_detections,
+    train_detector,
+)
+from ..geo import ChipDataset, build_dataset
 from ..gpusim.device import DeviceSpec
 from ..graph import build_sppnet_graph
 from ..ios import dp_schedule, optimize_schedule
@@ -33,7 +42,8 @@ DEFAULT_BATCH_SIZES: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class Table1Settings:
-    """Training workload knobs for the Table 1 reproduction.
+    """The one training protocol of the trained artifacts, ``table1`` and
+    ``baseline-comparison``: one dataset, one split, one budget.
 
     ``fast`` trades accuracy for wall-clock (CI-sized); defaults give the
     full benchmark run.  ``iou_threshold`` is the AP matching criterion:
@@ -48,14 +58,45 @@ class Table1Settings:
     seed: int = 3
     box_weight: float = 3.0
     iou_threshold: float = 0.35
-    # Augmentation doubles per-epoch cost; at the paper's lr it trades
-    # AP@0.35 for AP@0.5 under a fixed budget (see EXPERIMENTS.md), so the
-    # canonical Table 1 run leaves it off.
-    augment: bool = False
+
+    #: the seed of every model's initialisation and batch order
+    train_seed: ClassVar[int] = 1
 
     @classmethod
     def fast(cls) -> "Table1Settings":
-        return cls(epochs=3, num_scenes=1, chips_per_crossing=2, augment=False)
+        return cls(epochs=3, num_scenes=1, chips_per_crossing=2)
+
+    def split(self) -> tuple[ChipDataset, ChipDataset]:
+        """The train and test chips every trained artifact sees."""
+        dataset = build_dataset(num_scenes=self.num_scenes,
+                                chips_per_crossing=self.chips_per_crossing,
+                                seed=self.seed)
+        return dataset.split(0.8, seed=self.seed)
+
+    def train(self, config: SPPNetConfig, train_set: ChipDataset,
+              verbose: bool = False) -> SPPNetDetector:
+        """Table 1's ``train_detector`` call, with no test pass."""
+        return train_detector(
+            config, train_set, None,
+            TrainConfig(epochs=self.epochs, seed=self.train_seed,
+                        verbose=verbose, box_weight=self.box_weight),
+        ).model
+
+    def score(self, model: SPPNetDetector,
+              test_set: ChipDataset) -> tuple[DetectionScores, DetectionScores]:
+        """One prediction of ``test_set``, scored at ``iou_threshold``
+        and at 0.5."""
+        confidences, boxes = predict(model, test_set.images)
+        return tuple(score_detections(confidences, boxes, test_set.labels,
+                                      test_set.boxes, iou_threshold=threshold)
+                     for threshold in (self.iou_threshold, 0.5))
+
+    def provenance(self) -> dict:
+        """What a trained artifact's bits follow: the BLAS it trained
+        under (as the scan journal header records it) and these
+        settings with their seeds."""
+        return {"blas": {k: v for k, v in blas_info().items() if k != "why"},
+                "settings": {**asdict(self), "train_seed": self.train_seed}}
 
 
 def run_table1(settings: Table1Settings | None = None,
@@ -64,27 +105,12 @@ def run_table1(settings: Table1Settings | None = None,
     """Table 1: AP of the original SPP-Net and the NAS candidates."""
     settings = settings or Table1Settings()
     models = models or TABLE1_MODELS
-    dataset = build_dataset(
-        num_scenes=settings.num_scenes,
-        chips_per_crossing=settings.chips_per_crossing,
-        seed=settings.seed,
-    )
-    train_set, test_set = dataset.split(0.8, seed=settings.seed)
-    if settings.augment:
-        from ..geo import augment_dataset
-
-        train_set = augment_dataset(train_set, seed=settings.seed)
+    train_set, test_set = settings.split()
     rows: list[list] = []
     strict: list[str] = []
     for name, config in models.items():
-        result = train_detector(
-            config, train_set, test_set,
-            TrainConfig(epochs=settings.epochs, seed=1, verbose=verbose,
-                        box_weight=settings.box_weight),
-        )
-        scores = evaluate_detector(result.model, test_set,
-                                   iou_threshold=settings.iou_threshold)
-        strict_scores = evaluate_detector(result.model, test_set, iou_threshold=0.5)
+        model = settings.train(config, train_set, verbose)
+        scores, strict_scores = settings.score(model, test_set)
         rows.append([name, config.grammar(), f"{100 * scores.ap:.2f}%"])
         strict.append(f"{name}: AP@0.5={100 * strict_scores.ap:.2f}%, "
                       f"acc={100 * scores.accuracy:.1f}%")
@@ -102,6 +128,7 @@ def run_table1(settings: Table1Settings | None = None,
         rows=rows,
         paper_reference=paper_rows,
         notes="; ".join(strict),
+        provenance=settings.provenance(),
     )
 
 

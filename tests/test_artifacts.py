@@ -6,11 +6,14 @@ at the CLI's defaults, and compares the file it writes with the committed
 regenerated artifact, which that comparison proves is the committed one.
 
 The experiments that train (``table1``, ``baseline-comparison`` and the
-NAS ``pipeline``) are not compared: their bits follow the BLAS thread
-count, and the committed files record neither count nor kernel (ROADMAP
-item 20).  Their runners get one slow smoke each at a minimal budget.
+NAS ``pipeline``) are too slow to regenerate here, and their bits follow
+the BLAS library, kernel and thread count.  Each committed trained file
+names the BLAS and seeds it was written under; one training epoch of
+Table 1's protocol is checked against a committed digest per BLAS, and
+the runners get slow smokes at a minimal budget.
 """
 
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -19,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.arch import TABLE1_MODELS
+from repro.blas import blas_info
 from repro.experiments import (
-    BaselineSettings,
     Table1Settings,
     run_baseline_comparison,
     run_table1,
@@ -31,6 +34,8 @@ from repro.experiments.cli import EXPERIMENTS, main
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 TRAINED = {"pipeline", "table1", "baseline-comparison"}
 SIMULATED = [name for name in EXPERIMENTS if name not in TRAINED]
+#: the fields of ``blas_info()`` that a trained file's bits follow
+BLAS = ("library", "version", "kernel", "threads")
 #: the one column measured on the host's clock (how long the scheduler
 #: itself ran), so it differs on every run and is not compared
 WALL_CLOCK = "Scheduling time (ms)"
@@ -84,9 +89,13 @@ def differences(regenerated: dict, committed: dict) -> list[str]:
 def test_every_committed_artifact_is_checked_or_trained():
     committed = {path.stem for path in RESULTS.glob("*.json")}
     assert set(SIMULATED) <= committed
-    # table1-augmented has no writer: no Table1Settings(augment=True) caller
-    assert committed - set(SIMULATED) == {"table1", "table1-augmented",
-                                          "baseline-comparison"}
+    trained = committed - set(SIMULATED)
+    assert trained == {"table1", "baseline-comparison"}
+    for name in trained:
+        provenance = json.loads((RESULTS / f"{name}.json").read_text())["provenance"]
+        assert set(provenance["blas"]) == set(BLAS), name
+        assert all(provenance["blas"].values()), name
+        assert {"seed", "train_seed"} <= set(provenance["settings"]), name
 
 
 @pytest.mark.parametrize("name", SIMULATED)
@@ -192,21 +201,59 @@ def test_pareto_front_has_a_knee(rows):
 
 # -- the trained runners, at a minimal budget ----------------------------
 
-@pytest.mark.slow
-def test_table1_runner_is_well_formed():
-    result = run_table1(
-        Table1Settings(epochs=1, num_scenes=1, chips_per_crossing=1),
-        models={"SPP-Net #1": TABLE1_MODELS["SPP-Net #1"]})
-    assert [row[0] for row in result.rows] == ["SPP-Net #1"]
-    assert 0.0 <= _number(result.rows[0][2]) <= 100.0
+SMOKE = Table1Settings(epochs=1, num_scenes=1, chips_per_crossing=1)
+#: sha1 over every parameter of Table 1's Original SPP-Net after one
+#: epoch of Table 1's protocol on the SMOKE split, per BLAS
+EPOCH_DIGESTS = {
+    ("libscipy_openblas64_-32a4b2a6.so", "0.3.31.188.0", "SkylakeX", 1):
+        "af64cd02fd9793932d1f7aea079b913cb47df3dc",
+    ("libscipy_openblas64_-32a4b2a6.so", "0.3.31.188.0", "SkylakeX", 2):
+        "e3fd02fade276a9b66a22580ba2f6e7f6e677bc3",
+}
+
+
+def test_one_training_epoch_matches_its_committed_digest(blas_threads):
+    blas = tuple(blas_info()[key] for key in BLAS)
+    if blas not in EPOCH_DIGESTS:
+        pytest.skip(f"no committed one-epoch digest for the BLAS {blas}")
+    train_set, _ = SMOKE.split()
+    model = SMOKE.train(TABLE1_MODELS["Original SPP-Net"], train_set)
+    sha = hashlib.sha1()
+    for parameter in model.parameters():
+        sha.update(np.ascontiguousarray(parameter.data).tobytes())
+    assert sha.hexdigest() == EPOCH_DIGESTS[blas], (
+        f"one epoch trains other bits than the committed digest under {blas}")
+
+
+@pytest.fixture(scope="module")
+def table1_smoke():
+    return run_table1(SMOKE, models={"SPP-Net #2": TABLE1_MODELS["SPP-Net #2"]})
+
+
+@pytest.fixture(scope="module")
+def baseline_smoke():
+    return run_baseline_comparison(SMOKE)
 
 
 @pytest.mark.slow
-def test_baseline_runner_is_well_formed():
-    result = run_baseline_comparison(BaselineSettings(
-        num_scenes=1, chips_per_crossing=1, sppnet_epochs=1, rcnn_epochs=1))
-    assert len(result.rows) == 2
-    for _, ap, accuracy, _, parameters in result.rows:
+def test_table1_runner_is_well_formed(table1_smoke):
+    assert [row[0] for row in table1_smoke.rows] == ["SPP-Net #2"]
+    assert 0.0 <= _number(table1_smoke.rows[0][2]) <= 100.0
+    assert table1_smoke.provenance["settings"]["epochs"] == 1
+
+
+@pytest.mark.slow
+def test_baseline_runner_is_well_formed(baseline_smoke):
+    assert len(baseline_smoke.rows) == 2
+    for _, ap, accuracy, _, parameters in baseline_smoke.rows:
         assert 0.0 <= _number(ap) <= 100.0
         assert 0.0 <= _number(accuracy) <= 100.0
         assert parameters > 0
+
+
+@pytest.mark.slow
+def test_baseline_sppnet_row_is_table1s_row(table1_smoke, baseline_smoke):
+    _, ap, accuracy, _, _ = baseline_smoke.rows[0]
+    assert ap == table1_smoke.rows[0][2]
+    assert table1_smoke.notes.endswith(f"acc={accuracy}")
+    assert baseline_smoke.provenance == table1_smoke.provenance
