@@ -4,13 +4,12 @@ Production front-end over the trained detector, served through its
 guarded compiled engine: open micro-batches sized by the Figure 6
 batch-efficiency curve, content-hash LRU caching, bounded
 queueing with backpressure, per-request deadlines, graceful draining
-shutdown, a model-worker circuit breaker with cache-only degraded mode,
-and a metrics registry rendered in the ``repro.profiling`` report style.
+shutdown, retries that end in the engine's own error, and a metrics
+registry rendered in the ``repro.profiling`` report style.
 See ``docs/serving.md`` and ``docs/resilience.md``.
 """
 
 from .batching import BatchPolicy, policy_from_fig6
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
 from .cache import LRUCache, chip_key
 from .metrics import (
     Counter,
@@ -20,7 +19,6 @@ from .metrics import (
     format_service_report,
 )
 from .service import (
-    DegradedServiceError,
     DetectionResult,
     InferenceService,
     InvalidInputError,
@@ -33,11 +31,6 @@ from .service import (
 __all__ = [
     "BatchPolicy",
     "policy_from_fig6",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "LRUCache",
     "chip_key",
     "Counter",
@@ -51,6 +44,5 @@ __all__ = [
     "QueueFullError",
     "RequestTimeoutError",
     "ServiceStoppedError",
-    "DegradedServiceError",
     "InvalidInputError",
 ]

@@ -114,8 +114,6 @@ class ServiceMetrics:
         self.cache_misses = Counter()
         self.worker_failures = Counter()
         self.worker_retries = Counter()
-        self.degraded_served = Counter()
-        self.degraded_rejected = Counter()
         self.invalid_inputs = Counter()
         self.queue_depth = Gauge()
         self.warmup_ms = Gauge()
@@ -124,25 +122,7 @@ class ServiceMetrics:
         self._batch_sizes: TallyCounter[int] = TallyCounter()
         self._close_reasons: TallyCounter[str] = TallyCounter()
         self._engine_faults: TallyCounter[str] = TallyCounter()
-        self._breaker_state = "closed"
-        self._breaker_transitions: TallyCounter[str] = TallyCounter()
         self._lock = threading.Lock()
-
-    # -- circuit breaker telemetry --------------------------------------
-    def record_breaker_transition(self, old: str, new: str) -> None:
-        with self._lock:
-            self._breaker_state = new
-            self._breaker_transitions[f"{old}->{new}"] += 1
-
-    @property
-    def breaker_state(self) -> str:
-        with self._lock:
-            return self._breaker_state
-
-    @property
-    def breaker_transitions(self) -> dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._breaker_transitions.items()))
 
     def record_engine_fault(self, reason: str) -> None:
         """Tally one failed engine run of a micro-batch by its guard
@@ -206,13 +186,9 @@ class ServiceMetrics:
             "cache_hit_rate": self.cache_hit_rate(),
             "worker_failures": self.worker_failures.value,
             "worker_retries": self.worker_retries.value,
-            "degraded_served": self.degraded_served.value,
-            "degraded_rejected": self.degraded_rejected.value,
             "invalid_inputs": self.invalid_inputs.value,
             "warmup_ms": self.warmup_ms.value,
             "fallback_by_reason": self.fallback_by_reason,
-            "breaker_state": self.breaker_state,
-            "breaker_transitions": self.breaker_transitions,
             "queue_depth": self.queue_depth.value,
             "queue_depth_peak": self.queue_depth.peak,
             "batch_size_histogram": {
@@ -269,12 +245,9 @@ def format_service_report(metrics: ServiceMetrics, label: str = "serve") -> str:
         f"{100 * snap['cache_hit_rate']:8.1f}%",
         "",
         "Resilience Statistics:",
-        f"{'Failures':>9}  {'Retries':>9}  {'Degraded':>9}  "
-        f"{'Deg.rej':>9}  {'Breaker':>9}",
+        f"{'Failures':>9}  {'Retries':>9}",
         rule,
-        f"{snap['worker_failures']:9d}  {snap['worker_retries']:9d}  "
-        f"{snap['degraded_served']:9d}  {snap['degraded_rejected']:9d}  "
-        f"{snap['breaker_state']:>9}",
+        f"{snap['worker_failures']:9d}  {snap['worker_retries']:9d}",
         "",
         "Robustness Statistics:",
         f"{'Invalid':>9}  {'Eng.fault':>9}",

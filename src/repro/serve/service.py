@@ -20,15 +20,13 @@ One long-lived :class:`InferenceService` turns the repo's synchronous
   per-request deadlines expire stale work (:class:`RequestTimeoutError`),
   and :meth:`~InferenceService.shutdown` drains in-flight requests before
   the thread exits;
-* a circuit breaker (:class:`~repro.serve.breaker.CircuitBreaker`) guards
-  the model thread against engine faults: a batch whose engine call
-  raises, or whose answer fails the guard's check
+* the service answers or fails loudly: a batch whose engine call raises,
+  or whose answer fails the guard's check
   (:class:`repro.robust.EngineError`), is retried if
-  :func:`repro.retry.retryable` allows, a non-finite row fails its own
-  chip alone, consecutive batches with no chip answered trip the
-  breaker, and while it is open the service runs in *degraded
-  mode* — cache hits are still served, uncached requests fail fast with
-  :class:`DegradedServiceError` until a half-open probe succeeds.
+  :func:`repro.retry.retryable` allows and then fails its futures with
+  the engine's own exception; a non-finite row fails its own chip
+  alone.  Each batch runs on the engine, so the batch after an outage
+  is answered as soon as the engine is.
 
 Telemetry lives in a :class:`~repro.serve.metrics.ServiceMetrics`
 registry rendered through the ``repro.profiling`` report conventions.
@@ -45,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..detect.scan import _check_timeout
 from ..detect.sppnet import SPPNetDetector
 from ..retry import retryable
 from ..robust.guard import EngineError, GuardedEngine, fault_reason
 from .batching import BatchPolicy
-from .breaker import OPEN, BreakerPolicy, CircuitBreaker
 from .cache import LRUCache, chip_key
 from .metrics import ServiceMetrics
 
@@ -58,7 +56,6 @@ __all__ = [
     "QueueFullError",
     "RequestTimeoutError",
     "ServiceStoppedError",
-    "DegradedServiceError",
     "InvalidInputError",
     "DetectionResult",
     "InferenceService",
@@ -79,10 +76,6 @@ class RequestTimeoutError(ServeError):
 
 class ServiceStoppedError(ServeError):
     """Raised when submitting to (or pending inside) a stopped service."""
-
-
-class DegradedServiceError(ServeError):
-    """The circuit breaker is open and the request is not in the cache."""
 
 
 class InvalidInputError(ServeError):
@@ -138,11 +131,9 @@ class InferenceService:
     max_queue   : bounded-queue capacity; submits beyond it raise
                   :class:`QueueFullError`
     cache_size  : LRU entries (0 disables caching)
-    breaker     : :class:`~repro.serve.breaker.BreakerPolicy` for the
-                  model-thread circuit breaker (None = defaults)
     max_batch_retries : immediate re-runs of a failed micro-batch before
-                  its futures fail and the breaker counts the failure; an
-                  error :func:`repro.retry.retryable` refuses (an
+                  its futures fail with the engine's exception; an error
+                  :func:`repro.retry.retryable` refuses (an
                   :class:`~repro.robust.EngineError`) fails it at once
     backend     : ``"engine"``, its only value: the model is compiled at
                   service start (:func:`repro.engine.compiled_for`) and
@@ -181,7 +172,6 @@ class InferenceService:
         *,
         max_queue: int = 1024,
         cache_size: int = 512,
-        breaker: BreakerPolicy | None = None,
         max_batch_retries: int = 1,
         backend: str = "engine",
         validate: bool = True,
@@ -203,9 +193,6 @@ class InferenceService:
         self.max_batch_retries = max_batch_retries
         self.cache: LRUCache[DetectionResult] = LRUCache(cache_size)
         self.metrics = ServiceMetrics()
-        self.breaker = CircuitBreaker(
-            breaker, on_transition=self.metrics.record_breaker_transition
-        )
         self._validate_policy = None
         if validate:
             from ..robust.sanitize import SanitizePolicy
@@ -255,7 +242,9 @@ class InferenceService:
 
         ``timeout_s`` is a dispatch deadline: if the request is still
         queued when it expires, its future fails with
-        :class:`RequestTimeoutError`.  Raises :class:`QueueFullError`
+        :class:`RequestTimeoutError`.  It must be a positive number or
+        None (``ValueError`` otherwise, before anything is counted).
+        Raises :class:`QueueFullError`
         immediately when the bounded queue is at capacity,
         :class:`InvalidInputError` when the chip fails the admission
         policy (so one NaN chip cannot poison a whole micro-batch), and
@@ -263,6 +252,7 @@ class InferenceService:
         """
         if chip.ndim != 3:
             raise ValueError(f"expected one (C, H, W) chip, got shape {chip.shape}")
+        _check_timeout(timeout_s)
         self.metrics.submitted.inc()
         if self._validate_policy is not None:
             from ..robust.sanitize import validate_chip
@@ -275,13 +265,10 @@ class InferenceService:
                 )
 
         key = chip_key(chip) if self.cache.capacity else ""
-        degraded = self.breaker.state == OPEN
         if self.cache.capacity:
             hit = self.cache.get(key)
             if hit is not None:
                 self.metrics.cache_hits.inc()
-                if degraded:
-                    self.metrics.degraded_served.inc()
                 self.metrics.completed.inc()
                 self.metrics.latency_ms.observe(0.0)
                 future: Future[DetectionResult] = Future()
@@ -289,15 +276,6 @@ class InferenceService:
                     DetectionResult(hit.confidence, hit.box, cached=True))
                 return future
             self.metrics.cache_misses.inc()
-
-        if degraded:
-            # cache-only mode: fail fast instead of queueing work the
-            # tripped model thread would only reject later
-            self.metrics.degraded_rejected.inc()
-            raise DegradedServiceError(
-                "circuit breaker open: model unavailable and "
-                "result not cached"
-            )
 
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         pending = _Pending(np.asarray(chip, dtype=np.float32), key, deadline)
@@ -455,14 +433,9 @@ class InferenceService:
         admitted members first, then whatever it may still admit.  An
         answer with non-finite rows for some of its chips (a chip whose
         finite pixels overflow the network) fails only those chips'
-        futures, with the guard's :class:`~repro.robust.EngineError`;
-        the breaker counts a failure only when no chip was answered.
+        futures, with the guard's :class:`~repro.robust.EngineError`.
         """
         started = time.monotonic()
-        if not self.breaker.allow():
-            # tripped while this request was queued: cache-only
-            self._serve_degraded(opening)
-            return
         batch = [opening]
 
         def admitted():
@@ -493,7 +466,6 @@ class InferenceService:
             try:
                 confidences, boxes = self.engine.predict_stream(
                     admitted(), self.policy.max_batch)
-                self.breaker.record_success()
                 break
             except BaseException as exc:
                 self.metrics.worker_failures.inc()
@@ -504,11 +476,9 @@ class InferenceService:
                     # chips it names, and the engine answered the rest
                     fault = exc
                     confidences, boxes = exc.answer
-                    self.breaker.record_success()
                     break
                 if attempts > self.max_batch_retries or not retryable(exc):
                     # propagate to every waiting caller
-                    self.breaker.record_failure()
                     for pending in batch:
                         if not pending.future.done():
                             pending.future.set_exception(exc)
@@ -528,26 +498,3 @@ class InferenceService:
             self.metrics.completed.inc()
             self.metrics.latency_ms.observe((now - pending.enqueued_at) * 1e3)
             pending.future.set_result(result)
-
-    def _serve_degraded(self, pending: _Pending) -> None:
-        """Cache-only answer for a request the open breaker refused.
-
-        A request whose chip was cached since it queued is still served
-        (marked degraded); otherwise it fails with
-        :class:`DegradedServiceError` rather than touching the model.
-        """
-        hit = self.cache.get(pending.key) if self.cache.capacity else None
-        if hit is None:
-            self.metrics.degraded_rejected.inc()
-            pending.future.set_exception(DegradedServiceError(
-                "circuit breaker open: model unavailable and "
-                "result not cached"
-            ))
-            return
-        self.metrics.degraded_served.inc()
-        self.metrics.completed.inc()
-        self.metrics.latency_ms.observe(
-            (time.monotonic() - pending.enqueued_at) * 1e3
-        )
-        pending.future.set_result(
-            DetectionResult(hit.confidence, hit.box, cached=True))

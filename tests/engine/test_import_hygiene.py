@@ -84,8 +84,9 @@ print("ok")
 
 
 def test_importing_the_guard_leaves_the_service_out():
-    """The guard answers or raises; the service's breaker is the
-    service's, so ``repro.robust`` loads nothing of ``repro.serve``."""
+    """The guard answers or raises; what the service does with a fault
+    (retry, fail the futures) is the service's, so ``repro.robust``
+    loads nothing of ``repro.serve``."""
     done = subprocess.run([sys.executable, "-c", ROBUST_SCRIPT],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -80,8 +80,8 @@ class Flaky:
 class FailFirst:
     """Fail the first ``n`` calls, then delegate forever after.
 
-    The canonical transient outage: a retry loop (or a circuit breaker's
-    half-open probe) sees the failure window end deterministically.
+    The canonical transient outage: a retry loop sees the failure
+    window end deterministically.
     """
 
     def __init__(self, fn: Callable, n: int,
@@ -159,7 +159,7 @@ class FaultyEngine:
       outage.
     * ``kind``: what a faulting call does.  ``"raise"`` raises ``exc``
       before the real call (the transient failure the service's retries
-      and breaker exist for); ``"nan"`` answers NaN and ``"shape"`` one
+      exist for); ``"nan"`` answers NaN and ``"shape"`` one
       row short, after the real call has pulled its chips (the answers
       the guard refuses).  A faulting warm-up raises whatever the kind.
     * ``delay_s``: every counted call stalls this long first, keeping

@@ -206,9 +206,8 @@ class TestOpenBatch:
     def test_a_chip_that_overflows_the_network_fails_alone(self, model):
         """Admission passes a chip of finite pixels, but pixels near
         1e38 overflow float32 into a non-finite row.  Only that request
-        fails, with the guard's ``EngineError`` and no retry; its
-        batch-mates get the engine's bytes, and the breaker counts no
-        failure."""
+        fails, with the guard's ``EngineError`` and no retry, and its
+        batch-mates get the engine's bytes from the same run."""
         batch = chips(4)
         batch[1] *= 1e38
         with InferenceService(model, BatchPolicy(max_batch=8), cache_size=0,
@@ -218,7 +217,6 @@ class TestOpenBatch:
             with pytest.raises(EngineError, match="non_finite"):
                 futures[1].result(timeout=WAIT)
             results = [futures[i].result(timeout=WAIT) for i in (0, 2, 3)]
-            failures = service.breaker._consecutive_failures
             snap = service.metrics.snapshot()
         assert [r.batch_size for r in results] == [4, 4, 4]
         clean = batch[[0, 2, 3]]
@@ -227,9 +225,29 @@ class TestOpenBatch:
         assert np.array([r.confidence for r in results],
                         np.float32).tobytes() == conf.tobytes()
         assert np.stack([r.box for r in results]).tobytes() == boxes.tobytes()
-        assert failures == 0 and snap["breaker_state"] == "closed"
-        assert snap["completed"] == 3 and snap["worker_retries"] == 0
+        assert snap["worker_failures"] == 1 and snap["worker_retries"] == 0
+        assert snap["completed"] == 3
         assert snap["fallback_by_reason"] == {"non_finite": 1}
+
+    def test_overflowing_chips_alone_never_refuse_a_clean_one(self, model):
+        """A client's chips cannot shut the service: six overflowing
+        chips, each alone in its batch, fail one by one with the guard's
+        ``EngineError``, and the clean chip after them runs on the
+        engine at once and gets its bytes."""
+        poisoned = chips(6, seed=1) * np.float32(1e38)
+        clean = chips(1, seed=2)
+        with InferenceService(model, cache_size=0) as service:
+            for chip in poisoned:
+                with pytest.raises(EngineError, match="non_finite"):
+                    service.submit(chip).result(timeout=WAIT)
+            result = service.submit(clean[0]).result(timeout=WAIT)
+            snap = service.metrics.snapshot()
+        conf, boxes = compiled_for(model).predict(clean, batch_size=1)
+        assert np.float32(result.confidence).tobytes() == conf.tobytes()
+        assert result.box.tobytes() == boxes.tobytes()
+        assert snap["fallback_by_reason"] == {"non_finite": 6}
+        assert snap["worker_failures"] == 6 and snap["worker_retries"] == 0
+        assert snap["completed"] == 1
 
     def test_retry_reruns_the_admitted_members(self, model):
         """An engine error is the service's retry: it re-opens the same

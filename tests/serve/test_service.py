@@ -1,5 +1,5 @@
 """Inference service behavior: batching, caching, backpressure, timeouts,
-shutdown semantics.
+shutdown semantics, engine faults.
 
 Uses a deliberately tiny SPP-Net so each micro-batch costs ~1 ms, and
 the model behind a stalling engine double (``tests.faults.FaultyEngine``)
@@ -21,7 +21,7 @@ from repro.serve import (
     RequestTimeoutError,
     ServiceStoppedError,
 )
-from tests.faults import FaultyEngine
+from tests.faults import FaultyEngine, InjectedFault
 
 @pytest.fixture(scope="module")
 def model(small_detector):
@@ -138,6 +138,19 @@ class TestTimeout:
                 f.result(timeout=10)
             assert svc.metrics.timeouts.value == 0
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), True, 0, -1, "1"])
+    def test_a_deadline_that_is_not_positive_is_refused(self, model,
+                                                        timeout_s):
+        """``timeout_s`` is checked before anything is counted: a NaN is
+        not "no deadline", a bool is not 1 s, and a zero or negative
+        deadline is not a request queued dead."""
+        with InferenceService(model) as svc:
+            with pytest.raises(ValueError, match="timeout_s"):
+                svc.submit(chips(1)[0], timeout_s=timeout_s)
+            snap = svc.metrics.snapshot()
+        assert snap["submitted"] == 0 and snap["timeouts"] == 0
+        assert snap["cache_misses"] == 0
+
 
 class TestBackpressure:
     def test_full_queue_rejects_submit(self, model):
@@ -250,3 +263,107 @@ class TestStartMethod:
 
         with InferenceService(model, BatchPolicy(max_batch=8)):
             assert default_start_method() == "spawn"
+
+
+class TestServiceResilience:
+    """The service answers or fails loudly: an engine error is retried
+    while :func:`repro.retry.retryable` allows, then fails its batch's
+    futures with the engine's own exception, and every batch runs on
+    the engine, so none is refused for the batches that failed before
+    it.  The double (``tests.faults.FaultyEngine``) fails the compiled
+    call for a scripted number of batches."""
+
+    def policy(self):
+        return BatchPolicy(max_batch=4)
+
+    def test_transient_batch_failure_is_retried(self, model):
+        faulty = FaultyEngine(model, failures=1)
+        with InferenceService(faulty, self.policy(),
+                              max_batch_retries=2) as service:
+            result = service.submit(chips(1)[0]).result(timeout=5)
+            assert 0.0 <= result.confidence <= 1.0
+            snap = service.metrics.snapshot()
+        assert snap["worker_failures"] == 1
+        assert snap["worker_retries"] == 1
+        assert snap["fallback_by_reason"] == {"engine_error": 1}
+
+    def test_exhausted_retries_fail_the_batch_futures(self, model):
+        faulty = FaultyEngine(model, failures=10**6)
+        with InferenceService(faulty, self.policy(),
+                              max_batch_retries=1) as service:
+            future = service.submit(chips(1)[0])
+            with pytest.raises(InjectedFault):
+                future.result(timeout=5)
+            snap = service.metrics.snapshot()
+        assert snap["worker_failures"] == 2  # initial + retry
+        assert snap["worker_retries"] == 1
+
+    def test_an_outage_answers_cached_chips_and_fails_the_rest(self, model):
+        """During an outage a cached chip is answered from the cache and
+        every uncached one fails with the engine's own error, however
+        many batches failed before it."""
+        batch = chips(8)
+        warm = batch[0]
+        faulty = FaultyEngine(model)
+        with InferenceService(faulty, self.policy(),
+                              max_batch_retries=0) as service:
+            service.submit(warm).result(timeout=5)  # cache the warm chip
+
+            faulty.failures = 10**6  # outage begins
+            for chip in batch[1:]:
+                with pytest.raises(InjectedFault):
+                    service.submit(chip).result(timeout=5)
+            hit = service.submit(warm).result(timeout=5)
+            snap = service.metrics.snapshot()
+        assert hit.cached and hit.batch_size == 0
+        assert snap["worker_failures"] == 7
+        assert snap["fallback_by_reason"] == {"engine_error": 7}
+        assert snap["cache_hits"] == 1 and snap["completed"] == 2
+
+    def test_a_run_of_non_finite_batches_leaves_the_next_chip_answered(
+            self, model):
+        """No second runtime answers for a faulty engine: a non-finite
+        answer fails its batch at once (``EngineError`` is permanent),
+        and a run of such batches refuses nothing after it: the next
+        clean chip is the engine's answer."""
+        batch = chips(8)
+        faulty = FaultyEngine(model, kind="nan", failures=6)
+        with InferenceService(faulty, self.policy(), max_batch_retries=3,
+                              cache_size=0) as service:
+            guard = service.engine
+            for chip in batch[:6]:
+                with pytest.raises(EngineError, match="non_finite"):
+                    service.submit(chip).result(timeout=5)
+            results = [service.submit(chip).result(timeout=5)
+                       for chip in batch[6:]]
+            snap = service.metrics.snapshot()
+        assert guard.fallback_by_reason == {"non_finite": 6}
+        assert snap["fallback_by_reason"] == {"non_finite": 6}
+        assert snap["worker_failures"] == 6
+        assert snap["worker_retries"] == 0
+        conf, _, _ = GuardedEngine(model).predict_batch(batch[6:])
+        assert [r.confidence for r in results] == [float(c) for c in conf]
+
+    def test_the_batch_after_an_outage_is_answered(self, model):
+        """Recovery is the next batch: no timer and no probe stand
+        between the engine healing and a chip being answered."""
+        faulty = FaultyEngine(model, failures=6)  # six failures, then healthy
+        with InferenceService(faulty, self.policy(),
+                              max_batch_retries=0) as service:
+            batch = chips(7)
+            for chip in batch[:6]:
+                with pytest.raises(InjectedFault):
+                    service.submit(chip).result(timeout=5)
+            result = service.submit(batch[6]).result(timeout=5)
+            snap = service.metrics.snapshot()
+        assert not result.cached and result.batch_size == 1
+        assert snap["worker_failures"] == 6 and snap["completed"] == 1
+
+    def test_snapshot_has_resilience_fields(self, model):
+        with InferenceService(model, self.policy()) as service:
+            service.submit(chips(1)[0]).result(timeout=5)
+            snap = service.metrics.snapshot()
+        assert snap["worker_failures"] == 0 and snap["worker_retries"] == 0
+        removed = {"degraded_served", "degraded_rejected", "breaker_state",
+                   "breaker_transitions"}
+        assert not removed & set(snap)

@@ -26,6 +26,7 @@ from repro.blas import blas_info
 from repro.experiments import (
     Table1Settings,
     run_baseline_comparison,
+    run_constrained_selection,
     run_table1,
     select_optimal_batch,
 )
@@ -148,6 +149,18 @@ def test_table3_conv_share_rises_and_matmul_share_falls(rows):
 
 def test_fig5_selects_exactly_one_model(rows):
     assert sum(1 for row in rows("fig5") if row[-1]) == 1
+
+
+def test_fig5_on_the_measured_table1_selects_sppnet2():
+    """EXPERIMENTS.md: with this repo's measured Table 1 APs and
+    A = 0.75, SPP-Net #2 is the only feasible model, so it is selected."""
+    table1 = json.loads((RESULTS / "table1.json").read_text())["rows"]
+    measured_ap = {name: _number(ap) / 100 for name, _, ap in table1}
+    result = run_constrained_selection(accuracy_threshold=0.75,
+                                       measured_ap=measured_ap)
+    feasible = [row[0] for row in result.rows if row[2] == "yes"]
+    selected = [row[0] for row in result.rows if row[-1]]
+    assert feasible == selected == ["SPP-Net #2"]
 
 
 def test_fig6_batching_pays_with_diminishing_gains(rows):

@@ -128,9 +128,7 @@ def service_runs(exc, faulty, reason="engine_error"):
         chip = np.random.default_rng(0).random((4, 32, 32), np.float32)
         future = service.submit(chip)
         assert isinstance(future.exception(timeout=30), exc)
-        failures = service.breaker._consecutive_failures
         snap = service.metrics.snapshot()
-    assert failures == 1                # one failed batch, however many runs
     assert snap["worker_retries"] == snap["worker_failures"] - 1
     assert service.engine.fallback_by_reason == {reason: faulty.calls}
     assert snap["worker_failures"] == faulty.calls
