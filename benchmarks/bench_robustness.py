@@ -23,7 +23,7 @@ the engine's answers):
    ``journal=`` against the plain batched scan, as a median of paired
    ratios (``benchmarks/e2e/stats.py``) next to the machine
    fingerprint, and the journal's fsyncs per scan.  The ratio is
-   recorded, not gated: it is the number ROADMAP item 4's "<= 1.3x the
+   recorded, not gated: it is the number ROADMAP item 3's "<= 1.3x the
    batched scan" target is read from outside the frozen harness.  The
    fsync count is exact and drift-tracked: ``1 + ceil(tiles /
    batch_size)``.
@@ -283,7 +283,7 @@ def payload_checks(payload: dict) -> list:
         check("engine_answers_after_faults",
               fault["later_requests_are_engine_answers"], "bool"),
         # a ratio of two wall-clock timings over a handful of rounds:
-        # carried in the tracker's table (ROADMAP item 4 reads it), with
+        # carried in the tracker's table (ROADMAP item 3 reads it), with
         # no threshold and no drift comparison to flake on a loaded runner
         check("robust_over_batched_ms_per_tile",
               overhead["robust_over_batched_ms_per_tile"]["median"],

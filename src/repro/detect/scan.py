@@ -20,9 +20,11 @@ is ever materialized and the result is bitwise the per-window one.
 Production scenes are not pristine: tiles arrive with NaN pixels, nodata
 holes, dropped bands, and saturation (see :mod:`repro.robust`).  Passing
 ``sanitize=`` and/or ``journal=`` swaps the batched stage for the
-*robust* one — every tile is validated/repaired/quarantined behind a
-per-tile fault boundary, the survivors of each micro-batch run as one
-stack whose rows are bitwise each tile's batch-1 answer, outcomes stream
+*robust* one.  The scene is repaired once, cell by cell
+(:func:`repro.robust.sanitize_scene`), every tile gets its own verdict
+(ok, repaired or quarantined), and the tiles not quarantined run as the
+batched scan over the repaired raster, sharing its feature maps, behind
+the guard's output check and a per-tile fault boundary.  Outcomes stream
 to an append-only JSONL scan journal, and ``resume=True`` replays a
 crashed scan's journaled tiles verbatim so the finished result is
 identical to an uninterrupted run.  The journal commits once per
@@ -170,7 +172,11 @@ class ScanSpec:
     def journal_header(self, scene_size: int, bands: int) -> dict:
         """The scan journal's header: what moves a journaled record's
         bits, so a journal resumes under any ``n_workers``, ``batch_size``
-        or ``nms_radius`` but not under another ``backend`` or BLAS."""
+        or ``nms_radius`` but not under another ``backend``, repair grid
+        (``repair_cell``, the side of the cells
+        :func:`~repro.robust.sanitize_scene` repairs) or BLAS."""
+        from ..robust.sanitize import repair_cell
+
         return {
             "scene_size": int(scene_size),
             "bands": int(bands),
@@ -178,6 +184,7 @@ class ScanSpec:
             "stride": int(self.stride),
             "confidence_threshold": float(self.confidence_threshold),
             "backend": "engine",
+            "repair_cell": repair_cell(self.window),
             "blas": {k: v for k, v in blas_info().items() if k != "why"},
         }
 
@@ -303,14 +310,22 @@ def scan_scene(
       what overlapping windows share once per scene), its only value.
     * ``sanitize`` (a :class:`~repro.robust.SanitizePolicy`) and/or
       ``journal`` (a path or :class:`~repro.robust.ScanJournal`) select
-      the *robust* stage: each tile is sanitized and runs behind its
-      own fault boundary (a poisoned tile is quarantined, never fatal)
-      in micro-batches of ``batch_size`` whose rows are bitwise each
-      tile's answer alone, journaled with one durable commit per
-      micro-batch (a hard kill loses at most the one in flight);
-      ``resume=True`` replays a crashed scan's journaled tiles
-      verbatim, so the result equals the uninterrupted one.  Without
-      them tiles run in micro-batches of ``batch_size``.
+      the *robust* stage.  The scene is repaired once on the grid of
+      ``ceil(window / 2)``-px cells (:func:`~repro.robust.sanitize_scene`)
+      and each tile gets its own verdict; the tiles not quarantined run
+      as the batched scan over the repaired raster, in micro-batches of
+      ``batch_size`` whose rows are bitwise each tile's answer alone,
+      behind a per-tile fault boundary (a poisoned tile is quarantined,
+      never fatal), journaled with one durable commit per micro-batch
+      (a hard kill loses at most the one in flight); ``resume=True``
+      replays a crashed scan's journaled tiles verbatim, so the result
+      equals the uninterrupted one.  A tile whose origin lies on the
+      cell grid (every tile when ``stride`` is a multiple of the cell
+      and ``window`` is even) is exactly
+      :func:`~repro.robust.sanitize_chip` of its own pixels; any other
+      tile (a scene-edge origin such as 477 on a 577 px scene, a stride
+      off the grid, an odd window) reads the repaired raster's crop.
+      Without them tiles run in micro-batches of ``batch_size``.
     * ``n_workers``: 1 runs the scan in this process; more (or
       ``"auto"``, which picks from CPU affinity and scene size and may
       pick 1) shards it over a persistent warm
@@ -351,13 +366,19 @@ def scan_scene(
                     f"two batch-aligned shards: scanning inline",
                     RuntimeWarning, stacklevel=2)
 
-    policy, jr, done = sanitize, None, {}
+    policy, jr, done, verdicts = sanitize, None, {}, None
     if sanitize is not None or journal is not None:
         from ..robust.journal import ScanJournal
-        from ..robust.sanitize import SanitizePolicy
+        from ..robust.sanitize import SanitizePolicy, sanitize_scene
 
         if policy is None:
             policy = SanitizePolicy.for_scene(bands=image.shape[0])
+        if policy.expected_shape is not None \
+                and tuple(policy.expected_shape) != (window, window):
+            raise ValueError(
+                f"sanitize.expected_shape={policy.expected_shape} must be "
+                f"the window's ({window}, {window}): a scan's tiles are "
+                "crops of one repaired raster")
         if journal is not None:
             header = spec.journal_header(scene.size, image.shape[0])
             jr = (journal if isinstance(journal, ScanJournal)
@@ -367,8 +388,22 @@ def scan_scene(
             else:
                 jr.start(header)
 
+        # the scene repaired once; pooled scans ship this raster
+        repair = sanitize_scene(image, policy, window=spec.window)
+        image = repair.image
+        verdicts = {}
+        for index, (r0, c0) in enumerate(origins):
+            if index in done:
+                continue
+            result = repair.tile(r0, c0, spec.window)
+            if result.status == "quarantined":
+                verdicts[index] = (result.status, result.report.summary())
+            elif result.status == "repaired":
+                verdicts[index] = (result.status,
+                                   "; ".join(result.repairs) or None)
+
     # what every span of this scan runs with, wherever it runs
-    stage = dict(policy=policy, skip=frozenset(done), journal=jr,
+    stage = dict(verdicts=verdicts, skip=frozenset(done), journal=jr,
                  deadline_at=deadline_at)
     if not shards:
         payloads = [scan_span(model, image, origins, (0, len(origins)), spec,
@@ -385,7 +420,7 @@ def scan_scene(
 
     # shard order == origin order: concatenation restores the sequence
     # the inline scan feeds to threshold + NMS
-    if policy is None:
+    if verdicts is None:
         detections = _detections_from_outputs(
             origins, np.concatenate([p["confidences"] for p in payloads]),
             np.concatenate([p["boxes"] for p in payloads]), spec)
@@ -424,7 +459,7 @@ def scan_span(
     span: tuple[int, int],
     spec: ScanSpec,
     *,
-    policy: "SanitizePolicy | None" = None,
+    verdicts: dict[int, tuple[str, str | None]] | None = None,
     skip: frozenset = frozenset(),
     journal: "ScanJournal | None" = None,
     deadline_at: float | None = None,
@@ -437,16 +472,21 @@ def scan_span(
     the same code either way.  ``origins`` is always the *whole* scan's,
     so a span shares feature maps on the scan's own chunk grid.
 
-    Without a ``policy`` tiles run in micro-batches pulled from
-    ``CompiledModel.predict_windows`` and the payload is ``{"confidences",
-    "boxes"}`` (raw model outputs, in origin order).  With one, the
-    tiles not in ``skip`` (already journaled) run in index order, in
-    micro-batches of ``spec.batch_size`` (:func:`_run_group`), each finished
-    micro-batch written with one ``journal.extend`` (one fsync); the
-    payload is ``{"records", "fallbacks"}``, the second the guard's
-    engine faults by reason.  ``deadline_at``
-    (monotonic) is checked before each micro-batch runs and raises
-    :class:`ScanDeadlineError` with every finished one on disk.
+    Both stages pull micro-batches of ``spec.batch_size`` from
+    ``CompiledModel.predict_windows`` over ``image``.  Without
+    ``verdicts`` (the batched stage) the payload is ``{"confidences",
+    "boxes"}`` (raw model outputs, in origin order).  With them (the
+    robust stage) ``image`` is the repaired raster and ``verdicts`` maps
+    each tile that is not ``"ok"`` to ``(status, reason)``: the tiles
+    not in ``skip`` (already journaled) and not quarantined run through
+    :meth:`~repro.robust.GuardedEngine.predict_windows`, every row is
+    decoded into its tile's record (:func:`_tile_record`), and each
+    micro-batch of ``spec.batch_size`` tiles, in index order, is written
+    with one ``journal.extend`` (one fsync); the payload is
+    ``{"records", "fallbacks"}``, the second the guard's engine faults by
+    reason.  ``deadline_at`` (monotonic) is checked before each
+    micro-batch runs and raises :class:`ScanDeadlineError` with every
+    finished one on disk.
     """
     start, stop = span
 
@@ -457,7 +497,7 @@ def scan_span(
                 + ("; journaled tiles are resumable"
                    if journal is not None else ""))
 
-    if policy is None:
+    if verdicts is None:
         from ..engine import compiled_for
 
         model.eval()
@@ -474,9 +514,13 @@ def scan_span(
                 "boxes": np.concatenate([box for _, box in parts])}
 
     from ..robust.guard import GuardedEngine
+    from ..robust.journal import TileRecord
 
     guarded = GuardedEngine(model)
     todo = [index for index in range(start, stop) if index not in skip]
+    live = [index for index in todo
+            if verdicts.get(index, ("ok",))[0] != "quarantined"]
+    rows = _live_rows(guarded, image, origins, live, spec)
     records: list[TileRecord] = []
     committed = 0
 
@@ -493,8 +537,22 @@ def scan_span(
     try:
         for at in range(0, len(todo), spec.batch_size):
             check_deadline(len(records), len(todo))
-            records += _run_group(guarded, image, origins,
-                                  todo[at:at + spec.batch_size], spec, policy)
+            group = []
+            for index in todo[at:at + spec.batch_size]:
+                status, reason = verdicts.get(index, ("ok", None))
+                if status == "quarantined":
+                    group.append(TileRecord(index, origins[index], status,
+                                            reason=reason))
+                    continue
+                answer = next(rows)
+                if isinstance(answer, Exception):
+                    group.append(TileRecord(
+                        index, origins[index], "quarantined",
+                        reason=f"model failure: {answer!r}"))
+                else:
+                    group.append(_tile_record(status, reason, index,
+                                              origins[index], *answer, spec))
+            records += group
             commit()
     finally:
         # an interrupt between a micro-batch's records and its commit
@@ -503,69 +561,65 @@ def scan_span(
     return {"records": records, "fallbacks": guarded.fallback_by_reason}
 
 
-def _run_group(guarded, image: np.ndarray, origins: list[tuple[int, int]],
-               group: list[int], spec: ScanSpec, policy) -> list[TileRecord]:
-    """One micro-batch of the robust stage: every tile of ``group``
-    sanitized in index order, the tiles not quarantined stacked into one
-    ``guarded.predict_batch`` call, each row decoded alone.  A head runs
-    whole 4-row blocks (``engine.compiled.HEAD_ROWS``), so a row is the
-    bytes the tile's own ``predict_batch(chip[None])`` gives.  The fault
-    boundary stays per tile: if the call raises (the engine's own error,
-    or the guard's :class:`~repro.robust.EngineError` for a non-finite
-    or wrong-shape answer), each tile re-runs alone on the engine, and a
-    tile whose own call raises an error no retry can change
-    (:func:`repro.retry.retryable`) is quarantined with the error as its
-    reason, so poison stays in its tile.  A retryable error propagates
-    and is journaled nowhere: the shard's or the job's retry runs the
-    tile again."""
-    from ..retry import retryable
-    from ..robust.journal import TileRecord
-    from ..robust.sanitize import sanitize_chip
+def _live_rows(guarded, image: np.ndarray, origins: list[tuple[int, int]],
+               live: list[int], spec: ScanSpec):
+    """The answer of each tile of ``live``, in order: its
+    ``(confidence, box)`` from one
+    :meth:`~repro.robust.GuardedEngine.predict_windows` generator over
+    the repaired raster, pulled a micro-batch at a time as the tiles are
+    asked for.  A head runs whole 4-row blocks
+    (``engine.compiled.HEAD_ROWS``) and ``predict_windows`` is bitwise
+    ``predict``, so a row is the bytes the tile's own
+    ``predict_batch(crop[None])`` gives.
 
-    sanitized = []
-    for index in group:
-        r0, c0 = origins[index]
-        tile = np.asarray(image[:, r0:r0 + spec.window, c0:c0 + spec.window],
-                          dtype=np.float32)
-        sanitized.append((index, (r0, c0), sanitize_chip(tile, policy)))
-    live = [result.chip for _, _, result in sanitized
-            if result.status != "quarantined"]
-    rows = None
-    if live:
+    The fault boundary stays per tile: if a micro-batch raises (the
+    engine's own error, or the guard's :class:`~repro.robust.EngineError`
+    for a non-finite or wrong-shape answer), each of its tiles re-runs
+    alone through ``guarded.predict_batch``, and a tile whose own call
+    raises an error no retry can change (:func:`repro.retry.retryable`)
+    is answered with that error and quarantined, so poison stays in its
+    tile.  A retryable error propagates and is journaled nowhere: the
+    shard's or the job's retry runs the tile again.  The micro-batches
+    after a fault come from a new generator over the tiles left (the
+    same plan, a cold carry ring)."""
+    from ..retry import retryable
+
+    window = spec.window
+    answers = None
+    for at in range(0, len(live), spec.batch_size):
+        batch = live[at:at + spec.batch_size]
+        if answers is None:
+            answers = guarded.predict_windows(
+                image, origins, window, batch_size=spec.batch_size,
+                span=live[at:])
         try:
-            conf, box, _ = guarded.predict_batch(np.stack(live))
+            conf, box = next(answers)
         except Exception:
-            pass        # the fault boundary narrows to each tile below
+            answers = None      # the fault boundary narrows to each tile
         else:
-            rows = zip(conf, box)
-    records = []
-    for index, origin, result in sanitized:
-        if result.status == "quarantined":
-            records.append(TileRecord(index, origin, "quarantined",
-                                      reason=result.report.summary()))
-        elif rows is not None:
-            records.append(_tile_record(result, index, origin, *next(rows), spec))
-        else:
+            yield from zip(conf, box)
+            continue
+        for index in batch:
+            r0, c0 = origins[index]
             try:
-                conf, box, _ = guarded.predict_batch(result.chip[None])
-            except Exception as exc:  # the fault boundary: poison stays in the tile
+                conf, box, _ = guarded.predict_batch(
+                    image[None, :, r0:r0 + window, c0:c0 + window])
+            except Exception as exc:  # poison stays in the tile
                 if retryable(exc):
                     raise       # transient: the shard's or job's retry runs it
-                records.append(TileRecord(index, origin, "quarantined",
-                                          reason=f"model failure: {exc!r}"))
+                yield exc
             else:
-                records.append(_tile_record(result, index, origin, conf, box, spec))
-    return records
+                yield conf[0], box[0]
 
 
-def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
+def _tile_record(status: str, reason: str | None, index: int,
+                 origin: tuple[int, int], conf, box,
                  spec: ScanSpec) -> TileRecord:
     """Decode one tile's model row (finite: the guard checked it) into
-    its record."""
+    its record, in float64."""
     from ..robust.journal import TileRecord
 
     r0, c0 = origin
-    reason = "; ".join(result.repairs) if result.repairs else None
     conf0 = float(np.asarray(conf).reshape(-1)[0])
     box0 = np.asarray(box, dtype=np.float64).reshape(-1)
     detections: tuple = ()
@@ -573,7 +627,7 @@ def _tile_record(result, index: int, origin: tuple[int, int], conf, box,
         cx, cy, w, h = (float(v) for v in box0[:4])
         detections = ((r0 + cy * spec.window, c0 + cx * spec.window,
                        h * spec.window, w * spec.window, conf0),)
-    return TileRecord(index, origin, result.status, reason=reason,
+    return TileRecord(index, origin, status, reason=reason,
                       detections=detections)
 
 

@@ -548,6 +548,17 @@ class _WindowScan:
         head.execute()
 
 
+def _span_indices(span, n_origins: int) -> range | list[int]:
+    """The origin indices a :meth:`CompiledModel.predict_windows`
+    ``span`` runs: all of them for ``None``, ``range(start, stop)`` for
+    a ``(start, stop)`` tuple, else the sequence's own indices."""
+    if span is None:
+        return range(n_origins)
+    if isinstance(span, tuple):
+        return range(*span)
+    return [int(i) for i in span]
+
+
 def _crossing_confidence(logits: np.ndarray) -> np.ndarray:
     """Softmax probability of the crossing class, per row of logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -825,8 +836,7 @@ class CompiledModel:
         return _crossing_confidence(logits), box
 
     def predict_windows(self, image: np.ndarray, origins, window: int,
-                        batch_size: int = 20,
-                        span: tuple[int, int] | None = None):
+                        batch_size: int = 20, span=None):
         """:meth:`predict` over the ``window``-sized windows of one
         ``(C, H, W)`` raster at ``origins``, as a generator of
         ``(confidences, boxes)`` per micro-batch of ``batch_size``.
@@ -834,10 +844,13 @@ class CompiledModel:
         ``origins`` is the *whole* scan: its lattice and window count
         decide (:meth:`window_plan`) whether the leading unpadded conv
         steps run once per scene row chunk and each window only crops
-        their output, or every window runs the whole trunk.  ``span =
-        (start, stop)`` restricts execution to ``origins[start:stop]``
-        (a shard) without changing that decision or the chunk grid, so
-        a shard computes the bytes the whole scan computes.  Results
+        their output, or every window runs the whole trunk.  ``span``
+        restricts execution to some of them without changing that
+        decision or the chunk grid, so a part computes the bytes the
+        whole scan computes: a ``(start, stop)`` tuple runs
+        ``origins[start:stop]`` (a shard), any other sequence lists the
+        indices to run, in ascending order (a robust scan's tiles that
+        are not quarantined).  Results
         are bitwise those of :meth:`predict` over the gathered window
         stacks: every shared layer is unpadded, so a window's features
         are the same arithmetic on the same pixels; and, a head's rows
@@ -849,8 +862,7 @@ class CompiledModel:
         image = np.asarray(image)
         if image.ndim != 3:
             raise ValueError(f"expected a (C, H, W) raster, got {image.shape}")
-        start, stop = (0, len(origins)) if span is None else span
-        todo = origins[start:stop]
+        todo = [origins[i] for i in _span_indices(span, len(origins))]
         for r0, c0 in todo:
             if not (0 <= r0 <= image.shape[1] - window
                     and 0 <= c0 <= image.shape[2] - window):

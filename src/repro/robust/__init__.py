@@ -5,12 +5,13 @@ bands, sensor saturation, and truncated edges.  This package keeps the
 inference path standing on such inputs:
 
 * :mod:`~repro.robust.sanitize` — detect/repair/quarantine damaged
-  chips and scene rasters under a :class:`SanitizePolicy`;
+  chips under a :class:`SanitizePolicy`, repairing cell by cell, and
+  repair a whole scene raster once (:func:`sanitize_scene`);
 * :mod:`~repro.robust.journal` — append-only JSONL scan journal backing
   ``scan_scene``'s per-tile quarantine and crash-resume;
 * :mod:`~repro.robust.guard` — :class:`GuardedEngine`, the output
-  check every served batch and every robust scan tile runs through: a
-  faulty engine answer raises :class:`EngineError`.
+  check every served batch and every robust scan micro-batch runs
+  through: a faulty engine answer raises :class:`EngineError`.
 
 See ``docs/robustness.md``.
 """
@@ -28,6 +29,7 @@ from .sanitize import (
     ChipReport,
     SanitizePolicy,
     SanitizeResult,
+    SceneRepair,
     sanitize_chip,
     sanitize_scene,
     validate_chip,
@@ -41,6 +43,7 @@ __all__ = [
     "validate_chip",
     "sanitize_chip",
     "sanitize_scene",
+    "SceneRepair",
     "ScanJournal",
     "ScanJournalError",
     "TileRecord",

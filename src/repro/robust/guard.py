@@ -5,10 +5,12 @@ of the deployed path, and also the component with the most machinery
 to go wrong — packed weights, recycled arena slots, fused kernels.
 :class:`GuardedEngine` checks every answer it gives: confidences of
 shape ``(n,)`` and boxes of shape ``(n, 4)`` for the ``n`` chips the
-call actually consumed, every value finite.  A batch is either a stack
-(:meth:`GuardedEngine.predict_batch`) or *open*
+call actually consumed, every value finite.  A batch is a stack
+(:meth:`GuardedEngine.predict_batch`), *open*
 (:meth:`GuardedEngine.predict_stream`: chips pulled from an iterator
-while the batch runs, as the serving layer feeds it).
+while the batch runs, as the serving layer feeds it), or one
+micro-batch of a raster's windows (:meth:`GuardedEngine.predict_windows`,
+the robust scan's).
 
 An answer that fails the check raises :class:`EngineError`, which is
 :class:`~repro.retry.Permanent`: the same chips give the same bits, so
@@ -146,6 +148,24 @@ class GuardedEngine:
             lambda: self.compiled.predict(stack, batch_size=batch_size),
             lambda: len(stack))
         return conf, boxes, "engine"
+
+    def predict_windows(self, image: np.ndarray, origins, window: int,
+                        batch_size: int = 20, span=None):
+        """:meth:`repro.engine.CompiledModel.predict_windows` behind the
+        check: a generator of one checked ``(confidences, boxes)`` per
+        micro-batch of the windows of ``image`` at ``origins`` that
+        ``span`` names.  A micro-batch that faults raises, which ends the
+        generator: a caller that goes on starts another over the
+        indices left (same origins, so the same plan and the same
+        bytes)."""
+        from ..engine.compiled import _span_indices
+
+        n = len(_span_indices(span, len(origins)))
+        batches = self.compiled.predict_windows(
+            image, origins, window, batch_size=batch_size, span=span)
+        for at in range(0, n, batch_size):
+            yield self._checked(lambda: next(batches),
+                                lambda: min(batch_size, n - at))
 
     def predict_stream(self, chips, limit: int
                        ) -> tuple[np.ndarray, np.ndarray]:

@@ -11,12 +11,24 @@ before it reaches the model.
 
 :func:`validate_chip` inspects one (C, H, W) chip and returns a
 :class:`ChipReport` listing every issue found.  :func:`sanitize_chip`
-applies a :class:`SanitizePolicy`: repairable damage (band imputation
-from the surviving bands, hole infill, saturation clipping, edge
-padding) is fixed in a copy; damage beyond ``max_bad_fraction`` — or any
-damage under a no-repair policy — quarantines the chip instead.
-:func:`sanitize_scene` runs the same machinery over a whole (C, H, W)
-scene raster in one pass.
+applies a :class:`SanitizePolicy`: repairable damage is fixed in a copy;
+damage beyond ``max_bad_fraction``, damage no cell can repair from its
+own pixels, or any damage under a no-repair policy quarantines the chip
+instead.
+
+Repair is **cell-local**.  A chip is cut into cells of half its side,
+rounded up, on each axis (50 px on a 100 px chip), on a grid anchored at
+its origin, and every repair value is taken from one cell's pixels
+alone: a hole takes the median of its cell-band's good pixels, a band
+with no good pixel in the cell is imputed from the per-pixel mean of
+the cell's surviving bands, and saturation is clipped per pixel.  What
+a cell cannot repair quarantines the chip: a cell with no surviving band
+(a *dead* cell), and a band stuck at a constant.  So a repaired pixel's
+value does not depend on which chip it was cut into:
+:func:`sanitize_scene` repairs a whole scene once on the grid of a
+scan's window, and for every tile whose origin lies on that grid (and
+whose side is even) :func:`sanitize_chip` of the tile is bitwise the
+same-position crop of the repaired scene (:meth:`SceneRepair.tile`).
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ __all__ = [
     "validate_chip",
     "sanitize_chip",
     "sanitize_scene",
+    "SceneRepair",
 ]
 
 # Issue kinds, in the order validate_chip reports them.
@@ -42,6 +55,11 @@ NODATA_HOLE = "nodata_hole"
 MISSING_BAND = "missing_band"
 CONSTANT_BAND = "constant_band"
 SATURATED = "saturated"
+
+# What the repair did to a pixel: the bits of SceneRepair.done.
+FILLED = 1      # a hole, given its cell-band's median
+IMPUTED = 2     # a band with no good pixel in its cell, from the survivors
+CLIPPED = 4     # clipped into the valid range
 
 
 @dataclass(frozen=True)
@@ -55,8 +73,8 @@ class SanitizePolicy:
                        values; pixels outside are saturation (None
                        disables the check)
     expected_bands   : band count the model was trained on (None skips
-                       the check); fewer bands is unrepairable, an
-                       all-bad band is imputed
+                       the check); fewer bands is unrepairable, a
+                       band with no good pixel in a cell is imputed
     expected_shape   : (H, W) a chip must have; a *smaller* chip
                        (truncated tile) is repaired by edge replication,
                        anything else is rejected
@@ -280,6 +298,8 @@ def _repairable(issues: list[ChipIssue], bad: np.ndarray,
             return False  # physically absent band: nothing to impute from
         if issue.kind == WRONG_SHAPE and not truncated:
             return False  # bigger than expected: not a truncation
+        if issue.kind == CONSTANT_BAND:
+            return False  # a stuck band looks valid in every cell
     if band_bad.all():
         return False  # every band gone — no donor signal anywhere
     # Repair must interpolate from real signal, not invent most of a chip.
@@ -287,20 +307,98 @@ def _repairable(issues: list[ChipIssue], bad: np.ndarray,
     surviving = pixel_bad[~band_bad]
     if surviving.size and float(surviving.mean()) > policy.max_bad_fraction:
         return False
-    return True
+    if truncated:
+        # the cells the repair sees are those of the edge-padded chip
+        (eh, ew), (h, w) = policy.expected_shape, bad.shape[1:]
+        bad = np.pad(bad, ((0, 0), (0, eh - h), (0, ew - w)), mode="edge")
+    return not _dead_cells(bad, _cell_of(bad.shape)).any()
 
 
-def _infill_band(band: np.ndarray, bad: np.ndarray) -> None:
-    """Replace bad pixels with the band's finite median (in place).
+def repair_cell(side: int) -> int:
+    """The side of the repair cell of a ``side``-px chip: half of it,
+    rounded up."""
+    return -(-int(side) // 2)
 
-    Median over surviving pixels is deterministic, cheap, and robust to
-    the very outliers (saturation spikes) that co-occur with holes; a
-    neighborhood interpolation would read nicer but can chain-propagate
-    corrupted neighbors.
+
+def _cell_of(shape: tuple[int, ...]) -> tuple[int, int]:
+    """The repair cell of a (C, H, W) chip, on each axis."""
+    return repair_cell(shape[1]), repair_cell(shape[2])
+
+
+def _cells_any(mask: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
+    """Per cell of the ``cell`` grid anchored at (0, 0): does the (H, W)
+    ``mask`` hold anywhere in it."""
+    rows = np.logical_or.reduceat(mask, np.arange(0, mask.shape[0], cell[0]),
+                                  axis=0)
+    return np.logical_or.reduceat(rows, np.arange(0, mask.shape[1], cell[1]),
+                                  axis=1)
+
+
+def _dead_cells(bad: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
+    """The cells with no surviving band: no good pixel in any band."""
+    return ~_cells_any(~bad.all(axis=0), cell)
+
+
+def _repair_cells(raster: np.ndarray, cell: tuple[int, int],
+                  policy: SanitizePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Repair the float32 (C, H, W) ``raster`` in place, each cell of the
+    ``cell`` grid anchored at its origin from that cell's own pixels.
+
+    Returns ``(done, dead)``: what was done to each pixel (the bits
+    :data:`FILLED`, :data:`IMPUTED`, :data:`CLIPPED`) and the (H, W)
+    pixels of the dead cells, which are left as they came.  A hole takes
+    its cell-band's median over good pixels: deterministic, cheap, and
+    robust to the very outliers (saturation spikes) that co-occur with
+    holes, where a neighbourhood interpolation can chain-propagate
+    corrupted neighbours.  A band with no good pixel in the cell takes
+    the per-pixel mean of the cell's other bands once their holes are
+    filled, which keeps the spatial structure the classifier keys on.
     """
-    good = band[~bad]
-    fill = float(np.median(good)) if good.size else 0.0
-    band[bad] = fill
+    c, h, w = raster.shape
+    ch, cw = cell
+    bad = _bad_pixel_mask(raster, policy)
+    damage = bad.any(axis=0)
+    if policy.valid_range is not None:
+        lo, hi = policy.valid_range
+        damage |= ((raster < lo) | (raster > hi)).any(axis=0)
+    done = np.zeros(raster.shape, dtype=np.uint8)
+    dead = np.zeros((h, w), dtype=bool)
+    if not damage.any():
+        return done, dead
+    for i, j in zip(*np.nonzero(_cells_any(damage, cell))):
+        at = (slice(i * ch, (i + 1) * ch), slice(j * cw, (j + 1) * cw))
+        px, holes, flags = (a[(slice(None),) + at] for a in (raster, bad, done))
+        gone = holes.reshape(c, -1).all(axis=1)
+        if gone.all():
+            dead[at] = True
+            continue
+        for b in np.flatnonzero(holes.any(axis=(1, 2)) & ~gone):
+            px[b][holes[b]] = np.median(px[b][~holes[b]])
+            flags[b][holes[b]] = FILLED
+        if gone.any():
+            px[gone] = px[~gone].mean(axis=0)
+            flags[gone] = IMPUTED
+        if policy.valid_range is not None:
+            flags[(px < lo) | (px > hi)] |= CLIPPED
+            np.clip(px, lo, hi, out=px)
+    return done, dead
+
+
+def _describe(done: np.ndarray, policy: SanitizePolicy) -> list[str]:
+    """The repairs list of a chip, from what was done to its pixels."""
+    repairs = []
+    imputed = np.count_nonzero(done & IMPUTED, axis=(1, 2))
+    for b in np.flatnonzero(imputed):
+        repairs.append(f"imputed {imputed[b]} px of band {b} "
+                       "from the surviving bands")
+    filled = np.count_nonzero(done & FILLED)
+    if filled:
+        repairs.append(f"infilled {filled} hole px")
+    clipped = np.count_nonzero(done & CLIPPED)
+    if clipped:
+        lo, hi = policy.valid_range
+        repairs.append(f"clipped {clipped} saturated px into [{lo}, {hi}]")
+    return repairs
 
 
 def sanitize_chip(chip: np.ndarray,
@@ -308,7 +406,9 @@ def sanitize_chip(chip: np.ndarray,
     """Validate and, when the policy allows, repair one chip.
 
     The input array is never modified; a repaired chip is a float32
-    copy.  Quarantined results carry ``chip=None`` so a caller cannot
+    copy, repaired cell by cell (a truncated chip is first edge-padded to
+    ``policy.expected_shape``, and its cells are the padded chip's).
+    Quarantined results carry ``chip=None`` so a caller cannot
     accidentally run the model on known-bad data.
     """
     policy = policy if policy is not None else SanitizePolicy()
@@ -321,63 +421,90 @@ def sanitize_chip(chip: np.ndarray,
 
     repairs: list[str] = []
     fixed = chip.astype(np.float32, copy=True)
-
     if policy.expected_shape is not None \
             and fixed.shape[1:] != tuple(policy.expected_shape):
         eh, ew = policy.expected_shape
         pad_h, pad_w = eh - fixed.shape[1], ew - fixed.shape[2]
         fixed = np.pad(fixed, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
         repairs.append(f"padded truncated tile by ({pad_h}, {pad_w}) px")
-
-    bad = _bad_pixel_mask(fixed, policy)
-    band_bad = bad.reshape(len(fixed), -1).all(axis=1)
-    constant = [i.band for i in report.issues if i.kind == CONSTANT_BAND]
-    for b in constant:
-        band_bad[b] = True
-        bad[b] = True
-
-    # Dropped/constant bands: impute each from the per-pixel mean of the
-    # surviving bands (after their own holes are filled), preserving
-    # spatial structure the classifier keys on — a flat fill would not.
-    if band_bad.any():
-        donors = [b for b in range(len(fixed)) if not band_bad[b]]
-        for b in donors:
-            if bad[b].any():
-                _infill_band(fixed[b], bad[b])
-        donor_mean = fixed[donors].mean(axis=0)
-        for b in np.flatnonzero(band_bad):
-            fixed[b] = donor_mean
-            repairs.append(f"imputed band {b} from {len(donors)} surviving bands")
-        bad[:] = False
-    elif bad.any():
-        for b in range(len(fixed)):
-            if bad[b].any():
-                _infill_band(fixed[b], bad[b])
-        repairs.append(f"infilled {int(bad.sum())} hole px")
-
-    if policy.valid_range is not None:
-        lo, hi = policy.valid_range
-        n_sat = int(((fixed < lo) | (fixed > hi)).sum())
-        if n_sat:
-            np.clip(fixed, lo, hi, out=fixed)
-            repairs.append(f"clipped {n_sat} saturated px into [{lo}, {hi}]")
-
+    done, dead = _repair_cells(fixed, _cell_of(fixed.shape), policy)
+    if dead.any():
+        # only a float64 pixel past float32's range gets here
+        return SanitizeResult("quarantined", None, report)
+    repairs += _describe(done, policy)
     return SanitizeResult("repaired", fixed, report, tuple(repairs))
 
 
-def sanitize_scene(image: np.ndarray,
-                   policy: SanitizePolicy | None = None
-                   ) -> tuple[np.ndarray, SanitizeResult]:
-    """Sanitize a whole (C, H, W) scene raster in one pass.
+@dataclass(frozen=True)
+class SceneRepair:
+    """A (C, H, W) scene repaired once on a cell grid
+    (:func:`sanitize_scene`).
 
-    Returns the (possibly repaired) image and the full
-    :class:`SanitizeResult`.  A quarantined scene comes back *unrepaired*
-    but is still returned (callers scan scenes tile by tile and apply the
-    per-tile quarantine there; refusing the whole scene would throw away
-    its clean tiles).
+    image  : the repaired float32 raster: every cell that has a
+             surviving band repaired from its own pixels, the dead
+             cells as they came
+    source : the float32 scene as it came, which tiles are judged on
+    cell   : (rows, cols) of one cell; the grid is anchored at (0, 0)
+    done   : (C, H, W) uint8, what the repair did to each pixel
+             (:data:`FILLED` | :data:`IMPUTED` | :data:`CLIPPED`)
+    dead   : (H, W) bool, the pixels of cells with no surviving band
+    """
+
+    image: np.ndarray
+    source: np.ndarray
+    policy: SanitizePolicy
+    cell: tuple[int, int]
+    done: np.ndarray
+    dead: np.ndarray
+
+    def tile(self, r0: int, c0: int, size: int) -> SanitizeResult:
+        """The ``size``-px tile at ``(r0, c0)``: its verdict and report
+        are its own pixels' (:func:`validate_chip` on the scene as it
+        came), its chip is the repaired raster's crop, and a tile that
+        holds a dead cell is quarantined.  For a tile whose origin lies
+        on the grid and whose side is twice the cell, this is
+        :func:`sanitize_chip` of the tile, bit for bit; any other tile
+        (a scene-edge origin, a stride off the grid, an odd side) still
+        reads the crop, and its repairs name what was done to the
+        crop's pixels."""
+        at = (slice(r0, r0 + size), slice(c0, c0 + size))
+        whole = (slice(None),) + at
+        chip = self.image[whole]
+        report = validate_chip(self.source[whole], self.policy)
+        if report.ok:
+            return SanitizeResult("ok", chip, report)
+        if not report.repairable or self.dead[at].any():
+            return SanitizeResult("quarantined", None, report)
+        return SanitizeResult("repaired", chip, report,
+                              tuple(_describe(self.done[whole], self.policy)))
+
+
+def sanitize_scene(image: np.ndarray,
+                   policy: SanitizePolicy | None = None,
+                   window: int | None = None) -> SceneRepair:
+    """Repair a whole (C, H, W) scene raster once, on the cell grid of
+    ``window``-px chips (cells of ``ceil(window / 2)`` px anchored at the
+    scene origin; ``None`` takes the scene's own sides, so the scene is
+    repaired as one chip).
+
+    This is the raster a robust :func:`~repro.detect.scan_scene` runs
+    the model on: a tile's repaired pixels are a crop of it, so the scan
+    shares feature maps between overlapping tiles.  Nothing is refused
+    here — a dead cell stays as it came and
+    :meth:`SceneRepair.tile` quarantines every tile that holds it, so
+    the clean tiles of a damaged scene still scan.  A no-repair policy
+    leaves the raster untouched.
     """
     policy = policy if policy is not None else SanitizePolicy.for_scene()
-    result = sanitize_chip(image, policy)
-    if result.chip is None:
-        return np.asarray(image), result
-    return result.chip, result
+    source = np.asarray(image, dtype=np.float32)
+    if source.ndim != 3:
+        raise ValueError(f"expected a (C, H, W) scene, got shape {source.shape}")
+    cell = (_cell_of(source.shape) if window is None
+            else (repair_cell(window),) * 2)
+    raster = source.copy()
+    if policy.repair:
+        done, dead = _repair_cells(raster, cell, policy)
+    else:
+        done = np.zeros(raster.shape, dtype=np.uint8)
+        dead = np.zeros(raster.shape[1:], dtype=bool)
+    return SceneRepair(raster, source, policy, cell, done, dead)

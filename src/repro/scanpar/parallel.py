@@ -33,8 +33,11 @@ cores the BLAS threads already fill (or a scene too small to amortize a
 cold spawn) the scan runs inline.  An explicit count can still lose
 to the inline scan (ROADMAP item 6).
 
-Robust shards (``sanitize=``/``journal=``) journal per-shard JSONL files
-that ``scan_scene`` absorbs into the single main journal
+Robust shards (``sanitize=``/``journal=``) read the scene repaired once
+in the parent (:func:`repro.robust.sanitize_scene`: the raster in shared
+memory is the repaired one) with the parent's per-tile verdicts, and
+journal per-shard JSONL files that ``scan_scene`` absorbs into the
+single main journal
 (:meth:`~repro.robust.ScanJournal.absorb_shards`), so a scan killed
 mid-flight — parent or worker — resumes under any worker count without
 re-running finished tiles.
@@ -174,7 +177,7 @@ def run_shards(
     shards: list,
     spec,
     *,
-    policy=None,
+    verdicts: dict | None = None,
     skip: frozenset = frozenset(),
     journal=None,
     pool: WorkerPool | None = None,
@@ -184,11 +187,12 @@ def run_shards(
     payloads in shard order, carrying the dispatch's
     :class:`~repro.scanpar.pool.SupervisionReport` as ``.supervision``.
 
-    ``spec`` (a :class:`~repro.detect.ScanSpec`), ``policy`` and ``skip``
-    are everything a worker needs to call
-    :func:`repro.detect.scan.scan_span` on its span.  ``pool`` defaults
-    to the shared persistent pool.  A robust shard (``policy`` set)
-    journals to ``journal.shard_path(index)``; a batched one returns
+    ``spec`` (a :class:`~repro.detect.ScanSpec`), ``verdicts`` and
+    ``skip`` are everything a worker needs to call
+    :func:`repro.detect.scan.scan_span` on its span of ``image`` (for a
+    robust scan, the repaired raster).  ``pool`` defaults to the shared
+    persistent pool.  A robust shard (``verdicts`` set) journals to
+    ``journal.shard_path(index)``; a batched one returns
     through a float32 result slab (the engine's output dtype), copied
     back into its payload here so the caller's merge sees one payload
     form.
@@ -201,7 +205,7 @@ def run_shards(
     Recovery hands the same task to the next worker, so it is invisible
     to the merge.
     """
-    robust = policy is not None
+    robust = verdicts is not None
     if pool is None:
         pool = get_pool(len(shards))
     model_hash = pool.ensure_model(model)
@@ -222,7 +226,7 @@ def run_shards(
                 stride=spec.stride, batch_size=spec.batch_size,
                 confidence_threshold=spec.confidence_threshold,
                 result=slab.spec() if slab is not None else None,
-                policy=policy,
+                verdicts=verdicts,
                 journal_path=(str(journal.shard_path(shard.index))
                               if journal is not None else None),
                 skip=skip,

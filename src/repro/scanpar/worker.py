@@ -17,9 +17,10 @@ confidences, columns 1:5 the boxes — sized from the shard's origin
 count), so no ndarray is ever pickled back through the pipe; the reply
 is a small metadata dict.  A slab of any other dtype is refused, not
 cast into: the merge must stay byte-identical to the inline scan.
-Robust shards (``task.policy`` set) journal into a per-shard JSONL file
-the parent later absorbs; their per-tile records return through the
-pipe (small, not ndarrays).
+Robust shards (``task.verdicts`` set) read the repaired raster the parent
+shared, take each tile's verdict from the task, journal into a per-shard
+JSONL file the parent later absorbs, and return their per-tile records
+through the pipe (small, not ndarrays).
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class ShardTask:
     model_hash: str | None = None     # worker-side model cache key
     result: dict | None = None        # SharedArray.spec() of the (n, 5)
     #                                   result slab (batched shards)
-    policy: object | None = None          # SanitizePolicy: a robust shard
+    verdicts: dict | None = None          # a robust shard: {index:
+    #                                       (status, reason)} of the
+    #                                       scan's tiles that are not "ok"
     journal_path: str | None = None       # shard journal (robust only)
     skip: frozenset = field(default_factory=frozenset)  # resumed indices
 
@@ -60,28 +63,23 @@ class ShardTask:
 
 
 def _warm_engine(model, image_shape: tuple[int, ...], spec,
-                 n_origins: int, origins, robust: bool) -> float:
-    """Pre-build the engine programs a span of ``n_origins`` origins
-    will execute; returns the warmup milliseconds (compile paid once
-    per worker process — and, with a persistent pool, once per model
-    *lifetime*, because warmup of an already-cached program costs
-    nothing).  A batched span runs what ``predict_windows`` runs over
-    the raster for the whole scan's ``origins`` — the shared prefix and
+                 n_origins: int, origins) -> float:
+    """Pre-build the engine programs a span that runs ``n_origins``
+    origins will execute; returns the warmup milliseconds (compile paid
+    once per worker process — and, with a persistent pool, once per
+    model *lifetime*, because warmup of an already-cached program costs
+    nothing).  Both stages run what ``predict_windows`` runs over the
+    raster for the whole scan's ``origins`` — the shared prefix and
     per-window suffix when the scan shares feature maps, the window's
     one-sample trunk when the scene edge leaves windows off the shared
     grid (``warmup_windows`` binds it with the plan, so no shard's first
     edge window binds inside its timed scan) — and a head per
-    micro-batch size (full batches and the span's ragged last one); a
-    robust span stacks whatever of a group the sanitizer passes, so it
-    warms the window shape's trunk and a head for every group size up
-    to ``batch_size`` (one per whole 4-row block)."""
+    micro-batch size (full batches and the span's ragged last one; a
+    robust span counts the tiles it runs, not the quarantined ones)."""
     from ..engine import compiled_for
 
     model.eval()
     compiled = compiled_for(model)
-    if robust:
-        return compiled.warmup(range(1, min(spec.batch_size, n_origins) + 1),
-                               (image_shape[0], spec.window, spec.window))
     sizes = {size for size in (min(spec.batch_size, n_origins),
                                n_origins % spec.batch_size) if size}
     return compiled.warmup_windows(image_shape, spec.window, origins,
@@ -108,11 +106,14 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
             f"call pool.ensure_model() before pool.run()"
         )
     origins = spec.origins(task.scene_size)
-    robust = task.policy is not None
+    robust = task.verdicts is not None
+    runs = range(task.start, task.stop)
+    if robust:
+        runs = [i for i in runs if i not in task.skip and task.verdicts.get(
+            i, ("ok",))[0] != "quarantined"]
     with attach_array(task.shm) as shared:
         image = shared.array
-        warmup_ms = _warm_engine(model, image.shape, spec,
-                                 task.stop - task.start, origins, robust)
+        warmup_ms = _warm_engine(model, image.shape, spec, len(runs), origins)
         journal = None
         if task.journal_path is not None:
             from ..robust.journal import ScanJournal
@@ -120,7 +121,8 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
             journal = ScanJournal(task.journal_path)
             journal.start(spec.journal_header(task.scene_size, image.shape[0]))
         payload = scan_span(model, image, origins, (task.start, task.stop), spec,
-                            policy=task.policy, skip=task.skip, journal=journal)
+                            verdicts=task.verdicts, skip=task.skip,
+                            journal=journal)
         payload.update(shard=task.shard_index, warmup_ms=warmup_ms,
                        model_cached=True)
         if robust:

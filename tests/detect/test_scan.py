@@ -192,11 +192,13 @@ class TestScanSpec:
         header = ScanSpec(window=64, stride=32, confidence_threshold=0.3,
                           nms_radius=5.0, batch_size=4).journal_header(200, 4)
         assert list(header) == ["scene_size", "bands", "window", "stride",
-                                "confidence_threshold", "backend", "blas"]
+                                "confidence_threshold", "backend",
+                                "repair_cell", "blas"]
         assert header["blas"] == {k: v for k, v in blas_info().items()
                                   if k != "why"}
         assert (header["window"], header["stride"],
                 header["confidence_threshold"]) == (64, 32, 0.3)
+        assert ScanSpec(window=65).journal_header(200, 4)["repair_cell"] == 33
 
 
 class TestScanScene:

@@ -12,6 +12,8 @@ on every run:
   wrapper whose compiled program, reached through
   ``repro.engine.compiled_for``'s ``engine_program()`` hook, runs behind
   an in-process fault countdown and a script of worker-process faults.
+* :func:`window_batches`, the window stacks of the micro-batches a
+  ``predict_windows`` call runs: what a script at that seam keys on.
 * :func:`tear_trailing_line`, the torn-JSONL crash artifact the durable
   log's repair path recovers from.
 
@@ -131,8 +133,9 @@ class FatalOn:
 
 #: what a faulting call of the countdown does
 KINDS = ("raise", "nan", "shape")
-#: the program methods the countdown can count
-COUNTED = ("predict", "predict_stream", "warmup")
+#: the program methods the countdown can count (``predict_windows``
+#: counts each micro-batch it yields, the robust scan's seam)
+COUNTED = ("predict", "predict_stream", "predict_windows", "warmup")
 #: what a scripted worker fault does
 WORKER_KINDS = ("error", "hang", "kill", "slow")
 
@@ -314,7 +317,7 @@ class _Program:
     def predict_windows(self, *args, **kwargs):
         for batch in self.compiled.predict_windows(*args, **kwargs):
             self.double._worker_fault()
-            yield batch
+            yield self.double._counted("predict_windows", lambda: batch)
 
     def predict(self, images, batch_size: int = 20):
         self.double._worker_fault()
@@ -332,6 +335,22 @@ class _Program:
 
     def __getattr__(self, name: str):
         return getattr(self.compiled, name)
+
+
+def window_batches(image, origins, window: int, batch_size: int = 20,
+                   span=None):
+    """The ``(n, C, window, window)`` window stack of each micro-batch
+    ``predict_windows(image, origins, window, batch_size, span)`` runs,
+    in order: a fault script patched over that seam (the robust scan's
+    micro-batches) keys on these, as one over ``predict_batch`` keys on
+    its stack."""
+    from repro.engine.compiled import _span_indices
+
+    todo = list(_span_indices(span, len(origins)))
+    for at in range(0, len(todo), batch_size):
+        yield np.stack([image[:, r:r + window, c:c + window]
+                        for r, c in (origins[i] for i in
+                                     todo[at:at + batch_size])])
 
 
 def tear_trailing_line(path: str | Path, keep_fraction: float = 0.5) -> int:

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.detect import scan_origins
 from repro.faults import (
     NODATA,
+    Corruption,
     DropBand,
     NaNPepper,
     NodataHoles,
     SaturateStripe,
     TruncateTile,
+    corrupt_scene,
+    default_injectors,
 )
 from repro.robust import (
     ChipReport,
@@ -152,6 +156,28 @@ class TestQuarantine:
         result = sanitize_chip(np.full((4, 24, 24), np.nan, dtype=np.float32))
         assert result.status == "quarantined"
 
+    def test_stuck_band_quarantined_not_imputed(self):
+        """A constant band looks valid in every cell, so no cell can
+        repair it: the chip is quarantined and the report says why."""
+        bad = chip()
+        bad[1] = 0.5
+        result = sanitize_chip(bad, SanitizePolicy.for_scene())
+        assert result.status == "quarantined"
+        assert kinds(result.report) == {"constant_band"}
+
+    def test_a_dead_cell_quarantines_the_chip(self):
+        """A cell with no good pixel in any band has nothing to repair
+        from, though the rest of the chip is clean."""
+        bad = chip()
+        bad[:, 12:, :12] = np.nan          # one of the four 12 px cells
+        result = sanitize_chip(bad, SanitizePolicy(max_bad_fraction=0.9))
+        assert result.status == "quarantined"
+        assert not result.report.repairable
+        bad[3, 23, 0] = 0.5                # one surviving pixel revives it
+        result = sanitize_chip(bad, SanitizePolicy(max_bad_fraction=0.9))
+        assert result.status == "repaired"
+        assert np.all(result.chip[:3, 12:, :12] == result.chip[3, 12:, :12])
+
     def test_report_summary_names_the_damage(self):
         result = sanitize_chip(DropBand(band=0, seed=0)(chip()),
                                SanitizePolicy.quarantine_only())
@@ -177,15 +203,113 @@ class TestSanitizeScene:
     def test_scene_raster_repaired_in_one_pass(self):
         image = chip(seed=3, shape=(4, 64, 64))
         bad = NaNPepper(rate=0.02, seed=1)(image)
-        fixed, result = sanitize_scene(bad)
-        assert result.status == "repaired"
-        assert np.isfinite(fixed).all()
+        repaired = sanitize_scene(bad)
+        assert repaired.cell == (32, 32) and not repaired.dead.any()
+        assert np.isfinite(repaired.image).all()
+        assert repaired.tile(0, 0, 64).status == "repaired"
+        assert np.isnan(bad).any()      # the scene is never modified
 
     def test_unrepairable_scene_returned_unrepaired(self):
         image = np.full((4, 32, 32), np.nan, dtype=np.float32)
-        fixed, result = sanitize_scene(image)
-        assert result.status == "quarantined"
-        assert np.isnan(fixed).all()  # caller quarantines per tile instead
+        repaired = sanitize_scene(image)
+        assert repaired.dead.all()
+        assert np.isnan(repaired.image).all()  # its tiles are quarantined
+        assert repaired.tile(0, 0, 16).status == "quarantined"
+
+
+class StuckBand(Corruption):
+    """One band of the tile stuck at a constant, in range and finite."""
+
+    def _apply(self, image, rng):
+        image[int(rng.integers(0, len(image)))] = 0.5
+        return image
+
+
+class DeadCell(Corruption):
+    """Every band of one of the tile's four repair cells gone."""
+
+    def _apply(self, image, rng):
+        _, h, w = image.shape
+        ch, cw = -(-h // 2), -(-w // 2)
+        r, c = int(rng.integers(0, 2)) * ch, int(rng.integers(0, 2)) * cw
+        image[:, r:r + ch, c:c + cw] = np.nan
+        return image
+
+
+def same_result(got, want):
+    """``SceneRepair.tile`` against ``sanitize_chip`` of the crop: status,
+    report and repairs equal, and the chip bitwise."""
+    assert (got.status, got.report, got.repairs) \
+        == (want.status, want.report, want.repairs)
+    if want.chip is None:
+        assert got.chip is None
+    else:
+        assert got.chip.dtype == np.float32
+        assert got.chip.tobytes() == np.asarray(want.chip, np.float32).tobytes()
+
+
+class TestOneRepairedRaster:
+    """The invariant the robust scan stands on: a tile's repair is a crop
+    of the scene repaired once on the ``ceil(window / 2)`` grid."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(side=st.sampled_from((14, 15, 20, 21)), extra=st.integers(1, 3),
+           fraction=st.sampled_from((0.3, 1.0)), seed=st.integers(0, 2**16))
+    def test_every_on_grid_tile_is_a_crop_of_the_scene_repair(
+            self, side, extra, fraction, seed):
+        cell = -(-side // 2)
+        size = side + extra * cell
+        origins = scan_origins(size, side, cell)
+        clean = np.random.default_rng(seed).random((4, size, size),
+                                                   dtype=np.float32)
+        injectors = default_injectors(seed) + [StuckBand(seed),
+                                               DeadCell(seed)]
+        image, _ = corrupt_scene(clean, origins, side, fraction=fraction,
+                                 injectors=injectors, seed=seed)
+        policy = SanitizePolicy.for_scene()
+        repaired = sanitize_scene(image, policy, window=side)
+        assert repaired.cell == (cell, cell)
+        for r, c in origins:
+            got = repaired.tile(r, c, side)
+            want = sanitize_chip(image[:, r:r + side, c:c + side], policy)
+            # an odd side's second cell is one pixel short of the
+            # raster's, except where the scene ends one pixel short too
+            if side % 2 == 0 or r == c == size - side:
+                same_result(got, want)
+            else:
+                assert (got.status == "ok") == (want.status == "ok")
+
+    @pytest.mark.parametrize("size, stride, on_grid", [(577, 50, 100),
+                                                       (600, 48, 4)])
+    def test_off_grid_tiles_read_the_repaired_rasters_crop(self, size,
+                                                           stride, on_grid):
+        """A scene-edge origin (477 on a 577 px scene) or a stride off the
+        50 px grid: the tile's verdict is still its own pixels', but its
+        chip is the repaired raster's crop, not its own repair."""
+        window = 100
+        origins = scan_origins(size, window, stride)
+        clean = np.random.default_rng(5).random((4, size, size),
+                                                dtype=np.float32)
+        image, _ = corrupt_scene(clean, origins, window, fraction=0.1, seed=5)
+        policy = SanitizePolicy.for_scene()
+        repaired = sanitize_scene(image, policy, window=window)
+        on, moved = 0, 0
+        for r, c in origins:
+            got = repaired.tile(r, c, window)
+            want = sanitize_chip(image[:, r:r + window, c:c + window], policy)
+            if r % 50 == 0 and c % 50 == 0:
+                same_result(got, want)
+                on += 1
+                continue
+            assert got.report == want.report
+            if got.chip is not None:
+                assert np.shares_memory(got.chip, repaired.image)
+                assert np.array_equal(
+                    got.chip, repaired.image[:, r:r + window, c:c + window])
+                moved += got.status == want.status == "repaired" and \
+                    not np.array_equal(got.chip, want.chip)
+        assert on == on_grid
+        assert moved > 0    # the crop's repair is not the tile's own
 
 
 class TestCleanFastPath:

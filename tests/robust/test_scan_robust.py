@@ -26,7 +26,13 @@ from repro.robust import (
     TileRecord,
     sanitize_chip,
 )
-from tests.faults import FatalOn, InjectedFault, PoisonedInput, tear_trailing_line
+from tests.faults import (
+    FatalOn,
+    InjectedFault,
+    PoisonedInput,
+    tear_trailing_line,
+    window_batches,
+)
 
 WINDOW = 64
 STRIDE = 64
@@ -47,6 +53,32 @@ def corrupted(scene, fraction=0.25, seed=7):
     image, applied = corrupt_scene(scene.image, origins, WINDOW,
                                    fraction=fraction, seed=seed)
     return replace(scene, image=image), applied
+
+
+def above_guard(monkeypatch, hook):
+    """Call ``hook(stack)`` before every engine call of the robust stage,
+    above the guard (its faults are not the engine's): the window stack
+    of each micro-batch (``GuardedEngine.predict_windows``) and the
+    stack of each tile re-run alone (``GuardedEngine.predict_batch``)."""
+    windows, batch = GuardedEngine.predict_windows, GuardedEngine.predict_batch
+
+    def predict_windows(guard, image, origins, window, batch_size=20,
+                        span=None):
+        answers = windows(guard, image, origins, window, batch_size, span)
+        for stack in window_batches(image, origins, window, batch_size, span):
+            hook(stack)
+            yield next(answers)
+
+    def predict_batch(guard, stack, batch_size=None):
+        hook(stack)
+        return batch(guard, stack, batch_size)
+
+    monkeypatch.setattr(GuardedEngine, "predict_windows", predict_windows)
+    monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+
+
+def boom(*args, **kwargs):
+    raise AssertionError("the model ran")
 
 
 def det(r, c, conf):
@@ -117,20 +149,18 @@ class TestRobustScan:
 
     def test_model_crash_is_contained_to_the_tile(self, scene, model,
                                                   monkeypatch):
-        """A guarded engine call that blows up on a stack holding a
+        """A guarded engine call that blows up on a micro-batch holding a
         poisoned tile fails the micro-batch, whose tiles re-run alone:
         the poisoned ones are quarantined and the scan still
         completes."""
-        poisoned = FatalOn(GuardedEngine.predict_batch, poisoned={True},
-                           key=lambda guard, stack, *_: bool(np.any(
+        poisoned = FatalOn(lambda stack: None, poisoned={True},
+                           key=lambda stack: bool(np.any(
                                stack[:, :, :8, :8] > 0.999)))
         # poison whichever tiles have a near-1 corner pixel; force some
         bad_image = scene.image.copy()
         bad_image[:, 64:72, 64:72] = 0.9999
         bad_scene = replace(scene, image=bad_image)
-        monkeypatch.setattr(GuardedEngine, "predict_batch",
-                            lambda guard, stack, batch_size=None:
-                            poisoned(guard, stack, batch_size))
+        above_guard(monkeypatch, poisoned)
         result = scan_scene(model, bad_scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
                             sanitize=SanitizePolicy.for_scene())
@@ -148,15 +178,27 @@ class TestRobustScan:
         r, c = scan_origins(scene.size, WINDOW, STRIDE)[2]
         tile = np.asarray(scene.image[:, r:r + WINDOW, c:c + WINDOW],
                           dtype=np.float32)
-        real = CompiledModel.predict
+        real, real_windows = CompiledModel.predict, CompiledModel.predict_windows
+
+        def nan_rows(stack, conf):
+            conf = conf.copy()
+            conf[[np.array_equal(chip, tile) for chip in stack]] = np.nan
+            return conf
 
         def nan_for_tile_2(compiled, stack, batch_size=20):
             conf, boxes = real(compiled, stack, batch_size=batch_size)
-            conf = conf.copy()
-            conf[[np.array_equal(chip, tile) for chip in stack]] = np.nan
-            return conf, boxes
+            return nan_rows(stack, conf), boxes
+
+        def nan_windows(compiled, image, origins, window, batch_size=20,
+                        span=None):
+            answers = real_windows(compiled, image, origins, window,
+                                   batch_size=batch_size, span=span)
+            for stack, (conf, boxes) in zip(window_batches(
+                    image, origins, window, batch_size, span), answers):
+                yield nan_rows(stack, conf), boxes
 
         monkeypatch.setattr(CompiledModel, "predict", nan_for_tile_2)
+        monkeypatch.setattr(CompiledModel, "predict_windows", nan_windows)
         path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
@@ -221,6 +263,19 @@ class TestRobustScan:
             scan_scene(model, scene, **kwargs)
         assert not path.exists()
 
+    def test_an_expected_shape_other_than_the_window_is_refused(
+            self, scene, model, tmp_path):
+        """A truncated tile is padded out to ``expected_shape``, which no
+        crop of the one repaired raster can be: refused before the
+        journal is created."""
+        path = tmp_path / "scan.jsonl"
+        with pytest.raises(ValueError, match="expected_shape"):
+            scan_scene(model, scene, window=WINDOW, stride=STRIDE,
+                       sanitize=SanitizePolicy.for_scene(
+                           expected_shape=(WINDOW + 8, WINDOW + 8)),
+                       journal=path)
+        assert not path.exists()
+
     def test_coverage_flows_into_scores(self, scene, model):
         bad_scene, _ = corrupted(scene)
         result = scan_scene(model, bad_scene, window=WINDOW, stride=STRIDE,
@@ -270,11 +325,7 @@ class TestJournalResume:
                                                       tmp_path, monkeypatch):
         path = tmp_path / "scan.jsonl"
         self.scan(model, scene, path)
-
-        def boom(*a, **kw):
-            raise AssertionError("model must not run on a complete journal")
-
-        monkeypatch.setattr(GuardedEngine, "predict_batch", boom)
+        above_guard(monkeypatch, boom)    # not on a complete journal
         resumed = self.scan(model, scene, path, resume=True)
         assert resumed.coverage.tiles_resumed == resumed.coverage.tiles_total
 
@@ -301,26 +352,27 @@ class TestJournalResume:
         with pytest.raises(ScanJournalError, match="backend"):
             self.scan(model, scene, path, resume=True)
 
-    def test_a_parent_format_header_resumes(self, scene, model, tmp_path):
-        """The header keeps its keys and their order, so a journal an
-        earlier release wrote (this literal line, with this machine's
-        BLAS) resumes to the uninterrupted scan."""
+    def test_a_parent_format_header_is_refused(self, scene, model, tmp_path):
+        """A journal written before repair became cell-local (this
+        literal header, with this machine's BLAS) holds repaired records
+        of another semantics: a resume refuses it, naming the key, rather
+        than mixing the two."""
         from repro.blas import blas_info
 
         blas = json.dumps({k: v for k, v in blas_info().items() if k != "why"})
-        header = ('{"kind": "scan_header", "scene_size": 192, "bands": 4, '
+        parent = ('{"kind": "scan_header", "scene_size": 192, "bands": 4, '
                   '"window": 64, "stride": 64, "confidence_threshold": 0.6, '
                   '"backend": "engine", "blas": ' + blas + '}')
         full_path = tmp_path / "full.jsonl"
-        full = self.scan(model, scene, full_path)
+        self.scan(model, scene, full_path)
         lines = full_path.read_text().splitlines()
-        assert lines[0] == header
+        assert lines[0] == parent.replace(
+            '"backend": "engine", ', '"backend": "engine", "repair_cell": 32, ')
         path = tmp_path / "parent.jsonl"
-        path.write_text("\n".join([header, *lines[1:4]]) + "\n")
-        resumed = self.scan(model, scene, path, resume=True)
-        assert list(resumed) == list(full)
-        assert resumed.coverage.tiles_resumed == 3
-        assert path.read_text().splitlines() == lines
+        path.write_text("\n".join([parent, *lines[1:4]]) + "\n")
+        with pytest.raises(ScanJournalError, match="repair_cell"):
+            self.scan(model, scene, path, resume=True)
+        assert path.read_text().splitlines() == [parent, *lines[1:4]]
 
     def test_torn_final_line_is_dropped(self, scene, model, tmp_path):
         path = tmp_path / "scan.jsonl"
@@ -371,13 +423,11 @@ class TestJournalFaults:
 
         poison = key_tile[0, 0, 0].tobytes()
         poisoned = FatalOn(
-            GuardedEngine.predict_batch, poisoned={True},
-            key=lambda guard, stack, *_: any(
+            lambda stack: None, poisoned={True},
+            key=lambda stack: any(
                 chip[0, 0, 0].tobytes() == poison for chip in stack),
         )
-        monkeypatch.setattr(GuardedEngine, "predict_batch",
-                            lambda guard, stack, batch_size=None:
-                            poisoned(guard, stack, batch_size))
+        above_guard(monkeypatch, poisoned)
         path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                             confidence_threshold=0.6,
@@ -390,10 +440,8 @@ class TestJournalFaults:
         assert all("PoisonedInput" in (rec.reason or "")
                    for rec in quarantined)
 
-        def boom(*a, **kw):
-            raise AssertionError("a journaled quarantine is not retried")
-
-        monkeypatch.setattr(GuardedEngine, "predict_batch", boom)
+        monkeypatch.undo()
+        above_guard(monkeypatch, boom)  # a journaled quarantine is not retried
         resumed = scan_scene(model, scene, window=WINDOW, stride=STRIDE,
                              confidence_threshold=0.6,
                              sanitize=SanitizePolicy.for_scene(),
@@ -414,15 +462,14 @@ class TestJournalFaults:
 
         r, c = scan_origins(scene.size, WINDOW, STRIDE)[5]
         poison = scene.image[:, r:r + WINDOW, c:c + WINDOW][0, 0, 0].tobytes()
-        real, stacks = GuardedEngine.predict_batch, []
+        stacks = []
 
-        def predict_batch(guard, stack, batch_size=None):
+        def poisoned(stack):
             stacks.append(len(stack))
             if any(chip[0, 0, 0].tobytes() == poison for chip in stack):
                 raise PoisonedInput("poisoned tile")
-            return real(guard, stack, batch_size)
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        above_guard(monkeypatch, poisoned)
         path = tmp_path / "scan.jsonl"
         result = scan_scene(model, scene, journal=path, **kw)
         # tiles 0-3, then 4-7 failing and re-run alone, then tile 8
@@ -448,21 +495,19 @@ class TestJournalFaults:
 
         r, c = scan_origins(scene.size, WINDOW, STRIDE)[5]
         poison = scene.image[:, r:r + WINDOW, c:c + WINDOW][0, 0, 0].tobytes()
-        real = GuardedEngine.predict_batch
 
-        def predict_batch(guard, stack, batch_size=None):
+        def flaky(stack):
             if any(chip[0, 0, 0].tobytes() == poison for chip in stack):
                 raise InjectedFault("transient")
-            return real(guard, stack, batch_size)
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        above_guard(monkeypatch, flaky)
         path = tmp_path / "scan.jsonl"
         with pytest.raises(InjectedFault, match="transient"):
             scan_scene(model, scene, journal=path, **kw)
         _, records = ScanJournal(path).load()
         assert [rec.index for rec in records] == [0, 1, 2, 3]
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", real)
+        monkeypatch.undo()
         resumed = scan_scene(model, scene, journal=path, resume=True, **kw)
         assert resumed.coverage.tiles_quarantined == 0
         assert path.read_text() == clean.read_text()
@@ -483,14 +528,12 @@ class TestGroupCommit:
         import repro.detect.scan as scan_mod
 
         clock = SimpleNamespace(now=0.0, calls=0)
-        real = GuardedEngine.predict_batch
 
-        def predict_batch(*args, **kwargs):
+        def tick(stack):
             clock.now += 1.0
             clock.calls += 1
-            return real(*args, **kwargs)
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        above_guard(monkeypatch, tick)
         monkeypatch.setattr(scan_mod, "time",
                             SimpleNamespace(monotonic=lambda: clock.now))
         return clock
@@ -517,15 +560,14 @@ class TestGroupCommit:
     def test_a_crash_out_of_the_loop_flushes_the_buffer(
             self, scene, model, tmp_path, monkeypatch):
         """A crash mid-scan loses the micro-batch in flight only."""
-        real, calls = GuardedEngine.predict_batch, []
+        calls = []
 
-        def predict_batch(*args, **kwargs):
+        def interrupt(stack):
             calls.append(1)
             if len(calls) == 2:
                 raise KeyboardInterrupt     # not the tile's to contain
-            return real(*args, **kwargs)
 
-        monkeypatch.setattr(GuardedEngine, "predict_batch", predict_batch)
+        above_guard(monkeypatch, interrupt)
         path = tmp_path / "scan.jsonl"
         with pytest.raises(KeyboardInterrupt):
             scan_scene(model, scene, journal=path, **self.KW)
@@ -584,19 +626,20 @@ class TestGroupCommit:
         assert [rec.index for rec in records] == list(range(121))
 
 
-def per_tile_reference(model, scene, stride, threshold, path, meta):
-    """The robust scan as the parent commit ran it, composed from public
-    calls: every tile alone through ``sanitize_chip ->
+def per_tile_reference(model, scene, stride, threshold, path, meta,
+                       window=WINDOW):
+    """The robust scan composed from public calls, tile by tile: every
+    tile alone through ``sanitize_chip ->
     GuardedEngine.predict_batch(chip[None]) -> decode ->
     ScanJournal.append``, then NMS."""
-    origins = scan_origins(scene.size, WINDOW, stride)
+    origins = scan_origins(scene.size, window, stride)
     policy = SanitizePolicy.for_scene()
     guarded = GuardedEngine(model)
     journal = ScanJournal(path)
     journal.start(meta)
     records = []
     for index, (r0, c0) in enumerate(origins):
-        tile = np.asarray(scene.image[:, r0:r0 + WINDOW, c0:c0 + WINDOW],
+        tile = np.asarray(scene.image[:, r0:r0 + window, c0:c0 + window],
                           dtype=np.float32)
         result = sanitize_chip(tile, policy)
         if result.status == "quarantined":
@@ -609,8 +652,8 @@ def per_tile_reference(model, scene, stride, threshold, path, meta):
                 box, dtype=np.float64).reshape(-1)[:4])
             found = ()
             if conf0 >= threshold:
-                found = ((r0 + cy * WINDOW, c0 + cx * WINDOW,
-                          h * WINDOW, w * WINDOW, conf0),)
+                found = ((r0 + cy * window, c0 + cx * window,
+                          h * window, w * window, conf0),)
             record = TileRecord(index, (r0, c0), result.status,
                                 detections=found,
                                 reason="; ".join(result.repairs) or None)
@@ -672,3 +715,40 @@ class TestScanIsThePerTileReference:
                                              tiles_resumed=cut)
             assert sorted(part.read_text().splitlines(True)) \
                 == sorted(lines)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_the_deployed_geometry_equals_the_per_tile_reference(
+            self, watershed, model, tmp_path, seed):
+        """100 px windows at stride 50: every tile's origin is on the
+        50 px repair grid, so the scan over the one repaired raster is
+        the tile-by-tile composition, bit for bit, and a pooled scan is
+        the inline one.  At threshold 0 every scanned tile journals its
+        row, so a repaired pixel that differs shows in the bytes."""
+        scene = watershed(400)
+        origins = scan_origins(scene.size, 100, 50)
+        image, applied = corrupt_scene(scene.image, origins, 100,
+                                       fraction=0.1, seed=seed)
+        assert applied
+        bad_scene = replace(scene, image=image)
+        kw = dict(window=100, stride=50, confidence_threshold=0.0,
+                  batch_size=8, sanitize=SanitizePolicy.for_scene())
+        path = tmp_path / "scan.jsonl"
+        result = scan_scene(model, bad_scene, journal=path, **kw)
+        cov = result.coverage
+        assert 0 < cov.tiles_repaired < cov.tiles_scanned
+
+        meta, _ = ScanJournal(path).load()
+        ref_path = tmp_path / "reference.jsonl"
+        ref, ref_coverage = per_tile_reference(
+            model, bad_scene, 50, 0.0, ref_path, meta, window=100)
+        assert list(result) == ref and cov == ref_coverage
+        assert len(ref) > 0
+        assert path.read_bytes() == ref_path.read_bytes()
+
+        pooled_path = tmp_path / "pooled.jsonl"
+        pooled = scan_scene(model, bad_scene, journal=pooled_path,
+                            n_workers=2, **kw)
+        assert pooled.supervision.shards_total == 2
+        assert list(pooled) == ref and pooled.coverage == ref_coverage
+        assert sorted(pooled_path.read_text().splitlines()) \
+            == sorted(path.read_text().splitlines())

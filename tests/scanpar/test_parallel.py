@@ -131,8 +131,7 @@ class TestEdgeWindows:
         spec = replace(SPEC, batch_size=20)
         origins = spec.origins(ragged.size)
         # the second of two shards: 61 origins, the edge row among them
-        _warm_engine(deployed, ragged.image.shape, spec, 61, origins,
-                     robust=False)
+        _warm_engine(deployed, ragged.image.shape, spec, 61, origins)
         compiled = compiled_for(deployed)
         assert compiled.window_plan(ragged.image.shape, WINDOW,
                                     origins).edge_windows == 21
@@ -182,15 +181,13 @@ class TestShardSpec:
         ("batch_size", True), ("confidence_threshold", float("nan"))])
     def test_an_invalid_task_is_refused_before_any_work(self, tmp_path,
                                                         field, value):
-        from repro.robust import SanitizePolicy
-
         journal = tmp_path / "scan.jsonl.shard000"
         wire = dict(window=SPEC.window, stride=SPEC.stride,
                     batch_size=SPEC.batch_size,
                     confidence_threshold=SPEC.confidence_threshold)
         task = ShardTask(shard_index=0, start=0, stop=4, shm={},
                          scene_size=SCENE_SIZE, model_hash="m",
-                         policy=SanitizePolicy.for_scene(),
+                         verdicts={},
                          journal_path=str(journal), **{**wire, field: value})
         with pytest.raises(ValueError, match=field):
             run_shard(task, {})

@@ -129,7 +129,8 @@ class TestJournal:
     def test_a_header_without_blas_is_refused(self, small_detector, scene,
                                               tmp_path):
         """A journal written before the header named its BLAS: the six
-        keys of the old header, and one tile."""
+        keys of the old header, and one tile.  It also predates the
+        repair grid's key, which the refusal names first."""
         path = tmp_path / "scan.jsonl"
         path.write_text(
             '{"kind": "scan_header", "scene_size": 200, "bands": 4, '
@@ -139,8 +140,9 @@ class TestJournal:
             '"status": "ok", "reason": null, "detections": []}\n')
         before = path.read_bytes()
         with pytest.raises(ScanJournalError,
-                           match=r"written by a different run \(blas: file "
-                                 r"None, this run \{'library'"):
+                           match=r"written by a different run \(repair_cell: "
+                                 r"file None, this run 50, blas: file None, "
+                                 r"this run \{'library'"):
             scan_scene(small_detector, scene, journal=path, resume=True,
                        **self.KW)
         assert path.read_bytes() == before
