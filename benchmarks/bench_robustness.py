@@ -8,7 +8,13 @@ the engine's answers):
    (NaN pepper, nodata holes, dropped bands, saturation, truncation)
    must scan to completion with zero uncaught exceptions, report tile
    coverage >= 0.95, and land its F1 within a fixed margin of the
-   clean-scene scan.  This is the CI gate.
+   clean-scene scan.  This is the CI gate.  The F1 of an untrained
+   detector reads the same on both scenes, so a second check holds
+   without a trained model: scanned at threshold 0 with overlapping
+   windows, every tile the corrupted scan marks ``ok`` journals the
+   clean scan's line byte for byte.  Its pixels are the clean scene's,
+   so a repaired neighbour may not reach its answer through the feature
+   maps the two share.
 2. **Interrupted scan resume** — a journalled scan truncated after k
    tiles and resumed must reproduce the uninterrupted run byte for byte:
    identical detections, identical journal file.
@@ -119,6 +125,39 @@ def run_scan_scenario(scene_size: int = 320, fraction: float = 0.2) -> dict:
         "corrupt_f1": corrupt_f1,
         "f1_delta": abs(clean_f1 - corrupt_f1),
         "scan_wall_clock_s": elapsed,
+    }
+
+
+def run_ok_tiles_scenario(scene_size: int = 320,
+                          fraction: float = 0.2) -> dict:
+    """The clean and the corrupted scene, each scanned with ``sanitize=``
+    and a journal at threshold 0 (every scanned tile journals its row)
+    with windows overlapping by half: the journal lines of the tiles the
+    corrupted scan marks ``ok``, against the clean scan's."""
+    model = SPPNetDetector(ARCH, seed=0)
+    stride = WINDOW // 2
+    scene, bad_scene, _ = make_scenes(scene_size, fraction, stride=stride)
+
+    def lines(scene, path):
+        scan_scene(model, scene, window=WINDOW, stride=stride,
+                   confidence_threshold=0.0,
+                   sanitize=SanitizePolicy.for_scene(), journal=path)
+        return {json.loads(line)["index"]: line
+                for line in path.read_text().splitlines()[1:]}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = lines(scene, Path(tmp) / "clean.jsonl")
+        corrupt = lines(bad_scene, Path(tmp) / "corrupt.jsonl")
+    status = {i: json.loads(line)["status"] for i, line in corrupt.items()}
+    ok = [i for i, s in status.items() if s == "ok"]
+    return {
+        "stride": stride,
+        "tiles_total": len(corrupt),
+        "tiles_ok": len(ok),
+        "tiles_repaired": list(status.values()).count("repaired"),
+        "ok_lines_differing": sum(corrupt[i] != clean[i] for i in ok),
+        "ok_tiles_equal_clean": bool(ok) and all(
+            corrupt[i] == clean[i] for i in ok),
     }
 
 
@@ -250,6 +289,8 @@ def run_benchmark(scene_size: int = 320, fraction: float = 0.2) -> dict:
     return {
         "benchmark": "robustness",
         "scan": run_scan_scenario(scene_size=scene_size, fraction=fraction),
+        "ok_tiles": run_ok_tiles_scenario(scene_size=scene_size,
+                                          fraction=fraction),
         "resume": run_resume_scenario(),
         "engine_fault": run_engine_fault_scenario(),
         # what check_regression.py keeps in the baseline: absolute
@@ -274,6 +315,8 @@ def payload_checks(payload: dict) -> list:
         check("scan_tile_coverage", scan["tile_coverage"],
               ">=", COVERAGE_FLOOR),
         check("scan_f1_delta_vs_clean", scan["f1_delta"], "<=", F1_MARGIN),
+        check("scan_ok_tiles_equal_clean",
+              payload["ok_tiles"]["ok_tiles_equal_clean"], "bool"),
         check("resume_detections_identical",
               resume["detections_identical"], "bool"),
         check("resume_journal_byte_identical",
@@ -300,6 +343,14 @@ def test_corrupted_scene_scan_gate():
     assert payload["tiles_corrupted"] > 0
     assert payload["tile_coverage"] >= COVERAGE_FLOOR
     assert payload["f1_delta"] <= F1_MARGIN
+
+
+def test_ok_tiles_journal_the_clean_scans_lines():
+    """Acceptance: with overlapping windows at threshold 0, every tile the
+    corrupted scan leaves ``ok`` journals the clean scan's line."""
+    payload = run_ok_tiles_scenario(scene_size=320, fraction=0.2)
+    assert payload["tiles_repaired"] > 0
+    assert payload["ok_tiles_equal_clean"]
 
 
 def test_interrupted_scan_resumes_byte_identically():
@@ -343,6 +394,12 @@ def main() -> None:
           f"({cov['tiles_repaired']} repaired, "
           f"{cov['tiles_quarantined']} quarantined); "
           f"F1 {scan['corrupt_f1']:.3f} vs clean {scan['clean_f1']:.3f}")
+    ok_tiles = payload["ok_tiles"]
+    print(f"ok tiles : {ok_tiles['tiles_ok']} of {ok_tiles['tiles_total']} "
+          f"tiles ok at stride {ok_tiles['stride']} "
+          f"({ok_tiles['tiles_repaired']} repaired); "
+          f"{ok_tiles['ok_lines_differing']} journal lines differ from the "
+          f"clean scan's")
     print(f"resume   : interrupted after {resume['interrupted_after_tiles']}"
           f"/{resume['tiles_total']} tiles; "
           f"detections identical={resume['detections_identical']}, "

@@ -325,6 +325,8 @@ def scan_scene(
       :func:`~repro.robust.sanitize_chip` of its own pixels; any other
       tile (a scene-edge origin such as 477 on a 577 px scene, a stride
       off the grid, an odd window) reads the repaired raster's crop.
+      A tile of whole cells takes its verdict from the damage
+      statistics ``sanitize_scene`` kept for its cells, not its pixels.
       Without them tiles run in micro-batches of ``batch_size``.
     * ``n_workers``: 1 runs the scan in this process; more (or
       ``"auto"``, which picks from CPU affinity and scene size and may
@@ -388,7 +390,8 @@ def scan_scene(
             else:
                 jr.start(header)
 
-        # the scene repaired once; pooled scans ship this raster
+        # the scene repaired and its cells' damage counted once; pooled
+        # scans ship this raster
         repair = sanitize_scene(image, policy, window=spec.window)
         image = repair.image
         verdicts = {}

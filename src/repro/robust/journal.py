@@ -16,7 +16,7 @@ different scans' detections.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..durable import Log
@@ -49,7 +49,10 @@ class TileRecord:
         default=())
 
     def to_json(self) -> dict:
-        return {"kind": _TILE_KIND, **asdict(self)}
+        # built field by field: ``asdict`` deep-copies every detection
+        return {"kind": _TILE_KIND, "index": self.index,
+                "origin": self.origin, "status": self.status,
+                "reason": self.reason, "detections": self.detections}
 
     @staticmethod
     def from_json(payload: dict) -> "TileRecord":

@@ -29,13 +29,27 @@ value does not depend on which chip it was cut into:
 scan's window, and for every tile whose origin lies on that grid (and
 whose side is even) :func:`sanitize_chip` of the tile is bitwise the
 same-position crop of the repaired scene (:meth:`SceneRepair.tile`).
+
+The verdict is cell-local too.  A report is a pooling of per-cell
+damage statistics (per-band counts and good-pixel extrema, summed,
+min'd and max'd), and one function turns them into a
+:class:`ChipReport`: :func:`validate_chip` pools a chip's own cells,
+and :func:`sanitize_scene` keeps the statistics of every cell of the
+scene, so a tile of two by two whole cells is judged without reading a
+pixel.  Only a tile off the grid (a scene-edge origin, a stride that is
+not a multiple of the cell, an odd side) is inspected on its own
+pixels, which is why a scan inspects each scene pixel once, not once
+per tile that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SanitizePolicy",
@@ -168,14 +182,6 @@ class SanitizeResult:
     repairs: tuple[str, ...] = field(default=())
 
 
-def _bad_pixel_mask(chip: np.ndarray, policy: SanitizePolicy) -> np.ndarray:
-    """Boolean (C, H, W) mask of pixels that carry no usable signal."""
-    bad = ~np.isfinite(chip)
-    if policy.nodata_value is not None:
-        bad |= chip == policy.nodata_value
-    return bad
-
-
 def _is_clean(chip: np.ndarray, policy: SanitizePolicy) -> bool:
     """True only when :func:`validate_chip`'s full inspection would find
     nothing: two reductions per band instead of a float64 copy, a mask
@@ -222,13 +228,176 @@ def validate_chip(chip: np.ndarray,
 
 
 def _inspect_chip(chip: np.ndarray, policy: SanitizePolicy) -> ChipReport:
-    """The general path of :func:`validate_chip`: every issue, counted."""
-    issues: list[ChipIssue] = []
-    c, h, w = chip.shape
-    pixels_per_band = h * w
-    total = chip.size
+    """The general path of :func:`validate_chip`: the damage statistics of
+    the chip's own repair cells, pooled into its report (:func:`_report`,
+    the rules a tile of whole scene cells is judged by too)."""
+    stats = _pool(_cell_stats(chip, _cell_of(chip.shape), policy))
+    pad = _padding(chip.shape, policy)
+    if pad is not None and chip.size:
+        # the cells the repair sees are those of the edge-padded chip
+        padded = np.pad(chip, ((0, 0), (0, pad[0]), (0, pad[1])), mode="edge")
+        stats = stats._replace(
+            dead=_pool(_cell_stats(padded, _cell_of(padded.shape), policy)).dead)
+    return _report(stats, chip.shape, policy)
 
-    truncated = False
+
+class _Damage(NamedTuple):
+    """Damage statistics of a block of pixels: counts, and the extrema of
+    its good (finite, not nodata) pixels.
+
+    :func:`_cell_stats` holds one entry per cell of a repair grid (every
+    array then ends in the grid's two axes); :func:`_pool` pools the
+    cells of a chip by sums, min and max.  Counts are integers and the
+    extrema are pixel values, so a pooled entry is exactly the one of
+    the pooled pixels."""
+
+    nonfinite: np.ndarray   # per band: NaN/Inf pixels
+    nodata: np.ndarray      # per band: finite pixels equal to nodata_value
+    lo: np.ndarray          # per band: least good pixel (+inf if none)
+    hi: np.ndarray          # per band: greatest good pixel (-inf if none)
+    saturated: np.ndarray   # good pixels outside valid_range, all bands
+    dead: np.ndarray        # cells with no surviving band
+    imputed: np.ndarray     # per band: pixels the repair imputed
+    filled: np.ndarray      # pixels the repair infilled
+    clipped: np.ndarray     # pixels the repair clipped
+
+
+# how each statistic pools over cells, and its value over none
+_POOL = _Damage(*[(np.add, 0)] * 2, (np.minimum, np.inf),
+                (np.maximum, -np.inf), *[(np.add, 0)] * 5)
+
+
+def _pool(stats: _Damage, block: tuple[int, int] | None = None) -> _Damage:
+    """``stats`` pooled over every ``block`` (rows, cols) of cells:
+    ``[..., i, j]`` of the result is the block whose first cell is
+    ``(i, j)``.  ``None`` pools all the cells into one entry."""
+    if block is None:
+        return _Damage(*(op.reduce(s, axis=(-2, -1), initial=first)
+                         for s, (op, first) in zip(stats, _POOL)))
+    return _Damage(*(op.reduce(sliding_window_view(s, block, axis=(-2, -1)),
+                               axis=(-2, -1))
+                     for s, (op, _) in zip(stats, _POOL)))
+
+
+def _cell_stats(px: np.ndarray, cell: tuple[int, int], policy: SanitizePolicy,
+                done: np.ndarray | None = None) -> _Damage:
+    """The damage entry of every cell of the ``cell`` grid anchored at the
+    origin of the (C, H, W) ``px``.
+
+    One pass of per-band extrema decides which cells are clean: ``min``
+    and ``max`` propagate NaN, so finite extrema that are in range and
+    do not bracket the nodata value mean a cell without damage, whose
+    entry is zeros plus those extrema (the way :func:`_is_clean` judges
+    a chip).  Only the other cells are masked and counted
+    (:func:`_mend_cell`); given the ``done`` flags of ``px``, they are
+    also repaired in place.
+    """
+    c, h, w = px.shape
+    starts = [np.arange(0, n, max(k, 1)) for n, k in zip((h, w), cell)]
+    grid = (c, len(starts[0]), len(starts[1]))
+    if px.size:
+        # along the contiguous axis first: a fifth of the other order's time
+        lo, hi = (op.reduceat(op.reduceat(px, starts[1], axis=2),
+                              starts[0], axis=1)
+                  for op in (np.minimum, np.maximum))
+    else:
+        lo = hi = np.empty(grid)
+    flagged = ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0)
+    if policy.valid_range is not None:
+        flagged |= ((lo < policy.valid_range[0])
+                    | (hi > policy.valid_range[1])).any(axis=0)
+    if policy.nodata_value is not None:
+        flagged |= ((lo <= policy.nodata_value)
+                    & (hi >= policy.nodata_value)).any(axis=0)
+    bands, cells = grid, grid[1:]
+    stats = _Damage(
+        nonfinite=np.zeros(bands, np.int64), nodata=np.zeros(bands, np.int64),
+        lo=lo.astype(np.float64), hi=hi.astype(np.float64),
+        saturated=np.zeros(cells, np.int64), dead=np.zeros(cells, np.int64),
+        imputed=np.zeros(bands, np.int64), filled=np.zeros(cells, np.int64),
+        clipped=np.zeros(cells, np.int64))
+    ch, cw = cell
+    for i, j in zip(*np.nonzero(flagged)):
+        at = (slice(None), slice(i * ch, (i + 1) * ch),
+              slice(j * cw, (j + 1) * cw))
+        entry = _mend_cell(px[at], policy, None if done is None else done[at])
+        for stat, value in zip(stats, entry):
+            stat[..., i, j] = value
+    return stats
+
+
+def _mend_cell(px: np.ndarray, policy: SanitizePolicy,
+               done: np.ndarray | None = None) -> _Damage:
+    """The damage entry of one cell's (C, h, w) pixels and, given their
+    ``done`` flags, the cell repaired in place from its own pixels.
+
+    A hole takes its band's median over the cell's good pixels:
+    deterministic, cheap, and robust to the very outliers (saturation
+    spikes) that co-occur with holes, where a neighbourhood interpolation
+    can chain-propagate corrupted neighbours.  A band with no good pixel
+    in the cell takes the per-pixel mean of the cell's other bands once
+    their holes are filled, which keeps the spatial structure the
+    classifier keys on.  Saturation is clipped per pixel.  A cell with
+    no surviving band is *dead* and stays as it came.
+    """
+    nonfinite = ~np.isfinite(px)
+    nodata = np.zeros_like(nonfinite)
+    if policy.nodata_value is not None:
+        nodata = (px == policy.nodata_value) & ~nonfinite
+    holes = nonfinite | nodata
+    n_nonfinite = np.count_nonzero(nonfinite, axis=(1, 2))
+    n_nodata = np.count_nonzero(nodata, axis=(1, 2))
+    n_holes = n_nonfinite + n_nodata
+    saturated = 0
+    if policy.valid_range is not None:
+        lo, hi = policy.valid_range
+        saturated = np.count_nonzero(~holes & ((px < lo) | (px > hi)))
+    good_lo = np.where(holes, np.inf, px).min(axis=(1, 2))
+    good_hi = np.where(holes, -np.inf, px).max(axis=(1, 2))
+    gone = n_holes == px[0].size          # bands with no good pixel
+    imputed, filled, clipped = np.zeros(len(px), dtype=np.int64), 0, 0
+    if done is not None and not gone.all() and (n_holes.any() or saturated):
+        for b in np.flatnonzero((n_holes > 0) & ~gone):
+            px[b][holes[b]] = np.median(px[b][~holes[b]])
+            done[b][holes[b]] = FILLED
+        filled = int(n_holes[~gone].sum())
+        if gone.any():
+            px[gone] = px[~gone].mean(axis=0)
+            done[gone] = IMPUTED
+            imputed[gone] = px[0].size
+        if policy.valid_range is not None:
+            outside = (px < lo) | (px > hi)
+            done[outside] |= CLIPPED
+            clipped = np.count_nonzero(outside)
+            np.clip(px, lo, hi, out=px)
+    return _Damage(n_nonfinite, n_nodata, good_lo, good_hi, saturated,
+                   int(gone.all()), imputed, filled, clipped)
+
+
+def _padding(shape: tuple[int, ...],
+             policy: SanitizePolicy) -> tuple[int, int] | None:
+    """The (rows, cols) of edge padding that brings a truncated (C, H, W)
+    chip to ``policy.expected_shape``; None for a chip that is not
+    truncated."""
+    if policy.expected_shape is None:
+        return None
+    (eh, ew), (h, w) = policy.expected_shape, shape[1:]
+    if (h, w) == (eh, ew) or h > eh or w > ew:
+        return None
+    return eh - h, ew - w
+
+
+def _report(stats: _Damage, shape: tuple[int, ...],
+            policy: SanitizePolicy) -> ChipReport:
+    """The report of a (C, H, W) chip from the damage statistics of its
+    repair cells, pooled (:func:`_pool`): every issue, counted, and
+    whether the policy can repair them all."""
+    issues: list[ChipIssue] = []
+    c, h, w = shape
+    pixels_per_band = h * w
+    total = c * pixels_per_band
+
+    truncated = _padding(shape, policy) is not None
     if policy.expected_bands is not None and c != policy.expected_bands:
         issues.append(ChipIssue(MISSING_BAND, count=pixels_per_band
                                 * abs(policy.expected_bands - c),
@@ -236,59 +405,43 @@ def _inspect_chip(chip: np.ndarray, policy: SanitizePolicy) -> ChipReport:
     if policy.expected_shape is not None and (h, w) != tuple(policy.expected_shape):
         eh, ew = policy.expected_shape
         missing = eh * ew - h * w
-        truncated = h <= eh and w <= ew
         issues.append(ChipIssue(WRONG_SHAPE, count=max(missing, 0) * c,
                                 fraction=max(missing, 0) / (eh * ew)))
 
-    nonfinite = ~np.isfinite(chip)
-    nodata = np.zeros_like(nonfinite)
-    if policy.nodata_value is not None:
-        nodata = chip == policy.nodata_value
-    bad = nonfinite | nodata
-
     # Band-level damage first: a band that is entirely bad (or constant)
     # is one dropped band, not H*W individual pixel holes.
-    band_bad = bad.reshape(c, -1).all(axis=1)
+    bad = stats.nonfinite + stats.nodata
+    band_bad = bad == pixels_per_band
     for b in np.flatnonzero(band_bad):
         issues.append(ChipIssue(MISSING_BAND, band=int(b),
                                 count=pixels_per_band, fraction=1.0 / c))
-    finite = np.where(bad, np.nan, chip.astype(np.float64, copy=False))
-    for b in range(c):
-        if band_bad[b]:
-            continue
-        vals = finite[b][~bad[b]]
-        if vals.size and float(vals.min()) == float(vals.max()):
-            issues.append(ChipIssue(CONSTANT_BAND, band=int(b),
-                                    count=pixels_per_band, fraction=1.0 / c))
+    for b in np.flatnonzero(~band_bad & (stats.lo == stats.hi)):
+        issues.append(ChipIssue(CONSTANT_BAND, band=int(b),
+                                count=pixels_per_band, fraction=1.0 / c))
 
     # Pixel-level damage, excluding fully-bad bands already reported.
-    pixel_bad = bad & ~band_bad[:, None, None]
-    n_nonfinite = int((nonfinite & pixel_bad).sum())
+    kept = ~band_bad
+    n_nonfinite = int(stats.nonfinite[kept].sum())
     if n_nonfinite:
         issues.append(ChipIssue(NON_FINITE, count=n_nonfinite,
                                 fraction=n_nonfinite / total))
-    n_nodata = int((nodata & ~nonfinite & pixel_bad).sum())
+    n_nodata = int(stats.nodata[kept].sum())
     if n_nodata:
         issues.append(ChipIssue(NODATA_HOLE, count=n_nodata,
                                 fraction=n_nodata / total))
+    n_sat = int(stats.saturated)
+    if n_sat:
+        issues.append(ChipIssue(SATURATED, count=n_sat,
+                                fraction=n_sat / total))
 
-    if policy.valid_range is not None:
-        lo, hi = policy.valid_range
-        saturated = (~bad) & ((chip < lo) | (chip > hi))
-        n_sat = int(saturated.sum())
-        if n_sat:
-            issues.append(ChipIssue(SATURATED, count=n_sat,
-                                    fraction=n_sat / total))
-
-    bad_fraction = float(bad.mean()) if total else 1.0
-    repairable = _repairable(issues, bad, band_bad, truncated, policy)
-    return ChipReport(ok=not issues, repairable=repairable,
-                      issues=tuple(issues), bad_fraction=bad_fraction)
+    bad_fraction = int(bad.sum()) / total if total else 1.0
+    return ChipReport(ok=not issues, repairable=_repairable(
+        issues, stats, pixels_per_band, truncated, policy),
+        issues=tuple(issues), bad_fraction=bad_fraction)
 
 
-def _repairable(issues: list[ChipIssue], bad: np.ndarray,
-                band_bad: np.ndarray, truncated: bool,
-                policy: SanitizePolicy) -> bool:
+def _repairable(issues: list[ChipIssue], stats: _Damage, pixels_per_band: int,
+                truncated: bool, policy: SanitizePolicy) -> bool:
     if not issues:
         return True
     if not policy.repair:
@@ -300,18 +453,15 @@ def _repairable(issues: list[ChipIssue], bad: np.ndarray,
             return False  # bigger than expected: not a truncation
         if issue.kind == CONSTANT_BAND:
             return False  # a stuck band looks valid in every cell
-    if band_bad.all():
+    bad = stats.nonfinite + stats.nodata
+    kept = bad < pixels_per_band
+    if not kept.any():
         return False  # every band gone — no donor signal anywhere
     # Repair must interpolate from real signal, not invent most of a chip.
-    pixel_bad = bad & ~band_bad[:, None, None]
-    surviving = pixel_bad[~band_bad]
-    if surviving.size and float(surviving.mean()) > policy.max_bad_fraction:
+    if int(bad[kept].sum()) / (int(kept.sum()) * pixels_per_band) \
+            > policy.max_bad_fraction:
         return False
-    if truncated:
-        # the cells the repair sees are those of the edge-padded chip
-        (eh, ew), (h, w) = policy.expected_shape, bad.shape[1:]
-        bad = np.pad(bad, ((0, 0), (0, eh - h), (0, ew - w)), mode="edge")
-    return not _dead_cells(bad, _cell_of(bad.shape)).any()
+    return not stats.dead   # a cell with no surviving band
 
 
 def repair_cell(side: int) -> int:
@@ -325,76 +475,16 @@ def _cell_of(shape: tuple[int, ...]) -> tuple[int, int]:
     return repair_cell(shape[1]), repair_cell(shape[2])
 
 
-def _cells_any(mask: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
-    """Per cell of the ``cell`` grid anchored at (0, 0): does the (H, W)
-    ``mask`` hold anywhere in it."""
-    rows = np.logical_or.reduceat(mask, np.arange(0, mask.shape[0], cell[0]),
-                                  axis=0)
-    return np.logical_or.reduceat(rows, np.arange(0, mask.shape[1], cell[1]),
-                                  axis=1)
-
-
-def _dead_cells(bad: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
-    """The cells with no surviving band: no good pixel in any band."""
-    return ~_cells_any(~bad.all(axis=0), cell)
-
-
-def _repair_cells(raster: np.ndarray, cell: tuple[int, int],
-                  policy: SanitizePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Repair the float32 (C, H, W) ``raster`` in place, each cell of the
-    ``cell`` grid anchored at its origin from that cell's own pixels.
-
-    Returns ``(done, dead)``: what was done to each pixel (the bits
-    :data:`FILLED`, :data:`IMPUTED`, :data:`CLIPPED`) and the (H, W)
-    pixels of the dead cells, which are left as they came.  A hole takes
-    its cell-band's median over good pixels: deterministic, cheap, and
-    robust to the very outliers (saturation spikes) that co-occur with
-    holes, where a neighbourhood interpolation can chain-propagate
-    corrupted neighbours.  A band with no good pixel in the cell takes
-    the per-pixel mean of the cell's other bands once their holes are
-    filled, which keeps the spatial structure the classifier keys on.
-    """
-    c, h, w = raster.shape
-    ch, cw = cell
-    bad = _bad_pixel_mask(raster, policy)
-    damage = bad.any(axis=0)
-    if policy.valid_range is not None:
-        lo, hi = policy.valid_range
-        damage |= ((raster < lo) | (raster > hi)).any(axis=0)
-    done = np.zeros(raster.shape, dtype=np.uint8)
-    dead = np.zeros((h, w), dtype=bool)
-    if not damage.any():
-        return done, dead
-    for i, j in zip(*np.nonzero(_cells_any(damage, cell))):
-        at = (slice(i * ch, (i + 1) * ch), slice(j * cw, (j + 1) * cw))
-        px, holes, flags = (a[(slice(None),) + at] for a in (raster, bad, done))
-        gone = holes.reshape(c, -1).all(axis=1)
-        if gone.all():
-            dead[at] = True
-            continue
-        for b in np.flatnonzero(holes.any(axis=(1, 2)) & ~gone):
-            px[b][holes[b]] = np.median(px[b][~holes[b]])
-            flags[b][holes[b]] = FILLED
-        if gone.any():
-            px[gone] = px[~gone].mean(axis=0)
-            flags[gone] = IMPUTED
-        if policy.valid_range is not None:
-            flags[(px < lo) | (px > hi)] |= CLIPPED
-            np.clip(px, lo, hi, out=px)
-    return done, dead
-
-
-def _describe(done: np.ndarray, policy: SanitizePolicy) -> list[str]:
-    """The repairs list of a chip, from what was done to its pixels."""
+def _describe(imputed: np.ndarray, filled: int, clipped: int,
+              policy: SanitizePolicy) -> list[str]:
+    """The repairs list of a chip, from the pixels the repair imputed
+    (per band), infilled and clipped."""
     repairs = []
-    imputed = np.count_nonzero(done & IMPUTED, axis=(1, 2))
     for b in np.flatnonzero(imputed):
         repairs.append(f"imputed {imputed[b]} px of band {b} "
                        "from the surviving bands")
-    filled = np.count_nonzero(done & FILLED)
     if filled:
         repairs.append(f"infilled {filled} hole px")
-    clipped = np.count_nonzero(done & CLIPPED)
     if clipped:
         lo, hi = policy.valid_range
         repairs.append(f"clipped {clipped} saturated px into [{lo}, {hi}]")
@@ -421,24 +511,23 @@ def sanitize_chip(chip: np.ndarray,
 
     repairs: list[str] = []
     fixed = chip.astype(np.float32, copy=True)
-    if policy.expected_shape is not None \
-            and fixed.shape[1:] != tuple(policy.expected_shape):
-        eh, ew = policy.expected_shape
-        pad_h, pad_w = eh - fixed.shape[1], ew - fixed.shape[2]
-        fixed = np.pad(fixed, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-        repairs.append(f"padded truncated tile by ({pad_h}, {pad_w}) px")
-    done, dead = _repair_cells(fixed, _cell_of(fixed.shape), policy)
-    if dead.any():
+    pad = _padding(fixed.shape, policy)
+    if pad is not None:
+        fixed = np.pad(fixed, ((0, 0), (0, pad[0]), (0, pad[1])), mode="edge")
+        repairs.append(f"padded truncated tile by ({pad[0]}, {pad[1]}) px")
+    done = np.zeros(fixed.shape, dtype=np.uint8)
+    stats = _pool(_cell_stats(fixed, _cell_of(fixed.shape), policy, done))
+    if stats.dead:
         # only a float64 pixel past float32's range gets here
         return SanitizeResult("quarantined", None, report)
-    repairs += _describe(done, policy)
+    repairs += _describe(stats.imputed, stats.filled, stats.clipped, policy)
     return SanitizeResult("repaired", fixed, report, tuple(repairs))
 
 
 @dataclass(frozen=True)
 class SceneRepair:
     """A (C, H, W) scene repaired once on a cell grid
-    (:func:`sanitize_scene`).
+    (:func:`sanitize_scene`), with the damage statistics of every cell.
 
     image  : the repaired float32 raster: every cell that has a
              surviving band repaired from its own pixels, the dead
@@ -448,6 +537,8 @@ class SceneRepair:
     done   : (C, H, W) uint8, what the repair did to each pixel
              (:data:`FILLED` | :data:`IMPUTED` | :data:`CLIPPED`)
     dead   : (H, W) bool, the pixels of cells with no surviving band
+    cells  : the damage statistics of each cell of the grid, taken from
+             ``source`` and the repair
     """
 
     image: np.ndarray
@@ -456,27 +547,53 @@ class SceneRepair:
     cell: tuple[int, int]
     done: np.ndarray
     dead: np.ndarray
+    cells: _Damage = field(repr=False)
+
+    @cached_property
+    def _pairs(self) -> _Damage:
+        """The statistics of every block of 2 x 2 cells."""
+        return _pool(self.cells, (2, 2))
 
     def tile(self, r0: int, c0: int, size: int) -> SanitizeResult:
         """The ``size``-px tile at ``(r0, c0)``: its verdict and report
         are its own pixels' (:func:`validate_chip` on the scene as it
         came), its chip is the repaired raster's crop, and a tile that
-        holds a dead cell is quarantined.  For a tile whose origin lies
-        on the grid and whose side is twice the cell, this is
-        :func:`sanitize_chip` of the tile, bit for bit; any other tile
-        (a scene-edge origin, a stride off the grid, an odd side) still
-        reads the crop, and its repairs name what was done to the
-        crop's pixels."""
+        holds a dead cell is quarantined.
+
+        A tile of whole cells (an origin on the grid, a side of two
+        cells) reads none of its pixels: its report, dead-cell check and
+        repairs pool the statistics of its four cells, by the rules
+        :func:`validate_chip` applies to a chip's own cells, and the
+        result is :func:`sanitize_chip` of the tile, bit for bit.  Any
+        other tile (a scene-edge origin, a stride off the grid, an odd
+        side) is inspected on its own pixels, still reads the crop, and
+        its repairs name what was done to the crop's pixels."""
         at = (slice(r0, r0 + size), slice(c0, c0 + size))
         whole = (slice(None),) + at
         chip = self.image[whole]
-        report = validate_chip(self.source[whole], self.policy)
+        (ch, cw), (c, h, w) = self.cell, self.source.shape
+        if (size == 2 * ch == 2 * cw and r0 % ch == c0 % cw == 0
+                and 0 <= r0 <= h - size and 0 <= c0 <= w - size
+                and (self.policy.expected_shape is None
+                     or tuple(self.policy.expected_shape) == (size, size))):
+            stats = _Damage(*(s[..., r0 // ch, c0 // cw] for s in self._pairs))
+            report = _report(stats, (c, size, size), self.policy)
+        else:
+            stats = None
+            report = validate_chip(self.source[whole], self.policy)
         if report.ok:
             return SanitizeResult("ok", chip, report)
         if not report.repairable or self.dead[at].any():
             return SanitizeResult("quarantined", None, report)
-        return SanitizeResult("repaired", chip, report,
-                              tuple(_describe(self.done[whole], self.policy)))
+        if stats is None:
+            done = self.done[whole]
+            repairs = _describe(np.count_nonzero(done & IMPUTED, axis=(1, 2)),
+                                np.count_nonzero(done & FILLED),
+                                np.count_nonzero(done & CLIPPED), self.policy)
+        else:
+            repairs = _describe(stats.imputed, stats.filled, stats.clipped,
+                                self.policy)
+        return SanitizeResult("repaired", chip, report, tuple(repairs))
 
 
 def sanitize_scene(image: np.ndarray,
@@ -485,7 +602,11 @@ def sanitize_scene(image: np.ndarray,
     """Repair a whole (C, H, W) scene raster once, on the cell grid of
     ``window``-px chips (cells of ``ceil(window / 2)`` px anchored at the
     scene origin; ``None`` takes the scene's own sides, so the scene is
-    repaired as one chip).
+    repaired as one chip), and keep every cell's damage statistics.
+
+    One pass of per-band extrema finds the cells without damage; only
+    the others are masked, counted and repaired, so the scene's pixels
+    are inspected once, not once per tile that holds them.
 
     This is the raster a robust :func:`~repro.detect.scan_scene` runs
     the model on: a tile's repaired pixels are a crop of it, so the scan
@@ -502,9 +623,8 @@ def sanitize_scene(image: np.ndarray,
     cell = (_cell_of(source.shape) if window is None
             else (repair_cell(window),) * 2)
     raster = source.copy()
-    if policy.repair:
-        done, dead = _repair_cells(raster, cell, policy)
-    else:
-        done = np.zeros(raster.shape, dtype=np.uint8)
-        dead = np.zeros(raster.shape[1:], dtype=bool)
-    return SceneRepair(raster, source, policy, cell, done, dead)
+    done = np.zeros(raster.shape, dtype=np.uint8)
+    cells = _cell_stats(raster, cell, policy, done if policy.repair else None)
+    dead = np.repeat(np.repeat(cells.dead > 0, cell[0], axis=0),
+                     cell[1], axis=1)[:raster.shape[1], :raster.shape[2]]
+    return SceneRepair(raster, source, policy, cell, done, dead, cells)

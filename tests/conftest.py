@@ -12,7 +12,9 @@ with, so a leak fails the run.
 """
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.blas import BlasError, blas_info, set_blas_threads
 from repro.detect import SPPNetDetector, scan_origins
 from repro.engine import compiled_for
 from repro.geo import WatershedConfig, build_scene
+from repro.robust import sanitize
 from repro.scanpar import TileSource
 
 
@@ -115,6 +118,30 @@ def table1():
     yield models
     assert not models.changed(), \
         f"a test changed the parameters of {models.changed()}"
+
+
+@pytest.fixture(scope="session")
+def pixel_reads():
+    """``with pixel_reads() as reads:`` collects, by the address of its
+    first pixel, every chip whose own pixels the sanitizer inspects inside
+    the block: its clean fast path (``_is_clean``) or the full inspection
+    (``_inspect_chip``).  ``len(reads)`` counts the distinct chips."""
+    @contextmanager
+    def reads():
+        seen: set[int] = set()
+
+        def spy(inspect):
+            def spied(chip, policy):
+                seen.add(chip.__array_interface__["data"][0])
+                return inspect(chip, policy)
+            return spied
+
+        with mock.patch.object(sanitize, "_is_clean",
+                               spy(sanitize._is_clean)), \
+                mock.patch.object(sanitize, "_inspect_chip",
+                                  spy(sanitize._inspect_chip)):
+            yield seen
+    return reads
 
 
 @dataclass(frozen=True)

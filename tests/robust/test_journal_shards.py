@@ -1,5 +1,8 @@
 """Per-shard journal files and their merge into the main journal."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.robust import ScanJournal, ScanJournalError
@@ -28,6 +31,28 @@ class TestExtend:
         journal.extend([])
         _, records = journal.load()
         assert records == []
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("record", [
+        TileRecord(3, (50, 100), "ok"),
+        TileRecord(4, (0, 477), "repaired", reason="infilled 12 hole px",
+                   detections=((61.5, 148.25, 30.0, 28.0, 0.9375),)),
+        TileRecord(5, (477, 0), "quarantined",
+                   reason="missing_band band 2: 10000 px (25.0%)"),
+    ])
+    def test_a_line_is_the_dataclass_fields_in_order(self, tmp_path, record):
+        """``to_json`` is built field by field; a journal line stays the
+        one ``{"kind": "tile", **asdict(record)}`` wrote, and reads back
+        as the record."""
+        assert json.dumps(record.to_json(), allow_nan=False) == json.dumps(
+            {"kind": "tile", **asdict(record)}, allow_nan=False)
+        journal = ScanJournal(tmp_path / "scan.jsonl")
+        journal.start(META)
+        journal.extend([record])
+        assert journal.load()[1] == [record]
+        line = journal.path.read_text().splitlines()[1]
+        assert TileRecord.from_json(json.loads(line)) == record
 
 
 class TestLoad:

@@ -256,7 +256,7 @@ class TestOneRepairedRaster:
     @given(side=st.sampled_from((14, 15, 20, 21)), extra=st.integers(1, 3),
            fraction=st.sampled_from((0.3, 1.0)), seed=st.integers(0, 2**16))
     def test_every_on_grid_tile_is_a_crop_of_the_scene_repair(
-            self, side, extra, fraction, seed):
+            self, pixel_reads, side, extra, fraction, seed):
         cell = -(-side // 2)
         size = side + extra * cell
         origins = scan_origins(size, side, cell)
@@ -270,7 +270,11 @@ class TestOneRepairedRaster:
         repaired = sanitize_scene(image, policy, window=side)
         assert repaired.cell == (cell, cell)
         for r, c in origins:
-            got = repaired.tile(r, c, side)
+            with pixel_reads() as reads:
+                got = repaired.tile(r, c, side)
+            # an even side is two whole cells: the verdict pools their
+            # statistics and reads no pixel; an odd side reads its own
+            assert len(reads) == side % 2
             want = sanitize_chip(image[:, r:r + side, c:c + side], policy)
             # an odd side's second cell is one pixel short of the
             # raster's, except where the scene ends one pixel short too

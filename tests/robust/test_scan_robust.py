@@ -752,3 +752,28 @@ class TestScanIsThePerTileReference:
         assert list(pooled) == ref and pooled.coverage == ref_coverage
         assert sorted(pooled_path.read_text().splitlines()) \
             == sorted(path.read_text().splitlines())
+
+
+class TestVerdictsFromCellStatistics:
+    """The robust scan inspects each scene pixel once: ``sanitize_scene``
+    keeps every repair cell's damage statistics, a tile of whole cells
+    is judged by pooling its four cells', and only a tile off the cell
+    grid reads its own pixels."""
+
+    @pytest.mark.parametrize("size, stride, own", [(600, 50, 0),
+                                                   (577, 50, 21),
+                                                   (600, 48, 140)])
+    def test_only_tiles_off_the_cell_grid_read_their_own_pixels(
+            self, model, pixel_reads, size, stride, own):
+        origins = scan_origins(size, 100, stride)
+        clean = np.random.default_rng(size + stride).random(
+            (4, size, size), dtype=np.float32)
+        image, applied = corrupt_scene(clean, origins, 100, fraction=0.3,
+                                       seed=stride)
+        assert applied
+        with pixel_reads() as reads:
+            result = scan_scene(
+                model, SimpleNamespace(image=image, size=size), window=100,
+                stride=stride, sanitize=SanitizePolicy.for_scene())
+        assert result.coverage.tiles_repaired > 0
+        assert len(reads) == own
